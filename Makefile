@@ -2,9 +2,9 @@
 #
 # `bless-golden` is the one audited way to regenerate the
 # results-invariance golden file after an *intentional* physics change:
-# it re-renders the pinned campaign, overwrites
-# tests/golden/small_campaign.txt, and prints the resulting diff so the
-# change lands reviewably in the same PR.
+# it re-renders the pinned campaign and churn round, overwrites
+# tests/golden/small_campaign.txt and tests/golden/churn_digest.txt, and
+# prints the resulting diff so the change lands reviewably in the same PR.
 
 .PHONY: verify bless-golden perfstat
 
@@ -13,7 +13,7 @@ verify:
 	cargo test -q --workspace
 
 bless-golden:
-	FA_BLESS_GOLDEN=1 cargo test -q --test results_golden default_policy_report_is_byte_identical_to_golden
+	FA_BLESS_GOLDEN=1 cargo test -q --test results_golden
 	git --no-pager diff --stat -- tests/golden/
 	@echo "golden re-blessed; review the diff above before committing"
 

@@ -15,7 +15,6 @@ use crate::rangelock::{LockId, LockMode, RangeLockTable};
 use fa_flash::{FaultPlan, FlashBackbone, FlashError, FlashOp, OwnerId};
 use fa_platform::mem::Scratchpad;
 use fa_sim::resource::FifoServer;
-use fa_sim::sharded::ShardPlan;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -47,15 +46,6 @@ pub struct FlashvisorStats {
     /// blocks (the remainder fell back to the shared allocator because the
     /// device was too full to refill the hot reserve).
     pub hot_steered_writes: u64,
-    /// Non-empty section reads routed through the serial per-group loop
-    /// instead of the sharded executor (fault plan affecting reads, an
-    /// unmapped or partially programmed group). A fault plan silently
-    /// forcing the serial path shows up here, not as a mystery slowdown.
-    pub sharded_read_fallbacks: u64,
-    /// Non-empty section writes and GC erase rows routed through the
-    /// serial loop instead of the sharded executor (fault plan affecting
-    /// writes, a placement precheck miss, worn blocks).
-    pub sharded_write_fallbacks: u64,
 }
 
 impl FlashvisorStats {
@@ -114,11 +104,6 @@ impl TransferCompletion {
 pub struct Flashvisor {
     config: FlashAbacusConfig,
     backbone: FlashBackbone,
-    /// How the flash channels are sharded for intra-run parallelism on the
-    /// section read *and* write data paths and the GC erase rows
-    /// (`FA_SHARDS`, default 1). Results are byte-identical for every
-    /// shard count; only wall-clock time changes.
-    shard_plan: ShardPlan,
     /// Logical page group → physical page group, sentinel-encoded:
     /// `0` = unmapped, `pg + 1` = mapped to `pg`. The zero sentinel lets
     /// construction take the allocator's zeroed-page path instead of
@@ -207,7 +192,6 @@ impl Flashvisor {
         Flashvisor {
             config,
             backbone,
-            shard_plan: ShardPlan::from_env(),
             mapping: vec![0; total_groups as usize],
             reverse: vec![0; total_groups as usize],
             freespace,
@@ -229,18 +213,6 @@ impl Flashvisor {
     /// The configuration this Flashvisor was built with.
     pub fn config(&self) -> &FlashAbacusConfig {
         &self.config
-    }
-
-    /// The shard plan driving the sharded read data path.
-    pub fn shard_plan(&self) -> ShardPlan {
-        self.shard_plan
-    }
-
-    /// Overrides the shard plan (tests and the perf harness compare shard
-    /// counts without touching the process environment). Behaviour is
-    /// invariant to this; only wall-clock time may change.
-    pub fn set_shard_plan(&mut self, plan: ShardPlan) {
-        self.shard_plan = plan;
     }
 
     /// Immutable access to the backbone (reports, GC victim inspection).
@@ -498,18 +470,6 @@ impl Flashvisor {
     /// Reads the logical byte range `[start, start+len)` of a data section
     /// into DDR3L: translation on the Flashvisor LWP followed by page reads
     /// on the backbone. Returns when the last page arrives.
-    ///
-    /// When every covered group is mapped and fully programmed — the
-    /// steady-state case, established by a pure precheck that touches no
-    /// state — the whole section is staged and issued through the
-    /// backbone's sharded channel executor in one batch: the translation
-    /// prologue is a pure Flashvisor-CPU chain (scratchpad + LWP cycles)
-    /// whose schedule never depends on flash completions, so charging it
-    /// up front and then running the flash phase is exactly the serial
-    /// interleaving, and the sharded executor itself replays all globally
-    /// serialized effects in submission order. Sections that could fault
-    /// take the original per-group serial loop, preserving mid-section
-    /// error semantics to the byte.
     pub fn read_section(
         &mut self,
         now: SimTime,
@@ -527,47 +487,6 @@ impl Flashvisor {
         let pages = self.config.pages_per_group();
         let owner = self.transfer_owner(start, len);
         let (first, last) = self.groups_covering(start, len);
-        // Pure resolve pass: no CPU charges, no stats — just whether the
-        // fault-free fast path applies, and the physical groups if so.
-        let mut pgs: Vec<u64> = Vec::with_capacity((last - first + 1) as usize);
-        let mut all_mapped = true;
-        for lg in first..=last {
-            match self.logical_slot(lg) {
-                Ok(Some(pg)) => pgs.push(pg),
-                _ => {
-                    all_mapped = false;
-                    break;
-                }
-            }
-        }
-        if all_mapped
-            && !self.backbone.faults_affect_reads()
-            && self
-                .backbone
-                .groups_readable(pgs.iter().map(|&pg| pg * pages), pages)
-        {
-            // Translation prologue: identical scratchpad traffic, CPU
-            // charges and counters as the serial loop below.
-            let mut cursor = now;
-            let mut staged: Vec<(SimTime, u64)> = Vec::with_capacity(pgs.len());
-            for (k, &pg) in pgs.iter().enumerate() {
-                let lg = first + k as u64;
-                scratchpad.access(cursor, lg * 4, 4);
-                cursor = self.charge_cpu(cursor, self.config.flashvisor_request_cycles);
-                self.stats.mapping_lookups += 1;
-                staged.push((cursor, pg * pages));
-            }
-            let batch = self
-                .backbone
-                .read_groups_sharded(self.shard_plan, &staged, pages, owner);
-            self.stats.group_reads += staged.len() as u64;
-            return Ok(TransferCompletion {
-                accepted: now,
-                finished: now.max(batch.finished),
-                groups: last - first + 1,
-            });
-        }
-        self.stats.sharded_read_fallbacks += 1;
         let mut finished = now;
         let mut cursor = now;
         for lg in first..=last {
@@ -603,24 +522,6 @@ impl Flashvisor {
     /// Writes the logical byte range `[start, start+len)` back to flash:
     /// log-structured allocation of new physical groups, page programs, and
     /// invalidation of any overwritten groups.
-    ///
-    /// The steady-state fault-free case runs sharded, mirroring
-    /// [`Flashvisor::read_section`]'s resolve-then-precheck split with
-    /// allocation isolated as the single cross-channel coupling: a serial
-    /// pre-pass resolves every group's placement (CPU charge, invalidation
-    /// of the overwritten location, hot/cold classification, allocator
-    /// draw) in exact serial order — all of it pure with respect to device
-    /// timing — and then one
-    /// [`FlashBackbone::program_groups_sharded`] batch executes the
-    /// programs channel-parallel under a finite lookahead, with the
-    /// mapping commits replayed serially afterwards. The deferral is
-    /// byte-exact because the pre-pass gate requires every overwritten
-    /// group to still hold programmed pages (so no release can recycle
-    /// mid-batch and perturb later allocations), and programs never erase
-    /// (so no wear sync or reclaim can fire mid-batch either). Sections
-    /// that could fault — a write-affecting fault plan, a placement the
-    /// programmability precheck rejects — take the original serial loop,
-    /// preserving mid-section error semantics to the byte.
     pub fn write_section(
         &mut self,
         now: SimTime,
@@ -638,47 +539,6 @@ impl Flashvisor {
         let pages = self.config.pages_per_group();
         let owner = self.transfer_owner(start, len);
         let (first, last) = self.groups_covering(start, len);
-        // Pure resolve pass: no CPU charges, no stats, no mutation — just
-        // whether the fault-free fast path applies. Every logical group
-        // must resolve, and every currently mapped old group must still
-        // hold programmed pages: releasing such a group is a pure
-        // reverse-index clear, so deferring the releases past the batch
-        // cannot change what the allocator hands out mid-batch. The
-        // placements the allocator *would* draw are then forecast through
-        // [`FreeSpaceManager::peek_allocations`] and prechecked for
-        // programmability — all before a single side effect, so a miss
-        // falls back to the genuinely untouched serial loop below with
-        // byte-exact mid-section error semantics.
-        let mut fast = !self.backbone.faults_affect_writes();
-        if fast {
-            for lg in first..=last {
-                match self.logical_slot(lg) {
-                    Ok(Some(old))
-                        if self.backbone.valid_index().group_programmed_pages(old) == 0 =>
-                    {
-                        fast = false;
-                        break;
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        fast = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if fast {
-            if let Some(predicted) = self.predict_write_placements(first, last) {
-                if self
-                    .backbone
-                    .groups_programmable(predicted.iter().map(|&pg| pg * pages), pages)
-                {
-                    return self
-                        .write_section_sharded(now, first, last, owner, scratchpad, &predicted);
-                }
-            }
-        }
-        self.stats.sharded_write_fallbacks += 1;
         let mut finished = now;
         let mut cursor = now;
         for lg in first..=last {
@@ -753,140 +613,6 @@ impl Flashvisor {
             finished,
             groups: last - first + 1,
         })
-    }
-
-    /// Forecasts the physical groups the next `last - first + 1` write
-    /// allocations would draw, in exact serial order, without consuming
-    /// anything: hot/cold classification replays the per-group overwrite
-    /// bump the serial loop performs before classifying, the hot reserve is
-    /// simulated on a copy, and the shared pool is walked through
-    /// [`FreeSpaceManager::peek_allocations`]. Returns `None` when any
-    /// allocation would exhaust the device — that section belongs on the
-    /// serial loop, which reproduces the exact mid-section
-    /// `OutOfFlashSpace` the caller must see. The only mutation is the
-    /// lazy wear drain the first real allocation would perform anyway;
-    /// nothing between here and that allocation erases a block, so the
-    /// drain commutes byte-exactly.
-    fn predict_write_placements(&mut self, first: u64, last: u64) -> Option<Vec<u64>> {
-        self.sync_wear();
-        let refill = self.hot_refill_row_groups();
-        let mut reserve = self.hot_reserve.clone();
-        let mut pool = self.freespace.peek_allocations();
-        let mut predicted = Vec::with_capacity((last - first + 1) as usize);
-        for lg in first..=last {
-            let overwritten = self.logical_slot(lg).ok().flatten().is_some();
-            let count = self.overwrite_count(lg).saturating_add(overwritten as u32);
-            let hot = self
-                .config
-                .hot_overwrite_threshold
-                .is_some_and(|t| count >= t);
-            let pg = if hot {
-                if reserve.is_empty() {
-                    // Mirrors `allocate_hot_group`: the refill stops at a
-                    // row boundary so the pool never hands out a row's tail
-                    // while its head is parked in the reserve.
-                    for _ in 0..refill {
-                        match pool.next() {
-                            Some(g) => {
-                                reserve.push_back(g);
-                                if (g + 1) % refill == 0 {
-                                    break;
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                match reserve.pop_front() {
-                    Some(g) => g,
-                    None => pool.next().or_else(|| reserve.pop_front())?,
-                }
-            } else {
-                pool.next().or_else(|| reserve.pop_front())?
-            };
-            predicted.push(pg);
-        }
-        Some(predicted)
-    }
-
-    /// The sharded continuation of [`Flashvisor::write_section`] once the
-    /// pure resolve pass, the placement forecast, and the programmability
-    /// precheck have all cleared — so nothing on this path can fail. Runs
-    /// the serial pre-pass (CPU charges, invalidations, hot/cold stats,
-    /// allocator draws, all in exact serial order), executes the programs
-    /// through [`FlashBackbone::program_groups_sharded`], and replays the
-    /// mapping commits in submission order. The pre-pass/program split is
-    /// byte-identical to the serial interleaving because the CPU chain
-    /// depends only on earlier CPU charges, invalidation touches only old
-    /// groups (disjoint from every program target), and the allocator never
-    /// observes device time.
-    fn write_section_sharded(
-        &mut self,
-        now: SimTime,
-        first: u64,
-        last: u64,
-        owner: OwnerId,
-        scratchpad: &mut Scratchpad,
-        predicted: &[u64],
-    ) -> Result<TransferCompletion, FaError> {
-        let pages = self.config.pages_per_group();
-        let mut cursor = now;
-        let mut planned: Vec<(u64, Option<u64>, u64, SimTime)> =
-            Vec::with_capacity(predicted.len());
-        for (i, lg) in (first..=last).enumerate() {
-            scratchpad.access(cursor, lg * 4, 4);
-            cursor = self.charge_cpu(cursor, self.config.flashvisor_request_cycles);
-            self.stats.mapping_lookups += 1;
-            let old = self.logical_slot(lg)?;
-            if let Some(old) = old {
-                self.backbone.invalidate_group(old * pages, pages)?;
-                self.stats.overwritten_groups += 1;
-                self.overwrite_counts[lg as usize] =
-                    self.overwrite_counts[lg as usize].saturating_add(1);
-            }
-            let pg = if self.is_hot_group(lg) {
-                self.stats.hot_group_writes += 1;
-                self.allocate_hot_group()?
-            } else {
-                self.stats.cold_group_writes += 1;
-                self.allocate_physical_group()?
-            };
-            debug_assert_eq!(
-                pg, predicted[i],
-                "placement forecast diverged from the allocator"
-            );
-            planned.push((lg, old, pg, cursor));
-        }
-        let staged: Vec<(SimTime, u64)> = planned
-            .iter()
-            .map(|&(_, _, pg, cursor)| (cursor, pg * pages))
-            .collect();
-        let batch = self
-            .backbone
-            .program_groups_sharded(self.shard_plan, &staged, pages, owner);
-        let finished = now.max(batch.finished);
-        for &(lg, old, pg, _) in &planned {
-            if let Some(old) = old {
-                self.release_unmapped_group(old);
-            }
-            self.mapping[lg as usize] = pg + 1;
-            self.reverse[pg as usize] = lg + 1;
-            self.dirty_mapping_entries += 1;
-            self.record_commit(lg, pg);
-            self.stats.group_writes += 1;
-        }
-        Ok(TransferCompletion {
-            accepted: now,
-            finished,
-            groups: last - first + 1,
-        })
-    }
-
-    /// Records that a GC erase row (or another write-side batch) took the
-    /// serial path instead of the sharded executor. Storengine calls this;
-    /// the counter lives with the other translation-layer statistics.
-    pub(crate) fn note_sharded_write_fallback(&mut self) {
-        self.stats.sharded_write_fallbacks += 1;
     }
 
     /// Looks up the physical group a logical group maps to (Storengine uses

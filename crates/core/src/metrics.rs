@@ -135,22 +135,6 @@ pub struct RunOutcome {
     /// Fraction of hot-classified writes served from the dedicated hot
     /// active blocks; 0 when nothing was classified hot.
     pub hot_steer_rate: f64,
-    /// Read sections that fell off the sharded fast path onto the serial
-    /// loop (fault plans affecting reads, unmapped groups, readability
-    /// precheck misses). A fault plan silently forcing the serial path
-    /// shows up here instead of only as a throughput anomaly.
-    pub sharded_read_fallbacks: u64,
-    /// Write sections and GC erase rows that fell off the sharded fast
-    /// path onto the serial loop (fault plans affecting writes, placement
-    /// forecast exhaustion, programmability/erasability precheck misses).
-    pub sharded_write_fallbacks: u64,
-    /// Conservative windows (barrier syncs) the sharded engine completed
-    /// across every read sweep, program sweep, and erase row of the run.
-    /// Invariant across `FA_SHARDS` values — the window count is a
-    /// function of event times and lookahead only — so it is safe in
-    /// byte-compared reports; a churn round under a finite lookahead
-    /// completes more than one window per batch.
-    pub sharded_windows: u64,
     /// Open-loop campaigns only: tenants the arrival process injected.
     /// Zero for closed-loop batch runs.
     pub tenants_arrived: u64,
@@ -292,9 +276,6 @@ mod tests {
             hot_group_writes: 0,
             cold_group_writes: 0,
             hot_steer_rate: 0.0,
-            sharded_read_fallbacks: 0,
-            sharded_write_fallbacks: 0,
-            sharded_windows: 0,
             tenants_arrived: 0,
             tenants_admitted: 0,
             tenants_queued: 0,

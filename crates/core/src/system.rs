@@ -1058,9 +1058,6 @@ impl FlashAbacusSystem {
             hot_group_writes: fv_stats.hot_group_writes,
             cold_group_writes: fv_stats.cold_group_writes,
             hot_steer_rate: fv_stats.hot_steer_rate(),
-            sharded_read_fallbacks: fv_stats.sharded_read_fallbacks,
-            sharded_write_fallbacks: fv_stats.sharded_write_fallbacks,
-            sharded_windows: self.flashvisor.backbone().sharded_windows(),
             tenants_arrived: 0,
             tenants_admitted: 0,
             tenants_queued: 0,
@@ -1157,6 +1154,7 @@ fn compute_screen_slices(apps: &[Application]) -> HashMap<ScreenRef, ScreenSlice
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_flash::OwnerId;
     use fa_kernel::instance::{instantiate_many, InstancePlan};
     use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
 
@@ -1410,37 +1408,73 @@ mod tests {
     #[test]
     fn injected_faults_are_absorbed_and_reproducible() {
         // Acceptance: with a seeded fault plan, the same seed reproduces
-        // the identical fault trace and end state twice. The plan mixes
-        // light probabilistic faults with a scripted pair of program
-        // failures on one block, so exactly that block is condemned
-        // (retire_after=2) and its row deterministically retires while the
-        // run still completes. Aggressive plans that retire a large slice
-        // of this deliberately tight config legitimately end in device
-        // death (OutOfFlashSpace), which the endurance bench exercises.
-        let apps = gc_pressure_workload();
-        let plan = FaultPlan::parse(
+        // the identical fault trace and end state twice. Two plans:
+        //
+        // * Write faults: light probabilistic faults plus a scripted pair
+        //   of program failures on one block, so exactly that block is
+        //   condemned (retire_after=2) and its row deterministically
+        //   retires while the run still completes. Aggressive plans that
+        //   retire a large slice of this deliberately tight config
+        //   legitimately end in device death (OutOfFlashSpace), which the
+        //   endurance bench exercises.
+        // * Read-disturb: every section read retries disturbed pages and
+        //   then relocates their groups, on a run with no GC pass — so
+        //   every GC-owned program is a relocation.
+        let write_faults = FaultPlan::parse(
             "seed=7,program=0.0002,erase=0.0001,retire_after=2,\
              script=program@c0.d0.b3.n1,script=program@c0.d0.b3.n2",
         )
         .unwrap();
-        let run_faulty = || {
-            let mut system =
-                FlashAbacusSystem::without_env_faults(gc_pressure_config(SchedulerPolicy::InterDy));
+        let read_disturb = FaultPlan::parse("seed=11,read_disturb=0.02").unwrap();
+        #[derive(Debug, PartialEq)]
+        struct FaultyRun {
+            finished: SimTime,
+            gc_passes: u64,
+            gc_programs: u64,
+            faults: fa_flash::FaultStats,
+            retired: Vec<u64>,
+            mapped: Vec<(u64, u64)>,
+        }
+        let run_faulty = |config: FlashAbacusConfig, apps: &[Application], plan: &FaultPlan| {
+            let mut system = FlashAbacusSystem::without_env_faults(config);
             system.install_fault_plan(Arc::new(plan.clone()));
-            let out = system.run(&apps).expect("faulty run completes");
-            let stats = system.flashvisor().backbone().fault_stats();
-            let retired = system.flashvisor().retired_rows().to_vec();
-            let mapped: Vec<(u64, u64)> = system.flashvisor().mapped_groups().collect();
-            (out.finished_at, stats, retired, mapped)
+            let out = system.run(apps).expect("faulty run completes");
+            let flashvisor = system.flashvisor();
+            FaultyRun {
+                finished: out.finished_at,
+                gc_passes: out.gc_passes,
+                gc_programs: flashvisor
+                    .backbone()
+                    .owner_stats()
+                    .get(&OwnerId::Gc)
+                    .map_or(0, |s| s.programs),
+                faults: flashvisor.backbone().fault_stats(),
+                retired: flashvisor.retired_rows().to_vec(),
+                mapped: flashvisor.mapped_groups().collect(),
+            }
         };
-        let (t1, s1, r1, m1) = run_faulty();
-        let (t2, s2, r2, m2) = run_faulty();
-        assert!(s1.injected_program_failures >= 2, "scripted faults missed");
-        assert!(r1.contains(&3), "scripted block row not retired: {r1:?}");
-        assert_eq!(t1, t2);
-        assert_eq!(s1, s2);
-        assert_eq!(r1, r2);
-        assert_eq!(m1, m2);
+
+        let apps = gc_pressure_workload();
+        let config = gc_pressure_config(SchedulerPolicy::InterDy);
+        let a = run_faulty(config, &apps, &write_faults);
+        assert!(
+            a.faults.injected_program_failures >= 2,
+            "scripted faults missed"
+        );
+        assert!(
+            a.retired.contains(&3),
+            "scripted block row not retired: {:?}",
+            a.retired
+        );
+        assert_eq!(a, run_faulty(config, &apps, &write_faults));
+
+        let apps = small_workload(3, 0.2);
+        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        let a = run_faulty(config, &apps, &read_disturb);
+        assert!(a.faults.read_disturbs > 0, "no read was disturbed");
+        assert_eq!(a.gc_passes, 0, "GC ran, so relocations are not isolated");
+        assert!(a.gc_programs > 0, "no disturbed group was relocated");
+        assert_eq!(a, run_faulty(config, &apps, &read_disturb));
     }
 
     #[test]

@@ -2,18 +2,11 @@
 //! `submit_batch` with the full campaign feature set live — per-owner QoS
 //! tag admission, dense owner accounting, and valid-page group tracking.
 //! The per-command `submit_tagged` sweep rides along as the baseline the
-//! batched accounting is priced against, and the group-read sweep compares
-//! the serial section loop against the channel-sharded dispatcher (1 shard
-//! and 4 shards); the group-program sweep does the same for the write path
-//! (serial SRIO pre-pass + per-channel program lanes under the finite
-//! lookahead); `perfstat` records the same numbers into `BENCH_PR10.json`.
+//! batched accounting is priced against; `perfstat` records the same
+//! numbers into `BENCH_PR10.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fa_bench::perf::{
-    group_program_sweep, group_read_sweep, hot_path_backbone, hot_path_sweep,
-    hot_path_sweep_tagged, preloaded_hot_path_backbone,
-};
-use fa_sim::sharded::ShardPlan;
+use fa_bench::perf::{hot_path_backbone, hot_path_sweep, hot_path_sweep_tagged};
 use fa_sim::time::SimTime;
 
 fn bench_hot_path(c: &mut Criterion) {
@@ -36,56 +29,6 @@ fn bench_hot_path(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    // Section reads over a preloaded device: the serial per-group loop vs
-    // the channel-sharded executor. The 1-shard case prices the pure
-    // engine/window overhead (same physics, event-driven dispatch); the
-    // 4-shard case adds outbox merging across lanes.
-    for (label, plan) in [
-        ("serial_loop", None),
-        ("sharded_1", Some(ShardPlan::new(1))),
-        ("sharded_4", Some(ShardPlan::new(4))),
-    ] {
-        group.bench_function(format!("group_read_sweep/{label}"), |b| {
-            b.iter_batched(
-                preloaded_hot_path_backbone,
-                |mut backbone| {
-                    criterion::black_box(group_read_sweep(&mut backbone, plan, SimTime::ZERO))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    // Section programs over a freshly erased device: the serial per-group
-    // loop vs the sharded program lanes (multi-window under the finite
-    // program-sweep lookahead). The paths must stay physics-identical, so
-    // assert equal completions once before timing anything.
-    let baseline = {
-        let mut backbone = hot_path_backbone();
-        group_program_sweep(&mut backbone, None, SimTime::ZERO)
-    };
-    for (label, plan) in [
-        ("serial_loop", None),
-        ("sharded_1", Some(ShardPlan::new(1))),
-        ("sharded_4", Some(ShardPlan::new(4))),
-    ] {
-        if let Some(p) = plan {
-            let mut backbone = hot_path_backbone();
-            assert_eq!(
-                group_program_sweep(&mut backbone, Some(p), SimTime::ZERO),
-                baseline,
-                "sharded program sweep diverged from the serial loop"
-            );
-        }
-        group.bench_function(format!("group_program_sweep/{label}"), |b| {
-            b.iter_batched(
-                hot_path_backbone,
-                |mut backbone| {
-                    criterion::black_box(group_program_sweep(&mut backbone, plan, SimTime::ZERO))
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
     group.finish();
 }
 

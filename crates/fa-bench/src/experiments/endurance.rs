@@ -57,7 +57,7 @@ const MAX_ROUNDS: u64 = 200_000;
 pub struct EnduranceOutcome {
     /// Placement policy label.
     pub placement: &'static str,
-    /// Whether the device actually died before [`MAX_ROUNDS`].
+    /// Whether the device actually died within the churn-round cap.
     pub died: bool,
     /// Host bytes written before death.
     pub host_bytes_written: u64,

@@ -10,14 +10,11 @@
 //! (The oracle *property tests* deliberately do not use these helpers:
 //! their oracles must stay independent of the code under test.)
 
-use fa_flash::{
-    FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, QosBudgets,
-};
+use fa_flash::{FlashBackbone, FlashCommand, FlashGeometry, FlashTiming, OwnerId, QosBudgets};
 use fa_kernel::chain::{ExecutionChain, ScreenRef, ScreenState};
 use fa_kernel::instance::{instantiate_many, InstancePlan};
 use fa_kernel::model::{AppId, Application, ApplicationBuilder, DataSection};
 use fa_platform::lwp::InstructionMix;
-use fa_sim::sharded::ShardPlan;
 use fa_sim::time::SimTime;
 use flashabacus::config::FlashAbacusConfig;
 use flashabacus::scheduler::SchedulerPolicy;
@@ -236,16 +233,8 @@ pub fn hot_path_sweep(backbone: &mut FlashBackbone, mut now: SimTime) -> (u64, S
     (commands, now)
 }
 
-/// Pages per group of the sharded-read sweep (the hot-path backbone's
-/// group-tracking granularity).
-pub const SHARDED_SWEEP_GROUP_PAGES: u64 = 4;
-
-/// Groups per section of the sharded-read sweep — mirrors the ~hundred
-/// groups a campaign section read stages per sharded submission.
-pub const SHARDED_SWEEP_SECTION_GROUPS: u64 = 96;
-
 /// The hot-path backbone with every page preloaded — the fully-programmed
-/// steady state the section-read fast path requires.
+/// steady state section reads run against.
 pub fn preloaded_hot_path_backbone() -> FlashBackbone {
     let mut backbone = hot_path_backbone();
     let total = backbone.geometry().total_pages();
@@ -253,113 +242,6 @@ pub fn preloaded_hot_path_backbone() -> FlashBackbone {
         .preload_group(0, total)
         .expect("preload whole device");
     backbone
-}
-
-/// One full group-read sweep of a preloaded device, section by section
-/// ([`SHARDED_SWEEP_SECTION_GROUPS`] groups of
-/// [`SHARDED_SWEEP_GROUP_PAGES`] pages per submission): through the
-/// sharded executor when `plan` is given, through the serial
-/// `submit_group` loop otherwise. Both submit every group of a section at
-/// the same instant, so the two paths are exactly equivalent — `perfstat`
-/// asserts identical completions on every run before recording the
-/// timing. Returns (commands, sections i.e. window syncs, completion).
-pub fn group_read_sweep(
-    backbone: &mut FlashBackbone,
-    plan: Option<ShardPlan>,
-    mut now: SimTime,
-) -> (u64, u64, SimTime) {
-    let pages = SHARDED_SWEEP_GROUP_PAGES;
-    let total_groups = backbone.geometry().total_pages() / pages;
-    let mut commands = 0u64;
-    let mut sections = 0u64;
-    let mut g = 0u64;
-    let mut staged: Vec<(SimTime, u64)> = Vec::new();
-    while g < total_groups {
-        let n = SHARDED_SWEEP_SECTION_GROUPS.min(total_groups - g);
-        match plan {
-            Some(p) => {
-                staged.clear();
-                staged.extend((g..g + n).map(|gi| (now, gi * pages)));
-                let batch = backbone.read_groups_sharded(p, &staged, pages, OwnerId::Kernel(0));
-                now = batch.finished;
-                commands += batch.commands;
-            }
-            None => {
-                let mut finished = now;
-                for gi in g..g + n {
-                    let batch = backbone
-                        .submit_group(
-                            now,
-                            gi * pages,
-                            pages,
-                            FlashOp::ReadPage,
-                            OwnerId::Kernel(0),
-                        )
-                        .expect("sweep read stripe");
-                    finished = finished.max(batch.finished);
-                }
-                now = finished;
-                commands += n * pages;
-            }
-        }
-        sections += 1;
-        g += n;
-    }
-    (commands, sections, now)
-}
-
-/// One full group-program sweep of a freshly erased device, section by
-/// section ([`SHARDED_SWEEP_SECTION_GROUPS`] groups of
-/// [`SHARDED_SWEEP_GROUP_PAGES`] pages per submission): through the
-/// sharded executor when `plan` is given (serial SRIO pre-pass, per-channel
-/// program lanes under the finite program-sweep lookahead, barrier replay),
-/// through the serial `submit_group` loop otherwise. Groups ascend, so
-/// every program lands on its block's write cursor and the two paths are
-/// exactly equivalent — `perfstat` asserts identical completions on every
-/// run before recording the timing. Returns (commands, sections, completion).
-pub fn group_program_sweep(
-    backbone: &mut FlashBackbone,
-    plan: Option<ShardPlan>,
-    mut now: SimTime,
-) -> (u64, u64, SimTime) {
-    let pages = SHARDED_SWEEP_GROUP_PAGES;
-    let total_groups = backbone.geometry().total_pages() / pages;
-    let mut commands = 0u64;
-    let mut sections = 0u64;
-    let mut g = 0u64;
-    let mut staged: Vec<(SimTime, u64)> = Vec::new();
-    while g < total_groups {
-        let n = SHARDED_SWEEP_SECTION_GROUPS.min(total_groups - g);
-        match plan {
-            Some(p) => {
-                staged.clear();
-                staged.extend((g..g + n).map(|gi| (now, gi * pages)));
-                let batch = backbone.program_groups_sharded(p, &staged, pages, OwnerId::Kernel(0));
-                now = batch.finished;
-                commands += batch.commands;
-            }
-            None => {
-                let mut finished = now;
-                for gi in g..g + n {
-                    let batch = backbone
-                        .submit_group(
-                            now,
-                            gi * pages,
-                            pages,
-                            FlashOp::ProgramPage,
-                            OwnerId::Kernel(0),
-                        )
-                        .expect("sweep program stripe");
-                    finished = finished.max(batch.finished);
-                }
-                now = finished;
-                commands += n * pages;
-            }
-        }
-        sections += 1;
-        g += n;
-    }
-    (commands, sections, now)
 }
 
 /// The same sweep submitted one command at a time through `submit_tagged`
@@ -446,23 +328,6 @@ mod tests {
             (b.reads, b.programs, b.erases),
             (t.reads, t.programs, t.erases)
         );
-    }
-
-    #[test]
-    fn group_program_sweep_serial_and_sharded_agree() {
-        let mut serial = hot_path_backbone();
-        let (sc, ss, sf) = group_program_sweep(&mut serial, None, SimTime::ZERO);
-        for shards in [1usize, 4] {
-            let mut sharded = hot_path_backbone();
-            let (hc, hs, hf) =
-                group_program_sweep(&mut sharded, Some(ShardPlan::new(shards)), SimTime::ZERO);
-            assert_eq!((sc, ss, sf), (hc, hs, hf), "{shards} shards");
-            assert_eq!(serial.total_valid_pages(), sharded.total_valid_pages());
-            assert_eq!(serial.stats().programs, sharded.stats().programs);
-            // The finite program-sweep lookahead splits each section into
-            // multiple conservative windows.
-            assert!(sharded.sharded_windows() > hs);
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::owner::{OwnerId, OwnerStats, QosBudgets};
 use crate::timing::FlashTiming;
 use crate::validindex::ValidPageIndex;
 use fa_sim::resource::SerializedResource;
-use fa_sim::sharded::{Outbox, ShardPlan, ShardedEngine};
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -135,14 +134,6 @@ pub struct FlashBackbone {
     /// group hot loop skips the bytes-to-duration conversion per page
     /// (identical value to what `srio.reserve` would derive).
     srio_page_service: SimDuration,
-    /// Erase-cycle budget per block (mirrors the limit installed in every
-    /// channel controller's dies) — the programmability/erasability
-    /// prechecks of the sharded write path compare against it.
-    endurance_limit: u64,
-    /// Conservative windows (barrier syncs) completed by sharded
-    /// executions so far — observability for how much multi-window
-    /// parallelism the run actually exercised.
-    sharded_windows: u64,
     /// The installed fault plan, if any. `None` (the default) means no
     /// channel carries fault state and every hook is one dead branch —
     /// fault-free runs stay byte-identical to the recorded golden campaign.
@@ -180,8 +171,6 @@ impl FlashBackbone {
                 geometry.page_bytes as u64,
                 srio_bytes_per_sec,
             ),
-            endurance_limit,
-            sharded_windows: 0,
             fault_plan: None,
         }
     }
@@ -189,7 +178,7 @@ impl FlashBackbone {
     /// Installs a fault plan: every channel controller receives its own
     /// channel-local [`FaultState`] built from the shared plan, so fault
     /// decisions depend only on each channel's own command sequence
-    /// (shard-safe determinism; see [`crate::fault`]).
+    /// (interleaving-independent determinism; see [`crate::fault`]).
     pub fn install_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         for channel in &mut self.channels {
             let index = channel.index();
@@ -204,28 +193,10 @@ impl FlashBackbone {
     }
 
     /// True when an installed plan can fault the read path (read-disturb or
-    /// a scripted read fault). The translation layer routes section reads
-    /// through the serial fallback in that case — the sharded fast path
-    /// prechecks that no command can fault.
+    /// a scripted read fault). The translation layer then relocates the
+    /// groups a section read disturbed.
     pub fn faults_affect_reads(&self) -> bool {
         self.fault_plan.as_ref().is_some_and(|p| p.affects_reads())
-    }
-
-    /// True when an installed plan can fault the write path (an injected
-    /// program or erase failure). The translation layer and Storengine
-    /// route program sweeps and GC erase rows through the serial fallback
-    /// in that case — the sharded fast path prechecks that no command can
-    /// fault.
-    pub fn faults_affect_writes(&self) -> bool {
-        self.fault_plan.as_ref().is_some_and(|p| p.affects_writes())
-    }
-
-    /// Conservative windows (barrier syncs) completed by every sharded
-    /// execution so far — reads, program sweeps, and erase rows combined.
-    /// A churn round under a finite lookahead completes more windows than
-    /// it ran batches; an all-serial run reports zero.
-    pub fn sharded_windows(&self) -> u64 {
-        self.sharded_windows
     }
 
     /// Drains the flat page indexes hit by read-disturb since the last
@@ -828,576 +799,6 @@ impl FlashBackbone {
         })
     }
 
-    /// True when every listed group start is group-aligned, in range, and
-    /// fully programmed — the precondition under which a group read cannot
-    /// fault on any page and may therefore run on the sharded executor
-    /// (see [`FlashBackbone::read_groups_sharded`]). Requires group
-    /// tracking at exactly `pages` pages per group; pure, touches no state.
-    pub fn groups_readable(&self, firsts: impl IntoIterator<Item = u64>, pages: u64) -> bool {
-        if pages == 0 || self.valid_index.group_size() != Some(pages) {
-            return false;
-        }
-        let total = self.geometry.total_pages();
-        firsts.into_iter().all(|first| {
-            first % pages == 0
-                && first + pages <= total
-                && self.valid_index.group_programmed_pages(first / pages) == pages as u32
-        })
-    }
-
-    /// True when every listed group start is group-aligned, in range, fully
-    /// erased, and every page of it lands exactly on its die's write cursor
-    /// with endurance to spare — the precondition under which a group
-    /// program cannot fault on any page (absent an injected fault, which
-    /// the caller gates separately via
-    /// [`FlashBackbone::faults_affect_writes`]) and may therefore run on
-    /// the sharded executor (see [`FlashBackbone::program_groups_sharded`]).
-    /// Requires group tracking at exactly `pages` pages per group; pure,
-    /// touches no state. Blocks shared between listed groups are checked
-    /// with a batch-local cursor, so a multi-group stripe into one block
-    /// row prechecks exactly as it will program.
-    pub fn groups_programmable(&self, firsts: impl IntoIterator<Item = u64>, pages: u64) -> bool {
-        if pages == 0 || self.valid_index.group_size() != Some(pages) {
-            return false;
-        }
-        let total = self.geometry.total_pages();
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let pages_per_block = self.geometry.pages_per_block;
-        // Batch-local write cursors: (channel, die, block) → next page the
-        // die would accept once the earlier listed pages have programmed.
-        let mut cursors: BTreeMap<(usize, usize, usize), u64> = BTreeMap::new();
-        for first in firsts {
-            if first % pages != 0
-                || first + pages > total
-                || self.valid_index.group_programmed_pages(first / pages) != 0
-            {
-                return false;
-            }
-            let mut addr = self.geometry.flat_to_addr(first);
-            for _ in 0..pages {
-                let Some(die) = self.channels[addr.channel].die(addr.die) else {
-                    return false;
-                };
-                if die.erase_count(addr.block) >= self.endurance_limit {
-                    return false;
-                }
-                let cursor = cursors
-                    .entry((addr.channel, addr.die, addr.block))
-                    .or_insert_with(|| die.programmed_pages_in(addr.block) as u64);
-                if addr.page as u64 != *cursor {
-                    return false;
-                }
-                *cursor += 1;
-                // Step to the next flat page: channels stripe fastest,
-                // then dies, then pages within the block, then blocks.
-                addr.channel += 1;
-                if addr.channel == channels {
-                    addr.channel = 0;
-                    addr.die += 1;
-                    if addr.die == dies {
-                        addr.die = 0;
-                        addr.page += 1;
-                        if addr.page == pages_per_block {
-                            addr.page = 0;
-                            addr.block += 1;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Submits every `(cursor, first_flat)` group read in one sharded
-    /// window — the channel-parallel data path.
-    ///
-    /// Exactly equivalent to calling [`FlashBackbone::submit_group`] with
-    /// [`FlashOp::ReadPage`] per group in order: reads touch only
-    /// channel-local state (die, bus, tag queue), so the per-channel
-    /// command subsequences are independent and each channel controller
-    /// can sweep its slice of every group inside one conservative window
-    /// of the [`ShardedEngine`]. The globally serialized effects — the
-    /// SRIO fan-in, the latency records, and the owner/backbone counters —
-    /// are replayed at the window barrier in global submission order
-    /// (command sequence number), which makes the outcome byte-identical
-    /// for any shard count, including 1.
-    ///
-    /// One event is scheduled per channel ("sweep your slice"); commands
-    /// are derived inside the handler by stepping the per-group base
-    /// address, so the engine never materializes per-page events and the
-    /// barrier merge handles per-channel completion lists, not pages.
-    ///
-    /// # Panics
-    ///
-    /// The caller must have established [`FlashBackbone::groups_readable`]
-    /// over the same groups; a faulting read panics. (Fallible submission
-    /// stays on the serial [`FlashBackbone::submit_group`] path, which
-    /// preserves mid-batch error semantics.)
-    pub fn read_groups_sharded(
-        &mut self,
-        plan: ShardPlan,
-        groups: &[(SimTime, u64)],
-        pages: u64,
-        owner: OwnerId,
-    ) -> BatchCompletion {
-        let submitted = groups.first().map(|&(t, _)| t).unwrap_or(SimTime::ZERO);
-        if groups.is_empty() || pages == 0 {
-            return BatchCompletion {
-                submitted,
-                finished: submitted,
-                commands: 0,
-            };
-        }
-        debug_assert!(
-            self.groups_readable(groups.iter().map(|&(_, f)| f), pages),
-            "read_groups_sharded requires groups_readable"
-        );
-        // More shards than channels would leave shards without state; the
-        // extra shards own nothing, so clamping is behaviour-neutral.
-        let shards = plan.shards().min(self.geometry.channels);
-        let plan = ShardPlan::new(shards);
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let pages_per_block = self.geometry.pages_per_block;
-        let page_bytes = self.geometry.page_bytes as u64;
-        let srio_service = self.srio_page_service;
-        let oi = self.owner_slot(owner);
-        let n_cmds = groups.len() as u64 * pages;
-        // Per-group base address, resolved once; channel sweeps step from
-        // it instead of re-dividing per page.
-        let bases: Vec<(SimTime, PhysicalPageAddr)> = groups
-            .iter()
-            .map(|&(cursor, first)| (cursor, self.geometry.flat_to_addr(first)))
-            .collect();
-        let mut engine: ShardedEngine<usize> =
-            ShardedEngine::with_capacity(plan, SimDuration::MAX, 1);
-        for c in 0..channels {
-            engine.schedule(c, submitted, c);
-        }
-        // Completion time of command `seq`, scattered at the barrier; the
-        // placement by sequence number (not arrival order) is what makes
-        // the replay below independent of shard/worker interleaving.
-        let mut dones: Vec<SimTime> = vec![SimTime::ZERO; n_cmds as usize];
-        let mut delivered = 0u64;
-        {
-            let mut shard_channels: Vec<Vec<&mut ChannelController>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (c, ch) in self.channels.iter_mut().enumerate() {
-                shard_channels[c % shards].push(ch);
-            }
-            let bases = &bases[..];
-            engine.run(
-                &mut shard_channels,
-                move |_,
-                      owned: &mut Vec<&mut ChannelController>,
-                      _at,
-                      seq,
-                      &c,
-                      outbox: &mut Outbox<Vec<(u64, SimTime)>>| {
-                    let ch = &mut *owned[c / shards];
-                    let mut sweep: Vec<(u64, SimTime)> =
-                        Vec::with_capacity(bases.len() * (pages as usize / channels + 1));
-                    for (g, &(cursor, base)) in bases.iter().enumerate() {
-                        // Index within the group of this channel's first
-                        // page: consecutive flats stripe channels fastest.
-                        let i0 = (c + channels - base.channel) % channels;
-                        if i0 as u64 >= pages {
-                            continue;
-                        }
-                        let mut addr = base;
-                        addr.channel = c;
-                        if c < base.channel {
-                            // The stripe wrapped past the last channel on
-                            // its way to us: one die step carries over.
-                            addr.die += 1;
-                            if addr.die == dies {
-                                addr.die = 0;
-                                addr.page += 1;
-                                if addr.page == pages_per_block {
-                                    addr.page = 0;
-                                    addr.block += 1;
-                                }
-                            }
-                        }
-                        let mut i = i0 as u64;
-                        loop {
-                            let done = ch
-                                .execute(cursor, ChannelOp::Read, addr, owner, None)
-                                .expect("prechecked group read cannot fault");
-                            sweep.push((g as u64 * pages + i, done));
-                            i += channels as u64;
-                            if i >= pages {
-                                break;
-                            }
-                            // The next command of ours is `channels` flats
-                            // later: exactly one die step.
-                            addr.die += 1;
-                            if addr.die == dies {
-                                addr.die = 0;
-                                addr.page += 1;
-                                if addr.page == pages_per_block {
-                                    addr.page = 0;
-                                    addr.block += 1;
-                                }
-                            }
-                        }
-                    }
-                    outbox.send(seq, SimTime::ZERO, sweep);
-                },
-                |m| {
-                    for (seq, done) in m.msg {
-                        dones[seq as usize] = done;
-                        delivered += 1;
-                    }
-                    None
-                },
-            );
-        }
-        debug_assert_eq!(delivered, n_cmds, "every command completes exactly once");
-        self.sharded_windows += engine.windows_completed();
-        // Barrier replay of the globally serialized effects, in submission
-        // order: the SRIO fan-in chain, the per-owner latency records, and
-        // the aggregate counters — byte-for-byte what the serial path does.
-        let mut acc = OwnerStats::default();
-        let mut finished = submitted;
-        let srio = &mut self.srio;
-        let latencies = &mut self.read_latencies[oi];
-        latencies.reserve(n_cmds as usize);
-        let mut k = 0usize;
-        for &(cursor, _) in groups {
-            for _ in 0..pages {
-                let res = srio.reserve_prepaid(dones[k], page_bytes, srio_service);
-                k += 1;
-                let latency_ns = res.end.saturating_since(cursor).as_ns();
-                acc.read_latency_total_ns += latency_ns;
-                acc.read_latency_max_ns = acc.read_latency_max_ns.max(latency_ns);
-                latencies.push(latency_ns);
-                finished = finished.max(res.end);
-            }
-        }
-        acc.reads = n_cmds;
-        acc.bytes = n_cmds * page_bytes;
-        self.stats.reads += acc.reads;
-        self.stats.srio_bytes += acc.bytes;
-        self.owner_stats[oi].absorb(&acc);
-        BatchCompletion {
-            submitted,
-            finished,
-            commands: n_cmds,
-        }
-    }
-
-    /// The finite lookahead for sharded program sweeps: the minimum
-    /// simulated time one program command occupies its channel (admission
-    /// overhead + bus transfer + NAND program). Events further apart than
-    /// this can never share a window productively, so it is the natural
-    /// window length for multi-window execution of a long SRIO-spread
-    /// batch.
-    pub fn program_sweep_lookahead(&self) -> SimDuration {
-        self.timing.controller_overhead
-            + self.timing.page_transfer(self.geometry.page_bytes)
-            + self.timing.program_page
-    }
-
-    /// Submits every `(cursor, first_flat)` group program through the
-    /// sharded executor with the finite
-    /// [`FlashBackbone::program_sweep_lookahead`] — the channel-parallel
-    /// mutation path.
-    ///
-    /// See [`FlashBackbone::program_groups_sharded_with_lookahead`] for the
-    /// equivalence contract; the lookahead only partitions wall-clock work
-    /// into windows and never changes results.
-    pub fn program_groups_sharded(
-        &mut self,
-        plan: ShardPlan,
-        groups: &[(SimTime, u64)],
-        pages: u64,
-        owner: OwnerId,
-    ) -> BatchCompletion {
-        let lookahead = self.program_sweep_lookahead();
-        self.program_groups_sharded_with_lookahead(plan, groups, pages, owner, lookahead)
-    }
-
-    /// Submits every `(cursor, first_flat)` group program in sharded
-    /// conservative windows of length `lookahead`.
-    ///
-    /// Exactly equivalent to calling [`FlashBackbone::submit_group`] with
-    /// [`FlashOp::ProgramPage`] per group in order. The write path inverts
-    /// the read path's coupling: each program crosses SRIO *before* its
-    /// channel, and the serial loop reserves SRIO at the group's fixed
-    /// submission cursor — so the whole SRIO chain is a pure function of
-    /// submission order and is resolved in a serial pre-pass up front.
-    /// Each command then becomes one pre-scheduled per-channel event at its
-    /// SRIO-determined start; channels execute their subsequences
-    /// independently (die, bus, tag queue state is channel-local), windows
-    /// advance by `lookahead`, and the `(seq, completion)` messages are
-    /// placement-merged at each barrier. Valid-index bookings and
-    /// owner/backbone counters are replayed serially in submission order
-    /// after the run — byte-for-byte what the serial path does, for any
-    /// shard count and any lookahead.
-    ///
-    /// # Panics
-    ///
-    /// The caller must have established
-    /// [`FlashBackbone::groups_programmable`] over the same groups and that
-    /// no installed fault plan affects writes; a faulting program panics.
-    /// (Fallible submission stays on the serial
-    /// [`FlashBackbone::submit_group`] path, which preserves mid-batch
-    /// error semantics.)
-    pub fn program_groups_sharded_with_lookahead(
-        &mut self,
-        plan: ShardPlan,
-        groups: &[(SimTime, u64)],
-        pages: u64,
-        owner: OwnerId,
-        lookahead: SimDuration,
-    ) -> BatchCompletion {
-        let submitted = groups.first().map(|&(t, _)| t).unwrap_or(SimTime::ZERO);
-        if groups.is_empty() || pages == 0 {
-            return BatchCompletion {
-                submitted,
-                finished: submitted,
-                commands: 0,
-            };
-        }
-        debug_assert!(
-            !self.faults_affect_writes(),
-            "program_groups_sharded requires a write-fault-free plan"
-        );
-        debug_assert!(
-            self.groups_programmable(groups.iter().map(|&(_, f)| f), pages),
-            "program_groups_sharded requires groups_programmable"
-        );
-        let shards = plan.shards().min(self.geometry.channels);
-        let plan = ShardPlan::new(shards);
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let pages_per_block = self.geometry.pages_per_block;
-        let blocks_per_die = self.geometry.blocks_per_die() as u64;
-        let page_bytes = self.geometry.page_bytes as u64;
-        let srio_service = self.srio_page_service;
-        let oi = self.owner_slot(owner);
-        let n_cmds = groups.len() as u64 * pages;
-        // Serial SRIO pre-pass in submission order: write data crosses the
-        // front-end before it reaches a channel, and the serial loop
-        // reserves at each group's fixed cursor — replaying that chain here
-        // reproduces every command's channel-arrival time exactly. The
-        // stepped per-group base address is resolved alongside.
-        let mut addrs: Vec<PhysicalPageAddr> = Vec::with_capacity(n_cmds as usize);
-        let mut starts: Vec<SimTime> = Vec::with_capacity(n_cmds as usize);
-        for &(cursor, first) in groups {
-            let mut addr = self.geometry.flat_to_addr(first);
-            for _ in 0..pages {
-                let res = self.srio.reserve_prepaid(cursor, page_bytes, srio_service);
-                starts.push(res.end);
-                addrs.push(addr);
-                // Step to the next flat page: channels stripe fastest,
-                // then dies, then pages within the block, then blocks.
-                addr.channel += 1;
-                if addr.channel == channels {
-                    addr.channel = 0;
-                    addr.die += 1;
-                    if addr.die == dies {
-                        addr.die = 0;
-                        addr.page += 1;
-                        if addr.page == pages_per_block {
-                            addr.page = 0;
-                            addr.block += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // One event per command at its SRIO-determined start. The pre-pass
-        // emits non-decreasing starts, so every schedule is an O(1) lane
-        // append, and event seq == command index.
-        let mut engine: ShardedEngine<usize> =
-            ShardedEngine::with_capacity(plan, lookahead, n_cmds as usize / shards + 1);
-        for (k, &start) in starts.iter().enumerate() {
-            let c = addrs[k].channel;
-            engine.schedule(c, start, c);
-        }
-        // Completion time of command `seq`, scattered at the barriers; the
-        // placement by sequence number (not arrival order) is what makes
-        // the replay below independent of shard/worker interleaving.
-        let mut dones: Vec<SimTime> = vec![SimTime::ZERO; n_cmds as usize];
-        let mut delivered = 0u64;
-        {
-            let mut shard_channels: Vec<Vec<&mut ChannelController>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (c, ch) in self.channels.iter_mut().enumerate() {
-                shard_channels[c % shards].push(ch);
-            }
-            let addrs = &addrs[..];
-            engine.run(
-                &mut shard_channels,
-                move |_,
-                      owned: &mut Vec<&mut ChannelController>,
-                      at,
-                      seq,
-                      &c,
-                      outbox: &mut Outbox<()>| {
-                    let ch = &mut *owned[c / shards];
-                    let done = ch
-                        .execute(at, ChannelOp::Program, addrs[seq as usize], owner, None)
-                        .expect("prechecked group program cannot fault");
-                    outbox.send(seq, done, ());
-                },
-                |m| {
-                    dones[m.seq as usize] = m.at;
-                    delivered += 1;
-                    None
-                },
-            );
-        }
-        debug_assert_eq!(delivered, n_cmds, "every command completes exactly once");
-        self.sharded_windows += engine.windows_completed();
-        // Barrier replay of the globally serialized effects, in submission
-        // order: per-group valid-index bookings at each group's cursor,
-        // then the aggregate counters — byte-for-byte the serial path.
-        let mut finished = submitted;
-        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(pages as usize);
-        let mut k = 0usize;
-        for &(cursor, first) in groups {
-            for i in 0..pages {
-                let addr = addrs[k];
-                let block = (addr.channel as u64 * dies as u64 + addr.die as u64) * blocks_per_die
-                    + addr.block as u64;
-                entries.push((block, first + i));
-                finished = finished.max(dones[k]);
-                k += 1;
-            }
-            self.valid_index
-                .on_program_batch(entries.drain(..), cursor.as_ns());
-        }
-        let acc = OwnerStats {
-            programs: n_cmds,
-            bytes: n_cmds * page_bytes,
-            ..OwnerStats::default()
-        };
-        self.stats.programs += acc.programs;
-        self.stats.srio_bytes += acc.bytes;
-        self.owner_stats[oi].absorb(&acc);
-        BatchCompletion {
-            submitted,
-            finished,
-            commands: n_cmds,
-        }
-    }
-
-    /// True when block `row` of every die can be erased without faulting:
-    /// no installed fault plan affects writes and every die still has
-    /// endurance budget for that block. The precondition under which a GC
-    /// row erase cannot fault and may run on the sharded executor (see
-    /// [`FlashBackbone::erase_row_sharded`]); pure, touches no state.
-    pub fn row_erasable(&self, row: usize) -> bool {
-        !self.faults_affect_writes()
-            && row < self.geometry.blocks_per_die()
-            && (0..self.geometry.channels).all(|c| {
-                (0..self.geometry.dies_per_channel())
-                    .all(|d| self.erase_count(c, d, row) < self.endurance_limit)
-            })
-    }
-
-    /// Erases block `row` on every die of every channel, all submitted at
-    /// `now` — the GC pass's row sweep, channel-parallel.
-    ///
-    /// Exactly equivalent to [`FlashBackbone::submit_tagged`] with
-    /// [`FlashOp::EraseBlock`] per die in channel-major, die-minor order:
-    /// erases touch no SRIO and no cross-channel state, so each channel
-    /// sweeps its dies inside one conservative window and the valid-index
-    /// and owner/backbone accounting replays serially in submission order
-    /// at the barrier.
-    ///
-    /// # Panics
-    ///
-    /// The caller must have established [`FlashBackbone::row_erasable`];
-    /// a faulting erase panics. (Fallible submission stays on the serial
-    /// per-die path, which preserves mid-row error semantics.)
-    pub fn erase_row_sharded(
-        &mut self,
-        plan: ShardPlan,
-        now: SimTime,
-        row: usize,
-        owner: OwnerId,
-    ) -> BatchCompletion {
-        debug_assert!(
-            self.row_erasable(row),
-            "erase_row_sharded requires row_erasable"
-        );
-        let shards = plan.shards().min(self.geometry.channels);
-        let plan = ShardPlan::new(shards);
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let blocks_per_die = self.geometry.blocks_per_die() as u64;
-        let oi = self.owner_slot(owner);
-        let n_cmds = (channels * dies) as u64;
-        let mut engine: ShardedEngine<usize> =
-            ShardedEngine::with_capacity(plan, SimDuration::MAX, 1);
-        for c in 0..channels {
-            engine.schedule(c, now, c);
-        }
-        let mut dones: Vec<SimTime> = vec![SimTime::ZERO; n_cmds as usize];
-        let mut delivered = 0u64;
-        {
-            let mut shard_channels: Vec<Vec<&mut ChannelController>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (c, ch) in self.channels.iter_mut().enumerate() {
-                shard_channels[c % shards].push(ch);
-            }
-            engine.run(
-                &mut shard_channels,
-                move |_,
-                      owned: &mut Vec<&mut ChannelController>,
-                      at,
-                      seq,
-                      &c,
-                      outbox: &mut Outbox<Vec<(u64, SimTime)>>| {
-                    let ch = &mut *owned[c / shards];
-                    let mut sweep: Vec<(u64, SimTime)> = Vec::with_capacity(dies);
-                    for d in 0..dies {
-                        let addr = PhysicalPageAddr::new(c, d, row, 0);
-                        let done = ch
-                            .execute(at, ChannelOp::Erase, addr, owner, None)
-                            .expect("prechecked row erase cannot fault");
-                        sweep.push(((c * dies + d) as u64, done));
-                    }
-                    outbox.send(seq, at, sweep);
-                },
-                |m| {
-                    for (k, done) in m.msg {
-                        dones[k as usize] = done;
-                        delivered += 1;
-                    }
-                    None
-                },
-            );
-        }
-        debug_assert_eq!(delivered, n_cmds, "every erase completes exactly once");
-        self.sharded_windows += engine.windows_completed();
-        // Barrier replay in submission order: channel-major, die-minor.
-        let mut finished = now;
-        for c in 0..channels {
-            for d in 0..dies {
-                let block = (c as u64 * dies as u64 + d as u64) * blocks_per_die + row as u64;
-                self.valid_index.on_erase(block);
-                finished = finished.max(dones[c * dies + d]);
-            }
-        }
-        let acc = OwnerStats {
-            erases: n_cmds,
-            ..OwnerStats::default()
-        };
-        self.stats.erases += acc.erases;
-        self.owner_stats[oi].absorb(&acc);
-        BatchCompletion {
-            submitted: now,
-            finished,
-            commands: n_cmds,
-        }
-    }
-
     /// Marks a page valid without consuming device time (pre-experiment data
     /// placement; see [`crate::die::FlashDie::preload_page`]).
     pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
@@ -1950,173 +1351,6 @@ mod tests {
         );
         assert!(b.take_disturbed_pages().is_empty());
         assert_eq!(b.fault_stats().read_disturbs, 2);
-    }
-
-    #[test]
-    fn sharded_program_sweep_matches_serial_loop() {
-        let pages = 4u64;
-        let n_groups = 24u64;
-        // Stagger cursors like a CPU-charged write section does.
-        let groups: Vec<(SimTime, u64)> = (0..n_groups)
-            .map(|g| (SimTime::from_ns(g * 700), g * pages))
-            .collect();
-        let mut serial = backbone();
-        serial.enable_group_tracking(pages);
-        let mut finished = SimTime::ZERO;
-        for &(cursor, first) in &groups {
-            let c = serial
-                .submit_group(
-                    cursor,
-                    first,
-                    pages,
-                    FlashOp::ProgramPage,
-                    OwnerId::Kernel(1),
-                )
-                .unwrap();
-            finished = finished.max(c.finished);
-        }
-        for shards in [1, 2, 4] {
-            let mut sharded = backbone();
-            sharded.enable_group_tracking(pages);
-            assert!(sharded.groups_programmable(groups.iter().map(|&(_, f)| f), pages));
-            assert!(!sharded.groups_readable(groups.iter().map(|&(_, f)| f), pages));
-            let batch = sharded.program_groups_sharded(
-                ShardPlan::new(shards),
-                &groups,
-                pages,
-                OwnerId::Kernel(1),
-            );
-            assert_eq!(batch.finished, finished, "{shards} shards");
-            assert_eq!(batch.commands, n_groups * pages);
-            assert_eq!(serial.stats(), sharded.stats());
-            assert_eq!(serial.owner_stats(), sharded.owner_stats());
-            assert_eq!(serial.total_valid_pages(), sharded.total_valid_pages());
-            assert_eq!(sharded.recount_valid_pages(), sharded.total_valid_pages());
-            // The SRIO pre-pass spreads starts far beyond the finite
-            // lookahead, so the sweep runs genuinely multi-window.
-            assert!(
-                sharded.sharded_windows() > 1,
-                "{shards} shards ran one window"
-            );
-            // The freshly programmed groups flip from programmable to
-            // readable.
-            assert!(sharded.groups_readable(groups.iter().map(|&(_, f)| f), pages));
-            assert!(!sharded.groups_programmable(groups.iter().map(|&(_, f)| f), pages));
-        }
-    }
-
-    #[test]
-    fn program_sweep_window_count_never_changes_results() {
-        let pages = 4u64;
-        let groups: Vec<(SimTime, u64)> = (0..24)
-            .map(|g| (SimTime::from_ns(g * 500), g * pages))
-            .collect();
-        let finite = backbone().program_sweep_lookahead();
-        let run = |lookahead: SimDuration| {
-            let mut b = backbone();
-            b.enable_group_tracking(pages);
-            let batch = b.program_groups_sharded_with_lookahead(
-                ShardPlan::new(2),
-                &groups,
-                pages,
-                OwnerId::Kernel(0),
-                lookahead,
-            );
-            (batch.finished, b.stats(), b.sharded_windows())
-        };
-        let (one_finished, one_stats, one_windows) = run(SimDuration::MAX);
-        let (fin_finished, fin_stats, fin_windows) = run(finite);
-        assert_eq!(one_windows, 1, "MAX lookahead is one window");
-        assert!(fin_windows > 1, "finite lookahead splits the batch");
-        assert_eq!(one_finished, fin_finished);
-        assert_eq!(one_stats, fin_stats);
-    }
-
-    #[test]
-    fn sharded_erase_row_matches_serial_loop() {
-        let row = 3usize;
-        for shards in [1, 2, 4] {
-            let mut serial = backbone();
-            let mut sharded = backbone();
-            for b in [&mut serial, &mut sharded] {
-                b.enable_group_tracking(4);
-                // Fill the row on every die so the erase has work to clear.
-                for c in 0..2 {
-                    for p in 0..16 {
-                        b.preload(PhysicalPageAddr::new(c, 0, row, p)).unwrap();
-                    }
-                }
-            }
-            let now = SimTime::from_ns(5_000);
-            let mut finished = now;
-            for c in 0..2 {
-                let cm = serial
-                    .submit_tagged(
-                        now,
-                        FlashCommand::erase(PhysicalPageAddr::new(c, 0, row, 0)),
-                        OwnerId::Gc,
-                    )
-                    .unwrap();
-                finished = finished.max(cm.finished);
-            }
-            assert!(sharded.row_erasable(row));
-            let batch = sharded.erase_row_sharded(ShardPlan::new(shards), now, row, OwnerId::Gc);
-            assert_eq!(batch.finished, finished, "{shards} shards");
-            assert_eq!(batch.commands, 2);
-            assert_eq!(serial.stats(), sharded.stats());
-            assert_eq!(serial.owner_stats(), sharded.owner_stats());
-            assert_eq!(serial.take_erased_blocks(), sharded.take_erased_blocks());
-            assert_eq!(
-                serial.take_fully_erased_groups(),
-                sharded.take_fully_erased_groups()
-            );
-            assert_eq!(
-                serial.erase_count(1, 0, row),
-                sharded.erase_count(1, 0, row)
-            );
-        }
-    }
-
-    #[test]
-    fn write_fault_plans_fail_the_sharded_prechecks() {
-        use crate::fault::{threshold_from_probability, FaultPlan};
-        let mut b = backbone();
-        b.enable_group_tracking(4);
-        assert!(b.row_erasable(0));
-        b.install_fault_plan(Arc::new(FaultPlan {
-            program_threshold: threshold_from_probability(0.5),
-            ..FaultPlan::default()
-        }));
-        assert!(b.faults_affect_writes());
-        assert!(!b.faults_affect_reads());
-        assert!(
-            !b.row_erasable(0),
-            "a write-faulting plan forces the serial row erase"
-        );
-    }
-
-    #[test]
-    fn groups_programmable_rejects_misaligned_used_or_worn_targets() {
-        let mut b = backbone();
-        b.enable_group_tracking(4);
-        // Aligned and fresh: programmable.
-        assert!(b.groups_programmable([0, 4], 4));
-        // Misaligned start.
-        assert!(!b.groups_programmable([2], 4));
-        // Out of range.
-        assert!(!b.groups_programmable([256], 4));
-        // A used target is no longer programmable.
-        b.submit_group(
-            SimTime::ZERO,
-            0,
-            4,
-            FlashOp::ProgramPage,
-            OwnerId::Kernel(0),
-        )
-        .unwrap();
-        assert!(!b.groups_programmable([0], 4));
-        // Without group tracking at the right granularity, never.
-        assert!(!b.groups_programmable([8], 2));
     }
 
     #[test]

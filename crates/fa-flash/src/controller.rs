@@ -372,8 +372,7 @@ impl ChannelController {
         let admitted = self.admit(now, owner)? + timing.controller_overhead;
         // Fault decision, rolled before the die operation. The counters it
         // advances are channel-local, so the verdict depends only on this
-        // channel's own command sequence — identical under the serial loop
-        // and the channel-sharded executor.
+        // channel's own command sequence, not on how channels interleave.
         let faulted = match self.fault.as_mut() {
             Some(f) => f.decide(
                 match op {

@@ -7,9 +7,8 @@
 //! plan is deterministic and seedable — every probabilistic decision is a
 //! pure hash of `(seed, op, channel, die, block, per-channel sequence)`,
 //! never a shared RNG stream, so the same plan produces the same fault
-//! trace regardless of how channels interleave (including under the
-//! channel-sharded executor, where each channel's lane rolls only its own
-//! channel-local counters).
+//! trace regardless of how commands to different channels interleave: each
+//! channel rolls only its own channel-local counters.
 //!
 //! Installation is per-channel: the backbone hands each
 //! [`ChannelController`](crate::ChannelController) a [`FaultState`] built
@@ -148,27 +147,10 @@ pub fn threshold_from_probability(p: f64) -> u64 {
 
 impl FaultPlan {
     /// True when the plan can affect the *read* path (read-disturb or a
-    /// scripted read fault). The translation layer uses this to route
-    /// section reads through the serial loop — the sharded fast path
-    /// prechecks that no command can fault, so a read-faulting plan must
-    /// take the fallback.
+    /// scripted read fault). The translation layer uses this to relocate
+    /// the groups a section read disturbed.
     pub fn affects_reads(&self) -> bool {
         self.read_disturb_threshold > 0 || self.scripted.iter().any(|f| f.op == FaultOp::Read)
-    }
-
-    /// True when the plan can affect the *write* path (an injected program
-    /// or erase failure, probabilistic or scripted). The translation layer
-    /// and Storengine route program sweeps and GC erase rows through the
-    /// serial loop in that case — the sharded fast path prechecks that no
-    /// command can fault, so a write-faulting plan must take the fallback
-    /// to preserve exact mid-batch error semantics.
-    pub fn affects_writes(&self) -> bool {
-        self.program_threshold > 0
-            || self.erase_threshold > 0
-            || self
-                .scripted
-                .iter()
-                .any(|f| matches!(f.op, FaultOp::Program | FaultOp::Erase))
     }
 
     /// Parses a plan from the `FA_FAULTS` specification string:
@@ -188,7 +170,6 @@ impl FaultPlan {
     /// assert_eq!(plan.scripted[0].op, FaultOp::Erase);
     /// assert_eq!(plan.scripted[0].block, 4);
     /// assert!(!plan.affects_reads());
-    /// assert!(plan.affects_writes());
     /// ```
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();

@@ -50,16 +50,12 @@ impl FlashGeometry {
         }
     }
 
-    /// A scaled-out 64-channel backbone for sharded-engine experiments.
+    /// A scaled-out 64-channel backbone.
     ///
     /// Sixteen times the paper prototype's channel fan-out at the same
     /// per-channel population: 64 channels × 4 packages × 2 dies × 2 planes
-    /// × 256 blocks × 256 pages × 8 KB = 512 GiB. This is the geometry the
-    /// channel-sharded executor is demonstrated on (`examples/`
-    /// `sharded_scale.rs`): with one event lane per channel it gives every
-    /// shard a deep pool of independent channels, so the window-barrier
-    /// cost is amortised over 16× more in-flight flash commands than the
-    /// prototype can keep busy.
+    /// × 256 blocks × 256 pages × 8 KB = 512 GiB — a device wide enough to
+    /// keep 16× more flash commands in flight than the prototype.
     ///
     /// # Examples
     ///

@@ -25,7 +25,7 @@
 //! * [`fault`] — the injectable, deterministic fault model: seedable
 //!   program/erase failures, scripted per-block faults, read-disturb, and
 //!   the power-loss tick, decided by channel-local hashes so fault traces
-//!   reproduce under any shard count.
+//!   reproduce however channels interleave.
 //! * [`spec`] — the Table 1 default configuration.
 //!
 //! The model tracks *page state*, not page contents: what matters for the

@@ -189,11 +189,6 @@ impl ValidPageIndex {
         self.groups.is_some()
     }
 
-    /// The configured pages-per-group, when group tracking is enabled.
-    pub fn group_size(&self) -> Option<u64> {
-        self.groups.as_ref().map(|g| g.pages_per_group)
-    }
-
     fn garbage(&self, block: usize) -> u32 {
         self.programmed[block] - self.valid[block]
     }

@@ -10,10 +10,10 @@
 //!
 //! The whole schedule is precomputed from the seed by
 //! [`ArrivalPlan::schedule`] before the simulation starts, using one
-//! [`DeterministicRng`] stream. Nothing about execution order, shard count,
-//! or admission decisions feeds back into the arrival instants, which is
-//! what makes an open-loop campaign reproducible byte for byte: the same
-//! spec always produces the same `(tenant, instant, template)` list.
+//! [`DeterministicRng`] stream. Nothing about execution order or admission
+//! decisions feeds back into the arrival instants, which is what makes an
+//! open-loop campaign reproducible byte for byte: the same spec always
+//! produces the same `(tenant, instant, template)` list.
 
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};

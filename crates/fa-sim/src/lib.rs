@@ -20,9 +20,6 @@
 //!   used to produce the paper's figures.
 //! * [`resource`] — serialized-bandwidth and FIFO-server resource models
 //!   used by links, buses, and flash channels.
-//! * [`sharded`] — a conservative time-window sharded engine (classic
-//!   PDES): per-shard event lanes, window barriers, and deterministic
-//!   sequence-ordered message merge, for parallelism inside one run.
 //! * [`rng`] — a tiny deterministic pseudo-random number generator so that
 //!   every experiment is exactly reproducible.
 //!
@@ -47,7 +44,6 @@ pub mod engine;
 pub mod event;
 pub mod resource;
 pub mod rng;
-pub mod sharded;
 pub mod stats;
 pub mod time;
 
@@ -58,6 +54,5 @@ pub use engine::{Engine, StepOutcome};
 pub use event::EventQueue;
 pub use resource::{FifoServer, SerializedResource};
 pub use rng::DeterministicRng;
-pub use sharded::{Outbox, ShardPlan, ShardedEngine, Stamped};
 pub use stats::{Counter, Histogram, RunningStats, TimeSeries, UtilizationTracker};
 pub use time::{SimDuration, SimTime};
