@@ -46,7 +46,7 @@ impl QosConfig {
 /// the range they move in.
 ///
 /// Every `window`, the governor diffs each active tenant's flash command
-/// count (from [`fa_flash::FlashBackbone::owner_stats`]) against the
+/// count (from [`fa_flash::FlashBackbone::owner_commands`]) against the
 /// previous tick and installs per-owner tag-budget overrides: the heaviest
 /// tenant of the window is squeezed to `min_budget`, an idle tenant gets
 /// `max_budget`, and everyone else interpolates linearly. This replaces the

@@ -7,8 +7,10 @@
 //! an [`AdmissionController`] bounds how many run at once (queueing or
 //! shedding the overflow), and an optional [`QosGovernor`] periodically
 //! recomputes per-tenant flash tag budgets from a sliding window over
-//! [`fa_flash::FlashBackbone::owner_stats`] — replacing the static
-//! [`crate::config::QosConfig`] budgets while tenants run.
+//! [`fa_flash::FlashBackbone::owner_commands`] — replacing the static
+//! [`crate::config::QosConfig`] budgets while tenants run. A tick reads
+//! only the active tenants' counters, so its cost does not grow with the
+//! number of tenants the campaign has served.
 //!
 //! # Execution model
 //!
@@ -219,14 +221,12 @@ impl QosGovernor {
 
     /// Runs one tick at `now`: recomputes and installs every active
     /// tenant's budget override from its command delta over the window.
+    /// Costs O(active tenants × channels), independent of how many owners
+    /// the backbone has ever seen.
     pub fn rebalance(&mut self, active: &BTreeSet<u32>, backbone: &mut FlashBackbone) {
-        let stats = backbone.owner_stats();
         let mut deltas: Vec<(u32, u64)> = Vec::with_capacity(active.len());
         for &tenant in active {
-            let commands = stats
-                .get(&OwnerId::Kernel(tenant))
-                .map(|s| s.commands())
-                .unwrap_or(0);
+            let commands = backbone.owner_commands(OwnerId::Kernel(tenant));
             let last = self.last_commands.get(&tenant).copied().unwrap_or(0);
             deltas.push((tenant, commands.saturating_sub(last)));
             self.last_commands.insert(tenant, commands);
@@ -421,6 +421,21 @@ impl FlashAbacusSystem {
                 plan.templates,
                 templates.len()
             )));
+        }
+        if let Some(g) = scaleout.governor {
+            // A zero window never advances the tick, so the tick would win
+            // the event selection at the same instant forever.
+            if g.window == SimDuration::ZERO {
+                return Err(FaError::InvalidWorkload(
+                    "QoS governor window must be positive".into(),
+                ));
+            }
+            if g.min_budget.max(1) > g.max_budget.max(1) {
+                return Err(FaError::InvalidWorkload(format!(
+                    "QoS governor min_budget {} exceeds max_budget {}",
+                    g.min_budget, g.max_budget
+                )));
+            }
         }
 
         // Carve out the slots: one group-aligned region per in-flight
@@ -832,6 +847,182 @@ mod tests {
         // Retirement clears the override entirely.
         g.retire(7, &mut backbone);
         assert_eq!(over(&backbone, 7), None);
+    }
+
+    /// The map-based tick the governor used before `owner_commands`: diff
+    /// each active tenant's `owner_stats()` command count against the
+    /// previous tick and interpolate budgets over the delta spread.
+    fn oracle_tick(
+        backbone: &FlashBackbone,
+        active: &BTreeSet<u32>,
+        last: &mut BTreeMap<u32, u64>,
+        config: GovernorConfig,
+    ) -> Vec<(u32, usize)> {
+        let stats = backbone.owner_stats();
+        let deltas: Vec<(u32, u64)> = active
+            .iter()
+            .map(|&t| {
+                let now = stats
+                    .get(&OwnerId::Kernel(t))
+                    .map(|s| s.commands())
+                    .unwrap_or(0);
+                let prev = last.insert(t, now).unwrap_or(0);
+                (t, now.saturating_sub(prev))
+            })
+            .collect();
+        let max = deltas.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        let min = deltas.iter().map(|&(_, d)| d).min().unwrap_or(0);
+        let (lo, hi) = (config.min_budget.max(1), config.max_budget.max(1));
+        deltas
+            .into_iter()
+            .map(|(t, d)| {
+                let budget = if max == min {
+                    hi
+                } else {
+                    let scaled = (hi - lo) as u64 * (d - min) + (max - min) / 2;
+                    hi - (scaled / (max - min)) as usize
+                };
+                (t, budget)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn owner_commands_tick_installs_what_the_owner_stats_tick_did() {
+        use fa_flash::{FlashCommand, FlashGeometry, FlashTiming, PhysicalPageAddr};
+        const OWNERS: u32 = 1200;
+        // Inside the dense vectors but never submitted, and past their end.
+        const IDLE: u32 = 600;
+        const BEYOND: u32 = OWNERS + 50;
+        let geometry = FlashGeometry::tiny_for_tests();
+        let mut backbone =
+            FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
+        let submit = |b: &mut FlashBackbone, at: SimTime, cmd: FlashCommand, owner: OwnerId| {
+            b.submit_tagged(at, cmd, owner).expect("command succeeds");
+        };
+        // Kernel data on channel 1, journal pages on channel 0; GC erases a
+        // spare block. Then every owner but IDLE reads one page.
+        for p in 0..16 {
+            let at = SimTime::ZERO;
+            let kernel = FlashCommand::program(PhysicalPageAddr::new(1, 0, 0, p));
+            submit(&mut backbone, at, kernel, OwnerId::Kernel(p as u32));
+            let journal = FlashCommand::program(PhysicalPageAddr::new(0, 0, 0, p));
+            submit(&mut backbone, at, journal, OwnerId::Journal);
+        }
+        let erase = FlashCommand::erase(PhysicalPageAddr::new(0, 0, 1, 0));
+        submit(&mut backbone, SimTime::ZERO, erase, OwnerId::Gc);
+        let read = |k: u32| {
+            FlashCommand::read(PhysicalPageAddr::new(k as usize % 2, 0, 0, k as usize % 16))
+        };
+        for k in (0..OWNERS).filter(|&k| k != IDLE) {
+            submit(
+                &mut backbone,
+                SimTime::from_us(1),
+                read(k),
+                OwnerId::Kernel(k),
+            );
+        }
+
+        let stats = backbone.owner_stats();
+        assert!(stats.len() > 1000);
+        for (&owner, s) in &stats {
+            assert_eq!(backbone.owner_commands(owner), s.commands(), "{owner}");
+        }
+        for untouched in [IDLE, BEYOND, u32::MAX] {
+            assert!(!stats.contains_key(&OwnerId::Kernel(untouched)));
+            assert_eq!(backbone.owner_commands(OwnerId::Kernel(untouched)), 0);
+        }
+
+        let config = GovernorConfig {
+            window: SimDuration::from_ms(1),
+            min_budget: 2,
+            max_budget: 8,
+        };
+        let mut governor = QosGovernor::new(config, SimTime::ZERO);
+        let mut last = BTreeMap::new();
+        let mut squeezed = false;
+        let mut active: BTreeSet<u32> = [3, 17, 42, 999, IDLE, BEYOND].into_iter().collect();
+        for tick in 1..=6u32 {
+            // Uneven per-tenant traffic each window, plus background and
+            // inactive-owner traffic the governor must ignore.
+            let at = SimTime::from_ms(tick as u64);
+            for &t in active.iter().filter(|&&t| t < OWNERS && t != IDLE) {
+                for _ in 0..(t * tick) % 7 {
+                    submit(&mut backbone, at, read(t), OwnerId::Kernel(t));
+                }
+            }
+            submit(&mut backbone, at, read(tick), OwnerId::Gc);
+            submit(
+                &mut backbone,
+                at,
+                read(500 + tick),
+                OwnerId::Kernel(500 + tick),
+            );
+
+            let expected = oracle_tick(&backbone, &active, &mut last, config);
+            governor.rebalance(&active, &mut backbone);
+            squeezed |= expected.iter().any(|&(_, b)| b < config.max_budget);
+            for (tenant, budget) in expected {
+                for c in 0..geometry.channels {
+                    let installed = backbone
+                        .channel(c)
+                        .expect("channel exists")
+                        .owner_budget_override(OwnerId::Kernel(tenant));
+                    assert_eq!(installed, Some(budget), "tick {tick} tenant {tenant}");
+                }
+            }
+            if tick == 3 {
+                governor.retire(17, &mut backbone);
+                last.remove(&17);
+                active.remove(&17);
+            }
+        }
+        assert!(squeezed, "no window had a delta spread");
+        assert_eq!(governor.updates(), 6);
+    }
+
+    /// A three-tenant campaign on the tiny test device under `governor`.
+    fn three_tenant_campaign(governor: GovernorConfig) -> Result<OpenLoopReport, FaError> {
+        use crate::config::FlashAbacusConfig;
+        use crate::scheduler::SchedulerPolicy;
+        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::InterDy);
+        let mut system = FlashAbacusSystem::without_env_faults(config);
+        let plan = ArrivalPlan {
+            seed: 1,
+            rate_per_s: 20_000.0,
+            tenants: 3,
+            templates: 3,
+            ..ArrivalPlan::default()
+        };
+        let scaleout = ScaleoutConfig {
+            max_in_flight: 2,
+            queue_limit: 4,
+            governor: Some(governor),
+        };
+        system.run_open_loop(
+            &fa_workloads::tenants::tenant_templates(1024),
+            &plan,
+            &scaleout,
+        )
+    }
+
+    #[test]
+    fn zero_governor_window_is_rejected() {
+        let result = three_tenant_campaign(GovernorConfig {
+            window: SimDuration::ZERO,
+            ..GovernorConfig::default()
+        });
+        assert!(matches!(result, Err(FaError::InvalidWorkload(m)) if m.contains("window")));
+    }
+
+    #[test]
+    fn governor_min_budget_above_max_is_rejected() {
+        let result = three_tenant_campaign(GovernorConfig {
+            window: SimDuration::from_us(10),
+            min_budget: 8,
+            max_budget: 2,
+        });
+        assert!(matches!(result, Err(FaError::InvalidWorkload(m)) if m.contains("min_budget")));
     }
 
     #[test]

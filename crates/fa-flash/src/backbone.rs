@@ -275,7 +275,7 @@ impl FlashBackbone {
     /// Installs (or clears, with `None`) a per-owner tag-budget override on
     /// every channel. Overrides replace the static [`QosBudgets`] grant for
     /// that owner only; the online QoS governor uses this to retune budgets
-    /// mid-run from a sliding window over [`FlashBackbone::owner_stats`].
+    /// mid-run from a sliding window over [`FlashBackbone::owner_commands`].
     pub fn set_owner_budget_override(&mut self, owner: OwnerId, budget: Option<usize>) {
         for channel in &mut self.channels {
             channel.set_owner_budget_override(owner, budget);
@@ -998,6 +998,16 @@ impl FlashBackbone {
             }
         }
         merged
+    }
+
+    /// `owner`'s total commands (reads + programs + erases) — equal to
+    /// `owner_stats()[&owner].commands()`, but one dense-slot read instead
+    /// of a map over every owner. 0 for an owner that never submitted. The
+    /// online QoS governor reads this every tick.
+    pub fn owner_commands(&self, owner: OwnerId) -> u64 {
+        self.owner_stats
+            .get(owner.dense_index())
+            .map_or(0, OwnerStats::commands)
     }
 
     /// `owner`'s recorded read latencies, `None` when it completed no reads.
