@@ -497,13 +497,13 @@ impl Flashvisor {
             let pg = self
                 .logical_slot(lg)?
                 .ok_or(FaError::UnmappedAddress(lg * self.config.page_group_bytes))?;
-            // Vectored group submission: every page command of the group
-            // goes down in one batch at the translated instant, with the
-            // flat→physical stepping done inside the backbone.
-            let batch =
+            // Group submission: every page command of the group goes down
+            // at the translated instant, with the flat→physical stepping
+            // done inside the backbone.
+            let done =
                 self.backbone
                     .submit_group(cursor, pg * pages, pages, FlashOp::ReadPage, owner)?;
-            finished = finished.max(batch.finished);
+            finished = finished.max(done);
             self.stats.group_reads += 1;
         }
         // Read-disturb is retry-then-relocate: the channel already retried
@@ -569,7 +569,7 @@ impl Flashvisor {
                 self.stats.cold_group_writes += 1;
                 self.allocate_physical_group()?
             };
-            let batch = loop {
+            let done = loop {
                 match self.backbone.submit_group(
                     cursor,
                     pg * pages,
@@ -577,7 +577,7 @@ impl Flashvisor {
                     FlashOp::ProgramPage,
                     owner,
                 ) {
-                    Ok(batch) => break batch,
+                    Ok(done) => break done,
                     // Remap-on-failure: an injected program failure burns
                     // the attempted group (any landed pages are garbage
                     // until its row erases) and the write retries on a
@@ -594,7 +594,7 @@ impl Flashvisor {
                     }
                 }
             };
-            finished = finished.max(batch.finished);
+            finished = finished.max(done);
             // Commit the remap and both index directions together, only
             // once the programs succeeded: a failure above must leave the
             // old mapping (and its reverse entry) intact so GC can still
@@ -933,11 +933,11 @@ impl Flashvisor {
     ) -> Result<Option<SimTime>, FaError> {
         let pages = self.config.pages_per_group();
         let mut cursor = now;
-        if let Ok(batch) =
+        if let Ok(done) =
             self.backbone
                 .submit_group(now, pg * pages, pages, FlashOp::ReadPage, OwnerId::Gc)
         {
-            cursor = batch.finished;
+            cursor = done;
         }
         for _attempt in 0..2 {
             let Some(new_pg) = self.allocate_group_for_gc_excluding(excl_low, excl_high) else {
@@ -950,10 +950,10 @@ impl Flashvisor {
                 FlashOp::ProgramPage,
                 OwnerId::Gc,
             ) {
-                Ok(batch) => {
+                Ok(done) => {
                     self.backbone.invalidate_group(pg * pages, pages)?;
                     self.remap_group(lg, new_pg);
-                    return Ok(Some(batch.finished));
+                    return Ok(Some(done));
                 }
                 Err(FlashError::InjectedProgramFailure(_)) => {
                     self.rollback_failed_allocation(new_pg);

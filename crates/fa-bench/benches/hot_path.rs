@@ -1,9 +1,8 @@
 //! Criterion benchmark of the data-path hot loop: per-command cost of
-//! `submit_batch` with the full campaign feature set live — per-owner QoS
-//! tag admission, dense owner accounting, and valid-page group tracking.
-//! The per-command `submit_tagged` sweep rides along as the baseline the
-//! batched accounting is priced against; `perfstat` records the same
-//! numbers into `BENCH_PR10.json`.
+//! `submit_group` stripes with the full campaign feature set live —
+//! per-owner QoS tag admission, dense owner accounting, and valid-page
+//! group tracking. The per-command `submit_tagged` sweep rides along as
+//! the comparison; `perfstat` records the same numbers.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fa_bench::perf::{hot_path_backbone, hot_path_sweep, hot_path_sweep_tagged};
@@ -13,7 +12,7 @@ fn bench_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_path");
     // One sweep programs, reads, and erases the whole device; report
     // per-sweep time so the two paths are directly comparable.
-    group.bench_function("submit_batch/device_sweep", |b| {
+    group.bench_function("submit_group/device_sweep", |b| {
         b.iter_batched(
             hot_path_backbone,
             |mut backbone| criterion::black_box(hot_path_sweep(&mut backbone, SimTime::ZERO)),

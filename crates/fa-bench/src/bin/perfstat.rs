@@ -326,7 +326,7 @@ fn main() {
 
     // Hot-path per-command cost: the same whole-device program → read →
     // erase sweep with QoS admission and group accounting live on every
-    // command, through the per-command submit path and the batched one.
+    // command, through the per-command submit path and the stripe one.
     let hot_sweeps = 8u64;
     let time_sweeps = |sweep: fn(&mut fa_flash::FlashBackbone, SimTime) -> (u64, SimTime)| {
         let mut backbone = hot_path_backbone();
@@ -342,7 +342,7 @@ fn main() {
         (commands, start.elapsed().as_secs_f64())
     };
     let (tagged_commands, tagged_seconds) = time_sweeps(hot_path_sweep_tagged);
-    let (batched_commands, batched_seconds) = time_sweeps(hot_path_sweep);
+    let (group_commands, group_seconds) = time_sweeps(hot_path_sweep);
 
     // The QoS ablation (simulated time, deterministic): foreground read
     // p99 under concurrent GC, synchronous vs background vs budgeted.
@@ -405,8 +405,9 @@ fn main() {
     // The PR6 recovery table: the heterogeneous campaign on the pre-PR6
     // tree (same machine, same scale — measured at the parent commit
     // before the data-path rework) against this run, plus the hot-path
-    // per-command cost through both submit paths. The batched path is the
-    // one the campaigns use; the per-command path is kept as its baseline.
+    // per-command cost through both submit paths. The stripe path
+    // (`submit_group`) is the one the campaigns use; the per-command path
+    // (`submit_tagged`) serves GC, the journal, and open-loop reads.
     const BEFORE_HETEROGENEOUS_SERIAL_S: f64 = 8.0055;
     let after = campaigns
         .iter()
@@ -442,17 +443,17 @@ fn main() {
     let _ = writeln!(json, "    \"sweeps\": {hot_sweeps},");
     let _ = writeln!(
         json,
-        "    \"per_command_path\": {{\"commands\": {}, \"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
+        "    \"submit_tagged\": {{\"commands\": {}, \"seconds\": {:.4}, \"ns_per_command\": {:.1}}},",
         tagged_commands,
         tagged_seconds,
         tagged_seconds * 1e9 / tagged_commands as f64
     );
     let _ = writeln!(
         json,
-        "    \"batched_path\": {{\"commands\": {}, \"seconds\": {:.4}, \"ns_per_command\": {:.1}}}",
-        batched_commands,
-        batched_seconds,
-        batched_seconds * 1e9 / batched_commands as f64
+        "    \"submit_group\": {{\"commands\": {}, \"seconds\": {:.4}, \"ns_per_command\": {:.1}}}",
+        group_commands,
+        group_seconds,
+        group_seconds * 1e9 / group_commands as f64
     );
     json.push_str("  },\n");
     json.push_str("  \"frontier_vs_rescan\": [\n");

@@ -10,7 +10,10 @@
 //! (The oracle *property tests* deliberately do not use these helpers:
 //! their oracles must stay independent of the code under test.)
 
-use fa_flash::{FlashBackbone, FlashCommand, FlashGeometry, FlashTiming, OwnerId, QosBudgets};
+use fa_flash::{
+    FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, PhysicalPageAddr,
+    QosBudgets,
+};
 use fa_kernel::chain::{ExecutionChain, ScreenRef, ScreenState};
 use fa_kernel::instance::{instantiate_many, InstancePlan};
 use fa_kernel::model::{AppId, Application, ApplicationBuilder, DataSection};
@@ -187,47 +190,31 @@ pub fn hot_path_backbone() -> FlashBackbone {
 }
 
 /// One full program → read → erase sweep of the device through
-/// `submit_batch`, in 64-page stripes of consecutive flat pages (the write
-/// path's page-group shape), with owner accounting and QoS admission live
-/// on every command. Returns (commands submitted, simulated completion).
+/// `submit_group`, in 64-page stripes of consecutive flat pages (the write
+/// path's page-group shape) and one erase per block, with owner accounting
+/// and QoS admission live on every command. Returns (commands submitted,
+/// simulated completion).
 pub fn hot_path_sweep(backbone: &mut FlashBackbone, mut now: SimTime) -> (u64, SimTime) {
     let geometry = *backbone.geometry();
     let total_pages = geometry.total_pages();
     let mut commands = 0u64;
-    for first in (0..total_pages).step_by(64) {
-        let done = backbone
-            .submit_batch(
-                now,
-                (first..first + 64).map(|flat| FlashCommand::program(geometry.flat_to_addr(flat))),
-                OwnerId::Kernel(0),
-            )
-            .expect("hot-path program stripe");
-        now = done.finished;
-        commands += 64;
-    }
-    for first in (0..total_pages).step_by(64) {
-        let done = backbone
-            .submit_batch(
-                now,
-                (first..first + 64).map(|flat| FlashCommand::read(geometry.flat_to_addr(flat))),
-                OwnerId::Kernel(0),
-            )
-            .expect("hot-path read stripe");
-        now = done.finished;
-        commands += 64;
+    for (op, what) in [
+        (FlashOp::ProgramPage, "hot-path program stripe"),
+        (FlashOp::ReadPage, "hot-path read stripe"),
+    ] {
+        for first in (0..total_pages).step_by(64) {
+            now = backbone
+                .submit_group(now, first, 64, op, OwnerId::Kernel(0))
+                .expect(what);
+            commands += 64;
+        }
     }
     for block in 0..geometry.total_blocks() {
         let (channel, die, block) = geometry.block_index_to_addr(block);
-        let done = backbone
-            .submit_batch(
-                now,
-                std::iter::once(FlashCommand::erase(fa_flash::PhysicalPageAddr::new(
-                    channel, die, block, 0,
-                ))),
-                OwnerId::Gc,
-            )
+        let flat = geometry.addr_to_flat(PhysicalPageAddr::new(channel, die, block, 0));
+        now = backbone
+            .submit_group(now, flat, 1, FlashOp::EraseBlock, OwnerId::Gc)
             .expect("hot-path erase");
-        now = done.finished;
         commands += 1;
     }
     (commands, now)
@@ -245,8 +232,8 @@ pub fn preloaded_hot_path_backbone() -> FlashBackbone {
 }
 
 /// The same sweep submitted one command at a time through `submit_tagged`
-/// — the pre-batching data path, kept as the baseline the batched
-/// accounting is priced against in `BENCH_PR6.json`.
+/// — the per-command entry point, priced against the stripe path of
+/// [`hot_path_sweep`].
 pub fn hot_path_sweep_tagged(backbone: &mut FlashBackbone, mut now: SimTime) -> (u64, SimTime) {
     let geometry = *backbone.geometry();
     let total_pages = geometry.total_pages();
@@ -269,7 +256,7 @@ pub fn hot_path_sweep_tagged(backbone: &mut FlashBackbone, mut now: SimTime) -> 
     }
     for block in 0..geometry.total_blocks() {
         let (channel, die, block) = geometry.block_index_to_addr(block);
-        let addr = fa_flash::PhysicalPageAddr::new(channel, die, block, 0);
+        let addr = PhysicalPageAddr::new(channel, die, block, 0);
         now = backbone
             .submit_tagged(now, FlashCommand::erase(addr), OwnerId::Gc)
             .expect("hot-path erase")
@@ -315,18 +302,45 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_tagged_hot_path_sweeps_leave_identical_flash_state() {
-        let mut batched = hot_path_backbone();
+    fn group_and_tagged_hot_path_sweeps_leave_identical_flash_state() {
+        let mut group = hot_path_backbone();
+        let (commands, group_done) = hot_path_sweep(&mut group, SimTime::ZERO);
+        let (tagged_commands, _) = hot_path_sweep_tagged(&mut hot_path_backbone(), SimTime::ZERO);
+        assert_eq!(commands, tagged_commands);
+        // The same stripes replayed one `submit_tagged` command at a time,
+        // each stripe's commands at the stripe's submission instant.
         let mut tagged = hot_path_backbone();
-        let (cb, _) = hot_path_sweep(&mut batched, SimTime::ZERO);
-        let (ct, _) = hot_path_sweep_tagged(&mut tagged, SimTime::ZERO);
-        assert_eq!(cb, ct);
-        assert_eq!(batched.total_valid_pages(), tagged.total_valid_pages());
-        let b = batched.stats();
-        let t = tagged.stats();
+        let geometry = *tagged.geometry();
+        let kernel = OwnerId::Kernel(0);
+        let mut now = SimTime::ZERO;
+        let makers: [fn(PhysicalPageAddr) -> FlashCommand; 2] =
+            [FlashCommand::program, FlashCommand::read];
+        for make in makers {
+            for first in (0..geometry.total_pages()).step_by(64) {
+                let start = now;
+                for flat in first..first + 64 {
+                    let cmd = make(geometry.flat_to_addr(flat));
+                    now = now.max(tagged.submit_tagged(start, cmd, kernel).unwrap().finished);
+                }
+            }
+        }
+        for block in 0..geometry.total_blocks() {
+            let (channel, die, block) = geometry.block_index_to_addr(block);
+            let cmd = FlashCommand::erase(PhysicalPageAddr::new(channel, die, block, 0));
+            now = tagged
+                .submit_tagged(now, cmd, OwnerId::Gc)
+                .unwrap()
+                .finished;
+        }
+        assert_eq!(now, group_done);
+        assert_eq!(group.total_valid_pages(), tagged.total_valid_pages());
+        assert_eq!(group.stats(), tagged.stats());
+        assert_eq!(group.owner_stats(), tagged.owner_stats());
+        let qs = [0.0, 0.5, 0.99, 1.0];
+        assert!(group.read_latency_quantiles(kernel, &qs).is_some());
         assert_eq!(
-            (b.reads, b.programs, b.erases),
-            (t.reads, t.programs, t.erases)
+            group.read_latency_quantiles(kernel, &qs),
+            tagged.read_latency_quantiles(kernel, &qs)
         );
     }
 

@@ -2,11 +2,13 @@
 //!
 //! The backbone bundles the four channel controllers behind the SRIO/FMC
 //! front-end that connects the storage complex to the accelerator's tier-2
-//! network. Flashvisor submits [`FlashCommand`]s here; the backbone routes
-//! them to the owning channel, models the SRIO hop, and reports a
-//! [`FlashCompletion`] with the full timing breakdown.
+//! network. Flashvisor submits page-group stripes
+//! ([`FlashBackbone::submit_group`]); Storengine and the open-loop driver
+//! submit single [`FlashCommand`]s ([`FlashBackbone::submit_tagged`]).
+//! Both run one per-page step that routes the command to its owning
+//! channel, models the SRIO hop, and keeps the backbone's accounting.
 
-use crate::controller::{ChannelController, ChannelOp, ChannelStats};
+use crate::controller::{ChannelController, ChannelStats};
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
@@ -83,17 +85,6 @@ impl FlashCompletion {
     }
 }
 
-/// Completion record for a batch of commands submitted together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchCompletion {
-    /// When the batch was submitted.
-    pub submitted: SimTime,
-    /// When the last command of the batch finished.
-    pub finished: SimTime,
-    /// Number of commands in the batch.
-    pub commands: u64,
-}
-
 /// Aggregate backbone statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BackboneStats {
@@ -131,8 +122,8 @@ pub struct FlashBackbone {
     /// (p99 of one kernel under concurrent GC).
     read_latencies: Vec<Vec<u64>>,
     /// SRIO service time for one page-sized transfer, precomputed so the
-    /// group hot loop skips the bytes-to-duration conversion per page
-    /// (identical value to what `srio.reserve` would derive).
+    /// per-page step skips the bytes-to-duration conversion (identical
+    /// value to what `srio.reserve` would derive).
     srio_page_service: SimDuration,
     /// The installed fault plan, if any. `None` (the default) means no
     /// channel carries fault state and every hook is one dead branch —
@@ -372,18 +363,85 @@ impl FlashBackbone {
         self.submit_tagged(now, command, OwnerId::Unattributed)
     }
 
-    /// Books an injected program failure into the valid index: the die
-    /// really consumed the page (the media programmed garbage before
-    /// reporting the failure), so occupancy must record it as
-    /// programmed-then-invalid. The recycle/rollback paths key on
-    /// programmed counts — recycling a silently page-consumed group would
-    /// later program it again without an erase.
-    fn book_failed_program(&mut self, e: &FlashError, now_ns: u64) {
-        if let FlashError::InjectedProgramFailure(addr) = e {
-            let block = self.geometry.block_index(*addr);
-            let flat = self.geometry.addr_to_flat(*addr);
-            self.valid_index.on_program(block, flat, now_ns);
-            self.valid_index.on_invalidate(block, flat);
+    /// Books a page the die consumed without keeping its data into the
+    /// valid index as programmed-then-invalid: an injected program failure
+    /// (the media programmed garbage before reporting it) or a stripe pad.
+    /// The recycle/rollback paths key on programmed counts — recycling a
+    /// silently page-consumed group would later program it again without an
+    /// erase.
+    fn book_scrapped_program(&mut self, block: u64, flat: u64, now_ns: u64) {
+        self.valid_index.on_program(block, flat, now_ns);
+        self.valid_index.on_invalidate(block, flat);
+    }
+
+    /// Executes one page command — tag-queue admission at the channel, the
+    /// SRIO hop, and every counter the command moves: backbone and owner
+    /// stats, read latencies, and the valid-page index. `addr` must be in
+    /// range, `flat` is its flat page index, and `oi` is `owner`'s dense
+    /// accounting slot. Returns when the command (including the SRIO data
+    /// return of a read) finished.
+    fn execute_page(
+        &mut self,
+        now: SimTime,
+        op: FlashOp,
+        addr: PhysicalPageAddr,
+        flat: u64,
+        owner: OwnerId,
+        oi: usize,
+    ) -> Result<SimTime, FlashError> {
+        let page_bytes = self.geometry.page_bytes as u64;
+        let channel = &mut self.channels[addr.channel];
+        let by_owner = &mut self.owner_stats[oi];
+        match op {
+            FlashOp::ReadPage => {
+                let done = channel.execute(now, op, addr, owner)?;
+                // Read data crosses the SRIO lanes back to the network.
+                let end = self
+                    .srio
+                    .reserve_prepaid(done, page_bytes, self.srio_page_service)
+                    .end;
+                self.stats.reads += 1;
+                self.stats.srio_bytes += page_bytes;
+                by_owner.reads += 1;
+                by_owner.bytes += page_bytes;
+                let latency_ns = end.saturating_since(now).as_ns();
+                by_owner.read_latency_total_ns += latency_ns;
+                by_owner.read_latency_max_ns = by_owner.read_latency_max_ns.max(latency_ns);
+                self.read_latencies[oi].push(latency_ns);
+                Ok(end)
+            }
+            FlashOp::ProgramPage => {
+                // Write data crosses SRIO before it reaches the channel; the
+                // reservation stands even if the program then fails.
+                let start = self
+                    .srio
+                    .reserve_prepaid(now, page_bytes, self.srio_page_service)
+                    .end;
+                let block = block_of(&self.geometry, addr);
+                match channel.execute(start, op, addr, owner) {
+                    Ok(done) => {
+                        self.valid_index.on_program(block, flat, now.as_ns());
+                        self.stats.programs += 1;
+                        self.stats.srio_bytes += page_bytes;
+                        by_owner.programs += 1;
+                        by_owner.bytes += page_bytes;
+                        Ok(done)
+                    }
+                    Err(e) => {
+                        if matches!(e, FlashError::InjectedProgramFailure(_)) {
+                            self.book_scrapped_program(block, flat, now.as_ns());
+                        }
+                        Err(e)
+                    }
+                }
+            }
+            FlashOp::EraseBlock => {
+                let done = channel.execute(now, op, addr, owner)?;
+                self.valid_index.on_erase(block_of(&self.geometry, addr));
+                self.stats.erases += 1;
+                by_owner.erases += 1;
+                Ok(done)
+            }
         }
     }
 
@@ -401,52 +459,8 @@ impl FlashBackbone {
             return Err(FlashError::OutOfRange(command.addr));
         }
         let oi = self.owner_slot(owner);
-        let page_bytes = self.geometry.page_bytes as u64;
-        let block = self.geometry.block_index(command.addr);
         let flat = self.geometry.addr_to_flat(command.addr);
-        let channel = &mut self.channels[command.addr.channel];
-        let by_owner = &mut self.owner_stats[oi];
-        let finished = match command.op {
-            FlashOp::ReadPage => {
-                let done = channel.execute(now, ChannelOp::Read, command.addr, owner, None)?;
-                // Read data crosses the SRIO lanes back to the network.
-                let res = self.srio.reserve(done, page_bytes);
-                self.stats.reads += 1;
-                self.stats.srio_bytes += page_bytes;
-                by_owner.reads += 1;
-                by_owner.bytes += page_bytes;
-                let latency_ns = res.end.saturating_since(now).as_ns();
-                by_owner.read_latency_total_ns += latency_ns;
-                by_owner.read_latency_max_ns = by_owner.read_latency_max_ns.max(latency_ns);
-                self.read_latencies[oi].push(latency_ns);
-                res.end
-            }
-            FlashOp::ProgramPage => {
-                // Write data crosses SRIO before it reaches the channel.
-                let res = self.srio.reserve(now, page_bytes);
-                let done =
-                    match channel.execute(res.end, ChannelOp::Program, command.addr, owner, None) {
-                        Ok(done) => done,
-                        Err(e) => {
-                            self.book_failed_program(&e, now.as_ns());
-                            return Err(e);
-                        }
-                    };
-                self.valid_index.on_program(block, flat, now.as_ns());
-                self.stats.programs += 1;
-                self.stats.srio_bytes += page_bytes;
-                by_owner.programs += 1;
-                by_owner.bytes += page_bytes;
-                done
-            }
-            FlashOp::EraseBlock => {
-                let done = channel.execute(now, ChannelOp::Erase, command.addr, owner, None)?;
-                self.valid_index.on_erase(block);
-                self.stats.erases += 1;
-                by_owner.erases += 1;
-                done
-            }
-        };
+        let finished = self.execute_page(now, command.op, command.addr, flat, owner, oi)?;
         Ok(FlashCompletion {
             command,
             submitted: now,
@@ -454,149 +468,27 @@ impl FlashBackbone {
         })
     }
 
-    /// Submits a batch of commands at `now` on behalf of `owner` and
-    /// returns when the last one finished. Semantically identical to
-    /// calling [`FlashBackbone::submit_tagged`] per command at the same
-    /// instant, but without a completion record per page — the vectored
-    /// path the multi-page group reads/writes of Flashvisor issue through —
-    /// and with the owner and valid-index accounting applied once per batch
-    /// instead of once per page. Stops at the first failing command;
-    /// commands before it have already taken effect.
-    pub fn submit_batch(
-        &mut self,
-        now: SimTime,
-        commands: impl IntoIterator<Item = FlashCommand>,
-        owner: OwnerId,
-    ) -> Result<BatchCompletion, FlashError> {
-        let geometry = self.geometry;
-        let page_bytes = geometry.page_bytes as u64;
-        let now_ns = now.as_ns();
-        let mut finished = now;
-        let mut count = 0u64;
-        // Accounting accumulated across the batch and applied once at the
-        // end (also before an early error return, so partial batches leave
-        // the same state as the per-command path). The dense owner slot is
-        // claimed lazily: a batch rejected before any command passes the
-        // geometry check leaves no owner record, like the per-command path.
-        let mut slot: Option<usize> = None;
-        let mut acc = OwnerStats::default();
-        let mut programmed: Vec<(u64, u64)> = Vec::new();
-        let mut error: Option<FlashError> = None;
-        for command in commands {
-            if !geometry.contains(command.addr) {
-                error = Some(FlashError::OutOfRange(command.addr));
-                break;
-            }
-            let oi = match slot {
-                Some(oi) => oi,
-                None => {
-                    let oi = self.owner_slot(owner);
-                    slot = Some(oi);
-                    oi
-                }
-            };
-            let channel = &mut self.channels[command.addr.channel];
-            match command.op {
-                FlashOp::ReadPage => {
-                    match channel.execute(now, ChannelOp::Read, command.addr, owner, None) {
-                        Ok(done) => {
-                            // Read data crosses the SRIO lanes back out.
-                            let res = self.srio.reserve(done, page_bytes);
-                            acc.reads += 1;
-                            acc.bytes += page_bytes;
-                            let latency_ns = res.end.saturating_since(now).as_ns();
-                            acc.read_latency_total_ns += latency_ns;
-                            acc.read_latency_max_ns = acc.read_latency_max_ns.max(latency_ns);
-                            self.read_latencies[oi].push(latency_ns);
-                            finished = finished.max(res.end);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                FlashOp::ProgramPage => {
-                    // Write data crosses SRIO before it reaches the
-                    // channel; the reservation stands even if the program
-                    // then fails, as on the per-command path.
-                    let res = self.srio.reserve(now, page_bytes);
-                    match channel.execute(res.end, ChannelOp::Program, command.addr, owner, None) {
-                        Ok(done) => {
-                            // Only programs (and the erase below) need the
-                            // block/flat mapping; reads skip the address
-                            // arithmetic entirely.
-                            programmed.push((
-                                geometry.block_index(command.addr),
-                                geometry.addr_to_flat(command.addr),
-                            ));
-                            acc.programs += 1;
-                            acc.bytes += page_bytes;
-                            finished = finished.max(done);
-                        }
-                        Err(e) => {
-                            // Flush the successful programs first so the
-                            // failed page books in per-command order.
-                            self.valid_index
-                                .on_program_batch(programmed.drain(..), now_ns);
-                            self.book_failed_program(&e, now_ns);
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                FlashOp::EraseBlock => {
-                    match channel.execute(now, ChannelOp::Erase, command.addr, owner, None) {
-                        Ok(done) => {
-                            // Flush pending programs first so the valid
-                            // index sees the same order as the per-command
-                            // path.
-                            self.valid_index
-                                .on_program_batch(programmed.drain(..), now_ns);
-                            self.valid_index
-                                .on_erase(geometry.block_index(command.addr));
-                            acc.erases += 1;
-                            finished = finished.max(done);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            count += 1;
+    /// Rejects a flat-page range that reaches outside the backbone before
+    /// any page of it takes effect, reporting the range's first page
+    /// (clamped to the device's last page).
+    fn check_flat_range(&self, first_flat: u64, pages: u64) -> Result<(), FlashError> {
+        let total = self.geometry.total_pages();
+        if first_flat + pages > total {
+            return Err(FlashError::OutOfRange(
+                self.geometry.flat_to_addr(first_flat.min(total - 1)),
+            ));
         }
-        self.valid_index
-            .on_program_batch(programmed.drain(..), now_ns);
-        if let Some(oi) = slot {
-            self.stats.reads += acc.reads;
-            self.stats.programs += acc.programs;
-            self.stats.erases += acc.erases;
-            self.stats.srio_bytes += acc.bytes;
-            self.owner_stats[oi].absorb(&acc);
-        }
-        if let Some(e) = error {
-            return Err(e);
-        }
-        Ok(BatchCompletion {
-            submitted: now,
-            finished,
-            commands: count,
-        })
+        Ok(())
     }
 
     /// Submits `pages` same-op commands covering the consecutive flat pages
     /// `first_flat..first_flat + pages` — the page-group stripe every
-    /// Flashvisor group read/write issues. Exactly equivalent to
-    /// [`FlashBackbone::submit_batch`] over the same commands (same
-    /// per-command order against the channel controllers and the SRIO
-    /// lanes, same accounting, same first-error semantics), but the
-    /// flat→physical conversion is done once and stepped incrementally
-    /// across the channel/die stripe, the per-command op dispatch is
-    /// hoisted out of the loop, and programs derive their block index from
-    /// the stepped address instead of re-dividing. This is the data-path
-    /// hot loop: a campaign pushes tens of millions of pages through here.
+    /// Flashvisor group read/write issues — at `now` on behalf of `owner`,
+    /// and returns when the last one finished. Each page goes through the
+    /// same per-page step as [`FlashBackbone::submit_tagged`], in stripe
+    /// order; the flat→physical conversion is done once and then stepped
+    /// across the channel/die stripe. Stops at the first failing command;
+    /// commands before it have already taken effect.
     pub fn submit_group(
         &mut self,
         now: SimTime,
@@ -604,199 +496,70 @@ impl FlashBackbone {
         pages: u64,
         op: FlashOp,
         owner: OwnerId,
-    ) -> Result<BatchCompletion, FlashError> {
+    ) -> Result<SimTime, FlashError> {
         if pages == 0 {
-            return Ok(BatchCompletion {
-                submitted: now,
-                finished: now,
-                commands: 0,
-            });
+            return Ok(now);
         }
-        if first_flat + pages > self.geometry.total_pages() {
-            // The first out-of-range page the per-command path would hit.
-            return Err(FlashError::OutOfRange(
-                self.geometry
-                    .flat_to_addr(first_flat.min(self.geometry.total_pages() - 1)),
-            ));
-        }
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let pages_per_block = self.geometry.pages_per_block;
-        let blocks_per_die = self.geometry.blocks_per_die() as u64;
-        let page_bytes = self.geometry.page_bytes as u64;
-        let srio_service = self.srio_page_service;
-        let now_ns = now.as_ns();
-        let mut addr = self.geometry.flat_to_addr(first_flat);
+        self.check_flat_range(first_flat, pages)?;
         let oi = self.owner_slot(owner);
+        let end_flat = first_flat + pages;
+        let mut addr = self.geometry.flat_to_addr(first_flat);
         let mut finished = now;
-        let mut count = 0u64;
-        let mut acc = OwnerStats::default();
-        let mut programmed: Vec<(u64, u64)> = Vec::new();
-        if op == FlashOp::ProgramPage {
-            programmed.reserve(pages as usize);
-        }
-        let mut error: Option<FlashError> = None;
-        for i in 0..pages {
-            let channel = &mut self.channels[addr.channel];
-            match op {
-                FlashOp::ReadPage => {
-                    match channel.execute(now, ChannelOp::Read, addr, owner, None) {
-                        Ok(done) => {
-                            let res = self.srio.reserve_prepaid(done, page_bytes, srio_service);
-                            acc.reads += 1;
-                            acc.bytes += page_bytes;
-                            let latency_ns = res.end.saturating_since(now).as_ns();
-                            acc.read_latency_total_ns += latency_ns;
-                            acc.read_latency_max_ns = acc.read_latency_max_ns.max(latency_ns);
-                            self.read_latencies[oi].push(latency_ns);
-                            finished = finished.max(res.end);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
+        for flat in first_flat..end_flat {
+            match self.execute_page(now, op, addr, flat, owner, oi) {
+                Ok(done) => finished = finished.max(done),
+                Err(e) => {
+                    if matches!(e, FlashError::InjectedProgramFailure(_)) {
+                        self.pad_stripe(now, addr, flat + 1..end_flat, owner);
                     }
-                }
-                FlashOp::ProgramPage => {
-                    let res = self.srio.reserve_prepaid(now, page_bytes, srio_service);
-                    match channel.execute(res.end, ChannelOp::Program, addr, owner, None) {
-                        Ok(done) => {
-                            let block = (addr.channel as u64 * dies as u64 + addr.die as u64)
-                                * blocks_per_die
-                                + addr.block as u64;
-                            programmed.push((block, first_flat + i));
-                            acc.programs += 1;
-                            acc.bytes += page_bytes;
-                            finished = finished.max(done);
-                        }
-                        Err(e) => {
-                            // Flush the successful programs first so the
-                            // failed page books in per-command order.
-                            self.valid_index
-                                .on_program_batch(programmed.drain(..), now_ns);
-                            self.book_failed_program(&e, now_ns);
-                            // An injected failure closes the stripe: the
-                            // group's remaining pages are padded (programmed
-                            // and discarded) so sibling dies' write cursors
-                            // stay in lockstep with the failed one — without
-                            // this, the next group's programs would be
-                            // non-sequential on every die the abort skipped.
-                            if matches!(e, FlashError::InjectedProgramFailure(_)) {
-                                let mut pad = addr;
-                                for j in i + 1..pages {
-                                    pad.channel += 1;
-                                    if pad.channel == channels {
-                                        pad.channel = 0;
-                                        pad.die += 1;
-                                        if pad.die == dies {
-                                            pad.die = 0;
-                                            pad.page += 1;
-                                            if pad.page == pages_per_block {
-                                                pad.page = 0;
-                                                pad.block += 1;
-                                            }
-                                        }
-                                    }
-                                    let res =
-                                        self.srio.reserve_prepaid(now, page_bytes, srio_service);
-                                    let outcome = self.channels[pad.channel].execute(
-                                        res.end,
-                                        ChannelOp::Program,
-                                        pad,
-                                        owner,
-                                        None,
-                                    );
-                                    let block = (pad.channel as u64 * dies as u64 + pad.die as u64)
-                                        * blocks_per_die
-                                        + pad.block as u64;
-                                    match outcome {
-                                        // A clean pad program must be
-                                        // discarded at the die as well, so
-                                        // page state, controller counters,
-                                        // and index agree that it is
-                                        // programmed garbage.
-                                        Ok(_) => {
-                                            let _ = self.channels[pad.channel].invalidate(pad);
-                                            self.valid_index.on_program(
-                                                block,
-                                                first_flat + j,
-                                                now_ns,
-                                            );
-                                            self.valid_index.on_invalidate(block, first_flat + j);
-                                        }
-                                        // A pad page drawing its own injected
-                                        // failure lands in the same state:
-                                        // the fault hook already invalidated
-                                        // it at the die.
-                                        Err(FlashError::InjectedProgramFailure(_)) => {
-                                            self.valid_index.on_program(
-                                                block,
-                                                first_flat + j,
-                                                now_ns,
-                                            );
-                                            self.valid_index.on_invalidate(block, first_flat + j);
-                                        }
-                                        // Anything else (out of range, worn
-                                        // die) is a real fault; stop padding
-                                        // and surface the original error.
-                                        Err(_) => break,
-                                    }
-                                }
-                            }
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                FlashOp::EraseBlock => {
-                    match channel.execute(now, ChannelOp::Erase, addr, owner, None) {
-                        Ok(done) => {
-                            let block = (addr.channel as u64 * dies as u64 + addr.die as u64)
-                                * blocks_per_die
-                                + addr.block as u64;
-                            self.valid_index.on_erase(block);
-                            acc.erases += 1;
-                            finished = finished.max(done);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
+                    return Err(e);
                 }
             }
-            count += 1;
-            // Step to the next flat page: channels stripe fastest, then
-            // dies, then pages within the block, then blocks.
-            addr.channel += 1;
-            if addr.channel == channels {
-                addr.channel = 0;
-                addr.die += 1;
-                if addr.die == dies {
-                    addr.die = 0;
-                    addr.page += 1;
-                    if addr.page == pages_per_block {
-                        addr.page = 0;
-                        addr.block += 1;
-                    }
+            addr = next_flat_addr(&self.geometry, addr);
+        }
+        Ok(finished)
+    }
+
+    /// Closes a stripe after an injected program failure at `failed`: the
+    /// stripe's remaining pages `flats` are padded (programmed and
+    /// discarded) so sibling dies' write cursors stay in lockstep with the
+    /// failed one — without this, the next stripe's programs would be
+    /// non-sequential on every die the abort skipped. Pads pass through the
+    /// owner's tag queue but count in no backbone or owner statistics.
+    fn pad_stripe(
+        &mut self,
+        now: SimTime,
+        failed: PhysicalPageAddr,
+        flats: std::ops::Range<u64>,
+        owner: OwnerId,
+    ) {
+        let page_bytes = self.geometry.page_bytes as u64;
+        let mut pad = failed;
+        for flat in flats {
+            pad = next_flat_addr(&self.geometry, pad);
+            let start = self
+                .srio
+                .reserve_prepaid(now, page_bytes, self.srio_page_service)
+                .end;
+            let channel = &mut self.channels[pad.channel];
+            match channel.execute(start, FlashOp::ProgramPage, pad, owner) {
+                // A clean pad program must be discarded at the die as well,
+                // so page state, controller counters, and index agree that
+                // it is programmed garbage.
+                Ok(_) => {
+                    let _ = channel.invalidate(pad);
                 }
+                // A pad page drawing its own injected failure lands in the
+                // same state: the fault hook already invalidated it at the
+                // die.
+                Err(FlashError::InjectedProgramFailure(_)) => {}
+                // Anything else (out of range, worn die) is a real fault;
+                // stop padding and let the caller surface the original
+                // error.
+                Err(_) => break,
             }
+            self.book_scrapped_program(block_of(&self.geometry, pad), flat, now.as_ns());
         }
-        self.valid_index
-            .on_program_batch(programmed.drain(..), now_ns);
-        self.stats.reads += acc.reads;
-        self.stats.programs += acc.programs;
-        self.stats.erases += acc.erases;
-        self.stats.srio_bytes += acc.bytes;
-        self.owner_stats[oi].absorb(&acc);
-        if let Some(e) = error {
-            return Err(e);
-        }
-        Ok(BatchCompletion {
-            submitted: now,
-            finished,
-            commands: count,
-        })
     }
 
     /// Marks a page valid without consuming device time (pre-experiment data
@@ -814,16 +577,13 @@ impl FlashBackbone {
         Ok(())
     }
 
-    /// Preloads `pages` consecutive flat pages starting at `first_flat` in
-    /// one vectored call — exactly equivalent to calling
-    /// [`FlashBackbone::preload`] on each page in ascending order (an error
-    /// leaves every earlier page preloaded and indexed, like the per-page
-    /// loop would), but the flat→physical conversion is done once and then
-    /// stepped incrementally (consecutive flats stripe channels first, dies
-    /// second), and the valid-index accounting lands through the batched
-    /// entry point. This is the pre-experiment data-placement fast path:
-    /// the campaign preloads hundreds of thousands of pages before any
-    /// event runs, and three div/mod chains per page dominated that phase.
+    /// Preloads `pages` consecutive flat pages starting at `first_flat` —
+    /// exactly equivalent to calling [`FlashBackbone::preload`] on each
+    /// page in ascending order (an error leaves every earlier page
+    /// preloaded and indexed), but the flat→physical conversion is done
+    /// once and then stepped across the stripe. This is the pre-experiment
+    /// data-placement fast path: the campaign preloads hundreds of
+    /// thousands of pages before any event runs.
     ///
     /// # Panics
     ///
@@ -837,48 +597,13 @@ impl FlashBackbone {
             first_flat + pages <= self.geometry.total_pages(),
             "page index out of range"
         );
-        let channels = self.geometry.channels;
-        let dies = self.geometry.dies_per_channel();
-        let pages_per_block = self.geometry.pages_per_block;
-        let blocks_per_die = self.geometry.blocks_per_die() as u64;
         let mut addr = self.geometry.flat_to_addr(first_flat);
-        // (block index, flat page) of every page preloaded so far, flushed
-        // to the valid index in 64-page chunks (the invalidate_group shape).
-        let mut entries = [(0u64, 0u64); 64];
-        let mut filled = 0usize;
-        for i in 0..pages {
-            if let Err(e) = self.channels[addr.channel].preload(addr) {
-                self.valid_index
-                    .on_program_batch(entries[..filled].iter().copied(), 0);
-                return Err(e);
-            }
-            let block = (addr.channel as u64 * dies as u64 + addr.die as u64) * blocks_per_die
-                + addr.block as u64;
-            entries[filled] = (block, first_flat + i);
-            filled += 1;
-            if filled == entries.len() {
-                self.valid_index
-                    .on_program_batch(entries.iter().copied(), 0);
-                filled = 0;
-            }
-            // Step to the next flat page: channels stripe fastest, then
-            // dies, then pages within the block, then blocks.
-            addr.channel += 1;
-            if addr.channel == channels {
-                addr.channel = 0;
-                addr.die += 1;
-                if addr.die == dies {
-                    addr.die = 0;
-                    addr.page += 1;
-                    if addr.page == pages_per_block {
-                        addr.page = 0;
-                        addr.block += 1;
-                    }
-                }
-            }
+        for flat in first_flat..first_flat + pages {
+            self.channels[addr.channel].preload(addr)?;
+            self.valid_index
+                .on_program(block_of(&self.geometry, addr), flat, 0);
+            addr = next_flat_addr(&self.geometry, addr);
         }
-        self.valid_index
-            .on_program_batch(entries[..filled].iter().copied(), 0);
         Ok(())
     }
 
@@ -896,51 +621,29 @@ impl FlashBackbone {
     }
 
     /// Marks every page of the physical group starting at flat page
-    /// `first_flat` invalid in one vectored call — exactly equivalent to
-    /// invalidating each page with [`FlashBackbone::invalidate`] while
-    /// skipping unwritten trailing pages of a partially used group, but
-    /// with the valid-index group accounting applied once per run instead
-    /// of once per page. A hard error (out-of-range address, worn die)
-    /// stops the sweep; pages before it have already taken effect.
+    /// `first_flat` invalid — exactly equivalent to invalidating each page
+    /// with [`FlashBackbone::invalidate`] while skipping unwritten trailing
+    /// pages of a partially used group. A range reaching outside the
+    /// backbone is rejected with [`FlashError::OutOfRange`] before any page
+    /// changes; any other hard error (a worn die) stops the sweep, and
+    /// pages before it have already taken effect.
     pub fn invalidate_group(&mut self, first_flat: u64, pages: u64) -> Result<(), FlashError> {
-        let mut start = 0u64;
-        while start < pages {
-            let span = (pages - start).min(64);
-            // Which pages of this chunk the dies actually invalidated, and
-            // the block each one resolved to (so the index pass below never
-            // redoes the address arithmetic).
-            let mut ok_mask = 0u64;
-            let mut blocks = [0u64; 64];
-            let mut error = None;
-            for i in 0..span {
-                let addr = self.geometry.flat_to_addr(first_flat + start + i);
-                if !self.geometry.contains(addr) {
-                    error = Some(FlashError::OutOfRange(addr));
-                    break;
-                }
-                match self.channels[addr.channel].invalidate(addr) {
-                    Ok(()) => {
-                        ok_mask |= 1 << i;
-                        blocks[i as usize] = self.geometry.block_index(addr);
-                    }
-                    // An unwritten trailing page of a partially used group
-                    // is benign on this path.
-                    Err(FlashError::ReadUnwritten(_)) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
+        if pages == 0 {
+            return Ok(());
+        }
+        self.check_flat_range(first_flat, pages)?;
+        let mut addr = self.geometry.flat_to_addr(first_flat);
+        for flat in first_flat..first_flat + pages {
+            match self.channels[addr.channel].invalidate(addr) {
+                Ok(()) => self
+                    .valid_index
+                    .on_invalidate(block_of(&self.geometry, addr), flat),
+                // An unwritten trailing page of a partially used group is
+                // benign on this path.
+                Err(FlashError::ReadUnwritten(_)) => {}
+                Err(e) => return Err(e),
             }
-            self.valid_index.on_invalidate_batch(
-                (0..span)
-                    .filter(|i| ok_mask >> i & 1 == 1)
-                    .map(|i| (blocks[i as usize], first_flat + start + i)),
-            );
-            if let Some(e) = error {
-                return Err(e);
-            }
-            start += span;
+            addr = next_flat_addr(&self.geometry, addr);
         }
         Ok(())
     }
@@ -1119,6 +822,34 @@ impl FlashBackbone {
     }
 }
 
+/// The flat page after `addr` in [`FlashGeometry::flat_to_addr`] order:
+/// channels stripe fastest, then dies, then pages within the block, then
+/// blocks.
+fn next_flat_addr(geometry: &FlashGeometry, mut addr: PhysicalPageAddr) -> PhysicalPageAddr {
+    addr.channel += 1;
+    if addr.channel == geometry.channels {
+        addr.channel = 0;
+        addr.die += 1;
+        if addr.die == geometry.dies_per_channel() {
+            addr.die = 0;
+            addr.page += 1;
+            if addr.page == geometry.pages_per_block {
+                addr.page = 0;
+                addr.block += 1;
+            }
+        }
+    }
+    addr
+}
+
+/// [`FlashGeometry::block_index`] of an address already known to be in
+/// range, without the range assertion.
+fn block_of(geometry: &FlashGeometry, addr: PhysicalPageAddr) -> u64 {
+    (addr.channel as u64 * geometry.dies_per_channel() as u64 + addr.die as u64)
+        * geometry.blocks_per_die() as u64
+        + addr.block as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1222,23 +953,38 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_matches_per_command_submission() {
+    fn submit_group_matches_per_command_submission() {
         let mut a = backbone();
         let mut b = backbone();
-        let cmds: Vec<FlashCommand> = (0..4)
-            .map(|p| FlashCommand::program(PhysicalPageAddr::new(p % 2, 0, 0, p / 2)))
-            .collect();
+        let g = *a.geometry();
+        let owner = OwnerId::Kernel(0);
         let mut finished = SimTime::ZERO;
-        for &cmd in &cmds {
-            finished = finished.max(a.submit(SimTime::ZERO, cmd).unwrap().finished);
+        for flat in 0..4 {
+            let cmd = FlashCommand::program(g.flat_to_addr(flat));
+            let done = a.submit_tagged(SimTime::ZERO, cmd, owner).unwrap();
+            finished = finished.max(done.finished);
         }
-        let batch = b
-            .submit_batch(SimTime::ZERO, cmds.iter().copied(), OwnerId::Unattributed)
+        let group = b
+            .submit_group(SimTime::ZERO, 0, 4, FlashOp::ProgramPage, owner)
             .unwrap();
-        assert_eq!(batch.finished, finished);
-        assert_eq!(batch.commands, 4);
+        assert_eq!(group, finished);
         assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.owner_stats(), b.owner_stats());
         assert_eq!(a.total_valid_pages(), b.total_valid_pages());
+    }
+
+    #[test]
+    fn out_of_range_group_invalidation_is_rejected_up_front() {
+        let mut b = backbone();
+        let total = b.geometry().total_pages();
+        let err = b.invalidate_group(total - 1, 2).unwrap_err();
+        assert!(matches!(err, FlashError::OutOfRange(_)));
+        // Nothing of a rejected range takes effect, even its in-range head.
+        b.preload_group(0, 2).unwrap();
+        let err = b.invalidate_group(0, total + 1).unwrap_err();
+        assert!(matches!(err, FlashError::OutOfRange(_)));
+        assert_eq!(b.total_valid_pages(), 2);
+        assert_eq!(b.recount_valid_pages(), 2);
     }
 
     #[test]
@@ -1361,6 +1107,53 @@ mod tests {
         );
         assert!(b.take_disturbed_pages().is_empty());
         assert_eq!(b.fault_stats().read_disturbs, 2);
+    }
+
+    #[test]
+    fn injected_mid_stripe_program_failure_pads_the_rest_of_the_stripe() {
+        use crate::die::PageState;
+        let mut b = backbone();
+        b.install_fault_plan(Arc::new(
+            FaultPlan::parse("script=program@c1.d0.b0.n1").unwrap(),
+        ));
+        let owner = OwnerId::Kernel(0);
+        // Flats 0..4 stripe c0.p0, c1.p0, c0.p1, c1.p1; the scripted fault
+        // hits flat 1, so flats 2 and 3 are padded.
+        let err = b
+            .submit_group(SimTime::ZERO, 0, 4, FlashOp::ProgramPage, owner)
+            .unwrap_err();
+        assert!(matches!(err, FlashError::InjectedProgramFailure(_)));
+        let g = *b.geometry();
+        for flat in 0..4 {
+            let addr = g.flat_to_addr(flat);
+            let expect = if flat == 0 {
+                PageState::Valid
+            } else {
+                PageState::Invalid
+            };
+            let state = b
+                .channel(addr.channel)
+                .and_then(|c| c.die(addr.die))
+                .and_then(|d| d.page_state(addr.block, addr.page));
+            assert_eq!(state, Some(expect), "flat {flat}");
+        }
+        for channel in 0..2 {
+            let block = g.block_index(PhysicalPageAddr::new(channel, 0, 0, 0));
+            assert_eq!(b.valid_index().programmed_in(block), 2);
+            assert_eq!(b.valid_index().valid_in(block), 1 - channel as u32);
+        }
+        assert_eq!(b.total_valid_pages(), 1);
+        assert_eq!(b.recount_valid_pages(), 1);
+        // Only the page before the fault is charged to the owner.
+        let stats = b.owner_stats()[&owner];
+        assert_eq!((stats.programs, stats.bytes), (1, 4096));
+        assert_eq!(b.stats().programs, 1);
+        // The pads kept both dies' write cursors in lockstep: the next
+        // stripe programs cleanly.
+        b.submit_group(SimTime::ZERO, 4, 4, FlashOp::ProgramPage, owner)
+            .unwrap();
+        assert_eq!(b.total_valid_pages(), 5);
+        assert_eq!(b.recount_valid_pages(), 5);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! shared by the dies on the channel, and dispatches array operations to
 //! the target die.
 
+use crate::backbone::FlashOp;
 use crate::die::FlashDie;
 use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultState};
@@ -17,17 +18,6 @@ use fa_sim::resource::SerializedResource;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Operation classes the controller understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ChannelOp {
-    /// Array read followed by an outbound data transfer.
-    Read,
-    /// Inbound data transfer followed by an array program.
-    Program,
-    /// Block erase (no data transfer).
-    Erase,
-}
 
 /// Statistics kept by one channel controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -52,9 +42,9 @@ pub struct ChannelController {
     bus: SerializedResource,
     timing: FlashTiming,
     page_bytes: usize,
-    /// Bus time for one page-sized transfer under the default timing,
-    /// precomputed so the per-command path skips the bytes-to-duration
-    /// conversion (identical to `timing.page_transfer(page_bytes)`).
+    /// Bus time for one page-sized transfer, precomputed so the
+    /// per-command path skips the bytes-to-duration conversion (identical
+    /// to `timing.page_transfer(page_bytes)`).
     page_xfer: SimDuration,
     inbound_tags: usize,
     /// Per-owner outstanding-command budgets; unlimited by default, which
@@ -345,7 +335,9 @@ impl ChannelController {
     }
 
     /// Executes one operation against `addr` on behalf of `owner`,
-    /// returning its completion time.
+    /// returning its completion time. A read senses the array, then moves
+    /// the page out over the bus; a program moves the page in over the bus,
+    /// then programs the array; an erase takes no bus time.
     ///
     /// The returned instant accounts for tag-queue admission (including the
     /// owner's QoS budget), controller overhead, die contention, and
@@ -353,22 +345,14 @@ impl ChannelController {
     pub fn execute(
         &mut self,
         now: SimTime,
-        op: ChannelOp,
+        op: FlashOp,
         addr: PhysicalPageAddr,
         owner: OwnerId,
-        timing_override: Option<&FlashTiming>,
     ) -> Result<SimTime, FlashError> {
         if addr.die >= self.dies.len() {
             return Err(FlashError::OutOfRange(addr));
         }
-        let timing = *timing_override.unwrap_or(&self.timing);
-        // The page transfer is a pure function of the timing model and the
-        // page size; reuse the constructor-computed value on the default
-        // timing (the data-path case) instead of re-deriving it per command.
-        let page_xfer = match timing_override {
-            Some(t) => t.page_transfer(self.page_bytes),
-            None => self.page_xfer,
-        };
+        let timing = self.timing;
         let admitted = self.admit(now, owner)? + timing.controller_overhead;
         // Fault decision, rolled before the die operation. The counters it
         // advances are channel-local, so the verdict depends only on this
@@ -376,9 +360,9 @@ impl ChannelController {
         let faulted = match self.fault.as_mut() {
             Some(f) => f.decide(
                 match op {
-                    ChannelOp::Read => FaultOp::Read,
-                    ChannelOp::Program => FaultOp::Program,
-                    ChannelOp::Erase => FaultOp::Erase,
+                    FlashOp::ReadPage => FaultOp::Read,
+                    FlashOp::ProgramPage => FaultOp::Program,
+                    FlashOp::EraseBlock => FaultOp::Erase,
                 },
                 addr,
             ),
@@ -387,7 +371,7 @@ impl ChannelController {
         let page_bytes = self.page_bytes;
         let die = &mut self.dies[addr.die];
         let completion = match op {
-            ChannelOp::Read => {
+            FlashOp::ReadPage => {
                 let sense = die.read_page(admitted, addr.block, addr.page, &timing)?;
                 // Read-disturb: the first sense needs a retry before the
                 // data is correctable, then the page must be relocated. The
@@ -402,7 +386,7 @@ impl ChannelController {
                     sense.end
                 };
                 // Data comes off the array, then crosses the channel bus.
-                let xfer = self.bus.reserve_duration(sense_end, page_xfer);
+                let xfer = self.bus.reserve_duration(sense_end, self.page_xfer);
                 self.stats.reads += 1;
                 self.stats.bytes_transferred += page_bytes as u64;
                 if faulted {
@@ -413,9 +397,9 @@ impl ChannelController {
                 }
                 xfer.end
             }
-            ChannelOp::Program => {
+            FlashOp::ProgramPage => {
                 // Data crosses the bus into the die's page register first.
-                let xfer = self.bus.reserve_duration(admitted, page_xfer);
+                let xfer = self.bus.reserve_duration(admitted, self.page_xfer);
                 let prog = die.program_page(xfer.end, addr.block, addr.page, &timing)?;
                 self.stats.programs += 1;
                 self.stats.bytes_transferred += page_bytes as u64;
@@ -434,7 +418,7 @@ impl ChannelController {
                 self.valid_pages += 1;
                 prog.end
             }
-            ChannelOp::Erase => {
+            FlashOp::EraseBlock => {
                 if faulted {
                     // The erase pulse ran (the die is busy for the full
                     // erase latency) but the block kept its contents and
@@ -531,14 +515,13 @@ mod tests {
         let wrote = c
             .execute(
                 SimTime::ZERO,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         let read = c
-            .execute(wrote, ChannelOp::Read, addr, OwnerId::Unattributed, None)
+            .execute(wrote, FlashOp::ReadPage, addr, OwnerId::Unattributed)
             .unwrap();
         assert!(read > wrote);
         assert_eq!(c.stats().programs, 1);
@@ -565,27 +548,25 @@ mod tests {
         let d0 = c
             .execute(
                 SimTime::ZERO,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 a0,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         let d1 = c
             .execute(
                 SimTime::ZERO,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 a1,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         let start = d0.max(d1);
         let r0 = c
-            .execute(start, ChannelOp::Read, a0, OwnerId::Unattributed, None)
+            .execute(start, FlashOp::ReadPage, a0, OwnerId::Unattributed)
             .unwrap();
         let r1 = c
-            .execute(start, ChannelOp::Read, a1, OwnerId::Unattributed, None)
+            .execute(start, FlashOp::ReadPage, a1, OwnerId::Unattributed)
             .unwrap();
         // Both reads sense in parallel; only the bus transfer serializes, so
         // the second completion trails the first by far less than a full
@@ -600,10 +581,9 @@ mod tests {
         let before = c.stats().bytes_transferred;
         c.execute(
             SimTime::ZERO,
-            ChannelOp::Erase,
+            FlashOp::EraseBlock,
             PhysicalPageAddr::new(0, 0, 1, 0),
             OwnerId::Unattributed,
-            None,
         )
         .unwrap();
         assert_eq!(c.stats().bytes_transferred, before);
@@ -623,20 +603,18 @@ mod tests {
             last_narrow = narrow
                 .execute(
                     SimTime::ZERO,
-                    ChannelOp::Program,
+                    FlashOp::ProgramPage,
                     addr,
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap();
             let addr = PhysicalPageAddr::new(0, 0, 0, p);
             last_wide = wide
                 .execute(
                     SimTime::ZERO,
-                    ChannelOp::Program,
+                    FlashOp::ProgramPage,
                     addr,
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap();
         }
@@ -662,10 +640,9 @@ mod tests {
         for p in 0..8 {
             c.execute(
                 SimTime::ZERO,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 PhysicalPageAddr::new(0, 0, 0, p),
                 hog,
-                None,
             )
             .unwrap();
         }
@@ -699,10 +676,9 @@ mod tests {
             last = c
                 .execute(
                     SimTime::ZERO,
-                    ChannelOp::Program,
+                    FlashOp::ProgramPage,
                     PhysicalPageAddr::new(0, 0, 0, p),
                     hog,
-                    None,
                 )
                 .unwrap();
         }
@@ -712,10 +688,9 @@ mod tests {
         for p in 6..12 {
             c.execute(
                 last,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 PhysicalPageAddr::new(0, 0, 0, p),
                 peer,
-                None,
             )
             .unwrap();
         }
@@ -750,10 +725,9 @@ mod tests {
                 let done = c
                     .execute(
                         SimTime::ZERO,
-                        ChannelOp::Program,
+                        FlashOp::ProgramPage,
                         PhysicalPageAddr::new(0, 0, die_block, p),
                         owner,
-                        None,
                     )
                     .unwrap();
                 completions.push((done, owner));
@@ -786,10 +760,9 @@ mod tests {
             let u = untagged
                 .execute(
                     SimTime::ZERO,
-                    ChannelOp::Program,
+                    FlashOp::ProgramPage,
                     addr,
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap();
             let owner = if p % 2 == 0 {
@@ -798,7 +771,7 @@ mod tests {
                 OwnerId::Gc
             };
             let t = tagged
-                .execute(SimTime::ZERO, ChannelOp::Program, addr, owner, None)
+                .execute(SimTime::ZERO, FlashOp::ProgramPage, addr, owner)
                 .unwrap();
             assert_eq!(u, t, "page {p}");
         }
@@ -811,10 +784,9 @@ mod tests {
         let err = c
             .execute(
                 SimTime::ZERO,
-                ChannelOp::Read,
+                FlashOp::ReadPage,
                 PhysicalPageAddr::new(0, 99, 0, 0),
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap_err();
         assert!(matches!(err, FlashError::OutOfRange(_)));
@@ -835,10 +807,9 @@ mod tests {
             let err = c
                 .execute(
                     SimTime::ZERO,
-                    ChannelOp::Program,
+                    FlashOp::ProgramPage,
                     PhysicalPageAddr::new(0, 0, 0, page),
                     OwnerId::Unattributed,
-                    None,
                 )
                 .unwrap_err();
             assert!(matches!(err, FlashError::InjectedProgramFailure(_)));
@@ -866,10 +837,9 @@ mod tests {
         let addr = PhysicalPageAddr::new(0, 0, 0, 0);
         c.execute(
             SimTime::ZERO,
-            ChannelOp::Program,
+            FlashOp::ProgramPage,
             addr,
             OwnerId::Unattributed,
-            None,
         )
         .unwrap();
         let plan = Arc::new(FaultPlan {
@@ -881,10 +851,9 @@ mod tests {
         let err = c
             .execute(
                 SimTime::ZERO,
-                ChannelOp::Erase,
+                FlashOp::EraseBlock,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap_err();
         assert!(matches!(err, FlashError::InjectedEraseFailure(_)));
@@ -907,10 +876,9 @@ mod tests {
         for c in [&mut clean, &mut disturbed] {
             c.execute(
                 SimTime::ZERO,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         }
@@ -922,19 +890,17 @@ mod tests {
         let t_clean = clean
             .execute(
                 SimTime::from_ms(1),
-                ChannelOp::Read,
+                FlashOp::ReadPage,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         let t_disturbed = disturbed
             .execute(
                 SimTime::from_ms(1),
-                ChannelOp::Read,
+                FlashOp::ReadPage,
                 addr,
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         // The disturbed read still succeeds, but pays the retry sense.
@@ -953,10 +919,9 @@ mod tests {
         for p in 0..3 {
             c.execute(
                 SimTime::ZERO,
-                ChannelOp::Program,
+                FlashOp::ProgramPage,
                 PhysicalPageAddr::new(0, 0, 0, p),
                 OwnerId::Unattributed,
-                None,
             )
             .unwrap();
         }

@@ -43,9 +43,7 @@ pub mod spec;
 pub mod timing;
 pub mod validindex;
 
-pub use backbone::{
-    BackboneStats, BatchCompletion, FlashBackbone, FlashCommand, FlashCompletion, FlashOp,
-};
+pub use backbone::{BackboneStats, FlashBackbone, FlashCommand, FlashCompletion, FlashOp};
 pub use controller::ChannelController;
 pub use die::{DieStats, FlashDie, PageState};
 pub use error::FlashError;

@@ -28,9 +28,13 @@
 //!   ([`ValidPageIndex::cost_benefit_victim`]).
 //!
 //! The index is maintained by [`crate::backbone::FlashBackbone`] for every
-//! command routed through it. Mutating a die directly (tests using
-//! `die_mut`) bypasses the hooks; the property-test oracle recounts from
-//! page states to catch any such drift in paths that matter.
+//! command routed through it, with one entry point per event: each page
+//! program, page invalidation, and block erase is one
+//! [`ValidPageIndex::on_program`], [`ValidPageIndex::on_invalidate`], or
+//! [`ValidPageIndex::on_erase`] call, whether the page arrived as a single
+//! command or as part of a page-group stripe. Mutating a die directly
+//! (tests using `die_mut`) bypasses the hooks; the property-test oracle
+//! recounts from page states to catch any such drift in paths that matter.
 //!
 //! # Examples
 //!
@@ -259,53 +263,6 @@ impl ValidPageIndex {
         }
     }
 
-    /// Records a batch of page programs — the once-per-`submit_batch` entry
-    /// point. Each `(block, flat)` entry is accounted exactly as a matching
-    /// sequence of [`ValidPageIndex::on_program`] calls would, but the
-    /// device-wide group counters are coalesced per run of same-group pages
-    /// (a vectored group write is one such run striped across channels), so
-    /// the per-page work is only the per-block counter touch.
-    pub fn on_program_batch<I>(&mut self, entries: I, now_ns: u64)
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-    {
-        // (group, pages) accumulated for the current same-group run.
-        let mut pending: Option<(usize, u32)> = None;
-        for (block, flat) in entries {
-            let b = block as usize;
-            let had_garbage = self.garbage(b) > 0;
-            if had_garbage {
-                self.bucket_remove(self.valid[b], block as u32);
-            }
-            self.programmed[b] += 1;
-            self.valid[b] += 1;
-            self.total_valid += 1;
-            self.last_program_ns[b] = self.last_program_ns[b].max(now_ns);
-            if had_garbage {
-                self.bucket_insert(self.valid[b], block as u32);
-            }
-            if let Some(t) = &mut self.groups {
-                let g = (flat / t.pages_per_group) as usize;
-                if g < t.programmed.len() {
-                    t.note_program(b, g as u32);
-                    pending = match pending {
-                        Some((run, pages)) if run == g => Some((run, pages + 1)),
-                        Some((run, pages)) => {
-                            t.programmed[run] += pages;
-                            t.valid[run] += pages;
-                            Some((g, 1))
-                        }
-                        None => Some((g, 1)),
-                    };
-                }
-            }
-        }
-        if let (Some(t), Some((run, pages))) = (&mut self.groups, pending) {
-            t.programmed[run] += pages;
-            t.valid[run] += pages;
-        }
-    }
-
     /// Records the page at flat index `flat` of `block` being superseded.
     pub fn on_invalidate(&mut self, block: u64, flat: u64) {
         let b = block as usize;
@@ -324,47 +281,6 @@ impl ValidPageIndex {
                     list[i].2 -= 1;
                 }
             }
-        }
-    }
-
-    /// Records a batch of page invalidations — the vectored counterpart of
-    /// [`ValidPageIndex::on_invalidate`], with the device-wide group valid
-    /// counter coalesced per run of same-group pages (a group overwrite
-    /// invalidates one such run striped across channels).
-    pub fn on_invalidate_batch<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-    {
-        // (group, pages) accumulated for the current same-group run.
-        let mut pending: Option<(usize, u32)> = None;
-        for (block, flat) in entries {
-            let b = block as usize;
-            if self.garbage(b) > 0 {
-                self.bucket_remove(self.valid[b], block as u32);
-            }
-            self.valid[b] -= 1;
-            self.total_valid -= 1;
-            self.bucket_insert(self.valid[b], block as u32);
-            if let Some(t) = &mut self.groups {
-                let g = (flat / t.pages_per_group) as usize;
-                if g < t.valid.len() {
-                    let list = &mut t.by_block[b];
-                    if let Ok(i) = list.binary_search_by_key(&(g as u32), |entry| entry.0) {
-                        list[i].2 -= 1;
-                    }
-                    pending = match pending {
-                        Some((run, pages)) if run == g => Some((run, pages + 1)),
-                        Some((run, pages)) => {
-                            t.valid[run] -= pages;
-                            Some((g, 1))
-                        }
-                        None => Some((g, 1)),
-                    };
-                }
-            }
-        }
-        if let (Some(t), Some((run, pages))) = (&mut self.groups, pending) {
-            t.valid[run] -= pages;
         }
     }
 

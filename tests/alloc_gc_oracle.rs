@@ -17,8 +17,8 @@
 //! (CI runs the release suite with more).
 
 use flashabacus_suite::fa_flash::{
-    FaultPlan, FlashBackbone, FlashCommand, FlashGeometry, FlashTiming, OwnerId, PageState,
-    PhysicalPageAddr, QosBudgets,
+    FaultPlan, FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId,
+    PageState, PhysicalPageAddr, QosBudgets,
 };
 use flashabacus_suite::fa_platform::mem::Scratchpad;
 use flashabacus_suite::fa_platform::PlatformSpec;
@@ -690,11 +690,12 @@ proptest! {
         );
     }
 
-    /// Randomized *batched* accounting: arbitrary `submit_batch` command
-    /// runs and vectored `invalidate_group` calls never desynchronize the
-    /// dense valid-page index and per-owner stats arrays from brute-force
-    /// map-based recounts the walk keeps on the side. This pins the PR6
-    /// dense/batched bookkeeping against the semantics the old per-command
+    /// Randomized accounting on both command entry points: page-group
+    /// stripes through `submit_group`, arbitrary-address runs through
+    /// `submit_tagged`, and group `invalidate_group` calls never
+    /// desynchronize the dense valid-page index and per-owner stats arrays
+    /// from brute-force map-based recounts the walk keeps on the side. This
+    /// pins the dense bookkeeping against the semantics the old per-command
     /// map-based accounting defined.
     #[test]
     fn batched_accounting_always_equals_map_recounts(
@@ -724,7 +725,8 @@ proptest! {
             OwnerId::Unattributed,
         ];
         let total_blocks = geometry.total_blocks();
-        let total_groups = geometry.total_pages() / pages_per_group;
+        let total_pages = geometry.total_pages();
+        let total_groups = total_pages / pages_per_group;
         let pages_per_block = geometry.pages_per_block as u64;
         let page_bytes = geometry.page_bytes as u64;
         let addr_of = |block: u64, page: u64| {
@@ -745,46 +747,87 @@ proptest! {
             let now = SimTime::from_us(t_us);
             let owner = owners[(splitmix64(&mut rng) % owners.len() as u64) as usize];
             match splitmix64(&mut rng) % 8 {
-                // Program a run of fresh pages in one block, batched.
-                0..=3 => {
+                // Program a stripe of consecutive flat pages starting at a
+                // block's write cursor, as long as every page it reaches
+                // sits at its own block's cursor.
+                0..=1 => {
+                    let b = splitmix64(&mut rng) % total_blocks;
+                    if cursor[&b] == pages_per_block {
+                        continue;
+                    }
+                    let first = geometry.addr_to_flat(addr_of(b, cursor[&b]));
+                    let want = 1 + splitmix64(&mut rng) % 6;
+                    let mut next = cursor.clone();
+                    let mut run = 0;
+                    while run < want && first + run < total_pages {
+                        let addr = geometry.flat_to_addr(first + run);
+                        let at = next.get_mut(&geometry.block_index(addr)).unwrap();
+                        if addr.page as u64 != *at {
+                            break;
+                        }
+                        *at += 1;
+                        run += 1;
+                    }
+                    let done = bb.submit_group(now, first, run, FlashOp::ProgramPage, owner);
+                    prop_assert!(done.is_ok(), "program stripe failed: {:?}", done);
+                    cursor = next;
+                    valid.extend(first..first + run);
+                    let e = ledger.entry(owner).or_default();
+                    e.1 += run;
+                    e.3 += run * page_bytes;
+                }
+                // Program a run of fresh pages in one block, one command at
+                // a time.
+                2..=3 => {
                     let b = splitmix64(&mut rng) % total_blocks;
                     let at = cursor[&b];
                     let run = (1 + splitmix64(&mut rng) % 6).min(pages_per_block - at);
                     if run == 0 {
                         continue;
                     }
-                    let cmds: Vec<FlashCommand> =
-                        (at..at + run).map(|p| FlashCommand::program(addr_of(b, p))).collect();
-                    let done = bb.submit_batch(now, cmds, owner);
-                    prop_assert!(done.is_ok(), "program batch failed: {:?}", done);
-                    cursor.insert(b, at + run);
                     for p in at..at + run {
+                        let done = bb.submit_tagged(now, FlashCommand::program(addr_of(b, p)), owner);
+                        prop_assert!(done.is_ok(), "program failed: {:?}", done);
                         valid.insert(geometry.addr_to_flat(addr_of(b, p)));
                     }
+                    cursor.insert(b, at + run);
                     let e = ledger.entry(owner).or_default();
                     e.1 += run;
                     e.3 += run * page_bytes;
                 }
-                // Read a run of currently valid pages, batched.
-                4..=5 => {
+                // Read a stripe of consecutive valid flat pages.
+                4 => {
                     if valid.is_empty() {
                         continue;
                     }
                     let flats: Vec<u64> = valid.iter().copied().collect();
-                    let want = 1 + (splitmix64(&mut rng) % 8) as usize;
-                    let cmds: Vec<FlashCommand> = (0..want)
-                        .map(|_| flats[(splitmix64(&mut rng) % flats.len() as u64) as usize])
-                        .map(|flat| FlashCommand::read(geometry.flat_to_addr(flat)))
-                        .collect();
-                    let n = cmds.len() as u64;
-                    prop_assert!(bb.submit_batch(now, cmds, owner).is_ok());
+                    let first = flats[(splitmix64(&mut rng) % flats.len() as u64) as usize];
+                    let want = 1 + splitmix64(&mut rng) % 8;
+                    let run = (first..first + want).take_while(|f| valid.contains(f)).count() as u64;
+                    prop_assert!(bb.submit_group(now, first, run, FlashOp::ReadPage, owner).is_ok());
+                    let e = ledger.entry(owner).or_default();
+                    e.0 += run;
+                    e.3 += run * page_bytes;
+                }
+                // Read arbitrary valid pages, one command at a time.
+                5 => {
+                    if valid.is_empty() {
+                        continue;
+                    }
+                    let flats: Vec<u64> = valid.iter().copied().collect();
+                    let n = 1 + splitmix64(&mut rng) % 8;
+                    for _ in 0..n {
+                        let flat = flats[(splitmix64(&mut rng) % flats.len() as u64) as usize];
+                        let cmd = FlashCommand::read(geometry.flat_to_addr(flat));
+                        prop_assert!(bb.submit_tagged(now, cmd, owner).is_ok());
+                    }
                     let e = ledger.entry(owner).or_default();
                     e.0 += n;
                     e.3 += n * page_bytes;
                 }
-                // Vectored group invalidation (the write path's overwrite
-                // shape); unwritten pages inside the group are benign and
-                // charge no owner.
+                // Group invalidation (the write path's overwrite shape);
+                // unwritten pages inside the group are benign and charge no
+                // owner.
                 6 => {
                     let g = splitmix64(&mut rng) % total_groups;
                     prop_assert!(bb
@@ -794,11 +837,18 @@ proptest! {
                         valid.remove(&(g * pages_per_group + i));
                     }
                 }
-                // Erase one block (GC's reclaim step), batched.
+                // Erase one block (GC's reclaim step), through either entry
+                // point.
                 _ => {
                     let b = splitmix64(&mut rng) % total_blocks;
-                    let cmd = std::iter::once(FlashCommand::erase(addr_of(b, 0)));
-                    prop_assert!(bb.submit_batch(now, cmd, owner).is_ok());
+                    let addr = addr_of(b, 0);
+                    let done = if splitmix64(&mut rng) % 2 == 0 {
+                        bb.submit_tagged(now, FlashCommand::erase(addr), owner).map(|c| c.finished)
+                    } else {
+                        let flat = geometry.addr_to_flat(addr);
+                        bb.submit_group(now, flat, 1, FlashOp::EraseBlock, owner)
+                    };
+                    prop_assert!(done.is_ok());
                     cursor.insert(b, 0);
                     valid.retain(|&flat| {
                         geometry.block_index(geometry.flat_to_addr(flat)) != b
