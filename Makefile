@@ -1,12 +1,13 @@
 # Developer conveniences for the FlashAbacus reproduction.
 #
 # `bless-golden` is the one audited way to regenerate the
-# results-invariance golden file after an *intentional* physics change:
-# it re-renders the pinned campaign and churn round, overwrites
-# tests/golden/small_campaign.txt and tests/golden/churn_digest.txt, and
-# prints the resulting diff so the change lands reviewably in the same PR.
+# results-invariance golden files after an *intentional* physics change:
+# it re-renders the pinned campaign, churn round and simulated ablations,
+# overwrites tests/golden/small_campaign.txt, churn_digest.txt and
+# ablations.txt, and prints the resulting diff so the change lands
+# reviewably in the same PR.
 
-.PHONY: verify bless-golden perfstat
+.PHONY: verify bless-golden
 
 verify:
 	cargo build --release --workspace --all-targets
@@ -16,6 +17,3 @@ bless-golden:
 	FA_BLESS_GOLDEN=1 cargo test -q --test results_golden
 	git --no-pager diff --stat -- tests/golden/
 	@echo "golden re-blessed; review the diff above before committing"
-
-perfstat:
-	cargo run --release -p fa-bench --bin perfstat

@@ -239,8 +239,8 @@ impl FlashAbacusConfig {
     /// block-sized slices of the group space, visited in block order.
     /// Production GC is row-coherent now (both policies migrate
     /// [`FlashAbacusConfig::block_row_group_range`]); this definition
-    /// remains as the perf harness's discovery baseline so the recorded
-    /// `BENCH_PR*.json` timings keep comparing the same work.
+    /// remains as the slices over which `fa_bench::perf`'s test checks
+    /// the reverse-index victim discovery against a full-table scan.
     pub fn gc_scan_group_range(&self, victim_index: u64) -> (u64, u64) {
         let pages_per_block = self.flash_geometry.pages_per_block as u64;
         let pages_per_group = self.pages_per_group();

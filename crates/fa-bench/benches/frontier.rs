@@ -6,9 +6,10 @@
 //! rescan drain recomputes the whole ready list per dispatch — O(S²) — which
 //! is what `ExecutionChain::ready_screens`-based scheduling used to cost.
 //! The gap between the two rows at `large` is the tentpole win recorded in
-//! `BENCH_PR2.json`. Batch shape and baseline walk are shared with the
-//! `perfstat` binary through `fa_bench::perf`, so both always measure the
-//! same thing.
+//! `BENCH_PR2.json`. Batch shape and baseline walk come from
+//! `fa_bench::perf`, whose tests check the walk against the frontier; the
+//! `perfbench` benchmark tracks the frontier inside full runs as
+//! `chain.drain_ns_per_screen`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fa_bench::perf::{naive_ready_screens, screen_batch};

@@ -2,7 +2,8 @@
 //! `submit_group` stripes with the full campaign feature set live —
 //! per-owner QoS tag admission, dense owner accounting, and valid-page
 //! group tracking. The per-command `submit_tagged` sweep rides along as
-//! the comparison; `perfstat` records the same numbers.
+//! the comparison. The `perfbench` benchmark reports the same sweeps'
+//! repeated medians as `flash.submit_*_ns_per_cmd`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fa_bench::perf::{hot_path_backbone, hot_path_sweep, hot_path_sweep_tagged};

@@ -1,14 +1,15 @@
-//! Shared helpers for the harness's self-measurement (the `perfstat`
-//! binary and the microbenchmarks): a synthetic dispatch-shaped batch, the
-//! old full-rescan readiness walk, the scan-based allocator, and the
-//! full-table GC victim scan — each kept as the comparison baseline its
-//! incremental replacement is measured against.
+//! Shared helpers for the harness's self-measurement (the `perfbench`
+//! benchmark, the microbenchmarks, and the tests below): a synthetic
+//! dispatch-shaped batch, the old full-rescan readiness walk, the
+//! full-table GC victim scan, and the flash backbone hot-path sweeps —
+//! each rescan kept as the comparison baseline its incremental
+//! replacement is measured and checked against.
 //!
 //! All consumers must measure the *same* state and the *same* baseline
-//! algorithms, or the recorded `BENCH_PR*.json` numbers and the
-//! microbenchmarks would silently drift apart — hence one definition here.
-//! (The oracle *property tests* deliberately do not use these helpers:
-//! their oracles must stay independent of the code under test.)
+//! algorithms, or the benchmark and the microbenchmarks would silently
+//! drift apart — hence one definition here. (The oracle *property tests*
+//! deliberately do not use these helpers: their oracles must stay
+//! independent of the code under test.)
 
 use fa_flash::{
     FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, PhysicalPageAddr,
@@ -110,35 +111,6 @@ pub fn naive_ready_first(chain: &ExecutionChain, apps: &[Application]) -> Option
     None
 }
 
-/// The scan-based allocator shape the free-space subsystem replaces: every
-/// allocation walks the used-flags table from the front until it finds a
-/// free group. O(n) per pop, O(n²) per drain — the baseline the recorded
-/// `BENCH_PR3.json` speedups are measured against.
-pub struct NaiveScanAllocator {
-    used: Vec<bool>,
-}
-
-impl NaiveScanAllocator {
-    /// Creates an allocator with `total` free groups.
-    pub fn new(total: u64) -> Self {
-        NaiveScanAllocator {
-            used: vec![false; total as usize],
-        }
-    }
-
-    /// Scans for the first free group and takes it.
-    pub fn allocate(&mut self) -> Option<u64> {
-        let g = self.used.iter().position(|u| !u)?;
-        self.used[g] = true;
-        Some(g as u64)
-    }
-
-    /// Returns a group to the pool.
-    pub fn recycle(&mut self, g: u64) {
-        self.used[g as usize] = false;
-    }
-}
-
 /// Rebuilds one GC pass's victim view the way `Storengine` used to: a
 /// filter over *every* mapped group in the table, per pass — the full
 /// rescan the reverse index replaces.
@@ -149,8 +121,8 @@ pub fn naive_victim_groups(v: &Flashvisor, group_low: u64, group_high: u64) -> V
 }
 
 /// A paper-prototype Flashvisor with the first `groups` logical groups
-/// mapped — the mapping-table population a large campaign reaches. Shared
-/// by `perfstat` and the microbenchmarks so both measure the same state.
+/// mapped — the mapping-table population a large campaign reaches, which
+/// the victim-scan test below checks [`naive_victim_groups`] against.
 pub fn populated_flashvisor(groups: u64) -> Flashvisor {
     let config = FlashAbacusConfig::paper_prototype(SchedulerPolicy::IntraO3);
     let groups = groups.min(config.total_page_groups());
@@ -162,7 +134,7 @@ pub fn populated_flashvisor(groups: u64) -> Flashvisor {
 
 /// A backbone with the PR4/PR5 data-path features a campaign pays for on
 /// every command — per-owner QoS tag budgets and valid-page group
-/// accounting — shared by `perfstat`'s per-command-cost section and the
+/// accounting — shared by `perfbench`'s per-command cost metrics and the
 /// `hot_path` microbenchmark so both price the same configuration.
 pub fn hot_path_backbone() -> FlashBackbone {
     let geometry = FlashGeometry {
@@ -269,17 +241,6 @@ pub fn hot_path_sweep_tagged(backbone: &mut FlashBackbone, mut now: SimTime) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn naive_scan_allocator_hands_out_first_free() {
-        let mut a = NaiveScanAllocator::new(3);
-        assert_eq!(a.allocate(), Some(0));
-        assert_eq!(a.allocate(), Some(1));
-        a.recycle(0);
-        assert_eq!(a.allocate(), Some(0));
-        assert_eq!(a.allocate(), Some(2));
-        assert_eq!(a.allocate(), None);
-    }
 
     #[test]
     fn naive_victim_scan_agrees_with_the_reverse_index() {

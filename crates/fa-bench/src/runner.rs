@@ -68,12 +68,12 @@ impl Default for ExperimentScale {
 
 impl ExperimentScale {
     /// The default scale, unless `FA_DATA_SCALE` overrides it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `FA_DATA_SCALE` is set to anything but a positive integer.
     pub fn from_env() -> Self {
-        let data_scale = std::env::var("FA_DATA_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|v| *v > 0)
-            .unwrap_or(16);
+        let data_scale = env_knob("FA_DATA_SCALE").unwrap_or(ExperimentScale::default().data_scale);
         ExperimentScale { data_scale }
     }
 
@@ -188,20 +188,43 @@ pub fn run_on(system: SystemKind, workload_label: &str, apps: &[Application]) ->
     }
 }
 
+/// Parses a positive-integer `FA_*` knob from its raw value: `None` when
+/// the variable is unset, the number when it is a positive integer.
+///
+/// # Panics
+///
+/// Panics naming the variable and the value for anything else (`0`, a
+/// negative number, garbage, the empty string): silently falling back to
+/// the default would run a different experiment than the one asked for.
+fn parse_positive_knob(name: &str, value: Option<&str>) -> Option<u64> {
+    let value = value?;
+    match value.parse() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("invalid {name}: {value:?} is not a positive integer"),
+    }
+}
+
+/// Reads a positive-integer knob from the environment (see
+/// [`parse_positive_knob`]). A value that is not valid Unicode is rejected
+/// too, rather than read as unset.
+fn env_knob(name: &str) -> Option<u64> {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_positive_knob(name, raw.as_deref())
+}
+
 /// Number of worker threads the campaign runner fans (workload, system)
-/// pairs across: the `FA_THREADS` environment variable when set to a
-/// positive integer, otherwise the machine's available parallelism.
-/// `FA_THREADS=1` forces a fully serial run.
+/// pairs across: the `FA_THREADS` environment variable when set, otherwise
+/// the machine's available parallelism. `FA_THREADS=1` forces a fully
+/// serial run.
+///
+/// # Panics
+///
+/// Panics if `FA_THREADS` is set to anything but a positive integer.
 pub fn campaign_threads() -> usize {
-    std::env::var("FA_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    match env_knob("FA_THREADS") {
+        Some(n) => n as usize,
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
 }
 
 /// Runs every (workload, system) pair of a campaign, fanned across
@@ -227,8 +250,8 @@ pub fn run_pairs(workloads: &[(String, Vec<Application>)]) -> Vec<UnifiedOutcome
 }
 
 /// [`run_pairs`] with an explicit thread count (1 = fully serial). Exposed
-/// so the perf harness and tests can compare serial and parallel runs
-/// without touching the `FA_THREADS` environment of the whole process.
+/// so tests can compare serial and parallel runs without touching the
+/// `FA_THREADS` environment of the whole process.
 pub fn run_pairs_with_threads(
     workloads: &[(String, Vec<Application>)],
     threads: usize,
@@ -345,6 +368,25 @@ mod tests {
         // The env var is not set during tests.
         if std::env::var("FA_DATA_SCALE").is_err() {
             assert_eq!(ExperimentScale::from_env().data_scale, 16);
+        }
+    }
+
+    #[test]
+    fn positive_knob_accepts_unset_and_positive_values() {
+        assert_eq!(parse_positive_knob("FA_DATA_SCALE", None), None);
+        assert_eq!(parse_positive_knob("FA_DATA_SCALE", Some("256")), Some(256));
+    }
+
+    #[test]
+    fn positive_knob_rejects_zero_negative_garbage_and_empty() {
+        for bad in ["0", "-3", "abc", ""] {
+            let err = std::panic::catch_unwind(|| parse_positive_knob("FA_THREADS", Some(bad)))
+                .expect_err("a bad knob value must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(
+                *msg,
+                format!("invalid FA_THREADS: {bad:?} is not a positive integer")
+            );
         }
     }
 

@@ -7,7 +7,9 @@
 //! report, byte for byte, against a golden file generated before the
 //! refactor, and additionally checks that the rendering is identical when
 //! the campaign is fanned across worker threads. A second golden pins a
-//! churn round driven straight through the write and GC paths.
+//! churn round driven straight through the write and GC paths, and a third
+//! the simulated ablations: QoS, storage policy, endurance and open-loop
+//! scale-out.
 //!
 //! Regenerate the golden files (only when an *intentional* physics change
 //! lands) with:
@@ -15,6 +17,9 @@
 //! FA_BLESS_GOLDEN=1 cargo test --test results_golden
 //! ```
 
+use fa_bench::experiments::endurance::endurance_grid;
+use fa_bench::experiments::scaleout::{render_scaleout, scaleout_report};
+use fa_bench::experiments::{fig12_cdf, policy_ablation};
 use fa_bench::report::Table;
 use fa_bench::runner::{
     homogeneous_workload, run_pairs_with_threads, ExperimentScale, UnifiedOutcome,
@@ -188,5 +193,56 @@ fn churn_round_is_byte_identical_to_golden() {
         &churn_digest(),
         "churn digest drifted from the golden bytes — the write/GC path is \
          no longer reproducing the recorded physics",
+    );
+}
+
+/// The simulated ablations rendered one after another: Figure 12c's QoS
+/// ablation, the placement × GC-victim policy grid, every placement
+/// policy's endurance-to-death row, and the open-loop scale-out capacity
+/// curve with its governor ablation. All are simulated time at fixed
+/// explicit scales, so any drift is a physics change.
+fn ablations() -> String {
+    let scale = ExperimentScale { data_scale: 256 };
+    let mut endurance = Table::new(
+        "Endurance to death under the seeded wear-out fault plan",
+        &[
+            "Placement",
+            "died",
+            "host_bytes_written",
+            "rounds_completed",
+            "rows_retired",
+            "blocks_condemned",
+            "program_failures",
+            "erase_failures",
+        ],
+    );
+    for e in endurance_grid() {
+        endurance.row(vec![
+            e.placement.to_string(),
+            e.died.to_string(),
+            e.host_bytes_written.to_string(),
+            e.rounds_completed.to_string(),
+            e.rows_retired.to_string(),
+            e.blocks_condemned.to_string(),
+            e.program_failures.to_string(),
+            e.erase_failures.to_string(),
+        ]);
+    }
+    [
+        fig12_cdf::qos_ablation_report(),
+        policy_ablation::report(scale),
+        endurance.render(),
+        render_scaleout(&scaleout_report(scale)),
+    ]
+    .join("\n")
+}
+
+#[test]
+fn simulated_ablations_are_byte_identical_to_golden() {
+    assert_matches_golden(
+        "ablations.txt",
+        &ablations(),
+        "ablation report drifted from the golden bytes — a QoS, policy, \
+         endurance or scale-out result changed",
     );
 }
