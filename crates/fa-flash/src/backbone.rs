@@ -135,6 +135,10 @@ impl FlashBackbone {
     /// Builds a backbone with the given geometry, timing, SRIO bandwidth
     /// (bytes/second across all lanes), per-channel tag-queue depth, and
     /// block endurance limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inbound_tags` is zero (see [`ChannelController::new`]).
     pub fn new(
         geometry: FlashGeometry,
         timing: FlashTiming,

@@ -31,7 +31,12 @@ pub struct ChannelStats {
     /// Payload bytes moved over the channel bus.
     pub bytes_transferred: u64,
     /// Peak simultaneous occupancy observed on the inbound tag queue.
+    /// Never exceeds the queue depth.
     pub peak_inbound_tags: usize,
+    /// Admissions that walked the in-flight suffix, for a budget check or
+    /// to raise a peak. Without budgets this stops growing once every
+    /// submitting owner has peaked at the full queue depth.
+    pub admission_scans: u64,
 }
 
 /// One FPGA channel controller together with the dies it fronts.
@@ -56,19 +61,13 @@ pub struct ChannelController {
     /// reproduced byte for byte until a governor writes its first budget.
     owner_budget_overrides: Vec<Option<usize>>,
     /// Completion time and dense owner index (see [`OwnerId::dense_index`])
-    /// of each in-flight command in submission order. Because the
-    /// controller serializes each phase of a command on FIFO resources,
-    /// completion times are non-decreasing in submission order, so every
-    /// "commands still in flight at instant t" question is a suffix of this
-    /// queue found by binary search — admission never scans.
+    /// of each in-flight command in submission order. Completion times are
+    /// clamped non-decreasing as they are recorded, so every "commands
+    /// still in flight at instant t" question — the whole queue's or one
+    /// owner's — is answered by a suffix of this one queue.
     outstanding: VecDeque<(SimTime, u32)>,
-    /// Completion times of each owner's in-flight commands, indexed by
-    /// dense owner index. Each deque is a subsequence of `outstanding` and
-    /// therefore also sorted; the budget check reads the `b`-th-from-back
-    /// entry directly instead of walking the shared queue.
-    owner_outstanding: Vec<VecDeque<SimTime>>,
     /// Peak simultaneous tag occupancy per owner (dense owner index), for
-    /// the QoS figures.
+    /// the QoS figures. Never exceeds `inbound_tags`.
     owner_peaks: Vec<usize>,
     /// Valid pages across the channel, maintained incrementally by
     /// [`ChannelController::execute`], [`ChannelController::invalidate`],
@@ -89,6 +88,12 @@ impl ChannelController {
     /// `inbound_tags` bounds the number of simultaneously outstanding
     /// commands the tag queue will accept; additional commands stall at the
     /// submission point (back-pressure to Flashvisor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inbound_tags` is zero: a tag queue with no tags could
+    /// never admit a command, so `FlashAbacusConfig::channel_tag_queue`
+    /// must be at least one.
     pub fn new(
         index: usize,
         geometry: &FlashGeometry,
@@ -96,6 +101,10 @@ impl ChannelController {
         endurance_limit: u64,
         inbound_tags: usize,
     ) -> Self {
+        assert!(
+            inbound_tags > 0,
+            "inbound_tags (channel_tag_queue) must be at least 1"
+        );
         let dies = (0..geometry.dies_per_channel())
             .map(|d| FlashDie::new(geometry, endurance_limit, format!("ch{index}-die{d}")))
             .collect();
@@ -110,7 +119,6 @@ impl ChannelController {
             budgets: QosBudgets::unlimited(),
             owner_budget_overrides: Vec::new(),
             outstanding: VecDeque::new(),
-            owner_outstanding: Vec::new(),
             owner_peaks: Vec::new(),
             valid_pages: 0,
             fault: None,
@@ -220,28 +228,11 @@ impl ChannelController {
     /// and an owner already holding its whole tag budget is deferred until
     /// one of *its own* commands retires — other owners are admitted past
     /// it rather than FIFO-stalling behind it.
-    ///
-    /// Errors with [`FlashError::CompletionOrderViolation`] if the shared
-    /// and per-owner completion queues ever disagree while retiring — the
-    /// invariant the whole suffix-scan admission model rests on. It used to
-    /// be a `debug_assert`, which meant a release build with corrupted
-    /// ordering (e.g. from a faulty completion path) would silently skew
-    /// every subsequent admission; now the corruption surfaces at the first
-    /// retire that observes it.
-    fn admit(&mut self, now: SimTime, owner: OwnerId) -> Result<SimTime, FlashError> {
+    fn admit(&mut self, now: SimTime, owner: OwnerId) -> SimTime {
         let oi = self.ensure_owner_slot(owner);
         // Drop commands that have already retired by the submission instant.
-        // Each retired entry pops from the shared queue and the front of its
-        // owner's deque (both hold the same clamped completion times in the
-        // same submission order).
-        while matches!(self.outstanding.front(), Some((done, _)) if *done <= now) {
-            let (done, o) = self.outstanding.pop_front().expect("checked front");
-            let popped = self.owner_outstanding[o as usize].pop_front();
-            if popped != Some(done) {
-                return Err(FlashError::CompletionOrderViolation {
-                    channel: self.index,
-                });
-            }
+        while matches!(self.outstanding.front(), Some(&(done, _)) if done <= now) {
+            self.outstanding.pop_front();
         }
         let occupancy = self.outstanding.len();
         let mut admitted = if occupancy < self.inbound_tags {
@@ -254,72 +245,62 @@ impl ChannelController {
             // offset from the front.
             self.outstanding[occupancy - self.inbound_tags].0
         };
-        // Per-owner budget: with `k` of the owner's commands still in
-        // flight at the admission instant and a budget of `b`, defer until
-        // the `(k - b + 1)`-th of them retires — the `b`-th-from-back entry
-        // of the owner's (sorted) completion deque. A zero budget is
-        // clamped to one tag — it bounds concurrency, never deadlocks the
-        // owner.
+        // Every command still in flight at `admitted` sits in the suffix of
+        // entries completing after it, and the tag-slot rule above bounds
+        // that suffix to `inbound_tags - 1` entries however deep the queue
+        // is. Both walks below stay inside it.
         //
-        // The in-flight counts below are short backward scans, not binary
-        // searches: the retire loop above drops everything `<= now`, and
-        // the tag-slot rule puts `admitted` at the `inbound_tags`-th entry
-        // from the back (or later), so the `> admitted` suffix of either
-        // sorted deque is at most `inbound_tags` entries long regardless
-        // of queue depth. Scanning it beats an O(log n) bisect over a
-        // deque thousands of entries deep, and counts the exact same
-        // suffix.
-        let owner_queue = &self.owner_outstanding[oi];
-        let effective_budget = self
+        // Per-owner budget `b`: defer until the owner's `b`-th in-flight
+        // command from the back retires. A zero budget is clamped to one
+        // tag — it bounds concurrency, never deadlocks the owner.
+        let owner_tag = oi as u32;
+        let budget = self
             .owner_budget_overrides
             .get(oi)
             .copied()
             .flatten()
             .or_else(|| self.budgets.budget_for(owner));
-        if let Some(budget) = effective_budget {
-            let budget = budget.max(1);
-            let mut in_flight = 0usize;
-            for &t in owner_queue.iter().rev() {
-                if t <= admitted {
-                    break;
-                }
-                in_flight += 1;
-                if in_flight >= budget {
-                    break;
-                }
-            }
-            if in_flight >= budget {
-                admitted = owner_queue[owner_queue.len() - budget];
+        let mut scanned = false;
+        if let Some(budget) = budget {
+            scanned = true;
+            let nth_own_from_back = self
+                .outstanding
+                .iter()
+                .rev()
+                .take_while(|&&(done, _)| done > admitted)
+                .filter(|&&(_, o)| o == owner_tag)
+                .nth(budget.max(1) - 1);
+            if let Some(&(done, _)) = nth_own_from_back {
+                admitted = done;
             }
         }
-        // Occupancy the tag queue actually sees once this command is let
-        // in: the suffixes of commands finishing after the admission
-        // instant on both sorted queues.
-        let mut in_flight_at_admit = 0usize;
-        for &(done, _) in self.outstanding.iter().rev() {
-            if done <= admitted {
-                break;
-            }
-            in_flight_at_admit += 1;
+        // Occupancy the tag queue and the owner actually see once this
+        // command is let in. Both are capped at `inbound_tags` by the same
+        // suffix bound, so once both peaks reach it the walk cannot move
+        // either and is skipped. An owner's peak never exceeds the queue's,
+        // so the owner's peak alone says whether both have reached it.
+        if self.owner_peaks[oi] < self.inbound_tags {
+            scanned = true;
+            let (in_flight, owner_in_flight) = self
+                .outstanding
+                .iter()
+                .rev()
+                .take_while(|&&(done, _)| done > admitted)
+                .fold((0, 0), |(all, own), &(_, o)| {
+                    (all + 1, own + usize::from(o == owner_tag))
+                });
+            self.stats.peak_inbound_tags = self.stats.peak_inbound_tags.max(in_flight + 1);
+            self.owner_peaks[oi] = self.owner_peaks[oi].max(owner_in_flight + 1);
         }
-        self.stats.peak_inbound_tags = self.stats.peak_inbound_tags.max(in_flight_at_admit + 1);
-        let mut owner_in_flight = 0usize;
-        for &t in owner_queue.iter().rev() {
-            if t <= admitted {
-                break;
-            }
-            owner_in_flight += 1;
-        }
-        self.owner_peaks[oi] = self.owner_peaks[oi].max(owner_in_flight + 1);
-        Ok(admitted)
+        self.stats.admission_scans += u64::from(scanned);
+        admitted
     }
 
     /// Grows the dense per-owner structures to cover `owner`, returning its
     /// dense index.
     fn ensure_owner_slot(&mut self, owner: OwnerId) -> usize {
         let oi = owner.dense_index();
-        if oi >= self.owner_outstanding.len() {
-            self.owner_outstanding.resize_with(oi + 1, VecDeque::new);
+        if oi >= self.owner_peaks.len() {
             self.owner_peaks.resize(oi + 1, 0);
         }
         oi
@@ -331,7 +312,6 @@ impl ChannelController {
         let done = self.outstanding.back().map_or(done, |b| done.max(b.0));
         let oi = self.ensure_owner_slot(owner);
         self.outstanding.push_back((done, oi as u32));
-        self.owner_outstanding[oi].push_back(done);
     }
 
     /// Executes one operation against `addr` on behalf of `owner`,
@@ -353,7 +333,7 @@ impl ChannelController {
             return Err(FlashError::OutOfRange(addr));
         }
         let timing = self.timing;
-        let admitted = self.admit(now, owner)? + timing.controller_overhead;
+        let admitted = self.admit(now, owner) + timing.controller_overhead;
         // Fault decision, rolled before the die operation. The counters it
         // advances are channel-local, so the verdict depends only on this
         // channel's own command sequence, not on how channels interleave.
@@ -775,7 +755,61 @@ mod tests {
                 .unwrap();
             assert_eq!(u, t, "page {p}");
         }
-        assert_eq!(untagged.stats(), tagged.stats());
+        // Every simulated statistic matches; the host-work counter may not,
+        // since each fresh owner label walks the queue to set its peak.
+        let simulated = |s: ChannelStats| ChannelStats {
+            admission_scans: 0,
+            ..s
+        };
+        assert_eq!(simulated(untagged.stats()), simulated(tagged.stats()));
+    }
+
+    #[test]
+    #[should_panic(expected = "inbound_tags (channel_tag_queue) must be at least 1")]
+    fn zero_tag_depth_is_rejected_at_construction() {
+        ChannelController::new(
+            0,
+            &FlashGeometry::tiny_for_tests(),
+            FlashTiming::fast_for_tests(),
+            1_000,
+            0,
+        );
+    }
+
+    #[test]
+    fn admission_stops_scanning_once_the_peaks_are_capped() {
+        // Without budgets the in-flight suffix is walked only while a peak
+        // can still rise: one owner flooding a channel at one instant raises
+        // both peaks by one per admission, so exactly `inbound_tags`
+        // admissions walk it and the other 9 992 do not.
+        let mut c = controller();
+        let tags = 8;
+        let page = PhysicalPageAddr::new(0, 0, 0, 0);
+        c.preload(page).unwrap();
+        let a = OwnerId::Kernel(1);
+        let mut last = SimTime::ZERO;
+        for _ in 0..10_000 {
+            last = c
+                .execute(SimTime::ZERO, FlashOp::ReadPage, page, a)
+                .unwrap();
+        }
+        assert_eq!(c.stats().peak_inbound_tags, tags);
+        assert_eq!(c.stats().admission_scans, tags as u64);
+        // A second owner joining while the queue is still deep walks it
+        // only until its own peak reaches the depth.
+        let b = OwnerId::Kernel(2);
+        let mid = SimTime::from_ns(last.as_ns() / 2);
+        for _ in 0..1_000 {
+            c.execute(mid, FlashOp::ReadPage, page, b).unwrap();
+        }
+        assert_eq!(c.owner_peak_tags()[&b], tags);
+        assert!(c.stats().admission_scans <= 2 * tags as u64);
+        // With every peak capped, interleaved traffic never walks again.
+        let scans = c.stats().admission_scans;
+        for owner in [a, b].into_iter().cycle().take(1_000) {
+            c.execute(mid, FlashOp::ReadPage, page, owner).unwrap();
+        }
+        assert_eq!(c.stats().admission_scans, scans);
     }
 
     #[test]

@@ -40,16 +40,6 @@ pub enum FlashError {
     /// its erase counter did not advance. Repeated failures promote the
     /// block into the bad-block table.
     InjectedEraseFailure(PhysicalPageAddr),
-    /// The controller's completion queues disagreed while retiring a
-    /// command: the shared tag queue and the per-owner queue popped
-    /// different completion times. This is an internal invariant of the
-    /// admission model — it can only fire if reordering corrupted the
-    /// outstanding-tag accounting — and is surfaced as a hard error so a
-    /// fault-induced reordering can never silently skew admission.
-    CompletionOrderViolation {
-        /// The channel whose controller detected the mismatch.
-        channel: usize,
-    },
 }
 
 impl fmt::Display for FlashError {
@@ -74,10 +64,6 @@ impl fmt::Display for FlashError {
                 write!(f, "injected program failure at {a:?}")
             }
             FlashError::InjectedEraseFailure(a) => write!(f, "injected erase failure at {a:?}"),
-            FlashError::CompletionOrderViolation { channel } => write!(
-                f,
-                "completion-order violation in channel {channel} tag queues"
-            ),
         }
     }
 }
@@ -107,7 +93,6 @@ mod tests {
             FlashError::ReadUnwritten(addr).to_string(),
             FlashError::InjectedProgramFailure(addr).to_string(),
             FlashError::InjectedEraseFailure(addr).to_string(),
-            FlashError::CompletionOrderViolation { channel: 3 }.to_string(),
         ];
         for m in &messages {
             assert!(m.contains("channel: 1") || !m.is_empty());
@@ -116,6 +101,5 @@ mod tests {
         assert!(messages[3].contains("3000"));
         assert!(messages[5].contains("injected program failure"));
         assert!(messages[6].contains("injected erase failure"));
-        assert!(messages[7].contains("channel 3"));
     }
 }
