@@ -446,24 +446,88 @@ impl Flashvisor {
     /// Pre-populates the mapping and backbone for a logical byte range, as
     /// if a host had written the input data before the experiment started.
     /// Consumes no simulated time.
+    ///
+    /// Unmapped logical groups receive physical groups from the allocator
+    /// in logical order. Each maximal run of consecutive physical groups it
+    /// hands out is placed with one [`FlashBackbone::preload_group`] call,
+    /// and only once that succeeds are the run's mapping, reverse and redo
+    /// entries written, in logical order. On error, runs already placed
+    /// stay committed; the failed run's groups (and a group allocated past
+    /// it) go back to the allocator.
     pub fn preload_range(&mut self, start: u64, len: u64) -> Result<(), FaError> {
         if len == 0 {
             return Ok(());
         }
-        let pages = self.config.pages_per_group();
         let (first, last) = self.groups_covering(start, len);
+        // The pending run: physical groups `run_pg..run_pg + run_len` for
+        // the unmapped logical groups of `run_first..=lg`, in order.
+        let (mut run_first, mut run_pg, mut run_len) = (first, 0, 0);
         for lg in first..=last {
-            if self.logical_slot(lg)?.is_some() {
+            let pg = match self.logical_slot(lg) {
+                Ok(Some(_)) => continue,
+                Ok(None) => self.allocate_physical_group(),
+                Err(e) => Err(e),
+            };
+            let pg = match pg {
+                Ok(pg) => pg,
+                Err(e) => {
+                    self.commit_preload_run(run_first, lg, run_pg, run_len)?;
+                    return Err(e);
+                }
+            };
+            if run_len > 0 && pg != run_pg + run_len {
+                if let Err(e) = self.commit_preload_run(run_first, lg, run_pg, run_len) {
+                    self.rollback_failed_allocation(pg);
+                    return Err(e);
+                }
+                run_len = 0;
+            }
+            if run_len == 0 {
+                (run_first, run_pg) = (lg, pg);
+            }
+            run_len += 1;
+        }
+        self.commit_preload_run(run_first, last + 1, run_pg, run_len)
+    }
+
+    /// Places the physical groups `first_pg..first_pg + groups` with one
+    /// backbone preload, then maps them, in order, to the logical groups of
+    /// `first_lg..end_lg` that are still unmapped. If the backbone rejects
+    /// the run (it then changed nothing), the groups go back to the
+    /// allocator and nothing is mapped.
+    fn commit_preload_run(
+        &mut self,
+        first_lg: u64,
+        end_lg: u64,
+        first_pg: u64,
+        groups: u64,
+    ) -> Result<(), FaError> {
+        if groups == 0 {
+            return Ok(());
+        }
+        let pages = self.config.pages_per_group();
+        if let Err(e) = self
+            .backbone
+            .preload_group(first_pg * pages, groups * pages)
+        {
+            for pg in first_pg..first_pg + groups {
+                self.rollback_failed_allocation(pg);
+            }
+            return Err(e.into());
+        }
+        let mut pg = first_pg;
+        for lg in first_lg..end_lg {
+            if self.mapping[lg as usize] != 0 {
                 continue;
             }
-            let pg = self.allocate_physical_group()?;
-            self.backbone.preload_group(pg * pages, pages)?;
             self.mapping[lg as usize] = pg + 1;
             self.reverse[pg as usize] = lg + 1;
             // Preloads model data that existed before the run: they must
             // survive journal replay like any committed mapping.
             self.record_commit(lg, pg);
+            pg += 1;
         }
+        debug_assert_eq!(pg, first_pg + groups);
         Ok(())
     }
 
@@ -1076,6 +1140,81 @@ mod tests {
         assert_eq!(t.groups, 8); // 64 KB at 8 KB groups in the tiny config.
         assert_eq!(v.stats().group_reads, 8);
         assert!(v.stats().mapping_lookups >= 8);
+    }
+
+    #[test]
+    fn failed_preload_changes_nothing_and_returns_its_group() {
+        let (mut v, _sp) = visor();
+        let free = v.free_physical_groups();
+        // Data the valid-page index does not know about sits on the first
+        // page of group 0, the group the allocator hands out next.
+        v.backbone_mut()
+            .channel_mut(0)
+            .unwrap()
+            .die_mut(0)
+            .unwrap()
+            .preload_page(0, 0)
+            .unwrap();
+        let err = v.preload_range(0, 64 * 1024).unwrap_err();
+        assert!(matches!(
+            err,
+            FaError::Flash(FlashError::ProgramWithoutErase(_))
+        ));
+        assert_eq!(v.free_physical_groups(), free);
+        assert_eq!(v.mapped_groups().count(), 0);
+        assert_eq!(v.backbone().total_valid_pages(), 0);
+    }
+
+    #[test]
+    fn preload_runs_split_where_the_allocator_breaks_them() {
+        // One preload over every logical group, some already mapped, against
+        // the same groups preloaded one per call. Under the wear-aware
+        // policy, a worn row 0 makes the allocator run up to the reserved
+        // journal row, skip it, and go on from row 0, so the range splits
+        // into several backbone runs.
+        let group_bytes = 8 * 1024;
+        let premapped = [100, 101, 2_000];
+        let setup = |placement| {
+            let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+            config.placement = placement;
+            let mut v = Flashvisor::new(config);
+            v.install_fault_plan(Arc::new(FaultPlan::default()));
+            let erase = fa_flash::FlashCommand::erase(fa_flash::PhysicalPageAddr::new(0, 0, 0, 0));
+            v.backbone_mut().submit(SimTime::ZERO, erase).unwrap();
+            for lg in premapped {
+                v.preload_range(lg * group_bytes, group_bytes).unwrap();
+            }
+            v
+        };
+        for placement in PlacementPolicy::all() {
+            let mut merged = setup(placement);
+            let mut single = setup(placement);
+            let groups = merged.free_physical_groups() + premapped.len() as u64;
+            merged.preload_range(0, groups * group_bytes).unwrap();
+            for lg in 0..groups {
+                single.preload_range(lg * group_bytes, group_bytes).unwrap();
+            }
+            assert_eq!(merged.mapping, single.mapping, "{placement:?}");
+            assert_eq!(merged.reverse, single.reverse, "{placement:?}");
+            assert_eq!(
+                merged.unflushed_redo_records(),
+                single.unflushed_redo_records()
+            );
+            assert_eq!(merged.redo_since_journal, single.redo_since_journal);
+            assert_eq!(merged.free_physical_groups(), 0);
+            assert_eq!(single.free_physical_groups(), 0);
+            let (a, b) = (merged.backbone(), single.backbone());
+            assert_eq!(a.total_valid_pages(), b.total_valid_pages());
+            assert_eq!(a.total_valid_pages(), a.recount_valid_pages());
+            if placement == PlacementPolicy::LeastWorn {
+                let placed: Vec<u64> = (0..groups)
+                    .filter(|lg| !premapped.contains(lg))
+                    .map(|lg| merged.mapping[lg as usize])
+                    .collect();
+                let runs = 1 + placed.windows(2).filter(|w| w[1] != w[0] + 1).count();
+                assert!(runs >= 2, "{runs} run(s)");
+            }
+        }
     }
 
     #[test]

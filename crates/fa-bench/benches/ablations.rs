@@ -1,5 +1,7 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for three design choices of the simulator:
 //! page-group size, channel tag-queue depth, and buffered output writes.
+//! `docs/ARCHITECTURE.md` describes the simulator; its "Heterogeneous mix
+//! generator" section records how the workloads depart from the paper's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fa_kernel::instance::{instantiate_many, InstancePlan};

@@ -126,7 +126,7 @@ pub fn table2() -> String {
     let mut out = table.render();
     out.push('\n');
     let mut mixes = Table::new(
-        "Table 2 (right half): heterogeneous mix compositions (regenerated; see DESIGN.md)",
+        "Table 2 (right half): heterogeneous mix compositions (regenerated; see docs/ARCHITECTURE.md, \"Heterogeneous mix generator\")",
         &["Mix", "Applications"],
     );
     for mix in 1..=MIX_COUNT {

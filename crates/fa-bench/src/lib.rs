@@ -13,7 +13,9 @@
 //!   formatted report (the `src/bin/*` binaries are thin wrappers).
 //!
 //! Absolute numbers will not match the paper — the hardware is replaced by
-//! the simulator described in `DESIGN.md` — but the comparisons the paper
+//! the simulator described in `docs/ARCHITECTURE.md`, and the lost Table 2
+//! mix compositions by the regeneration its "Heterogeneous mix generator"
+//! section describes — but the comparisons the paper
 //! draws (who wins, by roughly what factor, where the crossovers are) are
 //! expected to hold and are what `EXPERIMENTS.md` records.
 

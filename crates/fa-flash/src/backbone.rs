@@ -567,27 +567,30 @@ impl FlashBackbone {
     }
 
     /// Marks a page valid without consuming device time (pre-experiment data
-    /// placement; see [`crate::die::FlashDie::preload_page`]).
+    /// placement): a one-page [`FlashBackbone::preload_group`] at `addr`'s
+    /// flat index.
     pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
         if !self.geometry.contains(addr) {
             return Err(FlashError::OutOfRange(addr));
         }
-        self.channels[addr.channel].preload(addr)?;
-        self.valid_index.on_program(
-            self.geometry.block_index(addr),
-            self.geometry.addr_to_flat(addr),
-            0,
-        );
-        Ok(())
+        self.preload_group(self.geometry.addr_to_flat(addr), 1)
     }
 
-    /// Preloads `pages` consecutive flat pages starting at `first_flat` —
-    /// exactly equivalent to calling [`FlashBackbone::preload`] on each
-    /// page in ascending order (an error leaves every earlier page
-    /// preloaded and indexed), but the flat→physical conversion is done
-    /// once and then stepped across the stripe. This is the pre-experiment
-    /// data-placement fast path: the campaign preloads hundreds of
-    /// thousands of pages before any event runs.
+    /// Preloads the `pages` consecutive flat pages starting at `first_flat`
+    /// — data already resident before the experiment starts, placed without
+    /// consuming device time (see [`crate::die::FlashDie::preload_run`]).
+    ///
+    /// The range is walked one block row at a time, and within a row one
+    /// lane (channel × die block) at a time: each lane receives one
+    /// contiguous page run, so the die, the channel's valid-page count, and
+    /// the valid-page index each update once per run rather than once per
+    /// page. The resulting state is exactly that of calling
+    /// [`FlashBackbone::preload`] on each page in ascending order.
+    ///
+    /// Every lane's run is checked before anything changes: its first page
+    /// must be free and its block's write cursor must stand on it. On error
+    /// nothing changes, and the error is the one the first failing page of
+    /// an ascending page-by-page preload would have returned.
     ///
     /// # Panics
     ///
@@ -601,14 +604,18 @@ impl FlashBackbone {
             first_flat + pages <= self.geometry.total_pages(),
             "page index out of range"
         );
-        let mut addr = self.geometry.flat_to_addr(first_flat);
-        for flat in first_flat..first_flat + pages {
-            self.channels[addr.channel].preload(addr)?;
-            self.valid_index
-                .on_program(block_of(&self.geometry, addr), flat, 0);
-            addr = next_flat_addr(&self.geometry, addr);
-        }
-        Ok(())
+        let runs = LaneRuns::new(&self.geometry, first_flat, pages);
+        // Lane runs come in ascending flat order of their first pages, so
+        // the first failure is the one a page-by-page walk would meet.
+        let channels = &self.channels;
+        runs.try_for_each(|addr, _, n| channels[addr.channel].check_preload_run(addr, n))?;
+        let (geometry, channels, index) =
+            (&self.geometry, &mut self.channels, &mut self.valid_index);
+        runs.try_for_each(|addr, flat, n| {
+            channels[addr.channel].preload_run(addr, n)?;
+            index.on_program_run(block_of(geometry, addr), flat, runs.lanes, n as u32, 0);
+            Ok(())
+        })
     }
 
     /// Marks a page invalid (mapping-table act; consumes no device time).
@@ -844,6 +851,99 @@ fn next_flat_addr(geometry: &FlashGeometry, mut addr: PhysicalPageAddr) -> Physi
         }
     }
     addr
+}
+
+/// A flat page range (inside the backbone) split into per-lane page runs:
+/// within each block row (block index), every lane — one channel × die
+/// block — holds one contiguous run of the range's pages. The divisions
+/// that locate the range's first page happen once, in
+/// [`LaneRuns::new`]; the walk then steps the lane address the way
+/// [`next_flat_addr`] steps a page, so walking the same range twice costs
+/// no further division for ranges of less than a row.
+#[derive(Debug, Clone, Copy)]
+struct LaneRuns {
+    channels: usize,
+    dies: usize,
+    lanes: u64,
+    row_pages: u64,
+    pages_per_block: usize,
+    /// The range's first page.
+    first: PhysicalPageAddr,
+    first_flat: u64,
+    end_flat: u64,
+    /// Pages from the first page to the end of its row.
+    first_row_left: u64,
+}
+
+impl LaneRuns {
+    fn new(geometry: &FlashGeometry, first_flat: u64, pages: u64) -> Self {
+        let channels = geometry.channels;
+        let dies = geometry.dies_per_channel();
+        let lanes = (channels * dies) as u64;
+        let row_pages = lanes * geometry.pages_per_block as u64;
+        let block = first_flat / row_pages;
+        let row_offset = first_flat - block * row_pages;
+        let page = row_offset / lanes;
+        let lane = (row_offset - page * lanes) as usize;
+        let die = lane / channels;
+        LaneRuns {
+            channels,
+            dies,
+            lanes,
+            row_pages,
+            pages_per_block: geometry.pages_per_block,
+            first: PhysicalPageAddr {
+                channel: lane - die * channels,
+                die,
+                block: block as usize,
+                page: page as usize,
+            },
+            first_flat,
+            end_flat: first_flat + pages,
+            first_row_left: row_pages - row_offset,
+        }
+    }
+
+    /// Calls `run(addr, flat, n)` for each lane run, stopping at the first
+    /// error: `n` pages of `addr`'s block starting at `addr.page`, the first
+    /// of them at flat index `flat`. Rows come in ascending order, and
+    /// within a row the lanes come in the flat order of their first pages.
+    fn try_for_each(
+        self,
+        mut run: impl FnMut(PhysicalPageAddr, u64, usize) -> Result<(), FlashError>,
+    ) -> Result<(), FlashError> {
+        let mut addr = self.first;
+        let mut flat = self.first_flat;
+        let mut row_left = self.first_row_left;
+        while flat < self.end_flat {
+            let in_row = row_left.min(self.end_flat - flat);
+            // The first `extra` lanes of the sweep take one page more.
+            let (per_lane, extra) = if in_row == self.row_pages {
+                (self.pages_per_block, 0)
+            } else if in_row < self.lanes {
+                (0, in_row)
+            } else {
+                ((in_row / self.lanes) as usize, in_row % self.lanes)
+            };
+            let row = addr.block;
+            for k in 0..in_row.min(self.lanes) {
+                run(addr, flat + k, per_lane + usize::from(k < extra))?;
+                addr.channel += 1;
+                if addr.channel == self.channels {
+                    addr.channel = 0;
+                    addr.die += 1;
+                    if addr.die == self.dies {
+                        addr.die = 0;
+                        addr.page += 1;
+                    }
+                }
+            }
+            flat += in_row;
+            row_left = self.row_pages;
+            addr = PhysicalPageAddr::new(0, 0, row + 1, 0);
+        }
+        Ok(())
+    }
 }
 
 /// [`FlashGeometry::block_index`] of an address already known to be in

@@ -437,13 +437,40 @@ impl ChannelController {
     }
 
     /// Marks a page valid without consuming channel time (pre-experiment
-    /// data placement), keeping the channel's accounting in step.
+    /// data placement), keeping the channel's accounting in step: a
+    /// one-page run preload.
     pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
+        self.preload_run(addr, 1)
+    }
+
+    /// Checks, changing nothing, that the `n` pages of `addr`'s block
+    /// starting at `addr.page` could be preloaded (see
+    /// `FlashDie::check_preload_run`).
+    pub(crate) fn check_preload_run(
+        &self,
+        addr: PhysicalPageAddr,
+        n: usize,
+    ) -> Result<(), FlashError> {
+        self.dies
+            .get(addr.die)
+            .ok_or(FlashError::OutOfRange(addr))?
+            .check_preload_run(addr.block, addr.page, n)
+    }
+
+    /// Marks the `n` pages of `addr`'s block starting at `addr.page` valid
+    /// without consuming channel time (pre-experiment data placement; see
+    /// [`FlashDie::preload_run`]), keeping the channel's valid-page count in
+    /// step with one update. On error nothing changes.
+    pub(crate) fn preload_run(
+        &mut self,
+        addr: PhysicalPageAddr,
+        n: usize,
+    ) -> Result<(), FlashError> {
         self.dies
             .get_mut(addr.die)
             .ok_or(FlashError::OutOfRange(addr))?
-            .preload_page(addr.block, addr.page)?;
-        self.valid_pages += 1;
+            .preload_run(addr.block, addr.page, n)?;
+        self.valid_pages += n;
         Ok(())
     }
 

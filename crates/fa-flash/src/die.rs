@@ -226,31 +226,67 @@ impl FlashDie {
         Ok(res)
     }
 
-    /// Marks a page valid without consuming device time, enforcing the same
-    /// sequential-programming rule as [`FlashDie::program_page`].
+    /// Marks one page valid without consuming device time: a one-page
+    /// [`FlashDie::preload_run`].
+    pub fn preload_page(&mut self, block: usize, page: usize) -> Result<(), FlashError> {
+        self.preload_run(block, page, 1)
+    }
+
+    /// Checks that the `n` pages `first_page..first_page + n` of `block`
+    /// could be preloaded, changing nothing: the run lies inside the block,
+    /// its first page is [`PageState::Free`], and the block's write cursor
+    /// stands on it. Every page from the cursor on is free, so the first
+    /// page decides the whole run, and the error is the one a page-by-page
+    /// preload would have hit first.
+    pub(crate) fn check_preload_run(
+        &self,
+        block: usize,
+        first_page: usize,
+        n: usize,
+    ) -> Result<(), FlashError> {
+        self.check_block(block, first_page)?;
+        if first_page + n > self.pages_per_block {
+            return Err(FlashError::OutOfRange(
+                crate::geometry::PhysicalPageAddr::new(0, 0, block, self.pages_per_block),
+            ));
+        }
+        // Pages below the write cursor are programmed and pages from it on
+        // are free, so the cursor alone says which rule the page breaks.
+        let cursor = self.blocks[block].write_cursor;
+        let addr = crate::geometry::PhysicalPageAddr::new(0, 0, block, first_page);
+        match first_page.cmp(&cursor) {
+            std::cmp::Ordering::Equal => Ok(()),
+            std::cmp::Ordering::Less => Err(FlashError::ProgramWithoutErase(addr)),
+            std::cmp::Ordering::Greater => Err(FlashError::NonSequentialProgram {
+                addr,
+                expected_page: cursor,
+            }),
+        }
+    }
+
+    /// Marks the `n` consecutive pages `first_page..first_page + n` of
+    /// `block` valid without consuming device time, enforcing the same
+    /// sequential-programming rule as [`FlashDie::program_page`]. The run
+    /// must lie inside the block and start on the block's next free page;
+    /// otherwise nothing changes, and the error is the one a page-by-page
+    /// preload would have hit first.
     ///
     /// This models data that is already resident in flash before the
     /// simulated experiment begins (the paper's input files live on the
     /// flash backbone before kernels are offloaded), so it bypasses the
     /// die's timing but not its state machine.
-    pub fn preload_page(&mut self, block: usize, page: usize) -> Result<(), FlashError> {
-        self.check_block(block, page)?;
-        let addr = crate::geometry::PhysicalPageAddr::new(0, 0, block, page);
-        let slot = block * self.pages_per_block + page;
+    pub fn preload_run(
+        &mut self,
+        block: usize,
+        first_page: usize,
+        n: usize,
+    ) -> Result<(), FlashError> {
+        self.check_preload_run(block, first_page, n)?;
+        let slot = block * self.pages_per_block + first_page;
+        self.pages[slot..slot + n].fill(PageState::Valid);
         let blk = &mut self.blocks[block];
-        match self.pages[slot] {
-            PageState::Free => {}
-            _ => return Err(FlashError::ProgramWithoutErase(addr)),
-        }
-        if page != blk.write_cursor {
-            return Err(FlashError::NonSequentialProgram {
-                addr,
-                expected_page: blk.write_cursor,
-            });
-        }
-        self.pages[slot] = PageState::Valid;
-        blk.write_cursor += 1;
-        blk.valid += 1;
+        blk.write_cursor += n;
+        blk.valid += n as u32;
         Ok(())
     }
 
@@ -404,13 +440,35 @@ mod tests {
         d.invalidate_page(0, 1).unwrap();
         d.invalidate_page(0, 4).unwrap();
         d.preload_page(0, 6).unwrap();
+        d.preload_run(0, 7, 3).unwrap();
         assert_eq!(d.valid_pages_in(0), d.recount_valid_pages_in(0));
-        assert_eq!(d.valid_pages_in(0), 5);
-        assert_eq!(d.programmed_pages_in(0), 7);
+        assert_eq!(d.valid_pages_in(0), 8);
+        assert_eq!(d.programmed_pages_in(0), 10);
         d.erase_block(SimTime::ZERO, 0, &t).unwrap();
         assert_eq!(d.valid_pages_in(0), d.recount_valid_pages_in(0));
         assert_eq!(d.valid_pages_in(0), 0);
         assert_eq!(d.programmed_pages_in(0), 0);
+    }
+
+    #[test]
+    fn rejected_preload_run_changes_nothing() {
+        let (mut d, t) = die();
+        d.program_page(SimTime::ZERO, 0, 0, &t).unwrap();
+        let err = d.preload_run(0, 0, 4).unwrap_err();
+        assert!(matches!(err, FlashError::ProgramWithoutErase(_)));
+        let err = d.preload_run(0, 2, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            FlashError::NonSequentialProgram {
+                expected_page: 1,
+                ..
+            }
+        ));
+        let err = d.preload_run(0, 1, 16).unwrap_err();
+        assert!(matches!(err, FlashError::OutOfRange(_)));
+        assert_eq!(d.programmed_pages_in(0), 1);
+        assert_eq!(d.valid_pages_in(0), d.recount_valid_pages_in(0));
+        assert_eq!(d.page_state(0, 1), Some(PageState::Free));
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! program, page invalidation, and block erase is one
 //! [`ValidPageIndex::on_program`], [`ValidPageIndex::on_invalidate`], or
 //! [`ValidPageIndex::on_erase`] call, whether the page arrived as a single
-//! command or as part of a page-group stripe. Mutating a die directly
+//! command or as part of a page-group stripe. Preloaded (pre-experiment)
+//! data arrives one die block's page run at a time, as one
+//! [`ValidPageIndex::on_program_run`] call. Mutating a die directly
 //! (tests using `die_mut`) bypasses the hooks; the property-test oracle
 //! recounts from page states to catch any such drift in paths that matter.
 //!
@@ -82,8 +84,8 @@ struct GroupTracker {
     /// non-decreasing flat indices (hence non-decreasing groups), so the
     /// hot-path maintenance is "increment the last entry or append" —
     /// contiguous memory, no tree nodes, no per-command allocation beyond
-    /// amortized `Vec` growth. Out-of-order landings (preloads) fall back
-    /// to a binary-search insert.
+    /// amortized `Vec` growth. An out-of-order landing falls back to a
+    /// binary-search insert.
     by_block: Vec<Vec<(u32, u32, u32)>>,
     /// Groups whose last programmed page an erase just cleared, pending a
     /// drain by the reclaim path.
@@ -91,22 +93,29 @@ struct GroupTracker {
 }
 
 impl GroupTracker {
-    /// Records one programmed page of group `g` residing in block `b`.
-    fn note_program(&mut self, b: usize, g: u32) {
+    /// Records `count` programmed pages of group `g` residing in block `b`
+    /// (groups past the tracked range are ignored).
+    fn note_program(&mut self, b: usize, g: u64, count: u32) {
+        let Some(programmed) = self.programmed.get_mut(g as usize) else {
+            return;
+        };
+        *programmed += count;
+        self.valid[g as usize] += count;
+        let g = g as u32;
         let list = &mut self.by_block[b];
         match list.last_mut() {
             Some(entry) if entry.0 == g => {
-                entry.1 += 1;
-                entry.2 += 1;
+                entry.1 += count;
+                entry.2 += count;
             }
-            Some(entry) if entry.0 < g => list.push((g, 1, 1)),
-            None => list.push((g, 1, 1)),
+            Some(entry) if entry.0 < g => list.push((g, count, count)),
+            None => list.push((g, count, count)),
             _ => match list.binary_search_by_key(&g, |entry| entry.0) {
                 Ok(i) => {
-                    list[i].1 += 1;
-                    list[i].2 += 1;
+                    list[i].1 += count;
+                    list[i].2 += count;
                 }
-                Err(i) => list.insert(i, (g, 1, 1)),
+                Err(i) => list.insert(i, (g, count, count)),
             },
         }
     }
@@ -239,27 +248,65 @@ impl ValidPageIndex {
 
     /// Records one page program (or preload) of flat page `flat` landing in
     /// `block` at instant `now_ns` (preloads pass 0: pre-experiment data is
-    /// "as old as the run").
+    /// "as old as the run"): a one-page [`ValidPageIndex::on_program_run`].
     pub fn on_program(&mut self, block: u64, flat: u64, now_ns: u64) {
+        self.on_program_run(block, flat, 1, 1, now_ns);
+    }
+
+    /// Records `n` page programs (or preloads) landing in `block` at
+    /// instant `now_ns`, on the flat pages `first_flat + k × stride` for
+    /// `k` in `0..n` — one die block's page run, whose flat pages lie one
+    /// channel × die sweep apart. The block counters and the garbage
+    /// bucket move once for the whole run; the group tracker receives the
+    /// run's groups in ascending order, so every query answers exactly as
+    /// after `n` calls to [`ValidPageIndex::on_program`].
+    pub fn on_program_run(
+        &mut self,
+        block: u64,
+        first_flat: u64,
+        stride: u64,
+        n: u32,
+        now_ns: u64,
+    ) {
+        if n == 0 {
+            return;
+        }
         let b = block as usize;
         let had_garbage = self.garbage(b) > 0;
         if had_garbage {
             self.bucket_remove(self.valid[b], block as u32);
         }
-        self.programmed[b] += 1;
-        self.valid[b] += 1;
-        self.total_valid += 1;
+        self.programmed[b] += n;
+        self.valid[b] += n;
+        self.total_valid += n as u64;
         self.last_program_ns[b] = self.last_program_ns[b].max(now_ns);
         if had_garbage {
             self.bucket_insert(self.valid[b], block as u32);
         }
         if let Some(t) = &mut self.groups {
-            let g = (flat / t.pages_per_group) as usize;
-            if g < t.programmed.len() {
-                t.programmed[g] += 1;
-                t.valid[g] += 1;
-                t.note_program(b, g as u32);
+            // Step the group index and its in-group offset by the stride
+            // instead of dividing every page's flat index.
+            let ppg = t.pages_per_group;
+            let mut g = first_flat / ppg;
+            let mut pending = 1;
+            if n > 1 {
+                let (step_groups, step_offset) = (stride / ppg, stride % ppg);
+                let mut offset = first_flat - g * ppg;
+                for _ in 1..n {
+                    let mut next = g + step_groups;
+                    offset += step_offset;
+                    if offset >= ppg {
+                        offset -= ppg;
+                        next += 1;
+                    }
+                    if next != g {
+                        t.note_program(b, g, pending);
+                        (g, pending) = (next, 0);
+                    }
+                    pending += 1;
+                }
             }
+            t.note_program(b, g, pending);
         }
     }
 

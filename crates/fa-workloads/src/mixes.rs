@@ -11,7 +11,9 @@
 //! which reproduces those per-application frequencies exactly and yields an
 //! MX1 whose composition (four data-intensive plus two compute-intensive
 //! kernels) matches the description accompanying Figure 12b. The
-//! substitution is documented in `DESIGN.md`.
+//! substitution, and its known defect (three repeated mixes), is
+//! documented in the "Heterogeneous mix generator" section of
+//! `docs/ARCHITECTURE.md`.
 
 use crate::polybench::{polybench_app, polybench_table2, PolyBench};
 use fa_kernel::instance::{instantiate_many, InstancePlan};
