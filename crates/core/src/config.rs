@@ -78,7 +78,8 @@ impl Default for GovernorConfig {
 pub struct ScaleoutConfig {
     /// Maximum tenants in flight; arrivals beyond it queue or shed. Also
     /// the number of flash slots the engine carves out, so it bounds the
-    /// campaign's logical footprint.
+    /// campaign's logical footprint. Must be positive: the open-loop
+    /// engine rejects zero.
     pub max_in_flight: usize,
     /// Maximum queued (admitted-later) tenants; arrivals past a full queue
     /// are shed.
@@ -232,22 +233,6 @@ impl FlashAbacusConfig {
     /// entry per group; the paper reports 2 MB for 32 GB at 64 KB groups).
     pub fn mapping_table_bytes(&self) -> u64 {
         self.total_page_groups() * 4
-    }
-
-    /// The `[low, high)` slice of the page-group space the *seed era's*
-    /// round-robin GC pass scanned for victim block `victim_index`:
-    /// block-sized slices of the group space, visited in block order.
-    /// Production GC is row-coherent now (both policies migrate
-    /// [`FlashAbacusConfig::block_row_group_range`]); this definition
-    /// remains as the slices over which `fa_bench::perf`'s test checks
-    /// the reverse-index victim discovery against a full-table scan.
-    pub fn gc_scan_group_range(&self, victim_index: u64) -> (u64, u64) {
-        let pages_per_block = self.flash_geometry.pages_per_block as u64;
-        let pages_per_group = self.pages_per_group();
-        (
-            (victim_index * pages_per_block) / pages_per_group,
-            ((victim_index + 1) * pages_per_block).div_ceil(pages_per_group),
-        )
     }
 
     /// The within-die block row reserved for Storengine's metadata journal

@@ -1255,6 +1255,33 @@ mod tests {
     }
 
     #[test]
+    fn naive_victim_scan_agrees_with_the_reverse_index() {
+        // The mapping-table population a large campaign reaches, plus a few
+        // groups GC-migrated into distant rows.
+        let config = FlashAbacusConfig::paper_prototype(SchedulerPolicy::IntraO3);
+        let mut v = Flashvisor::new(config);
+        v.preload_range(0, 4096 * config.page_group_bytes).unwrap();
+        let (row9, _) = config.block_row_group_range(9);
+        let (row200, _) = config.block_row_group_range(200);
+        for (lg, pg) in [(7, row9 + 3), (1500, row9), (4000, row200 + 17)] {
+            v.remap_group(lg, pg).unwrap();
+        }
+        // The full-table scan the reverse index replaces, over every block
+        // row a GC pass or a row retirement migrates.
+        let mapped: Vec<(u64, u64)> = v.mapped_groups().collect();
+        let rows = config.flash_geometry.blocks_per_die() as u64;
+        for row in 0..rows {
+            let (low, high) = config.block_row_group_range(row);
+            let scanned: Vec<(u64, u64)> = mapped
+                .iter()
+                .copied()
+                .filter(|&(_, pg)| pg >= low && pg < high)
+                .collect();
+            assert_eq!(scanned, v.victim_groups(low, high), "row {row}");
+        }
+    }
+
+    #[test]
     fn range_locks_gate_conflicting_sections() {
         let (mut v, _sp) = visor();
         let a = v.map_section(0, 4096, LockMode::Write, 1).unwrap();

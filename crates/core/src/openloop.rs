@@ -422,6 +422,12 @@ impl FlashAbacusSystem {
                 templates.len()
             )));
         }
+        // A zero cap admits no tenant, so every arrival would queue forever.
+        if scaleout.max_in_flight == 0 {
+            return Err(FaError::InvalidWorkload(
+                "admission cap max_in_flight must be positive".into(),
+            ));
+        }
         if let Some(g) = scaleout.governor {
             // A zero window never advances the tick, so the tick would win
             // the event selection at the same instant forever.
@@ -451,7 +457,7 @@ impl FlashAbacusSystem {
             .div_ceil(group_bytes)
             .max(1)
             * group_bytes;
-        let slot_count = scaleout.max_in_flight.max(1);
+        let slot_count = scaleout.max_in_flight;
         let required_groups = slot_count as u64 * (slot_bytes / group_bytes);
         let available = self.flashvisor.available_groups();
         if required_groups > available {
@@ -981,8 +987,12 @@ mod tests {
         assert_eq!(governor.updates(), 6);
     }
 
-    /// A three-tenant campaign on the tiny test device under `governor`.
-    fn three_tenant_campaign(governor: GovernorConfig) -> Result<OpenLoopReport, FaError> {
+    /// A three-tenant campaign on the tiny test device, at most
+    /// `max_in_flight` tenants at once, under `governor`.
+    fn three_tenant_campaign(
+        max_in_flight: usize,
+        governor: GovernorConfig,
+    ) -> Result<OpenLoopReport, FaError> {
         use crate::config::FlashAbacusConfig;
         use crate::scheduler::SchedulerPolicy;
         let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::InterDy);
@@ -995,7 +1005,7 @@ mod tests {
             ..ArrivalPlan::default()
         };
         let scaleout = ScaleoutConfig {
-            max_in_flight: 2,
+            max_in_flight,
             queue_limit: 4,
             governor: Some(governor),
         };
@@ -1008,20 +1018,32 @@ mod tests {
 
     #[test]
     fn zero_governor_window_is_rejected() {
-        let result = three_tenant_campaign(GovernorConfig {
-            window: SimDuration::ZERO,
-            ..GovernorConfig::default()
-        });
+        let result = three_tenant_campaign(
+            2,
+            GovernorConfig {
+                window: SimDuration::ZERO,
+                ..GovernorConfig::default()
+            },
+        );
         assert!(matches!(result, Err(FaError::InvalidWorkload(m)) if m.contains("window")));
     }
 
     #[test]
+    fn zero_admission_cap_is_rejected() {
+        let result = three_tenant_campaign(0, GovernorConfig::default());
+        assert!(matches!(result, Err(FaError::InvalidWorkload(m)) if m.contains("max_in_flight")));
+    }
+
+    #[test]
     fn governor_min_budget_above_max_is_rejected() {
-        let result = three_tenant_campaign(GovernorConfig {
-            window: SimDuration::from_us(10),
-            min_budget: 8,
-            max_budget: 2,
-        });
+        let result = three_tenant_campaign(
+            2,
+            GovernorConfig {
+                window: SimDuration::from_us(10),
+                min_budget: 8,
+                max_budget: 2,
+            },
+        );
         assert!(matches!(result, Err(FaError::InvalidWorkload(m)) if m.contains("min_budget")));
     }
 

@@ -1,141 +1,21 @@
-//! Shared helpers for the harness's self-measurement (the `perfbench`
-//! benchmark, the microbenchmarks, and the tests below): a synthetic
-//! dispatch-shaped batch, the old full-rescan readiness walk, the
-//! full-table GC victim scan, and the flash backbone hot-path sweeps —
-//! each rescan kept as the comparison baseline its incremental
-//! replacement is measured and checked against.
+//! Flash backbone hot-path fixtures for the `perfbench` benchmark: the
+//! configured backbone its per-command cost probes submit to, and the
+//! program → read → erase sweeps they time, through the stripe path
+//! (`submit_group`) and the per-command path (`submit_tagged`).
 //!
-//! All consumers must measure the *same* state and the *same* baseline
-//! algorithms, or the benchmark and the microbenchmarks would silently
-//! drift apart — hence one definition here. (The oracle *property tests*
-//! deliberately do not use these helpers: their oracles must stay
-//! independent of the code under test.)
+//! One definition keeps both probes pricing the same device and the
+//! same command stream; the test below checks that the two sweeps leave
+//! identical flash state.
 
 use fa_flash::{
     FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, PhysicalPageAddr,
     QosBudgets,
 };
-use fa_kernel::chain::{ExecutionChain, ScreenRef, ScreenState};
-use fa_kernel::instance::{instantiate_many, InstancePlan};
-use fa_kernel::model::{AppId, Application, ApplicationBuilder, DataSection};
-use fa_platform::lwp::InstructionMix;
 use fa_sim::time::SimTime;
-use flashabacus::config::FlashAbacusConfig;
-use flashabacus::scheduler::SchedulerPolicy;
-use flashabacus::Flashvisor;
 
-/// A synthetic batch totalling roughly `total_screens` screens spread over
-/// 8 instances with dependent microblocks — the shape the ready frontier
-/// has to chew through, without any simulation around it.
-pub fn screen_batch(total_screens: usize) -> Vec<Application> {
-    let instances = 8;
-    let screens_per_microblock = 4;
-    let microblocks = (total_screens / (instances * screens_per_microblock)).max(1);
-    let mix = InstructionMix::new(40_000, 0.4, 0.1);
-    let blocks: Vec<(usize, InstructionMix, u64, u64)> = (0..microblocks)
-        .map(|_| (screens_per_microblock, mix, 4096u64, 512u64))
-        .collect();
-    let template = ApplicationBuilder::new("perf")
-        .kernel(
-            "perf-k0",
-            DataSection {
-                flash_base: 0,
-                input_bytes: 4096 * microblocks as u64,
-                output_bytes: 512 * microblocks as u64,
-            },
-            &blocks,
-        )
-        .build(AppId(0));
-    instantiate_many(
-        &[template],
-        &InstancePlan {
-            instances_per_app: instances,
-            ..Default::default()
-        },
-    )
-}
-
-/// Rebuilds the ready list the way `ExecutionChain::ready_screens` used
-/// to: a walk over every app × kernel × microblock × screen of the batch,
-/// checking eligibility and state as it goes. O(S) per call, O(S²) per
-/// schedule — the baseline the incremental frontier replaces.
-pub fn naive_ready_screens(chain: &ExecutionChain, apps: &[Application]) -> Vec<ScreenRef> {
-    let mut ready = Vec::new();
-    for (ai, app) in apps.iter().enumerate() {
-        for (ki, kernel) in app.kernels.iter().enumerate() {
-            for (mi, mblock) in kernel.microblocks.iter().enumerate() {
-                if !chain.microblock_eligible(ai, ki, mi) {
-                    continue;
-                }
-                for si in 0..mblock.screens.len() {
-                    let r = ScreenRef {
-                        app: ai,
-                        kernel: ki,
-                        microblock: mi,
-                        screen: si,
-                    };
-                    if matches!(chain.state(r), Some(ScreenState::Pending)) {
-                        ready.push(r);
-                    }
-                }
-            }
-        }
-    }
-    ready
-}
-
-/// The head of [`naive_ready_screens`] without materializing the list —
-/// still a full walk past every completed screen before the first pending
-/// one, so a drain through it stays O(S²).
-pub fn naive_ready_first(chain: &ExecutionChain, apps: &[Application]) -> Option<ScreenRef> {
-    for (ai, app) in apps.iter().enumerate() {
-        for (ki, kernel) in app.kernels.iter().enumerate() {
-            for (mi, mblock) in kernel.microblocks.iter().enumerate() {
-                if !chain.microblock_eligible(ai, ki, mi) {
-                    continue;
-                }
-                for si in 0..mblock.screens.len() {
-                    let r = ScreenRef {
-                        app: ai,
-                        kernel: ki,
-                        microblock: mi,
-                        screen: si,
-                    };
-                    if matches!(chain.state(r), Some(ScreenState::Pending)) {
-                        return Some(r);
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Rebuilds one GC pass's victim view the way `Storengine` used to: a
-/// filter over *every* mapped group in the table, per pass — the full
-/// rescan the reverse index replaces.
-pub fn naive_victim_groups(v: &Flashvisor, group_low: u64, group_high: u64) -> Vec<(u64, u64)> {
-    v.mapped_groups()
-        .filter(|(_, pg)| *pg >= group_low && *pg < group_high)
-        .collect()
-}
-
-/// A paper-prototype Flashvisor with the first `groups` logical groups
-/// mapped — the mapping-table population a large campaign reaches, which
-/// the victim-scan test below checks [`naive_victim_groups`] against.
-pub fn populated_flashvisor(groups: u64) -> Flashvisor {
-    let config = FlashAbacusConfig::paper_prototype(SchedulerPolicy::IntraO3);
-    let groups = groups.min(config.total_page_groups());
-    let mut v = Flashvisor::new(config);
-    v.preload_range(0, groups * config.page_group_bytes)
-        .expect("preload within capacity");
-    v
-}
-
-/// A backbone with the PR4/PR5 data-path features a campaign pays for on
-/// every command — per-owner QoS tag budgets and valid-page group
-/// accounting — shared by `perfbench`'s per-command cost metrics and the
-/// `hot_path` microbenchmark so both price the same configuration.
+/// A backbone with the data-path features a campaign pays for on every
+/// command — per-owner QoS tag budgets and valid-page group accounting —
+/// so `perfbench`'s per-command cost metrics price that configuration.
 pub fn hot_path_backbone() -> FlashBackbone {
     let geometry = FlashGeometry {
         channels: 4,
@@ -243,26 +123,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn naive_victim_scan_agrees_with_the_reverse_index() {
-        let v = populated_flashvisor(4096);
-        for block in [0u64, 7, 63] {
-            let (low, high) = v.config().gc_scan_group_range(block);
-            assert_eq!(
-                naive_victim_groups(&v, low, high),
-                v.victim_groups(low, high)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_has_roughly_the_requested_screen_count() {
-        let apps = screen_batch(1024);
-        let chain = ExecutionChain::new(&apps);
-        assert_eq!(chain.total_screens(), 1024);
-        assert_eq!(apps.len(), 8);
-    }
-
-    #[test]
     fn group_and_tagged_hot_path_sweeps_leave_identical_flash_state() {
         let mut group = hot_path_backbone();
         let (commands, group_done) = hot_path_sweep(&mut group, SimTime::ZERO);
@@ -303,21 +163,5 @@ mod tests {
             group.read_latency_quantiles(kernel, &qs),
             tagged.read_latency_quantiles(kernel, &qs)
         );
-    }
-
-    #[test]
-    fn naive_walk_agrees_with_the_frontier() {
-        let apps = screen_batch(128);
-        let mut chain = ExecutionChain::new(&apps);
-        let mut t = 0u64;
-        loop {
-            assert_eq!(naive_ready_screens(&chain, &apps), chain.ready_screens());
-            assert_eq!(naive_ready_first(&chain, &apps), chain.first_ready());
-            let Some(s) = chain.first_ready() else { break };
-            chain.mark_running(s, 0);
-            t += 10;
-            chain.mark_done(s, fa_sim::time::SimTime::from_us(t));
-        }
-        assert!(chain.is_complete());
     }
 }

@@ -77,7 +77,7 @@ impl ExperimentScale {
         ExperimentScale { data_scale }
     }
 
-    /// A coarser scale for unit tests and Criterion benches.
+    /// A coarser scale for unit tests.
     pub fn quick() -> Self {
         ExperimentScale { data_scale: 128 }
     }

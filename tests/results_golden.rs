@@ -7,9 +7,11 @@
 //! report, byte for byte, against a golden file generated before the
 //! refactor, and additionally checks that the rendering is identical when
 //! the campaign is fanned across worker threads. A second golden pins a
-//! churn round driven straight through the write and GC paths, and a third
+//! churn round driven straight through the write and GC paths, a third
 //! the simulated ablations: QoS, storage policy, endurance and open-loop
-//! scale-out.
+//! scale-out, and a fourth the work counts of the campaign's FlashAbacus
+//! runs, so a change that adds flash commands, admission scans, lock
+//! traffic or GC work fails on any machine.
 //!
 //! Regenerate the golden files (only when an *intentional* physics change
 //! lands) with:
@@ -20,88 +22,29 @@
 use fa_bench::experiments::endurance::endurance_grid;
 use fa_bench::experiments::scaleout::{render_scaleout, scaleout_report};
 use fa_bench::experiments::{fig12_cdf, policy_ablation};
+mod common;
+
+use common::{golden_path, read_golden, render, workloads};
 use fa_bench::report::Table;
-use fa_bench::runner::{
-    homogeneous_workload, run_pairs_with_threads, ExperimentScale, UnifiedOutcome,
-};
-use fa_kernel::model::Application;
+use fa_bench::runner::{run_pairs_with_threads, ExperimentScale};
 use fa_platform::mem::Scratchpad;
 use fa_platform::PlatformSpec;
 use fa_sim::time::SimTime;
-use fa_workloads::polybench::PolyBench;
 use flashabacus::config::FlashAbacusConfig;
 use flashabacus::scheduler::SchedulerPolicy;
 use flashabacus::storengine::Storengine;
-use flashabacus::Flashvisor;
-use std::path::PathBuf;
-
-/// The pinned campaign: two homogeneous PolyBench workloads, every system,
-/// at a fixed explicit scale (never read from the environment, so the test
-/// result does not depend on `FA_DATA_SCALE`).
-fn workloads() -> Vec<(String, Vec<Application>)> {
-    let scale = ExperimentScale { data_scale: 512 };
-    vec![
-        (
-            "GEMM".to_string(),
-            homogeneous_workload(PolyBench::Gemm, scale),
-        ),
-        (
-            "ATAX".to_string(),
-            homogeneous_workload(PolyBench::Atax, scale),
-        ),
-    ]
-}
-
-/// Renders the campaign with enough digits that any drift in simulated
-/// physics — an allocation handed out in a different order, a page landing
-/// on a different die, a GC pass running at a different instant — shows up
-/// as a byte difference.
-fn render(outcomes: &[UnifiedOutcome]) -> String {
-    let mut table = Table::new(
-        "Golden campaign: homogeneous GEMM + ATAX at 1/512 scale",
-        &[
-            "Workload",
-            "System",
-            "total_s",
-            "throughput_mb_s",
-            "energy_j",
-            "latency_avg_s",
-            "completions",
-        ],
-    );
-    for out in outcomes {
-        table.row(vec![
-            out.workload.clone(),
-            out.system.label().to_string(),
-            format!("{:.9}", out.total_seconds),
-            format!("{:.6}", out.throughput_mb_s),
-            format!("{:.6}", out.total_energy_j()),
-            format!("{:.9}", out.latency_min_avg_max.1),
-            format!("{}", out.completion_times.len()),
-        ]);
-    }
-    table.render()
-}
+use flashabacus::{FlashAbacusSystem, Flashvisor};
 
 /// Compares `rendered` with `tests/golden/<name>`, or overwrites that file
 /// when `FA_BLESS_GOLDEN` is set.
 fn assert_matches_golden(name: &str, rendered: &str, drift: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(name);
     if std::env::var("FA_BLESS_GOLDEN").is_ok() {
+        let path = golden_path(name);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, rendered).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); bless it first",
-            path.display()
-        )
-    });
-    assert_eq!(rendered, golden, "{drift}");
+    assert_eq!(rendered, read_golden(name), "{drift}");
 }
 
 #[test]
@@ -120,6 +63,74 @@ fn report_is_deterministic_across_thread_counts() {
     let serial = render(&run_pairs_with_threads(&w, 1));
     let parallel = render(&run_pairs_with_threads(&w, 4));
     assert_eq!(serial, parallel, "FA_THREADS=1 vs 4 rendering diverged");
+}
+
+/// The work the small campaign's FlashAbacus runs do, layer by layer:
+/// backbone page commands, controller admission scans, Flashvisor group
+/// reads and writes, range-lock traffic, and Storengine GC and journal
+/// work. Exact counts, independent of the host's speed.
+fn work_counts() -> String {
+    let mut table = Table::new(
+        "Work counts: FlashAbacus runs of the golden campaign",
+        &[
+            "Workload",
+            "Scheduler",
+            "reads",
+            "programs",
+            "erases",
+            "admission_scans",
+            "group_reads",
+            "group_writes",
+            "lock_grants",
+            "lock_denials",
+            "gc_passes",
+            "journal_dumps",
+            "pages_migrated",
+        ],
+    );
+    for (workload, apps) in workloads() {
+        for policy in SchedulerPolicy::all() {
+            let mut system = FlashAbacusSystem::new(FlashAbacusConfig::paper_prototype(policy));
+            let out = system
+                .run(&apps)
+                .unwrap_or_else(|e| panic!("{workload} under {policy:?}: {e}"));
+            let visor = system.flashvisor();
+            let backbone = visor.backbone();
+            let flash = backbone.stats();
+            let admission_scans: u64 = backbone
+                .channel_stats()
+                .iter()
+                .map(|c| c.admission_scans)
+                .sum();
+            let fv = visor.stats();
+            table.row(vec![
+                workload.clone(),
+                policy.label().to_string(),
+                flash.reads.to_string(),
+                flash.programs.to_string(),
+                flash.erases.to_string(),
+                admission_scans.to_string(),
+                fv.group_reads.to_string(),
+                fv.group_writes.to_string(),
+                visor.locks().grants().to_string(),
+                visor.locks().denials().to_string(),
+                out.gc_passes.to_string(),
+                out.journal_dumps.to_string(),
+                system.storengine().stats().pages_migrated.to_string(),
+            ]);
+        }
+    }
+    table.render()
+}
+
+#[test]
+fn work_counts_are_identical_to_golden() {
+    assert_matches_golden(
+        "work_counts.txt",
+        &work_counts(),
+        "work counts drifted from the golden — a layer now does more (or \
+         less) work for the same campaign",
+    );
 }
 
 /// One churn round on a small device, driven straight through Flashvisor
