@@ -3,9 +3,10 @@
 # `bless-golden` is the one audited way to regenerate the
 # results-invariance golden files after an *intentional* physics change:
 # it re-renders the pinned campaign, churn round, simulated ablations and
-# the campaign's work counts, overwrites tests/golden/small_campaign.txt,
-# churn_digest.txt, ablations.txt and work_counts.txt, and prints the
-# resulting diff so the change lands reviewably in the same PR.
+# the work counts of the campaign and the churn round, overwrites
+# tests/golden/small_campaign.txt, churn_digest.txt, ablations.txt and
+# work_counts.txt, and prints the resulting diff so the change lands
+# reviewably in the same PR.
 
 .PHONY: verify bless-golden
 

@@ -281,10 +281,13 @@ impl FlashBackbone {
     /// group` consecutive flat pages form one allocation group, and erases
     /// report the groups whose last programmed page they cleared (see
     /// [`FlashBackbone::take_fully_erased_groups`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any page has been programmed or preloaded already.
     pub fn enable_group_tracking(&mut self, pages_per_group: u64) {
-        let total_groups = self.geometry.total_pages() / pages_per_group.max(1);
         self.valid_index
-            .enable_group_tracking(pages_per_group, total_groups);
+            .enable_group_tracking(&self.geometry, pages_per_group);
     }
 
     /// The backbone geometry.
@@ -373,9 +376,10 @@ impl FlashBackbone {
     /// The recycle/rollback paths key on programmed counts — recycling a
     /// silently page-consumed group would later program it again without an
     /// erase.
-    fn book_scrapped_program(&mut self, block: u64, flat: u64, now_ns: u64) {
+    fn book_scrapped_program(&mut self, addr: PhysicalPageAddr, flat: u64, now_ns: u64) {
+        let block = block_of(&self.geometry, addr);
         self.valid_index.on_program(block, flat, now_ns);
-        self.valid_index.on_invalidate(block, flat);
+        self.valid_index.on_invalidate(block, addr.page, flat);
     }
 
     /// Executes one page command — tag-queue admission at the channel, the
@@ -433,7 +437,7 @@ impl FlashBackbone {
                     }
                     Err(e) => {
                         if matches!(e, FlashError::InjectedProgramFailure(_)) {
-                            self.book_scrapped_program(block, flat, now.as_ns());
+                            self.book_scrapped_program(addr, flat, now.as_ns());
                         }
                         Err(e)
                     }
@@ -562,7 +566,7 @@ impl FlashBackbone {
                 // error.
                 Err(_) => break,
             }
-            self.book_scrapped_program(block_of(&self.geometry, pad), flat, now.as_ns());
+            self.book_scrapped_program(pad, flat, now.as_ns());
         }
     }
 
@@ -583,8 +587,9 @@ impl FlashBackbone {
     /// The range is walked one block row at a time, and within a row one
     /// lane (channel × die block) at a time: each lane receives one
     /// contiguous page run, so the die, the channel's valid-page count, and
-    /// the valid-page index each update once per run rather than once per
-    /// page. The resulting state is exactly that of calling
+    /// the valid-page index's block counters each update once per run
+    /// rather than once per page; its page-group counters update once per
+    /// group the range touches. The resulting state is exactly that of calling
     /// [`FlashBackbone::preload`] on each page in ascending order.
     ///
     /// Every lane's run is checked before anything changes: its first page
@@ -613,9 +618,11 @@ impl FlashBackbone {
             (&self.geometry, &mut self.channels, &mut self.valid_index);
         runs.try_for_each(|addr, flat, n| {
             channels[addr.channel].preload_run(addr, n)?;
-            index.on_program_run(block_of(geometry, addr), flat, runs.lanes, n as u32, 0);
+            index.on_program_run(block_of(geometry, addr), flat, n as u32, 0);
             Ok(())
-        })
+        })?;
+        self.valid_index.on_programmed_range(first_flat, pages);
+        Ok(())
     }
 
     /// Marks a page invalid (mapping-table act; consumes no device time).
@@ -626,6 +633,7 @@ impl FlashBackbone {
         self.channels[addr.channel].invalidate(addr)?;
         self.valid_index.on_invalidate(
             self.geometry.block_index(addr),
+            addr.page,
             self.geometry.addr_to_flat(addr),
         );
         Ok(())
@@ -646,9 +654,10 @@ impl FlashBackbone {
         let mut addr = self.geometry.flat_to_addr(first_flat);
         for flat in first_flat..first_flat + pages {
             match self.channels[addr.channel].invalidate(addr) {
-                Ok(()) => self
-                    .valid_index
-                    .on_invalidate(block_of(&self.geometry, addr), flat),
+                Ok(()) => {
+                    self.valid_index
+                        .on_invalidate(block_of(&self.geometry, addr), addr.page, flat)
+                }
                 // An unwritten trailing page of a partially used group is
                 // benign on this path.
                 Err(FlashError::ReadUnwritten(_)) => {}

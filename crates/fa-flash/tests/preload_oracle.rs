@@ -74,7 +74,7 @@ impl PerPageModel {
         let mut index =
             ValidPageIndex::new(geometry.total_blocks() as usize, geometry.pages_per_block);
         if let Some(ppg) = pages_per_group {
-            index.enable_group_tracking(ppg, geometry.total_pages() / ppg);
+            index.enable_group_tracking(&geometry, ppg);
         }
         PerPageModel {
             geometry,
@@ -104,6 +104,7 @@ impl PerPageModel {
             .expect("model invalidate");
         self.index.on_invalidate(
             self.geometry.block_index(addr),
+            addr.page,
             self.geometry.addr_to_flat(addr),
         );
     }

@@ -10,8 +10,8 @@
 //! churn round driven straight through the write and GC paths, a third
 //! the simulated ablations: QoS, storage policy, endurance and open-loop
 //! scale-out, and a fourth the work counts of the campaign's FlashAbacus
-//! runs, so a change that adds flash commands, admission scans, lock
-//! traffic or GC work fails on any machine.
+//! runs and of the churn round, so a change that adds flash commands,
+//! admission scans, lock traffic or GC work fails on any machine.
 //!
 //! Regenerate the golden files (only when an *intentional* physics change
 //! lands) with:
@@ -27,6 +27,7 @@ mod common;
 use common::{golden_path, read_golden, render, workloads};
 use fa_bench::report::Table;
 use fa_bench::runner::{run_pairs_with_threads, ExperimentScale};
+use fa_flash::FlashBackbone;
 use fa_platform::mem::Scratchpad;
 use fa_platform::PlatformSpec;
 use fa_sim::time::SimTime;
@@ -68,7 +69,8 @@ fn report_is_deterministic_across_thread_counts() {
 /// The work the small campaign's FlashAbacus runs do, layer by layer:
 /// backbone page commands, controller admission scans, Flashvisor group
 /// reads and writes, range-lock traffic, and Storengine GC and journal
-/// work. Exact counts, independent of the host's speed.
+/// work; then the same layers' work in the churn round, where GC and
+/// erases run. Exact counts, independent of the host's speed.
 fn work_counts() -> String {
     let mut table = Table::new(
         "Work counts: FlashAbacus runs of the golden campaign",
@@ -97,11 +99,6 @@ fn work_counts() -> String {
             let visor = system.flashvisor();
             let backbone = visor.backbone();
             let flash = backbone.stats();
-            let admission_scans: u64 = backbone
-                .channel_stats()
-                .iter()
-                .map(|c| c.admission_scans)
-                .sum();
             let fv = visor.stats();
             table.row(vec![
                 workload.clone(),
@@ -109,7 +106,7 @@ fn work_counts() -> String {
                 flash.reads.to_string(),
                 flash.programs.to_string(),
                 flash.erases.to_string(),
-                admission_scans.to_string(),
+                admission_scans(backbone).to_string(),
                 fv.group_reads.to_string(),
                 fv.group_writes.to_string(),
                 visor.locks().grants().to_string(),
@@ -120,7 +117,46 @@ fn work_counts() -> String {
             ]);
         }
     }
-    table.render()
+    let churn = churn_round();
+    let backbone = churn.visor.backbone();
+    let flash = backbone.stats();
+    let fv = churn.visor.stats();
+    let se = churn.storengine.stats();
+    let mut churn_table = Table::new(
+        "Work counts: the churn round",
+        &[
+            "reads",
+            "programs",
+            "erases",
+            "admission_scans",
+            "group_reads",
+            "group_writes",
+            "gc_passes",
+            "pages_migrated",
+            "groups_reclaimed",
+        ],
+    );
+    churn_table.row(vec![
+        flash.reads.to_string(),
+        flash.programs.to_string(),
+        flash.erases.to_string(),
+        admission_scans(backbone).to_string(),
+        fv.group_reads.to_string(),
+        fv.group_writes.to_string(),
+        churn.gc_passes.to_string(),
+        se.pages_migrated.to_string(),
+        se.groups_reclaimed.to_string(),
+    ]);
+    [table.render(), churn_table.render()].join("\n")
+}
+
+/// Σ tag-queue admission scans over every channel controller.
+fn admission_scans(backbone: &FlashBackbone) -> u64 {
+    backbone
+        .channel_stats()
+        .iter()
+        .map(|c| c.admission_scans)
+        .sum()
 }
 
 #[test]
@@ -133,13 +169,22 @@ fn work_counts_are_identical_to_golden() {
     );
 }
 
+/// The state one churn round leaves behind, for its digest and its work
+/// counts.
+struct ChurnRound {
+    digest: String,
+    visor: Flashvisor,
+    storengine: Storengine,
+    gc_passes: u64,
+}
+
 /// One churn round on a small device, driven straight through Flashvisor
 /// and Storengine: repeated overwrites of a narrow logical window (with
 /// hot/cold separation live) interleaved with GC passes whenever the
 /// allocator runs low. The digest captures every completion instant plus
 /// the full bookkeeping totals, so a single reordered write, migration or
 /// erase diverges the bytes.
-fn churn_digest() -> String {
+fn churn_round() -> ChurnRound {
     let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
     config.gc_low_watermark = 0.88;
     config.hot_overwrite_threshold = Some(3);
@@ -149,6 +194,7 @@ fn churn_digest() -> String {
     let group_bytes = config.page_group_bytes;
     let mut now_us = 1u64;
     let mut digest = String::new();
+    let mut gc_passes = 0u64;
     for round in 0..300u64 {
         let lg = round % 14;
         let groups = 1 + round % 3;
@@ -167,6 +213,7 @@ fn churn_digest() -> String {
             let out = s
                 .collect_garbage(SimTime::from_us(now_us), &mut v)
                 .expect("churn gc");
+            gc_passes += 1;
             digest.push_str(&format!(
                 "gc {} {} {}\n",
                 out.groups_reclaimed,
@@ -194,14 +241,19 @@ fn churn_digest() -> String {
         v.backbone().total_valid_pages(),
         v.free_physical_groups()
     ));
-    digest
+    ChurnRound {
+        digest,
+        visor: v,
+        storengine: s,
+        gc_passes,
+    }
 }
 
 #[test]
 fn churn_round_is_byte_identical_to_golden() {
     assert_matches_golden(
         "churn_digest.txt",
-        &churn_digest(),
+        &churn_round().digest,
         "churn digest drifted from the golden bytes — the write/GC path is \
          no longer reproducing the recorded physics",
     );
