@@ -996,7 +996,7 @@ mod tests {
         use crate::config::FlashAbacusConfig;
         use crate::scheduler::SchedulerPolicy;
         let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::InterDy);
-        let mut system = FlashAbacusSystem::without_env_faults(config);
+        let mut system = FlashAbacusSystem::new(config);
         let plan = ArrivalPlan {
             seed: 1,
             rate_per_s: 20_000.0,

@@ -157,22 +157,10 @@ pub struct FlashAbacusSystem {
 }
 
 impl FlashAbacusSystem {
-    /// Builds a system from its configuration, installing the fault plan
-    /// from `FA_FAULTS` when the variable is set (a malformed spec panics:
-    /// silently ignoring a typo would invalidate the experiment).
+    /// Builds a fault-free system from its configuration. The result
+    /// depends on `config` alone; a fault plan is installed afterwards with
+    /// [`FlashAbacusSystem::install_fault_plan`].
     pub fn new(config: FlashAbacusConfig) -> Self {
-        let mut system = Self::without_env_faults(config);
-        match FaultPlan::from_env() {
-            Ok(Some(plan)) => system.install_fault_plan(Arc::new(plan)),
-            Ok(None) => {}
-            Err(e) => panic!("invalid FA_FAULTS: {e}"),
-        }
-        system
-    }
-
-    /// Builds a system ignoring `FA_FAULTS` (tests and benches that manage
-    /// fault plans programmatically).
-    pub fn without_env_faults(config: FlashAbacusConfig) -> Self {
         let lwp_spec = LwpSpec::from_platform(&config.platform);
         let workers = (0..config.platform.worker_lwps())
             .map(|i| LwpCore::new(i + config.platform.system_lwps, lwp_spec))
@@ -200,6 +188,13 @@ impl FlashAbacusSystem {
             recoveries: 0,
             config,
         }
+    }
+
+    /// An alias of [`FlashAbacusSystem::new`], kept because the benchmark
+    /// package (`perfbench/`) calls it by this name.
+    #[doc(hidden)]
+    pub fn without_env_faults(config: FlashAbacusConfig) -> Self {
+        Self::new(config)
     }
 
     /// Installs an injectable fault plan: per-channel fault state in the
@@ -1436,7 +1431,7 @@ mod tests {
             mapped: Vec<(u64, u64)>,
         }
         let run_faulty = |config: FlashAbacusConfig, apps: &[Application], plan: &FaultPlan| {
-            let mut system = FlashAbacusSystem::without_env_faults(config);
+            let mut system = FlashAbacusSystem::new(config);
             system.install_fault_plan(Arc::new(plan.clone()));
             let out = system.run(apps).expect("faulty run completes");
             let flashvisor = system.flashvisor();
@@ -1481,14 +1476,14 @@ mod tests {
     fn power_loss_recovery_preserves_the_logical_content_and_continues() {
         let apps = small_workload(3, 0.2);
         let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
-        let mut reference = FlashAbacusSystem::without_env_faults(config);
+        let mut reference = FlashAbacusSystem::new(config);
         let ref_out = reference.run(&apps).expect("reference run completes");
         // Crash roughly mid-run: the supercap-backed final dump persists
         // every commit, recovery replays the journal, and the run finishes
         // with the same logical groups mapped as the fault-free reference.
         let crash_ns = ref_out.finished_at.as_ns() / 2;
         let plan = FaultPlan::parse(&format!("power_loss_ns={crash_ns}")).unwrap();
-        let mut crashing = FlashAbacusSystem::without_env_faults(config);
+        let mut crashing = FlashAbacusSystem::new(config);
         crashing.install_fault_plan(Arc::new(plan));
         crashing.run(&apps).expect("crashing run completes");
         assert_eq!(crashing.recoveries(), 1);

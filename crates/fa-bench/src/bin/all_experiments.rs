@@ -4,27 +4,27 @@ use fa_bench::experiments::{
     fig10_throughput, fig11_latency, fig12_cdf, fig13_energy, fig14_utilization, fig15_timeline,
     fig16_bigdata, fig3_motivation, tables, Campaign,
 };
-use fa_bench::runner::{ExperimentScale, SystemKind};
+use fa_bench::runner::{RunSpec, SystemKind};
 use flashabacus::SchedulerPolicy;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let spec = RunSpec::parse(std::env::var_os).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "FlashAbacus reproduction — full evaluation (data scale 1/{})\n",
-        scale.data_scale
+        spec.scale.data_scale
     );
     println!("{}", tables::table1());
     println!("{}", tables::table2());
-    println!("{}", fig3_motivation::report_sensitivity(scale));
-    println!("{}", fig3_motivation::report_breakdown(scale));
+    println!("{}", fig3_motivation::report_sensitivity(spec.scale));
+    println!("{}", fig3_motivation::report_breakdown(spec.scale));
 
-    let homogeneous = Campaign::homogeneous(scale);
-    let heterogeneous = Campaign::heterogeneous(scale);
+    let homogeneous = Campaign::homogeneous(&spec);
+    let heterogeneous = Campaign::heterogeneous(&spec);
     println!("{}", fig10_throughput::report_homogeneous(&homogeneous));
     println!("{}", fig10_throughput::report_heterogeneous(&heterogeneous));
     println!("{}", fig11_latency::report_homogeneous(&homogeneous));
     println!("{}", fig11_latency::report_heterogeneous(&heterogeneous));
-    println!("{}", fig12_cdf::report(scale));
+    println!("{}", fig12_cdf::report(&spec));
     println!("{}", fig13_energy::report_homogeneous(&homogeneous));
     println!("{}", fig13_energy::report_heterogeneous(&heterogeneous));
     println!("{}", fig14_utilization::report_homogeneous(&homogeneous));
@@ -32,9 +32,9 @@ fn main() {
         "{}",
         fig14_utilization::report_heterogeneous(&heterogeneous)
     );
-    println!("{}", fig15_timeline::report(scale));
+    println!("{}", fig15_timeline::report(&spec));
 
-    let bigdata = Campaign::bigdata(scale);
+    let bigdata = Campaign::bigdata(&spec);
     println!("{}", fig16_bigdata::report(&bigdata));
 
     let o3 = SystemKind::FlashAbacus(SchedulerPolicy::IntraO3);

@@ -3,9 +3,9 @@
 //! Three checks, all deterministic:
 //!
 //! 1. **Campaign under faults** — the fig10 homogeneous campaign runs to
-//!    completion with a seeded probabilistic fault plan plus a mid-run
-//!    power loss armed via `FA_FAULTS` (every simulated run absorbs its
-//!    injected failures, crashes once, replays its journal, and
+//!    completion under `FA_FAULTS`, by default a seeded probabilistic
+//!    fault plan plus a mid-run power loss (every simulated run absorbs
+//!    its injected failures, crashes once, replays its journal, and
 //!    finishes).
 //! 2. **Seeded reproducibility** — the GC-pressure workload runs twice
 //!    under the same scripted-plus-probabilistic plan; fault trace,
@@ -14,36 +14,35 @@
 //! 3. **Power-loss replay** — a crash at half the fault-free finish time
 //!    must recover exactly the reference run's logical content.
 //!
-//! Scale via `FA_DATA_SCALE` (CI uses 256). Exits nonzero on any
+//! Checks 2 and 3 install their own plans; `FA_FAULTS` does not reach
+//! them. Scale via `FA_DATA_SCALE` (CI uses 256). Exits nonzero on any
 //! violation.
 
 use fa_bench::experiments::fig12_cdf::{gc_pressure_config, gc_pressure_workload};
 use fa_bench::experiments::{fig10_throughput, Campaign};
-use fa_bench::runner::ExperimentScale;
+use fa_bench::runner::RunSpec;
 use fa_flash::FaultPlan;
 use flashabacus::scheduler::SchedulerPolicy;
 use flashabacus::FlashAbacusSystem;
 use std::sync::Arc;
 
+/// The campaign's fault plan when `FA_FAULTS` is unset.
+const DEFAULT_FAULTS: &str =
+    "seed=23,program=0.00005,erase=0.00002,retire_after=4,power_loss_ns=2000000";
+
 fn main() {
-    // 1. The fig10 campaign with faults and one power loss per run. The
-    // plan is injected through the environment — the same path a user
-    // would take — unless the caller already chose one.
-    if std::env::var("FA_FAULTS").is_err() {
-        std::env::set_var(
-            "FA_FAULTS",
-            "seed=23,program=0.00005,erase=0.00002,retire_after=4,power_loss_ns=2000000",
-        );
-    }
-    let scale = ExperimentScale::from_env();
+    // 1. The fig10 campaign with faults and one power loss per run, under
+    // the caller's plan or the default one.
+    let mut spec = RunSpec::parse(std::env::var_os).unwrap_or_else(|e| panic!("{e}"));
+    let campaign_plan = spec.faults.get_or_insert_with(|| {
+        Arc::new(FaultPlan::parse(DEFAULT_FAULTS).expect("default plan parses"))
+    });
     eprintln!(
-        "fault-smoke: campaign at data scale 1/{} under FA_FAULTS={}",
-        scale.data_scale,
-        std::env::var("FA_FAULTS").unwrap_or_default()
+        "fault-smoke: campaign at data scale 1/{} under {campaign_plan:?}",
+        spec.scale.data_scale
     );
-    let homogeneous = Campaign::homogeneous(scale);
+    let homogeneous = Campaign::homogeneous(&spec);
     println!("{}", fig10_throughput::report_homogeneous(&homogeneous));
-    std::env::remove_var("FA_FAULTS");
 
     // 2. Seeded reproducibility: identical fault trace and end state
     // twice (the PR 8 acceptance criterion, at CI scale).
@@ -54,8 +53,7 @@ fn main() {
     )
     .expect("smoke plan parses");
     let run_faulty = || {
-        let mut system =
-            FlashAbacusSystem::without_env_faults(gc_pressure_config(SchedulerPolicy::InterDy));
+        let mut system = FlashAbacusSystem::new(gc_pressure_config(SchedulerPolicy::InterDy));
         system.install_fault_plan(Arc::new(plan.clone()));
         let out = system.run(&apps).expect("faulty run completes");
         let stats = system.flashvisor().backbone().fault_stats();
@@ -79,12 +77,12 @@ fn main() {
     // 3. Power-loss replay reproduces the fault-free logical content.
     let apps = gc_pressure_workload();
     let config = gc_pressure_config(SchedulerPolicy::InterDy);
-    let mut reference = FlashAbacusSystem::without_env_faults(config);
+    let mut reference = FlashAbacusSystem::new(config);
     let ref_out = reference.run(&apps).expect("reference run completes");
     let crash_ns = ref_out.finished_at.as_ns() / 2;
     let crash_plan =
         FaultPlan::parse(&format!("power_loss_ns={crash_ns}")).expect("crash plan parses");
-    let mut crashing = FlashAbacusSystem::without_env_faults(config);
+    let mut crashing = FlashAbacusSystem::new(config);
     crashing.install_fault_plan(Arc::new(crash_plan));
     crashing.run(&apps).expect("crashing run completes");
     assert_eq!(crashing.recoveries(), 1, "power loss did not fire");

@@ -1,12 +1,12 @@
 //! Regenerates Figures 13a and 13b (energy decomposition normalized to SIMD).
 use fa_bench::experiments::{fig13_energy, Campaign};
-use fa_bench::runner::{ExperimentScale, SystemKind};
+use fa_bench::runner::{RunSpec, SystemKind};
 use flashabacus::SchedulerPolicy;
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let homogeneous = Campaign::homogeneous(scale);
+    let spec = RunSpec::parse(std::env::var_os).unwrap_or_else(|e| panic!("{e}"));
+    let homogeneous = Campaign::homogeneous(&spec);
     println!("{}", fig13_energy::report_homogeneous(&homogeneous));
-    let heterogeneous = Campaign::heterogeneous(scale);
+    let heterogeneous = Campaign::heterogeneous(&spec);
     println!("{}", fig13_energy::report_heterogeneous(&heterogeneous));
     let saving_h = fig13_energy::mean_energy_saving(
         &homogeneous,

@@ -1,11 +1,11 @@
 //! Regenerates Figures 14a and 14b (LWP utilization).
 use fa_bench::experiments::{fig14_utilization, Campaign};
-use fa_bench::runner::ExperimentScale;
+use fa_bench::runner::RunSpec;
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let homogeneous = Campaign::homogeneous(scale);
+    let spec = RunSpec::parse(std::env::var_os).unwrap_or_else(|e| panic!("{e}"));
+    let homogeneous = Campaign::homogeneous(&spec);
     println!("{}", fig14_utilization::report_homogeneous(&homogeneous));
-    let heterogeneous = Campaign::heterogeneous(scale);
+    let heterogeneous = Campaign::heterogeneous(&spec);
     println!(
         "{}",
         fig14_utilization::report_heterogeneous(&heterogeneous)

@@ -5,11 +5,13 @@
 //! cargo run --release -p fa-bench --bin policy_ablation
 //! ```
 //!
-//! `FA_DATA_SCALE` scales the churn depth down for smokes.
+//! `FA_DATA_SCALE` scales the churn depth down for smokes; `FA_FAULTS`
+//! reaches the full-system endurance rows.
 
 use fa_bench::experiments::policy_ablation;
-use fa_bench::runner::ExperimentScale;
+use fa_bench::runner::RunSpec;
 
 fn main() {
-    println!("{}", policy_ablation::report(ExperimentScale::from_env()));
+    let spec = RunSpec::parse(std::env::var_os).unwrap_or_else(|e| panic!("{e}"));
+    println!("{}", policy_ablation::report(&spec));
 }

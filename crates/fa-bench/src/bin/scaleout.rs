@@ -9,18 +9,20 @@
 //! When `FA_ARRIVALS` is set, the binary instead runs that single arrival
 //! plan over the tenant templates (governor on) and prints its stats and
 //! campaign digest — the same spec → same digest, byte for byte.
+//!
+//! Every campaign here runs fault-free: `FA_FAULTS` does not reach them.
 
 use fa_bench::experiments::scaleout::{
     render_scaleout, run_scaleout_campaign, scaleout_report, scaleout_tenants,
 };
-use fa_bench::runner::ExperimentScale;
-use fa_sim::arrivals::ArrivalPlan;
+use fa_bench::runner::RunSpec;
 use fa_workloads::tenants::tenant_templates;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let spec = RunSpec::parse(std::env::var_os).unwrap_or_else(|e| panic!("{e}"));
+    let scale = spec.scale;
 
-    if let Some(plan) = ArrivalPlan::from_env().unwrap_or_else(|e| panic!("bad FA_ARRIVALS: {e}")) {
+    if let Some(plan) = &spec.arrivals {
         let templates = tenant_templates(scale.data_scale);
         assert!(
             plan.templates <= templates.len(),
@@ -32,7 +34,7 @@ fn main() {
             "scaleout: FA_ARRIVALS campaign, {} tenants at {:.0}/s",
             plan.tenants, plan.rate_per_s
         );
-        let report = run_scaleout_campaign(&templates, &plan, true);
+        let report = run_scaleout_campaign(&templates, plan, true);
         println!(
             "arrived {} admitted {} queued {} shed {} completed {} governor_updates {}",
             report.outcome.tenants_arrived,

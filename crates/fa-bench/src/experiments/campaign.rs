@@ -1,14 +1,13 @@
 //! Shared evaluation campaigns.
 //!
-//! Each campaign fans its (workload, system) pairs across worker threads
-//! (`FA_THREADS`, default: available parallelism) through
-//! [`crate::runner::run_pairs`]; results are merged back in serial
-//! iteration order, so every figure and table derived from a campaign is
-//! byte-identical whatever the thread count.
+//! Each campaign fans its (workload, system) pairs across the spec's worker
+//! threads through [`crate::runner::run_pairs`]; results are merged back in
+//! serial iteration order, so every figure and table derived from a
+//! campaign is byte-identical whatever the thread count.
 
 use crate::runner::{
     bigdata_workload, heterogeneous_workload, homogeneous_workload, run_pairs, ExperimentScale,
-    SystemKind, UnifiedOutcome,
+    RunSpec, SystemKind, UnifiedOutcome,
 };
 use fa_kernel::model::Application;
 use fa_workloads::bigdata::bigdata_table;
@@ -26,11 +25,11 @@ pub struct Campaign {
 
 impl Campaign {
     /// Builds a campaign from pre-built workloads by running every
-    /// (workload, system) pair, fanned across the campaign thread pool.
-    fn run(workload_apps: Vec<(String, Vec<Application>)>) -> Campaign {
+    /// (workload, system) pair under `spec`.
+    fn run(spec: &RunSpec, workload_apps: Vec<(String, Vec<Application>)>) -> Campaign {
         let workloads = workload_apps.iter().map(|(n, _)| n.clone()).collect();
         Campaign {
-            outcomes: run_pairs(&workload_apps),
+            outcomes: run_pairs(spec, &workload_apps),
             workloads,
         }
     }
@@ -69,19 +68,19 @@ impl Campaign {
 
     /// Runs the homogeneous campaign of §5.1: six instances of each of the
     /// fourteen PolyBench applications on all five systems.
-    pub fn homogeneous(scale: ExperimentScale) -> Campaign {
-        Self::run(Self::homogeneous_workloads(scale))
+    pub fn homogeneous(spec: &RunSpec) -> Campaign {
+        Self::run(spec, Self::homogeneous_workloads(spec.scale))
     }
 
     /// Runs the heterogeneous campaign of §5.1: MX1–MX14 on all five
     /// systems (24 instances each).
-    pub fn heterogeneous(scale: ExperimentScale) -> Campaign {
-        Self::run(Self::heterogeneous_workloads(scale))
+    pub fn heterogeneous(spec: &RunSpec) -> Campaign {
+        Self::run(spec, Self::heterogeneous_workloads(spec.scale))
     }
 
     /// Runs the graph/big-data campaign of §5.6 on all five systems.
-    pub fn bigdata(scale: ExperimentScale) -> Campaign {
-        Self::run(Self::bigdata_workloads(scale))
+    pub fn bigdata(spec: &RunSpec) -> Campaign {
+        Self::run(spec, Self::bigdata_workloads(spec.scale))
     }
 
     /// Looks up the outcome of one (workload, system) pair.
@@ -106,7 +105,7 @@ mod tests {
 
     #[test]
     fn bigdata_campaign_covers_all_pairs() {
-        let c = Campaign::bigdata(ExperimentScale { data_scale: 512 });
+        let c = Campaign::bigdata(&RunSpec::at(ExperimentScale { data_scale: 512 }));
         assert_eq!(c.workloads.len(), 5);
         assert_eq!(c.outcomes.len(), 5 * 5);
         for w in &c.workloads {

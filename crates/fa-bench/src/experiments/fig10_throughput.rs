@@ -55,15 +55,16 @@ fn render(campaign: &Campaign, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{bigdata_workload, run_on, ExperimentScale, UnifiedOutcome};
+    use crate::runner::{bigdata_workload, run_on, ExperimentScale, RunSpec, UnifiedOutcome};
     use fa_workloads::bigdata::BigDataBench;
 
     /// Builds a one-workload campaign quickly for rendering tests.
     fn tiny_campaign() -> Campaign {
-        let apps = bigdata_workload(BigDataBench::Path, ExperimentScale { data_scale: 1024 });
+        let spec = RunSpec::at(ExperimentScale { data_scale: 1024 });
+        let apps = bigdata_workload(BigDataBench::Path, spec.scale);
         let outcomes: Vec<UnifiedOutcome> = SystemKind::all()
             .iter()
-            .map(|s| run_on(*s, "path", &apps))
+            .map(|s| run_on(&spec, *s, "path", &apps))
             .collect();
         Campaign {
             outcomes,

@@ -50,15 +50,16 @@ fn render(campaign: &Campaign, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{bigdata_workload, run_on, ExperimentScale, UnifiedOutcome};
+    use crate::runner::{bigdata_workload, run_on, ExperimentScale, RunSpec, UnifiedOutcome};
     use fa_workloads::bigdata::BigDataBench;
 
     #[test]
     fn latency_table_normalizes_simd_to_one() {
-        let apps = bigdata_workload(BigDataBench::Nw, ExperimentScale { data_scale: 1024 });
+        let spec = RunSpec::at(ExperimentScale { data_scale: 1024 });
+        let apps = bigdata_workload(BigDataBench::Nw, spec.scale);
         let outcomes: Vec<UnifiedOutcome> = SystemKind::all()
             .iter()
-            .map(|s| run_on(*s, "nw", &apps))
+            .map(|s| run_on(&spec, *s, "nw", &apps))
             .collect();
         let c = Campaign {
             outcomes,

@@ -4,39 +4,38 @@
 //! management synchronous, backgrounded, and backgrounded-with-budget.
 
 use crate::report::Table;
-use crate::runner::{
-    heterogeneous_workload, homogeneous_workload, run_on, ExperimentScale, SystemKind,
-};
+use crate::runner::{heterogeneous_workload, homogeneous_workload, run_on, RunSpec, SystemKind};
 use fa_kernel::instance::{instantiate_many, InstancePlan};
 use fa_kernel::model::Application;
 use fa_sim::time::SimDuration;
 use fa_workloads::polybench::PolyBench;
 use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
-use flashabacus::{FlashAbacusConfig, FlashAbacusSystem, RunOutcome, SchedulerPolicy};
+use flashabacus::{FlashAbacusConfig, RunOutcome, SchedulerPolicy};
 
 /// Renders the Figure 12a CDF (ATAX, homogeneous), the Figure 12b CDF
 /// (MX1, heterogeneous), and the Figure 12c QoS ablation.
-pub fn report(scale: ExperimentScale) -> String {
-    let atax = homogeneous_workload(PolyBench::Atax, scale);
-    let mx1 = heterogeneous_workload(1, scale);
-    let mut out = render_one("Figure 12a: completed kernels over time, ATAX", &atax);
+pub fn report(spec: &RunSpec) -> String {
+    let atax = homogeneous_workload(PolyBench::Atax, spec.scale);
+    let mx1 = heterogeneous_workload(1, spec.scale);
+    let mut out = render_one(spec, "Figure 12a: completed kernels over time, ATAX", &atax);
     out.push('\n');
     out.push_str(&render_one(
+        spec,
         "Figure 12b: completed kernels over time, MX1",
         &mx1,
     ));
     out.push('\n');
-    out.push_str(&qos_ablation_report());
+    out.push_str(&qos_ablation_report(spec));
     out
 }
 
-fn render_one(title: &str, apps: &[fa_kernel::model::Application]) -> String {
+fn render_one(spec: &RunSpec, title: &str, apps: &[Application]) -> String {
     let mut table = Table::new(
         title,
         &["System", "Completion times of successive kernels (s)"],
     );
     for system in SystemKind::all() {
-        let out = run_on(system, title, apps);
+        let out = run_on(spec, system, title, apps);
         let times: Vec<String> = out
             .completion_times
             .iter()
@@ -104,16 +103,17 @@ pub fn qos_ablation_modes() -> [(&'static str, FlashAbacusConfig); 3] {
     ]
 }
 
-/// Runs one ablation mode and returns its outcome.
-pub fn run_qos_mode(config: FlashAbacusConfig, apps: &[Application]) -> RunOutcome {
-    FlashAbacusSystem::new(config)
+/// Runs one ablation mode under `spec`'s fault plan and returns its
+/// outcome.
+pub fn run_qos_mode(spec: &RunSpec, config: FlashAbacusConfig, apps: &[Application]) -> RunOutcome {
+    spec.system(config)
         .run(apps)
         .expect("QoS ablation run completes")
 }
 
 /// Figure 12c: per-kernel flash read-latency quantiles per mode, plus the
 /// foreground-tail summary the QoS budgets exist to protect.
-pub fn qos_ablation_report() -> String {
+pub fn qos_ablation_report(spec: &RunSpec) -> String {
     let apps = gc_pressure_workload();
     let mut per_owner = Table::new(
         "Figure 12c: per-kernel flash read-latency CDF under concurrent GC",
@@ -132,7 +132,7 @@ pub fn qos_ablation_report() -> String {
         &["Mode", "fg read p99 (ms)", "GC passes", "batch finish (ms)"],
     );
     for (label, config) in qos_ablation_modes() {
-        let out = run_qos_mode(config, &apps);
+        let out = run_qos_mode(spec, config, &apps);
         for o in &out.flash_owner_stats {
             if o.reads == 0 {
                 continue;
@@ -163,10 +163,11 @@ pub fn qos_ablation_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentScale;
 
     #[test]
     fn cdf_report_lists_both_workloads_and_all_systems() {
-        let r = report(ExperimentScale { data_scale: 512 });
+        let r = report(&RunSpec::at(ExperimentScale { data_scale: 512 }));
         assert!(r.contains("Figure 12a"));
         assert!(r.contains("Figure 12b"));
         assert!(r.contains("IntraO3"));
@@ -178,8 +179,9 @@ mod tests {
     fn qos_ablation_shows_budgeted_tail_winning() {
         let apps = gc_pressure_workload();
         let [(_, sync), (_, background), (_, budgeted)] = qos_ablation_modes();
-        let bg = run_qos_mode(background, &apps);
-        let capped = run_qos_mode(budgeted, &apps);
+        let spec = RunSpec::at(ExperimentScale::default());
+        let bg = run_qos_mode(&spec, background, &apps);
+        let capped = run_qos_mode(&spec, budgeted, &apps);
         assert!(bg.gc_passes > 0, "watermark never tripped");
         assert!(
             capped.foreground_read_p99_s < bg.foreground_read_p99_s,
@@ -188,7 +190,7 @@ mod tests {
             bg.foreground_read_p99_s
         );
         // The report renders rows for kernels and the GC stream.
-        let r = qos_ablation_report();
+        let r = qos_ablation_report(&spec);
         assert!(r.contains("bg-budgeted"));
         assert!(r.contains("gc"));
         assert!(r.contains("kernel0"));

@@ -70,16 +70,17 @@ pub fn mean_energy_saving(campaign: &Campaign, system: SystemKind) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{bigdata_workload, run_on, ExperimentScale, UnifiedOutcome};
+    use crate::runner::{bigdata_workload, run_on, ExperimentScale, RunSpec, UnifiedOutcome};
     use fa_workloads::bigdata::BigDataBench;
     use flashabacus::SchedulerPolicy;
 
     #[test]
     fn energy_report_normalizes_and_saving_is_positive() {
-        let apps = bigdata_workload(BigDataBench::Bfs, ExperimentScale { data_scale: 1024 });
+        let spec = RunSpec::at(ExperimentScale { data_scale: 1024 });
+        let apps = bigdata_workload(BigDataBench::Bfs, spec.scale);
         let outcomes: Vec<UnifiedOutcome> = SystemKind::all()
             .iter()
-            .map(|s| run_on(*s, "bfs", &apps))
+            .map(|s| run_on(&spec, *s, "bfs", &apps))
             .collect();
         let c = Campaign {
             outcomes,

@@ -38,15 +38,16 @@ fn render(campaign: &Campaign, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{bigdata_workload, run_on, ExperimentScale, UnifiedOutcome};
+    use crate::runner::{bigdata_workload, run_on, ExperimentScale, RunSpec, UnifiedOutcome};
     use fa_workloads::bigdata::BigDataBench;
 
     #[test]
     fn utilization_report_renders_percentages() {
-        let apps = bigdata_workload(BigDataBench::Nn, ExperimentScale { data_scale: 1024 });
+        let spec = RunSpec::at(ExperimentScale { data_scale: 1024 });
+        let apps = bigdata_workload(BigDataBench::Nn, spec.scale);
         let outcomes: Vec<UnifiedOutcome> = SystemKind::all()
             .iter()
-            .map(|s| run_on(*s, "nn", &apps))
+            .map(|s| run_on(&spec, *s, "nn", &apps))
             .collect();
         let c = Campaign {
             outcomes,

@@ -4,7 +4,7 @@
 //! `SIMD` with `IntraO3`.
 
 use crate::report::render_series;
-use crate::runner::{heterogeneous_workload, run_on, ExperimentScale, SystemKind};
+use crate::runner::{heterogeneous_workload, run_on, RunSpec, SystemKind};
 use flashabacus::SchedulerPolicy;
 
 /// Number of points printed per series.
@@ -12,10 +12,11 @@ const POINTS: usize = 40;
 
 /// Renders Figure 15a (busy functional units over time) and Figure 15b
 /// (power over time) for the MX1 heterogeneous workload.
-pub fn report(scale: ExperimentScale) -> String {
-    let apps = heterogeneous_workload(1, scale);
-    let simd = run_on(SystemKind::Simd, "MX1", &apps);
+pub fn report(spec: &RunSpec) -> String {
+    let apps = heterogeneous_workload(1, spec.scale);
+    let simd = run_on(spec, SystemKind::Simd, "MX1", &apps);
     let o3 = run_on(
+        spec,
         SystemKind::FlashAbacus(SchedulerPolicy::IntraO3),
         "MX1",
         &apps,
@@ -67,10 +68,11 @@ fn peak(series: &fa_sim::stats::TimeSeries) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentScale;
 
     #[test]
     fn timeline_report_contains_all_four_series() {
-        let r = report(ExperimentScale { data_scale: 1024 });
+        let r = report(&RunSpec::at(ExperimentScale { data_scale: 1024 }));
         assert!(r.contains("Figure 15a / SIMD"));
         assert!(r.contains("Figure 15a / IntraO3"));
         assert!(r.contains("Figure 15b / SIMD"));

@@ -56,11 +56,11 @@ pub fn report(campaign: &Campaign) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ExperimentScale;
+    use crate::runner::{ExperimentScale, RunSpec};
 
     #[test]
     fn bigdata_report_covers_all_five_apps() {
-        let campaign = Campaign::bigdata(ExperimentScale { data_scale: 1024 });
+        let campaign = Campaign::bigdata(&RunSpec::at(ExperimentScale { data_scale: 1024 }));
         let r = report(&campaign);
         for app in ["bfs", "wc", "nn", "nw", "path"] {
             assert!(r.contains(app), "missing {app}");

@@ -22,7 +22,7 @@
 
 use crate::experiments::fig12_cdf::{gc_pressure_config, gc_pressure_workload};
 use crate::report::Table;
-use crate::runner::ExperimentScale;
+use crate::runner::{ExperimentScale, RunSpec};
 use fa_platform::mem::Scratchpad;
 use fa_platform::PlatformSpec;
 use fa_sim::time::{SimDuration, SimTime};
@@ -30,7 +30,7 @@ use flashabacus::config::FlashAbacusConfig;
 use flashabacus::freespace::PlacementPolicy;
 use flashabacus::scheduler::SchedulerPolicy;
 use flashabacus::storengine::{GcVictimPolicy, Storengine};
-use flashabacus::{FlashAbacusSystem, Flashvisor};
+use flashabacus::Flashvisor;
 
 /// The churn device: 2 channels × 32 blocks × 16 pages of 4 KB, 8 KB
 /// groups → 512 groups in 32 block rows (one reserved for the journal).
@@ -214,9 +214,10 @@ const CHURN_HEADER: [&str; 10] = [
 ];
 
 /// Renders the policy-ablation figure: the churn grid, the hot/cold
-/// ablation, and the full-system endurance rows.
-pub fn report(scale: ExperimentScale) -> String {
-    let rounds = churn_rounds(scale);
+/// ablation, and the full-system endurance rows (run under `spec`'s fault
+/// plan).
+pub fn report(spec: &RunSpec) -> String {
+    let rounds = churn_rounds(spec.scale);
     let grid_outcomes = churn_grid(rounds);
     let mut grid = Table::new(
         format!("Policy ablation: placement × GC victim under {rounds} churn rounds"),
@@ -259,7 +260,8 @@ pub fn report(scale: ExperimentScale) -> String {
     for placement in PlacementPolicy::all() {
         let mut config = gc_pressure_config(SchedulerPolicy::InterDy);
         config.placement = placement;
-        let out = FlashAbacusSystem::new(config)
+        let out = spec
+            .system(config)
             .run(&apps)
             .expect("policy-ablation system run completes");
         system.row(vec![
@@ -387,7 +389,7 @@ mod tests {
 
     #[test]
     fn report_renders_all_sections() {
-        let r = report(ExperimentScale { data_scale: 512 });
+        let r = report(&RunSpec::at(ExperimentScale { data_scale: 512 }));
         assert!(r.contains("Policy ablation"));
         assert!(r.contains("Hot/cold separation"));
         assert!(r.contains("Full-system endurance"));

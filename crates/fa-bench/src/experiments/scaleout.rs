@@ -139,7 +139,7 @@ pub fn run_scaleout_campaign(
     plan: &ArrivalPlan,
     governed: bool,
 ) -> OpenLoopReport {
-    let mut system = FlashAbacusSystem::without_env_faults(scaleout_config());
+    let mut system = FlashAbacusSystem::new(scaleout_config());
     system
         .run_open_loop(templates, plan, &scaleout_bounds(governed))
         .unwrap_or_else(|e| panic!("open-loop campaign failed: {e}"))

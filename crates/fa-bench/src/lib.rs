@@ -6,8 +6,8 @@
 //! collects a unified set of metrics per run, and renders the same rows and
 //! series the paper reports.
 //!
-//! * [`runner`] — the unified "run workload X on system Y" entry point and
-//!   workload builders.
+//! * [`runner`] — the unified "run workload X on system Y" entry point,
+//!   workload builders, and the [`RunSpec`] every run takes its knobs from.
 //! * [`report`] — plain-text table/series rendering shared by all binaries.
 //! * [`experiments`] — one module per table/figure, each returning its
 //!   formatted report (the `src/bin/*` binaries are thin wrappers).
@@ -25,6 +25,6 @@ pub mod report;
 pub mod runner;
 
 pub use runner::{
-    bigdata_workload, campaign_threads, heterogeneous_workload, homogeneous_workload, run_on,
-    run_pairs, run_pairs_with_threads, ExperimentScale, SystemKind, UnifiedOutcome,
+    bigdata_workload, heterogeneous_workload, homogeneous_workload, run_on, run_pairs,
+    ExperimentScale, RunSpec, SystemKind, UnifiedOutcome,
 };

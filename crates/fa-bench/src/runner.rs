@@ -5,19 +5,27 @@
 //! module gives each of them a single entry point that accepts a batch of
 //! application instances and returns the same [`UnifiedOutcome`] record, so
 //! the per-figure modules can treat all five uniformly.
+//!
+//! Every knob of a run arrives as an explicit [`RunSpec`] argument. The
+//! `fa-bench` binaries build it once, from the `FA_*` environment
+//! variables, with [`RunSpec::parse`]; no library function reads the
+//! environment.
 
 use fa_baseline::{BaselineConfig, ConventionalSystem};
 use fa_energy::EnergyBreakdown;
+use fa_flash::FaultPlan;
 use fa_kernel::instance::{instantiate_many, InstancePlan};
 use fa_kernel::model::Application;
+use fa_sim::arrivals::ArrivalPlan;
 use fa_sim::stats::TimeSeries;
 use fa_workloads::bigdata::{bigdata_app, BigDataBench};
 use fa_workloads::mixes::mix_apps;
 use fa_workloads::polybench::{polybench_app, PolyBench};
 use flashabacus::{FlashAbacusConfig, FlashAbacusSystem, SchedulerPolicy};
 use serde::{Deserialize, Serialize};
+use std::ffi::OsString;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The five accelerated systems of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,7 +61,7 @@ impl SystemKind {
 ///
 /// Scaling divides every input size (and therefore instruction count) by
 /// `data_scale`; all ratios the figures depend on are preserved. The
-/// environment variable `FA_DATA_SCALE` overrides the default.
+/// binaries take it from `FA_DATA_SCALE` (see [`RunSpec::parse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// Divisor applied to Table 2's input sizes.
@@ -67,20 +75,109 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// The default scale, unless `FA_DATA_SCALE` overrides it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `FA_DATA_SCALE` is set to anything but a positive integer.
-    pub fn from_env() -> Self {
-        let data_scale = env_knob("FA_DATA_SCALE").unwrap_or(ExperimentScale::default().data_scale);
-        ExperimentScale { data_scale }
-    }
-
     /// A coarser scale for unit tests.
     pub fn quick() -> Self {
         ExperimentScale { data_scale: 128 }
     }
+}
+
+/// Everything a run depends on besides its workload: the data scale, the
+/// campaign thread count, and the fault and arrival plans.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSpec {
+    /// Divisor applied to the paper's input sizes (`FA_DATA_SCALE`).
+    pub scale: ExperimentScale,
+    /// Worker threads a campaign fans its (workload, system) pairs across
+    /// (`FA_THREADS`); 1 runs serially. Results do not depend on it.
+    pub threads: usize,
+    /// Fault plan installed in every FlashAbacus system built through
+    /// [`RunSpec::system`] (`FA_FAULTS`); `None` runs fault-free.
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Open-loop arrival plan for the `scaleout` binary (`FA_ARRIVALS`).
+    pub arrivals: Option<ArrivalPlan>,
+}
+
+impl RunSpec {
+    /// A fault-free spec at `scale`, with no arrival plan, fanned across
+    /// the machine's available parallelism.
+    pub fn at(scale: ExperimentScale) -> Self {
+        RunSpec {
+            scale,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            faults: None,
+            arrivals: None,
+        }
+    }
+
+    /// Builds a spec from the `FA_DATA_SCALE`, `FA_THREADS`, `FA_FAULTS`
+    /// and `FA_ARRIVALS` values `lookup` returns; the binaries pass the
+    /// process environment's `var_os`, tests a fake. An unset variable
+    /// keeps the default of [`RunSpec::at`] with
+    /// [`ExperimentScale::default`].
+    ///
+    /// # Errors
+    ///
+    /// A set variable must hold a valid value: a positive integer for the
+    /// scale and the thread count, a non-empty spec for the plans (see
+    /// [`FaultPlan::parse`] and [`ArrivalPlan::parse`]). Anything else,
+    /// including the empty string and bytes that are not UTF-8, is an
+    /// error naming the variable and the value: falling back to the
+    /// default would run a different experiment than the one asked for.
+    pub fn parse(lookup: impl Fn(&'static str) -> Option<OsString>) -> Result<Self, String> {
+        let mut spec = RunSpec::at(ExperimentScale::default());
+        if let Some(data_scale) = knob(&lookup, "FA_DATA_SCALE", positive)? {
+            spec.scale = ExperimentScale { data_scale };
+        }
+        if let Some(threads) = knob(&lookup, "FA_THREADS", positive)? {
+            spec.threads = threads as usize;
+        }
+        spec.faults = knob(&lookup, "FA_FAULTS", |v| plan(v, FaultPlan::parse))?.map(Arc::new);
+        spec.arrivals = knob(&lookup, "FA_ARRIVALS", |v| plan(v, ArrivalPlan::parse))?;
+        Ok(spec)
+    }
+
+    /// Builds a FlashAbacus system from `config`, with the spec's fault
+    /// plan installed when it has one.
+    pub fn system(&self, config: FlashAbacusConfig) -> FlashAbacusSystem {
+        let mut system = FlashAbacusSystem::new(config);
+        if let Some(plan) = &self.faults {
+            system.install_fault_plan(Arc::clone(plan));
+        }
+        system
+    }
+}
+
+/// Looks `name` up and parses its value: `Ok(None)` when it is unset, an
+/// error naming the variable and the value when it is not UTF-8 or `parse`
+/// rejects it (`parse` returns the reason, phrased to follow the value).
+fn knob<T>(
+    lookup: impl Fn(&'static str) -> Option<OsString>,
+    name: &'static str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let Some(raw) = lookup(name) else {
+        return Ok(None);
+    };
+    let value = raw
+        .to_str()
+        .ok_or_else(|| format!("invalid {name}: {raw:?} is not valid UTF-8"))?;
+    parse(value)
+        .map(Some)
+        .map_err(|reason| format!("invalid {name}: {value:?} {reason}"))
+}
+
+fn positive(value: &str) -> Result<u64, String> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err("is not a positive integer".to_string()),
+    }
+}
+
+fn plan<T>(value: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+    if value.trim().is_empty() {
+        return Err("is empty".to_string());
+    }
+    parse(value).map_err(|e| format!("is not a valid spec: {e}"))
 }
 
 /// Metrics shared by every system, extracted from either a FlashAbacus
@@ -142,14 +239,20 @@ pub fn bigdata_workload(bench: BigDataBench, scale: ExperimentScale) -> Vec<Appl
     )
 }
 
-/// Runs `apps` on `system` and returns the unified outcome.
+/// Runs `apps` on `system` and returns the unified outcome. A FlashAbacus
+/// system runs under `spec`'s fault plan.
 ///
 /// # Panics
 ///
 /// Panics if the FlashAbacus run fails (out of flash space or a scheduler
 /// stall), which indicates a harness configuration error rather than a
 /// measurable result.
-pub fn run_on(system: SystemKind, workload_label: &str, apps: &[Application]) -> UnifiedOutcome {
+pub fn run_on(
+    spec: &RunSpec,
+    system: SystemKind,
+    workload_label: &str,
+    apps: &[Application],
+) -> UnifiedOutcome {
     match system {
         SystemKind::Simd => {
             let mut sys = ConventionalSystem::new(BaselineConfig::paper_baseline());
@@ -168,7 +271,7 @@ pub fn run_on(system: SystemKind, workload_label: &str, apps: &[Application]) ->
             }
         }
         SystemKind::FlashAbacus(policy) => {
-            let mut sys = FlashAbacusSystem::new(FlashAbacusConfig::paper_prototype(policy));
+            let mut sys = spec.system(FlashAbacusConfig::paper_prototype(policy));
             let out = sys
                 .run(apps)
                 .unwrap_or_else(|e| panic!("FlashAbacus run failed on {workload_label}: {e}"));
@@ -188,47 +291,8 @@ pub fn run_on(system: SystemKind, workload_label: &str, apps: &[Application]) ->
     }
 }
 
-/// Parses a positive-integer `FA_*` knob from its raw value: `None` when
-/// the variable is unset, the number when it is a positive integer.
-///
-/// # Panics
-///
-/// Panics naming the variable and the value for anything else (`0`, a
-/// negative number, garbage, the empty string): silently falling back to
-/// the default would run a different experiment than the one asked for.
-fn parse_positive_knob(name: &str, value: Option<&str>) -> Option<u64> {
-    let value = value?;
-    match value.parse() {
-        Ok(n) if n > 0 => Some(n),
-        _ => panic!("invalid {name}: {value:?} is not a positive integer"),
-    }
-}
-
-/// Reads a positive-integer knob from the environment (see
-/// [`parse_positive_knob`]). A value that is not valid Unicode is rejected
-/// too, rather than read as unset.
-fn env_knob(name: &str) -> Option<u64> {
-    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_positive_knob(name, raw.as_deref())
-}
-
-/// Number of worker threads the campaign runner fans (workload, system)
-/// pairs across: the `FA_THREADS` environment variable when set, otherwise
-/// the machine's available parallelism. `FA_THREADS=1` forces a fully
-/// serial run.
-///
-/// # Panics
-///
-/// Panics if `FA_THREADS` is set to anything but a positive integer.
-pub fn campaign_threads() -> usize {
-    match env_knob("FA_THREADS") {
-        Some(n) => n as usize,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-/// Runs every (workload, system) pair of a campaign, fanned across
-/// [`campaign_threads`] worker threads, and returns the outcomes in the
+/// Runs every (workload, system) pair of a campaign under `spec`, fanned
+/// across `spec.threads` worker threads, and returns the outcomes in the
 /// exact order a serial `for workload { for system }` double loop would
 /// produce them.
 ///
@@ -245,29 +309,19 @@ pub fn campaign_threads() -> usize {
 ///
 /// Panics if any run fails (propagated from the worker thread by
 /// `std::thread::scope`), matching [`run_on`]'s contract.
-pub fn run_pairs(workloads: &[(String, Vec<Application>)]) -> Vec<UnifiedOutcome> {
-    run_pairs_with_threads(workloads, campaign_threads())
-}
-
-/// [`run_pairs`] with an explicit thread count (1 = fully serial). Exposed
-/// so tests can compare serial and parallel runs without touching the
-/// `FA_THREADS` environment of the whole process.
-pub fn run_pairs_with_threads(
-    workloads: &[(String, Vec<Application>)],
-    threads: usize,
-) -> Vec<UnifiedOutcome> {
+pub fn run_pairs(spec: &RunSpec, workloads: &[(String, Vec<Application>)]) -> Vec<UnifiedOutcome> {
     let jobs: Vec<(usize, SystemKind)> = workloads
         .iter()
         .enumerate()
         .flat_map(|(wi, _)| SystemKind::all().into_iter().map(move |s| (wi, s)))
         .collect();
-    let threads = threads.min(jobs.len()).max(1);
+    let threads = spec.threads.min(jobs.len()).max(1);
     if threads == 1 {
         return jobs
             .iter()
             .map(|&(wi, system)| {
                 let (label, apps) = &workloads[wi];
-                run_on(system, label, apps)
+                run_on(spec, system, label, apps)
             })
             .collect();
     }
@@ -284,7 +338,7 @@ pub fn run_pairs_with_threads(
                     break;
                 };
                 let (label, apps) = &workloads[wi];
-                let out = run_on(system, label, apps);
+                let out = run_on(spec, system, label, apps);
                 *slots[i].lock().expect("result slot poisoned") = Some(out);
             });
         }
@@ -330,7 +384,7 @@ mod tests {
         let scale = ExperimentScale { data_scale: 512 };
         let apps = homogeneous_workload(PolyBench::Gemm, scale);
         for system in SystemKind::all() {
-            let out = run_on(system, "GEMM", &apps);
+            let out = run_on(&RunSpec::at(scale), system, "GEMM", &apps);
             assert!(out.total_seconds > 0.0, "{}", system.label());
             assert!(out.throughput_mb_s > 0.0, "{}", system.label());
             assert!(out.total_energy_j() > 0.0, "{}", system.label());
@@ -343,8 +397,10 @@ mod tests {
         // The headline claim, checked on a scaled-down ATAX batch.
         let scale = ExperimentScale { data_scale: 256 };
         let apps = homogeneous_workload(PolyBench::Atax, scale);
-        let simd = run_on(SystemKind::Simd, "ATAX", &apps);
+        let spec = RunSpec::at(scale);
+        let simd = run_on(&spec, SystemKind::Simd, "ATAX", &apps);
         let fa = run_on(
+            &spec,
             SystemKind::FlashAbacus(SchedulerPolicy::IntraO3),
             "ATAX",
             &apps,
@@ -363,31 +419,98 @@ mod tests {
         );
     }
 
+    /// A lookup that serves `vars` and reports every other name unset.
+    fn fake_env(vars: Vec<(&'static str, OsString)>) -> impl Fn(&'static str) -> Option<OsString> {
+        move |name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.clone())
+        }
+    }
+
+    const KNOBS: [&str; 4] = ["FA_DATA_SCALE", "FA_THREADS", "FA_FAULTS", "FA_ARRIVALS"];
+
     #[test]
     fn scale_from_env_defaults_to_16() {
-        // The env var is not set during tests.
-        if std::env::var("FA_DATA_SCALE").is_err() {
-            assert_eq!(ExperimentScale::from_env().data_scale, 16);
-        }
+        let spec = RunSpec::parse(fake_env(Vec::new())).unwrap();
+        assert_eq!(spec.scale.data_scale, 16);
+        assert_eq!(
+            spec.threads,
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        );
+        assert_eq!(spec.faults, None);
+        assert_eq!(spec.arrivals, None);
+        assert_eq!(spec, RunSpec::at(ExperimentScale::default()));
     }
 
     #[test]
     fn positive_knob_accepts_unset_and_positive_values() {
-        assert_eq!(parse_positive_knob("FA_DATA_SCALE", None), None);
-        assert_eq!(parse_positive_knob("FA_DATA_SCALE", Some("256")), Some(256));
+        let spec = RunSpec::parse(fake_env(vec![
+            ("FA_DATA_SCALE", "256".into()),
+            ("FA_THREADS", "3".into()),
+            ("FA_FAULTS", "seed=1,program=0.001".into()),
+            ("FA_ARRIVALS", "seed=2,rate=50,tenants=8".into()),
+        ]))
+        .unwrap();
+        assert_eq!(spec.scale.data_scale, 256);
+        assert_eq!(spec.threads, 3);
+        assert_eq!(
+            spec.faults.as_deref(),
+            Some(&FaultPlan::parse("seed=1,program=0.001").unwrap())
+        );
+        assert_eq!(
+            spec.arrivals,
+            Some(ArrivalPlan::parse("seed=2,rate=50,tenants=8").unwrap())
+        );
+        // Each knob on its own leaves the others at their defaults.
+        let only_threads = RunSpec::parse(fake_env(vec![("FA_THREADS", "1".into())])).unwrap();
+        assert_eq!(
+            only_threads,
+            RunSpec {
+                threads: 1,
+                ..RunSpec::at(ExperimentScale::default())
+            }
+        );
     }
 
     #[test]
     fn positive_knob_rejects_zero_negative_garbage_and_empty() {
-        for bad in ["0", "-3", "abc", ""] {
-            let err = std::panic::catch_unwind(|| parse_positive_knob("FA_THREADS", Some(bad)))
-                .expect_err("a bad knob value must panic");
-            let msg = err.downcast_ref::<String>().expect("formatted message");
-            assert_eq!(
-                *msg,
-                format!("invalid FA_THREADS: {bad:?} is not a positive integer")
-            );
+        for name in KNOBS {
+            for bad in ["0", "-3", "abc", "", "  "] {
+                let err = RunSpec::parse(fake_env(vec![(name, bad.into())]))
+                    .expect_err("a bad knob value must be rejected");
+                assert!(
+                    err.starts_with(&format!("invalid {name}: {bad:?} ")),
+                    "{name}={bad:?} gave {err:?}"
+                );
+            }
+            #[cfg(unix)]
+            {
+                use std::os::unix::ffi::OsStringExt;
+                let raw = OsString::from_vec(b"16\xff".to_vec());
+                let err = RunSpec::parse(fake_env(vec![(name, raw.clone())])).unwrap_err();
+                assert_eq!(err, format!("invalid {name}: {raw:?} is not valid UTF-8"));
+            }
         }
+        let err = RunSpec::parse(fake_env(vec![("FA_THREADS", "0".into())])).unwrap_err();
+        assert_eq!(err, "invalid FA_THREADS: \"0\" is not a positive integer");
+        let err =
+            RunSpec::parse(fake_env(vec![("FA_FAULTS", "seed=1,seed=2".into())])).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid FA_FAULTS: \"seed=1,seed=2\" is not a valid spec: \
+             repeated fault spec key \"seed\""
+        );
+    }
+
+    #[test]
+    fn spec_systems_carry_the_fault_plan() {
+        let plan = "power_loss_ns=5000";
+        let spec = RunSpec::parse(fake_env(vec![("FA_FAULTS", plan.into())])).unwrap();
+        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        assert!(spec.system(config).power_loss_clock().armed());
+        let fault_free = RunSpec::at(ExperimentScale::default());
+        assert!(!fault_free.system(config).power_loss_clock().armed());
     }
 
     #[test]
@@ -403,8 +526,18 @@ mod tests {
                 homogeneous_workload(PolyBench::Atax, scale),
             ),
         ];
-        let serial = run_pairs_with_threads(&workloads, 1);
-        let parallel = run_pairs_with_threads(&workloads, 3);
+        let serial_spec = RunSpec {
+            threads: 1,
+            ..RunSpec::at(scale)
+        };
+        let serial = run_pairs(&serial_spec, &workloads);
+        let parallel = run_pairs(
+            &RunSpec {
+                threads: 3,
+                ..serial_spec
+            },
+            &workloads,
+        );
         assert_eq!(serial.len(), 2 * SystemKind::all().len());
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {

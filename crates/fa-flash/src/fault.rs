@@ -157,7 +157,9 @@ impl FaultPlan {
     /// comma-separated `key=value` pairs. Keys: `seed` (u64),
     /// `program`/`erase`/`read_disturb` (probabilities in `[0,1]`),
     /// `retire_after` (u32), `power_loss_ns` (u64), and repeatable
-    /// `script=<op>@c<ch>.d<die>.b<block>.n<nth>` entries.
+    /// `script=<op>@c<ch>.d<die>.b<block>.n<nth>` entries. Every other key
+    /// may appear once: a repeated key is an error naming it, not a silent
+    /// last-one-wins.
     ///
     /// ```
     /// use fa_flash::fault::{FaultOp, FaultPlan};
@@ -173,6 +175,7 @@ impl FaultPlan {
     /// ```
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
+        let mut seen = Vec::new();
         for part in spec.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -181,6 +184,12 @@ impl FaultPlan {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec entry without '=': {part:?}"))?;
+            if key != "script" {
+                if seen.contains(&key) {
+                    return Err(format!("repeated fault spec key {key:?}"));
+                }
+                seen.push(key);
+            }
             let prob = |v: &str| -> Result<u64, String> {
                 let p: f64 = v
                     .parse()
@@ -215,15 +224,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Reads the `FA_FAULTS` environment variable: `Ok(None)` when unset or
-    /// empty, the parsed plan otherwise.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("FA_FAULTS") {
-            Ok(s) if !s.trim().is_empty() => FaultPlan::parse(&s).map(Some),
-            _ => Ok(None),
-        }
-    }
 }
 
 fn parse_scripted(value: &str) -> Result<ScriptedFault, String> {
@@ -244,18 +244,20 @@ fn parse_scripted(value: &str) -> Result<ScriptedFault, String> {
         nth: 1,
     };
     for field in rest.split('.') {
-        let (prefix, digits) = field.split_at(1);
-        let n: u64 = digits
+        let mut chars = field.chars();
+        let prefix = chars.next();
+        let n: u64 = chars
+            .as_str()
             .parse()
             .map_err(|_| format!("bad scripted fault field {field:?} in {value:?}"))?;
         match prefix {
-            "c" => fault.channel = n as usize,
-            "d" => fault.die = n as usize,
-            "b" => fault.block = n as usize,
-            "n" => fault.nth = n.max(1),
-            other => {
+            Some('c') => fault.channel = n as usize,
+            Some('d') => fault.die = n as usize,
+            Some('b') => fault.block = n as usize,
+            Some('n') => fault.nth = n.max(1),
+            _ => {
                 return Err(format!(
-                    "unknown scripted fault field prefix {other:?} in {value:?}"
+                    "unknown scripted fault field prefix in {field:?} of {value:?}"
                 ))
             }
         }
@@ -436,11 +438,36 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs() {
-        assert!(FaultPlan::parse("program").is_err());
-        assert!(FaultPlan::parse("program=2.0").is_err());
-        assert!(FaultPlan::parse("wibble=1").is_err());
-        assert!(FaultPlan::parse("script=program@x9").is_err());
-        assert!(FaultPlan::parse("script=flip@c0.d0.b0.n1").is_err());
+        // (spec, a fragment the error must contain)
+        let cases = [
+            ("program", "without '='"),
+            ("seed=1,erase", "without '='"),
+            ("wibble=1", "unknown fault spec key \"wibble\""),
+            ("seed=1,seed=2", "repeated fault spec key \"seed\""),
+            (
+                "program=0.1,erase=0.1,program=0.2",
+                "repeated fault spec key \"program\"",
+            ),
+            ("program=2.0", "outside [0,1]"),
+            ("erase=-0.5", "outside [0,1]"),
+            ("read_disturb=NaN", "outside [0,1]"),
+            ("program=abc", "bad probability"),
+            ("seed=abc", "bad seed"),
+            ("seed=-1", "bad seed"),
+            ("retire_after=x", "bad retire_after"),
+            ("power_loss_ns=", "bad power_loss_ns"),
+            ("script=program@x9", "unknown scripted fault field prefix"),
+            ("script=flip@c0.d0.b0.n1", "unknown scripted fault op"),
+            ("script=program@", "bad scripted fault field"),
+            ("script=program@é1", "unknown scripted fault field prefix"),
+        ];
+        for (spec, fragment) in cases {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.contains(fragment), "{spec:?} gave {err:?}");
+        }
+        // `script=` is the one repeatable key.
+        let plan = FaultPlan::parse("script=erase@c0.d0.b1.n1,script=erase@c0.d0.b2.n1").unwrap();
+        assert_eq!(plan.scripted.len(), 2);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! An [`ArrivalPlan`] describes *when tenants show up*: a Poisson process
 //! (exponential inter-arrival gaps at a configured mean rate) or a bursty
 //! on/off shape (Poisson arrivals inside fixed-length on-windows separated
-//! by silent off-windows). The plan is parsed from the `FA_ARRIVALS`
-//! environment variable exactly like `FA_FAULTS` parses a fault plan:
-//! comma-separated `key=value` pairs, and a malformed spec is an error
-//! (never silently ignored).
+//! by silent off-windows). [`ArrivalPlan::parse`] reads the same
+//! comma-separated `key=value` grammar as a fault plan; a malformed spec is
+//! an error (never silently ignored). The `fa-bench` binaries feed it the
+//! `FA_ARRIVALS` variable; nothing in this crate reads the environment.
 //!
 //! The whole schedule is precomputed from the seed by
 //! [`ArrivalPlan::schedule`] before the simulation starts, using one
@@ -84,7 +84,8 @@ impl ArrivalPlan {
     /// comma-separated `key=value` pairs. Keys: `seed` (u64), `rate`
     /// (tenants per simulated second, > 0), `tenants` (u32 > 0), `shape`
     /// (`poisson` | `onoff`), `on_ms`/`off_ms` (window lengths for
-    /// `onoff`), `templates` (usize > 0), `start_ns` (u64).
+    /// `onoff`), `templates` (usize > 0), `start_ns` (u64). Each key may
+    /// appear once: a repeated key is an error naming it.
     ///
     /// ```
     /// use fa_sim::arrivals::{ArrivalPlan, ArrivalShape};
@@ -100,6 +101,7 @@ impl ArrivalPlan {
     /// ```
     pub fn parse(spec: &str) -> Result<ArrivalPlan, String> {
         let mut plan = ArrivalPlan::default();
+        let mut seen = Vec::new();
         for part in spec.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -108,6 +110,10 @@ impl ArrivalPlan {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("arrival spec entry without '=': {part:?}"))?;
+            if seen.contains(&key) {
+                return Err(format!("repeated arrival spec key {key:?}"));
+            }
+            seen.push(key);
             match key {
                 "seed" => {
                     plan.seed = value.parse().map_err(|_| format!("bad seed: {value:?}"))?;
@@ -168,15 +174,6 @@ impl ArrivalPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Reads the `FA_ARRIVALS` environment variable: `Ok(None)` when unset
-    /// or empty, the parsed plan otherwise.
-    pub fn from_env() -> Result<Option<ArrivalPlan>, String> {
-        match std::env::var("FA_ARRIVALS") {
-            Ok(s) if !s.trim().is_empty() => ArrivalPlan::parse(&s).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// Precomputes the full arrival schedule from the seed: `tenants`
@@ -295,14 +292,37 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
-        assert!(ArrivalPlan::parse("rate=0").is_err());
-        assert!(ArrivalPlan::parse("rate=abc").is_err());
-        assert!(ArrivalPlan::parse("tenants=0").is_err());
-        assert!(ArrivalPlan::parse("shape=square").is_err());
-        assert!(ArrivalPlan::parse("bogus=1").is_err());
-        assert!(ArrivalPlan::parse("noequals").is_err());
-        assert!(ArrivalPlan::parse("templates=0").is_err());
-        assert!(ArrivalPlan::parse("on_ms=0").is_err());
+        // (spec, a fragment the error must contain)
+        let cases = [
+            ("noequals", "without '='"),
+            ("seed=1,rate", "without '='"),
+            ("bogus=1", "unknown arrival spec key \"bogus\""),
+            ("seed=1,seed=2", "repeated arrival spec key \"seed\""),
+            (
+                "rate=5,tenants=8,rate=6",
+                "repeated arrival spec key \"rate\"",
+            ),
+            ("shape=square", "unknown arrival shape"),
+            ("rate=0", "positive finite"),
+            ("rate=-2", "positive finite"),
+            ("rate=NaN", "positive finite"),
+            ("rate=inf", "positive finite"),
+            ("rate=abc", "bad rate"),
+            ("tenants=0", "tenants must be > 0"),
+            ("tenants=abc", "bad tenants"),
+            ("tenants=-3", "bad tenants"),
+            ("templates=0", "templates must be > 0"),
+            ("templates=x", "bad templates"),
+            ("on_ms=0", "on_ms must be > 0"),
+            ("on_ms=abc", "bad on_ms"),
+            ("off_ms=abc", "bad off_ms"),
+            ("seed=abc", "bad seed"),
+            ("start_ns=-1", "bad start_ns"),
+        ];
+        for (spec, fragment) in cases {
+            let err = ArrivalPlan::parse(spec).expect_err(spec);
+            assert!(err.contains(fragment), "{spec:?} gave {err:?}");
+        }
         // Empty entries are tolerated, like the fault spec.
         assert!(ArrivalPlan::parse("seed=1,,rate=10").is_ok());
     }

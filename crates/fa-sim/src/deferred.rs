@@ -9,10 +9,6 @@
 //! (time, insertion-order) delivery contract as [`EventQueue`], so a driver
 //! can merge its foreground stream and the background stream by comparing
 //! head timestamps.
-//!
-//! [`crate::engine::Engine`] integrates the queue directly: events pushed
-//! through [`crate::engine::Engine::defer`] are delivered by the same
-//! `run` loop, with foreground events winning ties at the same instant.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;

@@ -69,8 +69,6 @@ pub struct EventQueue<E> {
     /// Arena slots whose payload was taken, awaiting reuse.
     free: Vec<u32>,
     next_seq: u64,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -82,34 +80,18 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events, so
-    /// drivers that know their fan-out pay no per-push reallocation.
-    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            arena: Vec::with_capacity(capacity),
+            heap: BinaryHeap::new(),
+            arena: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            pushed: 0,
-            popped: 0,
         }
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        self.arena
-            .reserve(additional.saturating_sub(self.free.len()));
     }
 
     /// Schedules `event` for delivery at `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.arena[slot as usize] = Some(event);
@@ -123,25 +105,9 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, slot });
     }
 
-    /// Schedules a batch of events in one call, reserving space up front.
-    /// Events keep their iteration order as the insertion-order tie-break,
-    /// exactly as if they had been pushed one by one.
-    pub fn schedule_many<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let iter = events.into_iter();
-        let (lower, _) = iter.size_hint();
-        self.heap.reserve(lower);
-        for (at, event) in iter {
-            self.push(at, event);
-        }
-    }
-
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|s| {
-            self.popped += 1;
             let event = self.arena[s.slot as usize]
                 .take()
                 .expect("heap entry references an occupied arena slot");
@@ -163,16 +129,6 @@ impl<E> EventQueue<E> {
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total number of events ever popped.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
     }
 
     /// Drops all pending events.
@@ -209,8 +165,7 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
         q.pop();
         q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 2);
+        assert!(q.is_empty());
         assert!(q.pop().is_none());
     }
 
@@ -223,20 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_many_preserves_insertion_order_tie_break() {
-        let mut q = EventQueue::with_capacity(4);
-        q.schedule_many([
-            (SimTime::from_ns(10), 1u32),
-            (SimTime::from_ns(10), 2),
-            (SimTime::from_ns(5), 3),
-        ]);
-        q.push(SimTime::from_ns(10), 4);
-        let out: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(out, vec![3, 1, 2, 4]);
-        assert_eq!(q.total_pushed(), 4);
-    }
-
-    #[test]
     fn arena_slots_recycle_after_pop() {
         let mut q = EventQueue::new();
         for round in 0..64u64 {
@@ -245,16 +186,5 @@ mod tests {
         }
         // Steady-state churn reuses the freed slot instead of growing.
         assert_eq!(q.arena.len(), 1);
-        assert_eq!(q.total_pushed(), 64);
-    }
-
-    #[test]
-    fn reserve_does_not_disturb_pending_events() {
-        let mut q = EventQueue::with_capacity(1);
-        q.push(SimTime::from_ns(2), "b");
-        q.reserve(64);
-        q.push(SimTime::from_ns(1), "a");
-        assert_eq!(q.pop(), Some((SimTime::from_ns(1), "a")));
-        assert_eq!(q.pop(), Some((SimTime::from_ns(2), "b")));
     }
 }

@@ -5,13 +5,11 @@
 //! state machines advanced by a discrete-event loop. This crate provides the
 //! shared building blocks:
 //!
-//! * [`arrivals`] — seeded open-loop arrival processes (`FA_ARRIVALS`):
-//!   Poisson and bursty on/off tenant-arrival schedules precomputed from
-//!   one seed, so open-loop campaigns replay byte for byte.
+//! * [`arrivals`] — seeded open-loop arrival processes: Poisson and bursty
+//!   on/off tenant-arrival schedules precomputed from one seed, so
+//!   open-loop campaigns replay byte for byte.
 //! * [`time`] — nanosecond-resolution simulated time and durations.
 //! * [`event`] — a generic, deterministic event queue.
-//! * [`engine`] — a small driver that repeatedly pops events and hands them
-//!   to a user-supplied dispatcher.
 //! * [`deferred`] — time-ordered background work (storage management) that
 //!   drivers merge with their foreground completion streams.
 //! * [`crash`] — a one-shot power-loss trigger drivers poll to run the
@@ -40,7 +38,6 @@
 pub mod arrivals;
 pub mod crash;
 pub mod deferred;
-pub mod engine;
 pub mod event;
 pub mod resource;
 pub mod rng;
@@ -50,7 +47,6 @@ pub mod time;
 pub use arrivals::{Arrival, ArrivalPlan, ArrivalShape};
 pub use crash::PowerLossClock;
 pub use deferred::DeferredWorkQueue;
-pub use engine::{Engine, StepOutcome};
 pub use event::EventQueue;
 pub use resource::{FifoServer, SerializedResource};
 pub use rng::DeterministicRng;

@@ -5,11 +5,13 @@
 //! numbers match them.
 
 use fa_bench::experiments::fig12_cdf::{gc_pressure_workload, qos_ablation_modes, run_qos_mode};
+use fa_bench::runner::{ExperimentScale, RunSpec};
 
 fn main() {
+    let spec = RunSpec::at(ExperimentScale::default());
     let apps = gc_pressure_workload();
     for (label, config) in qos_ablation_modes() {
-        let out = run_qos_mode(config, &apps);
+        let out = run_qos_mode(&spec, config, &apps);
         println!(
             "{label:14} gc_passes {:5}  fg read p99 {:.6} ms  batch finish {:.3} ms",
             out.gc_passes,

@@ -10,7 +10,7 @@ use fa_bench::experiments::{
     Campaign,
 };
 use fa_bench::runner::{
-    heterogeneous_workload, homogeneous_workload, run_on, ExperimentScale, SystemKind,
+    heterogeneous_workload, homogeneous_workload, run_on, ExperimentScale, RunSpec, SystemKind,
     UnifiedOutcome,
 };
 use fa_workloads::polybench::PolyBench;
@@ -36,7 +36,7 @@ fn figure_reports_render_from_a_small_campaign() {
     let apps = homogeneous_workload(PolyBench::Mvt, SCALE);
     let outcomes: Vec<UnifiedOutcome> = SystemKind::all()
         .iter()
-        .map(|s| run_on(*s, "MVT", &apps))
+        .map(|s| run_on(&RunSpec::at(SCALE), *s, "MVT", &apps))
         .collect();
     let campaign = Campaign {
         outcomes,
@@ -66,14 +66,15 @@ fn figure_reports_render_from_a_small_campaign() {
 
 #[test]
 fn heterogeneous_mix_runs_across_all_systems() {
-    let apps = heterogeneous_workload(1, ExperimentScale { data_scale: 1024 });
+    let spec = RunSpec::at(ExperimentScale { data_scale: 1024 });
+    let apps = heterogeneous_workload(1, spec.scale);
     assert_eq!(apps.len(), 24);
     for system in [
         SystemKind::Simd,
         SystemKind::FlashAbacus(SchedulerPolicy::InterSt),
         SystemKind::FlashAbacus(SchedulerPolicy::IntraO3),
     ] {
-        let out = run_on(system, "MX1", &apps);
+        let out = run_on(&spec, system, "MX1", &apps);
         assert_eq!(out.completion_times.len(), 24, "{}", system.label());
         assert!(out.throughput_mb_s > 0.0, "{}", system.label());
     }
@@ -81,7 +82,7 @@ fn heterogeneous_mix_runs_across_all_systems() {
 
 #[test]
 fn bigdata_figure_renders_for_all_five_apps() {
-    let campaign = Campaign::bigdata(ExperimentScale { data_scale: 1024 });
+    let campaign = Campaign::bigdata(&RunSpec::at(ExperimentScale { data_scale: 1024 }));
     let report = fig16_bigdata::report(&campaign);
     for app in ["bfs", "wc", "nn", "nw", "path"] {
         assert!(report.contains(app), "missing {app}");

@@ -26,7 +26,7 @@ mod common;
 
 use common::{golden_path, read_golden, render, workloads};
 use fa_bench::report::Table;
-use fa_bench::runner::{run_pairs_with_threads, ExperimentScale};
+use fa_bench::runner::{run_pairs, ExperimentScale, RunSpec};
 use fa_flash::FlashBackbone;
 use fa_platform::mem::Scratchpad;
 use fa_platform::PlatformSpec;
@@ -48,11 +48,20 @@ fn assert_matches_golden(name: &str, rendered: &str, drift: &str) {
     assert_eq!(rendered, read_golden(name), "{drift}");
 }
 
+/// A fault-free, single-threaded spec (the pinned workloads fix their own
+/// scale).
+fn serial() -> RunSpec {
+    RunSpec {
+        threads: 1,
+        ..RunSpec::at(ExperimentScale::default())
+    }
+}
+
 #[test]
 fn default_policy_report_is_byte_identical_to_golden() {
     assert_matches_golden(
         "small_campaign.txt",
-        &render(&run_pairs_with_threads(&workloads(), 1)),
+        &render(&run_pairs(&serial(), &workloads())),
         "campaign report drifted from the golden bytes — the default \
          FirstFree data path is no longer reproducing the recorded physics",
     );
@@ -61,9 +70,15 @@ fn default_policy_report_is_byte_identical_to_golden() {
 #[test]
 fn report_is_deterministic_across_thread_counts() {
     let w = workloads();
-    let serial = render(&run_pairs_with_threads(&w, 1));
-    let parallel = render(&run_pairs_with_threads(&w, 4));
-    assert_eq!(serial, parallel, "FA_THREADS=1 vs 4 rendering diverged");
+    let parallel = RunSpec {
+        threads: 4,
+        ..serial()
+    };
+    assert_eq!(
+        render(&run_pairs(&serial(), &w)),
+        render(&run_pairs(&parallel, &w)),
+        "1 vs 4 threads rendering diverged"
+    );
 }
 
 /// The work the small campaign's FlashAbacus runs do, layer by layer:
@@ -265,7 +280,7 @@ fn churn_round_is_byte_identical_to_golden() {
 /// curve with its governor ablation. All are simulated time at fixed
 /// explicit scales, so any drift is a physics change.
 fn ablations() -> String {
-    let scale = ExperimentScale { data_scale: 256 };
+    let spec = RunSpec::at(ExperimentScale { data_scale: 256 });
     let mut endurance = Table::new(
         "Endurance to death under the seeded wear-out fault plan",
         &[
@@ -292,10 +307,10 @@ fn ablations() -> String {
         ]);
     }
     [
-        fig12_cdf::qos_ablation_report(),
-        policy_ablation::report(scale),
+        fig12_cdf::qos_ablation_report(&spec),
+        policy_ablation::report(&spec),
         endurance.render(),
-        render_scaleout(&scaleout_report(scale)),
+        render_scaleout(&scaleout_report(spec.scale)),
     ]
     .join("\n")
 }

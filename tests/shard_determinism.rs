@@ -9,7 +9,7 @@
 mod common;
 
 use common::{read_golden, render, workloads};
-use fa_bench::runner::run_pairs_with_threads;
+use fa_bench::runner::{run_pairs, ExperimentScale, RunSpec};
 use fa_flash::FaultPlan;
 use fa_kernel::model::Application;
 use flashabacus::config::FlashAbacusConfig;
@@ -22,8 +22,12 @@ fn report_is_byte_identical_for_every_shard_count() {
     let golden = read_golden("small_campaign.txt");
     let w = workloads();
     for threads in [1, 2, 4, 7] {
+        let spec = RunSpec {
+            threads,
+            ..RunSpec::at(ExperimentScale::default())
+        };
         assert_eq!(
-            render(&run_pairs_with_threads(&w, threads)),
+            render(&run_pairs(&spec, &w)),
             golden,
             "campaign report on {threads} threads diverged from the golden bytes"
         );
@@ -38,7 +42,7 @@ fn run_with(
     plan: Option<&Arc<FaultPlan>>,
 ) -> String {
     let config = FlashAbacusConfig::paper_prototype(policy);
-    let mut system = FlashAbacusSystem::without_env_faults(config);
+    let mut system = FlashAbacusSystem::new(config);
     if let Some(plan) = plan {
         system.install_fault_plan(Arc::clone(plan));
     }
