@@ -302,20 +302,29 @@ pub struct OpenLoopReport {
 }
 
 impl OpenLoopReport {
-    /// Selection-based quantile of completed tenants' sojourn times, in
+    /// Nearest-rank quantile of completed tenants' sojourn times, in
     /// seconds; 0 when nothing completed.
     pub fn sojourn_quantile(&self, q: f64) -> f64 {
+        self.sojourn_quantiles([q])[0]
+    }
+
+    /// Several nearest-rank quantiles of completed tenants' sojourn times,
+    /// in seconds, from one collection sorted once; all 0 when nothing
+    /// completed.
+    pub fn sojourn_quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
         let mut sojourns: Vec<SimDuration> = self
             .tenants
             .iter()
             .filter_map(TenantOutcome::sojourn)
             .collect();
         if sojourns.is_empty() {
-            return 0.0;
+            return [0.0; N];
         }
         sojourns.sort_unstable();
-        let idx = ((sojourns.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sojourns[idx].as_secs_f64()
+        qs.map(|q| {
+            let idx = ((sojourns.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+            sojourns[idx].as_secs_f64()
+        })
     }
 
     /// Fraction of *arrived* tenants whose sojourn met `limit` — shed and
@@ -680,9 +689,10 @@ impl FlashAbacusSystem {
             tenants,
             admissions,
         };
-        report.outcome.tenant_sojourn_p50_s = report.sojourn_quantile(0.50);
-        report.outcome.tenant_sojourn_p99_s = report.sojourn_quantile(0.99);
-        report.outcome.tenant_sojourn_p999_s = report.sojourn_quantile(0.999);
+        let [p50, p99, p999] = report.sojourn_quantiles([0.50, 0.99, 0.999]);
+        report.outcome.tenant_sojourn_p50_s = p50;
+        report.outcome.tenant_sojourn_p99_s = p99;
+        report.outcome.tenant_sojourn_p999_s = p999;
         Ok(report)
     }
 
@@ -1045,6 +1055,25 @@ mod tests {
             },
         );
         assert!(matches!(result, Err(FaError::InvalidWorkload(m)) if m.contains("min_budget")));
+    }
+
+    #[test]
+    fn sojourn_quantiles_are_nearest_ranks_of_the_completed_tenants() {
+        let mut report = three_tenant_campaign(2, GovernorConfig::default()).unwrap();
+        let mut sorted: Vec<SimDuration> = report
+            .tenants
+            .iter()
+            .filter_map(TenantOutcome::sojourn)
+            .collect();
+        sorted.sort_unstable();
+        assert_eq!(sorted.len(), 3);
+        let qs = [0.0, 0.5, 0.99, 0.999, 1.0];
+        let want = [0, 1, 2, 2, 2].map(|rank| sorted[rank].as_secs_f64());
+        assert_eq!(report.sojourn_quantiles(qs), want);
+        assert_eq!(report.sojourn_quantile(0.5), want[1]);
+        assert_eq!(report.outcome.tenant_sojourn_p999_s, want[3]);
+        report.tenants.clear();
+        assert_eq!(report.sojourn_quantiles(qs), [0.0; 5]);
     }
 
     #[test]

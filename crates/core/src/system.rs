@@ -35,8 +35,8 @@ use fa_platform::mem::MemorySystem;
 use fa_platform::noc::{Crossbar, MessageQueue, PcieLink};
 use fa_sim::crash::PowerLossClock;
 use fa_sim::deferred::DeferredWorkQueue;
-use fa_sim::stats::TimeSeries;
-use fa_sim::time::{SimDuration, SimTime};
+use fa_sim::stats::{bucketed, timeline_bucket, TimeSeries};
+use fa_sim::time::SimTime;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
@@ -981,28 +981,34 @@ impl FlashAbacusSystem {
         );
         let bucket = timeline_bucket(finished_at);
         let power_timeline = self.energy.power_timeline(finished_at, bucket);
-        let fu_timeline = build_fu_timeline(&self.compute_intervals, finished_at, bucket);
+        // Busy functional units over time (Figure 15a); a run that never
+        // ran has no FU timeline.
+        let fu_timeline = if finished_at == SimTime::ZERO {
+            TimeSeries::new()
+        } else {
+            let busy = self
+                .compute_intervals
+                .iter()
+                .map(|iv| (iv.start, iv.end, iv.busy_fus));
+            bucketed(finished_at, bucket, 0.0, busy)
+        };
 
         // Per-owner flash traffic and read tails, in deterministic owner
         // order (kernels ascending, then GC, journal, unattributed).
         let backbone = self.flashvisor.backbone();
         let flash_owner_stats = backbone
-            .owner_stats()
-            .iter()
-            .map(|(&owner, s)| {
-                let qs = backbone
-                    .read_latency_quantiles(owner, &[0.5, 0.99, 1.0])
-                    .map(|v| v.iter().map(|d| d.as_secs_f64()).collect::<Vec<_>>())
-                    .unwrap_or_else(|| vec![0.0; 3]);
+            .owner_read_tails()
+            .map(|(owner, s, tail)| {
+                let tail = tail.unwrap_or_default();
                 OwnerFlashStats {
                     owner: owner.label(),
                     reads: s.reads,
                     programs: s.programs,
                     erases: s.erases,
                     bytes: s.bytes,
-                    read_p50_s: qs[0],
-                    read_p99_s: qs[1],
-                    read_max_s: qs[2],
+                    read_p50_s: tail.p50.as_secs_f64(),
+                    read_p99_s: tail.p99.as_secs_f64(),
+                    read_max_s: tail.max.as_secs_f64(),
                     peak_channel_tags: s.peak_tags,
                 }
             })
@@ -1066,41 +1072,6 @@ impl FlashAbacusSystem {
     }
 }
 
-/// Chooses a timeline bucket that yields a few hundred samples per run.
-fn timeline_bucket(finished_at: SimTime) -> SimDuration {
-    let target_samples = 400u64;
-    let ns = (finished_at.as_ns() / target_samples).max(1_000);
-    SimDuration::from_ns(ns)
-}
-
-/// Rebuilds the "busy functional units over time" series from the recorded
-/// compute intervals.
-fn build_fu_timeline(
-    intervals: &[ComputeInterval],
-    finished_at: SimTime,
-    bucket: SimDuration,
-) -> TimeSeries {
-    let mut series = TimeSeries::new();
-    if bucket.is_zero() || finished_at == SimTime::ZERO {
-        return series;
-    }
-    let mut cursor = SimTime::ZERO;
-    while cursor <= finished_at {
-        let bucket_end = cursor + bucket;
-        let mut fus = 0.0;
-        for iv in intervals {
-            let s = iv.start.max(cursor);
-            let e = iv.end.min(bucket_end);
-            if e > s {
-                fus += iv.busy_fus * e.saturating_since(s).as_secs_f64() / bucket.as_secs_f64();
-            }
-        }
-        series.record(cursor, fus);
-        cursor = bucket_end;
-    }
-    series
-}
-
 /// Assigns each screen its slice of the kernel's input and output regions.
 /// Slices are laid out in (microblock, screen) order, which mirrors how the
 /// input vectors are partitioned across screens in the paper's FDTD example
@@ -1151,6 +1122,7 @@ mod tests {
     use super::*;
     use fa_flash::OwnerId;
     use fa_kernel::instance::{instantiate_many, InstancePlan};
+    use fa_sim::time::SimDuration;
     use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
 
     fn small_workload(instances: usize, serial_fraction: f64) -> Vec<Application> {

@@ -16,8 +16,8 @@ use crate::ssd::NvmeSsd;
 use fa_energy::{ActivityCategory, Component, EnergyAccountant};
 use fa_kernel::model::Application;
 use fa_platform::noc::PcieLink;
-use fa_sim::stats::TimeSeries;
-use fa_sim::time::{SimDuration, SimTime};
+use fa_sim::stats::{bucketed, timeline_bucket, TimeSeries};
+use fa_sim::time::SimTime;
 
 /// A record of one accelerator compute region (for the FU timeline).
 #[derive(Debug, Clone, Copy)]
@@ -236,7 +236,17 @@ impl ConventionalSystem {
         );
         let bucket = timeline_bucket(finished_at);
         let power_timeline = self.energy.power_timeline(finished_at, bucket);
-        let fu_timeline = build_fu_timeline(&self.compute_intervals, finished_at, bucket);
+        // Busy functional units over time (Figure 15a); a run that never
+        // ran has no FU timeline.
+        let fu_timeline = if finished_at == SimTime::ZERO {
+            TimeSeries::new()
+        } else {
+            let busy = self
+                .compute_intervals
+                .iter()
+                .map(|iv| (iv.start, iv.end, iv.busy_fus));
+            bucketed(finished_at, bucket, 0.0, busy)
+        };
 
         BaselineOutcome {
             finished_at,
@@ -269,44 +279,11 @@ fn scale_kernel(kernel: &fa_kernel::model::Kernel, fraction: f64) -> fa_kernel::
     scaled
 }
 
-/// Chooses a timeline bucket that yields a few hundred samples per run.
-fn timeline_bucket(finished_at: SimTime) -> SimDuration {
-    let target_samples = 400u64;
-    let ns = (finished_at.as_ns() / target_samples).max(1_000);
-    SimDuration::from_ns(ns)
-}
-
-/// Rebuilds the busy-FU timeline from compute intervals.
-fn build_fu_timeline(
-    intervals: &[ComputeInterval],
-    finished_at: SimTime,
-    bucket: SimDuration,
-) -> TimeSeries {
-    let mut series = TimeSeries::new();
-    if bucket.is_zero() || finished_at == SimTime::ZERO {
-        return series;
-    }
-    let mut cursor = SimTime::ZERO;
-    while cursor <= finished_at {
-        let bucket_end = cursor + bucket;
-        let mut fus = 0.0;
-        for iv in intervals {
-            let s = iv.start.max(cursor);
-            let e = iv.end.min(bucket_end);
-            if e > s {
-                fus += iv.busy_fus * e.saturating_since(s).as_secs_f64() / bucket.as_secs_f64();
-            }
-        }
-        series.record(cursor, fus);
-        cursor = bucket_end;
-    }
-    series
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fa_kernel::instance::{instantiate_many, InstancePlan};
+    use fa_sim::time::SimDuration;
     use fa_workloads::polybench::{polybench_app, PolyBench};
     use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
 

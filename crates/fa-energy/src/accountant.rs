@@ -1,7 +1,7 @@
 //! Activity-based energy accounting.
 
 use crate::power::{Component, PowerSpec};
-use fa_sim::stats::TimeSeries;
+use fa_sim::stats::{bucketed, TimeSeries};
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -214,33 +214,13 @@ impl EnergyAccountant {
     /// over `[0, horizon]` — the Figure 15b view. Idle power of registered
     /// components forms the floor; active intervals add on top.
     pub fn power_timeline(&self, horizon: SimTime, bucket: SimDuration) -> TimeSeries {
-        let mut series = TimeSeries::new();
-        if bucket.is_zero() {
-            return series;
-        }
         let idle_floor: f64 = self
             .idle_components
             .iter()
             .map(|(c, n)| self.spec.idle_watts(*c) * *n as f64)
             .sum();
-        let mut cursor = SimTime::ZERO;
-        while cursor <= horizon {
-            let bucket_end = cursor + bucket;
-            let mut watts = idle_floor;
-            for a in &self.activities {
-                // Power contribution proportional to the overlap between the
-                // activity and this bucket.
-                let ov_start = a.start.max(cursor);
-                let ov_end = a.end.min(bucket_end);
-                if ov_end > ov_start {
-                    let overlap = ov_end.saturating_since(ov_start).as_secs_f64();
-                    watts += a.watts * overlap / bucket.as_secs_f64();
-                }
-            }
-            series.record(cursor, watts);
-            cursor = bucket_end;
-        }
-        series
+        let active = self.activities.iter().map(|a| (a.start, a.end, a.watts));
+        bucketed(horizon, bucket, idle_floor, active)
     }
 
     /// The configured power spec.

@@ -12,7 +12,7 @@ use crate::controller::{ChannelController, ChannelStats};
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
-use crate::owner::{OwnerId, OwnerStats, QosBudgets};
+use crate::owner::{nearest_rank, OwnerId, OwnerStats, QosBudgets, ReadTail};
 use crate::timing::FlashTiming;
 use crate::validindex::ValidPageIndex;
 use fa_sim::resource::SerializedResource;
@@ -701,26 +701,58 @@ impl FlashBackbone {
         self.valid_index.take_fully_erased_groups()
     }
 
+    /// Every owner that submitted a command or holds a tag-queue peak, in
+    /// [`OwnerId`] order (kernels ascending, then GC, journal,
+    /// unattributed), with its dense slot and its stats, the channels'
+    /// occupancy peaks folded in. Walks the dense slots directly: no map is
+    /// built per channel or per call.
+    fn owners(&self) -> impl Iterator<Item = (usize, OwnerId, OwnerStats)> + '_ {
+        let slots = self
+            .channels
+            .iter()
+            .map(ChannelController::owner_slots)
+            .fold(self.owner_stats.len(), usize::max);
+        let fixed = OwnerId::DENSE_FIXED.min(slots);
+        (fixed..slots).chain(0..fixed).filter_map(move |oi| {
+            let peak = self.channels.iter().map(|c| c.owner_peak(oi)).max();
+            let peak = peak.unwrap_or(0);
+            if peak == 0 && !self.owner_touched.get(oi).copied().unwrap_or(false) {
+                return None;
+            }
+            let mut stats = self.owner_stats.get(oi).copied().unwrap_or_default();
+            stats.peak_tags = stats.peak_tags.max(peak);
+            Some((oi, OwnerId::from_dense_index(oi), stats))
+        })
+    }
+
     /// Per-owner command counts, payload bytes, read latencies, and peak
     /// channel tag occupancy. Summing the command counts and bytes across
     /// owners reproduces [`FlashBackbone::stats`] exactly (the oracle
     /// property).
     pub fn owner_stats(&self) -> BTreeMap<OwnerId, OwnerStats> {
-        let mut merged: BTreeMap<OwnerId, OwnerStats> = self
-            .owner_stats
-            .iter()
-            .zip(&self.owner_touched)
-            .enumerate()
-            .filter(|&(_, (_, &touched))| touched)
-            .map(|(oi, (&stats, _))| (OwnerId::from_dense_index(oi), stats))
-            .collect();
-        for channel in &self.channels {
-            for (owner, peak) in channel.owner_peak_tags() {
-                let entry = merged.entry(owner).or_default();
-                entry.peak_tags = entry.peak_tags.max(peak);
-            }
-        }
-        merged
+        self.owners()
+            .map(|(_, owner, stats)| (owner, stats))
+            .collect()
+    }
+
+    /// The owners of [`FlashBackbone::owner_stats`], in the same order,
+    /// each with its page-read tail (`None` when it completed no reads) —
+    /// what the run outcome reports per owner. Each tail is found by
+    /// selection in one scratch buffer reused across owners, and equals
+    /// the nearest ranks of a sorted copy.
+    pub fn owner_read_tails(
+        &self,
+    ) -> impl Iterator<Item = (OwnerId, OwnerStats, Option<ReadTail>)> + '_ {
+        let mut scratch = Vec::new();
+        self.owners().map(move |(oi, owner, stats)| {
+            let latencies = self.read_latencies.get(oi).map_or(&[][..], Vec::as_slice);
+            let tail = (!latencies.is_empty()).then(|| {
+                scratch.clear();
+                scratch.extend_from_slice(latencies);
+                ReadTail::select(&mut scratch, stats.read_latency_max_ns)
+            });
+            (owner, stats, tail)
+        })
     }
 
     /// `owner`'s total commands (reads + programs + erases) — equal to
@@ -733,62 +765,27 @@ impl FlashBackbone {
             .map_or(0, OwnerStats::commands)
     }
 
-    /// `owner`'s recorded read latencies, `None` when it completed no reads.
-    fn latencies_of(&self, owner: OwnerId) -> Option<&[u64]> {
-        let latencies = self.read_latencies.get(owner.dense_index())?;
-        if latencies.is_empty() {
-            None
-        } else {
-            Some(latencies)
-        }
-    }
-
-    /// The `q`-quantile (0..=1) of `owner`'s end-to-end page-read
-    /// latencies, or `None` when the owner completed no reads.
-    pub fn read_latency_quantile(&self, owner: OwnerId, q: f64) -> Option<SimDuration> {
-        Self::quantile_of(self.latencies_of(owner)?.to_vec(), q)
-    }
-
-    /// Several quantiles of `owner`'s read latencies from one cloned
-    /// scratch buffer — the run-outcome builder asks for p50/p99/max per
-    /// owner. Each rank is found by selection (`select_nth_unstable`)
-    /// rather than a full sort: the k-th order statistic of a totally
-    /// ordered slice is the same element `sorted[k]` would hold, so the
-    /// reported values are bit-identical while the cost drops from
-    /// O(n log n) to O(n) per quantile.
-    pub fn read_latency_quantiles(&self, owner: OwnerId, qs: &[f64]) -> Option<Vec<SimDuration>> {
-        let mut latencies = self.latencies_of(owner)?.to_vec();
-        Some(
-            qs.iter()
-                .map(|q| {
-                    let rank = ((latencies.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-                    let (_, nth, _) = latencies.select_nth_unstable(rank);
-                    SimDuration::from_ns(*nth)
-                })
-                .collect(),
-        )
-    }
-
-    /// The `q`-quantile of all *foreground* (non-background-owner) read
-    /// latencies — the tail the QoS budgets exist to protect.
+    /// The nearest-rank `q`-quantile of all *foreground*
+    /// (non-background-owner) read latencies — the tail the QoS budgets
+    /// exist to protect. `None` when no foreground read completed.
     pub fn foreground_read_latency_quantile(&self, q: f64) -> Option<SimDuration> {
-        let merged: Vec<u64> = self
-            .read_latencies
-            .iter()
-            .enumerate()
-            .filter(|&(oi, _)| !OwnerId::from_dense_index(oi).is_background())
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect();
-        Self::quantile_of(merged, q)
-    }
-
-    fn quantile_of(mut latencies: Vec<u64>, q: f64) -> Option<SimDuration> {
-        if latencies.is_empty() {
+        let foreground = || {
+            self.read_latencies
+                .iter()
+                .enumerate()
+                .filter(|&(oi, _)| !OwnerId::from_dense_index(oi).is_background())
+                .map(|(_, latencies)| latencies)
+        };
+        let mut merged = Vec::with_capacity(foreground().map(Vec::len).sum());
+        for latencies in foreground() {
+            merged.extend_from_slice(latencies);
+        }
+        if merged.is_empty() {
             return None;
         }
         // Selection, not a sort: identical value to `sorted[rank]` at O(n).
-        let rank = ((latencies.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        let (_, nth, _) = latencies.select_nth_unstable(rank);
+        let rank = nearest_rank(merged.len(), q);
+        let (_, nth, _) = merged.select_nth_unstable(rank);
         Some(SimDuration::from_ns(*nth))
     }
 
@@ -1150,15 +1147,16 @@ mod tests {
             per_owner.values().map(|o| o.bytes).sum::<u64>(),
             totals.srio_bytes
         );
-        // Every owner that read pages has a latency distribution, and its
-        // extrema bracket the recorded quantiles.
-        for &owner in &owners {
-            let stats = per_owner[&owner];
+        // Every owner that read pages has an ordered read tail topped by
+        // its recorded worst read, listed in the owner-stats order.
+        let tails: Vec<_> = b.owner_read_tails().collect();
+        assert!(tails.iter().map(|t| t.0).eq(per_owner.keys().copied()));
+        for (owner, stats, tail) in tails {
+            assert_eq!(stats, per_owner[&owner]);
             assert_eq!(stats.reads, 4, "{owner}");
-            let p0 = b.read_latency_quantile(owner, 0.0).unwrap();
-            let p100 = b.read_latency_quantile(owner, 1.0).unwrap();
-            assert!(p0 <= p100);
-            assert_eq!(p100.as_ns(), stats.read_latency_max_ns);
+            let tail = tail.unwrap();
+            assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.max);
+            assert_eq!(tail.max.as_ns(), stats.read_latency_max_ns);
         }
         // The foreground aggregate covers exactly the two kernels' reads.
         assert!(b.foreground_read_latency_quantile(0.99).is_some());

@@ -185,6 +185,18 @@ impl ChannelController {
             .collect()
     }
 
+    /// Dense owner slots this controller has grown to (see
+    /// [`OwnerId::dense_index`]).
+    pub(crate) fn owner_slots(&self) -> usize {
+        self.owner_peaks.len()
+    }
+
+    /// Peak tag occupancy of the owner in dense slot `oi` (0 if it never
+    /// submitted here).
+    pub(crate) fn owner_peak(&self, oi: usize) -> usize {
+        self.owner_peaks.get(oi).copied().unwrap_or(0)
+    }
+
     /// The channel index this controller serves.
     pub fn index(&self) -> usize {
         self.index

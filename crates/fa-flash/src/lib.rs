@@ -49,7 +49,7 @@ pub use die::{DieStats, FlashDie, PageState};
 pub use error::FlashError;
 pub use fault::{FaultOp, FaultPlan, FaultState, FaultStats, ScriptedFault};
 pub use geometry::{FlashGeometry, PhysicalPageAddr};
-pub use owner::{OwnerId, OwnerStats, QosBudgets};
+pub use owner::{OwnerId, OwnerStats, QosBudgets, ReadTail};
 pub use spec::backbone_spec_table1;
 pub use timing::FlashTiming;
 pub use validindex::ValidPageIndex;

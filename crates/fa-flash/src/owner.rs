@@ -33,6 +33,7 @@
 //! assert_eq!(OwnerId::Kernel(3).label(), "kernel3");
 //! ```
 
+use fa_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -167,6 +168,49 @@ impl OwnerStats {
             self.read_latency_total_ns as f64 / self.reads as f64
         }
     }
+}
+
+/// One owner's end-to-end page-read latency tail: the nearest-rank median,
+/// 99th percentile and maximum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadTail {
+    /// Median read latency.
+    pub p50: SimDuration,
+    /// 99th-percentile read latency.
+    pub p99: SimDuration,
+    /// Worst read latency.
+    pub max: SimDuration,
+}
+
+impl ReadTail {
+    /// Selects the tail of the non-empty `latencies` (nanoseconds, in any
+    /// order; reordered in place) whose maximum is `max_ns`. Two
+    /// selections instead of a sort, and both exact: p99 is the element a
+    /// full sort would put at its rank, and since the p50 rank never
+    /// exceeds the p99 rank (`round((n−1)·0.5) ≤ round((n−1)·0.99)`), the
+    /// p50 element is found among the ones selection left below p99. The
+    /// maximum is the owner's recorded worst read, rank n−1.
+    pub(crate) fn select(latencies: &mut [u64], max_ns: u64) -> ReadTail {
+        let n = latencies.len();
+        let (r50, r99) = (nearest_rank(n, 0.5), nearest_rank(n, 0.99));
+        let (below, &mut p99, _) = latencies.select_nth_unstable(r99);
+        let p50 = if r50 < r99 {
+            *below.select_nth_unstable(r50).1
+        } else {
+            p99
+        };
+        ReadTail {
+            p50: SimDuration::from_ns(p50),
+            p99: SimDuration::from_ns(p99),
+            max: SimDuration::from_ns(max_ns),
+        }
+    }
+}
+
+/// The nearest rank of the `q`-quantile (`0..=1`, clamped) among `n > 0`
+/// ordered samples.
+pub(crate) fn nearest_rank(n: usize, q: f64) -> usize {
+    ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //! no budgets as its die-and-bus service: such a controller admits every
 //! command at its submission instant, so submitting at the model's
 //! admission instant reproduces the dies and the bus exactly.
+//!
+//! Case count defaults to 24 and can be raised via `FA_ORACLE_CASES`.
 
 use fa_flash::{
     ChannelController, FlashError, FlashGeometry, FlashOp, FlashTiming, OwnerId, PhysicalPageAddr,
@@ -25,6 +27,14 @@ use std::collections::{BTreeMap, VecDeque};
 const DIES: usize = 4;
 const BLOCKS: usize = 8;
 const PAGES: usize = 16;
+
+fn oracle_cases() -> u32 {
+    std::env::var("FA_ORACLE_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|v| *v > 0)
+        .unwrap_or(24)
+}
 
 fn geometry() -> FlashGeometry {
     FlashGeometry {
@@ -159,7 +169,7 @@ fn static_budget(mode: usize, depth: usize) -> Option<usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
     #[test]
     fn shared_queue_admission_matches_the_two_queue_model(
