@@ -104,19 +104,24 @@ impl TransferCompletion {
 pub struct Flashvisor {
     config: FlashAbacusConfig,
     backbone: FlashBackbone,
-    /// Logical page group → physical page group, sentinel-encoded:
-    /// `0` = unmapped, `pg + 1` = mapped to `pg`. The zero sentinel lets
-    /// construction take the allocator's zeroed-page path instead of
-    /// writing 8 MB of `None`s per run — untouched table tail pages are
-    /// never faulted in.
-    mapping: Vec<u64>,
+    /// Logical page group → physical page group, one 4-byte entry per
+    /// group like the scratchpad table it models (§4.3), sentinel-encoded:
+    /// `0` = unmapped, `pg + 1` = mapped to `pg` (see [`group_entry`]). The
+    /// zero sentinel lets construction ask the allocator for zeroed memory
+    /// instead of writing a `None` per entry. That is cheap only while the
+    /// allocator hands out fresh pages: once a process has freed a large
+    /// block, glibc raises its mmap threshold and serves later zeroed
+    /// allocations from recycled heap, which it must clear with a memset.
+    /// Construction then pays in proportion to the table's bytes, so the
+    /// entries are 4 bytes rather than 8.
+    mapping: Vec<u32>,
     /// Physical page group → logical page group, maintained alongside
     /// `mapping` so GC can enumerate the groups of one victim block
     /// without walking the whole table. An entry may briefly go stale
     /// (a group recycled externally while still mapped); consumers filter
     /// through `mapping` for the authoritative answer. Sentinel-encoded
     /// like `mapping`: `0` = none, `lg + 1` = logical group `lg`.
-    reverse: Vec<u64>,
+    reverse: Vec<u32>,
     /// Incremental free-group structure and placement policy.
     freespace: FreeSpaceManager,
     /// Overwrites absorbed per *logical* group — the cross-layer metadata
@@ -159,9 +164,35 @@ pub struct Flashvisor {
     stats: FlashvisorStats,
 }
 
+/// The 4-byte mapping-table entry naming page group `group`.
+///
+/// # Panics
+///
+/// Panics if `group + 1` does not fit in a `u32`. [`Flashvisor::new`]
+/// rejects devices with that many groups, so only an out-of-range group
+/// can get here.
+fn group_entry(group: u64) -> u32 {
+    u32::try_from(group + 1).expect("page group index fits a 4-byte mapping entry")
+}
+
+/// The page group a mapping-table entry names, if any.
+fn entry_group(entry: u32) -> Option<u64> {
+    entry.checked_sub(1).map(u64::from)
+}
+
 impl Flashvisor {
     /// Creates a Flashvisor owning a freshly built backbone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has `u32::MAX` page groups or more: the mapping
+    /// table's 4-byte entries could not name them all.
     pub fn new(config: FlashAbacusConfig) -> Self {
+        let total_groups = config.total_page_groups();
+        assert!(
+            total_groups < u64::from(u32::MAX),
+            "{total_groups} page groups exceed the 4-byte mapping entries"
+        );
         let mut backbone = FlashBackbone::new(
             config.flash_geometry,
             config.flash_timing,
@@ -173,7 +204,6 @@ impl Flashvisor {
         // and the per-owner tag budgets both live in the backbone.
         backbone.enable_group_tracking(config.pages_per_group());
         backbone.set_qos_budgets(config.qos.budgets());
-        let total_groups = config.total_page_groups();
         let mut freespace = FreeSpaceManager::new(
             total_groups,
             config.pages_per_group(),
@@ -437,7 +467,7 @@ impl Flashvisor {
     fn logical_slot(&self, logical_group: u64) -> Result<Option<u64>, FaError> {
         self.mapping
             .get(logical_group as usize)
-            .map(|&e| e.checked_sub(1))
+            .map(|&e| entry_group(e))
             .ok_or(FaError::UnmappedAddress(
                 logical_group * self.config.page_group_bytes,
             ))
@@ -520,8 +550,8 @@ impl Flashvisor {
             if self.mapping[lg as usize] != 0 {
                 continue;
             }
-            self.mapping[lg as usize] = pg + 1;
-            self.reverse[pg as usize] = lg + 1;
+            self.mapping[lg as usize] = group_entry(pg);
+            self.reverse[pg as usize] = group_entry(lg);
             // Preloads model data that existed before the run: they must
             // survive journal replay like any committed mapping.
             self.record_commit(lg, pg);
@@ -534,12 +564,17 @@ impl Flashvisor {
     /// Reads the logical byte range `[start, start+len)` of a data section
     /// into DDR3L: translation on the Flashvisor LWP followed by page reads
     /// on the backbone. Returns when the last page arrives.
+    ///
+    /// Each mapping lookup is charged as `flashvisor_request_cycles` of
+    /// Flashvisor time. The scratchpad argument is not used: no result
+    /// reads the scratchpad's bank occupancy, so the lookups no longer
+    /// book it. It stays in the signature so existing callers compile.
     pub fn read_section(
         &mut self,
         now: SimTime,
         start: u64,
         len: u64,
-        scratchpad: &mut Scratchpad,
+        _scratchpad: &mut Scratchpad,
     ) -> Result<TransferCompletion, FaError> {
         if len == 0 {
             return Ok(TransferCompletion {
@@ -554,8 +589,7 @@ impl Flashvisor {
         let mut finished = now;
         let mut cursor = now;
         for lg in first..=last {
-            // Mapping lookup: scratchpad access + Flashvisor cycles.
-            scratchpad.access(cursor, lg * 4, 4);
+            // Mapping lookup: Flashvisor cycles.
             cursor = self.charge_cpu(cursor, self.config.flashvisor_request_cycles);
             self.stats.mapping_lookups += 1;
             let pg = self
@@ -585,13 +619,14 @@ impl Flashvisor {
 
     /// Writes the logical byte range `[start, start+len)` back to flash:
     /// log-structured allocation of new physical groups, page programs, and
-    /// invalidation of any overwritten groups.
+    /// invalidation of any overwritten groups. The scratchpad argument is
+    /// not used (see [`Flashvisor::read_section`]).
     pub fn write_section(
         &mut self,
         now: SimTime,
         start: u64,
         len: u64,
-        scratchpad: &mut Scratchpad,
+        _scratchpad: &mut Scratchpad,
     ) -> Result<TransferCompletion, FaError> {
         if len == 0 {
             return Ok(TransferCompletion {
@@ -606,7 +641,6 @@ impl Flashvisor {
         let mut finished = now;
         let mut cursor = now;
         for lg in first..=last {
-            scratchpad.access(cursor, lg * 4, 4);
             cursor = self.charge_cpu(cursor, self.config.flashvisor_request_cycles);
             self.stats.mapping_lookups += 1;
             // Invalidate the previous location, if any.
@@ -666,8 +700,8 @@ impl Flashvisor {
             if let Some(old) = old {
                 self.release_unmapped_group(old);
             }
-            self.mapping[lg as usize] = pg + 1;
-            self.reverse[pg as usize] = lg + 1;
+            self.mapping[lg as usize] = group_entry(pg);
+            self.reverse[pg as usize] = group_entry(lg);
             self.dirty_mapping_entries += 1;
             self.record_commit(lg, pg);
             self.stats.group_writes += 1;
@@ -684,7 +718,7 @@ impl Flashvisor {
     pub fn physical_group_of(&self, logical_group: u64) -> Option<u64> {
         self.mapping
             .get(logical_group as usize)
-            .and_then(|&e| e.checked_sub(1))
+            .and_then(|&e| entry_group(e))
     }
 
     /// Remaps a logical group to a new physical group (GC migration) and
@@ -692,13 +726,13 @@ impl Flashvisor {
     pub fn remap_group(&mut self, logical_group: u64, new_physical: u64) -> Option<u64> {
         let slot = self.mapping.get_mut(logical_group as usize)?;
         self.dirty_mapping_entries += 1;
-        let old = std::mem::replace(slot, new_physical + 1).checked_sub(1);
+        let old = entry_group(std::mem::replace(slot, group_entry(new_physical)));
         self.record_commit(logical_group, new_physical);
         if let Some(old) = old {
             self.release_unmapped_group(old);
         }
         if let Some(r) = self.reverse.get_mut(new_physical as usize) {
-            *r = logical_group + 1;
+            *r = group_entry(logical_group);
         }
         old
     }
@@ -786,7 +820,7 @@ impl Flashvisor {
     /// The logical group currently mapped to physical group `pg`, filtered
     /// through the forward mapping so stale reverse entries never leak out.
     pub fn logical_group_mapped_to(&self, pg: u64) -> Option<u64> {
-        let lg = self.reverse.get(pg as usize)?.checked_sub(1)?;
+        let lg = entry_group(*self.reverse.get(pg as usize)?)?;
         (self.physical_group_of(lg) == Some(pg)).then_some(lg)
     }
 
@@ -822,7 +856,7 @@ impl Flashvisor {
         self.mapping
             .iter()
             .enumerate()
-            .filter_map(|(lg, &pg)| pg.checked_sub(1).map(|p| (lg as u64, p)))
+            .filter_map(|(lg, &pg)| entry_group(pg).map(|p| (lg as u64, p)))
     }
 
     /// Hands a reclaimed physical group back to the allocator.
@@ -955,16 +989,16 @@ impl Flashvisor {
         }
         for &(lg, pg) in &self.journal_replay_log {
             if let Some(slot) = self.mapping.get_mut(lg as usize) {
-                *slot = pg + 1;
+                *slot = group_entry(pg);
             }
         }
         for r in self.reverse.iter_mut() {
             *r = 0;
         }
         for lg in 0..self.mapping.len() {
-            if let Some(pg) = self.mapping[lg].checked_sub(1) {
+            if let Some(pg) = entry_group(self.mapping[lg]) {
                 if let Some(r) = self.reverse.get_mut(pg as usize) {
-                    *r = lg as u64 + 1;
+                    *r = group_entry(lg as u64);
                 }
             }
         }
@@ -1130,6 +1164,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceed the 4-byte mapping entries")]
+    fn devices_beyond_4_byte_mapping_entries_are_rejected_before_building() {
+        // 2^32 one-page groups: one more than a 4-byte entry can name with
+        // its zero sentinel. The check runs before anything is allocated.
+        let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        config.flash_geometry.blocks_per_plane = 1 << 32;
+        config.flash_geometry.pages_per_block = 1;
+        config.flash_geometry.planes_per_die = 1;
+        config.flash_geometry.packages_per_channel = 1;
+        config.flash_geometry.dies_per_package = 1;
+        config.flash_geometry.channels = 1;
+        config.page_group_bytes = config.flash_geometry.page_bytes as u64;
+        assert_eq!(config.total_page_groups(), 1 << 32);
+        Flashvisor::new(config);
+    }
+
+    #[test]
     fn preload_then_read_round_trips() {
         let (mut v, mut sp) = visor();
         v.preload_range(0, 64 * 1024).unwrap();
@@ -1207,7 +1258,7 @@ mod tests {
             assert_eq!(a.total_valid_pages(), b.total_valid_pages());
             assert_eq!(a.total_valid_pages(), a.recount_valid_pages());
             if placement == PlacementPolicy::LeastWorn {
-                let placed: Vec<u64> = (0..groups)
+                let placed: Vec<u32> = (0..groups)
                     .filter(|lg| !premapped.contains(lg))
                     .map(|lg| merged.mapping[lg as usize])
                     .collect();

@@ -284,7 +284,8 @@ impl FlashBackbone {
     ///
     /// # Panics
     ///
-    /// Panics if any page has been programmed or preloaded already.
+    /// Panics if any page has been programmed or preloaded already, or if
+    /// `pages_per_group` exceeds `u16::MAX`.
     pub fn enable_group_tracking(&mut self, pages_per_group: u64) {
         self.valid_index
             .enable_group_tracking(&self.geometry, pages_per_group);
@@ -820,15 +821,6 @@ impl FlashBackbone {
             .collect()
     }
 
-    /// Returns the number of valid pages in the given block.
-    pub fn valid_pages_in_block(&self, channel: usize, die: usize, block: usize) -> usize {
-        self.channels
-            .get(channel)
-            .and_then(|c| c.die(die))
-            .map(|d| d.valid_pages_in(block))
-            .unwrap_or(0)
-    }
-
     /// Returns the erase count of the given block.
     pub fn erase_count(&self, channel: usize, die: usize, block: usize) -> u64 {
         self.channels
@@ -1035,6 +1027,49 @@ mod tests {
         assert_eq!(b.erase_count(1, 0, 2), 1);
         b.submit(e.finished, FlashCommand::program(addr)).unwrap();
         assert_eq!(b.total_valid_pages(), 1);
+    }
+
+    #[test]
+    fn die_errors_carry_the_commands_address() {
+        // Two dies on each of two channels, so every error below comes from
+        // channel 1, die 1 and would read channel 0, die 0 if a die reported
+        // only its block and page.
+        let geometry = FlashGeometry {
+            packages_per_channel: 2,
+            ..FlashGeometry::tiny_for_tests()
+        };
+        let mut b = FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1);
+        let at = |page| PhysicalPageAddr::new(1, 1, 2, page);
+        let read = b.submit(SimTime::ZERO, FlashCommand::read(at(3)));
+        assert_eq!(read.unwrap_err(), FlashError::ReadUnwritten(at(3)));
+        let skip = b.submit(SimTime::ZERO, FlashCommand::program(at(3)));
+        assert_eq!(
+            skip.unwrap_err(),
+            FlashError::NonSequentialProgram {
+                addr: at(3),
+                expected_page: 0
+            }
+        );
+        b.submit(SimTime::ZERO, FlashCommand::program(at(0)))
+            .unwrap();
+        let again = b.submit(SimTime::ZERO, FlashCommand::program(at(0)));
+        assert_eq!(again.unwrap_err(), FlashError::ProgramWithoutErase(at(0)));
+        assert_eq!(
+            b.invalidate(at(1)).unwrap_err(),
+            FlashError::ReadUnwritten(at(1))
+        );
+        let preload = b.preload_group(geometry.addr_to_flat(at(0)), 1);
+        assert_eq!(preload.unwrap_err(), FlashError::ProgramWithoutErase(at(0)));
+        // Endurance 1: the second erase wears the block out.
+        b.submit(SimTime::ZERO, FlashCommand::erase(at(0))).unwrap();
+        let worn = b.submit(SimTime::ZERO, FlashCommand::erase(at(0)));
+        assert_eq!(
+            worn.unwrap_err(),
+            FlashError::WornOut {
+                addr: at(0),
+                erase_cycles: 2
+            }
+        );
     }
 
     #[test]

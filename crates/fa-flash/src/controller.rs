@@ -106,7 +106,7 @@ impl ChannelController {
             "inbound_tags (channel_tag_queue) must be at least 1"
         );
         let dies = (0..geometry.dies_per_channel())
-            .map(|d| FlashDie::new(geometry, endurance_limit, format!("ch{index}-die{d}")))
+            .map(|d| FlashDie::new(geometry, endurance_limit, index, d))
             .collect();
         ChannelController {
             index,
@@ -504,12 +504,6 @@ impl ChannelController {
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    /// Typical per-command service time for planning purposes: read latency
-    /// plus one page transfer.
-    pub fn nominal_read_service(&self) -> SimDuration {
-        self.timing.read_page + self.timing.page_transfer(self.page_bytes)
     }
 }
 

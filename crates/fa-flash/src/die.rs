@@ -7,11 +7,12 @@
 //! shows up in operation completion times.
 
 use crate::error::FlashError;
-use crate::geometry::FlashGeometry;
+use crate::geometry::{FlashGeometry, PhysicalPageAddr};
 use crate::timing::FlashTiming;
 use fa_sim::resource::{FifoServer, Reservation};
 use fa_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// State of a single flash page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,26 +25,38 @@ pub enum PageState {
     Invalid,
 }
 
-/// Per-block bookkeeping inside a die. The page states themselves live in
-/// the die's single flat `pages` array (one allocation per die, not one
-/// per block — a paper-prototype backbone holds 16 K blocks, and per-block
-/// vectors made die construction malloc-bound and page-state access
-/// pointer-chasing).
+/// Per-block bookkeeping inside a die. Which programmed pages still hold
+/// valid data lives in the die's single flat `valid_bits` bitmap (one
+/// allocation per die, not one per block — a paper-prototype backbone
+/// holds 16 K blocks, and per-block vectors made die construction
+/// malloc-bound).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct BlockState {
     /// Next page index that may legally be programmed (NAND requires
-    /// in-order programming within a block).
+    /// in-order programming within a block). Pages from here on are
+    /// [`PageState::Free`]; pages below it are programmed.
     write_cursor: usize,
     erase_count: u64,
     /// Count of pages currently in [`PageState::Valid`], maintained
     /// incrementally on every program/preload/invalidate/erase so
-    /// valid-page queries never rescan the page array.
+    /// valid-page queries never rescan the bitmap.
     valid: u32,
 }
 
 impl BlockState {
     fn valid_pages(&self) -> usize {
         self.valid as usize
+    }
+}
+
+/// Sets bits `first..first + n` of `words`, one word at a time.
+pub(crate) fn set_bit_run(words: &mut [u64], first: usize, n: usize) {
+    let (mut bit, end) = (first, first + n);
+    while bit < end {
+        let word_end = ((bit | 63) + 1).min(end);
+        // `word_end - bit` is 1..=64 bits, starting at bit `bit & 63`.
+        words[bit >> 6] |= u64::MAX >> (64 - (word_end - bit)) << (bit & 63);
+        bit = word_end;
     }
 }
 
@@ -59,32 +72,69 @@ pub struct DieStats {
 }
 
 /// A single NAND die.
+///
+/// A page's state is not stored as such. A page is [`PageState::Free`]
+/// exactly when it lies at or above its block's write cursor (NAND programs
+/// a block's pages in order, and only an erase moves the cursor back). A
+/// programmed page is [`PageState::Valid`] while its bit is set in
+/// `valid_bits` and [`PageState::Invalid`] once superseded.
 #[derive(Debug, Clone)]
 pub struct FlashDie {
     blocks: Vec<BlockState>,
-    /// Page states for every block, flat: `block * pages_per_block + page`.
-    pages: Vec<PageState>,
+    /// One bit per page, `words_per_block` `u64` words per block: bit `p`
+    /// of block `b`'s words is set while page `p` holds valid data. Bits
+    /// at or above a block's write cursor are always clear.
+    valid_bits: Vec<u64>,
+    words_per_block: usize,
     pages_per_block: usize,
+    /// The die's position on the backbone, carried by every error it
+    /// returns.
+    channel: usize,
+    die: usize,
     endurance_limit: u64,
     server: FifoServer,
     stats: DieStats,
 }
 
 impl FlashDie {
-    /// Creates an all-erased die for the given geometry.
+    /// Creates an all-erased die for the given geometry, sitting at
+    /// position `die` of channel `channel`.
     ///
     /// `endurance_limit` is the number of erase cycles after which the die
     /// reports [`FlashError::WornOut`]; TLC parts are typically rated for a
     /// few thousand cycles.
-    pub fn new(geometry: &FlashGeometry, endurance_limit: u64, name: impl Into<String>) -> Self {
+    pub fn new(geometry: &FlashGeometry, endurance_limit: u64, channel: usize, die: usize) -> Self {
+        let words_per_block = geometry.pages_per_block.div_ceil(64);
         FlashDie {
             blocks: vec![BlockState::default(); geometry.blocks_per_die()],
-            pages: vec![PageState::Free; geometry.blocks_per_die() * geometry.pages_per_block],
+            valid_bits: vec![0; geometry.blocks_per_die() * words_per_block],
+            words_per_block,
             pages_per_block: geometry.pages_per_block,
+            channel,
+            die,
             endurance_limit,
-            server: FifoServer::new(name),
+            server: FifoServer::new(format!("ch{channel}-die{die}")),
             stats: DieStats::default(),
         }
+    }
+
+    /// The full address of `page` of `block` on this die.
+    fn addr(&self, block: usize, page: usize) -> PhysicalPageAddr {
+        PhysicalPageAddr::new(self.channel, self.die, block, page)
+    }
+
+    /// The bitmap words of `block`.
+    fn block_bits(&self, block: usize) -> &[u64] {
+        &self.valid_bits[block * self.words_per_block..(block + 1) * self.words_per_block]
+    }
+
+    fn block_bits_mut(&mut self, block: usize) -> &mut [u64] {
+        &mut self.valid_bits[block * self.words_per_block..(block + 1) * self.words_per_block]
+    }
+
+    /// Whether `page` of in-range `block` holds valid data.
+    fn is_valid(&self, block: usize, page: usize) -> bool {
+        self.block_bits(block)[page >> 6] >> (page & 63) & 1 != 0
     }
 
     /// Number of erase blocks in the die.
@@ -102,7 +152,13 @@ impl FlashDie {
         if block >= self.blocks.len() || page >= self.pages_per_block {
             return None;
         }
-        self.pages.get(block * self.pages_per_block + page).copied()
+        Some(if page >= self.blocks[block].write_cursor {
+            PageState::Free
+        } else if self.is_valid(block, page) {
+            PageState::Valid
+        } else {
+            PageState::Invalid
+        })
     }
 
     /// Number of valid pages in `block`. O(1): the count is maintained
@@ -114,17 +170,17 @@ impl FlashDie {
             .unwrap_or(0)
     }
 
-    /// Brute-force recount of the valid pages in `block` from the page
-    /// states themselves. This is the property-test oracle for the
-    /// incremental count behind [`FlashDie::valid_pages_in`].
+    /// Recount of the valid pages in `block` from the valid bitmap itself
+    /// (a popcount of the block's words). This is the property-test oracle
+    /// for the incremental count behind [`FlashDie::valid_pages_in`].
     pub fn recount_valid_pages_in(&self, block: usize) -> usize {
         if block >= self.blocks.len() {
             return 0;
         }
-        self.pages[block * self.pages_per_block..(block + 1) * self.pages_per_block]
+        self.block_bits(block)
             .iter()
-            .filter(|p| **p == PageState::Valid)
-            .count()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Number of programmed pages in `block` (valid or superseded).
@@ -162,11 +218,24 @@ impl FlashDie {
 
     fn check_block(&self, block: usize, page: usize) -> Result<(), FlashError> {
         if block >= self.blocks.len() || page >= self.pages_per_block {
-            return Err(FlashError::OutOfRange(
-                crate::geometry::PhysicalPageAddr::new(0, 0, block, page),
-            ));
+            return Err(FlashError::OutOfRange(self.addr(block, page)));
         }
         Ok(())
+    }
+
+    /// Checks that `page` of in-range `block` is the block's next free
+    /// page. Pages below the write cursor are programmed and pages from it
+    /// on are free, so the cursor alone says which rule the page breaks.
+    fn check_at_cursor(&self, block: usize, page: usize) -> Result<(), FlashError> {
+        let cursor = self.blocks[block].write_cursor;
+        match page.cmp(&cursor) {
+            Ordering::Equal => Ok(()),
+            Ordering::Less => Err(FlashError::ProgramWithoutErase(self.addr(block, page))),
+            Ordering::Greater => Err(FlashError::NonSequentialProgram {
+                addr: self.addr(block, page),
+                expected_page: cursor,
+            }),
+        }
     }
 
     /// Performs an array read of one page, returning the busy window the
@@ -179,11 +248,8 @@ impl FlashDie {
         timing: &FlashTiming,
     ) -> Result<Reservation, FlashError> {
         self.check_block(block, page)?;
-        let state = self.pages[block * self.pages_per_block + page];
-        if state == PageState::Free {
-            return Err(FlashError::ReadUnwritten(
-                crate::geometry::PhysicalPageAddr::new(0, 0, block, page),
-            ));
+        if page >= self.blocks[block].write_cursor {
+            return Err(FlashError::ReadUnwritten(self.addr(block, page)));
         }
         let res = self.server.serve(now, timing.read_page);
         self.stats.reads += 1;
@@ -199,26 +265,16 @@ impl FlashDie {
         timing: &FlashTiming,
     ) -> Result<Reservation, FlashError> {
         self.check_block(block, page)?;
-        let addr = crate::geometry::PhysicalPageAddr::new(0, 0, block, page);
-        let slot = block * self.pages_per_block + page;
-        let blk = &mut self.blocks[block];
-        if blk.erase_count >= self.endurance_limit {
+        let erase_cycles = self.blocks[block].erase_count;
+        if erase_cycles >= self.endurance_limit {
             return Err(FlashError::WornOut {
-                addr,
-                erase_cycles: blk.erase_count,
+                addr: self.addr(block, page),
+                erase_cycles,
             });
         }
-        match self.pages[slot] {
-            PageState::Free => {}
-            _ => return Err(FlashError::ProgramWithoutErase(addr)),
-        }
-        if page != blk.write_cursor {
-            return Err(FlashError::NonSequentialProgram {
-                addr,
-                expected_page: blk.write_cursor,
-            });
-        }
-        self.pages[slot] = PageState::Valid;
+        self.check_at_cursor(block, page)?;
+        self.valid_bits[block * self.words_per_block + (page >> 6)] |= 1 << (page & 63);
+        let blk = &mut self.blocks[block];
         blk.write_cursor += 1;
         blk.valid += 1;
         let res = self.server.serve(now, timing.program_page);
@@ -247,21 +303,10 @@ impl FlashDie {
         self.check_block(block, first_page)?;
         if first_page + n > self.pages_per_block {
             return Err(FlashError::OutOfRange(
-                crate::geometry::PhysicalPageAddr::new(0, 0, block, self.pages_per_block),
+                self.addr(block, self.pages_per_block),
             ));
         }
-        // Pages below the write cursor are programmed and pages from it on
-        // are free, so the cursor alone says which rule the page breaks.
-        let cursor = self.blocks[block].write_cursor;
-        let addr = crate::geometry::PhysicalPageAddr::new(0, 0, block, first_page);
-        match first_page.cmp(&cursor) {
-            std::cmp::Ordering::Equal => Ok(()),
-            std::cmp::Ordering::Less => Err(FlashError::ProgramWithoutErase(addr)),
-            std::cmp::Ordering::Greater => Err(FlashError::NonSequentialProgram {
-                addr,
-                expected_page: cursor,
-            }),
-        }
+        self.check_at_cursor(block, first_page)
     }
 
     /// Marks the `n` consecutive pages `first_page..first_page + n` of
@@ -282,8 +327,7 @@ impl FlashDie {
         n: usize,
     ) -> Result<(), FlashError> {
         self.check_preload_run(block, first_page, n)?;
-        let slot = block * self.pages_per_block + first_page;
-        self.pages[slot..slot + n].fill(PageState::Valid);
+        set_bit_run(self.block_bits_mut(block), first_page, n);
         let blk = &mut self.blocks[block];
         blk.write_cursor += n;
         blk.valid += n as u32;
@@ -294,13 +338,14 @@ impl FlashDie {
     /// invalidation is a mapping-table act performed by Flashvisor).
     pub fn invalidate_page(&mut self, block: usize, page: usize) -> Result<(), FlashError> {
         self.check_block(block, page)?;
-        let slot = block * self.pages_per_block + page;
-        if self.pages[slot] != PageState::Valid {
-            return Err(FlashError::ReadUnwritten(
-                crate::geometry::PhysicalPageAddr::new(0, 0, block, page),
-            ));
+        // Only programmed pages have their bit set, so the bit alone tells
+        // a valid page from a free or superseded one.
+        let word = &mut self.valid_bits[block * self.words_per_block + (page >> 6)];
+        let bit = 1 << (page & 63);
+        if *word & bit == 0 {
+            return Err(FlashError::ReadUnwritten(self.addr(block, page)));
         }
-        self.pages[slot] = PageState::Invalid;
+        *word &= !bit;
         self.blocks[block].valid -= 1;
         Ok(())
     }
@@ -321,16 +366,16 @@ impl FlashDie {
         timing: &FlashTiming,
     ) -> Result<Reservation, FlashError> {
         self.check_block(block, 0)?;
-        let blk = &mut self.blocks[block];
-        blk.erase_count += 1;
-        if blk.erase_count > self.endurance_limit {
+        self.blocks[block].erase_count += 1;
+        let erase_cycles = self.blocks[block].erase_count;
+        if erase_cycles > self.endurance_limit {
             return Err(FlashError::WornOut {
-                addr: crate::geometry::PhysicalPageAddr::new(0, 0, block, 0),
-                erase_cycles: blk.erase_count,
+                addr: self.addr(block, 0),
+                erase_cycles,
             });
         }
-        self.pages[block * self.pages_per_block..(block + 1) * self.pages_per_block]
-            .fill(PageState::Free);
+        self.block_bits_mut(block).fill(0);
+        let blk = &mut self.blocks[block];
         blk.write_cursor = 0;
         blk.valid = 0;
         let res = self.server.serve(now, timing.erase_block);
@@ -345,7 +390,7 @@ mod tests {
 
     fn die() -> (FlashDie, FlashTiming) {
         (
-            FlashDie::new(&FlashGeometry::tiny_for_tests(), 1000, "die0"),
+            FlashDie::new(&FlashGeometry::tiny_for_tests(), 1000, 0, 0),
             FlashTiming::fast_for_tests(),
         )
     }
@@ -420,7 +465,7 @@ mod tests {
     #[test]
     fn endurance_limit_is_enforced() {
         let g = FlashGeometry::tiny_for_tests();
-        let mut d = FlashDie::new(&g, 2, "short-lived");
+        let mut d = FlashDie::new(&g, 2, 0, 0);
         let t = FlashTiming::fast_for_tests();
         d.erase_block(SimTime::ZERO, 0, &t).unwrap();
         d.erase_block(SimTime::ZERO, 0, &t).unwrap();

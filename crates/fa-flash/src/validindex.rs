@@ -67,6 +67,7 @@
 //! assert_eq!(idx.take_erased_blocks(), vec![0]);
 //! ```
 
+use crate::die::set_bit_run;
 use crate::FlashGeometry;
 
 /// Optional page-group accounting layered over the per-block counters.
@@ -102,10 +103,11 @@ struct GroupTracker {
     /// Bit `p` of block `b`'s words is set while level `p` holds a valid
     /// page.
     valid_bits: Vec<u64>,
-    /// Programmed (not yet erased) pages per group.
-    programmed: Vec<u32>,
+    /// Programmed (not yet erased) pages per group. A group holds at most
+    /// `pages_per_group` pages, which is capped at `u16::MAX`.
+    programmed: Vec<u16>,
     /// Valid pages per group.
-    valid: Vec<u32>,
+    valid: Vec<u16>,
     /// Groups whose last programmed page an erase just cleared, pending a
     /// drain by the reclaim path.
     fully_erased: Vec<u64>,
@@ -157,24 +159,17 @@ impl GroupTracker {
         let (mut flat, mut g) = (first_flat, (first_flat / ppg) as usize);
         while flat < end {
             let group_end = ((g as u64 + 1) * ppg).min(end);
-            let n = (group_end - flat) as u32;
+            let n = (group_end - flat) as u16;
             self.programmed[g] += n;
             self.valid[g] += n;
             (flat, g) = (group_end, g + 1);
         }
     }
 
-    /// Sets the valid bits of block `b`'s levels `first..first + n`, one
-    /// word at a time.
+    /// Sets the valid bits of block `b`'s levels `first..first + n`.
     fn set_valid_levels(&mut self, b: usize, first: usize, n: usize) {
         let words = &mut self.valid_bits[b * self.words_per_block..(b + 1) * self.words_per_block];
-        let (mut level, end) = (first, first + n);
-        while level < end {
-            let word_end = ((level | 63) + 1).min(end);
-            // `word_end - level` is 1..=64 bits, starting at bit `level & 63`.
-            words[level >> 6] |= u64::MAX >> (64 - (word_end - level)) << (level & 63);
-            level = word_end;
-        }
+        set_bit_run(words, first, n);
     }
 
     /// Accounts block `b`'s erase, `levels` of which were programmed: each
@@ -299,8 +294,9 @@ impl ValidPageIndex {
     ///
     /// Panics unless the index is all-erased (no block holds a programmed
     /// page: the per-group counters start at zero, so a page programmed
-    /// before this call would underflow them on its erase) and was built
-    /// for `geometry`'s blocks.
+    /// before this call would underflow them on its erase), was built for
+    /// `geometry`'s blocks, and `pages_per_group` fits the 16-bit per-group
+    /// counters (at most `u16::MAX`).
     pub fn enable_group_tracking(&mut self, geometry: &FlashGeometry, pages_per_group: u64) {
         assert_eq!(
             (self.valid.len() as u64, self.pages_per_block as usize),
@@ -310,6 +306,10 @@ impl ValidPageIndex {
         assert!(
             self.programmed.iter().all(|&p| p == 0),
             "group tracking must be enabled on an all-erased index"
+        );
+        assert!(
+            pages_per_group <= u64::from(u16::MAX),
+            "pages_per_group {pages_per_group} exceeds the 16-bit group counters"
         );
         let pages_per_group = pages_per_group.max(1);
         let total_groups = (geometry.total_pages() / pages_per_group) as usize;
@@ -512,6 +512,7 @@ impl ValidPageIndex {
         self.groups
             .as_ref()
             .and_then(|t| t.programmed.get(g as usize).copied())
+            .map(u32::from)
             .unwrap_or(0)
     }
 
@@ -520,6 +521,7 @@ impl ValidPageIndex {
         self.groups
             .as_ref()
             .and_then(|t| t.valid.get(g as usize).copied())
+            .map(u32::from)
             .unwrap_or(0)
     }
 
@@ -894,6 +896,13 @@ mod tests {
         let mut idx = ValidPageIndex::new(2, 4);
         idx.on_program(1, 4, 0);
         idx.enable_group_tracking(&g, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16-bit group counters")]
+    fn group_tracking_rejects_groups_beyond_16_bit_counters() {
+        let g = geometry(1, 1, 2, 4);
+        ValidPageIndex::new(2, 4).enable_group_tracking(&g, 1 << 16);
     }
 
     #[test]
