@@ -9,6 +9,7 @@
 //! channel, models the SRIO hop, and keeps the backbone's accounting.
 
 use crate::controller::{ChannelController, ChannelStats};
+use crate::die::{BlockCounts, FlashDie};
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
@@ -105,9 +106,13 @@ pub struct FlashBackbone {
     timing: FlashTiming,
     channels: Vec<ChannelController>,
     srio: SerializedResource,
-    /// Backbone-wide valid-page accounting, updated on every command that
+    /// Backbone-wide GC-victim index, updated on every command that
     /// changes page state. Storengine's GC victim selection reads this.
     valid_index: ValidPageIndex,
+    /// The valid bitmap words of the block being erased, copied from its
+    /// die before the erase so the index can walk them once it completes.
+    /// One buffer, reused by every erase.
+    erase_words: Vec<u64>,
     stats: BackboneStats,
     /// Per-owner command/byte/latency accounting (QoS figures and oracles),
     /// dense by [`OwnerId::dense_index`] — the data path updates plain array
@@ -158,6 +163,7 @@ impl FlashBackbone {
                 geometry.total_blocks() as usize,
                 geometry.pages_per_block,
             ),
+            erase_words: Vec::new(),
             stats: BackboneStats::default(),
             owner_stats: Vec::new(),
             owner_touched: Vec::new(),
@@ -287,6 +293,11 @@ impl FlashBackbone {
     /// Panics if any page has been programmed or preloaded already, or if
     /// `pages_per_group` exceeds `u16::MAX`.
     pub fn enable_group_tracking(&mut self, pages_per_group: u64) {
+        assert!(
+            self.dies()
+                .all(|d| (0..d.block_count()).all(|b| d.programmed_pages_in(b) == 0)),
+            "group tracking must be enabled on an all-erased device"
+        );
         self.valid_index
             .enable_group_tracking(&self.geometry, pages_per_group);
     }
@@ -374,13 +385,24 @@ impl FlashBackbone {
     /// Books a page the die consumed without keeping its data into the
     /// valid index as programmed-then-invalid: an injected program failure
     /// (the media programmed garbage before reporting it) or a stripe pad.
-    /// The recycle/rollback paths key on programmed counts — recycling a
+    /// `before` are the block's counts from before the program. The
+    /// recycle/rollback paths key on programmed counts — recycling a
     /// silently page-consumed group would later program it again without an
     /// erase.
-    fn book_scrapped_program(&mut self, addr: PhysicalPageAddr, flat: u64, now_ns: u64) {
+    fn book_scrapped_program(
+        &mut self,
+        addr: PhysicalPageAddr,
+        before: BlockCounts,
+        flat: u64,
+        now_ns: u64,
+    ) {
         let block = block_of(&self.geometry, addr);
-        self.valid_index.on_program(block, flat, now_ns);
-        self.valid_index.on_invalidate(block, addr.page, flat);
+        self.valid_index.on_program(block, before, flat, now_ns);
+        let landed = BlockCounts {
+            valid: before.valid + 1,
+            programmed: before.programmed + 1,
+        };
+        self.valid_index.on_invalidate(block, landed, flat);
     }
 
     /// Executes one page command — tag-queue admission at the channel, the
@@ -426,10 +448,12 @@ impl FlashBackbone {
                     .srio
                     .reserve_prepaid(now, page_bytes, self.srio_page_service)
                     .end;
-                let block = block_of(&self.geometry, addr);
+                let before = channel.block_counts(addr);
                 match channel.execute(start, op, addr, owner) {
                     Ok(done) => {
-                        self.valid_index.on_program(block, flat, now.as_ns());
+                        let block = block_of(&self.geometry, addr);
+                        self.valid_index
+                            .on_program(block, before, flat, now.as_ns());
                         self.stats.programs += 1;
                         self.stats.srio_bytes += page_bytes;
                         by_owner.programs += 1;
@@ -438,15 +462,25 @@ impl FlashBackbone {
                     }
                     Err(e) => {
                         if matches!(e, FlashError::InjectedProgramFailure(_)) {
-                            self.book_scrapped_program(addr, flat, now.as_ns());
+                            self.book_scrapped_program(addr, before, flat, now.as_ns());
                         }
                         Err(e)
                     }
                 }
             }
             FlashOp::EraseBlock => {
+                let before = channel.block_counts(addr);
+                self.erase_words.clear();
+                if let Some(die) = channel.die(addr.die) {
+                    self.erase_words
+                        .extend_from_slice(die.valid_words(addr.block));
+                }
                 let done = channel.execute(now, op, addr, owner)?;
-                self.valid_index.on_erase(block_of(&self.geometry, addr));
+                self.valid_index.on_erase(
+                    block_of(&self.geometry, addr),
+                    before,
+                    &self.erase_words,
+                );
                 self.stats.erases += 1;
                 by_owner.erases += 1;
                 Ok(done)
@@ -551,6 +585,7 @@ impl FlashBackbone {
                 .reserve_prepaid(now, page_bytes, self.srio_page_service)
                 .end;
             let channel = &mut self.channels[pad.channel];
+            let before = channel.block_counts(pad);
             match channel.execute(start, FlashOp::ProgramPage, pad, owner) {
                 // A clean pad program must be discarded at the die as well,
                 // so page state, controller counters, and index agree that
@@ -567,7 +602,7 @@ impl FlashBackbone {
                 // error.
                 Err(_) => break,
             }
-            self.book_scrapped_program(pad, flat, now.as_ns());
+            self.book_scrapped_program(pad, before, flat, now.as_ns());
         }
     }
 
@@ -587,10 +622,10 @@ impl FlashBackbone {
     ///
     /// The range is walked one block row at a time, and within a row one
     /// lane (channel × die block) at a time: each lane receives one
-    /// contiguous page run, so the die, the channel's valid-page count, and
-    /// the valid-page index's block counters each update once per run
-    /// rather than once per page; its page-group counters update once per
-    /// group the range touches. The resulting state is exactly that of calling
+    /// contiguous page run, so the die and the valid-page index's garbage
+    /// bucket and valid total each update once per run rather than once per
+    /// page; its page-group counters update once per group the range
+    /// touches. The resulting state is exactly that of calling
     /// [`FlashBackbone::preload`] on each page in ascending order.
     ///
     /// Every lane's run is checked before anything changes: its first page
@@ -618,8 +653,10 @@ impl FlashBackbone {
         let (geometry, channels, index) =
             (&self.geometry, &mut self.channels, &mut self.valid_index);
         runs.try_for_each(|addr, flat, n| {
-            channels[addr.channel].preload_run(addr, n)?;
-            index.on_program_run(block_of(geometry, addr), flat, n as u32, 0);
+            let channel = &mut channels[addr.channel];
+            let before = channel.block_counts(addr);
+            channel.preload_run(addr, n)?;
+            index.on_program_run(block_of(geometry, addr), before, flat, n as u32, 0);
             Ok(())
         })?;
         self.valid_index.on_programmed_range(first_flat, pages);
@@ -631,10 +668,12 @@ impl FlashBackbone {
         if !self.geometry.contains(addr) {
             return Err(FlashError::OutOfRange(addr));
         }
-        self.channels[addr.channel].invalidate(addr)?;
+        let channel = &mut self.channels[addr.channel];
+        let before = channel.block_counts(addr);
+        channel.invalidate(addr)?;
         self.valid_index.on_invalidate(
             self.geometry.block_index(addr),
-            addr.page,
+            before,
             self.geometry.addr_to_flat(addr),
         );
         Ok(())
@@ -654,10 +693,12 @@ impl FlashBackbone {
         self.check_flat_range(first_flat, pages)?;
         let mut addr = self.geometry.flat_to_addr(first_flat);
         for flat in first_flat..first_flat + pages {
-            match self.channels[addr.channel].invalidate(addr) {
+            let channel = &mut self.channels[addr.channel];
+            let before = channel.block_counts(addr);
+            match channel.invalidate(addr) {
                 Ok(()) => {
                     self.valid_index
-                        .on_invalidate(block_of(&self.geometry, addr), addr.page, flat)
+                        .on_invalidate(block_of(&self.geometry, addr), before, flat)
                 }
                 // An unwritten trailing page of a partially used group is
                 // benign on this path.
@@ -686,11 +727,40 @@ impl FlashBackbone {
         &self.valid_index
     }
 
+    /// The page counts of flat block `block`
+    /// ([`FlashGeometry::block_index`]), read from its die.
+    fn block_counts(&self, block: u64) -> BlockCounts {
+        let (channel, die, block) = self.geometry.block_index_to_addr(block);
+        self.channels[channel].block_counts(PhysicalPageAddr::new(channel, die, block, 0))
+    }
+
+    /// Valid pages in flat block `block`, read from its die.
+    pub fn valid_in(&self, block: u64) -> u32 {
+        self.block_counts(block).valid
+    }
+
+    /// Programmed (valid or superseded) pages in flat block `block`, read
+    /// from its die.
+    pub fn programmed_in(&self, block: u64) -> u32 {
+        self.block_counts(block).programmed
+    }
+
+    /// Superseded pages an erase of flat block `block` would reclaim, read
+    /// from its die.
+    pub fn garbage_in(&self, block: u64) -> u32 {
+        self.block_counts(block).garbage()
+    }
+
     /// Promotes a flat block into the bad-block table of the valid-page
     /// index: no GC victim policy will propose it again. See
     /// [`ValidPageIndex::retire_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat_block` is outside the backbone.
     pub fn retire_block(&mut self, flat_block: u64) {
-        self.valid_index.retire_block(flat_block);
+        let counts = self.block_counts(flat_block);
+        self.valid_index.retire_block(flat_block, counts);
     }
 
     /// Drains the page groups whose last programmed page was cleared by an
@@ -802,7 +872,8 @@ impl FlashBackbone {
     /// [`ValidPageIndex::cost_benefit_victim`]); `None` when nothing holds
     /// garbage.
     pub fn cost_benefit_victim_block(&self, now: SimTime) -> Option<u64> {
-        self.valid_index.cost_benefit_victim(now.as_ns())
+        self.valid_index
+            .cost_benefit_victim(now.as_ns(), |block| self.garbage_in(block))
     }
 
     /// Drains the flat block indices erased since the previous drain, one
@@ -812,13 +883,21 @@ impl FlashBackbone {
         self.valid_index.take_erased_blocks()
     }
 
-    /// Erase cycles of every block, indexed by
+    /// Erase cycles of every block, read from the dies and indexed by
     /// [`FlashGeometry::block_index`] — the endurance snapshot the run
     /// outcome's wear-spread metrics summarize.
     pub fn block_erase_counts(&self) -> Vec<u64> {
-        (0..self.geometry.total_blocks())
-            .map(|b| self.valid_index.block_erase_count(b))
+        self.dies()
+            .flat_map(|d| (0..d.block_count()).map(|b| d.erase_count(b)))
             .collect()
+    }
+
+    /// Every die, channel by channel: the order of flat block indices.
+    fn dies(&self) -> impl Iterator<Item = &FlashDie> + '_ {
+        let dies = self.geometry.dies_per_channel();
+        self.channels
+            .iter()
+            .flat_map(move |c| (0..dies).filter_map(|d| c.die(d)))
     }
 
     /// Returns the erase count of the given block.
@@ -1073,6 +1152,27 @@ mod tests {
     }
 
     #[test]
+    fn refused_erase_leaves_one_wear_count() {
+        // Endurance 1: the block's second erase is refused.
+        let geometry = FlashGeometry::tiny_for_tests();
+        let mut b = FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1);
+        let addr = PhysicalPageAddr::new(1, 0, 2, 0);
+        b.submit(SimTime::ZERO, FlashCommand::erase(addr)).unwrap();
+        let worn = b.submit(SimTime::ZERO, FlashCommand::erase(addr));
+        assert!(matches!(
+            worn,
+            Err(FlashError::WornOut {
+                erase_cycles: 2,
+                ..
+            })
+        ));
+        // Both wear readers count the one erase that completed.
+        let block = geometry.block_index(addr) as usize;
+        assert_eq!(b.block_erase_counts()[block], 1);
+        assert_eq!(b.erase_count(1, 0, 2), 1);
+    }
+
+    #[test]
     fn valid_index_tracks_commands_and_agrees_with_recount() {
         let mut b = backbone();
         let g = *b.geometry();
@@ -1089,8 +1189,8 @@ mod tests {
         b.invalidate(a1).unwrap();
         let victim = b.min_valid_garbage_block().unwrap();
         assert_eq!(victim, g.block_index(a0));
-        assert_eq!(b.valid_index().valid_in(victim), 1);
-        assert_eq!(b.valid_index().garbage_in(victim), 1);
+        assert_eq!(b.valid_in(victim), 1);
+        assert_eq!(b.garbage_in(victim), 1);
         b.submit(SimTime::ZERO, FlashCommand::erase(a0)).unwrap();
         assert_eq!(b.min_valid_garbage_block(), None);
         assert_eq!(b.total_valid_pages(), 1);
@@ -1285,8 +1385,8 @@ mod tests {
         }
         for channel in 0..2 {
             let block = g.block_index(PhysicalPageAddr::new(channel, 0, 0, 0));
-            assert_eq!(b.valid_index().programmed_in(block), 2);
-            assert_eq!(b.valid_index().valid_in(block), 1 - channel as u32);
+            assert_eq!(b.programmed_in(block), 2);
+            assert_eq!(b.valid_in(block), 1 - channel as u32);
         }
         assert_eq!(b.total_valid_pages(), 1);
         assert_eq!(b.recount_valid_pages(), 1);

@@ -8,7 +8,7 @@
 //! the target die.
 
 use crate::backbone::FlashOp;
-use crate::die::FlashDie;
+use crate::die::{BlockCounts, FlashDie};
 use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultState};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
@@ -69,11 +69,6 @@ pub struct ChannelController {
     /// Peak simultaneous tag occupancy per owner (dense owner index), for
     /// the QoS figures. Never exceeds `inbound_tags`.
     owner_peaks: Vec<usize>,
-    /// Valid pages across the channel, maintained incrementally by
-    /// [`ChannelController::execute`], [`ChannelController::invalidate`],
-    /// and [`ChannelController::preload`]. Mutating a die directly through
-    /// [`ChannelController::die_mut`] bypasses this counter.
-    valid_pages: usize,
     /// Channel-local fault state, installed by the backbone when a fault
     /// plan is active. `None` (the default) keeps every hook a single
     /// branch, so fault-free runs stay byte-identical to the recorded
@@ -120,7 +115,6 @@ impl ChannelController {
             owner_budget_overrides: Vec::new(),
             outstanding: VecDeque::new(),
             owner_peaks: Vec::new(),
-            valid_pages: 0,
             fault: None,
             stats: ChannelStats::default(),
         }
@@ -144,11 +138,6 @@ impl ChannelController {
     /// Installs per-owner tag budgets (unlimited by default).
     pub fn set_qos_budgets(&mut self, budgets: QosBudgets) {
         self.budgets = budgets;
-    }
-
-    /// The per-owner tag budgets in force.
-    pub fn qos_budgets(&self) -> QosBudgets {
-        self.budgets
     }
 
     /// Installs (or clears, with `None`) a per-owner budget override. An
@@ -212,9 +201,11 @@ impl ChannelController {
         self.dies.get_mut(die)
     }
 
-    /// Number of dies on this channel.
-    pub fn die_count(&self) -> usize {
-        self.dies.len()
+    /// The page counts of `addr`'s block; zero outside the channel.
+    pub(crate) fn block_counts(&self, addr: PhysicalPageAddr) -> BlockCounts {
+        self.dies
+            .get(addr.die)
+            .map_or_else(BlockCounts::default, |d| d.block_counts(addr.block))
     }
 
     /// Controller statistics so far.
@@ -398,16 +389,15 @@ impl ChannelController {
                 if faulted {
                     // The program consumed the page (NAND write cursors only
                     // move forward) but the data reads back uncorrectable:
-                    // the page goes straight to Invalid, the channel's valid
-                    // count stays put, and the caller gets the error so the
-                    // translation layer can re-allocate elsewhere.
+                    // the page goes straight to Invalid, and the caller gets
+                    // the error so the translation layer can re-allocate
+                    // elsewhere.
                     die.invalidate_page(addr.block, addr.page)
                         .expect("freshly programmed page is valid");
                     self.record_completion(prog.end, owner);
                     self.note_block_failure(FaultOp::Program, addr);
                     return Err(FlashError::InjectedProgramFailure(addr));
                 }
-                self.valid_pages += 1;
                 prog.end
             }
             FlashOp::EraseBlock => {
@@ -420,10 +410,7 @@ impl ChannelController {
                     self.note_block_failure(FaultOp::Erase, addr);
                     return Err(FlashError::InjectedEraseFailure(addr));
                 }
-                // Capture what the erase reclaims before the die resets it.
-                let reclaimed = die.valid_pages_in(addr.block);
                 let erase = die.erase_block(admitted, addr.block, &timing)?;
-                self.valid_pages -= reclaimed;
                 self.stats.erases += 1;
                 erase.end
             }
@@ -443,14 +430,11 @@ impl ChannelController {
         self.dies
             .get_mut(addr.die)
             .ok_or(FlashError::OutOfRange(addr))?
-            .invalidate_page(addr.block, addr.page)?;
-        self.valid_pages -= 1;
-        Ok(())
+            .invalidate_page(addr.block, addr.page)
     }
 
     /// Marks a page valid without consuming channel time (pre-experiment
-    /// data placement), keeping the channel's accounting in step: a
-    /// one-page run preload.
+    /// data placement): a one-page run preload.
     pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
         self.preload_run(addr, 1)
     }
@@ -471,8 +455,7 @@ impl ChannelController {
 
     /// Marks the `n` pages of `addr`'s block starting at `addr.page` valid
     /// without consuming channel time (pre-experiment data placement; see
-    /// [`FlashDie::preload_run`]), keeping the channel's valid-page count in
-    /// step with one update. On error nothing changes.
+    /// [`FlashDie::preload_run`]). On error nothing changes.
     pub(crate) fn preload_run(
         &mut self,
         addr: PhysicalPageAddr,
@@ -481,20 +464,11 @@ impl ChannelController {
         self.dies
             .get_mut(addr.die)
             .ok_or(FlashError::OutOfRange(addr))?
-            .preload_run(addr.block, addr.page, n)?;
-        self.valid_pages += n;
-        Ok(())
+            .preload_run(addr.block, addr.page, n)
     }
 
-    /// Valid pages across the channel (used by capacity accounting). O(1):
-    /// maintained incrementally by the execute/invalidate/preload paths.
-    pub fn total_valid_pages(&self) -> usize {
-        self.valid_pages
-    }
-
-    /// Brute-force recount of the channel's valid pages from the die page
-    /// states — the property-test oracle for
-    /// [`ChannelController::total_valid_pages`].
+    /// Recount of the channel's valid pages from the dies' valid bitmaps:
+    /// the property-test oracle for the backbone's valid total.
     pub fn recount_valid_pages(&self) -> usize {
         self.dies
             .iter()
@@ -881,9 +855,7 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, FlashError::InjectedProgramFailure(_)));
         }
-        // The scrapped pages are Invalid, never Valid: the incremental
-        // channel count and the brute-force recount agree at zero.
-        assert_eq!(c.total_valid_pages(), 0);
+        // The scrapped pages are Invalid, never Valid.
         assert_eq!(c.recount_valid_pages(), 0);
         // The write cursor moved past the scrapped pages, so the block's
         // next legal program is page 2.
@@ -924,8 +896,8 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, FlashError::InjectedEraseFailure(_)));
-        // The block kept its data, its wear counter, and the channel count.
-        assert_eq!(c.total_valid_pages(), 1);
+        // The block kept its data and its wear counter.
+        assert_eq!(c.recount_valid_pages(), 1);
         assert_eq!(c.die(0).unwrap().erase_count(0), 0);
         assert_eq!(c.stats().erases, 0);
         // The die was still busy for the failed pulse: the failed erase
@@ -982,7 +954,7 @@ mod tests {
     #[test]
     fn valid_page_accounting() {
         let mut c = controller();
-        assert_eq!(c.total_valid_pages(), 0);
+        assert_eq!(c.recount_valid_pages(), 0);
         for p in 0..3 {
             c.execute(
                 SimTime::ZERO,
@@ -992,8 +964,8 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(c.total_valid_pages(), 3);
+        assert_eq!(c.recount_valid_pages(), 3);
         c.invalidate(PhysicalPageAddr::new(0, 0, 0, 1)).unwrap();
-        assert_eq!(c.total_valid_pages(), 2);
+        assert_eq!(c.recount_valid_pages(), 2);
     }
 }

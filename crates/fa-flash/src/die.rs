@@ -43,14 +43,25 @@ struct BlockState {
     valid: u32,
 }
 
-impl BlockState {
-    fn valid_pages(&self) -> usize {
-        self.valid as usize
+/// A block's page counts as its die holds them. The valid-page index's
+/// hooks take a block's counts from just before the event they record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockCounts {
+    /// Pages holding valid data.
+    pub valid: u32,
+    /// Pages programmed since the block's last erase, valid or superseded.
+    pub programmed: u32,
+}
+
+impl BlockCounts {
+    /// Superseded pages an erase of the block would reclaim.
+    pub fn garbage(self) -> u32 {
+        self.programmed - self.valid
     }
 }
 
 /// Sets bits `first..first + n` of `words`, one word at a time.
-pub(crate) fn set_bit_run(words: &mut [u64], first: usize, n: usize) {
+fn set_bit_run(words: &mut [u64], first: usize, n: usize) {
     let (mut bit, end) = (first, first + n);
     while bit < end {
         let word_end = ((bit | 63) + 1).min(end);
@@ -123,9 +134,12 @@ impl FlashDie {
         PhysicalPageAddr::new(self.channel, self.die, block, page)
     }
 
-    /// The bitmap words of `block`.
-    fn block_bits(&self, block: usize) -> &[u64] {
-        &self.valid_bits[block * self.words_per_block..(block + 1) * self.words_per_block]
+    /// The valid bitmap words of `block`: bit `p` is set while page `p`
+    /// holds valid data. Empty for a block outside the die.
+    pub fn valid_words(&self, block: usize) -> &[u64] {
+        self.valid_bits
+            .get(block * self.words_per_block..(block + 1) * self.words_per_block)
+            .unwrap_or(&[])
     }
 
     fn block_bits_mut(&mut self, block: usize) -> &mut [u64] {
@@ -134,17 +148,12 @@ impl FlashDie {
 
     /// Whether `page` of in-range `block` holds valid data.
     fn is_valid(&self, block: usize, page: usize) -> bool {
-        self.block_bits(block)[page >> 6] >> (page & 63) & 1 != 0
+        self.valid_words(block)[page >> 6] >> (page & 63) & 1 != 0
     }
 
     /// Number of erase blocks in the die.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Pages per block.
-    pub fn pages_per_block(&self) -> usize {
-        self.pages_per_block
     }
 
     /// Returns the state of a page.
@@ -164,20 +173,14 @@ impl FlashDie {
     /// Number of valid pages in `block`. O(1): the count is maintained
     /// incrementally by the program/preload/invalidate/erase paths.
     pub fn valid_pages_in(&self, block: usize) -> usize {
-        self.blocks
-            .get(block)
-            .map(BlockState::valid_pages)
-            .unwrap_or(0)
+        self.block_counts(block).valid as usize
     }
 
     /// Recount of the valid pages in `block` from the valid bitmap itself
     /// (a popcount of the block's words). This is the property-test oracle
     /// for the incremental count behind [`FlashDie::valid_pages_in`].
     pub fn recount_valid_pages_in(&self, block: usize) -> usize {
-        if block >= self.blocks.len() {
-            return 0;
-        }
-        self.block_bits(block)
+        self.valid_words(block)
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
@@ -185,7 +188,19 @@ impl FlashDie {
 
     /// Number of programmed pages in `block` (valid or superseded).
     pub fn programmed_pages_in(&self, block: usize) -> usize {
-        self.blocks.get(block).map(|b| b.write_cursor).unwrap_or(0)
+        self.block_counts(block).programmed as usize
+    }
+
+    /// The valid and programmed page counts of `block`; zero for a block
+    /// outside the die.
+    pub fn block_counts(&self, block: usize) -> BlockCounts {
+        self.blocks
+            .get(block)
+            .map(|b| BlockCounts {
+                valid: b.valid,
+                programmed: b.write_cursor as u32,
+            })
+            .unwrap_or_default()
     }
 
     /// Number of still-programmable pages in `block`.
@@ -358,7 +373,10 @@ impl FlashDie {
         self.server.serve(now, timing.erase_block)
     }
 
-    /// Erases a block, freeing every page in it.
+    /// Erases a block, freeing every page in it. A worn-out block refuses
+    /// the erase and changes nothing: the error reports the cycle the
+    /// erase attempted, and the erase counter keeps counting only erases
+    /// that completed.
     pub fn erase_block(
         &mut self,
         now: SimTime,
@@ -366,8 +384,7 @@ impl FlashDie {
         timing: &FlashTiming,
     ) -> Result<Reservation, FlashError> {
         self.check_block(block, 0)?;
-        self.blocks[block].erase_count += 1;
-        let erase_cycles = self.blocks[block].erase_count;
+        let erase_cycles = self.blocks[block].erase_count + 1;
         if erase_cycles > self.endurance_limit {
             return Err(FlashError::WornOut {
                 addr: self.addr(block, 0),
@@ -376,6 +393,7 @@ impl FlashDie {
         }
         self.block_bits_mut(block).fill(0);
         let blk = &mut self.blocks[block];
+        blk.erase_count = erase_cycles;
         blk.write_cursor = 0;
         blk.valid = 0;
         let res = self.server.serve(now, timing.erase_block);

@@ -1,9 +1,10 @@
 //! Oracle for the valid-page index's page-group accounting.
 //!
 //! With group tracking on, [`ValidPageIndex`] stores no per-block group
-//! lists: it derives the groups a block holds from the flat page layout and
-//! keeps one valid bit per page level. This oracle checks every answer it
-//! gives against a recount from the dies' page states alone
+//! lists and no page bits: it derives the groups a block holds from the
+//! flat page layout, and an erase reads which of them were valid from the
+//! die's valid bits, copied before the erase. This oracle checks every
+//! answer it gives against a recount from the dies' page states alone
 //! ([`FlashGeometry::flat_to_addr`] plus [`FlashDie::page_state`]), which
 //! shares no code with the index, so a layout mistake cannot hide on both
 //! sides.
@@ -115,7 +116,8 @@ fn recount(bb: &FlashBackbone, pages_per_group: u64) -> Recount {
 }
 
 /// The index's answers, in the recount's shape.
-fn indexed(index: &ValidPageIndex, want: &Recount) -> Recount {
+fn indexed(bb: &FlashBackbone, want: &Recount) -> Recount {
+    let index: &ValidPageIndex = bb.valid_index();
     let groups = 0..want.programmed.len() as u64;
     Recount {
         programmed: groups
@@ -124,7 +126,7 @@ fn indexed(index: &ValidPageIndex, want: &Recount) -> Recount {
             .collect(),
         valid: groups.map(|g| index.group_valid_pages(g)).collect(),
         garbage: (0..want.garbage.len() as u64)
-            .map(|b| index.garbage_groups_in(b))
+            .map(|b| index.garbage_groups_in(b, bb.programmed_in(b)))
             .collect(),
     }
 }
@@ -295,7 +297,7 @@ fn run_case(
             }
         };
         let after = recount(&bb, pages_per_group);
-        let got = indexed(bb.valid_index(), &after);
+        let got = indexed(&bb, &after);
         prop_assert!(
             got == after,
             "step {step} ({what}): index {got:?} != recount {after:?}"

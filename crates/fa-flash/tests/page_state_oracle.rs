@@ -191,13 +191,15 @@ impl ReferenceDie {
         t: &FlashTiming,
     ) -> Result<Reservation, FlashError> {
         let slot = self.check(block, 0)?;
-        self.erase_count[block] += 1;
-        if self.erase_count[block] > self.endurance_limit {
+        // A worn-out block refuses the erase and keeps its state, wear
+        // included; the error reports the cycle the erase attempted.
+        if self.erase_count[block] + 1 > self.endurance_limit {
             return Err(FlashError::WornOut {
                 addr: self.addr(block, 0),
-                erase_cycles: self.erase_count[block],
+                erase_cycles: self.erase_count[block] + 1,
             });
         }
+        self.erase_count[block] += 1;
         self.pages[slot..slot + self.pages_per_block].fill(PageState::Free);
         self.write_cursor[block] = 0;
         self.stats.erases += 1;

@@ -1,11 +1,12 @@
 //! Oracle for run-wise preloading.
 //!
 //! [`FlashBackbone::preload_group`] splits a flat page range into one page
-//! run per lane (channel × die block) and updates the die, the channel's
-//! valid-page count and the valid-page index once per run. The model below
-//! is the page-by-page formulation it replaced: every page of the range, in
-//! ascending flat order, goes through [`ChannelController::preload`] and
-//! [`ValidPageIndex::on_program`]. A rejected range must leave the backbone
+//! run per lane (channel × die block) and updates the die and the
+//! valid-page index once per run. The model below is the page-by-page
+//! formulation it replaced: every page of the range, in ascending flat
+//! order, goes through [`ChannelController::preload`] and
+//! [`ValidPageIndex::on_program`], the index taking each block's counts
+//! from the model's own dies. A rejected range must leave the backbone
 //! untouched, so the model restores its state from before the call when
 //! one of its pages fails.
 //!
@@ -13,14 +14,16 @@
 //! preloads with programs, invalidations and erases, so ranges land in
 //! blocks that already hold valid and superseded pages, start and end mid
 //! row and mid lane, and sometimes aim at pages that cannot be preloaded.
-//! After every preload the two must agree on every page state and every
-//! answer the valid-page index gives.
+//! After every preload the two must agree on every page state, every
+//! per-block count, and every answer the valid-page index gives: the
+//! victim picks, each block's garbage and garbage groups, and the group
+//! counts.
 //!
 //! Case count defaults to 128 and can be raised via `FA_ORACLE_CASES`.
 
 use fa_flash::{
-    ChannelController, FlashBackbone, FlashCommand, FlashError, FlashGeometry, FlashOp,
-    FlashTiming, OwnerId, PageState, PhysicalPageAddr, ValidPageIndex,
+    BlockCounts, ChannelController, FlashBackbone, FlashCommand, FlashDie, FlashError,
+    FlashGeometry, FlashOp, FlashTiming, OwnerId, PageState, PhysicalPageAddr, ValidPageIndex,
 };
 use fa_sim::time::SimTime;
 use proptest::prelude::*;
@@ -83,7 +86,26 @@ impl PerPageModel {
         }
     }
 
+    fn die(&self, addr: PhysicalPageAddr) -> &FlashDie {
+        self.channels[addr.channel]
+            .die(addr.die)
+            .expect("model die")
+    }
+
+    /// The model's counts of `addr`'s block.
+    fn counts(&self, addr: PhysicalPageAddr) -> BlockCounts {
+        self.die(addr).block_counts(addr.block)
+    }
+
+    /// The model's counts of flat block `block`.
+    fn block_counts(&self, block: u64) -> BlockCounts {
+        let (channel, die, blk) = self.geometry.block_index_to_addr(block);
+        self.counts(PhysicalPageAddr::new(channel, die, blk, 0))
+    }
+
     fn execute(&mut self, now: SimTime, op: FlashOp, addr: PhysicalPageAddr) {
+        let before = self.counts(addr);
+        let words = self.die(addr).valid_words(addr.block).to_vec();
         self.channels[addr.channel]
             .execute(now, op, addr, OwnerId::Unattributed)
             .expect("model command");
@@ -91,20 +113,21 @@ impl PerPageModel {
         match op {
             FlashOp::ProgramPage => {
                 self.index
-                    .on_program(block, self.geometry.addr_to_flat(addr), now.as_ns())
+                    .on_program(block, before, self.geometry.addr_to_flat(addr), now.as_ns())
             }
-            FlashOp::EraseBlock => self.index.on_erase(block),
+            FlashOp::EraseBlock => self.index.on_erase(block, before, &words),
             FlashOp::ReadPage => {}
         }
     }
 
     fn invalidate(&mut self, addr: PhysicalPageAddr) {
+        let before = self.counts(addr);
         self.channels[addr.channel]
             .invalidate(addr)
             .expect("model invalidate");
         self.index.on_invalidate(
             self.geometry.block_index(addr),
-            addr.page,
+            before,
             self.geometry.addr_to_flat(addr),
         );
     }
@@ -113,12 +136,13 @@ impl PerPageModel {
         let before = self.clone();
         for flat in first_flat..first_flat + pages {
             let addr = self.geometry.flat_to_addr(flat);
+            let counts = self.counts(addr);
             if let Err(e) = self.channels[addr.channel].preload(addr) {
                 *self = before;
                 return Err(e);
             }
             self.index
-                .on_program(self.geometry.block_index(addr), flat, 0);
+                .on_program(self.geometry.block_index(addr), counts, flat, 0);
         }
         Ok(())
     }
@@ -142,10 +166,6 @@ fn compare(real: &FlashBackbone, model: &PerPageModel, now_ns: u64) -> Result<()
     }
     for (c, channel) in model.channels.iter().enumerate() {
         let real_channel = real.channel(c).expect("channel");
-        prop_assert_eq!(
-            real_channel.total_valid_pages(),
-            channel.total_valid_pages()
-        );
         for die in 0..g.dies_per_channel() {
             let (rd, md) = (real_channel.die(die).unwrap(), channel.die(die).unwrap());
             for block in 0..g.blocks_per_die() {
@@ -158,10 +178,12 @@ fn compare(real: &FlashBackbone, model: &PerPageModel, now_ns: u64) -> Result<()
     prop_assert_eq!(real.total_valid_pages() as u64, model.index.total_valid());
     let (ri, mi) = (real.valid_index(), &model.index);
     for block in 0..g.total_blocks() {
-        prop_assert_eq!(ri.valid_in(block), mi.valid_in(block));
-        prop_assert_eq!(ri.programmed_in(block), mi.programmed_in(block));
-        prop_assert_eq!(ri.garbage_in(block), mi.garbage_in(block));
-        prop_assert_eq!(ri.garbage_groups_in(block), mi.garbage_groups_in(block));
+        let counts = model.block_counts(block);
+        prop_assert_eq!(real.garbage_in(block), counts.garbage());
+        prop_assert_eq!(
+            ri.garbage_groups_in(block, real.programmed_in(block)),
+            mi.garbage_groups_in(block, counts.programmed)
+        );
     }
     prop_assert_eq!(ri.tracks_groups(), mi.tracks_groups());
     for group in 0..g.total_pages() + 1 {
@@ -173,8 +195,8 @@ fn compare(real: &FlashBackbone, model: &PerPageModel, now_ns: u64) -> Result<()
     }
     prop_assert_eq!(ri.min_valid_garbage_block(), mi.min_valid_garbage_block());
     prop_assert_eq!(
-        ri.cost_benefit_victim(now_ns),
-        mi.cost_benefit_victim(now_ns)
+        real.cost_benefit_victim_block(SimTime::from_ns(now_ns)),
+        mi.cost_benefit_victim(now_ns, |block| model.block_counts(block).garbage())
     );
     Ok(())
 }
