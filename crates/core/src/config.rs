@@ -34,7 +34,7 @@ pub struct QosConfig {
 
 impl QosConfig {
     /// The per-owner budgets in the form the flash backbone consumes.
-    pub fn budgets(&self) -> QosBudgets {
+    pub(crate) fn budgets(&self) -> QosBudgets {
         QosBudgets {
             per_owner: self.per_owner_tag_budget,
             background: self.gc_budget,

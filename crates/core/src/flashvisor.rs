@@ -10,7 +10,7 @@
 
 use crate::config::FlashAbacusConfig;
 use crate::error::FaError;
-use crate::freespace::{FreeSpaceManager, PlacementPolicy};
+use crate::freespace::FreeSpaceManager;
 use crate::rangelock::{LockId, LockMode, RangeLockTable};
 use fa_flash::{FaultPlan, FlashBackbone, FlashError, FlashOp, OwnerId};
 use fa_platform::mem::Scratchpad;
@@ -271,18 +271,13 @@ impl Flashvisor {
         &self.freespace
     }
 
-    /// The placement policy in force.
-    pub fn placement_policy(&self) -> PlacementPolicy {
-        self.freespace.policy()
-    }
-
     /// Allocated page groups per channel/die stripe class.
     pub fn placement_occupancy(&self) -> &[u64] {
         self.freespace.occupancy()
     }
 
     /// Fraction of physical page groups still free.
-    pub fn free_fraction(&self) -> f64 {
+    pub(crate) fn free_fraction(&self) -> f64 {
         self.free_physical_groups() as f64 / self.config.total_page_groups() as f64
     }
 
@@ -291,9 +286,9 @@ impl Flashvisor {
         self.cpu.utilization(now)
     }
 
-    /// Total busy time of the Flashvisor LWP up to `now`.
-    pub fn cpu_busy_time(&self, now: SimTime) -> SimDuration {
-        self.cpu.busy_time(now)
+    /// Total busy time of the Flashvisor LWP.
+    pub fn cpu_busy_time(&self) -> SimDuration {
+        self.cpu.busy_time()
     }
 
     /// Logical page-group index covering logical byte address `addr`.
@@ -322,7 +317,7 @@ impl Flashvisor {
     /// Charges one scheduling decision (used by the system driver so that
     /// scheduling overhead lands on the Flashvisor LWP as the paper
     /// describes).
-    pub fn charge_scheduling_decision(&mut self, now: SimTime) -> SimTime {
+    pub(crate) fn charge_scheduling_decision(&mut self, now: SimTime) -> SimTime {
         self.charge_cpu(now, self.config.scheduling_decision_cycles)
     }
 
@@ -381,7 +376,7 @@ impl Flashvisor {
     /// mapping references — the group-reclaim completeness fix, covering
     /// overwritten garbage groups no migration ever recycled. Groups still
     /// mapped are left alone. Returns how many groups were newly freed.
-    pub fn reclaim_fully_erased(&mut self) -> u64 {
+    pub(crate) fn reclaim_fully_erased(&mut self) -> u64 {
         self.sync_wear();
         let mut reclaimed = 0;
         for pg in self.backbone.take_fully_erased_groups() {
@@ -566,9 +561,9 @@ impl Flashvisor {
     /// on the backbone. Returns when the last page arrives.
     ///
     /// Each mapping lookup is charged as `flashvisor_request_cycles` of
-    /// Flashvisor time. The scratchpad argument is not used: no result
-    /// reads the scratchpad's bank occupancy, so the lookups no longer
-    /// book it. It stays in the signature so existing callers compile.
+    /// Flashvisor time. The scratchpad argument is not used: the
+    /// scratchpad models no timing. It stays in the signature so existing
+    /// callers compile.
     pub fn read_section(
         &mut self,
         now: SimTime,
@@ -723,7 +718,7 @@ impl Flashvisor {
 
     /// Remaps a logical group to a new physical group (GC migration) and
     /// returns the previous physical group.
-    pub fn remap_group(&mut self, logical_group: u64, new_physical: u64) -> Option<u64> {
+    pub(crate) fn remap_group(&mut self, logical_group: u64, new_physical: u64) -> Option<u64> {
         let slot = self.mapping.get_mut(logical_group as usize)?;
         self.dirty_mapping_entries += 1;
         let old = entry_group(std::mem::replace(slot, group_entry(new_physical)));
@@ -828,7 +823,7 @@ impl Flashvisor {
     /// `[group_low, group_high)`, ordered by logical group — the view one
     /// GC pass takes of its victim block. O(groups per block) via the
     /// reverse index, instead of a scan over the whole mapping table.
-    pub fn victim_groups(&self, group_low: u64, group_high: u64) -> Vec<(u64, u64)> {
+    pub(crate) fn victim_groups(&self, group_low: u64, group_high: u64) -> Vec<(u64, u64)> {
         let high = group_high.min(self.reverse.len() as u64);
         let mut victims: Vec<(u64, u64)> = (group_low..high)
             .filter_map(|pg| self.logical_group_mapped_to(pg).map(|lg| (lg, pg)))
@@ -842,13 +837,8 @@ impl Flashvisor {
 
     /// Number of mapping entries modified since the last journal dump, and
     /// resets the counter (called by Storengine when it snapshots).
-    pub fn take_dirty_mapping_entries(&mut self) -> u64 {
+    pub(crate) fn take_dirty_mapping_entries(&mut self) -> u64 {
         std::mem::take(&mut self.dirty_mapping_entries)
-    }
-
-    /// Number of mapping entries modified since the last journal dump.
-    pub fn dirty_mapping_entries(&self) -> u64 {
-        self.dirty_mapping_entries
     }
 
     /// Iterates over `(logical, physical)` pairs currently mapped.
@@ -859,16 +849,11 @@ impl Flashvisor {
             .filter_map(|(lg, &pg)| entry_group(pg).map(|p| (lg as u64, p)))
     }
 
-    /// Hands a reclaimed physical group back to the allocator.
-    pub fn recycle_group(&mut self, physical_group: u64) {
-        self.freespace.recycle(physical_group);
-    }
-
     /// Reclaims the whole group range `[low, high)` after its erase-block
     /// row was erased (see [`FreeSpaceManager::reclaim_range`]). Every
     /// group in the range must be unmapped. Returns how many groups were
     /// newly freed.
-    pub fn reclaim_group_range(&mut self, low: u64, high: u64) -> u64 {
+    pub(crate) fn reclaim_group_range(&mut self, low: u64, high: u64) -> u64 {
         debug_assert!(
             (low..high.min(self.reverse.len() as u64))
                 .all(|pg| self.logical_group_mapped_to(pg).is_none()),
@@ -882,21 +867,17 @@ impl Flashvisor {
     }
 
     /// Allocates a physical page group on behalf of Storengine's valid-page
-    /// migration (same allocator as the write path, but without charging
-    /// Flashvisor statistics or CPU time — migration is Storengine's work).
-    pub fn allocate_group_for_gc(&mut self) -> Option<u64> {
-        self.allocate_physical_group().ok()
-    }
-
-    /// Like [`Flashvisor::allocate_group_for_gc`], but never returns a
-    /// group in `[low, high)`: a row-coherent GC pass must not program
-    /// relocated data into the very row it is about to erase. Groups
+    /// migration (same free structure as the write path, but without
+    /// charging Flashvisor statistics or CPU time — migration is
+    /// Storengine's work). Never returns a group in `[low, high)`: a
+    /// row-coherent GC pass must not program relocated data into the very
+    /// row it is about to erase. Groups
     /// popped from inside the range are handed straight back to the free
     /// structure. When the shared pool has nothing outside the row, a
     /// group parked in the hot reserve is used instead — GC must never
     /// starve (and abort the run) while unmapped space merely sits staged
     /// for future hot writes.
-    pub fn allocate_group_for_gc_excluding(&mut self, low: u64, high: u64) -> Option<u64> {
+    pub(crate) fn allocate_group_for_gc_excluding(&mut self, low: u64, high: u64) -> Option<u64> {
         let mut skipped = Vec::new();
         let picked = loop {
             match self.freespace.allocate() {
@@ -920,7 +901,7 @@ impl Flashvisor {
     /// groups staged in the hot reserve. The GC abort guards check this —
     /// not just [`Flashvisor::free_physical_groups`] — so a run is never
     /// declared out of space while unmapped groups sit in the reserve.
-    pub fn available_groups(&self) -> u64 {
+    pub(crate) fn available_groups(&self) -> u64 {
         self.freespace.free_count() + self.hot_reserve.len() as u64
     }
 
@@ -943,7 +924,7 @@ impl Flashvisor {
     }
 
     /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
+    pub(crate) fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.backbone.fault_plan()
     }
 
@@ -964,7 +945,7 @@ impl Flashvisor {
     /// only when — a journal dump's programs succeeded: commits after the
     /// last successful dump are lost by a crash, exactly like the real
     /// device.
-    pub fn flush_redo_to_journal(&mut self) {
+    pub(crate) fn flush_redo_to_journal(&mut self) {
         self.journal_replay_log.append(&mut self.redo_since_journal);
     }
 
@@ -1070,7 +1051,7 @@ impl Flashvisor {
     /// (retry-then-relocate's *retry*); here each affected group still
     /// mapped is migrated to a fresh destination like a GC pass would.
     /// Returns when the last relocation finished (`now` if none).
-    pub fn relocate_disturbed(&mut self, now: SimTime) -> Result<SimTime, FaError> {
+    fn relocate_disturbed(&mut self, now: SimTime) -> Result<SimTime, FaError> {
         let pages = self.config.pages_per_group();
         let mut groups: Vec<u64> = self
             .backbone
@@ -1152,6 +1133,7 @@ impl Flashvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freespace::PlacementPolicy;
     use crate::scheduler::SchedulerPolicy;
     use fa_platform::PlatformSpec;
 
@@ -1383,9 +1365,6 @@ mod tests {
         // Addresses beyond the virtualized capacity are reported as unmapped.
         let res = v.write_section(SimTime::from_ms(2), total * group_bytes, 1, &mut sp);
         assert!(matches!(res, Err(FaError::UnmappedAddress(_))));
-        // Recycling a group makes one write possible again.
-        v.recycle_group(0);
-        assert_eq!(v.free_physical_groups(), 1);
     }
 
     #[test]

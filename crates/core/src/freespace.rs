@@ -42,7 +42,6 @@
 //! // 8 groups of 2 pages on a 2-channel, 1-die, 4-pages-per-block device:
 //! // each block row holds 4 groups (rows are groups 0..4 and 4..8).
 //! let mut m = FreeSpaceManager::new(8, 2, 2, 1, 4, PlacementPolicy::LeastWorn);
-//! assert_eq!(m.row_of_group(5), 1);
 //!
 //! // Row 0 absorbs two block erases; the min-wear policy now starts
 //! // allocating from row 1.
@@ -224,11 +223,6 @@ impl FreeSpaceManager {
         manager
     }
 
-    /// Total page groups under management.
-    pub fn total_groups(&self) -> u64 {
-        self.total_groups
-    }
-
     /// Groups currently free. O(1).
     pub fn free_count(&self) -> u64 {
         self.free_count
@@ -242,11 +236,6 @@ impl FreeSpaceManager {
     /// Groups retired with their bad block row (lost capacity). O(1).
     pub fn retired_count(&self) -> u64 {
         self.retired_count
-    }
-
-    /// The placement policy in force.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
     }
 
     /// Number of stripe classes (channels × dies per channel).
@@ -266,23 +255,23 @@ impl FreeSpaceManager {
     /// Block row of group `g`: the within-die erase-block index its leading
     /// page falls in. Each row spans `pages_per_block × channels × dies`
     /// flat pages (block `r` of every channel and die).
-    pub fn row_of_group(&self, g: u64) -> u64 {
+    fn row_of_group(&self, g: u64) -> u64 {
         let row_pages = self.pages_per_block * self.channels * self.dies_per_channel;
         (g * self.pages_per_group) / row_pages
     }
 
     /// The group range `[low, high)` whose leading pages fall in block row
     /// `row` — the unit [`FreeSpaceManager::retire_row`] removes.
-    pub fn row_group_range(&self, row: u64) -> (u64, u64) {
+    fn row_group_range(&self, row: u64) -> (u64, u64) {
         let row_pages = self.pages_per_block * self.channels * self.dies_per_channel;
         let per_row = (row_pages / self.pages_per_group).max(1);
         let low = (row * per_row).min(self.total_groups);
         (low, (low + per_row).min(self.total_groups))
     }
 
-    /// Accumulated block erases per row, indexed by
-    /// [`FreeSpaceManager::row_of_group`] — the incrementally maintained
-    /// wear ledger (also the oracle surface the property tests recount).
+    /// Accumulated block erases per block row (the within-die erase-block
+    /// index) — the incrementally maintained wear ledger (also the oracle
+    /// surface the property tests recount).
     pub fn row_wear(&self) -> &[u64] {
         &self.row_wear
     }
@@ -306,7 +295,7 @@ impl FreeSpaceManager {
 
     /// Allocated groups per stripe class, indexed like
     /// [`FreeSpaceManager::stripe_class`].
-    pub fn occupancy(&self) -> &[u64] {
+    pub(crate) fn occupancy(&self) -> &[u64] {
         &self.occupancy
     }
 
@@ -364,7 +353,7 @@ impl FreeSpaceManager {
     }
 
     /// True when group `g` is currently in the free structure.
-    pub fn is_free(&self, g: u64) -> bool {
+    pub(crate) fn is_free(&self, g: u64) -> bool {
         self.free_flags.get(g as usize).copied().unwrap_or_default()
     }
 
@@ -392,7 +381,7 @@ impl FreeSpaceManager {
     /// migrates mapped groups out first). The row's `row_wear` entry is
     /// kept: retirement does not rewrite wear history. Idempotent; returns
     /// how many groups were newly retired.
-    pub fn retire_row(&mut self, row: u64) -> u64 {
+    pub(crate) fn retire_row(&mut self, row: u64) -> u64 {
         let (low, high) = self.row_group_range(row);
         if low >= high {
             return 0;
@@ -485,7 +474,7 @@ impl FreeSpaceManager {
     /// Returns a reclaimed group to the free structure. Recycling a group
     /// that is already free (or reserved) is a no-op, so a double recycle
     /// cannot put the same group in the pool twice.
-    pub fn recycle(&mut self, g: u64) {
+    pub(crate) fn recycle(&mut self, g: u64) {
         if self.free_flags[g as usize]
             || self.reserved_flags[g as usize]
             || self.retired_flags[g as usize]
@@ -519,7 +508,7 @@ impl FreeSpaceManager {
     /// nothing in the range is mapped and all of its blocks are erased.
     /// Returns how many groups were newly freed (garbage that was never
     /// individually recycled).
-    pub fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
+    pub(crate) fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
         let high = high.min(self.total_groups);
         if low >= high {
             return 0;
@@ -603,7 +592,7 @@ impl FreeSpaceManager {
     /// is physical; the bad-block table is journaled metadata). The result
     /// is a pure function of the flags and the predicate, so replaying the
     /// same journal always reproduces the same allocator.
-    pub fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
+    pub(crate) fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
         self.free_count = 0;
         for slot in self.occupancy.iter_mut() {
             *slot = 0;

@@ -8,7 +8,7 @@
 
 use crate::scheduler::SchedulerPolicy;
 use fa_energy::EnergyBreakdown;
-use fa_sim::stats::{Histogram, TimeSeries};
+use fa_sim::stats::TimeSeries;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -213,15 +213,6 @@ impl RunOutcome {
             .map(|(i, t)| (t, i + 1))
             .collect()
     }
-
-    /// Kernel latencies as a histogram (for quantile queries).
-    pub fn latency_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for k in &self.kernel_latencies {
-            h.record(k.latency().as_secs_f64());
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -314,8 +305,6 @@ mod tests {
         let o = outcome();
         assert!((o.mean_worker_utilization() - 0.7).abs() < 1e-9);
         assert!((o.energy.total_j() - 6.5).abs() < 1e-12);
-        let mut h = o.latency_histogram();
-        assert_eq!(h.quantile(1.0), Some(0.098));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub enum AdmissionDecision {
 
 impl AdmissionDecision {
     /// Stable label used in the admission trace digest.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             AdmissionDecision::Admitted => "admitted",
             AdmissionDecision::Queued => "queued",
@@ -108,7 +108,7 @@ impl AdmissionController {
     /// A controller admitting at most `cap` tenants with `queue_limit`
     /// waiting slots. A cap of zero would deadlock every arrival, so it is
     /// clamped to one.
-    pub fn new(cap: usize, queue_limit: usize) -> Self {
+    pub(crate) fn new(cap: usize, queue_limit: usize) -> Self {
         AdmissionController {
             cap: cap.max(1),
             queue_limit,
@@ -123,7 +123,7 @@ impl AdmissionController {
     }
 
     /// Decides one arrival. `Admitted` takes a slot immediately.
-    pub fn arrive(&mut self, tenant: u32) -> AdmissionDecision {
+    pub(crate) fn arrive(&mut self, tenant: u32) -> AdmissionDecision {
         self.arrivals += 1;
         if self.in_flight < self.cap {
             self.in_flight += 1;
@@ -141,7 +141,7 @@ impl AdmissionController {
 
     /// Retires one in-flight tenant; the queue head (if any) takes the
     /// freed slot and is returned for dispatch.
-    pub fn complete(&mut self) -> Option<u32> {
+    pub(crate) fn complete(&mut self) -> Option<u32> {
         self.in_flight = self.in_flight.saturating_sub(1);
         let promoted = self.queue.pop_front();
         if promoted.is_some() {
@@ -157,7 +157,7 @@ impl AdmissionController {
     }
 
     /// Tenants currently waiting.
-    pub fn queue_len(&self) -> usize {
+    fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
@@ -167,7 +167,7 @@ impl AdmissionController {
     }
 
     /// `(arrivals, admitted, queued, shed, promoted)` counters.
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.arrivals,
             self.admitted,
@@ -210,12 +210,12 @@ impl QosGovernor {
     }
 
     /// The next tick instant.
-    pub fn next_tick(&self) -> SimTime {
+    fn next_tick(&self) -> SimTime {
         self.next_tick
     }
 
     /// Budget-recomputation ticks executed.
-    pub fn updates(&self) -> u64 {
+    pub(crate) fn updates(&self) -> u64 {
         self.updates
     }
 
@@ -311,7 +311,7 @@ impl OpenLoopReport {
     /// Several nearest-rank quantiles of completed tenants' sojourn times,
     /// in seconds, from one collection sorted once; all 0 when nothing
     /// completed.
-    pub fn sojourn_quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+    fn sojourn_quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
         let mut sojourns: Vec<SimDuration> = self
             .tenants
             .iter()
@@ -751,8 +751,7 @@ impl FlashAbacusSystem {
             .min_by_key(|&w| (self.workers[w].next_free().max(dispatched), w))
             .expect("at least one worker LWP");
         if !worker_booted[worker] {
-            dispatched = self.workers[worker]
-                .boot_kernel(dispatched, 0x1000_0000 + worker as u64 * 0x10_0000);
+            dispatched = self.workers[worker].boot_kernel(dispatched);
             worker_booted[worker] = true;
         }
 

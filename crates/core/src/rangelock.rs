@@ -25,7 +25,7 @@ pub enum LockMode {
 
 impl LockMode {
     /// Two mappings conflict unless both are reads.
-    pub fn conflicts_with(self, other: LockMode) -> bool {
+    fn conflicts_with(self, other: LockMode) -> bool {
         !(self == LockMode::Read && other == LockMode::Read)
     }
 }
@@ -98,12 +98,7 @@ impl RangeLockTable {
 
     /// Returns the lock (if any) that would conflict with mapping
     /// `[start, end)` in `mode`.
-    pub fn find_conflict(
-        &self,
-        start: u64,
-        end: u64,
-        mode: LockMode,
-    ) -> Option<(u64, u64, LockMode)> {
+    fn find_conflict(&self, start: u64, end: u64, mode: LockMode) -> Option<(u64, u64, LockMode)> {
         if start >= end {
             return None;
         }
@@ -171,7 +166,7 @@ impl RangeLockTable {
     /// Releases every lock held by `owner` (kernel teardown). Indexed by
     /// the per-owner key set, so teardown cost is proportional to the
     /// owner's own locks, not the table size.
-    pub fn release_owner(&mut self, owner: u32) {
+    pub(crate) fn release_owner(&mut self, owner: u32) {
         let Some(keys) = self.by_owner.remove(&owner) else {
             return;
         };
@@ -184,7 +179,7 @@ impl RangeLockTable {
     /// The owner of the first held lock overlapping `[start, end)` — the
     /// cross-layer identity Flashvisor stamps on the flash commands a
     /// data-section transfer issues. `None` when nothing covers the range.
-    pub fn owner_covering(&self, start: u64, end: u64) -> Option<u32> {
+    pub(crate) fn owner_covering(&self, start: u64, end: u64) -> Option<u32> {
         if start >= end {
             return None;
         }
@@ -192,14 +187,6 @@ impl RangeLockTable {
             .values()
             .find(|l| l.start < end && start < l.end)
             .map(|l| l.owner)
-    }
-
-    /// All currently held ranges, ordered by start address.
-    pub fn held_ranges(&self) -> Vec<(u64, u64, LockMode, u32)> {
-        self.locks
-            .values()
-            .map(|l| (l.start, l.end, l.mode, l.owner))
-            .collect()
     }
 }
 
@@ -248,7 +235,7 @@ mod tests {
         assert_eq!(t.held(), 3);
         t.release_owner(1);
         assert_eq!(t.held(), 1);
-        assert_eq!(t.held_ranges()[0].3, 2);
+        assert_eq!(t.owner_covering(0, 30), Some(2));
     }
 
     #[test]
@@ -270,7 +257,11 @@ mod tests {
         t.release(a);
         t.release_owner(1);
         assert_eq!(t.held(), 1);
-        assert_eq!(t.held_ranges(), vec![(20, 30, LockMode::Write, 2)]);
+        assert_eq!(t.owner_covering(0, 30), Some(2));
+        assert_eq!(
+            t.find_conflict(0, 30, LockMode::Read),
+            Some((20, 30, LockMode::Write))
+        );
         // Tearing down owner 1 again (nothing held) and double-releasing c
         // are both no-ops.
         t.release_owner(1);
@@ -299,11 +290,15 @@ mod tests {
                 (0u64..1000, 1u64..200, prop::bool::ANY, 0u32..8), 0..64)
         ) {
             let mut t = RangeLockTable::new();
+            // Nothing is released until the end, so every grant is held.
+            let mut held = Vec::new();
             for (start, len, write, owner) in ops {
                 let mode = if write { LockMode::Write } else { LockMode::Read };
-                let _ = t.try_acquire(start, start + len, mode, owner);
+                if t.try_acquire(start, start + len, mode, owner).is_some() {
+                    held.push((start, start + len, mode));
+                }
             }
-            let held = t.held_ranges();
+            prop_assert_eq!(t.held(), held.len());
             for (i, a) in held.iter().enumerate() {
                 for b in held.iter().skip(i + 1) {
                     let overlap = a.0 < b.1 && b.0 < a.1;

@@ -55,7 +55,7 @@ impl SchedulerPolicy {
     }
 
     /// True for the policies that schedule whole kernels onto single LWPs.
-    pub fn is_inter_kernel(self) -> bool {
+    fn is_inter_kernel(self) -> bool {
         matches!(self, SchedulerPolicy::InterSt | SchedulerPolicy::InterDy)
     }
 
@@ -75,7 +75,7 @@ pub struct KernelRef {
 }
 
 /// Enumerates every kernel of a batch in offload order.
-pub fn all_kernels(apps: &[Application]) -> Vec<KernelRef> {
+pub(crate) fn all_kernels(apps: &[Application]) -> Vec<KernelRef> {
     apps.iter()
         .enumerate()
         .flat_map(|(ai, a)| {
@@ -89,7 +89,7 @@ pub fn all_kernels(apps: &[Application]) -> Vec<KernelRef> {
 
 /// For the static inter-kernel policy: the worker an application's kernels
 /// are pinned to (the application number modulo the worker count, §4.1).
-pub fn static_assignment(app_index: usize, workers: usize) -> usize {
+pub(crate) fn static_assignment(app_index: usize, workers: usize) -> usize {
     app_index % workers.max(1)
 }
 

@@ -170,9 +170,9 @@ impl Storengine {
         self.cpu.utilization(now)
     }
 
-    /// Total busy time of the Storengine LWP up to `now`.
-    pub fn cpu_busy_time(&self, now: SimTime) -> SimDuration {
-        self.cpu.busy_time(now)
+    /// Total busy time of the Storengine LWP.
+    pub fn cpu_busy_time(&self) -> SimDuration {
+        self.cpu.busy_time()
     }
 
     fn charge_cpu(&mut self, now: SimTime, cycles: u64) -> SimTime {
@@ -283,9 +283,9 @@ impl Storengine {
     /// not a mapping scan). `now` feeds the cost-benefit block ages; the
     /// other policies ignore it. The journal's reserved metadata row is
     /// never a victim. Consumes no device time; the caller executes the
-    /// plan with [`Storengine::execute_gc`] against the same Flashvisor
-    /// state.
-    pub fn plan_gc(&mut self, now: SimTime, flashvisor: &Flashvisor) -> GcPlan {
+    /// plan against the same Flashvisor state, as
+    /// [`Storengine::collect_garbage`] does.
+    pub(crate) fn plan_gc(&mut self, now: SimTime, flashvisor: &Flashvisor) -> GcPlan {
         let geometry = self.config.flash_geometry;
         let blocks_per_die = geometry.blocks_per_die() as u64;
         // The round-robin walk (also every policy's no-garbage fallback)
@@ -323,7 +323,7 @@ impl Storengine {
     /// Storengine LWP (the paper's Storengine reads the victim's entries
     /// from the backbone metadata area) and returns the progress record
     /// the migration steps advance.
-    pub fn begin_gc_pass(&mut self, now: SimTime) -> GcPassProgress {
+    pub(crate) fn begin_gc_pass(&mut self, now: SimTime) -> GcPassProgress {
         GcPassProgress {
             next_victim: 0,
             migrated_groups: 0,
@@ -339,7 +339,7 @@ impl Storengine {
     /// `max_groups` is how the system driver slices a budgeted background
     /// pass into separate events, so foreground requests issue between
     /// slices instead of queueing behind a whole row's migration burst.
-    pub fn migrate_gc_groups(
+    pub(crate) fn migrate_gc_groups(
         &mut self,
         flashvisor: &mut Flashvisor,
         plan: &GcPlan,
@@ -448,7 +448,7 @@ impl Storengine {
     /// ever recycled, returns to the allocator as one ascending run.
     /// Otherwise the pass banks its migrations and skips the erase, so
     /// mapped data is never destroyed.
-    pub fn finish_gc_pass(
+    pub(crate) fn finish_gc_pass(
         &mut self,
         flashvisor: &mut Flashvisor,
         plan: &GcPlan,
@@ -531,7 +531,7 @@ impl Storengine {
 
     /// Executes a planned reclamation pass in one go: migrate everything,
     /// then erase and reclaim the row.
-    pub fn execute_gc(
+    fn execute_gc(
         &mut self,
         now: SimTime,
         flashvisor: &mut Flashvisor,
@@ -745,8 +745,8 @@ mod tests {
     fn storengine_time_is_separate_from_flashvisor_time() {
         let (mut s, mut v, _sp) = setup();
         s.journal(SimTime::ZERO, &mut v).unwrap();
-        assert!(s.cpu_busy_time(SimTime::from_ms(100)) > SimDuration::ZERO);
+        assert!(s.cpu_busy_time() > SimDuration::ZERO);
         // Flashvisor's CPU was never charged by journaling.
-        assert_eq!(v.cpu_busy_time(SimTime::from_ms(100)), SimDuration::ZERO);
+        assert_eq!(v.cpu_busy_time(), SimDuration::ZERO);
     }
 }

@@ -216,7 +216,7 @@ impl FlashAbacusSystem {
     }
 
     /// The system configuration.
-    pub fn config(&self) -> &FlashAbacusConfig {
+    pub(crate) fn config(&self) -> &FlashAbacusConfig {
         &self.config
     }
 
@@ -228,11 +228,6 @@ impl FlashAbacusSystem {
     /// Access to Storengine (inspection in tests and ablations).
     pub fn storengine(&self) -> &Storengine {
         &self.storengine
-    }
-
-    /// Number of worker LWPs.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Runs an offloaded batch of applications to completion and returns
@@ -779,8 +774,7 @@ impl FlashAbacusSystem {
                     let mut dispatch_at = frontier.max(kernel_offloaded);
                     if needs_ipc && !worker_state[worker].booted {
                         // First use of the worker: PSC sleep/boot sequence.
-                        dispatch_at = self.workers[worker]
-                            .boot_kernel(dispatch_at, 0x1000_0000 + worker as u64 * 0x10_0000);
+                        dispatch_at = self.workers[worker].boot_kernel(dispatch_at);
                         worker_state[worker].booted = true;
                     }
                     let end =
@@ -952,8 +946,8 @@ impl FlashAbacusSystem {
 
         // Flashvisor and Storengine busy time is part of the accelerator's
         // storage-access energy (their work exists to serve storage).
-        let fv_busy = self.flashvisor.cpu_busy_time(finished_at);
-        let se_busy = self.storengine.cpu_busy_time(finished_at);
+        let fv_busy = self.flashvisor.cpu_busy_time();
+        let se_busy = self.storengine.cpu_busy_time();
         self.energy.record(
             Component::Lwp,
             ActivityCategory::StorageAccess,

@@ -44,7 +44,7 @@ pub struct SimdAccelerator {
 
 impl SimdAccelerator {
     /// Creates the accelerator with `config.active_lwps` usable cores.
-    pub fn new(config: &BaselineConfig) -> Self {
+    pub(crate) fn new(config: &BaselineConfig) -> Self {
         let spec = LwpSpec::from_platform(&config.platform);
         SimdAccelerator {
             cores: (0..config.platform.lwp_count)
@@ -54,15 +54,10 @@ impl SimdAccelerator {
         }
     }
 
-    /// Number of LWPs the OpenMP runtime schedules onto.
-    pub fn active_lwps(&self) -> usize {
-        self.active
-    }
-
     /// Executes one kernel's microblocks starting at `now`, with all data
     /// already resident in the accelerator DRAM. Serial microblocks run on
     /// LWP 0; parallel microblocks are split evenly across the active LWPs.
-    pub fn execute_kernel(&mut self, now: SimTime, kernel: &Kernel) -> KernelExecution {
+    pub(crate) fn execute_kernel(&mut self, now: SimTime, kernel: &Kernel) -> KernelExecution {
         let mut cursor = now;
         let mut lwp_busy = SimDuration::ZERO;
         let mut regions = Vec::new();
@@ -131,7 +126,7 @@ impl SimdAccelerator {
     }
 
     /// Per-LWP utilization (all eight, including inactive ones) up to `now`.
-    pub fn per_lwp_utilization(&self, now: SimTime) -> Vec<f64> {
+    pub(crate) fn per_lwp_utilization(&self, now: SimTime) -> Vec<f64> {
         self.cores.iter().map(|c| c.utilization(now)).collect()
     }
 }

@@ -19,7 +19,7 @@ pub struct SsdSpec {
 
 impl SsdSpec {
     /// An Intel 750-class PCIe NVMe SSD.
-    pub fn nvme_750() -> Self {
+    pub(crate) fn nvme_750() -> Self {
         SsdSpec {
             read_bytes_per_sec: 2.2e9,
             write_bytes_per_sec: 0.9e9,
@@ -48,7 +48,7 @@ pub struct HostSpec {
 
 impl HostSpec {
     /// A Xeon E5-2620 v3-class host with 32 GB of DDR4 (§5).
-    pub fn xeon_host() -> Self {
+    pub(crate) fn xeon_host() -> Self {
         HostSpec {
             dram_bytes_per_sec: 20.0e9,
             // Synchronous file I/O keeps the issuing core busy for most of

@@ -34,30 +34,21 @@ pub struct HostStorageStack {
     spec: HostSpec,
     cpu: FifoServer,
     dram: SerializedResource,
-    total_cpu_busy: SimDuration,
-    total_requests: u64,
 }
 
 impl HostStorageStack {
     /// Creates an idle stack model.
-    pub fn new(spec: HostSpec) -> Self {
+    pub(crate) fn new(spec: HostSpec) -> Self {
         HostStorageStack {
             spec,
             cpu: FifoServer::new("host-cpu"),
             dram: SerializedResource::new("host-dram", spec.dram_bytes_per_sec),
-            total_cpu_busy: SimDuration::ZERO,
-            total_requests: 0,
         }
-    }
-
-    /// The host specification.
-    pub fn spec(&self) -> &HostSpec {
-        &self.spec
     }
 
     /// Pushes `bytes` through the storage stack at `now`: request-granular
     /// CPU overhead plus the configured number of copies through host DRAM.
-    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> StackTransfer {
+    pub(crate) fn transfer(&mut self, now: SimTime, bytes: u64) -> StackTransfer {
         if bytes == 0 {
             return StackTransfer {
                 start: now,
@@ -75,8 +66,6 @@ impl HostStorageStack {
         // Redundant copies through host DRAM.
         let copy_bytes = bytes * self.spec.host_copies as u64;
         let dram_res = self.dram.reserve(cpu_res.start, copy_bytes);
-        self.total_cpu_busy += cpu_time;
-        self.total_requests += requests;
         StackTransfer {
             start: now,
             end: cpu_res.end.max(dram_res.end),
@@ -87,29 +76,12 @@ impl HostStorageStack {
     }
 
     /// Charges accelerator-runtime CPU time for one offload chunk.
-    pub fn runtime_overhead(&mut self, now: SimTime) -> SimTime {
-        let res = self.cpu.serve(now, self.spec.runtime_cpu_per_chunk);
-        self.total_cpu_busy += self.spec.runtime_cpu_per_chunk;
-        res.end
-    }
-
-    /// Total host CPU time spent in the stacks.
-    pub fn total_cpu_busy(&self) -> SimDuration {
-        self.total_cpu_busy
-    }
-
-    /// Total I/O requests processed.
-    pub fn total_requests(&self) -> u64 {
-        self.total_requests
-    }
-
-    /// Host DRAM bytes moved by stack copies.
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram.bytes_moved()
+    pub(crate) fn runtime_overhead(&mut self, now: SimTime) -> SimTime {
+        self.cpu.serve(now, self.spec.runtime_cpu_per_chunk).end
     }
 
     /// Host CPU busy fraction up to `now`.
-    pub fn cpu_utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn cpu_utilization(&self, now: SimTime) -> f64 {
         self.cpu.utilization(now)
     }
 }
@@ -138,7 +110,7 @@ mod tests {
         let t = s.transfer(SimTime::from_us(5), 0);
         assert_eq!(t.start, t.end);
         assert_eq!(t.requests, 0);
-        assert_eq!(s.total_requests(), 0);
+        assert_eq!(s.cpu_utilization(SimTime::from_us(5)), 0.0);
     }
 
     #[test]
@@ -147,8 +119,9 @@ mod tests {
         let a = s.transfer(SimTime::ZERO, 512 * 1024);
         let b = s.transfer(SimTime::ZERO, 512 * 1024);
         assert!(b.end > a.end);
-        assert_eq!(s.total_requests(), 8);
-        assert!(s.total_cpu_busy() >= SimDuration::from_us(40) * 8);
+        assert_eq!(a.requests + b.requests, 8);
+        // The second transfer's four requests queue behind the first's.
+        assert!(b.end >= SimTime::from_us(320));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// Total accounted time.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.accelerator + self.ssd + self.host_stack
     }
 
@@ -56,7 +56,7 @@ pub struct BaselineKernelLatency {
 
 impl BaselineKernelLatency {
     /// Start-to-finish latency.
-    pub fn latency(&self) -> SimDuration {
+    pub(crate) fn latency(&self) -> SimDuration {
         self.completed_at.saturating_since(self.started_at)
     }
 }

@@ -15,13 +15,11 @@ pub struct NvmeSsd {
     device: SerializedResource,
     reads: u64,
     writes: u64,
-    bytes_read: u64,
-    bytes_written: u64,
 }
 
 impl NvmeSsd {
     /// Creates an idle SSD.
-    pub fn new(spec: SsdSpec) -> Self {
+    pub(crate) fn new(spec: SsdSpec) -> Self {
         NvmeSsd {
             spec,
             // The serialized resource carries the slower (write) bandwidth;
@@ -29,54 +27,30 @@ impl NvmeSsd {
             device: SerializedResource::new("nvme-ssd", spec.read_bytes_per_sec),
             reads: 0,
             writes: 0,
-            bytes_read: 0,
-            bytes_written: 0,
         }
     }
 
-    /// The SSD specification.
-    pub fn spec(&self) -> &SsdSpec {
-        &self.spec
-    }
-
     /// Issues a read of `bytes`, returning its service window.
-    pub fn read(&mut self, now: SimTime, bytes: u64) -> Reservation {
+    pub(crate) fn read(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let service = self.spec.command_latency
             + SimDuration::for_transfer(bytes, self.spec.read_bytes_per_sec);
         let res = self.device.reserve_duration(now, service);
         self.reads += 1;
-        self.bytes_read += bytes;
         res
     }
 
     /// Issues a write of `bytes`, returning its service window.
-    pub fn write(&mut self, now: SimTime, bytes: u64) -> Reservation {
+    pub(crate) fn write(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let service = self.spec.command_latency
             + SimDuration::for_transfer(bytes, self.spec.write_bytes_per_sec);
         let res = self.device.reserve_duration(now, service);
         self.writes += 1;
-        self.bytes_written += bytes;
         res
     }
 
     /// Commands issued so far.
     pub fn commands(&self) -> u64 {
         self.reads + self.writes
-    }
-
-    /// Bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Total device busy time up to `now`.
-    pub fn busy_time(&self, now: SimTime) -> SimDuration {
-        self.device.busy_time(now)
     }
 
     /// Device busy fraction up to `now`.
@@ -121,7 +95,5 @@ mod tests {
         let b = ssd.write(SimTime::ZERO, 1 << 20);
         assert_eq!(b.start, a.end);
         assert_eq!(ssd.commands(), 2);
-        assert_eq!(ssd.bytes_read(), 1 << 20);
-        assert_eq!(ssd.bytes_written(), 1 << 20);
     }
 }

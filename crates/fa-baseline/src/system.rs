@@ -62,11 +62,6 @@ impl ConventionalSystem {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BaselineConfig {
-        &self.config
-    }
-
     /// Moves `bytes` from the SSD into the accelerator DRAM (or back when
     /// `to_accelerator` is false), charging every hop. Returns when the data
     /// is in place.

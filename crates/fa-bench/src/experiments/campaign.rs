@@ -36,7 +36,7 @@ impl Campaign {
 
     /// The homogeneous campaign's workload list: six instances of each of
     /// the fourteen PolyBench applications.
-    pub fn homogeneous_workloads(scale: ExperimentScale) -> Vec<(String, Vec<Application>)> {
+    fn homogeneous_workloads(scale: ExperimentScale) -> Vec<(String, Vec<Application>)> {
         polybench_table2()
             .iter()
             .map(|row| (row.name.to_string(), homogeneous_workload(row.bench, scale)))
@@ -45,7 +45,7 @@ impl Campaign {
 
     /// The heterogeneous campaign's workload list: MX1–MX14, 24 instances
     /// each.
-    pub fn heterogeneous_workloads(scale: ExperimentScale) -> Vec<(String, Vec<Application>)> {
+    fn heterogeneous_workloads(scale: ExperimentScale) -> Vec<(String, Vec<Application>)> {
         let lists: Vec<(String, Vec<Application>)> = mix_names()
             .into_iter()
             .enumerate()
@@ -59,7 +59,7 @@ impl Campaign {
     }
 
     /// The graph/big-data campaign's workload list.
-    pub fn bigdata_workloads(scale: ExperimentScale) -> Vec<(String, Vec<Application>)> {
+    fn bigdata_workloads(scale: ExperimentScale) -> Vec<(String, Vec<Application>)> {
         bigdata_table()
             .iter()
             .map(|row| (row.name.to_string(), bigdata_workload(row.bench, scale)))

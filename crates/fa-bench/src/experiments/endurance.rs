@@ -78,7 +78,7 @@ pub struct EnduranceOutcome {
 /// trips (absorbing injected GC failures exactly like the system driver:
 /// retirement processing runs and the churn continues), and declare
 /// death when a write still fails after a burst of last-ditch GC.
-pub fn endurance_to_death(placement: PlacementPolicy) -> EnduranceOutcome {
+fn endurance_to_death(placement: PlacementPolicy) -> EnduranceOutcome {
     let config = endurance_config(placement);
     let mut v = Flashvisor::new(config);
     v.install_fault_plan(Arc::new(

@@ -83,7 +83,7 @@ pub struct ChurnOutcome {
 
 impl ChurnOutcome {
     /// `max − min` erase cycles: the endurance-headroom spread.
-    pub fn wear_spread(&self) -> u64 {
+    pub(crate) fn wear_spread(&self) -> u64 {
         self.wear_max - self.wear_min
     }
 }
@@ -93,7 +93,7 @@ impl ChurnOutcome {
 /// every round hits the 32-group hot window, every fourth round also
 /// rewrites one cold group — with watermark-driven GC interleaved. The
 /// operation sequence is identical for every combination.
-pub fn run_churn(config: FlashAbacusConfig, rounds: u64) -> ChurnOutcome {
+fn run_churn(config: FlashAbacusConfig, rounds: u64) -> ChurnOutcome {
     let mut v = Flashvisor::new(config);
     let mut s = Storengine::new(config);
     let mut sp = Scratchpad::new(&PlatformSpec::paper_prototype());
@@ -150,12 +150,12 @@ pub fn run_churn(config: FlashAbacusConfig, rounds: u64) -> ChurnOutcome {
 
 /// Churn rounds for a given experiment scale: enough rounds at full scale
 /// that every block row cycles several times, scaled down for smokes.
-pub fn churn_rounds(scale: ExperimentScale) -> u64 {
+fn churn_rounds(scale: ExperimentScale) -> u64 {
     (32_000 / scale.data_scale).max(500)
 }
 
 /// The full 3 × 3 grid (hot/cold off), in report order.
-pub fn churn_grid(rounds: u64) -> Vec<ChurnOutcome> {
+fn churn_grid(rounds: u64) -> Vec<ChurnOutcome> {
     let mut out = Vec::new();
     for placement in PlacementPolicy::all() {
         for gc_victim in GcVictimPolicy::all() {
@@ -170,7 +170,7 @@ pub fn churn_grid(rounds: u64) -> Vec<ChurnOutcome> {
 /// handful) for the default and wear-aware placements. The matching
 /// separation-off rows already exist in [`churn_grid`]; callers pair
 /// against those instead of re-running them.
-pub fn hot_cold_on_rows(rounds: u64) -> Vec<ChurnOutcome> {
+fn hot_cold_on_rows(rounds: u64) -> Vec<ChurnOutcome> {
     [PlacementPolicy::FirstFree, PlacementPolicy::LeastWorn]
         .into_iter()
         .map(|placement| {

@@ -75,18 +75,13 @@ impl Table {
     }
 }
 
-/// Formats a float with three significant decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Formats a float with one decimal.
-pub fn f1(x: f64) -> String {
+pub(crate) fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
 /// Formats a value normalized to a baseline (baseline = 1.0).
-pub fn normalized(value: f64, baseline: f64) -> String {
+pub(crate) fn normalized(value: f64, baseline: f64) -> String {
     if baseline <= 0.0 {
         "n/a".to_string()
     } else {
@@ -95,13 +90,13 @@ pub fn normalized(value: f64, baseline: f64) -> String {
 }
 
 /// Formats a percentage.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 
 /// Renders a `(time, value)` series as `t=..s v=..` lines, downsampled to at
 /// most `max_points` points.
-pub fn render_series(title: &str, points: &[(f64, f64)], max_points: usize) -> String {
+pub(crate) fn render_series(title: &str, points: &[(f64, f64)], max_points: usize) -> String {
     let mut out = format!("-- {title} --\n");
     if points.is_empty() {
         out.push_str("(empty)\n");
@@ -137,7 +132,6 @@ mod tests {
 
     #[test]
     fn numeric_formatting_helpers() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(f1(12.34), "12.3");
         assert_eq!(normalized(2.0, 4.0), "0.50");
         assert_eq!(normalized(1.0, 0.0), "n/a");

@@ -74,13 +74,6 @@ impl Default for ExperimentScale {
     }
 }
 
-impl ExperimentScale {
-    /// A coarser scale for unit tests.
-    pub fn quick() -> Self {
-        ExperimentScale { data_scale: 128 }
-    }
-}
-
 /// Everything a run depends on besides its workload: the data scale, the
 /// campaign thread count, and the fault and arrival plans.
 #[derive(Debug, Clone, PartialEq)]
@@ -368,14 +361,14 @@ mod tests {
 
     #[test]
     fn homogeneous_workload_has_six_instances() {
-        let apps = homogeneous_workload(PolyBench::Gemm, ExperimentScale::quick());
+        let apps = homogeneous_workload(PolyBench::Gemm, ExperimentScale { data_scale: 128 });
         assert_eq!(apps.len(), 6);
         assert!(apps.iter().all(|a| a.name == "GEMM"));
     }
 
     #[test]
     fn heterogeneous_workload_has_24_instances() {
-        let apps = heterogeneous_workload(1, ExperimentScale::quick());
+        let apps = heterogeneous_workload(1, ExperimentScale { data_scale: 128 });
         assert_eq!(apps.len(), 24);
     }
 

@@ -178,11 +178,6 @@ impl EnergyAccountant {
         });
     }
 
-    /// Number of recorded activity intervals.
-    pub fn activity_count(&self) -> usize {
-        self.activities.len()
-    }
-
     /// Computes the category breakdown over the window `[0, horizon]`.
     pub fn breakdown(&self, horizon: SimTime) -> EnergyBreakdown {
         let mut out = EnergyBreakdown::default();
@@ -205,11 +200,6 @@ impl EnergyAccountant {
         out
     }
 
-    /// Total energy in joules over the window `[0, horizon]`.
-    pub fn total_joules(&self, horizon: SimTime) -> f64 {
-        self.breakdown(horizon).total_j()
-    }
-
     /// Reconstructs the instantaneous power curve sampled every `bucket`
     /// over `[0, horizon]` — the Figure 15b view. Idle power of registered
     /// components forms the floor; active intervals add on top.
@@ -221,11 +211,6 @@ impl EnergyAccountant {
             .sum();
         let active = self.activities.iter().map(|a| (a.start, a.end, a.watts));
         bucketed(horizon, bucket, idle_floor, active)
-    }
-
-    /// The configured power spec.
-    pub fn spec(&self) -> &PowerSpec {
-        &self.spec
     }
 }
 
@@ -322,7 +307,8 @@ mod tests {
             SimTime::from_ms(5),
             0.0,
         );
-        assert_eq!(a.activity_count(), 0);
+        let power = a.power_timeline(SimTime::from_ms(10), SimDuration::from_ms(5));
+        assert!(power.points().iter().all(|&(_, w)| w == 0.0));
         assert_eq!(a.breakdown(SimTime::from_ms(10)).total_j(), 0.0);
     }
 

@@ -72,7 +72,7 @@ impl PowerSpec {
     }
 
     /// Active power of a component.
-    pub fn active_watts(&self, component: Component) -> f64 {
+    pub(crate) fn active_watts(&self, component: Component) -> f64 {
         match component {
             Component::Lwp => self.lwp_active_w,
             Component::Ddr3l => self.ddr3l_active_w,
@@ -85,7 +85,7 @@ impl PowerSpec {
     }
 
     /// Idle power of a component.
-    pub fn idle_watts(&self, component: Component) -> f64 {
+    pub(crate) fn idle_watts(&self, component: Component) -> f64 {
         match component {
             Component::Lwp => self.lwp_idle_w,
             Component::Ddr3l => self.ddr3l_idle_w,

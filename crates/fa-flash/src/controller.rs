@@ -121,17 +121,17 @@ impl ChannelController {
     }
 
     /// Installs the channel-local fault state (see [`crate::fault`]).
-    pub fn install_fault_state(&mut self, state: FaultState) {
+    pub(crate) fn install_fault_state(&mut self, state: FaultState) {
         self.fault = Some(state);
     }
 
     /// The channel's fault state, if a plan is installed.
-    pub fn fault_state(&self) -> Option<&FaultState> {
+    pub(crate) fn fault_state(&self) -> Option<&FaultState> {
         self.fault.as_ref()
     }
 
     /// Mutable access to the channel's fault state (drain lists).
-    pub fn fault_state_mut(&mut self) -> Option<&mut FaultState> {
+    pub(crate) fn fault_state_mut(&mut self) -> Option<&mut FaultState> {
         self.fault.as_mut()
     }
 
@@ -187,7 +187,7 @@ impl ChannelController {
     }
 
     /// The channel index this controller serves.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.index
     }
 
@@ -214,12 +214,12 @@ impl ChannelController {
     }
 
     /// Channel bus utilization up to `now`.
-    pub fn bus_utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn bus_utilization(&self, now: SimTime) -> f64 {
         self.bus.utilization(now)
     }
 
     /// Mean die utilization on this channel up to `now`.
-    pub fn mean_die_utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn mean_die_utilization(&self, now: SimTime) -> f64 {
         if self.dies.is_empty() {
             return 0.0;
         }
@@ -469,7 +469,7 @@ impl ChannelController {
 
     /// Recount of the channel's valid pages from the dies' valid bitmaps:
     /// the property-test oracle for the backbone's valid total.
-    pub fn recount_valid_pages(&self) -> usize {
+    pub(crate) fn recount_valid_pages(&self) -> usize {
         self.dies
             .iter()
             .map(|d| {

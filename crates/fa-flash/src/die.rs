@@ -34,8 +34,9 @@ pub enum PageState {
 struct BlockState {
     /// Next page index that may legally be programmed (NAND requires
     /// in-order programming within a block). Pages from here on are
-    /// [`PageState::Free`]; pages below it are programmed.
-    write_cursor: usize,
+    /// [`PageState::Free`]; pages below it are programmed. `u32` like
+    /// `valid`: [`FlashDie::new`] caps `pages_per_block` at `u32::MAX`.
+    write_cursor: u32,
     erase_count: u64,
     /// Count of pages currently in [`PageState::Valid`], maintained
     /// incrementally on every program/preload/invalidate/erase so
@@ -114,7 +115,17 @@ impl FlashDie {
     /// `endurance_limit` is the number of erase cycles after which the die
     /// reports [`FlashError::WornOut`]; TLC parts are typically rated for a
     /// few thousand cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geometry.pages_per_block` exceeds `u32::MAX`, the range
+    /// of the per-block page counters.
     pub fn new(geometry: &FlashGeometry, endurance_limit: u64, channel: usize, die: usize) -> Self {
+        assert!(
+            u32::try_from(geometry.pages_per_block).is_ok(),
+            "pages_per_block {} exceeds the 32-bit block counters",
+            geometry.pages_per_block
+        );
         let words_per_block = geometry.pages_per_block.div_ceil(64);
         FlashDie {
             blocks: vec![BlockState::default(); geometry.blocks_per_die()],
@@ -161,7 +172,7 @@ impl FlashDie {
         if block >= self.blocks.len() || page >= self.pages_per_block {
             return None;
         }
-        Some(if page >= self.blocks[block].write_cursor {
+        Some(if page >= self.blocks[block].write_cursor as usize {
             PageState::Free
         } else if self.is_valid(block, page) {
             PageState::Valid
@@ -198,7 +209,7 @@ impl FlashDie {
             .get(block)
             .map(|b| BlockCounts {
                 valid: b.valid,
-                programmed: b.write_cursor as u32,
+                programmed: b.write_cursor,
             })
             .unwrap_or_default()
     }
@@ -207,7 +218,7 @@ impl FlashDie {
     pub fn free_pages_in(&self, block: usize) -> usize {
         self.blocks
             .get(block)
-            .map(|b| self.pages_per_block - b.write_cursor)
+            .map(|b| self.pages_per_block - b.write_cursor as usize)
             .unwrap_or(0)
     }
 
@@ -227,7 +238,7 @@ impl FlashDie {
     }
 
     /// Busy fraction of the die up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn utilization(&self, now: SimTime) -> f64 {
         self.server.utilization(now)
     }
 
@@ -242,7 +253,7 @@ impl FlashDie {
     /// page. Pages below the write cursor are programmed and pages from it
     /// on are free, so the cursor alone says which rule the page breaks.
     fn check_at_cursor(&self, block: usize, page: usize) -> Result<(), FlashError> {
-        let cursor = self.blocks[block].write_cursor;
+        let cursor = self.blocks[block].write_cursor as usize;
         match page.cmp(&cursor) {
             Ordering::Equal => Ok(()),
             Ordering::Less => Err(FlashError::ProgramWithoutErase(self.addr(block, page))),
@@ -263,7 +274,7 @@ impl FlashDie {
         timing: &FlashTiming,
     ) -> Result<Reservation, FlashError> {
         self.check_block(block, page)?;
-        if page >= self.blocks[block].write_cursor {
+        if page >= self.blocks[block].write_cursor as usize {
             return Err(FlashError::ReadUnwritten(self.addr(block, page)));
         }
         let res = self.server.serve(now, timing.read_page);
@@ -344,7 +355,8 @@ impl FlashDie {
         self.check_preload_run(block, first_page, n)?;
         set_bit_run(self.block_bits_mut(block), first_page, n);
         let blk = &mut self.blocks[block];
-        blk.write_cursor += n;
+        // `n` fits: the run lies inside the block.
+        blk.write_cursor += n as u32;
         blk.valid += n as u32;
         Ok(())
     }
@@ -411,6 +423,18 @@ mod tests {
             FlashDie::new(&FlashGeometry::tiny_for_tests(), 1000, 0, 0),
             FlashTiming::fast_for_tests(),
         )
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceeds the 32-bit block counters")]
+    fn blocks_beyond_the_32_bit_counters_are_rejected() {
+        let geometry = FlashGeometry {
+            pages_per_block: u32::MAX as usize + 1,
+            ..FlashGeometry::tiny_for_tests()
+        };
+        // The check runs before anything is allocated.
+        FlashDie::new(&geometry, 1000, 0, 0);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Element-wise sum, for the backbone's device-wide view.
-    pub fn absorb(&mut self, other: FaultStats) {
+    pub(crate) fn absorb(&mut self, other: FaultStats) {
         self.injected_program_failures += other.injected_program_failures;
         self.injected_erase_failures += other.injected_erase_failures;
         self.read_disturbs += other.read_disturbs;
@@ -135,7 +135,7 @@ impl Default for FaultPlan {
 
 /// Converts a probability in `[0, 1]` to the fixed-point threshold the
 /// decision hash is compared against.
-pub fn threshold_from_probability(p: f64) -> u64 {
+pub(crate) fn threshold_from_probability(p: f64) -> u64 {
     if p >= 1.0 {
         u64::MAX
     } else if p <= 0.0 {
@@ -317,7 +317,7 @@ pub struct FaultState {
 
 impl FaultState {
     /// Builds the channel-local state for `channel` from a shared plan.
-    pub fn new(plan: Arc<FaultPlan>, channel: usize) -> Self {
+    pub(crate) fn new(plan: Arc<FaultPlan>, channel: usize) -> Self {
         let scripted = plan
             .scripted
             .iter()
@@ -337,20 +337,15 @@ impl FaultState {
         }
     }
 
-    /// The shared plan this state decides under.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
     /// Statistics so far.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
     }
 
     /// Decides whether this attempt of `op` on `addr` faults, advancing
     /// the channel-local counters. Scripted faults fire on exact per-block
     /// attempt counts; otherwise the probabilistic threshold decides.
-    pub fn decide(&mut self, op: FaultOp, addr: PhysicalPageAddr) -> bool {
+    pub(crate) fn decide(&mut self, op: FaultOp, addr: PhysicalPageAddr) -> bool {
         let nth = {
             let n = self.attempts.entry((addr.die, addr.block, op)).or_insert(0);
             *n += 1;
@@ -379,7 +374,7 @@ impl FaultState {
     /// Records an injected program/erase failure on `addr`'s block and
     /// promotes the block to the pending-retirement list once it has
     /// absorbed `retire_after` failures.
-    pub fn note_failure(&mut self, op: FaultOp, addr: PhysicalPageAddr) {
+    pub(crate) fn note_failure(&mut self, op: FaultOp, addr: PhysicalPageAddr) {
         match op {
             FaultOp::Program => self.stats.injected_program_failures += 1,
             FaultOp::Erase => self.stats.injected_erase_failures += 1,
@@ -394,19 +389,19 @@ impl FaultState {
     }
 
     /// Records a read-disturb on `addr` (page queued for relocation).
-    pub fn note_disturb(&mut self, addr: PhysicalPageAddr) {
+    pub(crate) fn note_disturb(&mut self, addr: PhysicalPageAddr) {
         self.stats.read_disturbs += 1;
         self.disturbed.push(addr);
     }
 
     /// Drains the blocks awaiting bad-block retirement, as `(die, block)`
     /// pairs in the order their failures crossed the threshold.
-    pub fn take_retired_pending(&mut self) -> Vec<(usize, usize)> {
+    pub(crate) fn take_retired_pending(&mut self) -> Vec<(usize, usize)> {
         std::mem::take(&mut self.retired_pending)
     }
 
     /// Drains the pages hit by read-disturb since the last drain.
-    pub fn take_disturbed(&mut self) -> Vec<PhysicalPageAddr> {
+    pub(crate) fn take_disturbed(&mut self) -> Vec<PhysicalPageAddr> {
         std::mem::take(&mut self.disturbed)
     }
 }

@@ -74,7 +74,7 @@ impl FlashGeometry {
     }
 
     /// Pages held by a single die.
-    pub fn pages_per_die(&self) -> usize {
+    fn pages_per_die(&self) -> usize {
         self.planes_per_die * self.blocks_per_plane * self.pages_per_block
     }
 
@@ -98,13 +98,8 @@ impl FlashGeometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// Bytes in one erase block.
-    pub fn block_bytes(&self) -> u64 {
-        self.pages_per_block as u64 * self.page_bytes as u64
-    }
-
     /// Returns true if the physical address falls inside this geometry.
-    pub fn contains(&self, addr: PhysicalPageAddr) -> bool {
+    pub(crate) fn contains(&self, addr: PhysicalPageAddr) -> bool {
         addr.channel < self.channels
             && addr.die < self.dies_per_channel()
             && addr.block < self.blocks_per_die()
@@ -221,7 +216,7 @@ mod tests {
         assert_eq!(g.total_dies(), 32);
         assert_eq!(g.page_bytes, 8192);
         assert_eq!(g.total_bytes(), 32 * 1024 * 1024 * 1024);
-        assert_eq!(g.block_bytes(), 256 * 8192);
+        assert_eq!(g.pages_per_block, 256);
     }
 
     #[test]

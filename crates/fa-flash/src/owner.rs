@@ -72,7 +72,7 @@ impl OwnerId {
     }
 
     /// Inverse of [`OwnerId::dense_index`].
-    pub fn from_dense_index(index: usize) -> OwnerId {
+    pub(crate) fn from_dense_index(index: usize) -> OwnerId {
         match index {
             0 => OwnerId::Gc,
             1 => OwnerId::Journal,
@@ -119,7 +119,7 @@ pub struct QosBudgets {
 
 impl QosBudgets {
     /// Unlimited budgets: admission is the plain FIFO tag queue.
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         QosBudgets::default()
     }
 
@@ -158,15 +158,6 @@ impl OwnerStats {
     /// Total commands attributed to this owner.
     pub fn commands(&self) -> u64 {
         self.reads + self.programs + self.erases
-    }
-
-    /// Mean read latency in nanoseconds (0 when no reads completed).
-    pub fn read_latency_mean_ns(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_latency_total_ns as f64 / self.reads as f64
-        }
     }
 }
 
@@ -259,11 +250,9 @@ mod tests {
         let a = OwnerStats {
             reads: 4,
             erases: 1,
-            read_latency_total_ns: 400,
             ..Default::default()
         };
         assert_eq!(a.commands(), 5);
-        assert!((a.read_latency_mean_ns() - 100.0).abs() < 1e-12);
-        assert_eq!(OwnerStats::default().read_latency_mean_ns(), 0.0);
+        assert_eq!(OwnerStats::default().commands(), 0);
     }
 }

@@ -49,7 +49,7 @@ impl FlashTiming {
     }
 
     /// Time to move one page worth of data across the channel bus.
-    pub fn page_transfer(&self, page_bytes: usize) -> SimDuration {
+    pub(crate) fn page_transfer(&self, page_bytes: usize) -> SimDuration {
         SimDuration::for_transfer(page_bytes as u64, self.channel_bytes_per_sec)
     }
 }

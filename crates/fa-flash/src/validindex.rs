@@ -437,7 +437,7 @@ impl ValidPageIndex {
     /// the previous drain (empty without group tracking). The reclaim path
     /// above returns the unmapped ones to the allocator — the fix for the
     /// "erased but never recycled" overwrite-garbage leak.
-    pub fn take_fully_erased_groups(&mut self) -> Vec<u64> {
+    pub(crate) fn take_fully_erased_groups(&mut self) -> Vec<u64> {
         match &mut self.groups {
             Some(t) => std::mem::take(&mut t.fully_erased),
             None => Vec::new(),

@@ -28,7 +28,7 @@
 use crate::model::Application;
 use fa_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Position of one screen inside the offloaded workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -83,7 +83,6 @@ pub enum ScreenState {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ScreenNode {
     state: ScreenState,
-    completed_at: Option<SimTime>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -113,9 +112,6 @@ struct KernelNode {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AppNode {
     kernels: Vec<KernelNode>,
-    /// Count of kernels whose `completed_at` is set.
-    completed_kernels: usize,
-    completed_at: Option<SimTime>,
 }
 
 /// Runtime dependency tracker over an offloaded batch of applications.
@@ -124,9 +120,6 @@ pub struct ExecutionChain {
     apps: Vec<AppNode>,
     total_screens: usize,
     completed_screens: usize,
-    /// Screens currently running, ordered by reference so enumeration needs
-    /// no per-call sort.
-    running: BTreeMap<ScreenRef, usize>,
     /// The incrementally maintained ready set: every pending screen whose
     /// microblock is eligible, in deterministic (app, kernel, microblock,
     /// screen) order.
@@ -156,7 +149,6 @@ impl ExecutionChain {
                                     .iter()
                                     .map(|_| ScreenNode {
                                         state: ScreenState::Pending,
-                                        completed_at: None,
                                     })
                                     .collect(),
                                 done_screens: 0,
@@ -171,8 +163,6 @@ impl ExecutionChain {
                         }
                     })
                     .collect(),
-                completed_kernels: 0,
-                completed_at: None,
             })
             .collect();
         let total = nodes
@@ -184,7 +174,6 @@ impl ExecutionChain {
             apps: nodes,
             total_screens: total,
             completed_screens: 0,
-            running: BTreeMap::new(),
             frontier: BTreeSet::new(),
             incomplete_microblocks: BTreeSet::new(),
         };
@@ -264,16 +253,6 @@ impl ExecutionChain {
             .map(|s| s.state)
     }
 
-    /// True when every screen of the given microblock has completed.
-    pub fn microblock_complete(&self, app: usize, kernel: usize, microblock: usize) -> bool {
-        self.apps
-            .get(app)
-            .and_then(|a| a.kernels.get(kernel))
-            .and_then(|k| k.microblocks.get(microblock))
-            .map(MicroblockNode::all_done)
-            .unwrap_or(false)
-    }
-
     /// The earliest (app, kernel, microblock) in offload order that has not
     /// yet completed, if any. The in-order intra-kernel scheduler restricts
     /// dispatch to this microblock. O(1): the incomplete set is maintained
@@ -289,7 +268,7 @@ impl ExecutionChain {
     /// their successor while real work before them is still outstanding.
     /// This matches the frontier's eligibility cascade exactly, so a screen
     /// passes this check if and only if it can appear in the frontier.
-    pub fn microblock_eligible(&self, app: usize, kernel: usize, microblock: usize) -> bool {
+    fn microblock_eligible(&self, app: usize, kernel: usize, microblock: usize) -> bool {
         if microblock == 0 {
             return true;
         }
@@ -399,7 +378,6 @@ impl ExecutionChain {
         node.state = ScreenState::Running { lwp };
         let was_ready = self.frontier.remove(&at);
         debug_assert!(was_ready, "pending eligible screen missing from frontier");
-        self.running.insert(at, lwp);
     }
 
     /// Marks a screen as completed at `now`.
@@ -415,9 +393,7 @@ impl ExecutionChain {
                 "screen {at:?} completed without running"
             );
             node.state = ScreenState::Done;
-            node.completed_at = Some(now);
         }
-        self.running.remove(&at);
         self.completed_screens += 1;
 
         let kernel = &mut self.apps[at.app].kernels[at.kernel];
@@ -435,16 +411,11 @@ impl ExecutionChain {
             self.unlock_microblocks_from(at.app, at.kernel, at.microblock + 1);
         }
 
-        // Roll the completion upward to kernel and application level.
+        // Roll the completion upward to kernel level.
         if kernel_done {
-            let app = &mut self.apps[at.app];
-            let k = &mut app.kernels[at.kernel];
+            let k = &mut self.apps[at.app].kernels[at.kernel];
             if k.completed_at.is_none() {
                 k.completed_at = Some(now);
-                app.completed_kernels += 1;
-                if app.completed_kernels == app.kernels.len() && app.completed_at.is_none() {
-                    app.completed_at = Some(now);
-                }
             }
         }
     }
@@ -461,37 +432,6 @@ impl ExecutionChain {
     /// Completion time of a kernel, if it has finished.
     pub fn kernel_completion(&self, app: usize, kernel: usize) -> Option<SimTime> {
         self.apps.get(app)?.kernels.get(kernel)?.completed_at
-    }
-
-    /// Completion time of an application, if it has finished.
-    pub fn app_completion(&self, app: usize) -> Option<SimTime> {
-        self.apps.get(app)?.completed_at
-    }
-
-    /// Completion times of every kernel that has finished, flattened in
-    /// (app, kernel) order.
-    pub fn kernel_completions(&self) -> Vec<(usize, usize, SimTime)> {
-        let mut v = Vec::new();
-        for (ai, a) in self.apps.iter().enumerate() {
-            for (ki, k) in a.kernels.iter().enumerate() {
-                if let Some(t) = k.completed_at {
-                    v.push((ai, ki, t));
-                }
-            }
-        }
-        v
-    }
-
-    /// Number of screens currently running. O(1).
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Screens currently marked running, with their LWP assignment, in
-    /// (app, kernel, microblock, screen) order. The running set is kept
-    /// ordered, so this is a straight copy — no per-call sort.
-    pub fn running_screens(&self) -> Vec<(ScreenRef, usize)> {
-        self.running.iter().map(|(r, l)| (*r, *l)).collect()
     }
 }
 
@@ -564,16 +504,14 @@ mod tests {
                 chain.mark_done(r, SimTime::from_us(t));
             }
         }
-        assert!(chain.kernel_completion(0, 0).is_some());
-        assert!(chain.kernel_completion(0, 1).is_some());
-        assert!(chain.kernel_completion(1, 0).is_some());
-        assert!(chain.app_completion(0).is_some());
-        assert!(chain.app_completion(1).is_some());
-        assert_eq!(chain.kernel_completions().len(), 3);
-        // Application completion is the max of its kernels'.
-        let a0 = chain.app_completion(0).unwrap();
-        assert!(a0 >= chain.kernel_completion(0, 0).unwrap());
-        assert!(a0 >= chain.kernel_completion(0, 1).unwrap());
+        // Each kernel completes with its last screen: app 0's first kernel
+        // waits for its second microblock (the seventh screen done), after
+        // its second kernel and app 1's kernel have finished.
+        assert_eq!(chain.kernel_completion(0, 0), Some(SimTime::from_us(70)));
+        assert_eq!(chain.kernel_completion(0, 1), Some(SimTime::from_us(30)));
+        assert_eq!(chain.kernel_completion(1, 0), Some(SimTime::from_us(60)));
+        assert_eq!(chain.kernel_completion(1, 1), None);
+        assert_eq!(chain.completed_screens(), chain.total_screens());
         // Everything drained: no ready screens, no incomplete microblocks.
         assert_eq!(chain.ready_count(), 0);
         assert_eq!(chain.earliest_incomplete_microblock(), None);
@@ -618,11 +556,10 @@ mod tests {
         let ready = chain.ready_screens();
         chain.mark_running(ready[0], 3);
         chain.mark_running(ready[1], 5);
-        let running = chain.running_screens();
-        assert_eq!(running.len(), 2);
-        assert_eq!(chain.running_count(), 2);
-        assert_eq!(running[0].1, 3);
-        assert_eq!(running[1].1, 5);
+        assert_eq!(chain.state(ready[0]), Some(ScreenState::Running { lwp: 3 }));
+        assert_eq!(chain.state(ready[1]), Some(ScreenState::Running { lwp: 5 }));
+        assert_eq!(chain.state(ready[2]), Some(ScreenState::Pending));
+        assert_eq!(chain.ready_count(), ready.len() - 2);
     }
 
     #[test]

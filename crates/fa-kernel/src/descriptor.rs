@@ -35,7 +35,7 @@ impl SectionKind {
     }
 
     /// True if the section lives in the LWP's private L2 rather than DDR3L.
-    pub fn is_l2_resident(self) -> bool {
+    fn is_l2_resident(self) -> bool {
         !matches!(self, SectionKind::DataDdr3)
     }
 }
@@ -135,11 +135,6 @@ impl KernelDescriptionTable {
             .map(|s| s.bytes)
             .sum()
     }
-
-    /// Bytes the target LWP must hold in its L2 while executing.
-    pub fn l2_footprint(&self) -> u64 {
-        self.offload_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +184,8 @@ mod tests {
     fn text_is_bounded_by_l2_budget() {
         let t = kdt();
         assert!(t.section(SectionKind::Text).unwrap().bytes <= 64 * 1024);
-        assert!(t.l2_footprint() <= 512 * 1024);
+        // The offloaded image must fit the LWP's 512 KB L2.
+        assert!(t.offload_bytes() <= 512 * 1024);
         // Offloading a kernel is cheap relative to its data set: the image
         // must stay well under 100 KB.
         assert!(t.offload_bytes() < 100 * 1024);

@@ -31,5 +31,4 @@ pub use descriptor::{KernelDescriptionTable, Section, SectionKind};
 pub use instance::{instantiate_many, InstancePlan};
 pub use model::{
     AppId, Application, ApplicationBuilder, DataSection, Kernel, KernelId, Microblock, Screen,
-    WorkloadClass,
 };

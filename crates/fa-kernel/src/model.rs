@@ -16,15 +16,6 @@ pub struct KernelId {
     pub index: u32,
 }
 
-/// Broad workload class used by the evaluation to group results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WorkloadClass {
-    /// Dominated by storage traffic (high bytes-per-kilo-instruction).
-    DataIntensive,
-    /// Dominated by arithmetic (low bytes-per-kilo-instruction).
-    ComputeIntensive,
-}
-
 /// The flash-mapped data section of a kernel.
 ///
 /// The addresses are *word addresses in the flash backbone's logical
@@ -53,7 +44,7 @@ impl DataSection {
     }
 
     /// Returns a copy of the section rebased at `new_base`.
-    pub fn rebased(&self, new_base: u64) -> DataSection {
+    fn rebased(&self, new_base: u64) -> DataSection {
         DataSection {
             flash_base: new_base,
             ..*self
@@ -144,15 +135,6 @@ impl Kernel {
             return 0.0;
         }
         self.data_section.total_bytes() as f64 / (instr as f64 / 1_000.0)
-    }
-
-    /// Classifies the kernel the way the paper groups Figure 10a's x-axis.
-    pub fn workload_class(&self) -> WorkloadClass {
-        if self.bytes_per_kilo_instruction() >= 20.0 {
-            WorkloadClass::DataIntensive
-        } else {
-            WorkloadClass::ComputeIntensive
-        }
     }
 }
 
@@ -376,14 +358,9 @@ mod tests {
                 &[(1, InstructionMix::new(500_000_000, 0.3, 0.2), 1 << 20, 0)],
             )
             .build(AppId(1));
-        assert_eq!(
-            data_heavy.kernels[0].workload_class(),
-            WorkloadClass::DataIntensive
-        );
-        assert_eq!(
-            compute_heavy.kernels[0].workload_class(),
-            WorkloadClass::ComputeIntensive
-        );
+        // Table 2 calls a kernel data-intensive at 20 bytes per kilo-instruction.
+        assert!(data_heavy.kernels[0].bytes_per_kilo_instruction() >= 20.0);
+        assert!(compute_heavy.kernels[0].bytes_per_kilo_instruction() < 20.0);
     }
 
     #[test]

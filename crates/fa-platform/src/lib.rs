@@ -8,18 +8,18 @@
 //! (Table 1 and §2.2). This crate models each of those pieces:
 //!
 //! * [`spec`] — the Table 1 hardware specification as typed constants.
-//! * [`lwp`] — the VLIW issue model, per-LWP run queue, and the power/sleep
-//!   controller protocol used to boot kernels.
-//! * [`mem`] — DDR3L, the banked scratchpad, and the private-cache model.
-//! * [`noc`] — tier-1/tier-2 crossbars, hardware message queues, and the
-//!   PCIe/SRIO links, plus a DMA helper for multi-hop transfers.
+//! * [`lwp`] — the VLIW issue model, per-LWP run queue, and the cycles of
+//!   the power/sleep controller protocol used to boot kernels.
+//! * [`mem`] — DDR3L, the scratchpad handle, and the private-cache model.
+//! * [`noc`] — the tier-1 crossbar, hardware message queues, and the PCIe
+//!   link.
 
 pub mod lwp;
 pub mod mem;
 pub mod noc;
 pub mod spec;
 
-pub use lwp::{ExecutionEstimate, FuOccupancy, InstructionMix, LwpCore, LwpSpec, PowerState};
+pub use lwp::{ExecutionEstimate, FuOccupancy, InstructionMix, LwpCore, LwpSpec};
 pub use mem::{CacheSpec, Ddr3l, MemorySystem, Scratchpad};
-pub use noc::{Crossbar, DmaEngine, DmaPath, MessageQueue, PcieLink};
+pub use noc::{Crossbar, MessageQueue, PcieLink};
 pub use spec::PlatformSpec;

@@ -7,10 +7,11 @@
 //! most contended functional-unit class plus memory stalls that the caches
 //! cannot hide.
 //!
-//! The module also models the power/sleep controller (PSC) protocol that
+//! The module also charges the power/sleep controller (PSC) protocol that
 //! Flashvisor uses to boot a kernel on a worker LWP (§4 "Execution"): the
 //! target LWP is put to sleep, its boot-address register is written, an
 //! inter-process interrupt forces the jump, and the LWP is woken again.
+//! Only the sequence's cycles reach a result, so only they are modelled.
 
 use crate::spec::PlatformSpec;
 use fa_sim::resource::{FifoServer, Reservation};
@@ -56,12 +57,12 @@ impl LwpSpec {
     }
 
     /// Total functional units per LWP.
-    pub fn total_fus(&self) -> usize {
+    fn total_fus(&self) -> usize {
         self.mul_fus + self.alu_fus + self.ldst_fus
     }
 
     /// Duration of `cycles` clock cycles.
-    pub fn cycles_to_duration(&self, cycles: f64) -> SimDuration {
+    fn cycles_to_duration(&self, cycles: f64) -> SimDuration {
         SimDuration::from_ns_f64(cycles * 1.0e9 / self.freq_hz as f64)
     }
 }
@@ -98,17 +99,17 @@ impl InstructionMix {
     }
 
     /// Number of load/store instructions.
-    pub fn ldst_instructions(&self) -> u64 {
+    fn ldst_instructions(&self) -> u64 {
         (self.instructions as f64 * self.ldst_ratio).round() as u64
     }
 
     /// Number of multiply instructions.
-    pub fn mul_instructions(&self) -> u64 {
+    fn mul_instructions(&self) -> u64 {
         (self.instructions as f64 * self.mul_ratio).round() as u64
     }
 
     /// Number of plain ALU instructions.
-    pub fn alu_instructions(&self) -> u64 {
+    fn alu_instructions(&self) -> u64 {
         self.instructions
             .saturating_sub(self.ldst_instructions())
             .saturating_sub(self.mul_instructions())
@@ -161,63 +162,27 @@ pub struct ExecutionEstimate {
     pub bytes_touched: u64,
 }
 
-/// Power state of one LWP, driven by the power/sleep controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PowerState {
-    /// Clock-gated; consumes negligible dynamic power.
-    Sleeping,
-    /// Executing or ready to execute.
-    Active,
-}
-
 /// One lightweight processor instance.
 #[derive(Debug, Clone)]
 pub struct LwpCore {
-    id: usize,
     spec: LwpSpec,
-    state: PowerState,
-    boot_address: Option<u64>,
     run_queue: FifoServer,
     busy: UtilizationTracker,
-    executed_regions: u64,
-    executed_instructions: u64,
-    fu_busy_cycles: f64,
 }
 
 impl LwpCore {
-    /// Creates an active, idle LWP.
+    /// Creates an idle LWP; `id` names its run queue.
     pub fn new(id: usize, spec: LwpSpec) -> Self {
         LwpCore {
-            id,
             spec,
-            state: PowerState::Active,
-            boot_address: None,
             run_queue: FifoServer::new(format!("lwp{id}")),
             busy: UtilizationTracker::new(),
-            executed_regions: 0,
-            executed_instructions: 0,
-            fu_busy_cycles: 0.0,
         }
-    }
-
-    /// The LWP identifier.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Static parameters.
     pub fn spec(&self) -> &LwpSpec {
         &self.spec
-    }
-
-    /// Current power state.
-    pub fn power_state(&self) -> PowerState {
-        self.state
-    }
-
-    /// Boot address last written by the PSC protocol, if any.
-    pub fn boot_address(&self) -> Option<u64> {
-        self.boot_address
     }
 
     /// Estimates the execution of an instruction mix on this LWP's VLIW
@@ -229,7 +194,7 @@ impl LwpCore {
 
     /// Issue-model estimate for an arbitrary [`LwpSpec`] (usable without a
     /// core instance, e.g. by schedulers planning ahead).
-    pub fn estimate_with(
+    fn estimate_with(
         spec: &LwpSpec,
         mix: &InstructionMix,
         bytes_touched: u64,
@@ -257,23 +222,9 @@ impl LwpCore {
 
     /// Runs the PSC boot sequence: sleep, write the boot-address register,
     /// raise the inter-processor interrupt, wake. Returns when the LWP is
-    /// ready to fetch the kernel.
-    pub fn boot_kernel(&mut self, now: SimTime, kernel_ddr3l_addr: u64) -> SimTime {
-        self.state = PowerState::Sleeping;
-        self.boot_address = Some(kernel_ddr3l_addr);
-        let ready = now + self.spec.cycles_to_duration(self.spec.boot_cycles as f64);
-        self.state = PowerState::Active;
-        ready
-    }
-
-    /// Puts the LWP to sleep (PSC clock gate).
-    pub fn sleep(&mut self) {
-        self.state = PowerState::Sleeping;
-    }
-
-    /// Wakes the LWP.
-    pub fn wake(&mut self) {
-        self.state = PowerState::Active;
+    /// ready to fetch the kernel, `boot_cycles` after `now`.
+    pub fn boot_kernel(&self, now: SimTime) -> SimTime {
+        now + self.spec.cycles_to_duration(self.spec.boot_cycles as f64)
     }
 
     /// Earliest instant at which new work could start on this LWP.
@@ -286,45 +237,12 @@ impl LwpCore {
     pub fn execute(&mut self, now: SimTime, estimate: &ExecutionEstimate) -> Reservation {
         let res = self.run_queue.serve(now, estimate.duration);
         self.busy.add_busy(estimate.duration);
-        self.executed_regions += 1;
-        self.executed_instructions += estimate.occupancy.mul_cycles as u64
-            + estimate.occupancy.alu_cycles as u64
-            + estimate.occupancy.ldst_cycles as u64;
-        self.fu_busy_cycles += estimate.occupancy.mul_cycles
-            + estimate.occupancy.alu_cycles
-            + estimate.occupancy.ldst_cycles;
         res
-    }
-
-    /// Total busy time up to `now`.
-    pub fn busy_time(&self, now: SimTime) -> SimDuration {
-        self.busy.busy_time(now)
     }
 
     /// Busy fraction over the window ending at `now` (Figure 14's metric).
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.busy.utilization(now)
-    }
-
-    /// Number of code regions executed.
-    pub fn executed_regions(&self) -> u64 {
-        self.executed_regions
-    }
-
-    /// Instructions retired so far.
-    pub fn executed_instructions(&self) -> u64 {
-        self.executed_instructions
-    }
-
-    /// Mean number of busy functional units over the busy window ending at
-    /// `now` (Figure 15a's metric, per LWP).
-    pub fn mean_busy_fus(&self, now: SimTime) -> f64 {
-        let busy_cycles = self.busy_time(now).as_secs_f64() * self.spec.freq_hz as f64;
-        if busy_cycles <= 0.0 {
-            0.0
-        } else {
-            (self.fu_busy_cycles / busy_cycles).min(self.spec.total_fus() as f64)
-        }
     }
 }
 
@@ -391,34 +309,25 @@ mod tests {
         let a = core.execute(SimTime::ZERO, &est);
         let b = core.execute(SimTime::ZERO, &est);
         assert_eq!(b.start, a.end);
-        assert_eq!(core.executed_regions(), 2);
+        assert_eq!(b.end, a.end + est.duration);
         assert!(core.utilization(b.end) > 0.99);
     }
 
     #[test]
-    fn boot_protocol_takes_time_and_sets_address() {
-        let mut core = LwpCore::new(3, spec());
-        let ready = core.boot_kernel(SimTime::from_us(10), 0xD0D3);
-        assert!(ready > SimTime::from_us(10));
-        assert_eq!(core.boot_address(), Some(0xD0D3));
-        assert_eq!(core.power_state(), PowerState::Active);
-    }
-
-    #[test]
-    fn sleep_and_wake_toggle_state() {
-        let mut core = LwpCore::new(1, spec());
-        core.sleep();
-        assert_eq!(core.power_state(), PowerState::Sleeping);
-        core.wake();
-        assert_eq!(core.power_state(), PowerState::Active);
+    fn boot_protocol_takes_boot_cycles() {
+        let core = LwpCore::new(3, spec());
+        let ready = core.boot_kernel(SimTime::from_us(10));
+        // 5 000 PSC cycles at 1 GHz.
+        assert_eq!(ready, SimTime::from_us(15));
+        // Booting does not occupy the run queue.
+        assert_eq!(core.next_free(), SimTime::ZERO);
     }
 
     #[test]
     fn mean_busy_fus_is_bounded() {
-        let mut core = LwpCore::new(0, spec());
-        let est = core.estimate(&InstructionMix::new(100_000, 0.4, 0.2), 0);
-        let res = core.execute(SimTime::ZERO, &est);
-        let fus = core.mean_busy_fus(res.end);
+        let s = spec();
+        let est = LwpCore::estimate_with(&s, &InstructionMix::new(100_000, 0.4, 0.2), 0);
+        let fus = est.occupancy.mean_busy_fus(&s, est.cycles);
         assert!(fus > 0.0 && fus <= 8.0, "fus = {fus}");
     }
 

@@ -1,5 +1,5 @@
-//! Accelerator-side memory system: DDR3L, the banked scratchpad, and the
-//! private L1/L2 caches.
+//! Accelerator-side memory system: DDR3L, the scratchpad, and the private
+//! L1/L2 caches.
 //!
 //! In the prototype, DDR3L backs the flash-mapped data sections of every
 //! kernel (and absorbs most flash writes as an internal cache), while the
@@ -9,7 +9,7 @@
 
 use crate::spec::PlatformSpec;
 use fa_sim::resource::{Reservation, SerializedResource};
-use fa_sim::time::{SimDuration, SimTime};
+use fa_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// A private cache level description.
@@ -23,7 +23,7 @@ pub struct CacheSpec {
 
 impl CacheSpec {
     /// The prototype's 64 KB L1.
-    pub fn l1_prototype() -> Self {
+    fn l1_prototype() -> Self {
         CacheSpec {
             capacity: 64 * 1024,
             latency_cycles: 2,
@@ -31,7 +31,7 @@ impl CacheSpec {
     }
 
     /// The prototype's 512 KB L2.
-    pub fn l2_prototype() -> Self {
+    fn l2_prototype() -> Self {
         CacheSpec {
             capacity: 512 * 1024,
             latency_cycles: 10,
@@ -54,7 +54,7 @@ pub struct Ddr3l {
 
 impl Ddr3l {
     /// Creates a DDR3L device from the platform spec.
-    pub fn new(spec: &PlatformSpec) -> Self {
+    pub(crate) fn new(spec: &PlatformSpec) -> Self {
         Ddr3l {
             capacity: spec.ddr3l_bytes,
             allocated: 0,
@@ -65,11 +65,6 @@ impl Ddr3l {
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Bytes currently allocated to data sections and kernel images.
-    pub fn allocated(&self) -> usize {
-        self.allocated
     }
 
     /// Bytes still available.
@@ -110,80 +105,19 @@ impl Ddr3l {
     }
 }
 
-/// The 8-bank SRAM scratchpad.
+/// The 8-bank SRAM scratchpad that holds Flashvisor's mapping table.
 ///
-/// Requests are routed to a bank by address; banks serve independently, so
-/// mapping-table lookups from Flashvisor and journaling traffic from
-/// Storengine only contend when they hit the same bank.
+/// It models no timing: mapping lookups are charged as Flashvisor CPU
+/// time. The handle stays because `Flashvisor::{read_section,
+/// write_section}` take one, and perfbench's churn workload builds one
+/// with [`Scratchpad::new`] to pass in.
 #[derive(Debug, Clone)]
-pub struct Scratchpad {
-    banks: Vec<SerializedResource>,
-    bank_bytes: usize,
-    access_latency: SimDuration,
-    accesses: u64,
-}
+pub struct Scratchpad;
 
 impl Scratchpad {
     /// Creates the scratchpad from the platform spec.
-    pub fn new(spec: &PlatformSpec) -> Self {
-        let banks = (0..spec.scratchpad_banks)
-            .map(|b| {
-                SerializedResource::new(
-                    format!("scratchpad-bank{b}"),
-                    spec.scratchpad_bytes_per_sec / spec.scratchpad_banks as f64,
-                )
-            })
-            .collect();
-        Scratchpad {
-            banks,
-            bank_bytes: spec.scratchpad_bytes / spec.scratchpad_banks.max(1),
-            access_latency: SimDuration::from_ns(4),
-            accesses: 0,
-        }
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Capacity of each bank in bytes.
-    pub fn bank_bytes(&self) -> usize {
-        self.bank_bytes
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.bank_bytes * self.banks.len()
-    }
-
-    /// Which bank serves byte address `addr`.
-    pub fn bank_of(&self, addr: u64) -> usize {
-        (addr / self.bank_bytes.max(1) as u64) as usize % self.banks.len().max(1)
-    }
-
-    /// Schedules an access of `bytes` at byte address `addr`.
-    pub fn access(&mut self, now: SimTime, addr: u64, bytes: u64) -> Reservation {
-        let bank = self.bank_of(addr);
-        self.accesses += 1;
-        let res = self.banks[bank].reserve(now, bytes);
-        Reservation {
-            start: res.start,
-            end: res.end + self.access_latency,
-        }
-    }
-
-    /// Number of accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Mean bank utilization up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if self.banks.is_empty() {
-            return 0.0;
-        }
-        self.banks.iter().map(|b| b.utilization(now)).sum::<f64>() / self.banks.len() as f64
+    pub fn new(_spec: &PlatformSpec) -> Self {
+        Scratchpad
     }
 }
 
@@ -250,36 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn scratchpad_routes_by_bank() {
-        let s = Scratchpad::new(&spec());
-        assert_eq!(s.bank_count(), 8);
-        assert_eq!(s.capacity(), 4 << 20);
-        assert_eq!(s.bank_of(0), 0);
-        assert_eq!(s.bank_of(s.bank_bytes() as u64), 1);
-        assert_eq!(s.bank_of((s.capacity() as u64) + 3), 0);
-    }
-
-    #[test]
-    fn scratchpad_banks_serve_in_parallel() {
-        let mut s = Scratchpad::new(&spec());
-        let bank_stride = s.bank_bytes() as u64;
-        let a = s.access(SimTime::ZERO, 0, 64 * 1024);
-        let b = s.access(SimTime::ZERO, bank_stride, 64 * 1024);
-        // Different banks: both start immediately.
-        assert_eq!(a.start, b.start);
-        let c = s.access(SimTime::ZERO, 0, 64 * 1024);
-        // Same bank as `a`: serialized behind it (ends strictly later).
-        assert!(c.end > a.end);
-        assert!(c.start > b.start);
-        assert_eq!(s.accesses(), 3);
-    }
-
-    #[test]
     fn memory_system_bundles_prototype_parameters() {
         let m = MemorySystem::new(&spec());
         assert_eq!(m.l1.capacity, 64 * 1024);
         assert_eq!(m.l2.capacity, 512 * 1024);
-        assert_eq!(m.scratchpad.bank_count(), 8);
         assert_eq!(m.ddr3l.capacity(), 1 << 30);
     }
 }

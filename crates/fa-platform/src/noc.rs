@@ -23,7 +23,11 @@ pub struct Crossbar {
 impl Crossbar {
     /// Creates a crossbar with the given aggregate bandwidth and per-hop
     /// latency.
-    pub fn new(name: impl Into<String>, bytes_per_sec: f64, per_hop_latency: SimDuration) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        bytes_per_sec: f64,
+        per_hop_latency: SimDuration,
+    ) -> Self {
         Crossbar {
             link: SerializedResource::new(name, bytes_per_sec),
             per_hop_latency,
@@ -36,15 +40,6 @@ impl Crossbar {
             "tier1-xbar",
             spec.tier1_bytes_per_sec,
             SimDuration::from_ns(20),
-        )
-    }
-
-    /// The prototype's tier-2 peripheral crossbar (5.2 GB/s).
-    pub fn tier2(spec: &PlatformSpec) -> Self {
-        Crossbar::new(
-            "tier2-xbar",
-            spec.tier2_bytes_per_sec,
-            SimDuration::from_ns(60),
         )
     }
 
@@ -115,8 +110,6 @@ pub struct MessageQueue {
     latency: SimDuration,
     capacity: usize,
     in_flight: VecDeque<SimTime>,
-    sent: u64,
-    dropped_backpressure: u64,
 }
 
 impl MessageQueue {
@@ -127,19 +120,11 @@ impl MessageQueue {
             latency: SimDuration::from_ns(spec.msgq_latency_ns),
             capacity,
             in_flight: VecDeque::new(),
-            sent: 0,
-            dropped_backpressure: 0,
         }
     }
 
-    /// One-way message latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
-    }
-
     /// Sends a message at `now`; returns the delivery time. When the queue
-    /// is full the send stalls until the head drains (back-pressure), which
-    /// is counted in [`MessageQueue::backpressure_events`].
+    /// is full the send stalls until the head drains (back-pressure).
     pub fn send(&mut self, now: SimTime) -> SimTime {
         while let Some(front) = self.in_flight.front() {
             if *front <= now {
@@ -149,7 +134,6 @@ impl MessageQueue {
             }
         }
         let start = if self.in_flight.len() >= self.capacity {
-            self.dropped_backpressure += 1;
             *self
                 .in_flight
                 .front()
@@ -159,87 +143,7 @@ impl MessageQueue {
         };
         let delivered = start + self.latency;
         self.in_flight.push_back(delivered);
-        self.sent += 1;
         delivered
-    }
-
-    /// Messages sent so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Number of sends that experienced back-pressure.
-    pub fn backpressure_events(&self) -> u64 {
-        self.dropped_backpressure
-    }
-}
-
-/// A multi-hop DMA path: a transfer that crosses several serialized
-/// resources in sequence (e.g. host DRAM → PCIe → tier-2 → DDR3L).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmaPath {
-    /// When the first hop started moving data.
-    pub start: SimTime,
-    /// When the last hop delivered the final byte.
-    pub end: SimTime,
-}
-
-impl DmaPath {
-    /// Total latency of the path.
-    pub fn latency(&self) -> SimDuration {
-        self.end.saturating_since(self.start)
-    }
-}
-
-/// A DMA engine that chains transfers across an ordered list of hops.
-///
-/// Store-and-forward at hop granularity: each hop begins once the previous
-/// hop has fully delivered the payload. This slightly overestimates latency
-/// versus cut-through hardware but preserves every bandwidth bottleneck.
-#[derive(Debug, Default)]
-pub struct DmaEngine {
-    transfers: u64,
-    bytes: u64,
-}
-
-impl DmaEngine {
-    /// Creates an idle DMA engine.
-    pub fn new() -> Self {
-        DmaEngine::default()
-    }
-
-    /// Moves `bytes` across `hops` starting at `now`.
-    pub fn transfer(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        hops: &mut [&mut SerializedResource],
-    ) -> DmaPath {
-        let mut cursor = now;
-        let mut first_start = None;
-        for hop in hops.iter_mut() {
-            let res = hop.reserve(cursor, bytes);
-            if first_start.is_none() {
-                first_start = Some(res.start);
-            }
-            cursor = res.end;
-        }
-        self.transfers += 1;
-        self.bytes += bytes;
-        DmaPath {
-            start: first_start.unwrap_or(now),
-            end: cursor,
-        }
-    }
-
-    /// Number of DMA transfers issued.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes moved.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -254,7 +158,11 @@ mod tests {
     #[test]
     fn tier1_is_faster_than_tier2() {
         let mut t1 = Crossbar::tier1(&spec());
-        let mut t2 = Crossbar::tier2(&spec());
+        let mut t2 = Crossbar::new(
+            "tier2-xbar",
+            spec().tier2_bytes_per_sec,
+            SimDuration::from_ns(60),
+        );
         let a = t1.transfer(SimTime::ZERO, 1 << 20);
         let b = t2.transfer(SimTime::ZERO, 1 << 20);
         assert!(a.end < b.end);
@@ -279,8 +187,6 @@ mod tests {
         let mut q = MessageQueue::new(&spec(), 16);
         let d = q.send(SimTime::from_ns(100));
         assert_eq!(d.as_ns(), 100 + 200);
-        assert_eq!(q.sent(), 1);
-        assert_eq!(q.backpressure_events(), 0);
     }
 
     #[test]
@@ -289,28 +195,7 @@ mod tests {
         q.send(SimTime::ZERO);
         q.send(SimTime::ZERO);
         let third = q.send(SimTime::ZERO);
-        assert!(third.as_ns() > 200);
-        assert_eq!(q.backpressure_events(), 1);
-    }
-
-    #[test]
-    fn dma_chains_bottleneck_on_slowest_hop() {
-        let s = spec();
-        let mut host_mem = SerializedResource::new("host-dram", 20.0e9);
-        let mut pcie = SerializedResource::new("pcie", s.pcie_bytes_per_sec);
-        let mut ddr = SerializedResource::new("ddr3l", s.ddr3l_bytes_per_sec);
-        let mut dma = DmaEngine::new();
-        let bytes = 64u64 << 20;
-        let path = dma.transfer(
-            SimTime::ZERO,
-            bytes,
-            &mut [&mut host_mem, &mut pcie, &mut ddr],
-        );
-        // The PCIe hop (1 GB/s) dominates: 64 MiB ≈ 67 ms; the full chain is
-        // store-and-forward so it is strictly longer but within ~2x.
-        let ms = path.latency().as_secs_f64() * 1e3;
-        assert!(ms > 67.0 && ms < 134.0, "latency {ms} ms");
-        assert_eq!(dma.transfers(), 1);
-        assert_eq!(dma.bytes(), bytes);
+        // The third send waits for the head to drain at 200 ns.
+        assert_eq!(third.as_ns(), 400);
     }
 }

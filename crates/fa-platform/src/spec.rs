@@ -82,11 +82,6 @@ impl PlatformSpec {
     pub fn worker_lwps(&self) -> usize {
         self.lwp_count.saturating_sub(self.system_lwps)
     }
-
-    /// Duration of one LWP clock cycle in nanoseconds (fractional).
-    pub fn cycle_ns(&self) -> f64 {
-        1.0e9 / self.lwp_freq_hz as f64
-    }
 }
 
 impl Default for PlatformSpec {
@@ -110,6 +105,6 @@ mod tests {
         assert!((s.ddr3l_bytes_per_sec - 6.4e9).abs() < 1.0);
         assert!((s.lwp_power_w - 0.8).abs() < 1e-9);
         assert_eq!(s.worker_lwps(), 6);
-        assert!((s.cycle_ns() - 1.0).abs() < 1e-12);
+        assert_eq!(s.lwp_freq_hz, 1_000_000_000);
     }
 }

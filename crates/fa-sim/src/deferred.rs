@@ -23,17 +23,17 @@ use crate::time::SimTime;
 ///
 /// let mut q: DeferredWorkQueue<&'static str> = DeferredWorkQueue::new();
 /// q.push(SimTime::from_ns(50), "gc-pass");
+/// q.push(SimTime::from_ns(20), "journal-dump");
+/// // A driver compares the head's start time with its foreground clock…
+/// assert_eq!(q.peek_time(), Some(SimTime::from_ns(20)));
+/// // …and pops the head once the clock reaches it.
+/// let (t, work) = q.pop().unwrap();
+/// assert_eq!((t, work), (SimTime::from_ns(20), "journal-dump"));
 /// assert_eq!(q.peek_time(), Some(SimTime::from_ns(50)));
-/// // Not ready before its start time…
-/// assert!(q.pop_ready(SimTime::from_ns(40)).is_none());
-/// // …delivered once the clock reaches it.
-/// let (t, work) = q.pop_ready(SimTime::from_ns(50)).unwrap();
-/// assert_eq!((t, work), (SimTime::from_ns(50), "gc-pass"));
 /// ```
 #[derive(Debug)]
 pub struct DeferredWorkQueue<W> {
     queue: EventQueue<W>,
-    started: u64,
 }
 
 impl<W> Default for DeferredWorkQueue<W> {
@@ -47,7 +47,6 @@ impl<W> DeferredWorkQueue<W> {
     pub fn new() -> Self {
         DeferredWorkQueue {
             queue: EventQueue::new(),
-            started: 0,
         }
     }
 
@@ -64,21 +63,7 @@ impl<W> DeferredWorkQueue<W> {
 
     /// Pops the earliest work item unconditionally.
     pub fn pop(&mut self) -> Option<(SimTime, W)> {
-        let item = self.queue.pop();
-        if item.is_some() {
-            self.started += 1;
-        }
-        item
-    }
-
-    /// Pops the earliest work item only if its start time is at or before
-    /// `now` — the merge primitive for drivers interleaving background work
-    /// with a foreground completion stream.
-    pub fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, W)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
+        self.queue.pop()
     }
 
     /// Pending work items.
@@ -89,11 +74,6 @@ impl<W> DeferredWorkQueue<W> {
     /// True when no work is pending.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total work items ever started (popped).
-    pub fn total_started(&self) -> u64 {
-        self.started
     }
 
     /// Drops all pending work.
@@ -112,24 +92,13 @@ mod tests {
         q.push(SimTime::from_ns(10), 1u32);
         q.push(SimTime::from_ns(10), 2);
         q.push(SimTime::from_ns(5), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(5)));
+        assert_eq!(q.len(), 3);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, w)| w).collect();
         assert_eq!(order, vec![3, 1, 2]);
-        assert_eq!(q.total_started(), 3);
-    }
-
-    #[test]
-    fn pop_ready_respects_start_times() {
-        let mut q = DeferredWorkQueue::new();
-        q.push(SimTime::from_ns(30), "later");
-        q.push(SimTime::from_ns(20), "sooner");
-        assert!(q.pop_ready(SimTime::from_ns(19)).is_none());
-        assert_eq!(
-            q.pop_ready(SimTime::from_ns(25)),
-            Some((SimTime::from_ns(20), "sooner"))
-        );
-        assert!(q.pop_ready(SimTime::from_ns(25)).is_none());
-        assert_eq!(q.len(), 1);
-        q.clear();
         assert!(q.is_empty());
+        q.push(SimTime::from_ns(30), 4);
+        q.clear();
+        assert_eq!(q.peek_time(), None);
     }
 }

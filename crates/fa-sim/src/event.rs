@@ -117,12 +117,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Returns the timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
     }
 
     /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 

@@ -14,8 +14,8 @@
 //!   drivers merge with their foreground completion streams.
 //! * [`crash`] — a one-shot power-loss trigger drivers poll to run the
 //!   crash/recovery protocol at an arbitrary simulated instant.
-//! * [`stats`] — counters, histograms, busy-time trackers and time series
-//!   used to produce the paper's figures.
+//! * [`stats`] — busy-time trackers and the bucketed time series used to
+//!   produce the paper's figures.
 //! * [`resource`] — serialized-bandwidth and FIFO-server resource models
 //!   used by links, buses, and flash channels.
 //! * [`rng`] — a tiny deterministic pseudo-random number generator so that
@@ -50,5 +50,5 @@ pub use deferred::DeferredWorkQueue;
 pub use event::EventQueue;
 pub use resource::{FifoServer, SerializedResource};
 pub use rng::DeterministicRng;
-pub use stats::{Counter, Histogram, RunningStats, TimeSeries, UtilizationTracker};
+pub use stats::{TimeSeries, UtilizationTracker};
 pub use time::{SimDuration, SimTime};

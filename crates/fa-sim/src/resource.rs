@@ -49,13 +49,6 @@ pub struct Reservation {
     pub end: SimTime,
 }
 
-impl Reservation {
-    /// Queueing delay plus service time relative to the request instant.
-    pub fn latency_from(&self, requested: SimTime) -> SimDuration {
-        self.end.saturating_since(requested)
-    }
-}
-
 impl SerializedResource {
     /// Creates a resource with the given name and bandwidth in bytes/second.
     pub fn new(name: impl Into<String>, bytes_per_sec: f64) -> Self {
@@ -72,11 +65,6 @@ impl SerializedResource {
     /// The resource name (for reports).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Configured bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bytes_per_sec
     }
 
     /// Earliest instant at which a new transfer could start.
@@ -143,24 +131,14 @@ impl SerializedResource {
         self.transfers
     }
 
-    /// Total busy time accumulated (up to `now`).
-    pub fn busy_time(&self, now: SimTime) -> SimDuration {
-        self.busy.busy_time(now)
+    /// Total busy time accumulated.
+    pub fn busy_time(&self) -> SimDuration {
+        self.busy.busy_time()
     }
 
     /// Busy fraction over the window ending at `now`.
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.busy.utilization(now)
-    }
-
-    /// Achieved throughput in bytes/second over the window ending at `now`.
-    pub fn achieved_throughput(&self, now: SimTime) -> f64 {
-        let wall = now.saturating_since(SimTime::ZERO).as_secs_f64();
-        if wall == 0.0 {
-            0.0
-        } else {
-            self.bytes_moved as f64 / wall
-        }
     }
 }
 
@@ -171,7 +149,6 @@ pub struct FifoServer {
     next_free: SimTime,
     busy: UtilizationTracker,
     served: u64,
-    total_wait: SimDuration,
 }
 
 impl FifoServer {
@@ -182,7 +159,6 @@ impl FifoServer {
             next_free: SimTime::ZERO,
             busy: UtilizationTracker::new(),
             served: 0,
-            total_wait: SimDuration::ZERO,
         }
     }
 
@@ -201,7 +177,6 @@ impl FifoServer {
     pub fn serve(&mut self, now: SimTime, service: SimDuration) -> Reservation {
         let start = now.max(self.next_free);
         let end = start + service;
-        self.total_wait += start.saturating_since(now);
         self.next_free = end;
         self.busy.add_busy(service);
         self.served += 1;
@@ -213,18 +188,9 @@ impl FifoServer {
         self.served
     }
 
-    /// Mean queueing delay experienced by requests so far.
-    pub fn mean_wait(&self) -> SimDuration {
-        if self.served == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_wait / self.served
-        }
-    }
-
-    /// Total busy time (up to `now`).
-    pub fn busy_time(&self, now: SimTime) -> SimDuration {
-        self.busy.busy_time(now)
+    /// Total busy time.
+    pub fn busy_time(&self) -> SimDuration {
+        self.busy.busy_time()
     }
 
     /// Busy fraction over the window ending at `now`.
@@ -256,7 +222,7 @@ mod tests {
         r.reserve(SimTime::ZERO, 1_000); // 1 us busy
         r.reserve(SimTime::from_us(100), 1_000); // after a long idle gap
         let now = SimTime::from_us(101);
-        assert_eq!(r.busy_time(now).as_ns(), 2_000);
+        assert_eq!(r.busy_time().as_ns(), 2_000);
         assert!(r.utilization(now) < 0.05);
     }
 
@@ -267,7 +233,10 @@ mod tests {
         let req_at = SimTime::from_ns(100);
         let res = r.reserve(req_at, 1_000);
         assert_eq!(res.start, SimTime::from_us(5));
-        assert_eq!(res.latency_from(req_at).as_ns(), 5_000 - 100 + 1_000);
+        assert_eq!(
+            res.end.saturating_since(req_at).as_ns(),
+            5_000 - 100 + 1_000
+        );
     }
 
     #[test]
@@ -278,7 +247,6 @@ mod tests {
         assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(b.start, SimTime::from_us(81));
         assert_eq!(s.served(), 2);
-        assert_eq!(s.mean_wait().as_ns(), 81_000 / 2); // (0 + 81us)/2
     }
 
     #[test]

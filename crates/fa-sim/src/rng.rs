@@ -16,8 +16,8 @@
 ///
 /// let mut a = DeterministicRng::seed_from(42);
 /// let mut b = DeterministicRng::seed_from(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
-/// let x = a.gen_range_f64(0.0, 1.0);
+/// let x = a.next_f64();
+/// assert_eq!(x, b.next_f64());
 /// assert!((0.0..1.0).contains(&x));
 /// ```
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ impl DeterministicRng {
     }
 
     /// Returns the next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let result = self.state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.state[1] << 17;
         self.state[2] ^= self.state[0];
@@ -77,22 +77,12 @@ impl DeterministicRng {
     }
 
     /// Returns a uniformly distributed integer in `[0, n)`, or 0 when `n == 0`.
-    pub fn gen_index(&mut self, n: usize) -> usize {
+    pub(crate) fn gen_index(&mut self, n: usize) -> usize {
         if n == 0 {
             0
         } else {
             (self.next_u64() % n as u64) as usize
         }
-    }
-
-    /// Returns a uniformly distributed float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi, "empty range {lo}..{hi}");
-        lo + self.next_f64() * (hi - lo)
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
@@ -145,8 +135,8 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.gen_range_u64(10, 20);
             assert!((10..20).contains(&v));
-            let f = rng.gen_range_f64(-1.0, 1.0);
-            assert!((-1.0..1.0).contains(&f));
+            let f = rng.next_f64();
+            assert!((0.0..1.0).contains(&f));
         }
     }
 

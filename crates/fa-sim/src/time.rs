@@ -106,7 +106,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
+    fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
         SimDuration((secs * 1_000_000_000.0).round() as u64)
     }

@@ -64,7 +64,7 @@ pub fn mix_composition(mix: usize) -> Vec<PolyBench> {
 }
 
 /// Compositions of all fourteen mixes, index 0 = MX1.
-pub fn all_compositions() -> Vec<Vec<PolyBench>> {
+fn all_compositions() -> Vec<Vec<PolyBench>> {
     let mut remaining: Vec<(PolyBench, usize)> = MEMBERSHIP_COUNTS.to_vec();
     let order: Vec<PolyBench> = MEMBERSHIP_COUNTS.iter().map(|(b, _)| *b).collect();
     let mut mixes = Vec::with_capacity(MIX_COUNT);

@@ -88,11 +88,6 @@ pub fn polybench_names() -> Vec<&'static str> {
     polybench_table2().iter().map(|r| r.name).collect()
 }
 
-/// All benchmarks in Table 2 order.
-pub fn all_benches() -> Vec<PolyBench> {
-    polybench_table2().iter().map(|r| r.bench).collect()
-}
-
 /// The full Table 2, in the paper's row order.
 pub fn polybench_table2() -> Vec<Table2Row> {
     use PolyBench::*;
@@ -241,7 +236,7 @@ pub fn polybench_table2() -> Vec<Table2Row> {
 }
 
 /// Looks up the Table 2 row for a benchmark.
-pub fn table2_row(bench: PolyBench) -> Table2Row {
+fn table2_row(bench: PolyBench) -> Table2Row {
     polybench_table2()
         .into_iter()
         .find(|r| r.bench == bench)

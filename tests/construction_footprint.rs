@@ -9,7 +9,7 @@
 //! not what it keeps. It is the construction-side counterpart of the
 //! run-side work counts in `tests/golden/work_counts.txt`.
 //!
-//! The bound is 11.5 MiB. The per-system state that dominates it (die
+//! The bound is 11.0 MiB. The per-system state that dominates it (die
 //! page bitmaps, the 4-byte mapping and reverse tables, the 16-bit group
 //! counters) is tabled in `docs/ARCHITECTURE.md` under "Memory layout &
 //! hot-path budget".
@@ -78,10 +78,10 @@ fn requested_by<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 const MIB: f64 = 1024.0 * 1024.0;
-const BOUND_BYTES: u64 = 11 * 1024 * 1024 + 512 * 1024;
+const BOUND_BYTES: u64 = 11 * 1024 * 1024;
 
 #[test]
-fn paper_prototype_construction_requests_at_most_11_5_mib() {
+fn paper_prototype_construction_requests_at_most_11_0_mib() {
     for policy in SchedulerPolicy::all() {
         let config = FlashAbacusConfig::paper_prototype(policy);
         let (bytes, system) = requested_by(|| FlashAbacusSystem::new(config));

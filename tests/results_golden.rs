@@ -5,8 +5,8 @@
 //! order, page addresses, command timing — must be exactly what the
 //! scan-era code produced. This test pins a small campaign's rendered
 //! report, byte for byte, against a golden file generated before the
-//! refactor, and additionally checks that the rendering is identical when
-//! the campaign is fanned across worker threads. A second golden pins a
+//! refactor (`tests/shard_determinism.rs` checks the same bytes when the
+//! campaign is fanned across worker threads). A second golden pins a
 //! churn round driven straight through the write and GC paths, a third
 //! the simulated ablations: QoS, storage policy, endurance and open-loop
 //! scale-out, and a fourth the work counts of the campaign's FlashAbacus
@@ -64,20 +64,6 @@ fn default_policy_report_is_byte_identical_to_golden() {
         &render(&run_pairs(&serial(), &workloads())),
         "campaign report drifted from the golden bytes — the default \
          FirstFree data path is no longer reproducing the recorded physics",
-    );
-}
-
-#[test]
-fn report_is_deterministic_across_thread_counts() {
-    let w = workloads();
-    let parallel = RunSpec {
-        threads: 4,
-        ..serial()
-    };
-    assert_eq!(
-        render(&run_pairs(&serial(), &w)),
-        render(&run_pairs(&parallel, &w)),
-        "1 vs 4 threads rendering diverged"
     );
 }
 
