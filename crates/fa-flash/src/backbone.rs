@@ -13,7 +13,9 @@ use crate::die::{BlockCounts, FlashDie};
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
-use crate::owner::{nearest_rank, OwnerId, OwnerStats, QosBudgets, ReadTail};
+use crate::owner::{
+    nearest_rank, select_ranks, OwnerId, OwnerStats, QosBudgets, RankScratch, ReadTail,
+};
 use crate::timing::FlashTiming;
 use crate::validindex::ValidPageIndex;
 use fa_sim::resource::SerializedResource;
@@ -431,7 +433,6 @@ impl FlashBackbone {
                 by_owner.reads += 1;
                 by_owner.bytes += page_bytes;
                 let latency_ns = end.saturating_since(now).as_ns();
-                by_owner.read_latency_total_ns += latency_ns;
                 by_owner.read_latency_max_ns = by_owner.read_latency_max_ns.max(latency_ns);
                 self.read_latencies[oi].push(latency_ns);
                 Ok(end)
@@ -803,19 +804,19 @@ impl FlashBackbone {
 
     /// The owners of [`FlashBackbone::owner_stats`], in the same order,
     /// each with its page-read tail (`None` when it completed no reads) —
-    /// what the run outcome reports per owner. Each tail is found by
-    /// selection in one scratch buffer reused across owners, and equals
-    /// the nearest ranks of a sorted copy.
+    /// what the run outcome reports per owner. Each tail is found in place
+    /// by one radix count and a selection inside one bucket
+    /// (`owner::select_ranks`), with buffers reused across owners, and
+    /// equals the nearest ranks of a sorted copy.
     pub fn owner_read_tails(
         &self,
     ) -> impl Iterator<Item = (OwnerId, OwnerStats, Option<ReadTail>)> + '_ {
-        let mut scratch = Vec::new();
+        let mut scratch = RankScratch::default();
         self.owners().map(move |(oi, owner, stats)| {
             let latencies = self.read_latencies.get(oi).map_or(&[][..], Vec::as_slice);
             let tail = (!latencies.is_empty()).then(|| {
-                scratch.clear();
-                scratch.extend_from_slice(latencies);
-                ReadTail::select(&mut scratch, stats.read_latency_max_ns)
+                let parts = std::iter::once(latencies);
+                ReadTail::select(&mut scratch, parts, stats.read_latency_max_ns)
             });
             (owner, stats, tail)
         })
@@ -833,26 +834,27 @@ impl FlashBackbone {
 
     /// The nearest-rank `q`-quantile of all *foreground*
     /// (non-background-owner) read latencies — the tail the QoS budgets
-    /// exist to protect. `None` when no foreground read completed.
+    /// exist to protect. `None` when no foreground read completed. Found
+    /// across the owners' own sample vectors by `owner::select_ranks`,
+    /// with no merged copy.
     pub fn foreground_read_latency_quantile(&self, q: f64) -> Option<SimDuration> {
-        let foreground = || {
-            self.read_latencies
-                .iter()
-                .enumerate()
-                .filter(|&(oi, _)| !OwnerId::from_dense_index(oi).is_background())
-                .map(|(_, latencies)| latencies)
-        };
-        let mut merged = Vec::with_capacity(foreground().map(Vec::len).sum());
-        for latencies in foreground() {
-            merged.extend_from_slice(latencies);
-        }
-        if merged.is_empty() {
+        let foreground = self
+            .read_latencies
+            .iter()
+            .zip(&self.owner_stats)
+            .enumerate()
+            .filter(|&(oi, _)| !OwnerId::from_dense_index(oi).is_background())
+            .map(|(_, slot)| slot);
+        let (n, max) = foreground.clone().fold((0, 0), |(n, max), (latencies, s)| {
+            (n + latencies.len(), max.max(s.read_latency_max_ns))
+        });
+        if n == 0 {
             return None;
         }
-        // Selection, not a sort: identical value to `sorted[rank]` at O(n).
-        let rank = nearest_rank(merged.len(), q);
-        let (_, nth, _) = merged.select_nth_unstable(rank);
-        Some(SimDuration::from_ns(*nth))
+        let parts = foreground.map(|(latencies, _)| latencies.as_slice());
+        let ranks = [nearest_rank(n, q)];
+        let [nth] = select_ranks(&mut RankScratch::default(), parts, max, ranks);
+        Some(SimDuration::from_ns(nth))
     }
 
     /// The reclaimable block (≥1 invalid page) with the fewest valid pages,

@@ -61,10 +61,12 @@ pub struct ChannelController {
     /// reproduced byte for byte until a governor writes its first budget.
     owner_budget_overrides: Vec<Option<usize>>,
     /// Completion time and dense owner index (see [`OwnerId::dense_index`])
-    /// of each in-flight command in submission order. Completion times are
-    /// clamped non-decreasing as they are recorded, so every "commands
-    /// still in flight at instant t" question — the whole queue's or one
-    /// owner's — is answered by a suffix of this one queue.
+    /// of the last `inbound_tags` commands in submission order. Completion
+    /// times are clamped non-decreasing as they are recorded, so every
+    /// "commands still in flight at instant t" question — the whole
+    /// queue's or one owner's — is answered by a suffix of this one queue,
+    /// and admission never looks past the `inbound_tags`-th entry from the
+    /// back (see `admit`); older entries are dropped.
     outstanding: VecDeque<(SimTime, u32)>,
     /// Peak simultaneous tag occupancy per owner (dense owner index), for
     /// the QoS figures. Never exceeds `inbound_tags`.
@@ -237,21 +239,19 @@ impl ChannelController {
         while matches!(self.outstanding.front(), Some(&(done, _)) if done <= now) {
             self.outstanding.pop_front();
         }
-        let occupancy = self.outstanding.len();
-        let mut admitted = if occupancy < self.inbound_tags {
+        let mut admitted = if self.outstanding.len() < self.inbound_tags {
             now
         } else {
-            // Admission happens when enough in-flight commands have retired
-            // to open a tag slot. Completion times are kept in submission
-            // order and that order is non-decreasing (FIFO service on every
-            // phase), so the command that frees our slot is at a fixed
-            // offset from the front.
-            self.outstanding[occupancy - self.inbound_tags].0
+            // The queue holds the last `inbound_tags` commands, all still
+            // in flight. Completion times are kept in submission order and
+            // that order is non-decreasing (FIFO service on every phase),
+            // so the front entry is the one whose retirement opens a slot.
+            self.outstanding[0].0
         };
         // Every command still in flight at `admitted` sits in the suffix of
         // entries completing after it, and the tag-slot rule above bounds
-        // that suffix to `inbound_tags - 1` entries however deep the queue
-        // is. Both walks below stay inside it.
+        // that suffix to `inbound_tags - 1` entries. Both walks below stay
+        // inside it, which is why the queue keeps no older entries.
         //
         // Per-owner budget `b`: defer until the owner's `b`-th in-flight
         // command from the back retires. A zero budget is clamped to one
@@ -314,6 +314,9 @@ impl ChannelController {
         // slightly earlier (e.g. an erase racing a read on another die).
         let done = self.outstanding.back().map_or(done, |b| done.max(b.0));
         let oi = self.ensure_owner_slot(owner);
+        if self.outstanding.len() == self.inbound_tags {
+            self.outstanding.pop_front();
+        }
         self.outstanding.push_back((done, oi as u32));
     }
 

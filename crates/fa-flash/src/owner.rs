@@ -145,8 +145,6 @@ pub struct OwnerStats {
     /// Payload bytes moved for this owner (SRIO at the backbone, channel
     /// bus at the controllers).
     pub bytes: u64,
-    /// Sum of end-to-end read latencies, in nanoseconds.
-    pub read_latency_total_ns: u64,
     /// Worst end-to-end read latency, in nanoseconds.
     pub read_latency_max_ns: u64,
     /// Peak simultaneous tag-queue occupancy this owner reached on any one
@@ -174,22 +172,18 @@ pub struct ReadTail {
 }
 
 impl ReadTail {
-    /// Selects the tail of the non-empty `latencies` (nanoseconds, in any
-    /// order; reordered in place) whose maximum is `max_ns`. Two
-    /// selections instead of a sort, and both exact: p99 is the element a
-    /// full sort would put at its rank, and since the p50 rank never
-    /// exceeds the p99 rank (`round((n−1)·0.5) ≤ round((n−1)·0.99)`), the
-    /// p50 element is found among the ones selection left below p99. The
-    /// maximum is the owner's recorded worst read, rank n−1.
-    pub(crate) fn select(latencies: &mut [u64], max_ns: u64) -> ReadTail {
-        let n = latencies.len();
-        let (r50, r99) = (nearest_rank(n, 0.5), nearest_rank(n, 0.99));
-        let (below, &mut p99, _) = latencies.select_nth_unstable(r99);
-        let p50 = if r50 < r99 {
-            *below.select_nth_unstable(r50).1
-        } else {
-            p99
-        };
+    /// Selects the tail of the non-empty samples in `parts` (nanoseconds,
+    /// in any order, left untouched) whose maximum is `max_ns`. p50 and p99
+    /// come from one [`select_ranks`] call, so both share one count pass;
+    /// the maximum is the owner's recorded worst read, rank n−1.
+    pub(crate) fn select<'a>(
+        scratch: &mut RankScratch,
+        parts: impl Iterator<Item = &'a [u64]> + Clone,
+        max_ns: u64,
+    ) -> ReadTail {
+        let n = parts.clone().map(<[u64]>::len).sum();
+        let ranks = [nearest_rank(n, 0.5), nearest_rank(n, 0.99)];
+        let [p50, p99] = select_ranks(scratch, parts, max_ns, ranks);
         ReadTail {
             p50: SimDuration::from_ns(p50),
             p99: SimDuration::from_ns(p99),
@@ -204,9 +198,159 @@ pub(crate) fn nearest_rank(n: usize, q: f64) -> usize {
     ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize
 }
 
+/// Most buckets [`select_ranks`] counts into. Past this, a bucket holds
+/// more than one sample on average and the gather pass does the rest.
+const MAX_BUCKETS: usize = 4096;
+
+/// Sample counts up to which [`select_ranks`] skips the count pass and
+/// selects among all the samples: a copy of a few hundred samples costs
+/// less than counting them. Open-loop tenants read a dozen pages each.
+const ONE_BUCKET_MAX: usize = 256;
+
+/// Buffers [`select_ranks`] reuses across calls: the bucket counts and the
+/// one bucket's gathered samples.
+#[derive(Debug, Default)]
+pub(crate) struct RankScratch {
+    counts: Vec<usize>,
+    bucket: Vec<u64>,
+}
+
+/// The samples at the ascending `ranks` of everything in `parts`, exactly
+/// as a sorted concatenation would place them, leaving the samples
+/// untouched. `max` must be the largest sample, and every rank below the
+/// sample count.
+///
+/// Pass 1 counts the samples per high-bit bucket. The bucket count is the
+/// sample count rounded up to a power of two (at most [`MAX_BUCKETS`]), so
+/// the table never outgrows twice the samples. The shift puts `max` in the
+/// top bucket. A walk over the counts then names the bucket holding each
+/// rank and the rank's offset inside it, and pass 2 gathers only that
+/// bucket's samples into one reused buffer and selects the offset there.
+/// Ranks sharing a bucket share its gather. Up to [`ONE_BUCKET_MAX`]
+/// samples, everything is one bucket: no count pass, one gather.
+pub(crate) fn select_ranks<'a, const K: usize>(
+    scratch: &mut RankScratch,
+    parts: impl Iterator<Item = &'a [u64]> + Clone,
+    max: u64,
+    ranks: [usize; K],
+) -> [u64; K] {
+    let n: usize = parts.clone().map(<[u64]>::len).sum();
+    let RankScratch { counts, bucket } = scratch;
+    if n <= ONE_BUCKET_MAX {
+        bucket.clear();
+        for part in parts {
+            bucket.extend_from_slice(part);
+        }
+        return ranks.map(|rank| *bucket.select_nth_unstable(rank).1);
+    }
+    let buckets = n.next_power_of_two().min(MAX_BUCKETS);
+    let shift = (u64::BITS - max.leading_zeros()).saturating_sub(buckets.trailing_zeros());
+    counts.clear();
+    counts.resize((max >> shift) as usize + 1, 0);
+    for part in parts.clone() {
+        for &v in part {
+            counts[(v >> shift) as usize] += 1;
+        }
+    }
+    let (mut b, mut below) = (0, 0);
+    let mut gathered = None;
+    ranks.map(|rank| {
+        assert!(rank < n, "rank {rank} out of {n} samples");
+        while below + counts[b] <= rank {
+            below += counts[b];
+            b += 1;
+        }
+        assert!(rank >= below, "ranks must ascend");
+        if gathered != Some(b) {
+            bucket.clear();
+            for part in parts.clone() {
+                bucket.extend(part.iter().filter(|&&v| (v >> shift) as usize == b));
+            }
+            gathered = Some(b);
+        }
+        *bucket.select_nth_unstable(rank - below).1
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Samples of distribution `kind` drawn from `raw`, around the bucket
+    /// edge `2^bit`.
+    fn samples(kind: usize, raw: &[u64], bit: u32) -> Vec<u64> {
+        let edge = 1u64 << bit;
+        let draw = |r: u64| match kind {
+            0 => edge,
+            1 => 0,
+            2 => u64::MAX - r % 1024,
+            // `edge` is a bucket boundary whatever the shift: the maximum
+            // is `edge` itself, so the shift is at most `bit`.
+            3 => edge - (r & 1),
+            // A few spread-out outliers set a high shift, and everything
+            // else sits in the bucket holding `edge`.
+            4 if r % 512 == 0 => r,
+            4 => edge | (r % 64),
+            _ => r >> (r % 64),
+        };
+        raw.iter().map(|&r| draw(r)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn select_ranks_matches_sorted_copy(
+            kind in 0usize..6,
+            bit in 1u32..64,
+            raw in prop::collection::vec(0u64..u64::MAX, 1..20_000),
+            short in 0usize..4,
+            cuts in prop::collection::vec(0usize..20_001, 0..6),
+        ) {
+            // One case in four stays near the one-bucket cutoff.
+            let raw = if short == 0 { &raw[..raw.len() % 600 + 1] } else { &raw[..] };
+            let all = samples(kind, raw, bit);
+            let n = all.len();
+            // Split at the cuts; repeated cuts and cuts at either end
+            // leave empty slices.
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let parts: Vec<&[u64]> = cuts.windows(2).map(|w| &all[w[0]..w[1]]).collect();
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            let max = sorted[n - 1];
+
+            let ranks = [0, nearest_rank(n, 0.5), nearest_rank(n, 0.99), n - 1];
+            let mut scratch = RankScratch::default();
+            let got = select_ranks(&mut scratch, parts.iter().copied(), max, ranks);
+            prop_assert_eq!(got, ranks.map(|r| sorted[r]));
+            let tail = ReadTail::select(&mut scratch, parts.iter().copied(), max);
+            prop_assert_eq!(tail.p50.as_ns(), sorted[ranks[1]]);
+            prop_assert_eq!(tail.p99.as_ns(), sorted[ranks[2]]);
+            prop_assert_eq!(tail.max.as_ns(), max);
+        }
+    }
+
+    /// The count table scales with the samples: an owner with a few
+    /// reads never zeroes the full 4096-entry table.
+    #[test]
+    fn count_table_stays_within_two_entries_per_sample() {
+        let sizes = (1..=600).chain([1023, 1024, 1025, 2047, 2049, 4095, 4097, 20_000]);
+        for n in sizes {
+            for max in [0, 1, 1000, 1 << 40, u64::MAX] {
+                let all = vec![max; n];
+                let mut scratch = RankScratch::default();
+                let [_] = select_ranks(&mut scratch, [&all[..]].into_iter(), max, [n / 2]);
+                let len = scratch.counts.len();
+                assert!(
+                    len <= 2 * n && len <= MAX_BUCKETS,
+                    "n {n}, max {max}: {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn budgets_split_foreground_and_background() {

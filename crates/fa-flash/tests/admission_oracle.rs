@@ -2,10 +2,11 @@
 //!
 //! The controller answers every admission question — the tag-slot wait,
 //! the per-owner budget, the occupancy peaks — from one shared completion
-//! queue, and skips the peak walk once both peaks have reached the queue
-//! depth. The model below is the straightforward two-queue formulation it
-//! replaced: a shared queue plus one completion deque per owner, retired
-//! in lockstep, with both peaks recounted on every admission. Random
+//! queue that keeps only its last queue-depth entries, and skips the peak
+//! walk once both peaks have reached the queue depth. The model below is
+//! the straightforward two-queue formulation it replaced: an unbounded
+//! shared queue plus one completion deque per owner, retired in lockstep,
+//! with both peaks recounted on every admission. Random
 //! command streams must get identical completion instants and identical
 //! peaks from both.
 //!

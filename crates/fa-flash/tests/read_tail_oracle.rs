@@ -2,8 +2,8 @@
 //!
 //! [`FlashBackbone::owner_read_tails`] walks the dense owner slots, folds
 //! in the channels' dense occupancy peaks, and finds each owner's p50 and
-//! p99 with two selections in one reused buffer, taking the maximum from
-//! the owner's recorded worst read. The reference below is the
+//! p99 by a radix count and a selection inside one bucket, taking the
+//! maximum from the owner's recorded worst read. The reference below is the
 //! straightforward formulation: the owner set and peaks merged through
 //! ordered maps, and every quantile read off a fully sorted copy of the
 //! latencies the test observed in the completion records. The foreground
