@@ -2,11 +2,12 @@
 #
 # `bless-golden` is the one audited way to regenerate the
 # results-invariance golden files after an *intentional* physics change:
-# it re-renders the pinned campaign, churn round, simulated ablations and
-# the work counts of the campaign and the churn round, overwrites
-# tests/golden/small_campaign.txt, churn_digest.txt, ablations.txt and
-# work_counts.txt, and prints the resulting diff so the change lands
-# reviewably in the same PR.
+# it re-renders the pinned campaign, churn round, simulated ablations,
+# the work counts of the campaign and the churn round, and the run
+# driver's edge paths (background GC, injected faults, power loss),
+# overwrites tests/golden/small_campaign.txt, churn_digest.txt,
+# ablations.txt, work_counts.txt and driver_edges.txt, and prints the
+# resulting diff so the change lands reviewably in the same PR.
 
 .PHONY: verify bless-golden
 

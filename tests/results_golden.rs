@@ -11,7 +11,10 @@
 //! the simulated ablations: QoS, storage policy, endurance and open-loop
 //! scale-out, and a fourth the work counts of the campaign's FlashAbacus
 //! runs and of the churn round, so a change that adds flash commands,
-//! admission scans, lock traffic or GC work fails on any machine.
+//! admission scans, lock traffic or GC work fails on any machine. A fifth
+//! pins the run driver's edge paths: a closed-loop batch under background
+//! GC with injected media faults and a mid-run power loss, and an
+//! open-loop campaign under a mid-run power loss.
 //!
 //! Regenerate the golden files (only when an *intentional* physics change
 //! lands) with:
@@ -20,21 +23,30 @@
 //! ```
 
 use fa_bench::experiments::endurance::endurance_grid;
-use fa_bench::experiments::scaleout::{render_scaleout, scaleout_report};
+use fa_bench::experiments::scaleout::{
+    render_scaleout, scaleout_bounds, scaleout_config, scaleout_report,
+};
 use fa_bench::experiments::{fig12_cdf, policy_ablation};
 mod common;
 
 use common::{golden_path, read_golden, render, workloads};
 use fa_bench::report::Table;
 use fa_bench::runner::{run_pairs, ExperimentScale, RunSpec};
-use fa_flash::FlashBackbone;
+use fa_flash::{FaultPlan, FlashBackbone};
+use fa_kernel::instance::{instantiate_many, InstancePlan};
 use fa_platform::mem::Scratchpad;
 use fa_platform::PlatformSpec;
-use fa_sim::time::SimTime;
+use fa_sim::arrivals::ArrivalPlan;
+use fa_sim::stats::TimeSeries;
+use fa_sim::time::{SimDuration, SimTime};
+use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
+use fa_workloads::tenants::tenant_templates;
 use flashabacus::config::FlashAbacusConfig;
+use flashabacus::metrics::RunOutcome;
 use flashabacus::scheduler::SchedulerPolicy;
 use flashabacus::storengine::Storengine;
 use flashabacus::{FlashAbacusSystem, Flashvisor};
+use std::sync::Arc;
 
 /// Compares `rendered` with `tests/golden/<name>`, or overwrites that file
 /// when `FA_BLESS_GOLDEN` is set.
@@ -308,5 +320,154 @@ fn simulated_ablations_are_byte_identical_to_golden() {
         &ablations(),
         "ablation report drifted from the golden bytes — a QoS, policy, \
          endurance or scale-out result changed",
+    );
+}
+
+/// One line per scalar of `out`, then its kernel latencies and per-owner
+/// flash rows; each timeline as its length plus an FNV-1a hash of its
+/// samples' bits. `{:?}` prints every `f64` in its exact shortest form.
+fn outcome_text(out: &RunOutcome) -> String {
+    fn timeline(series: &TimeSeries) -> String {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &(at, value) in series.points() {
+            for word in [at.as_ns(), value.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    hash = (hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        format!("{} samples, fnv {hash:016x}", series.len())
+    }
+    let mut text = format!(
+        "scheduler {:?}\nfinished_ns {}\nbytes_processed {}\nenergy {:?}\n\
+         worker_utilization {:?}\nflashvisor_utilization {:?}\n\
+         storengine_utilization {:?}\nfu_timeline {}\npower_timeline {}\n\
+         flash_group_reads {}\nflash_group_writes {}\ngc_passes {}\n\
+         journal_dumps {}\nforeground_read_p99_s {:?}\nwear {} {} {:?}\n\
+         gc_migrated_bytes_per_reclaimed_byte {:?}\nhot_cold {} {} {:?}\n",
+        out.scheduler,
+        out.finished_at.as_ns(),
+        out.bytes_processed,
+        out.energy.breakdown,
+        out.worker_utilization,
+        out.flashvisor_utilization,
+        out.storengine_utilization,
+        timeline(&out.fu_timeline),
+        timeline(&out.power_timeline),
+        out.flash_group_reads,
+        out.flash_group_writes,
+        out.gc_passes,
+        out.journal_dumps,
+        out.foreground_read_p99_s,
+        out.wear_min_erases,
+        out.wear_max_erases,
+        out.wear_stddev_erases,
+        out.gc_migrated_bytes_per_reclaimed_byte,
+        out.hot_group_writes,
+        out.cold_group_writes,
+        out.hot_steer_rate,
+    );
+    for k in &out.kernel_latencies {
+        text.push_str(&format!(
+            "kernel {} {} {} offloaded {} completed {}\n",
+            k.app_name,
+            k.app_index,
+            k.kernel_index,
+            k.offloaded_at.as_ns(),
+            k.completed_at.as_ns()
+        ));
+    }
+    for o in &out.flash_owner_stats {
+        text.push_str(&format!("{o:?}\n"));
+    }
+    text
+}
+
+/// The run driver's edge paths, which no other golden reaches: background
+/// GC sliced by a one-tag budget, probabilistic program and erase faults,
+/// and a power loss that lands mid-run, in a closed-loop batch; then an
+/// open-loop campaign with the governor on, also losing power mid-run.
+/// Each run also reports its recovery count and injected-fault totals.
+fn driver_edges() -> String {
+    // Twelve small kernels on a 4 MiB device whose GC watermark stays
+    // tripped, with unbuffered writes, so reclamation overlaps the
+    // kernels' reads for most of the run.
+    let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::InterDy);
+    config.flash_geometry.blocks_per_plane = 16;
+    config.gc_low_watermark = 0.65;
+    config.buffered_writes = false;
+    config.journal_interval = SimDuration::from_ms(10_000);
+    config.qos.background_gc = true;
+    config.qos.gc_budget = Some(1);
+    let template = synthetic_app(
+        "pressure",
+        &SyntheticSpec {
+            instructions: 400_000,
+            serial_fraction: 0.0,
+            input_bytes: 128 * 1024,
+            output_bytes: 16 * 1024,
+            ldst_ratio: 0.4,
+            mul_ratio: 0.1,
+            parallel_screens: 4,
+        },
+    );
+    let apps = instantiate_many(
+        &[template],
+        &InstancePlan {
+            instances_per_app: 12,
+            ..Default::default()
+        },
+    );
+    let plan = FaultPlan::parse(&format!(
+        "seed=3,program=0.002,erase=0.01,power_loss_ns={CLOSED_LOOP_POWER_LOSS_NS}"
+    ))
+    .expect("closed-loop fault plan parses");
+    let mut system = FlashAbacusSystem::new(config);
+    system.install_fault_plan(Arc::new(plan));
+    let out = system.run(&apps).expect("closed-loop edge run completes");
+    let mut text = format!(
+        "closed loop: recoveries {} faults {:?}\n",
+        system.recoveries(),
+        system.flashvisor().backbone().fault_stats()
+    );
+    text.push_str(&outcome_text(&out));
+
+    let plan =
+        ArrivalPlan::parse("seed=9,rate=4000,tenants=24,templates=3").expect("arrival spec parses");
+    let faults = FaultPlan::parse(&format!("power_loss_ns={OPEN_LOOP_POWER_LOSS_NS}"))
+        .expect("open-loop fault plan parses");
+    // A 512 MiB device whose GC watermark trips once slot reuse has
+    // written a tenth of it, so reclamation storms through the campaign.
+    let mut config = scaleout_config();
+    config.flash_geometry.blocks_per_plane = 4;
+    config.gc_low_watermark = 0.9;
+    let mut system = FlashAbacusSystem::new(config);
+    system.install_fault_plan(Arc::new(faults));
+    let report = system
+        .run_open_loop(&tenant_templates(1024), &plan, &scaleout_bounds(true))
+        .expect("open-loop edge campaign completes");
+    text.push_str(&format!(
+        "open loop: recoveries {} gc_passes {} journal_dumps {}\n",
+        system.recoveries(),
+        report.outcome.gc_passes,
+        report.outcome.journal_dumps
+    ));
+    text.push_str(&report.digest());
+    text
+}
+
+/// Mid-run instant of the closed-loop power loss: the run without it
+/// finishes at about twice this, and a GC pass is pending when it fires.
+const CLOSED_LOOP_POWER_LOSS_NS: u64 = 727_000;
+/// Mid-run instant of the open-loop power loss, chosen the same way.
+const OPEN_LOOP_POWER_LOSS_NS: u64 = 93_000_000;
+
+#[test]
+fn driver_edge_paths_are_byte_identical_to_golden() {
+    assert_matches_golden(
+        "driver_edges.txt",
+        &driver_edges(),
+        "driver edge report drifted from the golden bytes — background GC, \
+         fault absorption or power-loss recovery now runs differently",
     );
 }
