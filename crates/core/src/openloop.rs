@@ -41,10 +41,10 @@ use crate::error::FaError;
 use crate::metrics::KernelLatency;
 use crate::metrics::RunOutcome;
 use crate::rangelock::LockMode;
-use crate::system::{ComputeInterval, FlashAbacusSystem, ScreenSlice};
+use crate::system::{Event, FlashAbacusSystem, Foreground, ScreenSlice};
 use fa_flash::{FlashBackbone, OwnerId};
 use fa_kernel::model::{AppId, Application};
-use fa_sim::arrivals::ArrivalPlan;
+use fa_sim::arrivals::{Arrival, ArrivalPlan};
 use fa_sim::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -401,10 +401,239 @@ fn jain_fairness(service: &[u64]) -> f64 {
     sum * sum / (service.len() as f64 * sq)
 }
 
-/// A tenant dispatched and computing; its output flushes at `done`.
+/// A tenant dispatched and computing in flash slot `slot`.
 struct InFlightTenant {
     app: Application,
-    compute_end: SimTime,
+    slot: usize,
+}
+
+/// An open-loop campaign as the driver's foreground: seeded arrivals pass
+/// admission control into flash slots, each admitted tenant runs as one
+/// serial flow, and the optional governor ticks while the campaign is
+/// live.
+struct Campaign<'a> {
+    templates: &'a [Application],
+    schedule: Vec<Arrival>,
+    /// Bytes per flash slot: the largest template, group-aligned.
+    slot_bytes: u64,
+    tenants: Vec<TenantOutcome>,
+    admission: AdmissionController,
+    governor: Option<QosGovernor>,
+    admissions: Vec<AdmissionRecord>,
+    /// Lowest-numbered free slot first: a pure function of the admission
+    /// sequence, so slot assignment is deterministic.
+    free_slots: BinaryHeap<Reverse<usize>>,
+    in_flight: BTreeMap<u32, InFlightTenant>,
+    /// The in-flight tenants, as the governor reads them.
+    active: BTreeSet<u32>,
+    worker_booted: Vec<bool>,
+    next_arrival: usize,
+    finished_at: SimTime,
+}
+
+impl Campaign<'_> {
+    /// Decides the arrival due at `at`, dispatching it when admitted, and
+    /// schedules the next arrival.
+    fn arrive(&mut self, sys: &mut FlashAbacusSystem, at: SimTime) -> Result<(), FaError> {
+        let arrival = self.schedule[self.next_arrival];
+        self.next_arrival += 1;
+        if let Some(next) = self.schedule.get(self.next_arrival) {
+            sys.schedule(next.at, Event::Arrival);
+        }
+        let decision = self.admission.arrive(arrival.tenant);
+        self.admissions.push(AdmissionRecord {
+            at,
+            tenant: arrival.tenant,
+            decision,
+        });
+        if decision == AdmissionDecision::Admitted {
+            self.admit(sys, arrival.tenant, at)?;
+        }
+        Ok(())
+    }
+
+    /// Completes the tenant whose compute ends at `at`: flushes its
+    /// output, releases its slot and locks, clears its governor override,
+    /// and dispatches the promoted queue head (if any) now.
+    fn complete(
+        &mut self,
+        sys: &mut FlashAbacusSystem,
+        tenant: u32,
+        at: SimTime,
+    ) -> Result<(), FaError> {
+        let flight = self
+            .in_flight
+            .remove(&tenant)
+            .expect("completing tenant in flight");
+        let mut done = at;
+        for kernel in &flight.app.kernels {
+            let output = ScreenSlice::kernel_output(kernel);
+            done = sys.flush_output(done, kernel.data_section.flash_base, &output)?;
+        }
+        sys.flashvisor.unmap_owner(tenant);
+        self.active.remove(&tenant);
+        if let Some(g) = self.governor.as_mut() {
+            g.retire(tenant, sys.flashvisor.backbone_mut());
+        }
+        self.free_slots.push(Reverse(flight.slot));
+        self.tenants[tenant as usize].completed_at = Some(done);
+        self.finished_at = self.finished_at.max(done);
+        sys.maybe_power_loss(at)?;
+        if let Some(promoted) = self.admission.complete() {
+            self.admissions.push(AdmissionRecord {
+                at,
+                tenant: promoted,
+                decision: AdmissionDecision::Promoted,
+            });
+            self.admit(sys, promoted, at)?;
+        }
+        Ok(())
+    }
+
+    /// Gives an admitted tenant the lowest free slot, dispatches it at
+    /// `at`, and schedules its completion.
+    fn admit(
+        &mut self,
+        sys: &mut FlashAbacusSystem,
+        tenant: u32,
+        at: SimTime,
+    ) -> Result<(), FaError> {
+        let Reverse(slot) = self.free_slots.pop().expect("admission implies free slot");
+        self.tenants[tenant as usize].admitted_at = Some(at);
+        let end = self.dispatch_tenant(sys, tenant, slot, at)?;
+        self.active.insert(tenant);
+        sys.schedule(end, Event::Tenant(tenant));
+        Ok(())
+    }
+
+    /// Dispatches one tenant at `at`: instantiates its template in the
+    /// slot, maps its data sections under its owner id, stages the input,
+    /// and runs every screen serially on the least-loaded worker. Returns
+    /// the compute-end instant (the output flushes at the completion
+    /// event, keeping flash requests in non-decreasing time order).
+    fn dispatch_tenant(
+        &mut self,
+        sys: &mut FlashAbacusSystem,
+        tenant: u32,
+        slot: usize,
+        at: SimTime,
+    ) -> Result<SimTime, FaError> {
+        let template = &self.templates[self.tenants[tenant as usize].template];
+        let app = template.instantiate(AppId(tenant), slot as u64 * self.slot_bytes);
+
+        // The tenant's input already resides in flash (preload maps any
+        // groups a previous slot occupant did not leave mapped; it
+        // consumes no simulated time).
+        for kernel in &app.kernels {
+            sys.flashvisor.preload_range(
+                kernel.data_section.flash_base,
+                kernel.data_section.input_bytes,
+            )?;
+        }
+        for kernel in &app.kernels {
+            let ds = kernel.data_section;
+            if ds.input_bytes > 0 {
+                sys.flashvisor.map_section(
+                    ds.flash_base,
+                    ds.input_bytes,
+                    LockMode::Read,
+                    tenant,
+                )?;
+            }
+            if ds.output_bytes > 0 {
+                sys.flashvisor.map_section(
+                    ds.flash_base + ds.input_bytes,
+                    ds.output_bytes,
+                    LockMode::Write,
+                    tenant,
+                )?;
+            }
+        }
+
+        // Scheduling decision on Flashvisor plus the message-queue hop.
+        let decided = sys.flashvisor.charge_scheduling_decision(at);
+        let mut dispatched = sys.msgq.send(decided);
+
+        // Least-loaded worker: earliest effective start, lowest index on
+        // ties — a pure function of simulated state.
+        let worker = (0..sys.workers.len())
+            .min_by_key(|&w| (sys.workers[w].next_free().max(dispatched), w))
+            .expect("at least one worker LWP");
+        if !self.worker_booted[worker] {
+            dispatched = sys.workers[worker].boot_kernel(dispatched);
+            self.worker_booted[worker] = true;
+        }
+
+        // Serial flow: stage each kernel's whole input, then run its
+        // screens back to back on the chosen worker.
+        let mut cursor = dispatched;
+        for kernel in &app.kernels {
+            let input_slice = ScreenSlice {
+                input_start: 0,
+                input_len: kernel.data_section.input_bytes,
+                output_start: kernel.data_section.input_bytes,
+                output_len: 0,
+            };
+            let data_ready =
+                sys.stage_input(cursor, kernel.data_section.flash_base, &input_slice)?;
+            cursor = cursor.max(data_ready);
+            for screen in kernel.microblocks.iter().flat_map(|m| &m.screens) {
+                cursor = sys.compute_screen(worker, screen, cursor);
+            }
+        }
+        self.in_flight.insert(tenant, InFlightTenant { app, slot });
+        Ok(cursor)
+    }
+}
+
+impl Foreground for Campaign<'_> {
+    /// The campaign is live while arrivals remain, tenants run, or
+    /// tenants wait in the admission queue.
+    fn done(&self) -> bool {
+        self.next_arrival == self.schedule.len()
+            && self.in_flight.is_empty()
+            && self.admission.queue_len() == 0
+    }
+
+    fn handle(
+        &mut self,
+        sys: &mut FlashAbacusSystem,
+        at: SimTime,
+        event: Event,
+    ) -> Result<(), FaError> {
+        match event {
+            Event::Tenant(tenant) => self.complete(sys, tenant, at),
+            Event::Arrival => self.arrive(sys, at),
+            Event::GovernorTick => {
+                // A tick after the campaign ends is dropped, not re-armed.
+                if !self.done() {
+                    let g = self
+                        .governor
+                        .as_mut()
+                        .expect("governor tick without governor");
+                    g.rebalance(&self.active, sys.flashvisor.backbone_mut());
+                    sys.schedule(g.next_tick(), Event::GovernorTick);
+                }
+                Ok(())
+            }
+            Event::Screen { .. } | Event::Storage { .. } => {
+                unreachable!("a campaign schedules only tenant, tick and arrival events")
+            }
+        }
+    }
+
+    fn finish(&mut self, _sys: &mut FlashAbacusSystem) -> Result<SimTime, FaError> {
+        Ok(self.finished_at)
+    }
+
+    fn stalled(&self) -> FaError {
+        FaError::SchedulerStalled(format!(
+            "{} of {} tenants arrived, {} in flight",
+            self.next_arrival,
+            self.schedule.len(),
+            self.in_flight.len()
+        ))
+    }
 }
 
 impl FlashAbacusSystem {
@@ -412,7 +641,8 @@ impl FlashAbacusSystem {
     /// instance of one of `templates`, placed in a reusable flash slot),
     /// `scaleout` bounds concurrency and optionally enables the online
     /// QoS governor. Returns the per-tenant report; see the module docs
-    /// for the execution model and determinism contract.
+    /// for the execution model and determinism contract. A system runs
+    /// once; a second call fails.
     pub fn run_open_loop(
         &mut self,
         templates: &[Application],
@@ -438,8 +668,8 @@ impl FlashAbacusSystem {
             ));
         }
         if let Some(g) = scaleout.governor {
-            // A zero window never advances the tick, so the tick would win
-            // the event selection at the same instant forever.
+            // A zero window never advances the tick, so ticks would fill
+            // one instant forever.
             if g.window == SimDuration::ZERO {
                 return Err(FaError::InvalidWorkload(
                     "QoS governor window must be positive".into(),
@@ -452,6 +682,7 @@ impl FlashAbacusSystem {
                 )));
             }
         }
+        self.begin_run()?;
 
         // Carve out the slots: one group-aligned region per in-flight
         // tenant, sized for the largest template. Slots are reused as
@@ -477,7 +708,7 @@ impl FlashAbacusSystem {
         }
 
         let schedule = plan.schedule();
-        let mut tenants: Vec<TenantOutcome> = schedule
+        let tenants = schedule
             .iter()
             .map(|a| TenantOutcome {
                 tenant: a.tenant,
@@ -490,155 +721,37 @@ impl FlashAbacusSystem {
                 bytes: 0,
             })
             .collect();
-
-        let mut admission = AdmissionController::new(slot_count, scaleout.queue_limit);
-        let mut governor = scaleout.governor.map(|g| QosGovernor::new(g, plan.start));
-        let mut admissions: Vec<AdmissionRecord> = Vec::with_capacity(schedule.len());
-        // Lowest-numbered free slot first: a pure function of the
-        // admission sequence, so slot assignment is deterministic.
-        let mut free_slots: BinaryHeap<Reverse<usize>> = (0..slot_count).map(Reverse).collect();
-        let mut slot_of_tenant: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut in_flight: BTreeMap<u32, InFlightTenant> = BTreeMap::new();
-        let mut active: BTreeSet<u32> = BTreeSet::new();
-        // Completion events, earliest first; ties break by tenant id.
-        let mut completions: BinaryHeap<Reverse<(SimTime, u32)>> = BinaryHeap::new();
-        let mut worker_booted = vec![false; self.workers.len()];
-        let mut next_arrival = 0usize;
-        let mut finished_at = SimTime::ZERO;
-
-        loop {
-            // Candidate events, with tie priority completion < governor
-            // tick < arrival (a completion at t frees the slot a same-t
-            // arrival may take; a governor tick at t sees the post-retire
-            // active set).
-            let completion_at = completions.peek().map(|Reverse((t, _))| *t);
-            let campaign_live =
-                next_arrival < schedule.len() || !in_flight.is_empty() || admission.queue_len() > 0;
-            let governor_at = match (&governor, campaign_live) {
-                (Some(g), true) => Some(g.next_tick()),
-                _ => None,
-            };
-            let arrival_at = schedule.get(next_arrival).map(|a| a.at);
-            let next_event = [(completion_at, 0u8), (governor_at, 1u8), (arrival_at, 2u8)]
-                .into_iter()
-                .filter_map(|(t, pri)| t.map(|t| (t, pri)))
-                .min();
-            let Some((now, priority)) = next_event else {
-                break;
-            };
-
-            // Background storage tasks strictly earlier than the next
-            // event run first (foreground wins ties), mirroring the
-            // closed-loop loop's interleaving.
-            if self.background.peek_time().is_some_and(|t| t < now) {
-                let (at, task) = self.background.pop().expect("peeked task vanished");
-                self.run_storage_task_tolerant(at, task)?;
-                self.maybe_power_loss(at)?;
-                continue;
-            }
-
-            match priority {
-                0 => {
-                    // Completion: flush the tenant's output, release its
-                    // slot and locks, clear its governor override, and
-                    // dispatch the promoted queue head (if any) now.
-                    let Reverse((_, tenant)) = completions.pop().expect("peeked completion");
-                    let flight = in_flight
-                        .remove(&tenant)
-                        .expect("completing tenant in flight");
-                    let mut done = flight.compute_end;
-                    for kernel in &flight.app.kernels {
-                        let slice = ScreenSlice {
-                            input_start: 0,
-                            input_len: 0,
-                            output_start: kernel.data_section.input_bytes,
-                            output_len: kernel.data_section.output_bytes,
-                        };
-                        if slice.output_len > 0 {
-                            done =
-                                self.flush_output(done, kernel.data_section.flash_base, &slice)?;
-                        }
-                    }
-                    self.flashvisor.unmap_owner(tenant);
-                    active.remove(&tenant);
-                    if let Some(g) = governor.as_mut() {
-                        g.retire(tenant, self.flashvisor.backbone_mut());
-                    }
-                    let slot = slot_of_tenant
-                        .remove(&tenant)
-                        .expect("completing tenant holds a slot");
-                    free_slots.push(Reverse(slot));
-                    tenants[tenant as usize].completed_at = Some(done);
-                    finished_at = finished_at.max(done);
-                    self.maybe_power_loss(flight.compute_end)?;
-                    if let Some(promoted) = admission.complete() {
-                        admissions.push(AdmissionRecord {
-                            at: flight.compute_end,
-                            tenant: promoted,
-                            decision: AdmissionDecision::Promoted,
-                        });
-                        let Reverse(slot) = free_slots.pop().expect("freed slot available");
-                        slot_of_tenant.insert(promoted, slot);
-                        tenants[promoted as usize].admitted_at = Some(flight.compute_end);
-                        let template = tenants[promoted as usize].template;
-                        let end = self.dispatch_tenant(
-                            &templates[template],
-                            promoted,
-                            slot as u64 * slot_bytes,
-                            flight.compute_end,
-                            &mut worker_booted,
-                            &mut in_flight,
-                        )?;
-                        active.insert(promoted);
-                        completions.push(Reverse((end, promoted)));
-                    }
-                }
-                1 => {
-                    let g = governor.as_mut().expect("governor tick without governor");
-                    g.rebalance(&active, self.flashvisor.backbone_mut());
-                }
-                _ => {
-                    let arrival = schedule[next_arrival];
-                    next_arrival += 1;
-                    let decision = admission.arrive(arrival.tenant);
-                    admissions.push(AdmissionRecord {
-                        at: arrival.at,
-                        tenant: arrival.tenant,
-                        decision,
-                    });
-                    if decision == AdmissionDecision::Admitted {
-                        let Reverse(slot) = free_slots.pop().expect("admission implies free slot");
-                        slot_of_tenant.insert(arrival.tenant, slot);
-                        tenants[arrival.tenant as usize].admitted_at = Some(arrival.at);
-                        let end = self.dispatch_tenant(
-                            &templates[arrival.template],
-                            arrival.tenant,
-                            slot as u64 * slot_bytes,
-                            arrival.at,
-                            &mut worker_booted,
-                            &mut in_flight,
-                        )?;
-                        active.insert(arrival.tenant);
-                        completions.push(Reverse((end, arrival.tenant)));
-                    }
-                }
-            }
+        if let Some(first) = schedule.first() {
+            self.schedule(first.at, Event::Arrival);
         }
-
-        // Drain remaining background storage campaigns to quiescence, and
-        // fire a power loss armed past the end of all activity, exactly
-        // like the closed-loop driver.
-        while let Some((at, task)) = self.background.pop() {
-            self.run_storage_task_tolerant(at, task)?;
-            self.maybe_power_loss(at)?;
+        let governor = scaleout.governor.map(|g| QosGovernor::new(g, plan.start));
+        if let Some(g) = &governor {
+            self.schedule(g.next_tick(), Event::GovernorTick);
         }
-        if self.power_loss_clock().armed() {
-            let at = self
-                .power_loss_clock()
-                .at()
-                .expect("armed clock has an instant");
-            self.maybe_power_loss(finished_at.max(at))?;
-        }
+        let mut campaign = Campaign {
+            templates,
+            admissions: Vec::with_capacity(schedule.len()),
+            schedule,
+            slot_bytes,
+            tenants,
+            admission: AdmissionController::new(slot_count, scaleout.queue_limit),
+            governor,
+            free_slots: (0..slot_count).map(Reverse).collect(),
+            in_flight: BTreeMap::new(),
+            active: BTreeSet::new(),
+            worker_booted: vec![false; self.workers.len()],
+            next_arrival: 0,
+            finished_at: SimTime::ZERO,
+        };
+        self.drive(&mut campaign)?;
+        let Campaign {
+            mut tenants,
+            admission,
+            governor,
+            admissions,
+            finished_at,
+            ..
+        } = campaign;
 
         // Per-tenant flash service from the owner stats: every tenant has
         // a unique owner id, so the cumulative stats are per-tenant totals.
@@ -694,109 +807,6 @@ impl FlashAbacusSystem {
         report.outcome.tenant_sojourn_p99_s = p99;
         report.outcome.tenant_sojourn_p999_s = p999;
         Ok(report)
-    }
-
-    /// Dispatches one tenant at `at`: instantiates its template in the
-    /// slot, maps its data sections under its owner id, stages the input,
-    /// and runs every screen serially on the least-loaded worker. Returns
-    /// the compute-end instant (the output flushes at the completion
-    /// event, keeping flash requests in non-decreasing time order).
-    fn dispatch_tenant(
-        &mut self,
-        template: &Application,
-        tenant: u32,
-        slot_base: u64,
-        at: SimTime,
-        worker_booted: &mut [bool],
-        in_flight: &mut BTreeMap<u32, InFlightTenant>,
-    ) -> Result<SimTime, FaError> {
-        let app = template.instantiate(AppId(tenant), slot_base);
-
-        // The tenant's input already resides in flash (preload maps any
-        // groups a previous slot occupant did not leave mapped; it
-        // consumes no simulated time).
-        for kernel in &app.kernels {
-            self.flashvisor.preload_range(
-                kernel.data_section.flash_base,
-                kernel.data_section.input_bytes,
-            )?;
-        }
-        for kernel in &app.kernels {
-            let ds = kernel.data_section;
-            if ds.input_bytes > 0 {
-                self.flashvisor.map_section(
-                    ds.flash_base,
-                    ds.input_bytes,
-                    LockMode::Read,
-                    tenant,
-                )?;
-            }
-            if ds.output_bytes > 0 {
-                self.flashvisor.map_section(
-                    ds.flash_base + ds.input_bytes,
-                    ds.output_bytes,
-                    LockMode::Write,
-                    tenant,
-                )?;
-            }
-        }
-
-        // Scheduling decision on Flashvisor plus the message-queue hop.
-        let decided = self.flashvisor.charge_scheduling_decision(at);
-        let mut dispatched = self.msgq.send(decided);
-
-        // Least-loaded worker: earliest effective start, lowest index on
-        // ties — a pure function of simulated state.
-        let worker = (0..self.workers.len())
-            .min_by_key(|&w| (self.workers[w].next_free().max(dispatched), w))
-            .expect("at least one worker LWP");
-        if !worker_booted[worker] {
-            dispatched = self.workers[worker].boot_kernel(dispatched);
-            worker_booted[worker] = true;
-        }
-
-        // Serial flow: stage each kernel's whole input, then run its
-        // screens back to back on the chosen worker.
-        let mut cursor = dispatched;
-        for kernel in &app.kernels {
-            let input_slice = ScreenSlice {
-                input_start: 0,
-                input_len: kernel.data_section.input_bytes,
-                output_start: kernel.data_section.input_bytes,
-                output_len: 0,
-            };
-            let data_ready =
-                self.stage_input(cursor, kernel.data_section.flash_base, &input_slice)?;
-            cursor = cursor.max(data_ready);
-            for mblock in &kernel.microblocks {
-                for screen in &mblock.screens {
-                    let est = self.workers[worker].estimate(&screen.mix, screen.bytes_touched());
-                    let start = cursor.max(self.workers[worker].next_free());
-                    let res = self.workers[worker].execute(start, &est);
-                    self.energy.record(
-                        fa_energy::Component::Lwp,
-                        fa_energy::ActivityCategory::Computation,
-                        res.start,
-                        res.end,
-                    );
-                    let spec = *self.workers[worker].spec();
-                    self.compute_intervals.push(ComputeInterval {
-                        start: res.start,
-                        end: res.end,
-                        busy_fus: est.occupancy.mean_busy_fus(&spec, est.cycles),
-                    });
-                    cursor = res.end;
-                }
-            }
-        }
-        in_flight.insert(
-            tenant,
-            InFlightTenant {
-                app,
-                compute_end: cursor,
-            },
-        );
-        Ok(cursor)
     }
 }
 
@@ -996,16 +1006,26 @@ mod tests {
         assert_eq!(governor.updates(), 6);
     }
 
+    fn tiny_system() -> FlashAbacusSystem {
+        use crate::config::FlashAbacusConfig;
+        use crate::scheduler::SchedulerPolicy;
+        FlashAbacusSystem::new(FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::InterDy))
+    }
+
     /// A three-tenant campaign on the tiny test device, at most
     /// `max_in_flight` tenants at once, under `governor`.
     fn three_tenant_campaign(
         max_in_flight: usize,
         governor: GovernorConfig,
     ) -> Result<OpenLoopReport, FaError> {
-        use crate::config::FlashAbacusConfig;
-        use crate::scheduler::SchedulerPolicy;
-        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::InterDy);
-        let mut system = FlashAbacusSystem::new(config);
+        three_tenant_campaign_on(&mut tiny_system(), max_in_flight, governor)
+    }
+
+    fn three_tenant_campaign_on(
+        system: &mut FlashAbacusSystem,
+        max_in_flight: usize,
+        governor: GovernorConfig,
+    ) -> Result<OpenLoopReport, FaError> {
         let plan = ArrivalPlan {
             seed: 1,
             rate_per_s: 20_000.0,
@@ -1023,6 +1043,22 @@ mod tests {
             &plan,
             &scaleout,
         )
+    }
+
+    #[test]
+    fn a_system_runs_one_campaign() {
+        let mut system = tiny_system();
+        let first = three_tenant_campaign_on(&mut system, 2, GovernorConfig::default());
+        assert!(first.is_ok());
+        let again = three_tenant_campaign_on(&mut system, 2, GovernorConfig::default());
+        assert!(matches!(again, Err(FaError::InvalidWorkload(m)) if m.contains("already run")));
+        // Nor may a closed-loop batch follow the campaign.
+        let batch = fa_workloads::tenants::tenant_templates(1024);
+        let after = system.run(&batch);
+        assert!(matches!(after, Err(FaError::InvalidWorkload(m)) if m.contains("already run")));
+        // A fresh system runs the same campaign again, identically.
+        let fresh = three_tenant_campaign(2, GovernorConfig::default()).unwrap();
+        assert_eq!(first.unwrap().digest(), fresh.digest());
     }
 
     #[test]

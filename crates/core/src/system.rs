@@ -10,34 +10,39 @@
 //! component power over all of it.
 //!
 //! The simulation is *reservation driven*: every hardware component exposes
-//! "request at time t → completion at time t'" semantics, and a single
-//! completion-ordered dispatch loop drives all four scheduling policies so
-//! that every shared resource sees its requests in non-decreasing simulated
-//! time (output write-back is deferred to the retire step for the same
-//! reason). The ordering rules of the multi-app execution chain are
-//! enforced by `fa_kernel::chain` and violations panic, so scheduler bugs
-//! cannot silently produce wrong timings.
+//! "request at time t → completion at time t'" semantics, and one run
+//! driver ([`FlashAbacusSystem::drive`]) pops every simulation event from
+//! one queue in time order, so that every shared resource sees its
+//! requests in non-decreasing simulated time (output write-back is
+//! deferred to the retire step for the same reason). A closed-loop batch
+//! and an open-loop campaign (`openloop.rs`) are two foregrounds of that
+//! driver; deferred storage tasks share its queue. The ordering rules of
+//! the multi-app execution chain are enforced by `fa_kernel::chain` and
+//! violations panic, so scheduler bugs cannot silently produce wrong
+//! timings.
 
 use crate::config::FlashAbacusConfig;
 use crate::error::FaError;
 use crate::flashvisor::Flashvisor;
 use crate::metrics::{EnergySummary, KernelLatency, OwnerFlashStats, RunOutcome};
 use crate::rangelock::LockMode;
-use crate::scheduler::{all_kernels, intra_next_ready, static_assignment, SchedulerPolicy};
+use crate::scheduler::{
+    all_kernels, intra_next_ready, static_assignment, KernelRef, SchedulerPolicy,
+};
 use crate::storengine::{GcPassProgress, GcPlan, Storengine};
 use fa_energy::{ActivityCategory, Component, EnergyAccountant};
 use fa_flash::{FaultPlan, FlashError};
 use fa_kernel::chain::{ExecutionChain, ScreenRef};
 use fa_kernel::descriptor::KernelDescriptionTable;
-use fa_kernel::model::Application;
+use fa_kernel::model::{Application, Kernel, Screen};
 use fa_platform::lwp::{LwpCore, LwpSpec};
 use fa_platform::mem::MemorySystem;
 use fa_platform::noc::{Crossbar, MessageQueue, PcieLink};
 use fa_sim::crash::PowerLossClock;
-use fa_sim::deferred::DeferredWorkQueue;
+use fa_sim::event::EventQueue;
 use fa_sim::stats::{bucketed, timeline_bucket, TimeSeries};
 use fa_sim::time::SimTime;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An injected media failure is an event the storage stack absorbs
@@ -80,28 +85,87 @@ pub(crate) struct ScreenSlice {
     pub(crate) output_len: u64,
 }
 
-/// A pending screen completion in the dispatch loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Completion {
-    end: SimTime,
-    screen: ScreenRef,
-    worker: usize,
-}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest end.
-        other
-            .end
-            .cmp(&self.end)
-            .then_with(|| other.screen.cmp(&self.screen))
+impl ScreenSlice {
+    /// A kernel's whole output region: what its completion flushes.
+    pub(crate) fn kernel_output(kernel: &Kernel) -> ScreenSlice {
+        ScreenSlice {
+            input_start: 0,
+            input_len: 0,
+            output_start: kernel.data_section.input_bytes,
+            output_len: kernel.data_section.output_bytes,
+        }
     }
 }
 
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// A simulation event on the run driver's one queue.
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// A closed-loop screen finished computing on worker `worker`.
+    Screen { screen: ScreenRef, worker: usize },
+    /// An open-loop tenant finished computing.
+    Tenant(u32),
+    /// The open-loop QoS governor's next tick.
+    GovernorTick,
+    /// The open-loop campaign's next arrival.
+    Arrival,
+    /// Deferred storage management, scheduled in recovery epoch `epoch`
+    /// (the system's recovery count): a power loss ends the epoch, and
+    /// every task still pending dies with the power.
+    Storage { task: StorageTask, epoch: u64 },
+}
+
+/// The order of events due at one instant, from the variant order:
+/// foreground events before storage tasks ("foreground wins ties");
+/// closed-loop completions by ascending screen; open-loop completions by
+/// tenant, then the governor tick, then the arrival. Storage tasks share
+/// one rank, so they keep insertion order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rank {
+    Screen(ScreenRef),
+    Tenant(u32),
+    GovernorTick,
+    Arrival,
+    Storage,
+}
+
+impl Event {
+    fn rank(&self) -> Rank {
+        match self {
+            Event::Screen { screen, .. } => Rank::Screen(*screen),
+            Event::Tenant(tenant) => Rank::Tenant(*tenant),
+            Event::GovernorTick => Rank::GovernorTick,
+            Event::Arrival => Rank::Arrival,
+            Event::Storage { .. } => Rank::Storage,
+        }
     }
+}
+
+/// The foreground of a run: a closed-loop [`Batch`] or an open-loop
+/// campaign (`openloop.rs`). Until the foreground is `done`, the driver
+/// calls `dispatch` before every event pop; it hands each foreground
+/// event to `handle`, and calls `finish` once, when `done` first holds.
+pub(crate) trait Foreground {
+    /// True once the foreground can produce no further event.
+    fn done(&self) -> bool;
+
+    /// Starts the work that is ready before the next event pops.
+    fn dispatch(&mut self, _sys: &mut FlashAbacusSystem) -> Result<(), FaError> {
+        Ok(())
+    }
+
+    /// Handles one foreground event due at `at`.
+    fn handle(
+        &mut self,
+        sys: &mut FlashAbacusSystem,
+        at: SimTime,
+        event: Event,
+    ) -> Result<(), FaError>;
+
+    /// Ends the foreground and returns the instant its activity ended.
+    fn finish(&mut self, sys: &mut FlashAbacusSystem) -> Result<SimTime, FaError>;
+
+    /// The error for a queue that ran dry before the foreground was done.
+    fn stalled(&self) -> FaError;
 }
 
 /// A record of one compute interval, kept to rebuild the FU timeline.
@@ -117,7 +181,7 @@ pub(crate) struct ComputeInterval {
 /// methodology notes that accelerator latency overlaps with DMA time).
 const WORKER_QUEUE_DEPTH: usize = 2;
 
-/// Per-worker scheduling state used by the unified dispatch loop.
+/// Per-worker scheduling state of a closed-loop batch.
 #[derive(Debug, Clone, Copy)]
 struct WorkerState {
     /// Earliest instant new work could start.
@@ -144,16 +208,20 @@ pub struct FlashAbacusSystem {
     pub(crate) energy: EnergyAccountant,
     pub(crate) compute_intervals: Vec<ComputeInterval>,
     gc_passes: u64,
-    /// Deferred storage-management events (background-GC mode only).
-    pub(crate) background: DeferredWorkQueue<StorageTask>,
+    /// The run driver's event queue: foreground events and deferred
+    /// storage tasks (background-GC mode only).
+    events: EventQueue<Event, Rank>,
     /// A background GC campaign is in flight: the watermark check at flush
     /// time must not start a second one.
     gc_campaign_active: bool,
     /// One-shot power-loss trigger, armed from the fault plan's
     /// `power_loss_ns`. Disarmed (and free) on fault-free runs.
     power_loss: PowerLossClock,
-    /// Crash/recovery cycles executed so far.
+    /// Crash/recovery cycles executed so far; also the epoch that tags
+    /// storage tasks.
     recoveries: u64,
+    /// A run has started: the system simulates one run only.
+    ran: bool,
 }
 
 impl FlashAbacusSystem {
@@ -182,10 +250,11 @@ impl FlashAbacusSystem {
             energy,
             compute_intervals: Vec::new(),
             gc_passes: 0,
-            background: DeferredWorkQueue::new(),
+            events: EventQueue::new(),
             gc_campaign_active: false,
             power_loss: PowerLossClock::disarmed(),
             recoveries: 0,
+            ran: false,
             config,
         }
     }
@@ -231,13 +300,14 @@ impl FlashAbacusSystem {
     }
 
     /// Runs an offloaded batch of applications to completion and returns
-    /// the measured outcome.
+    /// the measured outcome. A system runs once; a second call fails.
     pub fn run(&mut self, apps: &[Application]) -> Result<RunOutcome, FaError> {
         if apps.is_empty() || apps.iter().all(|a| a.kernels.is_empty()) {
             return Err(FaError::InvalidWorkload(
                 "no applications or kernels to run".into(),
             ));
         }
+        self.begin_run()?;
 
         // Phase 0: the input data already resides in the flash backbone.
         for app in apps {
@@ -276,11 +346,10 @@ impl FlashAbacusSystem {
                 }
             }
         }
-        let slices = compute_screen_slices(apps);
 
         // Phase 3: schedule.
-        let mut chain = ExecutionChain::new(apps);
-        self.run_schedule(apps, &slices, &mut chain, &offload_times, offload_end)?;
+        let mut batch = Batch::new(apps, self, offload_times, offload_end);
+        self.drive(&mut batch)?;
 
         // Phase 4: release every mapping.
         for lock in locks {
@@ -288,7 +357,69 @@ impl FlashAbacusSystem {
         }
 
         // Phase 5: collect metrics.
-        Ok(self.build_outcome(apps, &chain, &offload_times))
+        Ok(self.build_outcome(apps, &batch.chain, &batch.offload_times))
+    }
+
+    /// Marks the system as run, or fails if it already has: a second run
+    /// would start from the first one's clocks, counters and energy.
+    pub(crate) fn begin_run(&mut self) -> Result<(), FaError> {
+        if std::mem::replace(&mut self.ran, true) {
+            return Err(FaError::InvalidWorkload(
+                "this system has already run; build a new one for each run".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Schedules `event` on the driver's queue at `at`.
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
+        self.events.push(at, event.rank(), event);
+    }
+
+    /// Schedules a storage task in the current recovery epoch.
+    fn schedule_storage(&mut self, at: SimTime, task: StorageTask) {
+        let epoch = self.recoveries;
+        self.schedule(at, Event::Storage { task, epoch });
+    }
+
+    /// The run driver: the one loop that pops simulation events, in
+    /// (time, [`Rank`], insertion) order. Until the foreground is done it
+    /// dispatches before every pop; once done it finishes, and the loop
+    /// drains the storage tasks that are left. A power loss armed past
+    /// the end of all activity fires last.
+    pub(crate) fn drive(&mut self, fg: &mut impl Foreground) -> Result<(), FaError> {
+        let mut ended = None;
+        loop {
+            if ended.is_none() {
+                if fg.done() {
+                    ended = Some(fg.finish(self)?);
+                } else {
+                    fg.dispatch(self)?;
+                }
+            }
+            let Some((at, event)) = self.events.pop() else {
+                break;
+            };
+            match event {
+                // A task scheduled before a power loss died with the power.
+                Event::Storage { task, epoch } => {
+                    if epoch == self.recoveries {
+                        self.run_storage_task_tolerant(at, task)?;
+                        self.maybe_power_loss(at)?;
+                    }
+                }
+                event => fg.handle(self, at, event)?,
+            }
+        }
+        let ended = ended.ok_or_else(|| fg.stalled())?;
+        // A power loss armed past the end of all activity still fires
+        // before the run reports: the crash experiment must not silently
+        // degenerate into a fault-free run because the workload was short.
+        if self.power_loss.armed() {
+            let at = self.power_loss.at().expect("armed clock has an instant");
+            self.maybe_power_loss(ended.max(at))?;
+        }
+        Ok(())
     }
 
     /// Offloads every kernel description table over PCIe into DDR3L.
@@ -445,8 +576,7 @@ impl FlashAbacusSystem {
         if !self.gc_campaign_active && self.storengine.gc_needed(&self.flashvisor) {
             // Same campaign bound as the synchronous guard (64 passes per
             // triggering flush).
-            self.background
-                .push(now, StorageTask::GcPass { remaining: 64 });
+            self.schedule_storage(now, StorageTask::GcPass { remaining: 64 });
             self.gc_campaign_active = true;
         }
         Ok(())
@@ -481,11 +611,7 @@ impl FlashAbacusSystem {
     /// the interrupted campaign ends (its plan may reference blocks the
     /// failure condemned), the bad blocks are retired, and the next flush
     /// re-evaluates the watermark to start a fresh campaign.
-    pub(crate) fn run_storage_task_tolerant(
-        &mut self,
-        at: SimTime,
-        task: StorageTask,
-    ) -> Result<(), FaError> {
+    fn run_storage_task_tolerant(&mut self, at: SimTime, task: StorageTask) -> Result<(), FaError> {
         match self.run_storage_task(at, task) {
             Ok(()) => Ok(()),
             Err(e) if is_injected_fault(&e) => {
@@ -500,7 +626,8 @@ impl FlashAbacusSystem {
     /// Polls the power-loss clock at `now`; when it trips, runs the crash
     /// protocol: a final supercap-backed journal dump persists the redo
     /// records accumulated since the last periodic dump, volatile state is
-    /// lost (pending background campaigns die with the power), and the
+    /// lost (pending storage tasks die with the power: the recovery ends
+    /// their epoch), and the
     /// mapping is rebuilt by journal replay before the run continues — the
     /// restart-after-power-loss experiment inside one simulated timeline.
     pub(crate) fn maybe_power_loss(&mut self, now: SimTime) -> Result<(), FaError> {
@@ -515,7 +642,6 @@ impl FlashAbacusSystem {
             Err(e) if is_injected_fault(&e) => {}
             Err(e) => return Err(e),
         }
-        self.background = DeferredWorkQueue::new();
         self.gc_campaign_active = false;
         self.flashvisor.recover();
         self.recoveries += 1;
@@ -541,7 +667,7 @@ impl FlashAbacusSystem {
         self.storengine
             .migrate_gc_groups(&mut self.flashvisor, &plan, &mut progress, slice)?;
         if progress.next_victim < plan.victims.len() {
-            self.background.push(
+            self.schedule_storage(
                 progress.finished,
                 StorageTask::GcSlice {
                     plan,
@@ -562,7 +688,7 @@ impl FlashAbacusSystem {
             });
         }
         if remaining > 1 && self.storengine.gc_needed(&self.flashvisor) {
-            self.background.push(
+            self.schedule_storage(
                 out.finished,
                 StorageTask::GcPass {
                     remaining: remaining - 1,
@@ -574,313 +700,32 @@ impl FlashAbacusSystem {
         Ok(())
     }
 
-    /// Executes one screen on a worker LWP: optional IPC dispatch cost,
-    /// input staging, compute. Output write-back is *not* performed here —
-    /// the caller flushes at retire time so shared resources always see
-    /// requests in non-decreasing simulated-time order.
-    fn execute_screen(
+    /// Computes `screen` on worker `worker` once its data is ready at
+    /// `ready`, charging its energy and recording its busy functional
+    /// units. Returns the compute end.
+    pub(crate) fn compute_screen(
         &mut self,
-        apps: &[Application],
-        slices: &HashMap<ScreenRef, ScreenSlice>,
-        sref: ScreenRef,
         worker: usize,
-        dispatch_at: SimTime,
-        charge_ipc: bool,
-    ) -> Result<SimTime, FaError> {
-        let kernel = &apps[sref.app].kernels[sref.kernel];
-        let screen = &kernel.microblocks[sref.microblock].screens[sref.screen];
-        let slice = slices
-            .get(&sref)
-            .copied()
-            .expect("every screen has a slice");
-
-        // Dispatch overhead: a scheduling decision on Flashvisor plus a
-        // message-queue hop to the worker.
-        let dispatched = if charge_ipc {
-            let decided = self.flashvisor.charge_scheduling_decision(dispatch_at);
-            self.msgq.send(decided)
-        } else {
-            dispatch_at
-        };
-
-        // Stage the screen's input from flash.
-        let data_ready = self.stage_input(dispatched, kernel.data_section.flash_base, &slice)?;
-
-        // Compute on the worker.
-        let est = self.workers[worker].estimate(&screen.mix, screen.bytes_touched());
-        let start = data_ready.max(self.workers[worker].next_free());
-        let res = self.workers[worker].execute(start, &est);
+        screen: &Screen,
+        ready: SimTime,
+    ) -> SimTime {
+        let lwp = &mut self.workers[worker];
+        let est = lwp.estimate(&screen.mix, screen.bytes_touched());
+        let start = ready.max(lwp.next_free());
+        let res = lwp.execute(start, &est);
+        let busy_fus = est.occupancy.mean_busy_fus(lwp.spec(), est.cycles);
         self.energy.record(
             Component::Lwp,
             ActivityCategory::Computation,
             res.start,
             res.end,
         );
-        let spec = *self.workers[worker].spec();
         self.compute_intervals.push(ComputeInterval {
             start: res.start,
             end: res.end,
-            busy_fus: est.occupancy.mean_busy_fus(&spec, est.cycles),
+            busy_fus,
         });
-        Ok(res.end)
-    }
-
-    /// Picks the screen an idle worker should run next under the configured
-    /// policy, together with whether the dispatch must pay kernel-boot and
-    /// IPC costs. Returns `None` when this worker has nothing to do right
-    /// now. Every arm is a frontier lookup on the chain — no policy rescans
-    /// the batch, so a whole schedule of S screens does O(S) frontier work.
-    #[allow(clippy::too_many_arguments)]
-    fn pick_screen(
-        &self,
-        worker: usize,
-        chain: &ExecutionChain,
-        kernel_list: &[crate::scheduler::KernelRef],
-        kernel_taken: &mut [bool],
-        worker_state: &mut [WorkerState],
-        template_of_app: &[usize],
-    ) -> Option<(ScreenRef, bool)> {
-        match self.config.scheduler {
-            SchedulerPolicy::IntraIo | SchedulerPolicy::IntraO3 => {
-                intra_next_ready(self.config.scheduler, chain).map(|s| (s, true))
-            }
-            SchedulerPolicy::InterSt | SchedulerPolicy::InterDy => {
-                // Continue the worker's current kernel if it still has work.
-                if let Some(kidx) = worker_state[worker].current_kernel {
-                    let kref = kernel_list[kidx];
-                    if chain.kernel_completion(kref.app, kref.kernel).is_none() {
-                        // The kernel runs as a single instruction stream: no
-                        // per-screen IPC once the kernel is bootstrapped.
-                        return chain
-                            .next_ready_of_kernel(kref.app, kref.kernel)
-                            .map(|s| (s, false));
-                    }
-                }
-                // Otherwise adopt the next unstarted kernel this worker may
-                // take: any kernel (InterDy) or only kernels whose
-                // application number maps to this worker (InterSt). The
-                // "application number" is the number of the *application*,
-                // not of the instance: every instance of the same benchmark
-                // shares it, which is exactly why the static policy piles
-                // homogeneous batches onto one LWP (§4.1, §5.1).
-                let workers = worker_state.len();
-                for (kidx, kref) in kernel_list.iter().enumerate() {
-                    if kernel_taken[kidx] {
-                        continue;
-                    }
-                    if self.config.scheduler == SchedulerPolicy::InterSt
-                        && static_assignment(template_of_app[kref.app], workers) != worker
-                    {
-                        continue;
-                    }
-                    kernel_taken[kidx] = true;
-                    worker_state[worker].current_kernel = Some(kidx);
-                    // A freshly adopted kernel pays boot + IPC.
-                    return chain
-                        .next_ready_of_kernel(kref.app, kref.kernel)
-                        .map(|s| (s, true));
-                }
-                None
-            }
-        }
-    }
-
-    /// The unified, completion-ordered dispatch loop driving all four
-    /// policies.
-    fn run_schedule(
-        &mut self,
-        apps: &[Application],
-        slices: &HashMap<ScreenRef, ScreenSlice>,
-        chain: &mut ExecutionChain,
-        offload_times: &HashMap<(usize, usize), SimTime>,
-        offload_end: SimTime,
-    ) -> Result<(), FaError> {
-        let worker_count = self.workers.len();
-        let kernel_list = all_kernels(apps);
-        let mut kernel_taken = vec![false; kernel_list.len()];
-        // Map each application instance to its template ("application
-        // number"): the first instance of every distinct benchmark defines
-        // the number, all later instances of the same benchmark share it.
-        let template_of_app: Vec<usize> = {
-            let mut seen: Vec<&str> = Vec::new();
-            apps.iter()
-                .map(|a| {
-                    if let Some(pos) = seen.iter().position(|n| *n == a.name) {
-                        pos
-                    } else {
-                        seen.push(&a.name);
-                        seen.len() - 1
-                    }
-                })
-                .collect()
-        };
-        // Output flushes deferred until the batch completes (the DDR3L
-        // write buffer absorbs them during execution, §2.2).
-        let mut deferred_flushes: Vec<(u64, ScreenSlice)> = Vec::new();
-        let mut worker_state = vec![
-            WorkerState {
-                free_at: offload_end,
-                in_flight: 0,
-                booted: false,
-                current_kernel: None,
-            };
-            worker_count
-        ];
-        // At most WORKER_QUEUE_DEPTH screens are in flight per worker, so
-        // the completion heap never outgrows this pre-sized allocation.
-        let mut completions: BinaryHeap<Completion> =
-            BinaryHeap::with_capacity(worker_count * WORKER_QUEUE_DEPTH + 1);
-        // The retire frontier: dispatches (and therefore resource
-        // reservations) never go backwards past this point, which keeps the
-        // FIFO resource models causal.
-        let mut frontier = offload_end;
-
-        loop {
-            if chain.is_complete() {
-                break;
-            }
-
-            // Dispatch phase: give every worker with a free queue slot
-            // (fewest-in-flight, earliest-free first) one screen if the
-            // policy has one for it, repeating until no such worker can be
-            // matched with a ready screen. The second slot prefetches the
-            // next screen's input while the first computes.
-            loop {
-                let mut available: Vec<usize> = (0..worker_count)
-                    .filter(|w| worker_state[*w].in_flight < WORKER_QUEUE_DEPTH)
-                    .collect();
-                available
-                    .sort_by_key(|w| (worker_state[*w].in_flight, worker_state[*w].free_at, *w));
-                let mut dispatched = false;
-                for worker in available {
-                    let picked = self.pick_screen(
-                        worker,
-                        chain,
-                        &kernel_list,
-                        &mut kernel_taken,
-                        &mut worker_state,
-                        &template_of_app,
-                    );
-                    let Some((sref, needs_ipc)) = picked else {
-                        continue;
-                    };
-                    chain.mark_running(sref, worker);
-                    // A screen may not start before its kernel was offloaded,
-                    // and dispatches never precede the retire frontier.
-                    let kernel_offloaded = offload_times
-                        .get(&(sref.app, sref.kernel))
-                        .copied()
-                        .unwrap_or(offload_end);
-                    let mut dispatch_at = frontier.max(kernel_offloaded);
-                    if needs_ipc && !worker_state[worker].booted {
-                        // First use of the worker: PSC sleep/boot sequence.
-                        dispatch_at = self.workers[worker].boot_kernel(dispatch_at);
-                        worker_state[worker].booted = true;
-                    }
-                    let end =
-                        self.execute_screen(apps, slices, sref, worker, dispatch_at, needs_ipc)?;
-                    worker_state[worker].in_flight += 1;
-                    completions.push(Completion {
-                        end,
-                        screen: sref,
-                        worker,
-                    });
-                    dispatched = true;
-                    // The ready set changed; rebuild the availability list.
-                    break;
-                }
-                if !dispatched {
-                    break;
-                }
-            }
-
-            // Background storage phase: a deferred Storengine pass whose
-            // start precedes the next foreground completion executes now,
-            // so its channel traffic is in place when later foreground
-            // reads arrive — GC genuinely contends instead of happening
-            // atomically between screens. Foreground wins ties.
-            let background_due = match (completions.peek(), self.background.peek_time()) {
-                (Some(c), Some(t)) => t < c.end,
-                (None, Some(_)) => true,
-                _ => false,
-            };
-            if background_due {
-                let (at, task) = self
-                    .background
-                    .pop()
-                    .expect("peeked background task vanished");
-                self.run_storage_task_tolerant(at, task)?;
-                self.maybe_power_loss(at)?;
-                continue;
-            }
-
-            // Retire phase: the earliest completion frees its worker and
-            // unlocks successor microblocks. When the completion finishes a
-            // kernel, the kernel's whole output region (accumulated in the
-            // DDR3L write buffer during execution, §2.2) is flushed to flash
-            // in one log-structured write.
-            match completions.pop() {
-                Some(c) => {
-                    let kernel = &apps[c.screen.app].kernels[c.screen.kernel];
-                    // The retiring screen is the last incomplete one of its
-                    // kernel exactly when one screen remains (itself) — an
-                    // O(1) counter lookup, not a per-retire kernel scan.
-                    let finishes_kernel =
-                        chain.kernel_screens_remaining(c.screen.app, c.screen.kernel) == 1;
-                    let output_slice = ScreenSlice {
-                        input_start: 0,
-                        input_len: 0,
-                        output_start: kernel.data_section.input_bytes,
-                        output_len: kernel.data_section.output_bytes,
-                    };
-                    let done_at = if finishes_kernel && kernel.data_section.output_bytes > 0 {
-                        if self.config.buffered_writes {
-                            // The DDR3L write buffer holds the output; the
-                            // flash programs happen once the batch is done so
-                            // they do not block other kernels' reads.
-                            deferred_flushes.push((kernel.data_section.flash_base, output_slice));
-                            c.end
-                        } else {
-                            self.flush_output(c.end, kernel.data_section.flash_base, &output_slice)?
-                        }
-                    } else {
-                        c.end
-                    };
-                    chain.mark_done(c.screen, done_at);
-                    worker_state[c.worker].in_flight =
-                        worker_state[c.worker].in_flight.saturating_sub(1);
-                    worker_state[c.worker].free_at = done_at.max(worker_state[c.worker].free_at);
-                    frontier = frontier.max(c.end);
-                    self.maybe_power_loss(c.end)?;
-                }
-                None => {
-                    return Err(FaError::SchedulerStalled(format!(
-                        "{} screens completed of {}",
-                        chain.completed_screens(),
-                        chain.total_screens()
-                    )));
-                }
-            }
-        }
-        // Drain the DDR3L write buffer: all deferred output regions are now
-        // written back log-structured.
-        for (flash_base, slice) in deferred_flushes {
-            self.flush_output(frontier, flash_base, &slice)?;
-        }
-        // Run any remaining background storage campaigns to quiescence (in
-        // simulated time; nothing left contends with them).
-        while let Some((at, task)) = self.background.pop() {
-            self.run_storage_task_tolerant(at, task)?;
-            self.maybe_power_loss(at)?;
-        }
-        // A power-loss armed past the end of all activity still fires
-        // before the run reports: the crash experiment must not silently
-        // degenerate into a fault-free run because the workload was short.
-        if self.power_loss.armed() {
-            let at = self.power_loss.at().expect("armed clock has an instant");
-            self.maybe_power_loss(frontier.max(at))?;
-        }
-        Ok(())
+        res.end
     }
 
     /// Builds the [`RunOutcome`] once the chain has completed.
@@ -1063,6 +908,271 @@ impl FlashAbacusSystem {
             tenant_fairness_index: 0.0,
             governor_updates: 0,
         }
+    }
+}
+
+/// A closed-loop batch as the driver's foreground. Before every event
+/// the configured policy dispatches ready screens onto workers with a
+/// free queue slot; each screen completion retires its screen. With
+/// buffered writes a finished kernel's output waits in the DDR3L write
+/// buffer, and the finish step flushes it at the retire frontier.
+struct Batch<'a> {
+    apps: &'a [Application],
+    policy: SchedulerPolicy,
+    chain: ExecutionChain,
+    slices: HashMap<ScreenRef, ScreenSlice>,
+    offload_times: HashMap<(usize, usize), SimTime>,
+    offload_end: SimTime,
+    kernel_list: Vec<KernelRef>,
+    kernel_taken: Vec<bool>,
+    /// Each application instance's "application number": the first
+    /// instance of every distinct benchmark defines the number, and all
+    /// later instances of the same benchmark share it.
+    template_of_app: Vec<usize>,
+    workers: Vec<WorkerState>,
+    /// Output flushes deferred until the batch completes (the DDR3L write
+    /// buffer absorbs them during execution, §2.2).
+    deferred_flushes: Vec<(u64, ScreenSlice)>,
+    /// The retire frontier: dispatches (and therefore resource
+    /// reservations) never go backwards past this point, which keeps the
+    /// FIFO resource models causal.
+    frontier: SimTime,
+}
+
+impl<'a> Batch<'a> {
+    fn new(
+        apps: &'a [Application],
+        sys: &FlashAbacusSystem,
+        offload_times: HashMap<(usize, usize), SimTime>,
+        offload_end: SimTime,
+    ) -> Self {
+        let kernel_list = all_kernels(apps);
+        let mut seen: Vec<&str> = Vec::new();
+        let template_of_app = apps
+            .iter()
+            .map(|a| {
+                seen.iter().position(|n| *n == a.name).unwrap_or_else(|| {
+                    seen.push(&a.name);
+                    seen.len() - 1
+                })
+            })
+            .collect();
+        Batch {
+            apps,
+            policy: sys.config.scheduler,
+            chain: ExecutionChain::new(apps),
+            slices: compute_screen_slices(apps),
+            offload_times,
+            offload_end,
+            kernel_taken: vec![false; kernel_list.len()],
+            kernel_list,
+            template_of_app,
+            workers: vec![
+                WorkerState {
+                    free_at: offload_end,
+                    in_flight: 0,
+                    booted: false,
+                    current_kernel: None,
+                };
+                sys.workers.len()
+            ],
+            deferred_flushes: Vec::new(),
+            frontier: offload_end,
+        }
+    }
+
+    /// Picks the screen an idle worker should run next under the policy,
+    /// together with whether the dispatch must pay kernel-boot and IPC
+    /// costs. Returns `None` when this worker has nothing to do right now.
+    /// Every arm is a frontier lookup on the chain — no policy rescans the
+    /// batch, so a whole schedule of S screens does O(S) frontier work.
+    fn pick_screen(&mut self, worker: usize) -> Option<(ScreenRef, bool)> {
+        match self.policy {
+            SchedulerPolicy::IntraIo | SchedulerPolicy::IntraO3 => {
+                intra_next_ready(self.policy, &self.chain).map(|s| (s, true))
+            }
+            SchedulerPolicy::InterSt | SchedulerPolicy::InterDy => {
+                // Continue the worker's current kernel if it still has work.
+                if let Some(kidx) = self.workers[worker].current_kernel {
+                    let kref = self.kernel_list[kidx];
+                    if self
+                        .chain
+                        .kernel_completion(kref.app, kref.kernel)
+                        .is_none()
+                    {
+                        // The kernel runs as a single instruction stream: no
+                        // per-screen IPC once the kernel is bootstrapped.
+                        return self
+                            .chain
+                            .next_ready_of_kernel(kref.app, kref.kernel)
+                            .map(|s| (s, false));
+                    }
+                }
+                // Otherwise adopt the next unstarted kernel this worker may
+                // take: any kernel (InterDy) or only kernels whose
+                // application number maps to this worker (InterSt). The
+                // "application number" is the number of the *application*,
+                // not of the instance: every instance of the same benchmark
+                // shares it, which is exactly why the static policy piles
+                // homogeneous batches onto one LWP (§4.1, §5.1).
+                let workers = self.workers.len();
+                for (kidx, kref) in self.kernel_list.iter().enumerate() {
+                    if self.kernel_taken[kidx] {
+                        continue;
+                    }
+                    if self.policy == SchedulerPolicy::InterSt
+                        && static_assignment(self.template_of_app[kref.app], workers) != worker
+                    {
+                        continue;
+                    }
+                    self.kernel_taken[kidx] = true;
+                    self.workers[worker].current_kernel = Some(kidx);
+                    // A freshly adopted kernel pays boot + IPC.
+                    return self
+                        .chain
+                        .next_ready_of_kernel(kref.app, kref.kernel)
+                        .map(|s| (s, true));
+                }
+                None
+            }
+        }
+    }
+
+    /// Executes one screen on a worker LWP: optional IPC dispatch cost,
+    /// input staging, compute. Output write-back is *not* performed here —
+    /// the retire step flushes, so shared resources always see requests in
+    /// non-decreasing simulated-time order.
+    fn execute_screen(
+        &self,
+        sys: &mut FlashAbacusSystem,
+        sref: ScreenRef,
+        worker: usize,
+        dispatch_at: SimTime,
+        charge_ipc: bool,
+    ) -> Result<SimTime, FaError> {
+        let kernel = &self.apps[sref.app].kernels[sref.kernel];
+        let screen = &kernel.microblocks[sref.microblock].screens[sref.screen];
+        let slice = self.slices.get(&sref).expect("every screen has a slice");
+        // Dispatch overhead: a scheduling decision on Flashvisor plus a
+        // message-queue hop to the worker.
+        let dispatched = if charge_ipc {
+            let decided = sys.flashvisor.charge_scheduling_decision(dispatch_at);
+            sys.msgq.send(decided)
+        } else {
+            dispatch_at
+        };
+        let data_ready = sys.stage_input(dispatched, kernel.data_section.flash_base, slice)?;
+        Ok(sys.compute_screen(worker, screen, data_ready))
+    }
+}
+
+impl Foreground for Batch<'_> {
+    fn done(&self) -> bool {
+        self.chain.is_complete()
+    }
+
+    /// Gives every worker with a free queue slot (fewest-in-flight,
+    /// earliest-free first) one screen if the policy has one for it,
+    /// repeating until no such worker can be matched with a ready screen.
+    /// The second slot prefetches the next screen's input while the first
+    /// computes.
+    fn dispatch(&mut self, sys: &mut FlashAbacusSystem) -> Result<(), FaError> {
+        loop {
+            let mut available: Vec<usize> = (0..self.workers.len())
+                .filter(|&w| self.workers[w].in_flight < WORKER_QUEUE_DEPTH)
+                .collect();
+            available.sort_by_key(|&w| (self.workers[w].in_flight, self.workers[w].free_at, w));
+            let picked = available
+                .into_iter()
+                .find_map(|w| self.pick_screen(w).map(|(sref, ipc)| (w, sref, ipc)));
+            let Some((worker, sref, needs_ipc)) = picked else {
+                return Ok(());
+            };
+            self.chain.mark_running(sref, worker);
+            // A screen may not start before its kernel was offloaded, and
+            // dispatches never precede the retire frontier.
+            let kernel_offloaded = self
+                .offload_times
+                .get(&(sref.app, sref.kernel))
+                .copied()
+                .unwrap_or(self.offload_end);
+            let mut dispatch_at = self.frontier.max(kernel_offloaded);
+            if needs_ipc && !self.workers[worker].booted {
+                // First use of the worker: PSC sleep/boot sequence.
+                dispatch_at = sys.workers[worker].boot_kernel(dispatch_at);
+                self.workers[worker].booted = true;
+            }
+            let end = self.execute_screen(sys, sref, worker, dispatch_at, needs_ipc)?;
+            self.workers[worker].in_flight += 1;
+            sys.schedule(
+                end,
+                Event::Screen {
+                    screen: sref,
+                    worker,
+                },
+            );
+        }
+    }
+
+    /// Retires a screen: frees its worker and unlocks successor
+    /// microblocks. When the screen finishes a kernel, the kernel's whole
+    /// output region (accumulated in the DDR3L write buffer during
+    /// execution, §2.2) is flushed to flash in one log-structured write.
+    fn handle(
+        &mut self,
+        sys: &mut FlashAbacusSystem,
+        at: SimTime,
+        event: Event,
+    ) -> Result<(), FaError> {
+        let Event::Screen { screen, worker } = event else {
+            unreachable!("a batch schedules only screen completions");
+        };
+        let kernel = &self.apps[screen.app].kernels[screen.kernel];
+        // The retiring screen is the last incomplete one of its kernel
+        // exactly when one screen remains (itself) — an O(1) counter
+        // lookup, not a per-retire kernel scan.
+        let done_at = if self
+            .chain
+            .kernel_screens_remaining(screen.app, screen.kernel)
+            == 1
+        {
+            let output = ScreenSlice::kernel_output(kernel);
+            if sys.config.buffered_writes {
+                // The DDR3L write buffer holds the output; the flash
+                // programs happen once the batch is done so they do not
+                // block other kernels' reads.
+                self.deferred_flushes
+                    .push((kernel.data_section.flash_base, output));
+                at
+            } else {
+                sys.flush_output(at, kernel.data_section.flash_base, &output)?
+            }
+        } else {
+            at
+        };
+        self.chain.mark_done(screen, done_at);
+        let state = &mut self.workers[worker];
+        state.in_flight = state.in_flight.saturating_sub(1);
+        state.free_at = done_at.max(state.free_at);
+        self.frontier = self.frontier.max(at);
+        sys.maybe_power_loss(at)
+    }
+
+    /// Drains the DDR3L write buffer: every deferred output region is
+    /// written back log-structured at the frontier.
+    fn finish(&mut self, sys: &mut FlashAbacusSystem) -> Result<SimTime, FaError> {
+        for (flash_base, slice) in std::mem::take(&mut self.deferred_flushes) {
+            sys.flush_output(self.frontier, flash_base, &slice)?;
+        }
+        Ok(self.frontier)
+    }
+
+    fn stalled(&self) -> FaError {
+        FaError::SchedulerStalled(format!(
+            "{} screens completed of {}",
+            self.chain.completed_screens(),
+            self.chain.total_screens()
+        ))
     }
 }
 
@@ -1460,6 +1570,25 @@ mod tests {
             v
         };
         assert_eq!(logical(&reference), logical(&crashing));
+    }
+
+    #[test]
+    fn a_system_runs_one_batch() {
+        let apps = small_workload(2, 0.1);
+        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        let mut system = FlashAbacusSystem::new(config);
+        let first = system.run(&apps).expect("first run completes");
+        // A second run would sum both runs' time and energy; it fails and
+        // leaves the first run's state alone.
+        let reads = system.flashvisor().stats().group_reads;
+        assert!(
+            matches!(system.run(&apps), Err(FaError::InvalidWorkload(m)) if m.contains("already run"))
+        );
+        assert_eq!(system.flashvisor().stats().group_reads, reads);
+        assert_eq!(
+            first.finished_at,
+            run(SchedulerPolicy::IntraO3, &apps).finished_at
+        );
     }
 
     #[test]

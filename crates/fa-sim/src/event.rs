@@ -1,8 +1,9 @@
 //! Deterministic event queue.
 //!
-//! Events are ordered first by their scheduled time and then by insertion
-//! order, so two events scheduled for the same instant are delivered in the
-//! order they were pushed. This tie-breaking rule is what makes the whole
+//! Events are ordered by their scheduled time, then by a caller-supplied
+//! rank, then by insertion order: two events due at the same instant are
+//! delivered lowest rank first, and events of equal rank in the order
+//! they were pushed. This tie-breaking rule is what makes the whole
 //! simulation deterministic and therefore every figure reproducible.
 
 use crate::time::SimTime;
@@ -11,40 +12,43 @@ use std::collections::BinaryHeap;
 
 /// A single scheduled entry in the queue: the ordering key plus the arena
 /// slot holding the event payload. Keeping the payload out of the heap
-/// means every sift moves a small fixed-size key, not the event itself.
+/// means every sift moves the key, not the event itself.
 #[derive(Debug)]
-struct Scheduled {
+struct Scheduled<R> {
     at: SimTime,
+    rank: R,
     seq: u64,
     slot: u32,
 }
 
-impl PartialEq for Scheduled {
+impl<R: Ord> PartialEq for Scheduled<R> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for Scheduled {}
+impl<R: Ord> Eq for Scheduled<R> {}
 
-impl PartialOrd for Scheduled {
+impl<R: Ord> PartialOrd for Scheduled<R> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Scheduled {
+impl<R: Ord> Ord for Scheduled<R> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest (time, seq) pops
-        // first.
+        // BinaryHeap is a max-heap; reverse so the earliest (time, rank,
+        // seq) pops first.
         other
             .at
             .cmp(&self.at)
+            .then_with(|| other.rank.cmp(&self.rank))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// A time-ordered queue of simulation events.
+/// A time-ordered queue of simulation events `E`, with ties at one
+/// instant broken by rank `R`, then by insertion order.
 ///
 /// # Examples
 ///
@@ -53,15 +57,16 @@ impl Ord for Scheduled {
 /// use fa_sim::time::SimTime;
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_ns(5), "b");
-/// q.push(SimTime::from_ns(5), "c");
-/// q.push(SimTime::from_ns(1), "a");
+/// q.push(SimTime::from_ns(5), 1, "c");
+/// q.push(SimTime::from_ns(5), 0, "b");
+/// q.push(SimTime::from_ns(5), 1, "d");
+/// q.push(SimTime::from_ns(1), 9, "a");
 /// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-/// assert_eq!(order, vec!["a", "b", "c"]);
+/// assert_eq!(order, vec!["a", "b", "c", "d"]);
 /// ```
 #[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled>,
+pub struct EventQueue<E, R> {
+    heap: BinaryHeap<Scheduled<R>>,
     /// Pooled event payloads; heap entries reference slots here. Popped
     /// slots are recycled through `free`, so a steady-state queue performs
     /// no per-event allocation no matter how large the payload type is.
@@ -71,13 +76,13 @@ pub struct EventQueue<E> {
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, R: Ord> Default for EventQueue<E, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E, R: Ord> EventQueue<E, R> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -88,8 +93,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` for delivery at `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
+    /// Schedules `event` for delivery at `at`, after every event due at
+    /// `at` with a lower rank or pushed earlier with the same rank.
+    pub fn push(&mut self, at: SimTime, rank: R, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -102,7 +108,12 @@ impl<E> EventQueue<E> {
                 (self.arena.len() - 1) as u32
             }
         };
-        self.heap.push(Scheduled { at, seq, slot });
+        self.heap.push(Scheduled {
+            at,
+            rank,
+            seq,
+            slot,
+        });
     }
 
     /// Removes and returns the earliest event, if any.
@@ -115,73 +126,44 @@ impl<E> EventQueue<E> {
             (s.at, event)
         })
     }
-
-    /// Returns the timestamp of the earliest pending event.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Returns the number of pending events.
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns true if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.arena.clear();
-        self.free.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn orders_by_time_then_insertion() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(10), 1u32);
-        q.push(SimTime::from_ns(10), 2);
-        q.push(SimTime::from_ns(5), 3);
-        q.push(SimTime::from_ns(20), 4);
-        let out: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(out, vec![3, 1, 2, 4]);
+    fn drain<E, R: Ord>(q: &mut EventQueue<E, R>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect()
     }
 
     #[test]
-    fn counts_and_peek() {
+    fn orders_by_time_then_insertion() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_ns(7), ());
-        q.push(SimTime::from_ns(3), ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
+        q.push(SimTime::from_ns(10), (), 1u32);
+        q.push(SimTime::from_ns(10), (), 2);
+        q.push(SimTime::from_ns(5), (), 3);
+        q.push(SimTime::from_ns(20), (), 4);
+        assert_eq!(drain(&mut q), vec![3, 1, 2, 4]);
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn clear_discards_pending() {
+    fn rank_breaks_ties_before_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1u8);
-        q.clear();
-        assert!(q.is_empty());
+        q.push(SimTime::from_ns(7), 2u8, 'd');
+        q.push(SimTime::from_ns(7), 1, 'b');
+        q.push(SimTime::from_ns(7), 2, 'e');
+        q.push(SimTime::from_ns(7), 1, 'c');
+        // A lower rank never overtakes an earlier instant.
+        q.push(SimTime::from_ns(3), 9, 'a');
+        assert_eq!(drain(&mut q), vec!['a', 'b', 'c', 'd', 'e']);
     }
 
     #[test]
     fn arena_slots_recycle_after_pop() {
         let mut q = EventQueue::new();
         for round in 0..64u64 {
-            q.push(SimTime::from_ns(round), round);
+            q.push(SimTime::from_ns(round), (), round);
             assert_eq!(q.pop(), Some((SimTime::from_ns(round), round)));
         }
         // Steady-state churn reuses the freed slot instead of growing.

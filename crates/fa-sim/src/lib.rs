@@ -9,9 +9,8 @@
 //!   on/off tenant-arrival schedules precomputed from one seed, so
 //!   open-loop campaigns replay byte for byte.
 //! * [`time`] — nanosecond-resolution simulated time and durations.
-//! * [`event`] — a generic, deterministic event queue.
-//! * [`deferred`] — time-ordered background work (storage management) that
-//!   drivers merge with their foreground completion streams.
+//! * [`event`] — a generic, deterministic event queue: time order, ties
+//!   broken by a caller-supplied rank and then insertion order.
 //! * [`crash`] — a one-shot power-loss trigger drivers poll to run the
 //!   crash/recovery protocol at an arbitrary simulated instant.
 //! * [`stats`] — busy-time trackers and the bucketed time series used to
@@ -27,9 +26,9 @@
 //! use fa_sim::event::EventQueue;
 //! use fa_sim::time::SimTime;
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.push(SimTime::from_ns(20), "late");
-//! q.push(SimTime::from_ns(10), "early");
+//! let mut q: EventQueue<&'static str, ()> = EventQueue::new();
+//! q.push(SimTime::from_ns(20), (), "late");
+//! q.push(SimTime::from_ns(10), (), "early");
 //! let (t, ev) = q.pop().unwrap();
 //! assert_eq!(t, SimTime::from_ns(10));
 //! assert_eq!(ev, "early");
@@ -37,7 +36,6 @@
 
 pub mod arrivals;
 pub mod crash;
-pub mod deferred;
 pub mod event;
 pub mod resource;
 pub mod rng;
@@ -46,7 +44,6 @@ pub mod time;
 
 pub use arrivals::{Arrival, ArrivalPlan, ArrivalShape};
 pub use crash::PowerLossClock;
-pub use deferred::DeferredWorkQueue;
 pub use event::EventQueue;
 pub use resource::{FifoServer, SerializedResource};
 pub use rng::DeterministicRng;
