@@ -228,7 +228,7 @@ impl Flashvisor {
             overwrite_counts: vec![0; total_groups as usize],
             hot_reserve: VecDeque::new(),
             locks: RangeLockTable::new(),
-            cpu: FifoServer::new("flashvisor"),
+            cpu: FifoServer::new(),
             lwp_ns_per_cycle: 1.0e9 / config.platform.lwp_freq_hz as f64,
             dirty_mapping_entries: 0,
             record_redo: false,

@@ -151,7 +151,7 @@ impl Storengine {
     pub fn new(config: FlashAbacusConfig) -> Self {
         Storengine {
             config,
-            cpu: FifoServer::new("storengine"),
+            cpu: FifoServer::new(),
             lwp_ns_per_cycle: 1.0e9 / config.platform.lwp_freq_hz as f64,
             victim_cursor: 0,
             journal_cursor: 0,

@@ -230,9 +230,7 @@ impl FlashAbacusSystem {
     /// [`FlashAbacusSystem::install_fault_plan`].
     pub fn new(config: FlashAbacusConfig) -> Self {
         let lwp_spec = LwpSpec::from_platform(&config.platform);
-        let workers = (0..config.platform.worker_lwps())
-            .map(|i| LwpCore::new(i + config.platform.system_lwps, lwp_spec))
-            .collect();
+        let workers = vec![LwpCore::new(lwp_spec); config.platform.worker_lwps()];
         let mut energy = EnergyAccountant::new(config.power);
         energy.register_idle(Component::Lwp, config.platform.lwp_count);
         energy.register_idle(Component::Ddr3l, 1);

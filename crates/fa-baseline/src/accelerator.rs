@@ -47,9 +47,7 @@ impl SimdAccelerator {
     pub(crate) fn new(config: &BaselineConfig) -> Self {
         let spec = LwpSpec::from_platform(&config.platform);
         SimdAccelerator {
-            cores: (0..config.platform.lwp_count)
-                .map(|i| LwpCore::new(i, spec))
-                .collect(),
+            cores: vec![LwpCore::new(spec); config.platform.lwp_count],
             active: config.active_lwps.clamp(1, config.platform.lwp_count),
         }
     }

@@ -41,8 +41,8 @@ impl HostStorageStack {
     pub(crate) fn new(spec: HostSpec) -> Self {
         HostStorageStack {
             spec,
-            cpu: FifoServer::new("host-cpu"),
-            dram: SerializedResource::new("host-dram", spec.dram_bytes_per_sec),
+            cpu: FifoServer::new(),
+            dram: SerializedResource::new(spec.dram_bytes_per_sec),
         }
     }
 

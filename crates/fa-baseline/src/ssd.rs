@@ -24,7 +24,7 @@ impl NvmeSsd {
             spec,
             // The serialized resource carries the slower (write) bandwidth;
             // reads scale their service time explicitly below.
-            device: SerializedResource::new("nvme-ssd", spec.read_bytes_per_sec),
+            device: SerializedResource::new(spec.read_bytes_per_sec),
             reads: 0,
             writes: 0,
         }

@@ -160,7 +160,7 @@ impl FlashBackbone {
             geometry,
             timing,
             channels,
-            srio: SerializedResource::new("srio-fmc", srio_bytes_per_sec),
+            srio: SerializedResource::new(srio_bytes_per_sec),
             valid_index: ValidPageIndex::new(
                 geometry.total_blocks() as usize,
                 geometry.pages_per_block,

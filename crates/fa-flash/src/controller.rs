@@ -108,7 +108,7 @@ impl ChannelController {
         ChannelController {
             index,
             dies,
-            bus: SerializedResource::new(format!("nvddr2-ch{index}"), timing.channel_bytes_per_sec),
+            bus: SerializedResource::new(timing.channel_bytes_per_sec),
             timing,
             page_bytes: geometry.page_bytes,
             page_xfer: timing.page_transfer(geometry.page_bytes),

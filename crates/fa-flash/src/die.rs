@@ -135,7 +135,7 @@ impl FlashDie {
             channel,
             die,
             endurance_limit,
-            server: FifoServer::new(format!("ch{channel}-die{die}")),
+            server: FifoServer::new(),
             stats: DieStats::default(),
         }
     }

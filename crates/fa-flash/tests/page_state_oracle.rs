@@ -72,7 +72,7 @@ impl ReferenceDie {
             pages: vec![PageState::Free; blocks * geometry.pages_per_block],
             write_cursor: vec![0; blocks],
             erase_count: vec![0; blocks],
-            server: FifoServer::new("reference"),
+            server: FifoServer::new(),
             stats: DieStats::default(),
         }
     }

@@ -171,11 +171,11 @@ pub struct LwpCore {
 }
 
 impl LwpCore {
-    /// Creates an idle LWP; `id` names its run queue.
-    pub fn new(id: usize, spec: LwpSpec) -> Self {
+    /// Creates an idle LWP.
+    pub fn new(spec: LwpSpec) -> Self {
         LwpCore {
             spec,
-            run_queue: FifoServer::new(format!("lwp{id}")),
+            run_queue: FifoServer::new(),
             busy: UtilizationTracker::new(),
         }
     }
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn execution_serializes_on_the_core() {
-        let mut core = LwpCore::new(0, spec());
+        let mut core = LwpCore::new(spec());
         let est = core.estimate(&InstructionMix::new(8_000, 0.3, 0.1), 4096);
         let a = core.execute(SimTime::ZERO, &est);
         let b = core.execute(SimTime::ZERO, &est);
@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn boot_protocol_takes_boot_cycles() {
-        let core = LwpCore::new(3, spec());
+        let core = LwpCore::new(spec());
         let ready = core.boot_kernel(SimTime::from_us(10));
         // 5 000 PSC cycles at 1 GHz.
         assert_eq!(ready, SimTime::from_us(15));

@@ -58,7 +58,7 @@ impl Ddr3l {
         Ddr3l {
             capacity: spec.ddr3l_bytes,
             allocated: 0,
-            channel: SerializedResource::new("ddr3l", spec.ddr3l_bytes_per_sec),
+            channel: SerializedResource::new(spec.ddr3l_bytes_per_sec),
         }
     }
 

@@ -23,24 +23,16 @@ pub struct Crossbar {
 impl Crossbar {
     /// Creates a crossbar with the given aggregate bandwidth and per-hop
     /// latency.
-    pub(crate) fn new(
-        name: impl Into<String>,
-        bytes_per_sec: f64,
-        per_hop_latency: SimDuration,
-    ) -> Self {
+    pub(crate) fn new(bytes_per_sec: f64, per_hop_latency: SimDuration) -> Self {
         Crossbar {
-            link: SerializedResource::new(name, bytes_per_sec),
+            link: SerializedResource::new(bytes_per_sec),
             per_hop_latency,
         }
     }
 
     /// The prototype's tier-1 streaming crossbar (16 GB/s).
     pub fn tier1(spec: &PlatformSpec) -> Self {
-        Crossbar::new(
-            "tier1-xbar",
-            spec.tier1_bytes_per_sec,
-            SimDuration::from_ns(20),
-        )
+        Crossbar::new(spec.tier1_bytes_per_sec, SimDuration::from_ns(20))
     }
 
     /// Schedules a `bytes` transfer across the crossbar.
@@ -74,7 +66,7 @@ impl PcieLink {
     /// Creates the prototype's PCIe 2.0 x2 link (≈1 GB/s).
     pub fn new(spec: &PlatformSpec) -> Self {
         PcieLink {
-            link: SerializedResource::new("pcie", spec.pcie_bytes_per_sec),
+            link: SerializedResource::new(spec.pcie_bytes_per_sec),
             doorbell_latency: SimDuration::from_us(1),
         }
     }
@@ -158,11 +150,7 @@ mod tests {
     #[test]
     fn tier1_is_faster_than_tier2() {
         let mut t1 = Crossbar::tier1(&spec());
-        let mut t2 = Crossbar::new(
-            "tier2-xbar",
-            spec().tier2_bytes_per_sec,
-            SimDuration::from_ns(60),
-        );
+        let mut t2 = Crossbar::new(spec().tier2_bytes_per_sec, SimDuration::from_ns(60));
         let a = t1.transfer(SimTime::ZERO, 1 << 20);
         let b = t2.transfer(SimTime::ZERO, 1 << 20);
         assert!(a.end < b.end);

@@ -25,14 +25,13 @@ use serde::{Deserialize, Serialize};
 /// use fa_sim::time::SimTime;
 ///
 /// // A 1 GB/s link moving two back-to-back 1 MB transfers.
-/// let mut link = SerializedResource::new("pcie", 1e9);
+/// let mut link = SerializedResource::new(1e9);
 /// let first = link.reserve(SimTime::ZERO, 1_000_000);
 /// let second = link.reserve(SimTime::ZERO, 1_000_000);
 /// assert_eq!(first.end, second.start);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SerializedResource {
-    name: String,
     bytes_per_sec: f64,
     next_free: SimTime,
     busy: UtilizationTracker,
@@ -50,21 +49,15 @@ pub struct Reservation {
 }
 
 impl SerializedResource {
-    /// Creates a resource with the given name and bandwidth in bytes/second.
-    pub fn new(name: impl Into<String>, bytes_per_sec: f64) -> Self {
+    /// Creates a resource with the given bandwidth in bytes/second.
+    pub fn new(bytes_per_sec: f64) -> Self {
         SerializedResource {
-            name: name.into(),
             bytes_per_sec,
             next_free: SimTime::ZERO,
             busy: UtilizationTracker::new(),
             bytes_moved: 0,
             transfers: 0,
         }
-    }
-
-    /// The resource name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Earliest instant at which a new transfer could start.
@@ -143,9 +136,8 @@ impl SerializedResource {
 }
 
 /// A single-server FIFO queue with caller-supplied service times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FifoServer {
-    name: String,
     next_free: SimTime,
     busy: UtilizationTracker,
     served: u64,
@@ -153,18 +145,8 @@ pub struct FifoServer {
 
 impl FifoServer {
     /// Creates an idle server.
-    pub fn new(name: impl Into<String>) -> Self {
-        FifoServer {
-            name: name.into(),
-            next_free: SimTime::ZERO,
-            busy: UtilizationTracker::new(),
-            served: 0,
-        }
-    }
-
-    /// The server name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Earliest instant at which a new request could start service.
@@ -205,7 +187,7 @@ mod tests {
 
     #[test]
     fn serialized_transfers_queue_behind_each_other() {
-        let mut r = SerializedResource::new("link", 1_000_000_000.0); // 1 GB/s
+        let mut r = SerializedResource::new(1_000_000_000.0); // 1 GB/s
         let a = r.reserve(SimTime::ZERO, 1_000_000); // 1 ms
         let b = r.reserve(SimTime::from_ns(10), 2_000_000); // queued behind a
         assert_eq!(a.start, SimTime::ZERO);
@@ -218,7 +200,7 @@ mod tests {
 
     #[test]
     fn idle_gap_is_not_counted_busy() {
-        let mut r = SerializedResource::new("link", 1e9);
+        let mut r = SerializedResource::new(1e9);
         r.reserve(SimTime::ZERO, 1_000); // 1 us busy
         r.reserve(SimTime::from_us(100), 1_000); // after a long idle gap
         let now = SimTime::from_us(101);
@@ -228,7 +210,7 @@ mod tests {
 
     #[test]
     fn reservation_latency_includes_queueing() {
-        let mut r = SerializedResource::new("bus", 1e9);
+        let mut r = SerializedResource::new(1e9);
         r.reserve(SimTime::ZERO, 5_000);
         let req_at = SimTime::from_ns(100);
         let res = r.reserve(req_at, 1_000);
@@ -241,7 +223,7 @@ mod tests {
 
     #[test]
     fn fifo_server_accumulates_wait() {
-        let mut s = FifoServer::new("die");
+        let mut s = FifoServer::new();
         let a = s.serve(SimTime::ZERO, SimDuration::from_us(81));
         let b = s.serve(SimTime::ZERO, SimDuration::from_us(81));
         assert_eq!(a.start, SimTime::ZERO);
@@ -251,14 +233,14 @@ mod tests {
 
     #[test]
     fn zero_bandwidth_is_instantaneous() {
-        let mut r = SerializedResource::new("ideal", 0.0);
+        let mut r = SerializedResource::new(0.0);
         let res = r.reserve(SimTime::from_ns(5), 1 << 20);
         assert_eq!(res.start, res.end);
     }
 
     #[test]
     fn explicit_duration_reservation() {
-        let mut r = SerializedResource::new("ctrl", 1e9);
+        let mut r = SerializedResource::new(1e9);
         let res = r.reserve_duration(SimTime::ZERO, SimDuration::from_ns(250));
         assert_eq!(res.end.as_ns(), 250);
         assert_eq!(r.transfers(), 1);
