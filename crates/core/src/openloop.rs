@@ -14,33 +14,41 @@
 //!
 //! # Execution model
 //!
+//! A campaign is one foreground of the system's run driver
+//! (`FlashAbacusSystem::drive`): its arrivals, tenant completions and
+//! governor ticks are events on the driver's one queue, beside the
+//! storage tasks of background GC. It keeps one arrival queued at a time
+//! (each arrival schedules the next) and one governor tick (each tick
+//! schedules the next while the campaign is live; a tick that pops after
+//! the campaign has ended is dropped).
+//!
 //! Each admitted tenant occupies one of `max_in_flight` flash *slots*
 //! (equal-sized, group-aligned regions, reused as tenants retire — reuse
 //! makes long campaigns overwrite-heavy, which is exactly the churn the
 //! allocator and GC invariants are tested under). A tenant is one
-//! lightweight flow: its screens execute serially on the least-loaded
-//! worker LWP, its input is staged from flash at dispatch, and its output
-//! is flushed at completion. All flash traffic is issued at
-//! event-processing instants, which the event loop visits in
-//! non-decreasing time order — the same causality contract the
-//! closed-loop frontier enforces, so the FIFO resource models stay valid.
+//! lightweight flow: at dispatch its input is staged from flash and its
+//! screens execute serially on the least-loaded worker LWP, through the
+//! same per-screen compute step a closed-loop batch uses; its output is
+//! flushed at its completion event. All flash traffic is issued at
+//! event-processing instants, which the driver visits in non-decreasing
+//! time order — the same causality contract the closed-loop frontier
+//! enforces, so the FIFO resource models stay valid.
 //!
 //! # Determinism contract
 //!
 //! The arrival schedule is a pure function of the `FA_ARRIVALS` seed;
 //! admission decisions are a pure function of the schedule and completion
-//! times; completion times come from the deterministic simulation. Ties
-//! are broken by fixed priority (completions, then governor ticks, then
-//! arrivals) and tenant id. Nothing depends on host thread scheduling or
-//! map iteration order, so the per-tenant report and admission trace are
-//! byte-identical across repeats (pinned by
-//! `tests/scaleout_determinism.rs`).
+//! times; completion times come from the deterministic simulation. Events
+//! at one instant pop in a fixed order: completions by tenant id, then
+//! the governor tick, then the arrival, then storage tasks. Nothing
+//! depends on host thread scheduling or map iteration order, so the
+//! per-tenant report and admission trace are byte-identical across
+//! repeats (pinned by `tests/scaleout_determinism.rs`).
 
 use crate::config::{GovernorConfig, ScaleoutConfig};
 use crate::error::FaError;
 use crate::metrics::KernelLatency;
 use crate::metrics::RunOutcome;
-use crate::rangelock::LockMode;
 use crate::system::{Event, FlashAbacusSystem, Foreground, ScreenSlice};
 use fa_flash::{FlashBackbone, OwnerId};
 use fa_kernel::model::{AppId, Application};
@@ -522,32 +530,10 @@ impl Campaign<'_> {
         let app = template.instantiate(AppId(tenant), slot as u64 * self.slot_bytes);
 
         // The tenant's input already resides in flash (preload maps any
-        // groups a previous slot occupant did not leave mapped; it
-        // consumes no simulated time).
+        // groups a previous slot occupant did not leave mapped). Its
+        // locks are released by owner at completion.
         for kernel in &app.kernels {
-            sys.flashvisor.preload_range(
-                kernel.data_section.flash_base,
-                kernel.data_section.input_bytes,
-            )?;
-        }
-        for kernel in &app.kernels {
-            let ds = kernel.data_section;
-            if ds.input_bytes > 0 {
-                sys.flashvisor.map_section(
-                    ds.flash_base,
-                    ds.input_bytes,
-                    LockMode::Read,
-                    tenant,
-                )?;
-            }
-            if ds.output_bytes > 0 {
-                sys.flashvisor.map_section(
-                    ds.flash_base + ds.input_bytes,
-                    ds.output_bytes,
-                    LockMode::Write,
-                    tenant,
-                )?;
-            }
+            sys.map_kernel(kernel, tenant, &mut Vec::new())?;
         }
 
         // Scheduling decision on Flashvisor plus the message-queue hop.
@@ -624,15 +610,6 @@ impl Foreground for Campaign<'_> {
 
     fn finish(&mut self, _sys: &mut FlashAbacusSystem) -> Result<SimTime, FaError> {
         Ok(self.finished_at)
-    }
-
-    fn stalled(&self) -> FaError {
-        FaError::SchedulerStalled(format!(
-            "{} of {} tenants arrived, {} in flight",
-            self.next_arrival,
-            self.schedule.len(),
-            self.in_flight.len()
-        ))
     }
 }
 
@@ -744,14 +721,7 @@ impl FlashAbacusSystem {
             finished_at: SimTime::ZERO,
         };
         self.drive(&mut campaign)?;
-        let Campaign {
-            mut tenants,
-            admission,
-            governor,
-            admissions,
-            finished_at,
-            ..
-        } = campaign;
+        let mut tenants = campaign.tenants;
 
         // Per-tenant flash service from the owner stats: every tenant has
         // a unique owner id, so the cumulative stats are per-tenant totals.
@@ -783,13 +753,13 @@ impl FlashAbacusSystem {
             }
         }
         let mut outcome =
-            self.collect_common_outcome(finished_at, kernel_latencies, bytes_processed);
-        let (arrivals, admitted, queued, shed, _) = admission.counters();
+            self.collect_common_outcome(campaign.finished_at, kernel_latencies, bytes_processed);
+        let (arrivals, admitted, queued, shed, _) = campaign.admission.counters();
         outcome.tenants_arrived = arrivals;
         outcome.tenants_admitted = admitted;
         outcome.tenants_queued = queued;
         outcome.tenants_shed = shed;
-        outcome.governor_updates = governor.as_ref().map(|g| g.updates()).unwrap_or(0);
+        outcome.governor_updates = campaign.governor.map_or(0, |g| g.updates());
         let service: Vec<u64> = tenants
             .iter()
             .filter(|t| t.completed_at.is_some())
@@ -800,7 +770,7 @@ impl FlashAbacusSystem {
         let mut report = OpenLoopReport {
             outcome,
             tenants,
-            admissions,
+            admissions: campaign.admissions,
         };
         let [p50, p99, p999] = report.sojourn_quantiles([0.50, 0.99, 0.999]);
         report.outcome.tenant_sojourn_p50_s = p50;

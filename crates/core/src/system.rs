@@ -11,7 +11,7 @@
 //!
 //! The simulation is *reservation driven*: every hardware component exposes
 //! "request at time t → completion at time t'" semantics, and one run
-//! driver ([`FlashAbacusSystem::drive`]) pops every simulation event from
+//! driver (`FlashAbacusSystem::drive`) pops every simulation event from
 //! one queue in time order, so that every shared resource sees its
 //! requests in non-decreasing simulated time (output write-back is
 //! deferred to the retire step for the same reason). A closed-loop batch
@@ -25,7 +25,7 @@ use crate::config::FlashAbacusConfig;
 use crate::error::FaError;
 use crate::flashvisor::Flashvisor;
 use crate::metrics::{EnergySummary, KernelLatency, OwnerFlashStats, RunOutcome};
-use crate::rangelock::LockMode;
+use crate::rangelock::{LockId, LockMode};
 use crate::scheduler::{
     all_kernels, intra_next_ready, static_assignment, KernelRef, SchedulerPolicy,
 };
@@ -163,17 +163,14 @@ pub(crate) trait Foreground {
 
     /// Ends the foreground and returns the instant its activity ended.
     fn finish(&mut self, sys: &mut FlashAbacusSystem) -> Result<SimTime, FaError>;
-
-    /// The error for a queue that ran dry before the foreground was done.
-    fn stalled(&self) -> FaError;
 }
 
 /// A record of one compute interval, kept to rebuild the FU timeline.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ComputeInterval {
-    pub(crate) start: SimTime,
-    pub(crate) end: SimTime,
-    pub(crate) busy_fus: f64,
+struct ComputeInterval {
+    start: SimTime,
+    end: SimTime,
+    busy_fus: f64,
 }
 
 /// Maximum screens in flight per worker: one executing plus one whose input
@@ -199,14 +196,14 @@ struct WorkerState {
 pub struct FlashAbacusSystem {
     config: FlashAbacusConfig,
     pub(crate) flashvisor: Flashvisor,
-    pub(crate) storengine: Storengine,
+    storengine: Storengine,
     pub(crate) workers: Vec<LwpCore>,
     memory: MemorySystem,
     pcie: PcieLink,
     tier1: Crossbar,
     pub(crate) msgq: MessageQueue,
-    pub(crate) energy: EnergyAccountant,
-    pub(crate) compute_intervals: Vec<ComputeInterval>,
+    energy: EnergyAccountant,
+    compute_intervals: Vec<ComputeInterval>,
     gc_passes: u64,
     /// The run driver's event queue: foreground events and deferred
     /// storage tasks (background-GC mode only).
@@ -307,41 +304,15 @@ impl FlashAbacusSystem {
         }
         self.begin_run()?;
 
-        // Phase 0: the input data already resides in the flash backbone.
-        for app in apps {
-            for kernel in &app.kernels {
-                self.flashvisor.preload_range(
-                    kernel.data_section.flash_base,
-                    kernel.data_section.input_bytes,
-                )?;
-            }
-        }
-
         // Phase 1: offload every kernel description table over PCIe.
         let (offload_times, offload_end) = self.offload(apps);
 
-        // Phase 2: map data sections (range locks) and pre-compute per-screen
-        // slices.
+        // Phase 2: the input data already resides in the flash backbone;
+        // map the data sections (range locks).
         let mut locks = Vec::new();
         for app in apps {
             for kernel in &app.kernels {
-                let ds = kernel.data_section;
-                if ds.input_bytes > 0 {
-                    locks.push(self.flashvisor.map_section(
-                        ds.flash_base,
-                        ds.input_bytes,
-                        LockMode::Read,
-                        app.id.0,
-                    )?);
-                }
-                if ds.output_bytes > 0 {
-                    locks.push(self.flashvisor.map_section(
-                        ds.flash_base + ds.input_bytes,
-                        ds.output_bytes,
-                        LockMode::Write,
-                        app.id.0,
-                    )?);
-                }
+                self.map_kernel(kernel, app.id.0, &mut locks)?;
             }
         }
 
@@ -365,6 +336,30 @@ impl FlashAbacusSystem {
             return Err(FaError::InvalidWorkload(
                 "this system has already run; build a new one for each run".into(),
             ));
+        }
+        Ok(())
+    }
+
+    /// Places a kernel's input in flash (preloading takes no simulated
+    /// time) and maps its data sections under `owner`, adding the locks
+    /// to `locks`.
+    pub(crate) fn map_kernel(
+        &mut self,
+        kernel: &Kernel,
+        owner: u32,
+        locks: &mut Vec<LockId>,
+    ) -> Result<(), FaError> {
+        let ds = kernel.data_section;
+        self.flashvisor
+            .preload_range(ds.flash_base, ds.input_bytes)?;
+        let output_base = ds.flash_base + ds.input_bytes;
+        for (start, len, mode) in [
+            (ds.flash_base, ds.input_bytes, LockMode::Read),
+            (output_base, ds.output_bytes, LockMode::Write),
+        ] {
+            if len > 0 {
+                locks.push(self.flashvisor.map_section(start, len, mode, owner)?);
+            }
         }
         Ok(())
     }
@@ -402,14 +397,14 @@ impl FlashAbacusSystem {
                 // A task scheduled before a power loss died with the power.
                 Event::Storage { task, epoch } => {
                     if epoch == self.recoveries {
-                        self.run_storage_task_tolerant(at, task)?;
+                        self.run_storage_task(at, task)?;
                         self.maybe_power_loss(at)?;
                     }
                 }
                 event => fg.handle(self, at, event)?,
             }
         }
-        let ended = ended.ok_or_else(|| fg.stalled())?;
+        let ended = ended.expect("a foreground is done before its events run out");
         // A power loss armed past the end of all activity still fires
         // before the run reports: the crash experiment must not silently
         // degenerate into a fault-free run because the workload was short.
@@ -520,12 +515,7 @@ impl FlashAbacusSystem {
     /// instant (the seed behaviour, and the `background_gc=false` default).
     fn run_background_storage(&mut self, now: SimTime) -> Result<(), FaError> {
         if self.storengine.journal_due(now) {
-            match self.storengine.journal(now, &mut self.flashvisor) {
-                Ok(_) => {}
-                // A failed dump stays volatile and is retried next period.
-                Err(e) if is_injected_fault(&e) => {}
-                Err(e) => return Err(e),
-            }
+            self.dump_journal(now)?;
         }
         let mut guard = 0;
         while self.storengine.gc_needed(&self.flashvisor) && guard < 64 {
@@ -562,11 +552,7 @@ impl FlashAbacusSystem {
     /// loop and contend for the channels under the `Gc` owner.
     fn schedule_background_storage(&mut self, now: SimTime) -> Result<(), FaError> {
         if self.storengine.journal_due(now) {
-            match self.storengine.journal(now, &mut self.flashvisor) {
-                Ok(_) => {}
-                Err(e) if is_injected_fault(&e) => {}
-                Err(e) => return Err(e),
-            }
+            self.dump_journal(now)?;
         }
         if self.flashvisor.fault_plan().is_some() {
             self.flashvisor.process_retirements(now)?;
@@ -580,10 +566,24 @@ impl FlashAbacusSystem {
         Ok(())
     }
 
+    /// Dumps the metadata journal at `now`. A dump that hits an injected
+    /// failure stays volatile: the next period retries it, and a power
+    /// loss loses its redo records, exactly what a real crash would lose.
+    fn dump_journal(&mut self, now: SimTime) -> Result<(), FaError> {
+        match self.storengine.journal(now, &mut self.flashvisor) {
+            Err(e) if !is_injected_fault(&e) => Err(e),
+            _ => Ok(()),
+        }
+    }
+
     /// Executes one deferred storage task at its scheduled instant and, for
     /// GC, keeps the campaign going while the watermark stays tripped.
+    /// Injected media failures are absorbed: the interrupted campaign ends
+    /// (its plan may reference blocks the failure condemned), the bad
+    /// blocks are retired, and the next flush re-evaluates the watermark
+    /// to start a fresh campaign.
     fn run_storage_task(&mut self, at: SimTime, task: StorageTask) -> Result<(), FaError> {
-        match task {
+        let result = match task {
             StorageTask::GcPass { remaining } => {
                 // Mirror the synchronous loop's `while gc_needed` guard:
                 // foreground reclamation (overwrite releases, journal
@@ -602,22 +602,13 @@ impl FlashAbacusSystem {
                 progress,
                 remaining,
             } => self.advance_gc_pass(plan, progress, remaining),
-        }
-    }
-
-    /// Runs one deferred storage task, absorbing injected media failures:
-    /// the interrupted campaign ends (its plan may reference blocks the
-    /// failure condemned), the bad blocks are retired, and the next flush
-    /// re-evaluates the watermark to start a fresh campaign.
-    fn run_storage_task_tolerant(&mut self, at: SimTime, task: StorageTask) -> Result<(), FaError> {
-        match self.run_storage_task(at, task) {
-            Ok(()) => Ok(()),
+        };
+        match result {
             Err(e) if is_injected_fault(&e) => {
                 self.gc_campaign_active = false;
-                self.flashvisor.process_retirements(at)?;
-                Ok(())
+                self.flashvisor.process_retirements(at).map(drop)
             }
-            Err(e) => Err(e),
+            result => result,
         }
     }
 
@@ -625,21 +616,14 @@ impl FlashAbacusSystem {
     /// protocol: a final supercap-backed journal dump persists the redo
     /// records accumulated since the last periodic dump, volatile state is
     /// lost (pending storage tasks die with the power: the recovery ends
-    /// their epoch), and the
-    /// mapping is rebuilt by journal replay before the run continues — the
-    /// restart-after-power-loss experiment inside one simulated timeline.
+    /// their epoch), and the mapping is rebuilt by journal replay before
+    /// the run continues — the restart-after-power-loss experiment inside
+    /// one simulated timeline.
     pub(crate) fn maybe_power_loss(&mut self, now: SimTime) -> Result<(), FaError> {
         if !self.power_loss.check(now) {
             return Ok(());
         }
-        match self.storengine.journal(now, &mut self.flashvisor) {
-            Ok(_) => {}
-            // The supercap dump itself hit an injected failure: its redo
-            // records stay unpersisted and are lost below, exactly what a
-            // real crash would lose.
-            Err(e) if is_injected_fault(&e) => {}
-            Err(e) => return Err(e),
-        }
+        self.dump_journal(now)?;
         self.gc_campaign_active = false;
         self.flashvisor.recover();
         self.recoveries += 1;
@@ -1035,33 +1019,6 @@ impl<'a> Batch<'a> {
             }
         }
     }
-
-    /// Executes one screen on a worker LWP: optional IPC dispatch cost,
-    /// input staging, compute. Output write-back is *not* performed here —
-    /// the retire step flushes, so shared resources always see requests in
-    /// non-decreasing simulated-time order.
-    fn execute_screen(
-        &self,
-        sys: &mut FlashAbacusSystem,
-        sref: ScreenRef,
-        worker: usize,
-        dispatch_at: SimTime,
-        charge_ipc: bool,
-    ) -> Result<SimTime, FaError> {
-        let kernel = &self.apps[sref.app].kernels[sref.kernel];
-        let screen = &kernel.microblocks[sref.microblock].screens[sref.screen];
-        let slice = self.slices.get(&sref).expect("every screen has a slice");
-        // Dispatch overhead: a scheduling decision on Flashvisor plus a
-        // message-queue hop to the worker.
-        let dispatched = if charge_ipc {
-            let decided = sys.flashvisor.charge_scheduling_decision(dispatch_at);
-            sys.msgq.send(decided)
-        } else {
-            dispatch_at
-        };
-        let data_ready = sys.stage_input(dispatched, kernel.data_section.flash_base, slice)?;
-        Ok(sys.compute_screen(worker, screen, data_ready))
-    }
 }
 
 impl Foreground for Batch<'_> {
@@ -1084,6 +1041,15 @@ impl Foreground for Batch<'_> {
                 .into_iter()
                 .find_map(|w| self.pick_screen(w).map(|(sref, ipc)| (w, sref, ipc)));
             let Some((worker, sref, needs_ipc)) = picked else {
+                // Nothing in flight and nothing ready: no event can ever
+                // unlock the rest of the chain.
+                if self.workers.iter().all(|w| w.in_flight == 0) {
+                    return Err(FaError::SchedulerStalled(format!(
+                        "{} screens completed of {}",
+                        self.chain.completed_screens(),
+                        self.chain.total_screens()
+                    )));
+                }
                 return Ok(());
             };
             self.chain.mark_running(sref, worker);
@@ -1100,7 +1066,19 @@ impl Foreground for Batch<'_> {
                 dispatch_at = sys.workers[worker].boot_kernel(dispatch_at);
                 self.workers[worker].booted = true;
             }
-            let end = self.execute_screen(sys, sref, worker, dispatch_at, needs_ipc)?;
+            // Dispatch overhead: a scheduling decision on Flashvisor plus
+            // a message-queue hop to the worker. Then stage the screen's
+            // input and compute; the output flushes at retire time, so
+            // shared resources see requests in non-decreasing time order.
+            if needs_ipc {
+                let decided = sys.flashvisor.charge_scheduling_decision(dispatch_at);
+                dispatch_at = sys.msgq.send(decided);
+            }
+            let kernel = &self.apps[sref.app].kernels[sref.kernel];
+            let slice = &self.slices[&sref];
+            let data_ready = sys.stage_input(dispatch_at, kernel.data_section.flash_base, slice)?;
+            let screen = &kernel.microblocks[sref.microblock].screens[sref.screen];
+            let end = sys.compute_screen(worker, screen, data_ready);
             self.workers[worker].in_flight += 1;
             sys.schedule(
                 end,
@@ -1129,11 +1107,11 @@ impl Foreground for Batch<'_> {
         // The retiring screen is the last incomplete one of its kernel
         // exactly when one screen remains (itself) — an O(1) counter
         // lookup, not a per-retire kernel scan.
-        let done_at = if self
+        let finishes_kernel = self
             .chain
             .kernel_screens_remaining(screen.app, screen.kernel)
-            == 1
-        {
+            == 1;
+        let done_at = if finishes_kernel {
             let output = ScreenSlice::kernel_output(kernel);
             if sys.config.buffered_writes {
                 // The DDR3L write buffer holds the output; the flash
@@ -1163,14 +1141,6 @@ impl Foreground for Batch<'_> {
             sys.flush_output(self.frontier, flash_base, &slice)?;
         }
         Ok(self.frontier)
-    }
-
-    fn stalled(&self) -> FaError {
-        FaError::SchedulerStalled(format!(
-            "{} screens completed of {}",
-            self.chain.completed_screens(),
-            self.chain.total_screens()
-        ))
     }
 }
 
