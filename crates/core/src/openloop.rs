@@ -533,7 +533,7 @@ impl Campaign<'_> {
         // groups a previous slot occupant did not leave mapped). Its
         // locks are released by owner at completion.
         for kernel in &app.kernels {
-            sys.map_kernel(kernel, tenant, &mut Vec::new())?;
+            sys.map_kernel(kernel, tenant)?;
         }
 
         // Scheduling decision on Flashvisor plus the message-queue hop.

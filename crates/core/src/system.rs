@@ -312,7 +312,7 @@ impl FlashAbacusSystem {
         let mut locks = Vec::new();
         for app in apps {
             for kernel in &app.kernels {
-                self.map_kernel(kernel, app.id.0, &mut locks)?;
+                locks.extend(self.map_kernel(kernel, app.id.0)?.into_iter().flatten());
             }
         }
 
@@ -341,27 +341,30 @@ impl FlashAbacusSystem {
     }
 
     /// Places a kernel's input in flash (preloading takes no simulated
-    /// time) and maps its data sections under `owner`, adding the locks
-    /// to `locks`.
+    /// time) and maps its input and output sections under `owner`.
+    /// Returns the locks of the non-empty sections.
     pub(crate) fn map_kernel(
         &mut self,
         kernel: &Kernel,
         owner: u32,
-        locks: &mut Vec<LockId>,
-    ) -> Result<(), FaError> {
+    ) -> Result<[Option<LockId>; 2], FaError> {
         let ds = kernel.data_section;
         self.flashvisor
             .preload_range(ds.flash_base, ds.input_bytes)?;
-        let output_base = ds.flash_base + ds.input_bytes;
-        for (start, len, mode) in [
-            (ds.flash_base, ds.input_bytes, LockMode::Read),
-            (output_base, ds.output_bytes, LockMode::Write),
-        ] {
-            if len > 0 {
-                locks.push(self.flashvisor.map_section(start, len, mode, owner)?);
-            }
-        }
-        Ok(())
+        let mut map = |start, len, mode| match len {
+            0 => Ok(None),
+            _ => self
+                .flashvisor
+                .map_section(start, len, mode, owner)
+                .map(Some),
+        };
+        let input = map(ds.flash_base, ds.input_bytes, LockMode::Read)?;
+        let output = map(
+            ds.flash_base + ds.input_bytes,
+            ds.output_bytes,
+            LockMode::Write,
+        )?;
+        Ok([input, output])
     }
 
     /// Schedules `event` on the driver's queue at `at`.
@@ -547,9 +550,9 @@ impl FlashAbacusSystem {
 
     /// Storengine housekeeping, background mode: journaling stays a cheap
     /// synchronous metadata dump, but a tripped GC watermark *schedules* a
-    /// reclamation campaign as deferred events instead of running it here —
-    /// the passes then interleave with foreground screens in the dispatch
-    /// loop and contend for the channels under the `Gc` owner.
+    /// reclamation campaign as storage tasks instead of running it here —
+    /// the run driver interleaves the passes with foreground events, and
+    /// they contend for the channels under the `Gc` owner.
     fn schedule_background_storage(&mut self, now: SimTime) -> Result<(), FaError> {
         if self.storengine.journal_due(now) {
             self.dump_journal(now)?;

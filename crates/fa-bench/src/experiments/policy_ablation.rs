@@ -242,7 +242,7 @@ pub fn report(spec: &RunSpec) -> String {
     }
 
     // Full-system endurance: the GC-pressure workload per placement policy,
-    // through the complete dispatch loop, reporting the RunOutcome
+    // through the complete run driver, reporting the RunOutcome
     // endurance metrics.
     let mut system = Table::new(
         "Full-system endurance under GC pressure (per placement policy)",

@@ -290,9 +290,9 @@ pub fn run_on(
 /// produce them.
 ///
 /// Every simulation is a pure, deterministic function of its `(system,
-/// apps)` inputs — each run owns all of its state, and the dispatch loop
-/// in `flashabacus::system` orders completions by (end time, screen
-/// reference) with a deterministic tie-break — so the merged results are
+/// apps)` inputs — each run owns all of its state, and the run driver in
+/// `flashabacus::system` pops events by (time, rank, insertion) with a
+/// fixed tie order — so the merged results are
 /// byte-identical to a serial run regardless of thread count or
 /// interleaving; only wall-clock time changes. Threads pull the next job
 /// off a shared counter, so long workloads do not serialize behind a
