@@ -1544,6 +1544,73 @@ mod tests {
     }
 
     #[test]
+    fn events_at_one_instant_pop_in_tie_order() {
+        let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        let mut system = FlashAbacusSystem::new(config);
+        let screen = |app| ScreenRef {
+            app,
+            kernel: 0,
+            microblock: 0,
+            screen: 0,
+        };
+        let gc = |remaining| StorageTask::GcPass { remaining };
+        let now = SimTime::from_ns(5);
+        // Pushed in the reverse of the tie order, with an earlier storage
+        // task last.
+        system.schedule_storage(now, gc(1));
+        system.schedule(now, Event::Arrival);
+        system.schedule(now, Event::GovernorTick);
+        system.schedule(now, Event::Tenant(2));
+        system.schedule(now, Event::Tenant(1));
+        system.schedule(
+            now,
+            Event::Screen {
+                screen: screen(1),
+                worker: 0,
+            },
+        );
+        system.schedule(
+            now,
+            Event::Screen {
+                screen: screen(0),
+                worker: 5,
+            },
+        );
+        system.schedule_storage(now, gc(2));
+        system.schedule_storage(SimTime::from_ns(4), gc(3));
+        let order: Vec<String> = std::iter::from_fn(|| system.events.pop())
+            .map(|(at, event)| match event {
+                Event::Screen { screen, worker } => format!("{at} screen {} w{worker}", screen.app),
+                Event::Tenant(tenant) => format!("{at} tenant {tenant}"),
+                Event::GovernorTick => format!("{at} tick"),
+                Event::Arrival => format!("{at} arrival"),
+                Event::Storage {
+                    task: StorageTask::GcPass { remaining },
+                    ..
+                } => {
+                    format!("{at} gc {remaining}")
+                }
+                Event::Storage { .. } => unreachable!("only passes were scheduled"),
+            })
+            .collect();
+        let t = |s: &str| format!("{now} {s}");
+        assert_eq!(
+            order,
+            [
+                format!("{} gc 3", SimTime::from_ns(4)),
+                t("screen 0 w5"),
+                t("screen 1 w0"),
+                t("tenant 1"),
+                t("tenant 2"),
+                t("tick"),
+                t("arrival"),
+                t("gc 1"),
+                t("gc 2"),
+            ]
+        );
+    }
+
+    #[test]
     fn a_system_runs_one_batch() {
         let apps = small_workload(2, 0.1);
         let config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
