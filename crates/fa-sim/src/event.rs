@@ -117,6 +117,28 @@ impl<E, R: Ord> EventQueue<E, R> {
     }
 
     /// Removes and returns the earliest event, if any.
+    ///
+    /// # Examples
+    ///
+    /// Background work shares the queue with foreground events: giving it
+    /// a higher rank makes the foreground win ties at one instant, while
+    /// work items due together still start in the order they were queued.
+    ///
+    /// ```
+    /// use fa_sim::event::EventQueue;
+    /// use fa_sim::time::SimTime;
+    ///
+    /// const FOREGROUND: u8 = 0;
+    /// const BACKGROUND: u8 = 1;
+    /// let mut q = EventQueue::new();
+    /// q.push(SimTime::from_ns(50), BACKGROUND, "gc-pass");
+    /// q.push(SimTime::from_ns(20), BACKGROUND, "journal-dump");
+    /// q.push(SimTime::from_ns(20), FOREGROUND, "completion");
+    /// assert_eq!(q.pop(), Some((SimTime::from_ns(20), "completion")));
+    /// assert_eq!(q.pop(), Some((SimTime::from_ns(20), "journal-dump")));
+    /// assert_eq!(q.pop(), Some((SimTime::from_ns(50), "gc-pass")));
+    /// assert_eq!(q.pop(), None);
+    /// ```
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|s| {
             let event = self.arena[s.slot as usize]
@@ -157,6 +179,22 @@ mod tests {
         // A lower rank never overtakes an earlier instant.
         q.push(SimTime::from_ns(3), 9, 'a');
         assert_eq!(drain(&mut q), vec!['a', 'b', 'c', 'd', 'e']);
+    }
+
+    #[test]
+    fn work_queued_while_draining_keeps_insertion_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(10), 1u8, 1u32);
+        q.push(SimTime::from_ns(10), 1, 2);
+        q.push(SimTime::from_ns(5), 1, 3);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(5), 3)));
+        // Work queued after a pop, due at an instant already queued,
+        // starts after what was queued there before it; a lower rank
+        // (foreground) still goes first.
+        q.push(SimTime::from_ns(10), 1, 4);
+        q.push(SimTime::from_ns(10), 0, 5);
+        assert_eq!(drain(&mut q), vec![5, 1, 2, 4]);
+        assert!(q.pop().is_none());
     }
 
     #[test]
