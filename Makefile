@@ -3,11 +3,12 @@
 # `bless-golden` is the one audited way to regenerate the
 # results-invariance golden files after an *intentional* physics change:
 # it re-renders the pinned campaign, churn round, simulated ablations,
-# the work counts of the campaign and the churn round, and the run
-# driver's edge paths (background GC, injected faults, power loss),
-# overwrites tests/golden/small_campaign.txt, churn_digest.txt,
-# ablations.txt, work_counts.txt and driver_edges.txt, and prints the
-# resulting diff so the change lands reviewably in the same PR.
+# the work counts of the campaign and the churn round, the run driver's
+# edge paths (background GC, injected faults, power loss) and the SIMD
+# baseline's full outcome on the campaign's workloads, overwrites
+# tests/golden/small_campaign.txt, churn_digest.txt, ablations.txt,
+# work_counts.txt, driver_edges.txt and baseline_outcome.txt, and prints
+# the resulting diff so the change lands reviewably in the same PR.
 
 .PHONY: verify bless-golden
 

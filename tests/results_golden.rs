@@ -14,7 +14,9 @@
 //! admission scans, lock traffic or GC work fails on any machine. A fifth
 //! pins the run driver's edge paths: a closed-loop batch under background
 //! GC with injected media faults and a mid-run power loss, and an
-//! open-loop campaign under a mid-run power loss.
+//! open-loop campaign under a mid-run power loss. A sixth pins the SIMD
+//! baseline's outcome on the campaign's workloads in full: energy,
+//! per-kernel instants and both timelines.
 //!
 //! Regenerate the golden files (only when an *intentional* physics change
 //! lands) with:
@@ -30,6 +32,7 @@ use fa_bench::experiments::{fig12_cdf, policy_ablation};
 mod common;
 
 use common::{golden_path, read_golden, render, workloads};
+use fa_baseline::{BaselineConfig, ConventionalSystem};
 use fa_bench::report::Table;
 use fa_bench::runner::{run_pairs, ExperimentScale, RunSpec};
 use fa_flash::{FaultPlan, FlashBackbone};
@@ -323,21 +326,23 @@ fn simulated_ablations_are_byte_identical_to_golden() {
     );
 }
 
-/// One line per scalar of `out`, then its kernel latencies and per-owner
-/// flash rows; each timeline as its length plus an FNV-1a hash of its
-/// samples' bits. `{:?}` prints every `f64` in its exact shortest form.
-fn outcome_text(out: &RunOutcome) -> String {
-    fn timeline(series: &TimeSeries) -> String {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &(at, value) in series.points() {
-            for word in [at.as_ns(), value.to_bits()] {
-                for byte in word.to_le_bytes() {
-                    hash = (hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-                }
+/// A timeline as its length plus an FNV-1a hash of its samples' bits.
+fn timeline(series: &TimeSeries) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &(at, value) in series.points() {
+        for word in [at.as_ns(), value.to_bits()] {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
             }
         }
-        format!("{} samples, fnv {hash:016x}", series.len())
     }
+    format!("{} samples, fnv {hash:016x}", series.len())
+}
+
+/// One line per scalar of `out`, then its kernel latencies and per-owner
+/// flash rows; each timeline as in [`timeline`]. `{:?}` prints every `f64`
+/// in its exact shortest form.
+fn outcome_text(out: &RunOutcome) -> String {
     let mut text = format!(
         "scheduler {:?}\nfinished_ns {}\nbytes_processed {}\nenergy {:?}\n\
          worker_utilization {:?}\nflashvisor_utilization {:?}\n\
@@ -381,6 +386,51 @@ fn outcome_text(out: &RunOutcome) -> String {
         text.push_str(&format!("{o:?}\n"));
     }
     text
+}
+
+/// The SIMD baseline's outcome on each workload of the pinned campaign:
+/// one line per scalar, then every kernel's start and completion instant;
+/// each timeline as in [`timeline`]. `small_campaign.txt` prints only a
+/// few digits of the same runs.
+fn baseline_outcomes() -> String {
+    let mut text = String::new();
+    for (workload, apps) in workloads() {
+        let out = ConventionalSystem::new(BaselineConfig::paper_baseline()).run(&apps);
+        text.push_str(&format!(
+            "workload {workload}\nfinished_ns {}\nbytes_processed {}\nenergy {:?}\n\
+             lwp_utilization {:?}\ntime_breakdown {:?}\nhost_cpu_utilization {:?}\n\
+             fu_timeline {}\npower_timeline {}\n",
+            out.finished_at.as_ns(),
+            out.bytes_processed,
+            out.energy,
+            out.lwp_utilization,
+            out.time_breakdown,
+            out.host_cpu_utilization,
+            timeline(&out.fu_timeline),
+            timeline(&out.power_timeline),
+        ));
+        for k in &out.kernel_latencies {
+            text.push_str(&format!(
+                "kernel {} {} {} start {} completed {}\n",
+                k.app_name,
+                k.app_index,
+                k.kernel_index,
+                k.started_at.as_ns(),
+                k.completed_at.as_ns()
+            ));
+        }
+    }
+    text
+}
+
+#[test]
+fn baseline_outcome_is_byte_identical_to_golden() {
+    assert_matches_golden(
+        "baseline_outcome.txt",
+        &baseline_outcomes(),
+        "SIMD baseline outcome drifted from the golden bytes — the \
+         conventional system's timing, energy or timelines changed",
+    );
 }
 
 /// The run driver's edge paths, which no other golden reaches: background
