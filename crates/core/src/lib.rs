@@ -36,6 +36,7 @@
 //! use flashabacus::scheduler::SchedulerPolicy;
 //! use flashabacus::system::FlashAbacusSystem;
 //! use fa_kernel::instance::{instantiate_many, InstancePlan};
+//! use fa_kernel::latency::throughput_mb_s;
 //! use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
 //!
 //! // Build a small synthetic workload: two instances of a parallel kernel.
@@ -55,7 +56,7 @@
 //! let mut system = FlashAbacusSystem::new(config);
 //! let outcome = system.run(&apps).expect("workload runs to completion");
 //! assert_eq!(outcome.kernel_latencies.len(), 2);
-//! assert!(outcome.throughput_mb_s() > 0.0);
+//! assert!(throughput_mb_s(outcome.bytes_processed, outcome.finished_at) > 0.0);
 //! ```
 
 pub mod config;
@@ -73,7 +74,7 @@ pub use config::{FlashAbacusConfig, GovernorConfig, QosConfig, ScaleoutConfig};
 pub use error::FaError;
 pub use flashvisor::Flashvisor;
 pub use freespace::{FreeSpaceManager, PlacementPolicy};
-pub use metrics::{EnergySummary, KernelLatency, OwnerFlashStats, RunOutcome};
+pub use metrics::{OwnerFlashStats, RunOutcome};
 pub use openloop::{
     AdmissionController, AdmissionDecision, AdmissionRecord, OpenLoopReport, QosGovernor,
     TenantOutcome,

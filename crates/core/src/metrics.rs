@@ -6,33 +6,12 @@
 //! utilization (Figure 14), and the function-unit / power timelines
 //! (Figure 15).
 
+use crate::flashvisor::WearSummary;
 use crate::scheduler::SchedulerPolicy;
-use fa_energy::EnergyBreakdown;
-use fa_sim::stats::TimeSeries;
-use fa_sim::time::{SimDuration, SimTime};
+use fa_energy::EnergySummary;
+use fa_kernel::KernelLatency;
+use fa_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// Latency record for one kernel of the offloaded batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelLatency {
-    /// Name of the application instance (benchmark name).
-    pub app_name: String,
-    /// Application index in the batch.
-    pub app_index: usize,
-    /// Kernel index within the application.
-    pub kernel_index: usize,
-    /// When the kernel became eligible to run (end of its offload).
-    pub offloaded_at: SimTime,
-    /// When the kernel's last screen finished.
-    pub completed_at: SimTime,
-}
-
-impl KernelLatency {
-    /// The latency the paper reports: offload-to-completion.
-    pub fn latency(&self) -> SimDuration {
-        self.completed_at.saturating_since(self.offloaded_at)
-    }
-}
 
 /// Per-owner flash data-path statistics of a run: who issued how much
 /// traffic, and what read tail latency each owner saw. One row per owner
@@ -61,20 +40,6 @@ pub struct OwnerFlashStats {
     pub peak_channel_tags: usize,
 }
 
-/// Energy totals of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergySummary {
-    /// The three-way breakdown plus idle floor.
-    pub breakdown: EnergyBreakdown,
-}
-
-impl EnergySummary {
-    /// Total joules.
-    pub fn total_j(&self) -> f64 {
-        self.breakdown.total_j()
-    }
-}
-
 /// Outcome of one full-system run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunOutcome {
@@ -87,7 +52,7 @@ pub struct RunOutcome {
     pub kernel_latencies: Vec<KernelLatency>,
     /// Total bytes of input read plus output produced across the batch.
     pub bytes_processed: u64,
-    /// Energy summary over the run.
+    /// Energy breakdown and the Figure 15 timelines over the run.
     pub energy: EnergySummary,
     /// Per-worker-LWP busy fraction over the run.
     pub worker_utilization: Vec<f64>,
@@ -95,11 +60,6 @@ pub struct RunOutcome {
     pub flashvisor_utilization: f64,
     /// Busy fraction of the Storengine LWP.
     pub storengine_utilization: f64,
-    /// Total busy functional units across all workers, sampled over time
-    /// (Figure 15a).
-    pub fu_timeline: TimeSeries,
-    /// Instantaneous power over time (Figure 15b).
-    pub power_timeline: TimeSeries,
     /// Page-group reads issued by Flashvisor.
     pub flash_group_reads: u64,
     /// Page-group writes issued by Flashvisor.
@@ -115,14 +75,10 @@ pub struct RunOutcome {
     /// seconds — the tail the per-owner budgets exist to protect. Zero
     /// when the run read nothing.
     pub foreground_read_p99_s: f64,
-    /// Fewest erase cycles any data block absorbed (the journal's reserved
-    /// metadata row is excluded from all three wear metrics).
-    pub wear_min_erases: u64,
-    /// Most erase cycles any data block absorbed. `max − min` is the wear
-    /// spread the `LeastWorn` placement policy exists to narrow.
-    pub wear_max_erases: u64,
-    /// Population standard deviation of per-data-block erase cycles.
-    pub wear_stddev_erases: f64,
+    /// Erase-cycle spread over the data blocks (the journal's reserved
+    /// metadata row is excluded): the spread the `LeastWorn` placement
+    /// policy exists to narrow.
+    pub wear: WearSummary,
     /// Bytes GC migrated per byte it returned to the allocator — the
     /// write-amplification-style efficiency the victim policies compete
     /// on (lower is better; 0 when GC reclaimed nothing).
@@ -161,16 +117,6 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Aggregate data-processing throughput in MB/s (the metric of
-    /// Figures 10 and 16a): bytes processed divided by total execution time.
-    pub fn throughput_mb_s(&self) -> f64 {
-        let secs = self.finished_at.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.bytes_processed as f64 / 1.0e6 / secs
-    }
-
     /// Mean worker-LWP utilization (Figure 14's metric).
     pub fn mean_worker_utilization(&self) -> f64 {
         if self.worker_utilization.is_empty() {
@@ -178,47 +124,14 @@ impl RunOutcome {
         }
         self.worker_utilization.iter().sum::<f64>() / self.worker_utilization.len() as f64
     }
-
-    /// Kernel latency statistics: (min, average, max), in seconds
-    /// (Figure 11's metric).
-    pub fn latency_stats(&self) -> (f64, f64, f64) {
-        if self.kernel_latencies.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        let mut sum = 0.0;
-        for k in &self.kernel_latencies {
-            let l = k.latency().as_secs_f64();
-            min = min.min(l);
-            max = max.max(l);
-            sum += l;
-        }
-        (min, sum / self.kernel_latencies.len() as f64, max)
-    }
-
-    /// Empirical CDF of kernel completion times in seconds (Figure 12's
-    /// metric): completion instants sorted ascending with their cumulative
-    /// count.
-    pub fn completion_cdf(&self) -> Vec<(f64, usize)> {
-        let mut times: Vec<f64> = self
-            .kernel_latencies
-            .iter()
-            .map(|k| k.completed_at.as_secs_f64())
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite completion times"));
-        times
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (t, i + 1))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fa_energy::EnergyBreakdown;
+    use fa_kernel::latency::{completion_cdf, latency_stats, throughput_mb_s};
+    use fa_sim::stats::TimeSeries;
 
     fn outcome() -> RunOutcome {
         RunOutcome {
@@ -248,21 +161,19 @@ mod tests {
                     storage_access_j: 3.0,
                     idle_j: 0.5,
                 },
+                power_timeline: TimeSeries::new(),
+                fu_timeline: TimeSeries::new(),
             },
             worker_utilization: vec![0.5, 0.7, 0.9],
             flashvisor_utilization: 0.2,
             storengine_utilization: 0.1,
-            fu_timeline: TimeSeries::new(),
-            power_timeline: TimeSeries::new(),
             flash_group_reads: 10,
             flash_group_writes: 5,
             gc_passes: 0,
             journal_dumps: 1,
             flash_owner_stats: Vec::new(),
             foreground_read_p99_s: 0.0,
-            wear_min_erases: 0,
-            wear_max_erases: 0,
-            wear_stddev_erases: 0.0,
+            wear: WearSummary::default(),
             gc_migrated_bytes_per_reclaimed_byte: 0.0,
             hot_group_writes: 0,
             cold_group_writes: 0,
@@ -283,17 +194,17 @@ mod tests {
     fn throughput_is_bytes_over_time() {
         let o = outcome();
         // 50 MB in 0.1 s = 500 MB/s.
-        assert!((o.throughput_mb_s() - 500.0).abs() < 1e-9);
+        assert!((throughput_mb_s(o.bytes_processed, o.finished_at) - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn latency_stats_and_cdf() {
         let o = outcome();
-        let (min, avg, max) = o.latency_stats();
+        let (min, avg, max) = latency_stats(&o.kernel_latencies);
         assert!((min - 0.040).abs() < 1e-9);
         assert!((max - 0.098).abs() < 1e-9);
         assert!((avg - 0.069).abs() < 1e-9);
-        let cdf = o.completion_cdf();
+        let cdf = completion_cdf(&o.kernel_latencies);
         assert_eq!(cdf.len(), 2);
         assert_eq!(cdf[0].1, 1);
         assert_eq!(cdf[1].1, 2);
@@ -312,8 +223,8 @@ mod tests {
         let mut o = outcome();
         o.kernel_latencies.clear();
         o.worker_utilization.clear();
-        assert_eq!(o.latency_stats(), (0.0, 0.0, 0.0));
+        assert_eq!(latency_stats(&o.kernel_latencies), (0.0, 0.0, 0.0));
         assert_eq!(o.mean_worker_utilization(), 0.0);
-        assert!(o.completion_cdf().is_empty());
+        assert!(completion_cdf(&o.kernel_latencies).is_empty());
     }
 }

@@ -47,15 +47,15 @@
 
 use crate::config::{GovernorConfig, ScaleoutConfig};
 use crate::error::FaError;
-use crate::metrics::KernelLatency;
 use crate::metrics::RunOutcome;
 use crate::system::{Event, FlashAbacusSystem, Foreground, ScreenSlice};
 use fa_flash::{FlashBackbone, OwnerId};
 use fa_kernel::model::{AppId, Application};
+use fa_kernel::KernelLatency;
 use fa_sim::arrivals::{Arrival, ArrivalPlan};
 use fa_sim::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// What the admission controller decided for one arrival (or, for
 /// `Promoted`, for the head of the queue when a slot freed).
@@ -229,10 +229,17 @@ impl QosGovernor {
 
     /// Runs one tick at `now`: recomputes and installs every active
     /// tenant's budget override from its command delta over the window.
-    /// Costs O(active tenants × channels), independent of how many owners
-    /// the backbone has ever seen.
-    pub fn rebalance(&mut self, active: &BTreeSet<u32>, backbone: &mut FlashBackbone) {
-        let mut deltas: Vec<(u32, u64)> = Vec::with_capacity(active.len());
+    /// `active` yields the active tenants in ascending order (a campaign
+    /// passes its in-flight map's keys). Costs O(active tenants ×
+    /// channels), independent of how many owners the backbone has ever
+    /// seen.
+    pub fn rebalance<'a>(
+        &mut self,
+        active: impl IntoIterator<Item = &'a u32>,
+        backbone: &mut FlashBackbone,
+    ) {
+        let active = active.into_iter();
+        let mut deltas: Vec<(u32, u64)> = Vec::with_capacity(active.size_hint().0);
         for &tenant in active {
             let commands = backbone.owner_commands(OwnerId::Kernel(tenant));
             let last = self.last_commands.get(&tenant).copied().unwrap_or(0);
@@ -431,9 +438,8 @@ struct Campaign<'a> {
     /// Lowest-numbered free slot first: a pure function of the admission
     /// sequence, so slot assignment is deterministic.
     free_slots: BinaryHeap<Reverse<usize>>,
+    /// The in-flight tenants by id; the governor reads the keys.
     in_flight: BTreeMap<u32, InFlightTenant>,
-    /// The in-flight tenants, as the governor reads them.
-    active: BTreeSet<u32>,
     worker_booted: Vec<bool>,
     next_arrival: usize,
     finished_at: SimTime,
@@ -479,7 +485,6 @@ impl Campaign<'_> {
             done = sys.flush_output(done, kernel.data_section.flash_base, &output)?;
         }
         sys.flashvisor.unmap_owner(tenant);
-        self.active.remove(&tenant);
         if let Some(g) = self.governor.as_mut() {
             g.retire(tenant, sys.flashvisor.backbone_mut());
         }
@@ -509,7 +514,6 @@ impl Campaign<'_> {
         let Reverse(slot) = self.free_slots.pop().expect("admission implies free slot");
         self.tenants[tenant as usize].admitted_at = Some(at);
         let end = self.dispatch_tenant(sys, tenant, slot, at)?;
-        self.active.insert(tenant);
         sys.schedule(end, Event::Tenant(tenant));
         Ok(())
     }
@@ -597,7 +601,7 @@ impl Foreground for Campaign<'_> {
                         .governor
                         .as_mut()
                         .expect("governor tick without governor");
-                    g.rebalance(&self.active, sys.flashvisor.backbone_mut());
+                    g.rebalance(self.in_flight.keys(), sys.flashvisor.backbone_mut());
                     sys.schedule(g.next_tick(), Event::GovernorTick);
                 }
                 Ok(())
@@ -715,7 +719,6 @@ impl FlashAbacusSystem {
             governor,
             free_slots: (0..slot_count).map(Reverse).collect(),
             in_flight: BTreeMap::new(),
-            active: BTreeSet::new(),
             worker_booted: vec![false; self.workers.len()],
             next_arrival: 0,
             finished_at: SimTime::ZERO,
@@ -784,6 +787,7 @@ impl FlashAbacusSystem {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn admission_basic_lifecycle() {

@@ -24,7 +24,7 @@
 use crate::config::FlashAbacusConfig;
 use crate::error::FaError;
 use crate::flashvisor::Flashvisor;
-use crate::metrics::{EnergySummary, KernelLatency, OwnerFlashStats, RunOutcome};
+use crate::metrics::{OwnerFlashStats, RunOutcome};
 use crate::rangelock::{LockId, LockMode};
 use crate::scheduler::{
     all_kernels, intra_next_ready, static_assignment, KernelRef, SchedulerPolicy,
@@ -35,12 +35,12 @@ use fa_flash::{FaultPlan, FlashError};
 use fa_kernel::chain::{ExecutionChain, ScreenRef};
 use fa_kernel::descriptor::KernelDescriptionTable;
 use fa_kernel::model::{Application, Kernel, Screen};
+use fa_kernel::KernelLatency;
 use fa_platform::lwp::{LwpCore, LwpSpec};
 use fa_platform::mem::MemorySystem;
 use fa_platform::noc::{Crossbar, MessageQueue, PcieLink};
 use fa_sim::crash::PowerLossClock;
 use fa_sim::event::EventQueue;
-use fa_sim::stats::{bucketed, timeline_bucket, TimeSeries};
 use fa_sim::time::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -165,14 +165,6 @@ pub(crate) trait Foreground {
     fn finish(&mut self, sys: &mut FlashAbacusSystem) -> Result<SimTime, FaError>;
 }
 
-/// A record of one compute interval, kept to rebuild the FU timeline.
-#[derive(Debug, Clone, Copy)]
-struct ComputeInterval {
-    start: SimTime,
-    end: SimTime,
-    busy_fus: f64,
-}
-
 /// Maximum screens in flight per worker: one executing plus one whose input
 /// is being prefetched, so data transfers overlap execution (§5's
 /// methodology notes that accelerator latency overlaps with DMA time).
@@ -203,7 +195,6 @@ pub struct FlashAbacusSystem {
     tier1: Crossbar,
     pub(crate) msgq: MessageQueue,
     energy: EnergyAccountant,
-    compute_intervals: Vec<ComputeInterval>,
     gc_passes: u64,
     /// The run driver's event queue: foreground events and deferred
     /// storage tasks (background-GC mode only).
@@ -243,7 +234,6 @@ impl FlashAbacusSystem {
             tier1: Crossbar::tier1(&config.platform),
             msgq: MessageQueue::new(&config.platform, 64),
             energy,
-            compute_intervals: Vec::new(),
             gc_passes: 0,
             events: EventQueue::new(),
             gc_campaign_active: false,
@@ -699,17 +689,7 @@ impl FlashAbacusSystem {
         let start = ready.max(lwp.next_free());
         let res = lwp.execute(start, &est);
         let busy_fus = est.occupancy.mean_busy_fus(lwp.spec(), est.cycles);
-        self.energy.record(
-            Component::Lwp,
-            ActivityCategory::Computation,
-            res.start,
-            res.end,
-        );
-        self.compute_intervals.push(ComputeInterval {
-            start: res.start,
-            end: res.end,
-            busy_fus,
-        });
+        self.energy.record_compute(res.start, res.end, busy_fus);
         res.end
     }
 
@@ -745,7 +725,7 @@ impl FlashAbacusSystem {
     }
 
     /// The workload-independent tail of outcome collection: charges the
-    /// run's device-active and storage-stack energy, builds the timelines,
+    /// run's device-active and storage-stack energy, summarises the energy,
     /// and projects the per-owner flash statistics. Shared by the
     /// closed-loop batch driver and the open-loop traffic engine
     /// (`openloop.rs`), which overrides the tenant fields afterwards.
@@ -791,32 +771,6 @@ impl FlashAbacusSystem {
             SimTime::ZERO + se_busy,
         );
 
-        // Fold background power into the paper's three categories: there is
-        // no host in the loop, so PCIe idles count as data movement, the
-        // LWPs/DDR3L/fabric as computation, and the flash backbone as
-        // storage access.
-        let power = &self.config.power;
-        let accel_idle_w =
-            self.config.platform.lwp_count as f64 * power.lwp_idle_w + power.ddr3l_idle_w + 0.05;
-        let breakdown = self.energy.breakdown(finished_at).with_idle_redistributed(
-            0.02,
-            accel_idle_w,
-            power.flash_idle_w,
-        );
-        let bucket = timeline_bucket(finished_at);
-        let power_timeline = self.energy.power_timeline(finished_at, bucket);
-        // Busy functional units over time (Figure 15a); a run that never
-        // ran has no FU timeline.
-        let fu_timeline = if finished_at == SimTime::ZERO {
-            TimeSeries::new()
-        } else {
-            let busy = self
-                .compute_intervals
-                .iter()
-                .map(|iv| (iv.start, iv.end, iv.busy_fus));
-            bucketed(finished_at, bucket, 0.0, busy)
-        };
-
         // Per-owner flash traffic and read tails, in deterministic owner
         // order (kernels ascending, then GC, journal, unattributed).
         let backbone = self.flashvisor.backbone();
@@ -842,9 +796,7 @@ impl FlashAbacusSystem {
             .map(|d| d.as_secs_f64())
             .unwrap_or(0.0);
 
-        // Endurance: erase-cycle spread over the data blocks, and GC's
-        // migration efficiency.
-        let wear = self.flashvisor.data_block_wear();
+        // GC's migration efficiency.
         let se_stats = self.storengine.stats();
         let reclaimed_bytes = se_stats.groups_reclaimed * self.config.page_group_bytes;
         let gc_migrated_bytes_per_reclaimed_byte = if reclaimed_bytes == 0 {
@@ -860,7 +812,7 @@ impl FlashAbacusSystem {
             finished_at,
             kernel_latencies,
             bytes_processed,
-            energy: EnergySummary { breakdown },
+            energy: self.energy.summary(finished_at),
             worker_utilization: self
                 .workers
                 .iter()
@@ -868,17 +820,13 @@ impl FlashAbacusSystem {
                 .collect(),
             flashvisor_utilization: self.flashvisor.cpu_utilization(finished_at),
             storengine_utilization: self.storengine.cpu_utilization(finished_at),
-            fu_timeline,
-            power_timeline,
             flash_group_reads: self.flashvisor.stats().group_reads,
             flash_group_writes: self.flashvisor.stats().group_writes,
             gc_passes: self.gc_passes,
             journal_dumps: self.storengine.stats().journal_dumps,
             flash_owner_stats,
             foreground_read_p99_s,
-            wear_min_erases: wear.min_erases,
-            wear_max_erases: wear.max_erases,
-            wear_stddev_erases: wear.stddev_erases,
+            wear: self.flashvisor.data_block_wear(),
             gc_migrated_bytes_per_reclaimed_byte,
             hot_group_writes: fv_stats.hot_group_writes,
             cold_group_writes: fv_stats.cold_group_writes,
@@ -1197,6 +1145,7 @@ mod tests {
     use super::*;
     use fa_flash::OwnerId;
     use fa_kernel::instance::{instantiate_many, InstancePlan};
+    use fa_kernel::latency::{completion_cdf, latency_stats, throughput_mb_s};
     use fa_sim::time::SimDuration;
     use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
 
@@ -1234,7 +1183,7 @@ mod tests {
             let out = run(policy, &apps);
             assert_eq!(out.kernel_latencies.len(), 3, "{policy:?}");
             assert!(out.finished_at > SimTime::ZERO);
-            assert!(out.throughput_mb_s() > 0.0);
+            assert!(throughput_mb_s(out.bytes_processed, out.finished_at) > 0.0);
             assert!(out.bytes_processed > 0);
             assert_eq!(out.worker_utilization.len(), 6);
             assert!(out.energy.total_j() > 0.0);
@@ -1305,8 +1254,8 @@ mod tests {
         );
         let inter = run(SchedulerPolicy::InterDy, &apps);
         let intra = run(SchedulerPolicy::IntraO3, &apps);
-        let (_, inter_avg, _) = inter.latency_stats();
-        let (_, intra_avg, _) = intra.latency_stats();
+        let (_, inter_avg, _) = latency_stats(&inter.kernel_latencies);
+        let (_, intra_avg, _) = latency_stats(&intra.kernel_latencies);
         assert!(
             intra_avg < inter_avg,
             "intra {intra_avg} should beat inter {inter_avg}"
@@ -1653,10 +1602,11 @@ mod tests {
     fn timelines_cover_the_run() {
         let apps = small_workload(2, 0.0);
         let out = run(SchedulerPolicy::IntraO3, &apps);
-        assert!(!out.fu_timeline.is_empty());
-        assert!(!out.power_timeline.is_empty());
+        assert!(!out.energy.fu_timeline.is_empty());
+        assert!(!out.energy.power_timeline.is_empty());
         // Peak busy FU count cannot exceed 8 FUs × 6 workers.
         let peak = out
+            .energy
             .fu_timeline
             .points()
             .iter()
@@ -1669,7 +1619,7 @@ mod tests {
     fn completion_cdf_is_monotone() {
         let apps = small_workload(5, 0.3);
         let out = run(SchedulerPolicy::InterDy, &apps);
-        let cdf = out.completion_cdf();
+        let cdf = completion_cdf(&out.kernel_latencies);
         assert_eq!(cdf.len(), 5);
         for pair in cdf.windows(2) {
             assert!(pair[0].0 <= pair[1].0);

@@ -1,7 +1,7 @@
 //! Outcome types for conventional-system runs.
 
-use fa_energy::EnergyBreakdown;
-use fa_sim::stats::TimeSeries;
+use fa_energy::EnergySummary;
+use fa_kernel::KernelLatency;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -39,61 +39,27 @@ impl TimeBreakdown {
     }
 }
 
-/// Per-kernel latency record of a conventional-system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BaselineKernelLatency {
-    /// Benchmark name.
-    pub app_name: String,
-    /// Application index in the batch.
-    pub app_index: usize,
-    /// Kernel index within the application.
-    pub kernel_index: usize,
-    /// When the host started working on this kernel.
-    pub started_at: SimTime,
-    /// When the kernel's results were back on the SSD.
-    pub completed_at: SimTime,
-}
-
-impl BaselineKernelLatency {
-    /// Start-to-finish latency.
-    pub(crate) fn latency(&self) -> SimDuration {
-        self.completed_at.saturating_since(self.started_at)
-    }
-}
-
 /// Outcome of one conventional-system run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BaselineOutcome {
     /// When the whole batch finished.
     pub finished_at: SimTime,
-    /// Per-kernel records in execution order.
-    pub kernel_latencies: Vec<BaselineKernelLatency>,
+    /// Per-kernel records in execution order; `offloaded_at` is the
+    /// instant the host started on the kernel.
+    pub kernel_latencies: Vec<KernelLatency>,
     /// Bytes of input and output processed.
     pub bytes_processed: u64,
-    /// Energy breakdown.
-    pub energy: EnergyBreakdown,
+    /// Energy breakdown and the Figure 15 timelines (the SIMD curves).
+    pub energy: EnergySummary,
     /// Execution-time decomposition (Figure 3d).
     pub time_breakdown: TimeBreakdown,
     /// Per-LWP utilization over the run.
     pub lwp_utilization: Vec<f64>,
-    /// Busy-functional-unit timeline (Figure 15a, SIMD curve).
-    pub fu_timeline: TimeSeries,
-    /// Power timeline (Figure 15b, SIMD curve).
-    pub power_timeline: TimeSeries,
     /// Host CPU busy fraction.
     pub host_cpu_utilization: f64,
 }
 
 impl BaselineOutcome {
-    /// Aggregate throughput in MB/s.
-    pub fn throughput_mb_s(&self) -> f64 {
-        let secs = self.finished_at.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.bytes_processed as f64 / 1.0e6 / secs
-    }
-
     /// Mean LWP utilization.
     pub fn mean_lwp_utilization(&self) -> f64 {
         if self.lwp_utilization.is_empty() {
@@ -101,43 +67,14 @@ impl BaselineOutcome {
         }
         self.lwp_utilization.iter().sum::<f64>() / self.lwp_utilization.len() as f64
     }
-
-    /// Kernel latency statistics `(min, average, max)` in seconds.
-    pub fn latency_stats(&self) -> (f64, f64, f64) {
-        if self.kernel_latencies.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        let mut sum = 0.0;
-        for k in &self.kernel_latencies {
-            let l = k.latency().as_secs_f64();
-            min = min.min(l);
-            max = max.max(l);
-            sum += l;
-        }
-        (min, sum / self.kernel_latencies.len() as f64, max)
-    }
-
-    /// Empirical CDF of kernel completion times in seconds.
-    pub fn completion_cdf(&self) -> Vec<(f64, usize)> {
-        let mut times: Vec<f64> = self
-            .kernel_latencies
-            .iter()
-            .map(|k| k.completed_at.as_secs_f64())
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite completion times"));
-        times
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (t, i + 1))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_energy::EnergyBreakdown;
+    use fa_kernel::latency::{completion_cdf, latency_stats, throughput_mb_s};
+    use fa_sim::stats::TimeSeries;
 
     #[test]
     fn time_breakdown_fractions_sum_to_one() {
@@ -157,26 +94,28 @@ mod tests {
     fn outcome_metrics_compute() {
         let o = BaselineOutcome {
             finished_at: SimTime::from_ms(200),
-            kernel_latencies: vec![BaselineKernelLatency {
+            kernel_latencies: vec![KernelLatency {
                 app_name: "ATAX".into(),
                 app_index: 0,
                 kernel_index: 0,
-                started_at: SimTime::from_ms(10),
+                offloaded_at: SimTime::from_ms(10),
                 completed_at: SimTime::from_ms(200),
             }],
             bytes_processed: 100_000_000,
-            energy: EnergyBreakdown::default(),
+            energy: EnergySummary {
+                breakdown: EnergyBreakdown::default(),
+                power_timeline: TimeSeries::new(),
+                fu_timeline: TimeSeries::new(),
+            },
             time_breakdown: TimeBreakdown::default(),
             lwp_utilization: vec![0.2, 0.4],
-            fu_timeline: TimeSeries::new(),
-            power_timeline: TimeSeries::new(),
             host_cpu_utilization: 0.5,
         };
-        assert!((o.throughput_mb_s() - 500.0).abs() < 1e-9);
+        assert!((throughput_mb_s(o.bytes_processed, o.finished_at) - 500.0).abs() < 1e-9);
         assert!((o.mean_lwp_utilization() - 0.3).abs() < 1e-12);
-        let (min, avg, max) = o.latency_stats();
+        let (min, avg, max) = latency_stats(&o.kernel_latencies);
         assert_eq!(min, max);
         assert!((avg - 0.19).abs() < 1e-9);
-        assert_eq!(o.completion_cdf().len(), 1);
+        assert_eq!(completion_cdf(&o.kernel_latencies).len(), 1);
     }
 }

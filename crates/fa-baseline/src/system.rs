@@ -11,21 +11,13 @@
 use crate::accelerator::SimdAccelerator;
 use crate::config::BaselineConfig;
 use crate::hoststack::HostStorageStack;
-use crate::metrics::{BaselineKernelLatency, BaselineOutcome, TimeBreakdown};
+use crate::metrics::{BaselineOutcome, TimeBreakdown};
 use crate::ssd::NvmeSsd;
 use fa_energy::{ActivityCategory, Component, EnergyAccountant};
 use fa_kernel::model::Application;
+use fa_kernel::KernelLatency;
 use fa_platform::noc::PcieLink;
-use fa_sim::stats::{bucketed, timeline_bucket, TimeSeries};
 use fa_sim::time::SimTime;
-
-/// A record of one accelerator compute region (for the FU timeline).
-#[derive(Debug, Clone, Copy)]
-struct ComputeInterval {
-    start: SimTime,
-    end: SimTime,
-    busy_fus: f64,
-}
 
 /// The conventional ("SIMD") system.
 pub struct ConventionalSystem {
@@ -35,7 +27,6 @@ pub struct ConventionalSystem {
     accelerator: SimdAccelerator,
     pcie: PcieLink,
     energy: EnergyAccountant,
-    compute_intervals: Vec<ComputeInterval>,
     time_breakdown: TimeBreakdown,
 }
 
@@ -56,7 +47,6 @@ impl ConventionalSystem {
             accelerator: SimdAccelerator::new(&config),
             pcie: PcieLink::new(&config.platform),
             energy,
-            compute_intervals: Vec::new(),
             time_breakdown: TimeBreakdown::default(),
             config,
         }
@@ -170,17 +160,7 @@ impl ConventionalSystem {
                     let scaled = scale_kernel(kernel, fraction);
                     let exec = self.accelerator.execute_kernel(data_ready, &scaled);
                     for r in &exec.regions {
-                        self.energy.record(
-                            Component::Lwp,
-                            ActivityCategory::Computation,
-                            r.start,
-                            r.end,
-                        );
-                        self.compute_intervals.push(ComputeInterval {
-                            start: r.start,
-                            end: r.end,
-                            busy_fus: r.busy_fus,
-                        });
+                        self.energy.record_compute(r.start, r.end, r.busy_fus);
                     }
                     self.time_breakdown.accelerator += exec.end.saturating_since(data_ready);
 
@@ -205,53 +185,24 @@ impl ConventionalSystem {
                 );
                 cursor = epilogue_end;
 
-                kernel_latencies.push(BaselineKernelLatency {
+                kernel_latencies.push(KernelLatency {
                     app_name: app.name.clone(),
                     app_index: ai,
                     kernel_index: ki,
-                    started_at,
+                    offloaded_at: started_at,
                     completed_at: cursor,
                 });
             }
         }
 
         let finished_at = cursor;
-        // Fold the background power of every component into the paper's
-        // three categories: the host exists in this system only to move
-        // data, the accelerator only to compute, the SSD only to serve
-        // storage.
-        let power = &self.config.power;
-        let host_idle_w = power.host_cpu_idle_w + power.host_dram_idle_w + 0.02;
-        let accel_idle_w =
-            self.config.platform.lwp_count as f64 * power.lwp_idle_w + power.ddr3l_idle_w + 0.05;
-        let breakdown = self.energy.breakdown(finished_at).with_idle_redistributed(
-            host_idle_w,
-            accel_idle_w,
-            power.flash_idle_w,
-        );
-        let bucket = timeline_bucket(finished_at);
-        let power_timeline = self.energy.power_timeline(finished_at, bucket);
-        // Busy functional units over time (Figure 15a); a run that never
-        // ran has no FU timeline.
-        let fu_timeline = if finished_at == SimTime::ZERO {
-            TimeSeries::new()
-        } else {
-            let busy = self
-                .compute_intervals
-                .iter()
-                .map(|iv| (iv.start, iv.end, iv.busy_fus));
-            bucketed(finished_at, bucket, 0.0, busy)
-        };
-
         BaselineOutcome {
             finished_at,
             kernel_latencies,
             bytes_processed,
-            energy: breakdown,
+            energy: self.energy.summary(finished_at),
             time_breakdown: self.time_breakdown,
             lwp_utilization: self.accelerator.per_lwp_utilization(finished_at),
-            fu_timeline,
-            power_timeline,
             host_cpu_utilization: self.stack.cpu_utilization(finished_at),
         }
     }
@@ -278,6 +229,7 @@ fn scale_kernel(kernel: &fa_kernel::model::Kernel, fraction: f64) -> fa_kernel::
 mod tests {
     use super::*;
     use fa_kernel::instance::{instantiate_many, InstancePlan};
+    use fa_kernel::latency::throughput_mb_s;
     use fa_sim::time::SimDuration;
     use fa_workloads::polybench::{polybench_app, PolyBench};
     use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
@@ -310,14 +262,14 @@ mod tests {
         let out = system.run(&synthetic_batch(2, 0.2));
         assert_eq!(out.kernel_latencies.len(), 2);
         assert!(out.finished_at > SimTime::ZERO);
-        assert!(out.throughput_mb_s() > 0.0);
+        assert!(throughput_mb_s(out.bytes_processed, out.finished_at) > 0.0);
         assert!(out.energy.total_j() > 0.0);
         assert!(out.time_breakdown.ssd > SimDuration::ZERO);
         assert!(out.time_breakdown.host_stack > SimDuration::ZERO);
         assert!(out.time_breakdown.accelerator > SimDuration::ZERO);
         assert_eq!(out.lwp_utilization.len(), 8);
-        assert!(!out.fu_timeline.is_empty());
-        assert!(!out.power_timeline.is_empty());
+        assert!(!out.energy.fu_timeline.is_empty());
+        assert!(!out.energy.power_timeline.is_empty());
     }
 
     #[test]
@@ -358,7 +310,8 @@ mod tests {
         let mut system = ConventionalSystem::new(BaselineConfig::paper_baseline());
         let out = system.run(&apps);
         let total = out.energy.total_j();
-        let movement_and_storage = out.energy.data_movement_j + out.energy.storage_access_j;
+        let movement_and_storage =
+            out.energy.breakdown.data_movement_j + out.energy.breakdown.storage_access_j;
         assert!(
             movement_and_storage / total > 0.5,
             "movement+storage fraction {}",
@@ -374,7 +327,10 @@ mod tests {
         let mut serial = ConventionalSystem::new(BaselineConfig::paper_baseline());
         let out_p = parallel.run(&synthetic_batch(2, 0.0));
         let out_s = serial.run(&synthetic_batch(2, 0.5));
-        assert!(out_p.throughput_mb_s() > out_s.throughput_mb_s());
+        assert!(
+            throughput_mb_s(out_p.bytes_processed, out_p.finished_at)
+                > throughput_mb_s(out_s.bytes_processed, out_s.finished_at)
+        );
         assert!(out_p.mean_lwp_utilization() > out_s.mean_lwp_utilization());
     }
 

@@ -35,7 +35,7 @@ fn render(campaign: &Campaign, title: &str) -> String {
             .max(f64::EPSILON);
         let mut row = vec![workload.clone()];
         for system in SystemKind::all() {
-            let e = &campaign.expect(workload, system).energy;
+            let e = &campaign.expect(workload, system).energy.breakdown;
             row.push(format!(
                 "{:.2}/{:.2}/{:.2} ({:.2})",
                 e.data_movement_j / simd_total,

@@ -33,30 +33,30 @@ pub fn report(spec: &RunSpec) -> String {
     let mut out = String::from("Figure 15: resource utilization and power over time (MX1)\n\n");
     out.push_str(&render_series(
         "Figure 15a / SIMD: busy functional units",
-        &to_secs(&simd.fu_timeline),
+        &to_secs(&simd.energy.fu_timeline),
         POINTS,
     ));
     out.push_str(&render_series(
         "Figure 15a / IntraO3: busy functional units",
-        &to_secs(&o3.fu_timeline),
+        &to_secs(&o3.energy.fu_timeline),
         POINTS,
     ));
     out.push_str(&render_series(
         "Figure 15b / SIMD: power (W)",
-        &to_secs(&simd.power_timeline),
+        &to_secs(&simd.energy.power_timeline),
         POINTS,
     ));
     out.push_str(&render_series(
         "Figure 15b / IntraO3: power (W)",
-        &to_secs(&o3.power_timeline),
+        &to_secs(&o3.energy.power_timeline),
         POINTS,
     ));
     out.push_str(&format!(
         "\nSummary: SIMD finishes at {:.4}s, IntraO3 at {:.4}s; peak SIMD power {:.1} W vs IntraO3 {:.1} W\n",
         simd.total_seconds,
         o3.total_seconds,
-        peak(&simd.power_timeline),
-        peak(&o3.power_timeline),
+        peak(&simd.energy.power_timeline),
+        peak(&o3.energy.power_timeline),
     ));
     out
 }

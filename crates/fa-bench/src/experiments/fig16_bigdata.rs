@@ -39,7 +39,7 @@ pub fn report(campaign: &Campaign) -> String {
             .max(f64::EPSILON);
         let mut row = vec![workload.clone()];
         for system in SystemKind::all() {
-            let e = &campaign.expect(workload, system).energy;
+            let e = &campaign.expect(workload, system).energy.breakdown;
             row.push(format!(
                 "{:.2}/{:.2}/{:.2} ({:.2})",
                 e.data_movement_j / simd_total,

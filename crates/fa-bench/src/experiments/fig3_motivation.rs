@@ -11,6 +11,7 @@ use crate::report::{f1, pct, Table};
 use crate::runner::ExperimentScale;
 use fa_baseline::{BaselineConfig, ConventionalSystem};
 use fa_kernel::instance::{instantiate_many, InstancePlan};
+use fa_kernel::latency::throughput_mb_s;
 use fa_workloads::polybench::{polybench_app, polybench_table2};
 use fa_workloads::synthetic::{synthetic_app, SyntheticSpec};
 
@@ -56,7 +57,7 @@ pub fn report_sensitivity(scale: ExperimentScale) -> String {
             let mut system =
                 ConventionalSystem::new(BaselineConfig::paper_baseline().with_active_lwps(cores));
             let out = system.run(&apps);
-            tput_row.push(f1(out.throughput_mb_s()));
+            tput_row.push(f1(throughput_mb_s(out.bytes_processed, out.finished_at)));
             util_row.push(pct(out.mean_lwp_utilization()));
         }
         throughput.row(tput_row);
@@ -89,9 +90,9 @@ pub fn report_breakdown(scale: ExperimentScale) -> String {
         let total = out.energy.total_j().max(f64::EPSILON);
         energy_table.row(vec![
             name.to_string(),
-            pct(out.energy.data_movement_j / total),
-            pct(out.energy.computation_j / total),
-            pct(out.energy.storage_access_j / total),
+            pct(out.energy.breakdown.data_movement_j / total),
+            pct(out.energy.breakdown.computation_j / total),
+            pct(out.energy.breakdown.storage_access_j / total),
         ]);
     }
     format!("{}\n{}", time_table.render(), energy_table.render())

@@ -266,9 +266,9 @@ pub fn report(spec: &RunSpec) -> String {
             .expect("policy-ablation system run completes");
         system.row(vec![
             placement.label().to_string(),
-            format!("{}..{}", out.wear_min_erases, out.wear_max_erases),
-            (out.wear_max_erases - out.wear_min_erases).to_string(),
-            format!("{:.3}", out.wear_stddev_erases),
+            format!("{}..{}", out.wear.min_erases, out.wear.max_erases),
+            out.wear.spread().to_string(),
+            format!("{:.3}", out.wear.stddev_erases),
             format!("{:.4}", out.gc_migrated_bytes_per_reclaimed_byte),
             out.gc_passes.to_string(),
             format!("{:.4}", out.foreground_read_p99_s * 1e3),

@@ -12,12 +12,12 @@
 //! environment.
 
 use fa_baseline::{BaselineConfig, ConventionalSystem};
-use fa_energy::EnergyBreakdown;
+use fa_energy::EnergySummary;
 use fa_flash::FaultPlan;
 use fa_kernel::instance::{instantiate_many, InstancePlan};
+use fa_kernel::latency::{completion_cdf, latency_stats, throughput_mb_s};
 use fa_kernel::model::Application;
 use fa_sim::arrivals::ArrivalPlan;
-use fa_sim::stats::TimeSeries;
 use fa_workloads::bigdata::{bigdata_app, BigDataBench};
 use fa_workloads::mixes::mix_apps;
 use fa_workloads::polybench::{polybench_app, PolyBench};
@@ -190,15 +190,11 @@ pub struct UnifiedOutcome {
     pub latency_min_avg_max: (f64, f64, f64),
     /// Kernel completion instants in seconds, ascending (CDF x-values).
     pub completion_times: Vec<f64>,
-    /// Energy breakdown in joules.
-    pub energy: EnergyBreakdown,
+    /// Energy breakdown in joules, and the FU and power timelines.
+    pub energy: EnergySummary,
     /// Mean LWP utilization in `[0, 1]` (worker LWPs for FlashAbacus, the
     /// active LWPs for SIMD).
     pub mean_lwp_utilization: f64,
-    /// Busy-functional-unit timeline.
-    pub fu_timeline: TimeSeries,
-    /// Power timeline in watts.
-    pub power_timeline: TimeSeries,
 }
 
 impl UnifiedOutcome {
@@ -246,41 +242,45 @@ pub fn run_on(
     workload_label: &str,
     apps: &[Application],
 ) -> UnifiedOutcome {
-    match system {
+    let (finished_at, bytes, kernels, energy, utilization) = match system {
         SystemKind::Simd => {
-            let mut sys = ConventionalSystem::new(BaselineConfig::paper_baseline());
-            let out = sys.run(apps);
-            UnifiedOutcome {
-                system,
-                workload: workload_label.to_string(),
-                total_seconds: out.finished_at.as_secs_f64(),
-                throughput_mb_s: out.throughput_mb_s(),
-                latency_min_avg_max: out.latency_stats(),
-                completion_times: out.completion_cdf().into_iter().map(|(t, _)| t).collect(),
-                energy: out.energy,
-                mean_lwp_utilization: out.mean_lwp_utilization(),
-                fu_timeline: out.fu_timeline,
-                power_timeline: out.power_timeline,
-            }
+            let out = ConventionalSystem::new(BaselineConfig::paper_baseline()).run(apps);
+            let utilization = out.mean_lwp_utilization();
+            (
+                out.finished_at,
+                out.bytes_processed,
+                out.kernel_latencies,
+                out.energy,
+                utilization,
+            )
         }
         SystemKind::FlashAbacus(policy) => {
-            let mut sys = spec.system(FlashAbacusConfig::paper_prototype(policy));
-            let out = sys
+            let out = spec
+                .system(FlashAbacusConfig::paper_prototype(policy))
                 .run(apps)
                 .unwrap_or_else(|e| panic!("FlashAbacus run failed on {workload_label}: {e}"));
-            UnifiedOutcome {
-                system,
-                workload: workload_label.to_string(),
-                total_seconds: out.finished_at.as_secs_f64(),
-                throughput_mb_s: out.throughput_mb_s(),
-                latency_min_avg_max: out.latency_stats(),
-                completion_times: out.completion_cdf().into_iter().map(|(t, _)| t).collect(),
-                energy: out.energy.breakdown,
-                mean_lwp_utilization: out.mean_worker_utilization(),
-                fu_timeline: out.fu_timeline,
-                power_timeline: out.power_timeline,
-            }
+            let utilization = out.mean_worker_utilization();
+            (
+                out.finished_at,
+                out.bytes_processed,
+                out.kernel_latencies,
+                out.energy,
+                utilization,
+            )
         }
+    };
+    UnifiedOutcome {
+        system,
+        workload: workload_label.to_string(),
+        total_seconds: finished_at.as_secs_f64(),
+        throughput_mb_s: throughput_mb_s(bytes, finished_at),
+        latency_min_avg_max: latency_stats(&kernels),
+        completion_times: completion_cdf(&kernels)
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect(),
+        energy,
+        mean_lwp_utilization: utilization,
     }
 }
 

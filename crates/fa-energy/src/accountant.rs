@@ -1,7 +1,8 @@
-//! Activity-based energy accounting.
+//! Activity-based energy accounting and the run summary both systems
+//! report.
 
 use crate::power::{Component, PowerSpec};
-use fa_sim::stats::{bucketed, TimeSeries};
+use fa_sim::stats::{bucketed, timeline_bucket, TimeSeries};
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -46,31 +47,13 @@ impl EnergyBreakdown {
         self.data_movement_j + self.computation_j + self.storage_access_j + self.idle_j
     }
 
-    /// Fraction of total energy in a category (0 when the total is 0).
-    pub fn fraction(&self, category: ActivityCategory) -> f64 {
-        let total = self.total_j();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let part = match category {
-            ActivityCategory::DataMovement => self.data_movement_j,
-            ActivityCategory::Computation => self.computation_j,
-            ActivityCategory::StorageAccess => self.storage_access_j,
-        };
-        part / total
-    }
-
-    /// Folds the idle/background energy into the three categories in
-    /// proportion to the supplied weights, reproducing the paper's
-    /// three-way presentation (its figures have no separate idle bar; the
-    /// background power of each component is carried by the role that
-    /// component plays in the system).
-    pub fn with_idle_redistributed(
-        &self,
-        data_movement_weight: f64,
-        computation_weight: f64,
-        storage_weight: f64,
-    ) -> EnergyBreakdown {
+    /// Folds the idle energy into the three categories in proportion to
+    /// `idle_w`, the idle watts of each category's components (indexed by
+    /// `ActivityCategory as usize`). This is the paper's three-way
+    /// presentation: its figures have no separate idle bar, and each
+    /// component's background power is carried by the role it plays.
+    fn with_idle_redistributed(&self, idle_w: [f64; 3]) -> EnergyBreakdown {
+        let [data_movement_weight, computation_weight, storage_weight] = idle_w;
         let total_w = data_movement_weight + computation_weight + storage_weight;
         if total_w <= 0.0 || self.idle_j <= 0.0 {
             return *self;
@@ -82,38 +65,48 @@ impl EnergyBreakdown {
             idle_j: 0.0,
         }
     }
+}
 
-    /// Returns a copy with every field scaled by `factor` (used to
-    /// normalize against a baseline).
-    pub fn scaled(&self, factor: f64) -> EnergyBreakdown {
-        EnergyBreakdown {
-            data_movement_j: self.data_movement_j * factor,
-            computation_j: self.computation_j * factor,
-            storage_access_j: self.storage_access_j * factor,
-            idle_j: self.idle_j * factor,
-        }
+/// What a run reports about its energy: the three-way breakdown and the
+/// Figure 15 timelines. FlashAbacus and the SIMD baseline both build it
+/// with [`EnergyAccountant::summary`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct EnergySummary {
+    /// The three-way breakdown, with every registered component's idle
+    /// energy folded into the category of its role (so `idle_j` is 0
+    /// once anything idles).
+    pub breakdown: EnergyBreakdown,
+    /// Instantaneous power over time (Figure 15b).
+    pub power_timeline: TimeSeries,
+    /// Busy functional units across all LWPs over time (Figure 15a);
+    /// empty for a run that took no time.
+    pub fu_timeline: TimeSeries,
+}
+
+impl EnergySummary {
+    /// Total joules.
+    pub fn total_j(&self) -> f64 {
+        self.breakdown.total_j()
     }
 }
 
-/// Integrates component power over recorded busy intervals.
+/// Integrates component power over recorded busy intervals, and keeps the
+/// LWPs' compute intervals for the functional-unit timeline.
 ///
 /// # Examples
 ///
 /// ```
-/// use fa_energy::{ActivityCategory, Component, EnergyAccountant, PowerSpec};
+/// use fa_energy::{EnergyAccountant, PowerSpec};
 /// use fa_sim::time::SimTime;
 ///
 /// let mut acct = EnergyAccountant::new(PowerSpec::paper_prototype());
-/// acct.record(
-///     Component::Lwp,
-///     ActivityCategory::Computation,
-///     SimTime::ZERO,
-///     SimTime::from_ms(1),
-/// );
-/// let breakdown = acct.breakdown(SimTime::from_ms(1));
+/// // Four functional units busy on one LWP for 1 ms.
+/// acct.record_compute(SimTime::ZERO, SimTime::from_ms(1), 4.0);
+/// let summary = acct.summary(SimTime::from_ms(1));
 /// // One LWP charged at its incremental (active − idle) power of 0.72 W
 /// // for 1 ms = 0.72 mJ of computation energy.
-/// assert!((breakdown.computation_j - 0.00072).abs() < 1e-7);
+/// assert!((summary.breakdown.computation_j - 0.00072).abs() < 1e-7);
+/// assert!(summary.fu_timeline.points().iter().any(|&(_, fus)| fus > 0.0));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EnergyAccountant {
@@ -121,6 +114,8 @@ pub struct EnergyAccountant {
     activities: Vec<Activity>,
     /// Components whose idle power is charged over the whole window.
     idle_components: Vec<(Component, usize)>,
+    /// `(start, end, busy functional units)` of every compute interval.
+    compute: Vec<(SimTime, SimTime, f64)>,
 }
 
 impl EnergyAccountant {
@@ -131,6 +126,7 @@ impl EnergyAccountant {
             spec,
             activities: Vec::new(),
             idle_components: Vec::new(),
+            compute: Vec::new(),
         }
     }
 
@@ -138,6 +134,9 @@ impl EnergyAccountant {
     /// charged for the entire measurement window (e.g. eight LWPs, one
     /// DDR3L device). Active intervals are charged on top of idle power at
     /// `active - idle` watts so energy is not double counted.
+    ///
+    /// [`EnergyAccountant::summary`] sums each role's idle watts in
+    /// registration order.
     pub fn register_idle(&mut self, component: Component, count: usize) {
         self.idle_components.push((component, count));
     }
@@ -178,8 +177,41 @@ impl EnergyAccountant {
         });
     }
 
-    /// Computes the category breakdown over the window `[0, horizon]`.
-    pub fn breakdown(&self, horizon: SimTime) -> EnergyBreakdown {
+    /// Records an LWP computing over `[start, end)` with `busy_fus`
+    /// functional units busy on average: charges the LWP's computation
+    /// energy and keeps the interval for the FU timeline.
+    pub fn record_compute(&mut self, start: SimTime, end: SimTime, busy_fus: f64) {
+        self.record(Component::Lwp, ActivityCategory::Computation, start, end);
+        self.compute.push((start, end, busy_fus));
+    }
+
+    /// Summarises the window `[0, horizon]`: the breakdown with idle
+    /// energy folded by component role (PCIe, the host CPU and host DRAM
+    /// as data movement; LWPs, DDR3L and the fabric as computation; the
+    /// flash backbone or SSD as storage), and both timelines sampled on
+    /// the [`timeline_bucket`] grid.
+    pub fn summary(&self, horizon: SimTime) -> EnergySummary {
+        let mut idle_w = [0.0; 3];
+        for &(component, count) in &self.idle_components {
+            idle_w[component.idle_role() as usize] +=
+                self.spec.idle_watts(component) * count as f64;
+        }
+        let bucket = timeline_bucket(horizon);
+        let fu_timeline = if horizon == SimTime::ZERO {
+            TimeSeries::new()
+        } else {
+            bucketed(horizon, bucket, 0.0, self.compute.iter().copied())
+        };
+        EnergySummary {
+            breakdown: self.breakdown(horizon).with_idle_redistributed(idle_w),
+            power_timeline: self.power_timeline(horizon, bucket),
+            fu_timeline,
+        }
+    }
+
+    /// The category breakdown over the window `[0, horizon]`, with the
+    /// registered components' idle energy in `idle_j`.
+    fn breakdown(&self, horizon: SimTime) -> EnergyBreakdown {
         let mut out = EnergyBreakdown::default();
         for a in &self.activities {
             let end = a.end.min(horizon);
@@ -200,10 +232,10 @@ impl EnergyAccountant {
         out
     }
 
-    /// Reconstructs the instantaneous power curve sampled every `bucket`
-    /// over `[0, horizon]` — the Figure 15b view. Idle power of registered
+    /// The instantaneous power curve sampled every `bucket` over
+    /// `[0, horizon]` — the Figure 15b view. Idle power of registered
     /// components forms the floor; active intervals add on top.
-    pub fn power_timeline(&self, horizon: SimTime, bucket: SimDuration) -> TimeSeries {
+    fn power_timeline(&self, horizon: SimTime, bucket: SimDuration) -> TimeSeries {
         let idle_floor: f64 = self
             .idle_components
             .iter()
@@ -263,8 +295,6 @@ mod tests {
         assert!(b.storage_access_j > 0.0);
         assert!(b.data_movement_j > 0.0);
         assert!(b.total_j() >= b.computation_j + b.storage_access_j);
-        let f = b.fraction(ActivityCategory::StorageAccess);
-        assert!(f > 0.0 && f < 1.0);
     }
 
     #[test]
@@ -333,16 +363,41 @@ mod tests {
     }
 
     #[test]
-    fn scaled_breakdown_normalizes() {
+    fn summary_folds_idle_energy_by_component_role() {
         let mut a = acct();
+        a.register_idle(Component::Lwp, 8);
+        a.register_idle(Component::FlashOrSsd, 1);
+        a.register_idle(Component::Pcie, 1);
         a.record(
-            Component::HostCpu,
+            Component::Pcie,
             ActivityCategory::DataMovement,
             SimTime::ZERO,
-            SimTime::from_ms(10),
+            SimTime::from_ms(500),
         );
-        let b = a.breakdown(SimTime::from_ms(10));
-        let half = b.scaled(0.5);
-        assert!((half.total_j() * 2.0 - b.total_j()).abs() < 1e-12);
+        let horizon = SimTime::from_ms(1000);
+        let raw = a.breakdown(horizon);
+        let folded = a.summary(horizon).breakdown;
+        assert_eq!(folded.idle_j, 0.0);
+        assert!((folded.total_j() - raw.total_j()).abs() < 1e-12);
+        // Idle watts: 0.64 W of LWPs (computation), 1.2 W of flash
+        // (storage), 0.02 W of PCIe (data movement).
+        let share = |w: f64| raw.idle_j * w / (0.02 + 0.64 + 1.2);
+        assert!((folded.data_movement_j - raw.data_movement_j - share(0.02)).abs() < 1e-12);
+        assert!((folded.computation_j - share(0.64)).abs() < 1e-12);
+        assert!((folded.storage_access_j - share(1.2)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_compute_charges_the_lwp_and_feeds_the_fu_timeline() {
+        let mut a = acct();
+        a.record_compute(SimTime::ZERO, SimTime::from_ms(10), 3.0);
+        let summary = a.summary(SimTime::from_ms(20));
+        assert!((summary.breakdown.computation_j - 0.72 * 0.01).abs() < 1e-12);
+        let fus = summary.fu_timeline.points();
+        assert!((fus[0].1 - 3.0).abs() < 1e-12);
+        assert_eq!(fus.last().map(|p| p.1), Some(0.0));
+        assert_eq!(summary.power_timeline.len(), fus.len());
+        // A run that took no time has no FU timeline.
+        assert!(a.summary(SimTime::ZERO).fu_timeline.is_empty());
     }
 }

@@ -8,12 +8,14 @@
 //!
 //! * [`power`] — per-component power figures assembled from Table 1 and the
 //!   host platform description (§5).
-//! * [`accountant`] — an activity log that integrates power over busy
-//!   intervals, reports the three-way breakdown, and can reconstruct the
-//!   power-versus-time curve of Figure 15b.
+//! * [`accountant`] — the run recorder both systems share: an activity log
+//!   that integrates power over busy intervals and keeps the LWPs' compute
+//!   intervals, summarised as an [`EnergySummary`] (the three-way
+//!   breakdown with idle power folded by component role, and the
+//!   functional-unit and power timelines of Figure 15).
 
 pub mod accountant;
 pub mod power;
 
-pub use accountant::{ActivityCategory, EnergyAccountant, EnergyBreakdown};
+pub use accountant::{ActivityCategory, EnergyAccountant, EnergyBreakdown, EnergySummary};
 pub use power::{Component, PowerSpec};

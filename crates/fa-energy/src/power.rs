@@ -1,5 +1,6 @@
 //! Per-component power figures.
 
+use crate::accountant::ActivityCategory;
 use serde::{Deserialize, Serialize};
 
 /// Components whose activity the energy model tracks.
@@ -19,6 +20,22 @@ pub enum Component {
     HostCpu,
     /// The host DRAM.
     HostDram,
+}
+
+impl Component {
+    /// The category a component's idle power is charged to: the host side
+    /// and the PCIe link exist to move data, the accelerator's LWPs,
+    /// DDR3L and fabric to compute, and the flash backbone or SSD to serve
+    /// storage.
+    pub(crate) fn idle_role(self) -> ActivityCategory {
+        match self {
+            Component::Pcie | Component::HostCpu | Component::HostDram => {
+                ActivityCategory::DataMovement
+            }
+            Component::Lwp | Component::Ddr3l | Component::Fabric => ActivityCategory::Computation,
+            Component::FlashOrSsd => ActivityCategory::StorageAccess,
+        }
+    }
 }
 
 /// Power figures in watts for every tracked component, split into active

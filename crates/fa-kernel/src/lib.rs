@@ -20,15 +20,19 @@
 //!   progress (§4.2, Figure 8).
 //! * [`instance`] — helpers to stamp out the multiple instances of each
 //!   application that the evaluation executes.
+//! * [`latency`] — the per-kernel completion record both systems report,
+//!   and the throughput, latency and completion-CDF metrics over it.
 
 pub mod chain;
 pub mod descriptor;
 pub mod instance;
+pub mod latency;
 pub mod model;
 
 pub use chain::{ExecutionChain, ScreenRef, ScreenState};
 pub use descriptor::{KernelDescriptionTable, Section, SectionKind};
 pub use instance::{instantiate_many, InstancePlan};
+pub use latency::KernelLatency;
 pub use model::{
     AppId, Application, ApplicationBuilder, DataSection, Kernel, KernelId, Microblock, Screen,
 };

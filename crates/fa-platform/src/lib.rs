@@ -10,7 +10,7 @@
 //! * [`spec`] — the Table 1 hardware specification as typed constants.
 //! * [`lwp`] — the VLIW issue model, per-LWP run queue, and the cycles of
 //!   the power/sleep controller protocol used to boot kernels.
-//! * [`mem`] — DDR3L, the scratchpad handle, and the private-cache model.
+//! * [`mem`] — DDR3L and the scratchpad handle.
 //! * [`noc`] — the tier-1 crossbar, hardware message queues, and the PCIe
 //!   link.
 
@@ -20,6 +20,6 @@ pub mod noc;
 pub mod spec;
 
 pub use lwp::{ExecutionEstimate, FuOccupancy, InstructionMix, LwpCore, LwpSpec};
-pub use mem::{CacheSpec, Ddr3l, MemorySystem, Scratchpad};
+pub use mem::{Ddr3l, MemorySystem, Scratchpad};
 pub use noc::{Crossbar, MessageQueue, PcieLink};
 pub use spec::PlatformSpec;

@@ -1,5 +1,4 @@
-//! Accelerator-side memory system: DDR3L, the scratchpad, and the private
-//! L1/L2 caches.
+//! Accelerator-side memory system: DDR3L and the scratchpad.
 //!
 //! In the prototype, DDR3L backs the flash-mapped data sections of every
 //! kernel (and absorbs most flash writes as an internal cache), while the
@@ -10,45 +9,14 @@
 use crate::spec::PlatformSpec;
 use fa_sim::resource::{Reservation, SerializedResource};
 use fa_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
-
-/// A private cache level description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacheSpec {
-    /// Capacity in bytes.
-    pub capacity: usize,
-    /// Access latency in core cycles.
-    pub latency_cycles: u32,
-}
-
-impl CacheSpec {
-    /// The prototype's 64 KB L1.
-    fn l1_prototype() -> Self {
-        CacheSpec {
-            capacity: 64 * 1024,
-            latency_cycles: 2,
-        }
-    }
-
-    /// The prototype's 512 KB L2.
-    fn l2_prototype() -> Self {
-        CacheSpec {
-            capacity: 512 * 1024,
-            latency_cycles: 10,
-        }
-    }
-}
 
 /// The DDR3L main memory of the accelerator.
 ///
-/// Modelled as a bandwidth-serialized device with a fixed capacity; the
-/// Flashvisor maps kernel data sections here, so capacity pressure is what
-/// forces applications to be split into multiple kernels on conventional
-/// accelerators (§3).
+/// Modelled as one bandwidth-serialized channel: staged inputs, offloaded
+/// kernel tables and buffered outputs queue for it in turn. Its capacity
+/// is not modelled; nothing allocates DDR3L space.
 #[derive(Debug, Clone)]
 pub struct Ddr3l {
-    capacity: usize,
-    allocated: usize,
     channel: SerializedResource,
 }
 
@@ -56,37 +24,8 @@ impl Ddr3l {
     /// Creates a DDR3L device from the platform spec.
     pub(crate) fn new(spec: &PlatformSpec) -> Self {
         Ddr3l {
-            capacity: spec.ddr3l_bytes,
-            allocated: 0,
             channel: SerializedResource::new(spec.ddr3l_bytes_per_sec),
         }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Bytes still available.
-    pub fn available(&self) -> usize {
-        self.capacity - self.allocated
-    }
-
-    /// Reserves `bytes` of capacity, returning the base offset or `None`
-    /// when the device is full.
-    pub fn allocate(&mut self, bytes: usize) -> Option<u64> {
-        if bytes > self.available() {
-            return None;
-        }
-        let base = self.allocated as u64;
-        self.allocated += bytes;
-        Some(base)
-    }
-
-    /// Releases `bytes` of capacity (bump-style accounting: only totals are
-    /// tracked, which is sufficient for the capacity-pressure experiments).
-    pub fn free(&mut self, bytes: usize) {
-        self.allocated = self.allocated.saturating_sub(bytes);
     }
 
     /// Schedules a transfer of `bytes` through the DDR3L channel.
@@ -128,10 +67,6 @@ pub struct MemorySystem {
     pub ddr3l: Ddr3l,
     /// The scratchpad.
     pub scratchpad: Scratchpad,
-    /// L1 description (used by the energy model and reports).
-    pub l1: CacheSpec,
-    /// L2 description.
-    pub l2: CacheSpec,
 }
 
 impl MemorySystem {
@@ -140,14 +75,6 @@ impl MemorySystem {
         MemorySystem {
             ddr3l: Ddr3l::new(spec),
             scratchpad: Scratchpad::new(spec),
-            l1: CacheSpec {
-                capacity: spec.l1_bytes,
-                latency_cycles: CacheSpec::l1_prototype().latency_cycles,
-            },
-            l2: CacheSpec {
-                capacity: spec.l2_bytes,
-                latency_cycles: CacheSpec::l2_prototype().latency_cycles,
-            },
         }
     }
 }
@@ -158,19 +85,6 @@ mod tests {
 
     fn spec() -> PlatformSpec {
         PlatformSpec::paper_prototype()
-    }
-
-    #[test]
-    fn ddr3l_capacity_accounting() {
-        let mut d = Ddr3l::new(&spec());
-        assert_eq!(d.capacity(), 1 << 30);
-        let a = d.allocate(512 << 20).unwrap();
-        assert_eq!(a, 0);
-        let b = d.allocate(256 << 20).unwrap();
-        assert_eq!(b, 512 << 20);
-        assert!(d.allocate(512 << 20).is_none());
-        d.free(256 << 20);
-        assert!(d.allocate(400 << 20).is_some());
     }
 
     #[test]
@@ -185,9 +99,10 @@ mod tests {
 
     #[test]
     fn memory_system_bundles_prototype_parameters() {
-        let m = MemorySystem::new(&spec());
-        assert_eq!(m.l1.capacity, 64 * 1024);
-        assert_eq!(m.l2.capacity, 512 * 1024);
-        assert_eq!(m.ddr3l.capacity(), 1 << 30);
+        let mut m = MemorySystem::new(&spec());
+        // The bundled DDR3L runs at the prototype's 6.4 GB/s.
+        let res = m.ddr3l.transfer(SimTime::ZERO, 6_400_000);
+        assert_eq!(res.end.saturating_since(res.start).as_ns(), 1_000_000);
+        assert_eq!(m.ddr3l.utilization(res.end), 1.0);
     }
 }

@@ -41,8 +41,8 @@ impl UtilizationTracker {
     }
 }
 
-/// A `(time, value)` series sampled at irregular instants; used for the
-/// function-unit-utilization and power timelines of Figure 15.
+/// A `(time, value)` series on a fixed grid, built by [`bucketed`]; used
+/// for the function-unit-utilization and power timelines of Figure 15.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
@@ -54,19 +54,7 @@ impl TimeSeries {
         TimeSeries::default()
     }
 
-    /// Appends a sample. Out-of-order samples are rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the last recorded sample.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(at >= last, "time series sample out of order");
-        }
-        self.points.push((at, value));
-    }
-
-    /// All recorded points.
+    /// All points, in time order.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
     }
@@ -76,7 +64,7 @@ impl TimeSeries {
         self.points.len()
     }
 
-    /// True if no samples were recorded.
+    /// True if the series has no samples.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
@@ -148,14 +136,6 @@ mod tests {
         assert_eq!(u.busy_time().as_ns(), 70);
         assert!((u.utilization(SimTime::from_ns(100)) - 0.7).abs() < 1e-9);
         assert_eq!(u.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn time_series_rejects_out_of_order() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_ns(10), 1.0);
-        ts.record(SimTime::from_ns(5), 2.0);
     }
 
     #[test]

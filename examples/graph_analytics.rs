@@ -45,10 +45,10 @@ fn main() {
             name,
             "SIMD",
             simd.finished_at.as_secs_f64() * 1e3,
-            simd.throughput_mb_s(),
-            simd.energy.data_movement_j,
-            simd.energy.computation_j,
-            simd.energy.storage_access_j,
+            throughput_mb_s(simd.bytes_processed, simd.finished_at),
+            simd.energy.breakdown.data_movement_j,
+            simd.energy.breakdown.computation_j,
+            simd.energy.breakdown.storage_access_j,
         );
 
         let mut accelerator =
@@ -59,7 +59,7 @@ fn main() {
             name,
             "IntraO3",
             fa.finished_at.as_secs_f64() * 1e3,
-            fa.throughput_mb_s(),
+            throughput_mb_s(fa.bytes_processed, fa.finished_at),
             fa.energy.breakdown.data_movement_j,
             fa.energy.breakdown.computation_j,
             fa.energy.breakdown.storage_access_j,

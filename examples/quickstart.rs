@@ -57,9 +57,9 @@ fn main() {
     );
     println!(
         "  throughput           : {:.1} MB/s",
-        outcome.throughput_mb_s()
+        throughput_mb_s(outcome.bytes_processed, outcome.finished_at)
     );
-    let (min, avg, max) = outcome.latency_stats();
+    let (min, avg, max) = latency_stats(&outcome.kernel_latencies);
     println!(
         "  kernel latency        : min {:.3} ms / avg {:.3} ms / max {:.3} ms",
         min * 1e3,

@@ -43,12 +43,12 @@ fn main() {
     // The conventional baseline first.
     let mut simd = ConventionalSystem::new(BaselineConfig::paper_baseline());
     let base = simd.run(&apps);
-    let (_, base_avg, _) = base.latency_stats();
+    let (_, base_avg, _) = latency_stats(&base.kernel_latencies);
     println!(
         "{:<10}  {:>12.2}  {:>12.1}  {:>14.2}  {:>10.3}",
         "SIMD",
         base.finished_at.as_secs_f64() * 1e3,
-        base.throughput_mb_s(),
+        throughput_mb_s(base.bytes_processed, base.finished_at),
         base_avg * 1e3,
         base.energy.total_j()
     );
@@ -57,12 +57,12 @@ fn main() {
     for policy in SchedulerPolicy::all() {
         let mut system = FlashAbacusSystem::new(FlashAbacusConfig::paper_prototype(policy));
         let out = system.run(&apps).expect("run completes");
-        let (_, avg, _) = out.latency_stats();
+        let (_, avg, _) = latency_stats(&out.kernel_latencies);
         println!(
             "{:<10}  {:>12.2}  {:>12.1}  {:>14.2}  {:>10.3}",
             policy.label(),
             out.finished_at.as_secs_f64() * 1e3,
-            out.throughput_mb_s(),
+            throughput_mb_s(out.bytes_processed, out.finished_at),
             avg * 1e3,
             out.energy.total_j()
         );

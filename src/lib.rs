@@ -27,6 +27,7 @@ pub use flashabacus;
 pub mod prelude {
     pub use fa_baseline::{BaselineConfig, ConventionalSystem};
     pub use fa_kernel::instance::{instantiate_many, InstancePlan};
+    pub use fa_kernel::latency::{completion_cdf, latency_stats, throughput_mb_s};
     pub use fa_kernel::model::{AppId, Application, ApplicationBuilder, DataSection};
     pub use fa_platform::lwp::InstructionMix;
     pub use fa_workloads::bigdata::{bigdata_app, BigDataBench};

@@ -357,16 +357,16 @@ fn outcome_text(out: &RunOutcome) -> String {
         out.worker_utilization,
         out.flashvisor_utilization,
         out.storengine_utilization,
-        timeline(&out.fu_timeline),
-        timeline(&out.power_timeline),
+        timeline(&out.energy.fu_timeline),
+        timeline(&out.energy.power_timeline),
         out.flash_group_reads,
         out.flash_group_writes,
         out.gc_passes,
         out.journal_dumps,
         out.foreground_read_p99_s,
-        out.wear_min_erases,
-        out.wear_max_erases,
-        out.wear_stddev_erases,
+        out.wear.min_erases,
+        out.wear.max_erases,
+        out.wear.stddev_erases,
         out.gc_migrated_bytes_per_reclaimed_byte,
         out.hot_group_writes,
         out.cold_group_writes,
@@ -402,12 +402,12 @@ fn baseline_outcomes() -> String {
              fu_timeline {}\npower_timeline {}\n",
             out.finished_at.as_ns(),
             out.bytes_processed,
-            out.energy,
+            out.energy.breakdown,
             out.lwp_utilization,
             out.time_breakdown,
             out.host_cpu_utilization,
-            timeline(&out.fu_timeline),
-            timeline(&out.power_timeline),
+            timeline(&out.energy.fu_timeline),
+            timeline(&out.energy.power_timeline),
         ));
         for k in &out.kernel_latencies {
             text.push_str(&format!(
@@ -415,7 +415,7 @@ fn baseline_outcomes() -> String {
                 k.app_name,
                 k.app_index,
                 k.kernel_index,
-                k.started_at.as_ns(),
+                k.offloaded_at.as_ns(),
                 k.completed_at.as_ns()
             ));
         }
