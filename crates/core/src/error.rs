@@ -24,11 +24,6 @@ pub enum FaError {
     },
     /// A logical address outside any mapped data section was accessed.
     UnmappedAddress(u64),
-    /// The accelerator's DDR3L could not hold the requested data section.
-    Ddr3lExhausted {
-        /// Bytes requested.
-        requested: u64,
-    },
     /// The workload handed to the system was empty or malformed.
     InvalidWorkload(String),
     /// The scheduler reached a state where nothing can make progress.
@@ -50,9 +45,6 @@ impl fmt::Display for FaError {
                 write!(f, "range lock conflict on [{}, {})", range.0, range.1)
             }
             FaError::UnmappedAddress(a) => write!(f, "unmapped logical flash address {a:#x}"),
-            FaError::Ddr3lExhausted { requested } => {
-                write!(f, "DDR3L exhausted: {requested} bytes requested")
-            }
             FaError::InvalidWorkload(msg) => write!(f, "invalid workload: {msg}"),
             FaError::SchedulerStalled(msg) => write!(f, "scheduler stalled: {msg}"),
         }

@@ -141,17 +141,12 @@ impl Event {
 }
 
 /// The foreground of a run: a closed-loop [`Batch`] or an open-loop
-/// campaign (`openloop.rs`). Until the foreground is `done`, the driver
-/// calls `dispatch` before every event pop; it hands each foreground
-/// event to `handle`, and calls `finish` once, when `done` first holds.
+/// campaign (`openloop.rs`). The driver hands each foreground event to
+/// `handle`, which also starts whatever work the event makes ready, and
+/// calls `finish` once, when `done` first holds.
 pub(crate) trait Foreground {
     /// True once the foreground can produce no further event.
     fn done(&self) -> bool;
-
-    /// Starts the work that is ready before the next event pops.
-    fn dispatch(&mut self, _sys: &mut FlashAbacusSystem) -> Result<(), FaError> {
-        Ok(())
-    }
 
     /// Handles one foreground event due at `at`.
     fn handle(
@@ -308,6 +303,7 @@ impl FlashAbacusSystem {
 
         // Phase 3: schedule.
         let mut batch = Batch::new(apps, self, offload_times, offload_end);
+        batch.dispatch(self)?;
         self.drive(&mut batch)?;
 
         // Phase 4: release every mapping.
@@ -369,19 +365,14 @@ impl FlashAbacusSystem {
     }
 
     /// The run driver: the one loop that pops simulation events, in
-    /// (time, [`Rank`], insertion) order. Until the foreground is done it
-    /// dispatches before every pop; once done it finishes, and the loop
-    /// drains the storage tasks that are left. A power loss armed past
-    /// the end of all activity fires last.
+    /// (time, [`Rank`], insertion) order. Once the foreground is done it
+    /// finishes, and the loop drains the storage tasks that are left. A
+    /// power loss armed past the end of all activity fires last.
     pub(crate) fn drive(&mut self, fg: &mut impl Foreground) -> Result<(), FaError> {
         let mut ended = None;
         loop {
-            if ended.is_none() {
-                if fg.done() {
-                    ended = Some(fg.finish(self)?);
-                } else {
-                    fg.dispatch(self)?;
-                }
+            if ended.is_none() && fg.done() {
+                ended = Some(fg.finish(self)?);
             }
             let Some((at, event)) = self.events.pop() else {
                 break;
@@ -421,7 +412,7 @@ impl FlashAbacusSystem {
                 let pcie = self.pcie.dma(cursor, bytes);
                 // The payload continues over the tier-1 crossbar into DDR3L.
                 let xbar = self.tier1.transfer(pcie.end, bytes);
-                let ddr = self.memory.ddr3l.transfer(xbar.end, bytes);
+                let ddr = self.memory.ddr3l.reserve(xbar.end, bytes);
                 self.energy.record(
                     Component::Pcie,
                     ActivityCategory::DataMovement,
@@ -467,7 +458,7 @@ impl FlashAbacusSystem {
         // share the same devices, so per-request charging would double
         // count).
         let xbar = self.tier1.transfer(t.finished, slice.input_len);
-        let ddr = self.memory.ddr3l.transfer(xbar.end, slice.input_len);
+        let ddr = self.memory.ddr3l.reserve(xbar.end, slice.input_len);
         Ok(ddr.end)
     }
 
@@ -484,7 +475,7 @@ impl FlashAbacusSystem {
         if slice.output_len == 0 {
             return Ok(now);
         }
-        let ddr = self.memory.ddr3l.transfer(now, slice.output_len);
+        let ddr = self.memory.ddr3l.reserve(now, slice.output_len);
         let t = self.flashvisor.write_section(
             ddr.end,
             flash_base + slice.output_start,
@@ -686,8 +677,7 @@ impl FlashAbacusSystem {
     ) -> SimTime {
         let lwp = &mut self.workers[worker];
         let est = lwp.estimate(&screen.mix, screen.bytes_touched());
-        let start = ready.max(lwp.next_free());
-        let res = lwp.execute(start, &est);
+        let res = lwp.execute(ready, &est);
         let busy_fus = est.occupancy.mean_busy_fus(lwp.spec(), est.cycles);
         self.energy.record_compute(res.start, res.end, busy_fus);
         res.end
@@ -844,9 +834,9 @@ impl FlashAbacusSystem {
     }
 }
 
-/// A closed-loop batch as the driver's foreground. Before every event
-/// the configured policy dispatches ready screens onto workers with a
-/// free queue slot; each screen completion retires its screen. With
+/// A closed-loop batch as the driver's foreground. When the batch starts
+/// and after each screen completion retires its screen, the configured
+/// policy dispatches ready screens onto workers with a free queue slot. With
 /// buffered writes a finished kernel's output waits in the DDR3L write
 /// buffer, and the finish step flushes it at the retire frontier.
 struct Batch<'a> {
@@ -870,6 +860,9 @@ struct Batch<'a> {
     /// reservations) never go backwards past this point, which keeps the
     /// FIFO resource models causal.
     frontier: SimTime,
+    /// Workers with a free queue slot in dispatch order, one buffer reused
+    /// by every dispatch pass.
+    worker_order: Vec<usize>,
 }
 
 impl<'a> Batch<'a> {
@@ -911,6 +904,80 @@ impl<'a> Batch<'a> {
             ],
             deferred_flushes: Vec::new(),
             frontier: offload_end,
+            worker_order: Vec::with_capacity(sys.workers.len()),
+        }
+    }
+
+    /// Gives every worker with a free queue slot (fewest-in-flight,
+    /// earliest-free first) one screen if the policy has one for it,
+    /// repeating until no such worker can be matched with a ready screen.
+    /// The second slot prefetches the next screen's input while the first
+    /// computes. Runs once when the batch starts and after every retire:
+    /// nothing else changes what the policy can pick, so a pass at any
+    /// other instant would start nothing.
+    fn dispatch(&mut self, sys: &mut FlashAbacusSystem) -> Result<(), FaError> {
+        if self.done() {
+            return Ok(());
+        }
+        let mut order = std::mem::take(&mut self.worker_order);
+        loop {
+            order.clear();
+            order.extend(
+                (0..self.workers.len()).filter(|&w| self.workers[w].in_flight < WORKER_QUEUE_DEPTH),
+            );
+            order
+                .sort_unstable_by_key(|&w| (self.workers[w].in_flight, self.workers[w].free_at, w));
+            let picked = order
+                .iter()
+                .find_map(|&w| self.pick_screen(w).map(|(sref, ipc)| (w, sref, ipc)));
+            let Some((worker, sref, needs_ipc)) = picked else {
+                self.worker_order = order;
+                // Nothing in flight and nothing ready: no event can ever
+                // unlock the rest of the chain.
+                if self.workers.iter().all(|w| w.in_flight == 0) {
+                    return Err(FaError::SchedulerStalled(format!(
+                        "{} screens completed of {}",
+                        self.chain.completed_screens(),
+                        self.chain.total_screens()
+                    )));
+                }
+                return Ok(());
+            };
+            self.chain.mark_running(sref, worker);
+            // A screen may not start before its kernel was offloaded, and
+            // dispatches never precede the retire frontier.
+            let kernel_offloaded = self
+                .offload_times
+                .get(&(sref.app, sref.kernel))
+                .copied()
+                .unwrap_or(self.offload_end);
+            let mut dispatch_at = self.frontier.max(kernel_offloaded);
+            if needs_ipc && !self.workers[worker].booted {
+                // First use of the worker: PSC sleep/boot sequence.
+                dispatch_at = sys.workers[worker].boot_kernel(dispatch_at);
+                self.workers[worker].booted = true;
+            }
+            // Dispatch overhead: a scheduling decision on Flashvisor plus
+            // a message-queue hop to the worker. Then stage the screen's
+            // input and compute; the output flushes at retire time, so
+            // shared resources see requests in non-decreasing time order.
+            if needs_ipc {
+                let decided = sys.flashvisor.charge_scheduling_decision(dispatch_at);
+                dispatch_at = sys.msgq.send(decided);
+            }
+            let kernel = &self.apps[sref.app].kernels[sref.kernel];
+            let slice = &self.slices[&sref];
+            let data_ready = sys.stage_input(dispatch_at, kernel.data_section.flash_base, slice)?;
+            let screen = &kernel.microblocks[sref.microblock].screens[sref.screen];
+            let end = sys.compute_screen(worker, screen, data_ready);
+            self.workers[worker].in_flight += 1;
+            sys.schedule(
+                end,
+                Event::Screen {
+                    screen: sref,
+                    worker,
+                },
+            );
         }
     }
 
@@ -977,70 +1044,6 @@ impl Foreground for Batch<'_> {
         self.chain.is_complete()
     }
 
-    /// Gives every worker with a free queue slot (fewest-in-flight,
-    /// earliest-free first) one screen if the policy has one for it,
-    /// repeating until no such worker can be matched with a ready screen.
-    /// The second slot prefetches the next screen's input while the first
-    /// computes.
-    fn dispatch(&mut self, sys: &mut FlashAbacusSystem) -> Result<(), FaError> {
-        loop {
-            let mut available: Vec<usize> = (0..self.workers.len())
-                .filter(|&w| self.workers[w].in_flight < WORKER_QUEUE_DEPTH)
-                .collect();
-            available.sort_by_key(|&w| (self.workers[w].in_flight, self.workers[w].free_at, w));
-            let picked = available
-                .into_iter()
-                .find_map(|w| self.pick_screen(w).map(|(sref, ipc)| (w, sref, ipc)));
-            let Some((worker, sref, needs_ipc)) = picked else {
-                // Nothing in flight and nothing ready: no event can ever
-                // unlock the rest of the chain.
-                if self.workers.iter().all(|w| w.in_flight == 0) {
-                    return Err(FaError::SchedulerStalled(format!(
-                        "{} screens completed of {}",
-                        self.chain.completed_screens(),
-                        self.chain.total_screens()
-                    )));
-                }
-                return Ok(());
-            };
-            self.chain.mark_running(sref, worker);
-            // A screen may not start before its kernel was offloaded, and
-            // dispatches never precede the retire frontier.
-            let kernel_offloaded = self
-                .offload_times
-                .get(&(sref.app, sref.kernel))
-                .copied()
-                .unwrap_or(self.offload_end);
-            let mut dispatch_at = self.frontier.max(kernel_offloaded);
-            if needs_ipc && !self.workers[worker].booted {
-                // First use of the worker: PSC sleep/boot sequence.
-                dispatch_at = sys.workers[worker].boot_kernel(dispatch_at);
-                self.workers[worker].booted = true;
-            }
-            // Dispatch overhead: a scheduling decision on Flashvisor plus
-            // a message-queue hop to the worker. Then stage the screen's
-            // input and compute; the output flushes at retire time, so
-            // shared resources see requests in non-decreasing time order.
-            if needs_ipc {
-                let decided = sys.flashvisor.charge_scheduling_decision(dispatch_at);
-                dispatch_at = sys.msgq.send(decided);
-            }
-            let kernel = &self.apps[sref.app].kernels[sref.kernel];
-            let slice = &self.slices[&sref];
-            let data_ready = sys.stage_input(dispatch_at, kernel.data_section.flash_base, slice)?;
-            let screen = &kernel.microblocks[sref.microblock].screens[sref.screen];
-            let end = sys.compute_screen(worker, screen, data_ready);
-            self.workers[worker].in_flight += 1;
-            sys.schedule(
-                end,
-                Event::Screen {
-                    screen: sref,
-                    worker,
-                },
-            );
-        }
-    }
-
     /// Retires a screen: frees its worker and unlocks successor
     /// microblocks. When the screen finishes a kernel, the kernel's whole
     /// output region (accumulated in the DDR3L write buffer during
@@ -1082,7 +1085,8 @@ impl Foreground for Batch<'_> {
         state.in_flight = state.in_flight.saturating_sub(1);
         state.free_at = done_at.max(state.free_at);
         self.frontier = self.frontier.max(at);
-        sys.maybe_power_loss(at)
+        sys.maybe_power_loss(at)?;
+        self.dispatch(sys)
     }
 
     /// Drains the DDR3L write buffer: every deferred output region is

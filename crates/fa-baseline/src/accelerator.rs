@@ -63,8 +63,7 @@ impl SimdAccelerator {
             if mblock.is_serial() {
                 let screen = &mblock.screens[0];
                 let est = self.cores[0].estimate(&screen.mix, screen.bytes_touched());
-                let start = cursor.max(self.cores[0].next_free());
-                let res = self.cores[0].execute(start, &est);
+                let res = self.cores[0].execute(cursor, &est);
                 lwp_busy += est.duration;
                 let spec = *self.cores[0].spec();
                 regions.push(RegionExecution {
@@ -89,8 +88,7 @@ impl SimdAccelerator {
                 let mut busy_fus_total = 0.0;
                 for lwp in 0..self.active {
                     let est = self.cores[lwp].estimate(&per_lwp, total_bytes / self.active as u64);
-                    let start = cursor.max(self.cores[lwp].next_free());
-                    let res = self.cores[lwp].execute(start, &est);
+                    let res = self.cores[lwp].execute(cursor, &est);
                     lwp_busy += est.duration;
                     let spec = *self.cores[lwp].spec();
                     busy_fus_total += est.occupancy.mean_busy_fus(&spec, est.cycles);
@@ -109,18 +107,6 @@ impl SimdAccelerator {
             lwp_busy,
             regions,
         }
-    }
-
-    /// Mean utilization of the active LWPs up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if self.active == 0 {
-            return 0.0;
-        }
-        self.cores[..self.active]
-            .iter()
-            .map(|c| c.utilization(now))
-            .sum::<f64>()
-            / self.active as f64
     }
 
     /// Per-LWP utilization (all eight, including inactive ones) up to `now`.
@@ -188,7 +174,8 @@ mod tests {
         assert!(exec.lwp_busy > SimDuration::ZERO);
         assert!(exec.end > SimTime::from_us(100));
         assert!(exec.regions[1].busy_fus > exec.regions[0].busy_fus);
-        assert!(acc.utilization(exec.end) > 0.0);
-        assert_eq!(acc.per_lwp_utilization(exec.end).len(), 8);
+        let utilization = acc.per_lwp_utilization(exec.end);
+        assert_eq!(utilization.len(), 8);
+        assert!(utilization[0] > 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! The discrete NVMe SSD of the conventional system.
 
 use crate::config::SsdSpec;
-use fa_sim::resource::{Reservation, SerializedResource};
+use fa_sim::resource::{FifoServer, Reservation};
 use fa_sim::time::{SimDuration, SimTime};
 
 /// A bandwidth/latency model of a high-performance PCIe NVMe SSD.
@@ -12,9 +12,7 @@ use fa_sim::time::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct NvmeSsd {
     spec: SsdSpec,
-    device: SerializedResource,
-    reads: u64,
-    writes: u64,
+    device: FifoServer,
 }
 
 impl NvmeSsd {
@@ -22,11 +20,7 @@ impl NvmeSsd {
     pub(crate) fn new(spec: SsdSpec) -> Self {
         NvmeSsd {
             spec,
-            // The serialized resource carries the slower (write) bandwidth;
-            // reads scale their service time explicitly below.
-            device: SerializedResource::new(spec.read_bytes_per_sec),
-            reads: 0,
-            writes: 0,
+            device: FifoServer::new(),
         }
     }
 
@@ -34,28 +28,14 @@ impl NvmeSsd {
     pub(crate) fn read(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let service = self.spec.command_latency
             + SimDuration::for_transfer(bytes, self.spec.read_bytes_per_sec);
-        let res = self.device.reserve_duration(now, service);
-        self.reads += 1;
-        res
+        self.device.serve(now, service)
     }
 
     /// Issues a write of `bytes`, returning its service window.
     pub(crate) fn write(&mut self, now: SimTime, bytes: u64) -> Reservation {
         let service = self.spec.command_latency
             + SimDuration::for_transfer(bytes, self.spec.write_bytes_per_sec);
-        let res = self.device.reserve_duration(now, service);
-        self.writes += 1;
-        res
-    }
-
-    /// Commands issued so far.
-    pub fn commands(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Device busy fraction up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.device.utilization(now)
+        self.device.serve(now, service)
     }
 }
 
@@ -94,6 +74,5 @@ mod tests {
         let a = ssd.read(SimTime::ZERO, 1 << 20);
         let b = ssd.write(SimTime::ZERO, 1 << 20);
         assert_eq!(b.start, a.end);
-        assert_eq!(ssd.commands(), 2);
     }
 }

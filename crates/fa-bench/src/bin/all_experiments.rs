@@ -1,5 +1,6 @@
 //! Runs every table and figure of the evaluation and prints a consolidated
-//! report (the source for `EXPERIMENTS.md`).
+//! report: the per-figure binaries README's "Running the experiments"
+//! lists, in one run.
 use fa_bench::experiments::{
     fig10_throughput, fig11_latency, fig12_cdf, fig13_energy, fig14_utilization, fig15_timeline,
     fig16_bigdata, fig3_motivation, tables, Campaign,

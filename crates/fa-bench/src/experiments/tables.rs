@@ -6,7 +6,8 @@ use fa_platform::PlatformSpec;
 use fa_workloads::mixes::{mix_app_names, MIX_COUNT};
 use fa_workloads::polybench::polybench_table2;
 
-/// Renders Table 1: the hardware specification of the prototype.
+/// Renders Table 1: the hardware specification of the prototype, with a
+/// footnote that the cache and DDR3L capacities are stated, not modelled.
 pub fn table1() -> String {
     let p = PlatformSpec::paper_prototype();
     let g = FlashGeometry::paper_prototype();
@@ -90,7 +91,12 @@ pub fn table1() -> String {
         "-".into(),
         format!("{} GB/s", p.tier2_bytes_per_sec / 1e9),
     ]);
-    table.render()
+    let mut out = table.render();
+    out.push_str(
+        "Note: the L1/L2 cache and DDR3L sizes are the paper's; the simulator models \
+         DDR3L bandwidth, not cache or DDR3L capacity.\n",
+    );
+    out
 }
 
 /// Renders Table 2: workload characteristics plus the regenerated mix
@@ -155,6 +161,7 @@ mod tests {
         }
         assert!(t.contains("8 processors"));
         assert!(t.contains("32 GB"));
+        assert!(t.contains("not cache or DDR3L capacity"));
     }
 
     #[test]

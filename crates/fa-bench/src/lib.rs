@@ -17,7 +17,8 @@
 //! mix compositions by the regeneration its "Heterogeneous mix generator"
 //! section describes — but the comparisons the paper
 //! draws (who wins, by roughly what factor, where the crossovers are) are
-//! expected to hold and are what `EXPERIMENTS.md` records.
+//! expected to hold. README's "Running the experiments" lists the command
+//! that regenerates each table and figure.
 
 pub mod experiments;
 pub mod perf;

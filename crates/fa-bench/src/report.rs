@@ -2,8 +2,8 @@
 //!
 //! Every experiment binary prints a fixed-width table (rows = workloads,
 //! columns = systems or metrics) plus, where the paper uses one, a series
-//! listing. The format is intentionally stable so `EXPERIMENTS.md` and CI
-//! logs can diff runs.
+//! listing. The format is intentionally stable so two runs of a figure
+//! binary (for example serial against parallel in CI) can be diffed.
 
 use std::fmt::Write as _;
 

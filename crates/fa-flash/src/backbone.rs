@@ -18,7 +18,7 @@ use crate::owner::{
 };
 use crate::timing::FlashTiming;
 use crate::validindex::ValidPageIndex;
-use fa_sim::resource::SerializedResource;
+use fa_sim::resource::FifoServer;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -107,7 +107,7 @@ pub struct FlashBackbone {
     geometry: FlashGeometry,
     timing: FlashTiming,
     channels: Vec<ChannelController>,
-    srio: SerializedResource,
+    srio: FifoServer,
     /// Backbone-wide GC-victim index, updated on every command that
     /// changes page state. Storengine's GC victim selection reads this.
     valid_index: ValidPageIndex,
@@ -128,9 +128,8 @@ pub struct FlashBackbone {
     /// (dense by [`OwnerId::dense_index`]), for tail-latency quantiles
     /// (p99 of one kernel under concurrent GC).
     read_latencies: Vec<Vec<u64>>,
-    /// SRIO service time for one page-sized transfer, precomputed so the
-    /// per-page step skips the bytes-to-duration conversion (identical
-    /// value to what `srio.reserve` would derive).
+    /// SRIO service time for one page-sized transfer, derived once from
+    /// the SRIO bandwidth: every SRIO transfer moves exactly one page.
     srio_page_service: SimDuration,
     /// The installed fault plan, if any. `None` (the default) means no
     /// channel carries fault state and every hook is one dead branch —
@@ -160,7 +159,7 @@ impl FlashBackbone {
             geometry,
             timing,
             channels,
-            srio: SerializedResource::new(srio_bytes_per_sec),
+            srio: FifoServer::new(),
             valid_index: ValidPageIndex::new(
                 geometry.total_blocks() as usize,
                 geometry.pages_per_block,
@@ -424,10 +423,7 @@ impl FlashBackbone {
             FlashOp::ReadPage => {
                 let done = channel.execute(now, op, addr, owner)?;
                 // Read data crosses the SRIO lanes back to the network.
-                let end = self
-                    .srio
-                    .reserve_prepaid(done, page_bytes, self.srio_page_service)
-                    .end;
+                let end = self.srio.serve(done, self.srio_page_service).end;
                 self.stats.reads += 1;
                 self.stats.srio_bytes += page_bytes;
                 by_owner.reads += 1;
@@ -440,10 +436,7 @@ impl FlashBackbone {
             FlashOp::ProgramPage => {
                 // Write data crosses SRIO before it reaches the channel; the
                 // reservation stands even if the program then fails.
-                let start = self
-                    .srio
-                    .reserve_prepaid(now, page_bytes, self.srio_page_service)
-                    .end;
+                let start = self.srio.serve(now, self.srio_page_service).end;
                 let before = channel.block_counts(addr);
                 match channel.execute(start, op, addr, owner) {
                     Ok(done) => {
@@ -572,14 +565,10 @@ impl FlashBackbone {
         flats: std::ops::Range<u64>,
         owner: OwnerId,
     ) {
-        let page_bytes = self.geometry.page_bytes as u64;
         let mut pad = failed;
         for flat in flats {
             pad = next_flat_addr(&self.geometry, pad);
-            let start = self
-                .srio
-                .reserve_prepaid(now, page_bytes, self.srio_page_service)
-                .end;
+            let start = self.srio.serve(now, self.srio_page_service).end;
             let channel = &mut self.channels[pad.channel];
             let before = channel.block_counts(pad);
             match channel.execute(start, FlashOp::ProgramPage, pad, owner) {
@@ -1397,6 +1386,34 @@ mod tests {
             .unwrap();
         assert_eq!(b.total_valid_pages(), 5);
         assert_eq!(b.recount_valid_pages(), 5);
+    }
+
+    #[test]
+    fn idle_page_commands_pay_each_stage_once() {
+        // The SRIO and channel-bus page services are derived once from
+        // their rates; on an idle backbone each command pays each exactly
+        // once, equal to the transfer time at that rate.
+        let timing = FlashTiming::fast_for_tests();
+        let srio_rate = 2.0e9;
+        let mut b =
+            FlashBackbone::new(FlashGeometry::tiny_for_tests(), timing, srio_rate, 8, 1_000);
+        let page_bytes = b.geometry().page_bytes as u64;
+        let srio = SimDuration::for_transfer(page_bytes, srio_rate);
+        let bus = SimDuration::for_transfer(page_bytes, timing.channel_bytes_per_sec);
+        let addr = PhysicalPageAddr::new(0, 0, 0, 0);
+        let program = b
+            .submit(SimTime::ZERO, FlashCommand::program(addr))
+            .unwrap();
+        assert_eq!(
+            program.finished,
+            SimTime::ZERO + srio + timing.controller_overhead + bus + timing.program_page
+        );
+        let at = SimTime::from_ms(1);
+        let read = b.submit(at, FlashCommand::read(addr)).unwrap();
+        assert_eq!(
+            read.finished,
+            at + timing.controller_overhead + timing.read_page + bus + srio
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::fault::{FaultOp, FaultState};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
 use crate::owner::{OwnerId, QosBudgets};
 use crate::timing::FlashTiming;
-use fa_sim::resource::SerializedResource;
+use fa_sim::resource::FifoServer;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -44,12 +44,12 @@ pub struct ChannelStats {
 pub struct ChannelController {
     index: usize,
     dies: Vec<FlashDie>,
-    bus: SerializedResource,
+    bus: FifoServer,
     timing: FlashTiming,
     page_bytes: usize,
-    /// Bus time for one page-sized transfer, precomputed so the
-    /// per-command path skips the bytes-to-duration conversion (identical
-    /// to `timing.page_transfer(page_bytes)`).
+    /// Bus time for one page-sized transfer, derived once from the channel
+    /// bandwidth (`timing.page_transfer(page_bytes)`): every bus transfer
+    /// moves exactly one page.
     page_xfer: SimDuration,
     inbound_tags: usize,
     /// Per-owner outstanding-command budgets; unlimited by default, which
@@ -108,7 +108,7 @@ impl ChannelController {
         ChannelController {
             index,
             dies,
-            bus: SerializedResource::new(timing.channel_bytes_per_sec),
+            bus: FifoServer::new(),
             timing,
             page_bytes: geometry.page_bytes,
             page_xfer: timing.page_transfer(geometry.page_bytes),
@@ -372,7 +372,7 @@ impl ChannelController {
                     sense.end
                 };
                 // Data comes off the array, then crosses the channel bus.
-                let xfer = self.bus.reserve_duration(sense_end, self.page_xfer);
+                let xfer = self.bus.serve(sense_end, self.page_xfer);
                 self.stats.reads += 1;
                 self.stats.bytes_transferred += page_bytes as u64;
                 if faulted {
@@ -385,7 +385,7 @@ impl ChannelController {
             }
             FlashOp::ProgramPage => {
                 // Data crosses the bus into the die's page register first.
-                let xfer = self.bus.reserve_duration(admitted, self.page_xfer);
+                let xfer = self.bus.serve(admitted, self.page_xfer);
                 let prog = die.program_page(xfer.end, addr.block, addr.page, &timing)?;
                 self.stats.programs += 1;
                 self.stats.bytes_transferred += page_bytes as u64;

@@ -20,6 +20,6 @@ pub mod noc;
 pub mod spec;
 
 pub use lwp::{ExecutionEstimate, FuOccupancy, InstructionMix, LwpCore, LwpSpec};
-pub use mem::{Ddr3l, MemorySystem, Scratchpad};
+pub use mem::{MemorySystem, Scratchpad};
 pub use noc::{Crossbar, MessageQueue, PcieLink};
 pub use spec::PlatformSpec;

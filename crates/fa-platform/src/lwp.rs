@@ -15,7 +15,6 @@
 
 use crate::spec::PlatformSpec;
 use fa_sim::resource::{FifoServer, Reservation};
-use fa_sim::stats::UtilizationTracker;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -167,7 +166,6 @@ pub struct ExecutionEstimate {
 pub struct LwpCore {
     spec: LwpSpec,
     run_queue: FifoServer,
-    busy: UtilizationTracker,
 }
 
 impl LwpCore {
@@ -176,7 +174,6 @@ impl LwpCore {
         LwpCore {
             spec,
             run_queue: FifoServer::new(),
-            busy: UtilizationTracker::new(),
         }
     }
 
@@ -235,14 +232,12 @@ impl LwpCore {
     /// Enqueues a code region for execution, returning its service window.
     /// Regions queue FIFO behind whatever the LWP is already running.
     pub fn execute(&mut self, now: SimTime, estimate: &ExecutionEstimate) -> Reservation {
-        let res = self.run_queue.serve(now, estimate.duration);
-        self.busy.add_busy(estimate.duration);
-        res
+        self.run_queue.serve(now, estimate.duration)
     }
 
     /// Busy fraction over the window ending at `now` (Figure 14's metric).
     pub fn utilization(&self, now: SimTime) -> f64 {
-        self.busy.utilization(now)
+        self.run_queue.utilization(now)
     }
 }
 

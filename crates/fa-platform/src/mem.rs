@@ -7,42 +7,7 @@
 //! serving them "as fast as an L2 cache" (§2.2).
 
 use crate::spec::PlatformSpec;
-use fa_sim::resource::{Reservation, SerializedResource};
-use fa_sim::time::SimTime;
-
-/// The DDR3L main memory of the accelerator.
-///
-/// Modelled as one bandwidth-serialized channel: staged inputs, offloaded
-/// kernel tables and buffered outputs queue for it in turn. Its capacity
-/// is not modelled; nothing allocates DDR3L space.
-#[derive(Debug, Clone)]
-pub struct Ddr3l {
-    channel: SerializedResource,
-}
-
-impl Ddr3l {
-    /// Creates a DDR3L device from the platform spec.
-    pub(crate) fn new(spec: &PlatformSpec) -> Self {
-        Ddr3l {
-            channel: SerializedResource::new(spec.ddr3l_bytes_per_sec),
-        }
-    }
-
-    /// Schedules a transfer of `bytes` through the DDR3L channel.
-    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Reservation {
-        self.channel.reserve(now, bytes)
-    }
-
-    /// Bytes moved through the device so far.
-    pub fn bytes_moved(&self) -> u64 {
-        self.channel.bytes_moved()
-    }
-
-    /// Busy fraction up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.channel.utilization(now)
-    }
-}
+use fa_sim::resource::SerializedResource;
 
 /// The 8-bank SRAM scratchpad that holds Flashvisor's mapping table.
 ///
@@ -63,8 +28,11 @@ impl Scratchpad {
 /// Convenience bundle of the accelerator memory system.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
-    /// The DDR3L device.
-    pub ddr3l: Ddr3l,
+    /// The DDR3L main memory, modelled as one bandwidth-serialized
+    /// channel: staged inputs, offloaded kernel tables and buffered
+    /// outputs queue for it in turn. Its capacity is not modelled;
+    /// nothing allocates DDR3L space.
+    pub ddr3l: SerializedResource,
     /// The scratchpad.
     pub scratchpad: Scratchpad,
 }
@@ -73,7 +41,7 @@ impl MemorySystem {
     /// Builds the full memory system from a platform spec.
     pub fn new(spec: &PlatformSpec) -> Self {
         MemorySystem {
-            ddr3l: Ddr3l::new(spec),
+            ddr3l: SerializedResource::new(spec.ddr3l_bytes_per_sec),
             scratchpad: Scratchpad::new(spec),
         }
     }
@@ -82,6 +50,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_sim::time::SimTime;
 
     fn spec() -> PlatformSpec {
         PlatformSpec::paper_prototype()
@@ -89,19 +58,18 @@ mod tests {
 
     #[test]
     fn ddr3l_transfer_time_matches_bandwidth() {
-        let mut d = Ddr3l::new(&spec());
-        let res = d.transfer(SimTime::ZERO, 64 << 20);
+        let mut m = MemorySystem::new(&spec());
+        let res = m.ddr3l.reserve(SimTime::ZERO, 64 << 20);
         // 64 MiB at 6.4 GB/s ≈ 10.49 ms.
         let ms = res.end.saturating_since(res.start).as_secs_f64() * 1e3;
         assert!((ms - 10.49).abs() < 0.2, "took {ms} ms");
-        assert_eq!(d.bytes_moved(), 64 << 20);
     }
 
     #[test]
     fn memory_system_bundles_prototype_parameters() {
         let mut m = MemorySystem::new(&spec());
         // The bundled DDR3L runs at the prototype's 6.4 GB/s.
-        let res = m.ddr3l.transfer(SimTime::ZERO, 6_400_000);
+        let res = m.ddr3l.reserve(SimTime::ZERO, 6_400_000);
         assert_eq!(res.end.saturating_since(res.start).as_ns(), 1_000_000);
         assert_eq!(m.ddr3l.utilization(res.end), 1.0);
     }

@@ -43,16 +43,6 @@ impl Crossbar {
             end: res.end + self.per_hop_latency,
         }
     }
-
-    /// Bytes moved so far.
-    pub fn bytes_moved(&self) -> u64 {
-        self.link.bytes_moved()
-    }
-
-    /// Busy fraction up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.link.utilization(now)
-    }
 }
 
 /// The PCIe link between the host and the accelerator.
@@ -80,16 +70,6 @@ impl PcieLink {
     /// signalling, BAR writes).
     pub fn doorbell(&self, now: SimTime) -> SimTime {
         now + self.doorbell_latency
-    }
-
-    /// Bytes moved so far.
-    pub fn bytes_moved(&self) -> u64 {
-        self.link.bytes_moved()
-    }
-
-    /// Busy fraction up to `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.link.utilization(now)
     }
 }
 

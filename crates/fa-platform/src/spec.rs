@@ -20,9 +20,12 @@ pub struct PlatformSpec {
     pub lwp_freq_hz: u64,
     /// Typical active power of one LWP in watts.
     pub lwp_power_w: f64,
-    /// Per-LWP L1 cache size in bytes.
+    /// Per-LWP L1 cache size in bytes, as the paper states it. Not
+    /// modelled: the LWP issue model charges a fixed miss ratio
+    /// ([`LwpSpec`](crate::LwpSpec)), and only Table 1 prints this.
     pub l1_bytes: usize,
-    /// Per-LWP L2 cache size in bytes.
+    /// Per-LWP L2 cache size in bytes, as the paper states it. Not
+    /// modelled, like [`PlatformSpec::l1_bytes`].
     pub l2_bytes: usize,
     /// Scratchpad capacity in bytes (4 MB, 8 banks).
     pub scratchpad_bytes: usize,
@@ -30,7 +33,9 @@ pub struct PlatformSpec {
     pub scratchpad_banks: usize,
     /// Scratchpad aggregate bandwidth in bytes/second (≈16 GB/s).
     pub scratchpad_bytes_per_sec: f64,
-    /// DDR3L capacity in bytes (1 GB).
+    /// DDR3L capacity in bytes (1 GB), as the paper states it. Not
+    /// modelled: the simulator models DDR3L bandwidth only, nothing
+    /// allocates DDR3L space, and only Table 1 prints this.
     pub ddr3l_bytes: usize,
     /// DDR3L bandwidth in bytes/second (6.4 GB/s).
     pub ddr3l_bytes_per_sec: f64,

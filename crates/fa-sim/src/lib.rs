@@ -13,10 +13,10 @@
 //!   broken by a caller-supplied rank and then insertion order.
 //! * [`crash`] — a one-shot power-loss trigger drivers poll to run the
 //!   crash/recovery protocol at an arbitrary simulated instant.
-//! * [`stats`] — busy-time trackers and the bucketed time series used to
-//!   produce the paper's figures.
-//! * [`resource`] — serialized-bandwidth and FIFO-server resource models
-//!   used by links, buses, and flash channels.
+//! * [`stats`] — the bucketed time series used to produce the paper's
+//!   timelines.
+//! * [`resource`] — the one reservation primitive, a FIFO server with busy
+//!   time, and its fixed-byte-rate form for links and memory channels.
 //! * [`rng`] — a tiny deterministic pseudo-random number generator so that
 //!   every experiment is exactly reproducible.
 //!
@@ -47,5 +47,5 @@ pub use crash::PowerLossClock;
 pub use event::EventQueue;
 pub use resource::{FifoServer, SerializedResource};
 pub use rng::DeterministicRng;
-pub use stats::{TimeSeries, UtilizationTracker};
+pub use stats::TimeSeries;
 pub use time::{SimDuration, SimTime};

@@ -1,45 +1,20 @@
-//! Shared-resource timing models.
+//! The reservation primitive behind every simulated resource.
 //!
-//! Two patterns recur throughout the simulated hardware:
-//!
-//! * A *serialized bandwidth resource*: a link, bus, or flash channel that
-//!   can move one transfer at a time at a fixed byte rate (PCIe, SRIO,
-//!   crossbar ports, NV-DDR2 channels, DDR3L, the host DMI link).
-//! * A *FIFO server*: a unit that serves one request at a time with a
-//!   caller-supplied service time (flash dies, host storage-stack stages).
-//!
-//! Both hand out `(start, end)` windows and keep utilization statistics, so
-//! contention and queueing delay fall out naturally from the reservation
-//! discipline without a full event-per-byte simulation.
+//! The prototype is a set of queues that each serve one request at a time:
+//! the LWPs, DDR3L, the tier-1 crossbar, PCIe, the SRIO lanes, the FPGA
+//! channel buses and the NAND dies (and, in the conventional system, the
+//! NVMe SSD and the host storage stack). [`FifoServer`] is the one model of
+//! all of them: a request arriving at `now` starts at `max(now,
+//! next_free)`, holds the server for its service time, and adds that time
+//! to the server's busy total. [`SerializedResource`] is a `FifoServer`
+//! whose service time is a payload moved at a fixed byte rate. Contention
+//! and queueing delay fall out of the reservations without an event per
+//! byte.
 
-use crate::stats::UtilizationTracker;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// A resource that serializes transfers at a fixed bandwidth.
-///
-/// # Examples
-///
-/// ```
-/// use fa_sim::resource::SerializedResource;
-/// use fa_sim::time::SimTime;
-///
-/// // A 1 GB/s link moving two back-to-back 1 MB transfers.
-/// let mut link = SerializedResource::new(1e9);
-/// let first = link.reserve(SimTime::ZERO, 1_000_000);
-/// let second = link.reserve(SimTime::ZERO, 1_000_000);
-/// assert_eq!(first.end, second.start);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SerializedResource {
-    bytes_per_sec: f64,
-    next_free: SimTime,
-    busy: UtilizationTracker,
-    bytes_moved: u64,
-    transfers: u64,
-}
-
-/// A reservation window on a serialized resource.
+/// A reservation window on a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reservation {
     /// When the resource actually starts serving this request.
@@ -48,99 +23,11 @@ pub struct Reservation {
     pub end: SimTime,
 }
 
-impl SerializedResource {
-    /// Creates a resource with the given bandwidth in bytes/second.
-    pub fn new(bytes_per_sec: f64) -> Self {
-        SerializedResource {
-            bytes_per_sec,
-            next_free: SimTime::ZERO,
-            busy: UtilizationTracker::new(),
-            bytes_moved: 0,
-            transfers: 0,
-        }
-    }
-
-    /// Earliest instant at which a new transfer could start.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
-    /// Reserves the resource for a `bytes`-sized transfer requested at `now`
-    /// and returns the granted service window.
-    pub fn reserve(&mut self, now: SimTime, bytes: u64) -> Reservation {
-        let start = now.max(self.next_free);
-        let service = SimDuration::for_transfer(bytes, self.bytes_per_sec);
-        let end = start + service;
-        self.next_free = end;
-        self.busy.add_busy(service);
-        self.bytes_moved += bytes;
-        self.transfers += 1;
-        Reservation { start, end }
-    }
-
-    /// Reserves the resource for a `bytes`-sized transfer whose service
-    /// time the caller has already computed (and typically cached) via
-    /// [`SimDuration::for_transfer`]. Identical accounting to
-    /// [`SerializedResource::reserve`]; hot loops that move fixed-size
-    /// payloads use this to hoist the bytes-to-duration conversion out of
-    /// the per-transfer path.
-    pub fn reserve_prepaid(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        service: SimDuration,
-    ) -> Reservation {
-        debug_assert_eq!(
-            service,
-            SimDuration::for_transfer(bytes, self.bytes_per_sec)
-        );
-        let start = now.max(self.next_free);
-        let end = start + service;
-        self.next_free = end;
-        self.busy.add_busy(service);
-        self.bytes_moved += bytes;
-        self.transfers += 1;
-        Reservation { start, end }
-    }
-
-    /// Reserves the resource for an explicit service duration (used when a
-    /// transfer cost is dominated by protocol overhead rather than payload).
-    pub fn reserve_duration(&mut self, now: SimTime, service: SimDuration) -> Reservation {
-        let start = now.max(self.next_free);
-        let end = start + service;
-        self.next_free = end;
-        self.busy.add_busy(service);
-        self.transfers += 1;
-        Reservation { start, end }
-    }
-
-    /// Total bytes moved through the resource.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
-    /// Number of transfers served.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy.busy_time()
-    }
-
-    /// Busy fraction over the window ending at `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.busy.utilization(now)
-    }
-}
-
 /// A single-server FIFO queue with caller-supplied service times.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FifoServer {
     next_free: SimTime,
-    busy: UtilizationTracker,
-    served: u64,
+    busy: SimDuration,
 }
 
 impl FifoServer {
@@ -160,24 +47,66 @@ impl FifoServer {
         let start = now.max(self.next_free);
         let end = start + service;
         self.next_free = end;
-        self.busy.add_busy(service);
-        self.served += 1;
+        self.busy += service;
         Reservation { start, end }
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     /// Total busy time.
     pub fn busy_time(&self) -> SimDuration {
-        self.busy.busy_time()
+        self.busy
+    }
+
+    /// Busy fraction in `[0, 1]` over the window ending at `now` — how the
+    /// paper reports LWP utilization (Figure 14).
+    pub fn utilization(&self, now: SimTime) -> f64 {
+        let wall = now.saturating_since(SimTime::ZERO);
+        if wall.is_zero() {
+            return 0.0;
+        }
+        (self.busy.as_secs_f64() / wall.as_secs_f64()).clamp(0.0, 1.0)
+    }
+}
+
+/// A [`FifoServer`] that moves payloads at a fixed bandwidth: a link or a
+/// memory channel.
+///
+/// # Examples
+///
+/// ```
+/// use fa_sim::resource::SerializedResource;
+/// use fa_sim::time::SimTime;
+///
+/// // A 1 GB/s link moving two back-to-back 1 MB transfers.
+/// let mut link = SerializedResource::new(1e9);
+/// let first = link.reserve(SimTime::ZERO, 1_000_000);
+/// let second = link.reserve(SimTime::ZERO, 1_000_000);
+/// assert_eq!(first.end, second.start);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SerializedResource {
+    bytes_per_sec: f64,
+    server: FifoServer,
+}
+
+impl SerializedResource {
+    /// Creates a resource with the given bandwidth in bytes/second.
+    pub fn new(bytes_per_sec: f64) -> Self {
+        SerializedResource {
+            bytes_per_sec,
+            server: FifoServer::new(),
+        }
+    }
+
+    /// Reserves the resource for a `bytes`-sized transfer requested at `now`
+    /// and returns the granted service window.
+    pub fn reserve(&mut self, now: SimTime, bytes: u64) -> Reservation {
+        let service = SimDuration::for_transfer(bytes, self.bytes_per_sec);
+        self.server.serve(now, service)
     }
 
     /// Busy fraction over the window ending at `now`.
     pub fn utilization(&self, now: SimTime) -> f64 {
-        self.busy.utilization(now)
+        self.server.utilization(now)
     }
 }
 
@@ -194,8 +123,6 @@ mod tests {
         assert_eq!(a.end, SimTime::from_ms(1));
         assert_eq!(b.start, a.end);
         assert_eq!(b.end.as_ns(), 3_000_000);
-        assert_eq!(r.bytes_moved(), 3_000_000);
-        assert_eq!(r.transfers(), 2);
     }
 
     #[test]
@@ -204,8 +131,7 @@ mod tests {
         r.reserve(SimTime::ZERO, 1_000); // 1 us busy
         r.reserve(SimTime::from_us(100), 1_000); // after a long idle gap
         let now = SimTime::from_us(101);
-        assert_eq!(r.busy_time().as_ns(), 2_000);
-        assert!(r.utilization(now) < 0.05);
+        assert!((r.utilization(now) - 2.0 / 101.0).abs() < 1e-12);
     }
 
     #[test]
@@ -228,7 +154,17 @@ mod tests {
         let b = s.serve(SimTime::ZERO, SimDuration::from_us(81));
         assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(b.start, SimTime::from_us(81));
-        assert_eq!(s.served(), 2);
+        assert_eq!(s.next_free(), SimTime::from_us(162));
+    }
+
+    #[test]
+    fn utilization_tracks_busy_fraction() {
+        let mut s = FifoServer::new();
+        s.serve(SimTime::ZERO, SimDuration::from_ns(50));
+        s.serve(SimTime::ZERO, SimDuration::from_ns(20));
+        assert_eq!(s.busy_time().as_ns(), 70);
+        assert!((s.utilization(SimTime::from_ns(100)) - 0.7).abs() < 1e-9);
+        assert_eq!(s.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]
@@ -240,9 +176,9 @@ mod tests {
 
     #[test]
     fn explicit_duration_reservation() {
-        let mut r = SerializedResource::new(1e9);
-        let res = r.reserve_duration(SimTime::ZERO, SimDuration::from_ns(250));
+        let mut s = FifoServer::new();
+        let res = s.serve(SimTime::ZERO, SimDuration::from_ns(250));
         assert_eq!(res.end.as_ns(), 250);
-        assert_eq!(r.transfers(), 1);
+        assert_eq!(s.busy_time().as_ns(), 250);
     }
 }

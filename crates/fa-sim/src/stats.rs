@@ -1,45 +1,12 @@
 //! Measurement primitives used to produce the paper's figures.
 //!
-//! The evaluation needs per-component busy-time (utilization) and time
-//! series of utilization and power. These are collected with the busy-time
-//! tracker and the bucketed timelines in this module.
+//! The evaluation needs time series of functional-unit utilization and
+//! power (Figure 15); they are built by the bucketed timelines in this
+//! module. Busy time and utilization are kept by each
+//! [`FifoServer`](crate::resource::FifoServer).
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Tracks how long a component spends busy, to compute utilization as
-/// busy-time / wall-time — exactly how the paper reports LWP utilization
-/// (Figure 14) and function-unit utilization (Figure 15a).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct UtilizationTracker {
-    busy: SimDuration,
-}
-
-impl UtilizationTracker {
-    /// Creates an idle tracker.
-    pub fn new() -> Self {
-        UtilizationTracker::default()
-    }
-
-    /// Adds a busy span directly (for components modelled analytically).
-    pub fn add_busy(&mut self, span: SimDuration) {
-        self.busy += span;
-    }
-
-    /// Total accumulated busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Busy fraction in `[0, 1]` over the window ending at `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let wall = now.saturating_since(SimTime::ZERO);
-        if wall.is_zero() {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / wall.as_secs_f64()).clamp(0.0, 1.0)
-    }
-}
 
 /// A `(time, value)` series on a fixed grid, built by [`bucketed`]; used
 /// for the function-unit-utilization and power timelines of Figure 15.
@@ -127,16 +94,6 @@ pub fn bucketed(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_tracks_busy_fraction() {
-        let mut u = UtilizationTracker::new();
-        u.add_busy(SimDuration::from_ns(50));
-        u.add_busy(SimDuration::from_ns(20));
-        assert_eq!(u.busy_time().as_ns(), 70);
-        assert!((u.utilization(SimTime::from_ns(100)) - 0.7).abs() < 1e-9);
-        assert_eq!(u.utilization(SimTime::ZERO), 0.0);
-    }
 
     #[test]
     fn bucketed_spreads_intervals_over_the_buckets_they_cover() {

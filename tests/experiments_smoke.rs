@@ -2,8 +2,9 @@
 //! at a coarse data scale and contains the rows the paper's figures have.
 //!
 //! These are the integration-level guarantee that `cargo run -p fa-bench
-//! --bin <figure>` will produce the expected output shape; the full-scale
-//! numbers live in `EXPERIMENTS.md`.
+//! --bin <figure>` will produce the expected output shape; README's
+//! "Running the experiments" lists the per-figure commands that print the
+//! full-scale numbers.
 
 use fa_bench::experiments::{
     fig10_throughput, fig11_latency, fig13_energy, fig14_utilization, fig16_bigdata, tables,
