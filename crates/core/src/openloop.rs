@@ -833,11 +833,7 @@ mod tests {
         let active: BTreeSet<u32> = [7, 9].into_iter().collect();
         g.rebalance(&active, &mut backbone);
         assert_eq!(g.updates(), 1);
-        let over = |b: &FlashBackbone, t: u32| {
-            b.channel(0)
-                .expect("channel 0 exists")
-                .owner_budget_override(OwnerId::Kernel(t))
-        };
+        let over = |b: &FlashBackbone, t: u32| b.owner_budget_override(OwnerId::Kernel(t));
         assert_eq!(over(&backbone, 7), Some(1));
         assert_eq!(over(&backbone, 9), Some(8));
         // A quiet second window relaxes the heavy tenant back to the cap.
@@ -962,13 +958,8 @@ mod tests {
             governor.rebalance(&active, &mut backbone);
             squeezed |= expected.iter().any(|&(_, b)| b < config.max_budget);
             for (tenant, budget) in expected {
-                for c in 0..geometry.channels {
-                    let installed = backbone
-                        .channel(c)
-                        .expect("channel exists")
-                        .owner_budget_override(OwnerId::Kernel(tenant));
-                    assert_eq!(installed, Some(budget), "tick {tick} tenant {tenant}");
-                }
+                let installed = backbone.owner_budget_override(OwnerId::Kernel(tenant));
+                assert_eq!(installed, Some(budget), "tick {tick} tenant {tenant}");
             }
             if tick == 3 {
                 governor.retire(17, &mut backbone);

@@ -1,11 +1,15 @@
 //! Flash backbone hot-path fixtures for the `perfbench` benchmark: the
 //! configured backbone its per-command cost probes submit to, and the
-//! program → read → erase sweeps they time, through the stripe path
-//! (`submit_group`) and the per-command path (`submit_tagged`).
+//! program → read → erase sweeps they time, in 64-page stripes
+//! (`submit_group`) and one command at a time (`submit_tagged`). Both run
+//! the backbone's one stripe routine — a single command is a one-page
+//! stripe — so the two probes price its per-page step with and without
+//! the per-stripe work (owner slot, tag budget, counts) spread over 64
+//! pages.
 //!
 //! One definition keeps both probes pricing the same device and the
 //! same command stream; the test below checks that the two sweeps leave
-//! identical flash state.
+//! identical flash state and accounting.
 
 use fa_flash::{
     FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, PhysicalPageAddr,

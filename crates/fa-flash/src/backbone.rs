@@ -5,8 +5,13 @@
 //! network. Flashvisor submits page-group stripes
 //! ([`FlashBackbone::submit_group`]); Storengine and the open-loop driver
 //! submit single [`FlashCommand`]s ([`FlashBackbone::submit_tagged`]).
-//! Both run one per-page step that routes the command to its owning
-//! channel, models the SRIO hop, and keeps the backbone's accounting.
+//! A stripe is the unit of accounting, and a single command is a one-page
+//! stripe: the stripe resolves its owner's dense slot and tag budget once,
+//! runs one lean per-page step per page (the tag slot, die, channel bus and
+//! SRIO reservations, the valid-page index, and a read's latency sample),
+//! and adds the pages that took effect to the owner's counts once. The
+//! owner slots are the only command counters; every total is summed from
+//! them when read.
 
 use crate::controller::{ChannelController, ChannelStats};
 use crate::die::{BlockCounts, FlashDie};
@@ -88,7 +93,7 @@ impl FlashCompletion {
     }
 }
 
-/// Aggregate backbone statistics.
+/// Aggregate backbone statistics, summed over the owners' slots when read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BackboneStats {
     /// Pages read.
@@ -97,8 +102,50 @@ pub struct BackboneStats {
     pub programs: u64,
     /// Blocks erased.
     pub erases: u64,
-    /// Payload bytes moved over the SRIO front-end.
+    /// Payload bytes moved over the SRIO front-end: one page per read and
+    /// per program.
     pub srio_bytes: u64,
+}
+
+/// One owner's dense accounting slot (see [`OwnerId::dense_index`]): the
+/// only count of its commands, its read-latency samples, and its tag-budget
+/// override.
+#[derive(Debug, Clone, Default)]
+struct OwnerSlot {
+    /// Whether the owner has submitted a command, even one that failed, so
+    /// reporting surfaces exactly the owners that submitted.
+    touched: bool,
+    reads: u64,
+    programs: u64,
+    erases: u64,
+    /// Every completed read's end-to-end latency in nanoseconds, for
+    /// tail-latency quantiles (p99 of one kernel under concurrent GC).
+    read_latencies: Vec<u64>,
+    /// The smallest and largest of `read_latencies` (0 while it is empty).
+    read_min_ns: u64,
+    read_max_ns: u64,
+    /// The online QoS governor's budget override: `Some(b)` replaces what
+    /// the static [`QosBudgets`] grant this owner.
+    budget_override: Option<usize>,
+}
+
+impl OwnerSlot {
+    /// Adds the `n` pages of one stripe that took effect. For reads, their
+    /// latencies run from `min_ns` to `max_ns`.
+    fn add_stripe(&mut self, op: FlashOp, n: u64, min_ns: u64, max_ns: u64) {
+        match op {
+            FlashOp::ReadPage if n > 0 => {
+                if self.reads == 0 || min_ns < self.read_min_ns {
+                    self.read_min_ns = min_ns;
+                }
+                self.read_max_ns = self.read_max_ns.max(max_ns);
+                self.reads += n;
+            }
+            FlashOp::ReadPage => {}
+            FlashOp::ProgramPage => self.programs += n,
+            FlashOp::EraseBlock => self.erases += n,
+        }
+    }
 }
 
 /// The storage complex: channel controllers behind the SRIO front-end.
@@ -115,19 +162,13 @@ pub struct FlashBackbone {
     /// die before the erase so the index can walk them once it completes.
     /// One buffer, reused by every erase.
     erase_words: Vec<u64>,
-    stats: BackboneStats,
-    /// Per-owner command/byte/latency accounting (QoS figures and oracles),
-    /// dense by [`OwnerId::dense_index`] — the data path updates plain array
-    /// slots instead of map entries.
-    owner_stats: Vec<OwnerStats>,
-    /// Whether the matching `owner_stats` slot has ever received a
-    /// submission, so reporting surfaces exactly the owners that submitted
-    /// (the map semantics the oracles check).
-    owner_touched: Vec<bool>,
-    /// Every completed read's end-to-end latency in nanoseconds, per owner
-    /// (dense by [`OwnerId::dense_index`]), for tail-latency quantiles
-    /// (p99 of one kernel under concurrent GC).
-    read_latencies: Vec<Vec<u64>>,
+    /// Per-owner accounting (QoS figures and oracles), dense by
+    /// [`OwnerId::dense_index`] — the data path updates plain array slots
+    /// instead of map entries.
+    owners: Vec<OwnerSlot>,
+    /// Per-owner tag budgets at every channel's tag queue; unlimited by
+    /// default, which reproduces the untagged FIFO admission exactly.
+    budgets: QosBudgets,
     /// SRIO service time for one page-sized transfer, derived once from
     /// the SRIO bandwidth: every SRIO transfer moves exactly one page.
     srio_page_service: SimDuration,
@@ -165,10 +206,8 @@ impl FlashBackbone {
                 geometry.pages_per_block,
             ),
             erase_words: Vec::new(),
-            stats: BackboneStats::default(),
-            owner_stats: Vec::new(),
-            owner_touched: Vec::new(),
-            read_latencies: Vec::new(),
+            owners: Vec::new(),
+            budgets: QosBudgets::default(),
             srio_page_service: SimDuration::for_transfer(
                 geometry.page_bytes as u64,
                 srio_bytes_per_sec,
@@ -253,35 +292,37 @@ impl FlashBackbone {
         total
     }
 
-    /// Dense accounting slot for `owner`, growing the per-owner arrays on
-    /// first sight and marking the slot as live.
-    fn owner_slot(&mut self, owner: OwnerId) -> usize {
+    /// `owner`'s dense accounting slot, grown on first sight.
+    fn slot_mut(&mut self, owner: OwnerId) -> &mut OwnerSlot {
         let oi = owner.dense_index();
-        if oi >= self.owner_stats.len() {
-            self.owner_stats.resize_with(oi + 1, OwnerStats::default);
-            self.owner_touched.resize(oi + 1, false);
-            self.read_latencies.resize_with(oi + 1, Vec::new);
+        if oi >= self.owners.len() {
+            self.owners.resize_with(oi + 1, OwnerSlot::default);
         }
-        self.owner_touched[oi] = true;
-        oi
+        &mut self.owners[oi]
     }
 
-    /// Installs per-owner tag budgets on every channel controller
+    /// Installs per-owner tag budgets for every channel's tag queue
     /// (unlimited by default, which reproduces untagged admission exactly).
     pub fn set_qos_budgets(&mut self, budgets: QosBudgets) {
-        for channel in &mut self.channels {
-            channel.set_qos_budgets(budgets);
-        }
+        self.budgets = budgets;
     }
 
-    /// Installs (or clears, with `None`) a per-owner tag-budget override on
-    /// every channel. Overrides replace the static [`QosBudgets`] grant for
-    /// that owner only; the online QoS governor uses this to retune budgets
+    /// Installs (or clears, with `None`) a per-owner tag-budget override.
+    /// Overrides replace the static [`QosBudgets`] grant for that owner only,
+    /// on every channel; the online QoS governor uses this to retune budgets
     /// mid-run from a sliding window over [`FlashBackbone::owner_commands`].
     pub fn set_owner_budget_override(&mut self, owner: OwnerId, budget: Option<usize>) {
-        for channel in &mut self.channels {
-            channel.set_owner_budget_override(owner, budget);
+        if budget.is_none() && owner.dense_index() >= self.owners.len() {
+            return;
         }
+        self.slot_mut(owner).budget_override = budget;
+    }
+
+    /// The budget override in force for `owner`, if any.
+    pub fn owner_budget_override(&self, owner: OwnerId) -> Option<usize> {
+        self.owners
+            .get(owner.dense_index())
+            .and_then(|s| s.budget_override)
     }
 
     /// Enables page-group accounting in the valid-page index: `pages_per_
@@ -313,9 +354,16 @@ impl FlashBackbone {
         &self.timing
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics: the owners' counts summed.
     pub fn stats(&self) -> BackboneStats {
-        self.stats
+        let mut total = BackboneStats::default();
+        for slot in &self.owners {
+            total.reads += slot.reads;
+            total.programs += slot.programs;
+            total.erases += slot.erases;
+        }
+        total.srio_bytes = (total.reads + total.programs) * self.geometry.page_bytes as u64;
+        total
     }
 
     /// Per-channel statistics.
@@ -401,36 +449,32 @@ impl FlashBackbone {
         self.valid_index.on_invalidate(block, landed, flat);
     }
 
-    /// Executes one page command — tag-queue admission at the channel, the
-    /// SRIO hop, and every counter the command moves: backbone and owner
-    /// stats, read latencies, and the valid-page index. `addr` must be in
-    /// range, `flat` is its flat page index, and `oi` is `owner`'s dense
-    /// accounting slot. Returns when the command (including the SRIO data
-    /// return of a read) finished.
+    /// The lean per-page step of a stripe: tag-queue admission at the
+    /// channel for dense owner slot `oi` under tag budget `budget`, the
+    /// die, channel-bus and SRIO reservations, the valid-page index, and a
+    /// read's latency sample (pushed onto `samples`). It counts nothing:
+    /// the stripe adds its pages to the owner's slot once. `addr` must be
+    /// in range and `flat` is its flat page index. Returns when the command
+    /// (including the SRIO data return of a read) finished.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn execute_page(
         &mut self,
         now: SimTime,
         op: FlashOp,
         addr: PhysicalPageAddr,
         flat: u64,
-        owner: OwnerId,
         oi: usize,
+        budget: Option<usize>,
+        samples: &mut Vec<u64>,
     ) -> Result<SimTime, FlashError> {
-        let page_bytes = self.geometry.page_bytes as u64;
         let channel = &mut self.channels[addr.channel];
-        let by_owner = &mut self.owner_stats[oi];
         match op {
             FlashOp::ReadPage => {
-                let done = channel.execute(now, op, addr, owner)?;
+                let done = channel.execute(now, op, addr, oi, budget)?;
                 // Read data crosses the SRIO lanes back to the network.
                 let end = self.srio.serve(done, self.srio_page_service).end;
-                self.stats.reads += 1;
-                self.stats.srio_bytes += page_bytes;
-                by_owner.reads += 1;
-                by_owner.bytes += page_bytes;
-                let latency_ns = end.saturating_since(now).as_ns();
-                by_owner.read_latency_max_ns = by_owner.read_latency_max_ns.max(latency_ns);
-                self.read_latencies[oi].push(latency_ns);
+                samples.push(end.saturating_since(now).as_ns());
                 Ok(end)
             }
             FlashOp::ProgramPage => {
@@ -438,15 +482,11 @@ impl FlashBackbone {
                 // reservation stands even if the program then fails.
                 let start = self.srio.serve(now, self.srio_page_service).end;
                 let before = channel.block_counts(addr);
-                match channel.execute(start, op, addr, owner) {
+                match channel.execute(start, op, addr, oi, budget) {
                     Ok(done) => {
                         let block = block_of(&self.geometry, addr);
                         self.valid_index
                             .on_program(block, before, flat, now.as_ns());
-                        self.stats.programs += 1;
-                        self.stats.srio_bytes += page_bytes;
-                        by_owner.programs += 1;
-                        by_owner.bytes += page_bytes;
                         Ok(done)
                     }
                     Err(e) => {
@@ -464,22 +504,75 @@ impl FlashBackbone {
                     self.erase_words
                         .extend_from_slice(die.valid_words(addr.block));
                 }
-                let done = channel.execute(now, op, addr, owner)?;
+                let done = channel.execute(now, op, addr, oi, budget)?;
                 self.valid_index.on_erase(
                     block_of(&self.geometry, addr),
                     before,
                     &self.erase_words,
                 );
-                self.stats.erases += 1;
-                by_owner.erases += 1;
                 Ok(done)
             }
         }
     }
 
+    /// Runs one stripe: `pages` same-op commands on the consecutive flat
+    /// pages from `first_flat` (at in-range `first`), all submitted at
+    /// `now` for `owner`, in stripe order. The owner's slot and tag budget
+    /// are resolved once; each page takes the per-page step; the pages that
+    /// took effect are added to the owner's counts once, also when the
+    /// stripe stops at a failing page. An injected program failure pads
+    /// the rest of the stripe. Returns when the last page finished.
+    fn submit_stripe(
+        &mut self,
+        now: SimTime,
+        op: FlashOp,
+        first: PhysicalPageAddr,
+        first_flat: u64,
+        pages: u64,
+        owner: OwnerId,
+    ) -> Result<SimTime, FlashError> {
+        let oi = owner.dense_index();
+        let static_budget = self.budgets.budget_for(owner);
+        let slot = self.slot_mut(owner);
+        slot.touched = true;
+        let budget = slot.budget_override.or(static_budget);
+        let mut samples = std::mem::take(&mut slot.read_latencies);
+        let end_flat = first_flat + pages;
+        let mut addr = first;
+        let (mut first_done, mut last_done) = (SimTime::MAX, now);
+        let mut outcome = Ok(());
+        let mut flat = first_flat;
+        while flat < end_flat {
+            match self.execute_page(now, op, addr, flat, oi, budget, &mut samples) {
+                Ok(done) => {
+                    first_done = first_done.min(done);
+                    last_done = last_done.max(done);
+                }
+                Err(e) => {
+                    if matches!(e, FlashError::InjectedProgramFailure(_)) {
+                        self.pad_stripe(now, addr, flat + 1..end_flat, oi, budget);
+                    }
+                    outcome = Err(e);
+                    break;
+                }
+            }
+            flat += 1;
+            addr = next_flat_addr(&self.geometry, addr);
+        }
+        let slot = &mut self.owners[oi];
+        slot.read_latencies = samples;
+        slot.add_stripe(
+            op,
+            flat - first_flat,
+            first_done.saturating_since(now).as_ns(),
+            last_done.saturating_since(now).as_ns(),
+        );
+        outcome.map(|()| last_done)
+    }
+
     /// Submits a command at `now` on behalf of `owner` and returns its
-    /// completion record. The owner identity reaches the channel
-    /// controller's tag queue (per-owner budget admission) and the
+    /// completion record: a one-page stripe. The owner identity reaches the
+    /// channel controller's tag queue (per-owner budget admission) and the
     /// per-owner statistics.
     pub fn submit_tagged(
         &mut self,
@@ -490,9 +583,8 @@ impl FlashBackbone {
         if !self.geometry.contains(command.addr) {
             return Err(FlashError::OutOfRange(command.addr));
         }
-        let oi = self.owner_slot(owner);
         let flat = self.geometry.addr_to_flat(command.addr);
-        let finished = self.execute_page(now, command.op, command.addr, flat, owner, oi)?;
+        let finished = self.submit_stripe(now, command.op, command.addr, flat, 1, owner)?;
         Ok(FlashCompletion {
             command,
             submitted: now,
@@ -516,11 +608,12 @@ impl FlashBackbone {
     /// Submits `pages` same-op commands covering the consecutive flat pages
     /// `first_flat..first_flat + pages` — the page-group stripe every
     /// Flashvisor group read/write issues — at `now` on behalf of `owner`,
-    /// and returns when the last one finished. Each page goes through the
-    /// same per-page step as [`FlashBackbone::submit_tagged`], in stripe
-    /// order; the flat→physical conversion is done once and then stepped
-    /// across the channel/die stripe. Stops at the first failing command;
-    /// commands before it have already taken effect.
+    /// and returns when the last one finished. The pages run in stripe
+    /// order through the same per-page step as
+    /// [`FlashBackbone::submit_tagged`]; the flat→physical conversion is
+    /// done once and then stepped across the channel/die stripe. Stops at
+    /// the first failing command; commands before it have already taken
+    /// effect and are counted.
     pub fn submit_group(
         &mut self,
         now: SimTime,
@@ -533,23 +626,8 @@ impl FlashBackbone {
             return Ok(now);
         }
         self.check_flat_range(first_flat, pages)?;
-        let oi = self.owner_slot(owner);
-        let end_flat = first_flat + pages;
-        let mut addr = self.geometry.flat_to_addr(first_flat);
-        let mut finished = now;
-        for flat in first_flat..end_flat {
-            match self.execute_page(now, op, addr, flat, owner, oi) {
-                Ok(done) => finished = finished.max(done),
-                Err(e) => {
-                    if matches!(e, FlashError::InjectedProgramFailure(_)) {
-                        self.pad_stripe(now, addr, flat + 1..end_flat, owner);
-                    }
-                    return Err(e);
-                }
-            }
-            addr = next_flat_addr(&self.geometry, addr);
-        }
-        Ok(finished)
+        let first = self.geometry.flat_to_addr(first_flat);
+        self.submit_stripe(now, op, first, first_flat, pages, owner)
     }
 
     /// Closes a stripe after an injected program failure at `failed`: the
@@ -557,13 +635,15 @@ impl FlashBackbone {
     /// discarded) so sibling dies' write cursors stay in lockstep with the
     /// failed one — without this, the next stripe's programs would be
     /// non-sequential on every die the abort skipped. Pads pass through the
-    /// owner's tag queue but count in no backbone or owner statistics.
+    /// owner's tag queue (dense slot `oi`, tag budget `budget`) but count
+    /// in no backbone or owner statistics.
     fn pad_stripe(
         &mut self,
         now: SimTime,
         failed: PhysicalPageAddr,
         flats: std::ops::Range<u64>,
-        owner: OwnerId,
+        oi: usize,
+        budget: Option<usize>,
     ) {
         let mut pad = failed;
         for flat in flats {
@@ -571,10 +651,10 @@ impl FlashBackbone {
             let start = self.srio.serve(now, self.srio_page_service).end;
             let channel = &mut self.channels[pad.channel];
             let before = channel.block_counts(pad);
-            match channel.execute(start, FlashOp::ProgramPage, pad, owner) {
+            match channel.execute(start, FlashOp::ProgramPage, pad, oi, budget) {
                 // A clean pad program must be discarded at the die as well,
-                // so page state, controller counters, and index agree that
-                // it is programmed garbage.
+                // so page state and index agree that it is programmed
+                // garbage.
                 Ok(_) => {
                     let _ = channel.invalidate(pad);
                 }
@@ -759,32 +839,41 @@ impl FlashBackbone {
 
     /// Every owner that submitted a command or holds a tag-queue peak, in
     /// [`OwnerId`] order (kernels ascending, then GC, journal,
-    /// unattributed), with its dense slot and its stats, the channels'
-    /// occupancy peaks folded in. Walks the dense slots directly: no map is
-    /// built per channel or per call.
-    fn owners(&self) -> impl Iterator<Item = (usize, OwnerId, OwnerStats)> + '_ {
+    /// unattributed), with its slot (if it has one) and its stats: payload
+    /// bytes derived from its counts, the channels' occupancy peaks folded
+    /// in. Walks the dense slots directly: no map is built per channel or
+    /// per call.
+    fn owners(&self) -> impl Iterator<Item = (Option<&OwnerSlot>, OwnerId, OwnerStats)> + '_ {
+        let page_bytes = self.geometry.page_bytes as u64;
         let slots = self
             .channels
             .iter()
             .map(ChannelController::owner_slots)
-            .fold(self.owner_stats.len(), usize::max);
+            .fold(self.owners.len(), usize::max);
         let fixed = OwnerId::DENSE_FIXED.min(slots);
         (fixed..slots).chain(0..fixed).filter_map(move |oi| {
             let peak = self.channels.iter().map(|c| c.owner_peak(oi)).max();
-            let peak = peak.unwrap_or(0);
-            if peak == 0 && !self.owner_touched.get(oi).copied().unwrap_or(false) {
+            let peak_tags = peak.unwrap_or(0);
+            let slot = self.owners.get(oi);
+            if peak_tags == 0 && !slot.is_some_and(|s| s.touched) {
                 return None;
             }
-            let mut stats = self.owner_stats.get(oi).copied().unwrap_or_default();
-            stats.peak_tags = stats.peak_tags.max(peak);
-            Some((oi, OwnerId::from_dense_index(oi), stats))
+            let stats = slot.map_or_else(OwnerStats::default, |s| OwnerStats {
+                reads: s.reads,
+                programs: s.programs,
+                erases: s.erases,
+                bytes: (s.reads + s.programs) * page_bytes,
+                read_latency_max_ns: s.read_max_ns,
+                peak_tags: 0,
+            });
+            let stats = OwnerStats { peak_tags, ..stats };
+            Some((slot, OwnerId::from_dense_index(oi), stats))
         })
     }
 
     /// Per-owner command counts, payload bytes, read latencies, and peak
     /// channel tag occupancy. Summing the command counts and bytes across
-    /// owners reproduces [`FlashBackbone::stats`] exactly (the oracle
-    /// property).
+    /// owners gives [`FlashBackbone::stats`]: both read the same slots.
     pub fn owner_stats(&self) -> BTreeMap<OwnerId, OwnerStats> {
         self.owners()
             .map(|(_, owner, stats)| (owner, stats))
@@ -801,11 +890,10 @@ impl FlashBackbone {
         &self,
     ) -> impl Iterator<Item = (OwnerId, OwnerStats, Option<ReadTail>)> + '_ {
         let mut scratch = RankScratch::default();
-        self.owners().map(move |(oi, owner, stats)| {
-            let latencies = self.read_latencies.get(oi).map_or(&[][..], Vec::as_slice);
-            let tail = (!latencies.is_empty()).then(|| {
-                let parts = std::iter::once(latencies);
-                ReadTail::select(&mut scratch, parts, stats.read_latency_max_ns)
+        self.owners().map(move |(slot, owner, stats)| {
+            let tail = slot.filter(|s| !s.read_latencies.is_empty()).map(|s| {
+                let parts = std::iter::once(s.read_latencies.as_slice());
+                ReadTail::select(&mut scratch, parts, s.read_min_ns, s.read_max_ns)
             });
             (owner, stats, tail)
         })
@@ -816,33 +904,36 @@ impl FlashBackbone {
     /// of a map over every owner. 0 for an owner that never submitted. The
     /// online QoS governor reads this every tick.
     pub fn owner_commands(&self, owner: OwnerId) -> u64 {
-        self.owner_stats
+        self.owners
             .get(owner.dense_index())
-            .map_or(0, OwnerStats::commands)
+            .map_or(0, |s| s.reads + s.programs + s.erases)
     }
 
     /// The nearest-rank `q`-quantile of all *foreground*
     /// (non-background-owner) read latencies — the tail the QoS budgets
     /// exist to protect. `None` when no foreground read completed. Found
     /// across the owners' own sample vectors by `owner::select_ranks`,
-    /// with no merged copy.
+    /// with no merged copy; the selection walks only the foreground slots
+    /// that hold samples.
     pub fn foreground_read_latency_quantile(&self, q: f64) -> Option<SimDuration> {
-        let foreground = self
-            .read_latencies
+        let foreground: Vec<&OwnerSlot> = self
+            .owners
             .iter()
-            .zip(&self.owner_stats)
             .enumerate()
-            .filter(|&(oi, _)| !OwnerId::from_dense_index(oi).is_background())
-            .map(|(_, slot)| slot);
-        let (n, max) = foreground.clone().fold((0, 0), |(n, max), (latencies, s)| {
-            (n + latencies.len(), max.max(s.read_latency_max_ns))
-        });
+            .filter(|&(oi, s)| {
+                !s.read_latencies.is_empty() && !OwnerId::from_dense_index(oi).is_background()
+            })
+            .map(|(_, s)| s)
+            .collect();
+        let n = foreground.iter().map(|s| s.read_latencies.len()).sum();
         if n == 0 {
             return None;
         }
-        let parts = foreground.map(|(latencies, _)| latencies.as_slice());
+        let min = foreground.iter().map(|s| s.read_min_ns).min().unwrap_or(0);
+        let max = foreground.iter().map(|s| s.read_max_ns).max().unwrap_or(0);
+        let parts = foreground.iter().map(|s| s.read_latencies.as_slice());
         let ranks = [nearest_rank(n, q)];
-        let [nth] = select_ranks(&mut RankScratch::default(), parts, max, ranks);
+        let [nth] = select_ranks(&mut RankScratch::default(), parts, min, max, ranks);
         Some(SimDuration::from_ns(nth))
     }
 
@@ -1227,6 +1318,9 @@ mod tests {
             OwnerId::Gc,
             OwnerId::Journal,
         ];
+        // The walk counts its own commands; the backbone's totals must
+        // match them, and the owners' counts must add up to the totals.
+        let (mut reads, mut programs, mut erases) = (0, 0, 0);
         let mut t = SimTime::ZERO;
         for (i, &owner) in owners.iter().enumerate() {
             for p in 0..4 {
@@ -1235,46 +1329,45 @@ mod tests {
                     .submit_tagged(t, FlashCommand::program(addr), owner)
                     .unwrap()
                     .finished;
+                programs += 1;
                 t = b
                     .submit_tagged(t, FlashCommand::read(addr), owner)
                     .unwrap()
                     .finished;
+                reads += 1;
             }
         }
+        // A stripe of four reads over pages the walk programmed above, and
+        // one erase.
         t = b
-            .submit_tagged(
-                t,
-                FlashCommand::erase(PhysicalPageAddr::new(0, 0, 0, 0)),
-                OwnerId::Gc,
-            )
-            .unwrap()
-            .finished;
-        let _ = t;
-        let per_owner = b.owner_stats();
+            .submit_group(t, 0, 4, FlashOp::ReadPage, OwnerId::Kernel(0))
+            .unwrap();
+        reads += 4;
+        b.submit_tagged(
+            t,
+            FlashCommand::erase(PhysicalPageAddr::new(0, 0, 0, 0)),
+            OwnerId::Gc,
+        )
+        .unwrap();
+        erases += 1;
         let totals = b.stats();
         assert_eq!(
-            per_owner.values().map(|o| o.reads).sum::<u64>(),
-            totals.reads
+            (totals.reads, totals.programs, totals.erases),
+            (reads, programs, erases)
         );
-        assert_eq!(
-            per_owner.values().map(|o| o.programs).sum::<u64>(),
-            totals.programs
-        );
-        assert_eq!(
-            per_owner.values().map(|o| o.erases).sum::<u64>(),
-            totals.erases
-        );
-        assert_eq!(
-            per_owner.values().map(|o| o.bytes).sum::<u64>(),
-            totals.srio_bytes
-        );
+        assert_eq!(totals.srio_bytes, (reads + programs) * 4096);
+        let per_owner = b.owner_stats();
+        let sum = |f: fn(&OwnerStats) -> u64| per_owner.values().map(f).sum::<u64>();
+        assert_eq!(sum(|o| o.commands()), reads + programs + erases);
+        assert_eq!(sum(|o| o.bytes), totals.srio_bytes);
         // Every owner that read pages has an ordered read tail topped by
         // its recorded worst read, listed in the owner-stats order.
         let tails: Vec<_> = b.owner_read_tails().collect();
         assert!(tails.iter().map(|t| t.0).eq(per_owner.keys().copied()));
         for (owner, stats, tail) in tails {
             assert_eq!(stats, per_owner[&owner]);
-            assert_eq!(stats.reads, 4, "{owner}");
+            let expect = if owner == OwnerId::Kernel(0) { 8 } else { 4 };
+            assert_eq!(stats.reads, expect, "{owner}");
             let tail = tail.unwrap();
             assert!(tail.p50 <= tail.p99 && tail.p99 <= tail.max);
             assert_eq!(tail.max.as_ns(), stats.read_latency_max_ns);
@@ -1283,9 +1376,213 @@ mod tests {
         assert!(b.foreground_read_latency_quantile(0.99).is_some());
     }
 
+    /// Everything a stripe leaves in the accounting: totals, per-owner
+    /// stats with their read tails, and every read-latency sample.
+    type Accounting = (
+        BackboneStats,
+        Vec<(OwnerId, OwnerStats, Option<ReadTail>)>,
+        Vec<Vec<u64>>,
+    );
+
+    /// `b`'s [`Accounting`]. Tag peaks are left out: the failing page and a
+    /// failed program's pads still take tags.
+    fn accounting(b: &FlashBackbone) -> Accounting {
+        let tails = b
+            .owner_read_tails()
+            .map(|(owner, stats, tail)| {
+                (
+                    owner,
+                    OwnerStats {
+                        peak_tags: 0,
+                        ..stats
+                    },
+                    tail,
+                )
+            })
+            .collect();
+        let samples = b.owners.iter().map(|s| s.read_latencies.clone()).collect();
+        (b.stats(), tails, samples)
+    }
+
+    /// Runs a `pages`-page stripe of `op` from flat page `first` on one
+    /// backbone and, on a twin, the `k` one-page submissions of the pages
+    /// before the stripe stopped, all at the stripe's instant; both must
+    /// leave the same accounting (owner stats, totals, latency samples and
+    /// read tails), and the stripe must end in `want`.
+    fn stripe_stops_like_one_page_submissions(
+        setup: impl Fn(&mut FlashBackbone),
+        first: u64,
+        pages: u64,
+        op: FlashOp,
+        k: u64,
+        want: fn(&FlashError) -> bool,
+    ) {
+        let owner = OwnerId::Kernel(2);
+        let at = SimTime::from_ms(1);
+        let (mut stripe, mut single) = (backbone(), backbone());
+        setup(&mut stripe);
+        setup(&mut single);
+        let err = stripe
+            .submit_group(at, first, pages, op, owner)
+            .unwrap_err();
+        assert!(want(&err), "{err:?}");
+        let g = *single.geometry();
+        for flat in first..first + k {
+            let command = FlashCommand {
+                op,
+                addr: g.flat_to_addr(flat),
+            };
+            single.submit_tagged(at, command, owner).unwrap();
+        }
+        let (s, o) = (accounting(&stripe), accounting(&single));
+        assert_eq!(s, o);
+        let (totals, tails, _) = s;
+        match op {
+            FlashOp::ReadPage => assert_eq!(totals.reads, k),
+            _ => assert_eq!(totals.programs, k),
+        }
+        // The stripe's owner is listed once it submitted a page, and its
+        // worst read is its read tail's maximum.
+        assert_eq!(tails.len(), usize::from(k > 0));
+        for (_, stats, tail) in tails {
+            let max = tail.map_or(0, |t| t.max.as_ns());
+            assert_eq!(stats.read_latency_max_ns, max);
+        }
+    }
+
+    #[test]
+    fn stripe_stopped_by_an_unwritten_page_counts_the_pages_before_it() {
+        // Flats 0..5 are written; a read stripe over 0..8 stops at flat 5.
+        stripe_stops_like_one_page_submissions(
+            |b| b.preload_group(0, 5).unwrap(),
+            0,
+            8,
+            FlashOp::ReadPage,
+            5,
+            |e| matches!(e, FlashError::ReadUnwritten(_)),
+        );
+    }
+
+    #[test]
+    fn stripe_stopped_by_an_injected_program_failure_counts_the_pages_before_it() {
+        // The scripted fault hits channel 1's second program, flat 3;
+        // flats 4..8 are padded on the stripe side and never submitted on
+        // the other. The pads count nowhere.
+        stripe_stops_like_one_page_submissions(
+            |b| {
+                b.install_fault_plan(Arc::new(
+                    FaultPlan::parse("script=program@c1.d0.b0.n2").unwrap(),
+                ))
+            },
+            0,
+            8,
+            FlashOp::ProgramPage,
+            3,
+            |e| matches!(e, FlashError::InjectedProgramFailure(_)),
+        );
+    }
+
+    #[test]
+    fn stripe_reaching_out_of_range_counts_nothing() {
+        // The range check rejects the whole stripe before its first page.
+        let total = FlashGeometry::tiny_for_tests().total_pages();
+        stripe_stops_like_one_page_submissions(
+            |b| b.preload_group(0, total).unwrap(),
+            total - 4,
+            8,
+            FlashOp::ReadPage,
+            0,
+            |e| matches!(e, FlashError::OutOfRange(_)),
+        );
+    }
+
+    #[test]
+    fn stripes_keep_the_owners_fastest_and_slowest_read() {
+        // Read stripes of 8 pages, many at one instant so queueing spreads
+        // each stripe's latencies, plus one-page reads: enough samples for
+        // the bucketed selection, whose buckets start at the recorded
+        // fastest read.
+        let mut b = backbone();
+        let total = b.geometry().total_pages();
+        b.preload_group(0, total).unwrap();
+        let owner = OwnerId::Kernel(0);
+        for k in 0..60 {
+            let at = SimTime::from_us(k / 20 * 500);
+            b.submit_group(at, k * 8 % total, 8, FlashOp::ReadPage, owner)
+                .unwrap();
+            let addr = b.geometry().flat_to_addr(k * 3 % total);
+            b.submit_tagged(at, FlashCommand::read(addr), owner)
+                .unwrap();
+        }
+        let slot = &b.owners[owner.dense_index()];
+        let mut sorted = slot.read_latencies.clone();
+        sorted.sort_unstable();
+        assert!(sorted.len() > crate::owner::ONE_BUCKET_MAX);
+        assert!(sorted[0] < sorted[sorted.len() - 1]);
+        assert_eq!(slot.read_min_ns, sorted[0]);
+        assert_eq!(slot.read_max_ns, sorted[sorted.len() - 1]);
+        let rank = |q| sorted[nearest_rank(sorted.len(), q)];
+        let (_, _, tail) = b.owner_read_tails().next().unwrap();
+        let tail = tail.unwrap();
+        assert_eq!(
+            (tail.p50.as_ns(), tail.p99.as_ns()),
+            (rank(0.5), rank(0.99))
+        );
+        assert_eq!(
+            b.foreground_read_latency_quantile(0.99),
+            Some(SimDuration::from_ns(rank(0.99)))
+        );
+    }
+
+    #[test]
+    fn owner_budget_override_replaces_the_static_grant() {
+        // Static budget 3, override 1: the override wins and the owner is
+        // serialized to one tag. Clearing the override restores the static
+        // grant for subsequent traffic.
+        let mut b = FlashBackbone::new(
+            FlashGeometry::tiny_for_tests(),
+            FlashTiming::fast_for_tests(),
+            2.5e9,
+            4,
+            1_000,
+        );
+        b.set_qos_budgets(QosBudgets {
+            per_owner: Some(3),
+            background: Some(3),
+        });
+        let hog = OwnerId::Kernel(1);
+        b.set_owner_budget_override(hog, Some(1));
+        assert_eq!(b.owner_budget_override(hog), Some(1));
+        let on_channel_0 = |p| FlashCommand::program(PhysicalPageAddr::new(0, 0, 0, p));
+        let mut last = SimTime::ZERO;
+        for p in 0..6 {
+            last = b
+                .submit_tagged(SimTime::ZERO, on_channel_0(p), hog)
+                .unwrap()
+                .finished;
+        }
+        let peaks = |b: &FlashBackbone| b.channel(0).unwrap().owner_peak_tags();
+        assert_eq!(peaks(&b)[&hog], 1, "override must serialize");
+        // A fresh owner under the same static budget runs 3 wide.
+        let peer = OwnerId::Kernel(2);
+        for p in 6..12 {
+            b.submit_tagged(last, on_channel_0(p), peer).unwrap();
+        }
+        assert_eq!(peaks(&b)[&peer], 3);
+        // Clearing the override falls back to the static grant.
+        b.set_owner_budget_override(hog, None);
+        assert_eq!(b.owner_budget_override(hog), None);
+        // Clearing an owner that never had an override is a no-op and must
+        // not grow the owner table.
+        let slots = b.owners.len();
+        b.set_owner_budget_override(OwnerId::Kernel(999), None);
+        assert_eq!(b.owner_budget_override(OwnerId::Kernel(999)), None);
+        assert_eq!(b.owners.len(), slots);
+    }
+
     #[test]
     fn fault_plan_installs_per_channel_and_drains_flat_indexes() {
-        use crate::fault::{threshold_from_probability, FaultPlan};
+        use crate::fault::threshold_from_probability;
         let mut b = backbone();
         let g = *b.geometry();
         b.install_fault_plan(Arc::new(FaultPlan {
@@ -1316,7 +1613,7 @@ mod tests {
 
     #[test]
     fn disturbed_pages_drain_as_flat_pages_channels_ascending() {
-        use crate::fault::{threshold_from_probability, FaultPlan};
+        use crate::fault::threshold_from_probability;
         let mut b = backbone();
         let g = *b.geometry();
         let a0 = PhysicalPageAddr::new(0, 0, 0, 0);

@@ -5,31 +5,24 @@
 //! domain. The controller implements inbound and outbound *tag queues* for
 //! buffering requests with minimal overhead, owns the NV-DDR2 channel bus
 //! shared by the dies on the channel, and dispatches array operations to
-//! the target die.
+//! the target die. It counts no commands: the backbone charges each page
+//! command to its owner once per stripe.
 
 use crate::backbone::FlashOp;
 use crate::die::{BlockCounts, FlashDie};
 use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultState};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
-use crate::owner::{OwnerId, QosBudgets};
+use crate::owner::OwnerId;
 use crate::timing::FlashTiming;
 use fa_sim::resource::FifoServer;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Statistics kept by one channel controller.
+/// Tag-queue statistics kept by one channel controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChannelStats {
-    /// Read commands completed.
-    pub reads: u64,
-    /// Program commands completed.
-    pub programs: u64,
-    /// Erase commands completed.
-    pub erases: u64,
-    /// Payload bytes moved over the channel bus.
-    pub bytes_transferred: u64,
     /// Peak simultaneous occupancy observed on the inbound tag queue.
     /// Never exceeds the queue depth.
     pub peak_inbound_tags: usize,
@@ -46,20 +39,11 @@ pub struct ChannelController {
     dies: Vec<FlashDie>,
     bus: FifoServer,
     timing: FlashTiming,
-    page_bytes: usize,
     /// Bus time for one page-sized transfer, derived once from the channel
     /// bandwidth (`timing.page_transfer(page_bytes)`): every bus transfer
     /// moves exactly one page.
     page_xfer: SimDuration,
     inbound_tags: usize,
-    /// Per-owner outstanding-command budgets; unlimited by default, which
-    /// reproduces the untagged FIFO admission exactly.
-    budgets: QosBudgets,
-    /// Per-owner budget *overrides* (dense owner index), installed by the
-    /// online QoS governor: `Some(b)` replaces whatever `budgets` would
-    /// grant that owner. Empty by default, so static-budget admission is
-    /// reproduced byte for byte until a governor writes its first budget.
-    owner_budget_overrides: Vec<Option<usize>>,
     /// Completion time and dense owner index (see [`OwnerId::dense_index`])
     /// of the last `inbound_tags` commands in submission order. Completion
     /// times are clamped non-decreasing as they are recorded, so every
@@ -110,11 +94,8 @@ impl ChannelController {
             dies,
             bus: FifoServer::new(),
             timing,
-            page_bytes: geometry.page_bytes,
             page_xfer: timing.page_transfer(geometry.page_bytes),
             inbound_tags,
-            budgets: QosBudgets::unlimited(),
-            owner_budget_overrides: Vec::new(),
             outstanding: VecDeque::new(),
             owner_peaks: Vec::new(),
             fault: None,
@@ -135,34 +116,6 @@ impl ChannelController {
     /// Mutable access to the channel's fault state (drain lists).
     pub(crate) fn fault_state_mut(&mut self) -> Option<&mut FaultState> {
         self.fault.as_mut()
-    }
-
-    /// Installs per-owner tag budgets (unlimited by default).
-    pub fn set_qos_budgets(&mut self, budgets: QosBudgets) {
-        self.budgets = budgets;
-    }
-
-    /// Installs (or clears, with `None`) a per-owner budget override. An
-    /// installed override replaces the static [`QosBudgets`] grant for that
-    /// owner only — the online QoS governor recomputes these from a sliding
-    /// window over the owner statistics.
-    pub fn set_owner_budget_override(&mut self, owner: OwnerId, budget: Option<usize>) {
-        let oi = owner.dense_index();
-        if oi >= self.owner_budget_overrides.len() {
-            if budget.is_none() {
-                return;
-            }
-            self.owner_budget_overrides.resize(oi + 1, None);
-        }
-        self.owner_budget_overrides[oi] = budget;
-    }
-
-    /// The budget override in force for `owner`, if any.
-    pub fn owner_budget_override(&self, owner: OwnerId) -> Option<usize> {
-        self.owner_budget_overrides
-            .get(owner.dense_index())
-            .copied()
-            .flatten()
     }
 
     /// Peak simultaneous tag-queue occupancy each owner reached. Owners
@@ -228,18 +181,22 @@ impl ChannelController {
         self.dies.iter().map(|d| d.utilization(now)).sum::<f64>() / self.dies.len() as f64
     }
 
-    /// Models tag-queue admission: commands submitted while `inbound_tags`
-    /// commands are still in flight are delayed until the oldest completes,
-    /// and an owner already holding its whole tag budget is deferred until
-    /// one of *its own* commands retires — other owners are admitted past
-    /// it rather than FIFO-stalling behind it.
-    fn admit(&mut self, now: SimTime, owner: OwnerId) -> SimTime {
-        let oi = self.ensure_owner_slot(owner);
+    /// Models tag-queue admission for the owner in dense slot `oi` under
+    /// its tag budget (`None`: unlimited): commands submitted while
+    /// `inbound_tags` commands are still in flight are delayed until the
+    /// oldest completes, and an owner already holding its whole budget is
+    /// deferred until one of *its own* commands retires — other owners are
+    /// admitted past it rather than FIFO-stalling behind it.
+    #[inline]
+    fn admit(&mut self, now: SimTime, oi: usize, budget: Option<usize>) -> SimTime {
+        if oi >= self.owner_peaks.len() {
+            self.owner_peaks.resize(oi + 1, 0);
+        }
         // Drop commands that have already retired by the submission instant.
         while matches!(self.outstanding.front(), Some(&(done, _)) if done <= now) {
             self.outstanding.pop_front();
         }
-        let mut admitted = if self.outstanding.len() < self.inbound_tags {
+        let admitted = if self.outstanding.len() < self.inbound_tags {
             now
         } else {
             // The queue holds the last `inbound_tags` commands, all still
@@ -248,24 +205,31 @@ impl ChannelController {
             // so the front entry is the one whose retirement opens a slot.
             self.outstanding[0].0
         };
+        // Occupancy peaks are capped at `inbound_tags` (see `walk`), so
+        // once the owner's peak reaches it only a budget needs the walk.
+        if budget.is_none() && self.owner_peaks[oi] >= self.inbound_tags {
+            return admitted;
+        }
+        self.stats.admission_scans += 1;
+        self.walk(admitted, oi, budget)
+    }
+
+    /// The walks of [`ChannelController::admit`] over the in-flight suffix
+    /// for a command the tag-slot rule admits at `admitted`: the owner's
+    /// budget deferral, then the occupancy peaks while the owner's can
+    /// still rise. Returns the admission instant.
+    #[inline(never)]
+    fn walk(&mut self, mut admitted: SimTime, oi: usize, budget: Option<usize>) -> SimTime {
         // Every command still in flight at `admitted` sits in the suffix of
-        // entries completing after it, and the tag-slot rule above bounds
-        // that suffix to `inbound_tags - 1` entries. Both walks below stay
+        // entries completing after it, and the tag-slot rule bounds that
+        // suffix to `inbound_tags - 1` entries. Both walks below stay
         // inside it, which is why the queue keeps no older entries.
         //
         // Per-owner budget `b`: defer until the owner's `b`-th in-flight
         // command from the back retires. A zero budget is clamped to one
         // tag — it bounds concurrency, never deadlocks the owner.
         let owner_tag = oi as u32;
-        let budget = self
-            .owner_budget_overrides
-            .get(oi)
-            .copied()
-            .flatten()
-            .or_else(|| self.budgets.budget_for(owner));
-        let mut scanned = false;
         if let Some(budget) = budget {
-            scanned = true;
             let nth_own_from_back = self
                 .outstanding
                 .iter()
@@ -283,7 +247,6 @@ impl ChannelController {
         // either and is skipped. An owner's peak never exceeds the queue's,
         // so the owner's peak alone says whether both have reached it.
         if self.owner_peaks[oi] < self.inbound_tags {
-            scanned = true;
             let (in_flight, owner_in_flight) = self
                 .outstanding
                 .iter()
@@ -295,51 +258,45 @@ impl ChannelController {
             self.stats.peak_inbound_tags = self.stats.peak_inbound_tags.max(in_flight + 1);
             self.owner_peaks[oi] = self.owner_peaks[oi].max(owner_in_flight + 1);
         }
-        self.stats.admission_scans += u64::from(scanned);
         admitted
     }
 
-    /// Grows the dense per-owner structures to cover `owner`, returning its
-    /// dense index.
-    fn ensure_owner_slot(&mut self, owner: OwnerId) -> usize {
-        let oi = owner.dense_index();
-        if oi >= self.owner_peaks.len() {
-            self.owner_peaks.resize(oi + 1, 0);
-        }
-        oi
-    }
-
-    fn record_completion(&mut self, done: SimTime, owner: OwnerId) {
+    /// Records the completion of a command admitted for dense owner slot
+    /// `oi`.
+    #[inline]
+    fn record_completion(&mut self, done: SimTime, oi: usize) {
         // Keep the queue sorted in the rare case a later submission finishes
         // slightly earlier (e.g. an erase racing a read on another die).
         let done = self.outstanding.back().map_or(done, |b| done.max(b.0));
-        let oi = self.ensure_owner_slot(owner);
         if self.outstanding.len() == self.inbound_tags {
             self.outstanding.pop_front();
         }
         self.outstanding.push_back((done, oi as u32));
     }
 
-    /// Executes one operation against `addr` on behalf of `owner`,
-    /// returning its completion time. A read senses the array, then moves
-    /// the page out over the bus; a program moves the page in over the bus,
-    /// then programs the array; an erase takes no bus time.
+    /// Executes one operation against `addr` for the owner in dense slot
+    /// `oi` (see [`OwnerId::dense_index`]) under its tag budget (`None`:
+    /// unlimited), returning its completion time. A read senses the array,
+    /// then moves the page out over the bus; a program moves the page in
+    /// over the bus, then programs the array; an erase takes no bus time.
     ///
     /// The returned instant accounts for tag-queue admission (including the
     /// owner's QoS budget), controller overhead, die contention, and
     /// channel-bus contention for the data transfer phase.
+    #[inline(always)]
     pub fn execute(
         &mut self,
         now: SimTime,
         op: FlashOp,
         addr: PhysicalPageAddr,
-        owner: OwnerId,
+        oi: usize,
+        budget: Option<usize>,
     ) -> Result<SimTime, FlashError> {
         if addr.die >= self.dies.len() {
             return Err(FlashError::OutOfRange(addr));
         }
         let timing = self.timing;
-        let admitted = self.admit(now, owner) + timing.controller_overhead;
+        let admitted = self.admit(now, oi, budget) + timing.controller_overhead;
         // Fault decision, rolled before the die operation. The counters it
         // advances are channel-local, so the verdict depends only on this
         // channel's own command sequence, not on how channels interleave.
@@ -354,7 +311,6 @@ impl ChannelController {
             ),
             None => false,
         };
-        let page_bytes = self.page_bytes;
         let die = &mut self.dies[addr.die];
         let completion = match op {
             FlashOp::ReadPage => {
@@ -373,8 +329,6 @@ impl ChannelController {
                 };
                 // Data comes off the array, then crosses the channel bus.
                 let xfer = self.bus.serve(sense_end, self.page_xfer);
-                self.stats.reads += 1;
-                self.stats.bytes_transferred += page_bytes as u64;
                 if faulted {
                     self.fault
                         .as_mut()
@@ -387,8 +341,6 @@ impl ChannelController {
                 // Data crosses the bus into the die's page register first.
                 let xfer = self.bus.serve(admitted, self.page_xfer);
                 let prog = die.program_page(xfer.end, addr.block, addr.page, &timing)?;
-                self.stats.programs += 1;
-                self.stats.bytes_transferred += page_bytes as u64;
                 if faulted {
                     // The program consumed the page (NAND write cursors only
                     // move forward) but the data reads back uncorrectable:
@@ -397,7 +349,7 @@ impl ChannelController {
                     // elsewhere.
                     die.invalidate_page(addr.block, addr.page)
                         .expect("freshly programmed page is valid");
-                    self.record_completion(prog.end, owner);
+                    self.record_completion(prog.end, oi);
                     self.note_block_failure(FaultOp::Program, addr);
                     return Err(FlashError::InjectedProgramFailure(addr));
                 }
@@ -409,16 +361,14 @@ impl ChannelController {
                     // erase latency) but the block kept its contents and
                     // its wear counter did not advance.
                     let res = die.failed_erase(admitted, &timing);
-                    self.record_completion(res.end, owner);
+                    self.record_completion(res.end, oi);
                     self.note_block_failure(FaultOp::Erase, addr);
                     return Err(FlashError::InjectedEraseFailure(addr));
                 }
-                let erase = die.erase_block(admitted, addr.block, &timing)?;
-                self.stats.erases += 1;
-                erase.end
+                die.erase_block(admitted, addr.block, &timing)?.end
             }
         };
-        self.record_completion(completion, owner);
+        self.record_completion(completion, oi);
         Ok(completion)
     }
 
@@ -488,6 +438,9 @@ impl ChannelController {
 mod tests {
     use super::*;
 
+    /// Dense slot of [`OwnerId::Unattributed`].
+    const UNATTRIBUTED: usize = OwnerId::Unattributed.dense_index();
+
     fn controller() -> ChannelController {
         ChannelController::new(
             0,
@@ -507,16 +460,14 @@ mod tests {
                 SimTime::ZERO,
                 FlashOp::ProgramPage,
                 addr,
-                OwnerId::Unattributed,
+                UNATTRIBUTED,
+                None,
             )
             .unwrap();
         let read = c
-            .execute(wrote, FlashOp::ReadPage, addr, OwnerId::Unattributed)
+            .execute(wrote, FlashOp::ReadPage, addr, UNATTRIBUTED, None)
             .unwrap();
         assert!(read > wrote);
-        assert_eq!(c.stats().programs, 1);
-        assert_eq!(c.stats().reads, 1);
-        assert_eq!(c.stats().bytes_transferred, 2 * 4096);
     }
 
     #[test]
@@ -536,27 +487,17 @@ mod tests {
         let a0 = PhysicalPageAddr::new(0, 0, 0, 0);
         let a1 = PhysicalPageAddr::new(0, 1, 0, 0);
         let d0 = c
-            .execute(
-                SimTime::ZERO,
-                FlashOp::ProgramPage,
-                a0,
-                OwnerId::Unattributed,
-            )
+            .execute(SimTime::ZERO, FlashOp::ProgramPage, a0, UNATTRIBUTED, None)
             .unwrap();
         let d1 = c
-            .execute(
-                SimTime::ZERO,
-                FlashOp::ProgramPage,
-                a1,
-                OwnerId::Unattributed,
-            )
+            .execute(SimTime::ZERO, FlashOp::ProgramPage, a1, UNATTRIBUTED, None)
             .unwrap();
         let start = d0.max(d1);
         let r0 = c
-            .execute(start, FlashOp::ReadPage, a0, OwnerId::Unattributed)
+            .execute(start, FlashOp::ReadPage, a0, UNATTRIBUTED, None)
             .unwrap();
         let r1 = c
-            .execute(start, FlashOp::ReadPage, a1, OwnerId::Unattributed)
+            .execute(start, FlashOp::ReadPage, a1, UNATTRIBUTED, None)
             .unwrap();
         // Both reads sense in parallel; only the bus transfer serializes, so
         // the second completion trails the first by far less than a full
@@ -568,16 +509,17 @@ mod tests {
     #[test]
     fn erase_takes_no_bus_bandwidth() {
         let mut c = controller();
-        let before = c.stats().bytes_transferred;
-        c.execute(
-            SimTime::ZERO,
-            FlashOp::EraseBlock,
-            PhysicalPageAddr::new(0, 0, 1, 0),
-            OwnerId::Unattributed,
-        )
-        .unwrap();
-        assert_eq!(c.stats().bytes_transferred, before);
-        assert_eq!(c.stats().erases, 1);
+        let done = c
+            .execute(
+                SimTime::ZERO,
+                FlashOp::EraseBlock,
+                PhysicalPageAddr::new(0, 0, 1, 0),
+                UNATTRIBUTED,
+                None,
+            )
+            .unwrap();
+        assert_eq!(c.bus_utilization(done), 0.0);
+        assert!(c.mean_die_utilization(done) > 0.0);
     }
 
     #[test]
@@ -595,7 +537,8 @@ mod tests {
                     SimTime::ZERO,
                     FlashOp::ProgramPage,
                     addr,
-                    OwnerId::Unattributed,
+                    UNATTRIBUTED,
+                    None,
                 )
                 .unwrap();
             let addr = PhysicalPageAddr::new(0, 0, 0, p);
@@ -604,7 +547,8 @@ mod tests {
                     SimTime::ZERO,
                     FlashOp::ProgramPage,
                     addr,
-                    OwnerId::Unattributed,
+                    UNATTRIBUTED,
+                    None,
                 )
                 .unwrap();
         }
@@ -622,17 +566,14 @@ mod tests {
         let geom = FlashGeometry::tiny_for_tests();
         let timing = FlashTiming::fast_for_tests();
         let mut c = ChannelController::new(0, &geom, timing, 1_000, 4);
-        c.set_qos_budgets(QosBudgets {
-            per_owner: Some(2),
-            background: Some(2),
-        });
         let hog = OwnerId::Kernel(1);
         for p in 0..8 {
             c.execute(
                 SimTime::ZERO,
                 FlashOp::ProgramPage,
                 PhysicalPageAddr::new(0, 0, 0, p),
-                hog,
+                hog.dense_index(),
+                Some(2),
             )
             .unwrap();
         }
@@ -647,54 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_budget_override_replaces_the_static_grant() {
-        // Static budget 3, override 1: the override wins and the owner is
-        // serialized to one tag. Clearing the override restores the static
-        // grant for subsequent traffic.
-        let geom = FlashGeometry::tiny_for_tests();
-        let timing = FlashTiming::fast_for_tests();
-        let mut c = ChannelController::new(0, &geom, timing, 1_000, 4);
-        c.set_qos_budgets(QosBudgets {
-            per_owner: Some(3),
-            background: Some(3),
-        });
-        let hog = OwnerId::Kernel(1);
-        c.set_owner_budget_override(hog, Some(1));
-        assert_eq!(c.owner_budget_override(hog), Some(1));
-        let mut last = SimTime::ZERO;
-        for p in 0..6 {
-            last = c
-                .execute(
-                    SimTime::ZERO,
-                    FlashOp::ProgramPage,
-                    PhysicalPageAddr::new(0, 0, 0, p),
-                    hog,
-                )
-                .unwrap();
-        }
-        assert_eq!(c.owner_peak_tags()[&hog], 1, "override must serialize");
-        // A fresh owner under the same static budget runs 3 wide.
-        let peer = OwnerId::Kernel(2);
-        for p in 6..12 {
-            c.execute(
-                last,
-                FlashOp::ProgramPage,
-                PhysicalPageAddr::new(0, 0, 0, p),
-                peer,
-            )
-            .unwrap();
-        }
-        assert_eq!(c.owner_peak_tags()[&peer], 3);
-        // Clearing the override falls back to the static grant.
-        c.set_owner_budget_override(hog, None);
-        assert_eq!(c.owner_budget_override(hog), None);
-        // Clearing an owner that never had an override is a no-op and must
-        // not grow the override table.
-        c.set_owner_budget_override(OwnerId::Kernel(999), None);
-        assert_eq!(c.owner_budget_override(OwnerId::Kernel(999)), None);
-    }
-
-    #[test]
     fn two_budgeted_owners_interleave_fairly_on_a_shared_queue() {
         // Two owners, budget 2 each, 4-tag queue, both flooding 8 programs
         // at t=0 in strict alternation: admission must interleave them (no
@@ -703,10 +596,6 @@ mod tests {
         let geom = FlashGeometry::tiny_for_tests();
         let timing = FlashTiming::fast_for_tests();
         let mut c = ChannelController::new(0, &geom, timing, 1_000, 4);
-        c.set_qos_budgets(QosBudgets {
-            per_owner: Some(2),
-            background: Some(2),
-        });
         let a = OwnerId::Kernel(1);
         let b = OwnerId::Kernel(2);
         let mut completions: Vec<(SimTime, OwnerId)> = Vec::new();
@@ -717,7 +606,8 @@ mod tests {
                         SimTime::ZERO,
                         FlashOp::ProgramPage,
                         PhysicalPageAddr::new(0, 0, die_block, p),
-                        owner,
+                        owner.dense_index(),
+                        Some(2),
                     )
                     .unwrap();
                 completions.push((done, owner));
@@ -752,7 +642,8 @@ mod tests {
                     SimTime::ZERO,
                     FlashOp::ProgramPage,
                     addr,
-                    OwnerId::Unattributed,
+                    UNATTRIBUTED,
+                    None,
                 )
                 .unwrap();
             let owner = if p % 2 == 0 {
@@ -761,7 +652,13 @@ mod tests {
                 OwnerId::Gc
             };
             let t = tagged
-                .execute(SimTime::ZERO, FlashOp::ProgramPage, addr, owner)
+                .execute(
+                    SimTime::ZERO,
+                    FlashOp::ProgramPage,
+                    addr,
+                    owner.dense_index(),
+                    None,
+                )
                 .unwrap();
             assert_eq!(u, t, "page {p}");
         }
@@ -800,7 +697,13 @@ mod tests {
         let mut last = SimTime::ZERO;
         for _ in 0..10_000 {
             last = c
-                .execute(SimTime::ZERO, FlashOp::ReadPage, page, a)
+                .execute(
+                    SimTime::ZERO,
+                    FlashOp::ReadPage,
+                    page,
+                    a.dense_index(),
+                    None,
+                )
                 .unwrap();
         }
         assert_eq!(c.stats().peak_inbound_tags, tags);
@@ -810,14 +713,16 @@ mod tests {
         let b = OwnerId::Kernel(2);
         let mid = SimTime::from_ns(last.as_ns() / 2);
         for _ in 0..1_000 {
-            c.execute(mid, FlashOp::ReadPage, page, b).unwrap();
+            c.execute(mid, FlashOp::ReadPage, page, b.dense_index(), None)
+                .unwrap();
         }
         assert_eq!(c.owner_peak_tags()[&b], tags);
         assert!(c.stats().admission_scans <= 2 * tags as u64);
         // With every peak capped, interleaved traffic never walks again.
         let scans = c.stats().admission_scans;
         for owner in [a, b].into_iter().cycle().take(1_000) {
-            c.execute(mid, FlashOp::ReadPage, page, owner).unwrap();
+            c.execute(mid, FlashOp::ReadPage, page, owner.dense_index(), None)
+                .unwrap();
         }
         assert_eq!(c.stats().admission_scans, scans);
     }
@@ -830,7 +735,8 @@ mod tests {
                 SimTime::ZERO,
                 FlashOp::ReadPage,
                 PhysicalPageAddr::new(0, 99, 0, 0),
-                OwnerId::Unattributed,
+                UNATTRIBUTED,
+                None,
             )
             .unwrap_err();
         assert!(matches!(err, FlashError::OutOfRange(_)));
@@ -853,7 +759,8 @@ mod tests {
                     SimTime::ZERO,
                     FlashOp::ProgramPage,
                     PhysicalPageAddr::new(0, 0, 0, page),
-                    OwnerId::Unattributed,
+                    UNATTRIBUTED,
+                    None,
                 )
                 .unwrap_err();
             assert!(matches!(err, FlashError::InjectedProgramFailure(_)));
@@ -881,7 +788,8 @@ mod tests {
             SimTime::ZERO,
             FlashOp::ProgramPage,
             addr,
-            OwnerId::Unattributed,
+            UNATTRIBUTED,
+            None,
         )
         .unwrap();
         let plan = Arc::new(FaultPlan {
@@ -891,18 +799,12 @@ mod tests {
         c.install_fault_state(FaultState::new(plan, 0));
         let busy_before = c.die(0).unwrap().next_free();
         let err = c
-            .execute(
-                SimTime::ZERO,
-                FlashOp::EraseBlock,
-                addr,
-                OwnerId::Unattributed,
-            )
+            .execute(SimTime::ZERO, FlashOp::EraseBlock, addr, UNATTRIBUTED, None)
             .unwrap_err();
         assert!(matches!(err, FlashError::InjectedEraseFailure(_)));
         // The block kept its data and its wear counter.
         assert_eq!(c.recount_valid_pages(), 1);
         assert_eq!(c.die(0).unwrap().erase_count(0), 0);
-        assert_eq!(c.stats().erases, 0);
         // The die was still busy for the failed pulse: the failed erase
         // charged real device time.
         assert!(c.die(0).unwrap().next_free() > busy_before);
@@ -920,7 +822,8 @@ mod tests {
                 SimTime::ZERO,
                 FlashOp::ProgramPage,
                 addr,
-                OwnerId::Unattributed,
+                UNATTRIBUTED,
+                None,
             )
             .unwrap();
         }
@@ -934,7 +837,8 @@ mod tests {
                 SimTime::from_ms(1),
                 FlashOp::ReadPage,
                 addr,
-                OwnerId::Unattributed,
+                UNATTRIBUTED,
+                None,
             )
             .unwrap();
         let t_disturbed = disturbed
@@ -942,7 +846,8 @@ mod tests {
                 SimTime::from_ms(1),
                 FlashOp::ReadPage,
                 addr,
-                OwnerId::Unattributed,
+                UNATTRIBUTED,
+                None,
             )
             .unwrap();
         // The disturbed read still succeeds, but pays the retry sense.
@@ -963,7 +868,8 @@ mod tests {
                 SimTime::ZERO,
                 FlashOp::ProgramPage,
                 PhysicalPageAddr::new(0, 0, 0, p),
-                OwnerId::Unattributed,
+                UNATTRIBUTED,
+                None,
             )
             .unwrap();
         }

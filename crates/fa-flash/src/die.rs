@@ -72,17 +72,6 @@ fn set_bit_run(words: &mut [u64], first: usize, n: usize) {
     }
 }
 
-/// Aggregate statistics for one die.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DieStats {
-    /// Pages read.
-    pub reads: u64,
-    /// Pages programmed.
-    pub programs: u64,
-    /// Blocks erased.
-    pub erases: u64,
-}
-
 /// A single NAND die.
 ///
 /// A page's state is not stored as such. A page is [`PageState::Free`]
@@ -105,7 +94,6 @@ pub struct FlashDie {
     die: usize,
     endurance_limit: u64,
     server: FifoServer,
-    stats: DieStats,
 }
 
 impl FlashDie {
@@ -136,7 +124,6 @@ impl FlashDie {
             die,
             endurance_limit,
             server: FifoServer::new(),
-            stats: DieStats::default(),
         }
     }
 
@@ -227,11 +214,6 @@ impl FlashDie {
         self.blocks.get(block).map(|b| b.erase_count).unwrap_or(0)
     }
 
-    /// Aggregate die statistics.
-    pub fn stats(&self) -> DieStats {
-        self.stats
-    }
-
     /// Earliest instant the die could accept another operation.
     pub fn next_free(&self) -> SimTime {
         self.server.next_free()
@@ -277,9 +259,7 @@ impl FlashDie {
         if page >= self.blocks[block].write_cursor as usize {
             return Err(FlashError::ReadUnwritten(self.addr(block, page)));
         }
-        let res = self.server.serve(now, timing.read_page);
-        self.stats.reads += 1;
-        Ok(res)
+        Ok(self.server.serve(now, timing.read_page))
     }
 
     /// Programs one page. The page must be the block's next free page.
@@ -303,9 +283,7 @@ impl FlashDie {
         let blk = &mut self.blocks[block];
         blk.write_cursor += 1;
         blk.valid += 1;
-        let res = self.server.serve(now, timing.program_page);
-        self.stats.programs += 1;
-        Ok(res)
+        Ok(self.server.serve(now, timing.program_page))
     }
 
     /// Marks one page valid without consuming device time: a one-page
@@ -408,9 +386,7 @@ impl FlashDie {
         blk.erase_count = erase_cycles;
         blk.write_cursor = 0;
         blk.valid = 0;
-        let res = self.server.serve(now, timing.erase_block);
-        self.stats.erases += 1;
-        Ok(res)
+        Ok(self.server.serve(now, timing.erase_block))
     }
 }
 
@@ -445,8 +421,6 @@ mod tests {
         assert_eq!(d.page_state(0, 0), Some(PageState::Valid));
         let r = d.read_page(now, 0, 0, &t).unwrap();
         assert!(r.end > r.start);
-        assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.stats().programs, 1);
     }
 
     #[test]

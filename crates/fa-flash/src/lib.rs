@@ -45,7 +45,7 @@ pub mod validindex;
 
 pub use backbone::{BackboneStats, FlashBackbone, FlashCommand, FlashCompletion, FlashOp};
 pub use controller::ChannelController;
-pub use die::{BlockCounts, DieStats, FlashDie, PageState};
+pub use die::{BlockCounts, FlashDie, PageState};
 pub use error::FlashError;
 pub use fault::{FaultOp, FaultPlan, FaultState, FaultStats, ScriptedFault};
 pub use geometry::{FlashGeometry, PhysicalPageAddr};

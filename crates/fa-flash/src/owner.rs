@@ -12,12 +12,12 @@
 //!   *deferred* until one of its own commands retires; other owners are
 //!   admitted past it instead of FIFO-stalling behind it (the lightweight
 //!   per-tenant flow control of SYSFLOW).
-//! * **Accounting.** Controllers and the backbone keep per-owner
-//!   [`OwnerStats`] — command counts, payload bytes, occupancy peaks, and
-//!   read latencies — so figures can show *who pays* for contention. The
-//!   backbone charges each page command to its owner's slot as the command
-//!   executes; the controllers' occupancy peaks are folded in when the
-//!   stats are read.
+//! * **Accounting.** The backbone reports per-owner [`OwnerStats`] —
+//!   command counts, payload bytes, occupancy peaks, and read latencies —
+//!   so figures can show *who pays* for contention. Each page-group stripe
+//!   adds the pages that took effect to its owner's dense slot once; the
+//!   payload bytes are derived from the counts, and the controllers'
+//!   occupancy peaks are folded in when the stats are read.
 //!
 //! # Examples
 //!
@@ -62,7 +62,7 @@ impl OwnerId {
     /// The two background streams and the unattributed stream take the
     /// first three slots; kernel `k` (the range-lock application id, a
     /// small sequential counter) takes slot `3 + k`.
-    pub fn dense_index(self) -> usize {
+    pub const fn dense_index(self) -> usize {
         match self {
             OwnerId::Gc => 0,
             OwnerId::Journal => 1,
@@ -118,11 +118,6 @@ pub struct QosBudgets {
 }
 
 impl QosBudgets {
-    /// Unlimited budgets: admission is the plain FIFO tag queue.
-    pub(crate) fn unlimited() -> Self {
-        QosBudgets::default()
-    }
-
     /// The budget applying to `owner`, if any.
     pub fn budget_for(&self, owner: OwnerId) -> Option<usize> {
         if owner.is_background() {
@@ -142,8 +137,8 @@ pub struct OwnerStats {
     pub programs: u64,
     /// Blocks erased.
     pub erases: u64,
-    /// Payload bytes moved for this owner (SRIO at the backbone, channel
-    /// bus at the controllers).
+    /// Payload bytes moved for this owner: one page per read and per
+    /// program.
     pub bytes: u64,
     /// Worst end-to-end read latency, in nanoseconds.
     pub read_latency_max_ns: u64,
@@ -173,17 +168,19 @@ pub struct ReadTail {
 
 impl ReadTail {
     /// Selects the tail of the non-empty samples in `parts` (nanoseconds,
-    /// in any order, left untouched) whose maximum is `max_ns`. p50 and p99
-    /// come from one [`select_ranks`] call, so both share one count pass;
-    /// the maximum is the owner's recorded worst read, rank n−1.
+    /// in any order, left untouched) whose minimum is `min_ns` and maximum
+    /// `max_ns`. p50 and p99 come from one [`select_ranks`] call, so both
+    /// share one count pass; the maximum is the owner's recorded worst
+    /// read, rank n−1.
     pub(crate) fn select<'a>(
         scratch: &mut RankScratch,
         parts: impl Iterator<Item = &'a [u64]> + Clone,
+        min_ns: u64,
         max_ns: u64,
     ) -> ReadTail {
         let n = parts.clone().map(<[u64]>::len).sum();
         let ranks = [nearest_rank(n, 0.5), nearest_rank(n, 0.99)];
-        let [p50, p99] = select_ranks(scratch, parts, max_ns, ranks);
+        let [p50, p99] = select_ranks(scratch, parts, min_ns, max_ns, ranks);
         ReadTail {
             p50: SimDuration::from_ns(p50),
             p99: SimDuration::from_ns(p99),
@@ -205,7 +202,7 @@ const MAX_BUCKETS: usize = 4096;
 /// Sample counts up to which [`select_ranks`] skips the count pass and
 /// selects among all the samples: a copy of a few hundred samples costs
 /// less than counting them. Open-loop tenants read a dozen pages each.
-const ONE_BUCKET_MAX: usize = 256;
+pub(crate) const ONE_BUCKET_MAX: usize = 256;
 
 /// Buffers [`select_ranks`] reuses across calls: the bucket counts and the
 /// one bucket's gathered samples.
@@ -217,13 +214,15 @@ pub(crate) struct RankScratch {
 
 /// The samples at the ascending `ranks` of everything in `parts`, exactly
 /// as a sorted concatenation would place them, leaving the samples
-/// untouched. `max` must be the largest sample, and every rank below the
-/// sample count.
+/// untouched. `min` and `max` must be the smallest and largest sample, and
+/// every rank below the sample count.
 ///
-/// Pass 1 counts the samples per high-bit bucket. The bucket count is the
-/// sample count rounded up to a power of two (at most [`MAX_BUCKETS`]), so
-/// the table never outgrows twice the samples. The shift puts `max` in the
-/// top bucket. A walk over the counts then names the bucket holding each
+/// Pass 1 counts the samples per high-bit bucket of their distance above
+/// `min`. The bucket count is the sample count rounded up to a power of
+/// two (at most [`MAX_BUCKETS`]), so the table never outgrows twice the
+/// samples. The shift puts `max` in the top bucket, so the buckets cover
+/// `min..=max` only: a common floor under every sample costs no
+/// resolution. A walk over the counts then names the bucket holding each
 /// rank and the rank's offset inside it, and pass 2 gathers only that
 /// bucket's samples into one reused buffer and selects the offset there.
 /// Ranks sharing a bucket share its gather. Up to [`ONE_BUCKET_MAX`]
@@ -231,6 +230,7 @@ pub(crate) struct RankScratch {
 pub(crate) fn select_ranks<'a, const K: usize>(
     scratch: &mut RankScratch,
     parts: impl Iterator<Item = &'a [u64]> + Clone,
+    min: u64,
     max: u64,
     ranks: [usize; K],
 ) -> [u64; K] {
@@ -244,12 +244,14 @@ pub(crate) fn select_ranks<'a, const K: usize>(
         return ranks.map(|rank| *bucket.select_nth_unstable(rank).1);
     }
     let buckets = n.next_power_of_two().min(MAX_BUCKETS);
-    let shift = (u64::BITS - max.leading_zeros()).saturating_sub(buckets.trailing_zeros());
+    let span = max - min;
+    let shift = (u64::BITS - span.leading_zeros()).saturating_sub(buckets.trailing_zeros());
+    let bucket_of = |v: u64| ((v - min) >> shift) as usize;
     counts.clear();
-    counts.resize((max >> shift) as usize + 1, 0);
+    counts.resize(bucket_of(max) + 1, 0);
     for part in parts.clone() {
         for &v in part {
-            counts[(v >> shift) as usize] += 1;
+            counts[bucket_of(v)] += 1;
         }
     }
     let (mut b, mut below) = (0, 0);
@@ -264,7 +266,7 @@ pub(crate) fn select_ranks<'a, const K: usize>(
         if gathered != Some(b) {
             bucket.clear();
             for part in parts.clone() {
-                bucket.extend(part.iter().filter(|&&v| (v >> shift) as usize == b));
+                bucket.extend(part.iter().filter(|&&v| bucket_of(v) == b));
             }
             gathered = Some(b);
         }
@@ -292,7 +294,13 @@ mod tests {
             // else sits in the bucket holding `edge`.
             4 if r % 512 == 0 => r,
             4 => edge | (r % 64),
-            _ => r >> (r % 64),
+            5 => r >> (r % 64),
+            // A loaded owner's read tail: 98 % of reads between 40 and
+            // 60 µs, 2 % outliers up to 2 ms.
+            6 if r % 50 == 0 => 60_000 + r % 1_940_001,
+            6 => 40_000 + r % 20_001,
+            // A common floor far above the spread.
+            _ => edge + r % 4096,
         };
         raw.iter().map(|&r| draw(r)).collect()
     }
@@ -302,7 +310,7 @@ mod tests {
 
         #[test]
         fn select_ranks_matches_sorted_copy(
-            kind in 0usize..6,
+            kind in 0usize..8,
             bit in 1u32..64,
             raw in prop::collection::vec(0u64..u64::MAX, 1..20_000),
             short in 0usize..4,
@@ -320,13 +328,23 @@ mod tests {
             let parts: Vec<&[u64]> = cuts.windows(2).map(|w| &all[w[0]..w[1]]).collect();
             let mut sorted = all.clone();
             sorted.sort_unstable();
-            let max = sorted[n - 1];
+            let (min, max) = (sorted[0], sorted[n - 1]);
 
             let ranks = [0, nearest_rank(n, 0.5), nearest_rank(n, 0.99), n - 1];
             let mut scratch = RankScratch::default();
-            let got = select_ranks(&mut scratch, parts.iter().copied(), max, ranks);
+            let got = select_ranks(&mut scratch, parts.iter().copied(), min, max, ranks);
             prop_assert_eq!(got, ranks.map(|r| sorted[r]));
-            let tail = ReadTail::select(&mut scratch, parts.iter().copied(), max);
+            if kind >= 6 {
+                // The median's bucket stays small: outliers and a floor
+                // cost the buckets no resolution where the samples crowd.
+                select_ranks(&mut scratch, parts.iter().copied(), min, max, [ranks[1]]);
+                let gathered = scratch.bucket.len();
+                prop_assert!(
+                    gathered <= ONE_BUCKET_MAX.max(n / 8),
+                    "kind {}: gathered {} of {}", kind, gathered, n
+                );
+            }
+            let tail = ReadTail::select(&mut scratch, parts.iter().copied(), min, max);
             prop_assert_eq!(tail.p50.as_ns(), sorted[ranks[1]]);
             prop_assert_eq!(tail.p99.as_ns(), sorted[ranks[2]]);
             prop_assert_eq!(tail.max.as_ns(), max);
@@ -342,7 +360,7 @@ mod tests {
             for max in [0, 1, 1000, 1 << 40, u64::MAX] {
                 let all = vec![max; n];
                 let mut scratch = RankScratch::default();
-                let [_] = select_ranks(&mut scratch, [&all[..]].into_iter(), max, [n / 2]);
+                let [_] = select_ranks(&mut scratch, [&all[..]].into_iter(), max, max, [n / 2]);
                 let len = scratch.counts.len();
                 assert!(
                     len <= 2 * n && len <= MAX_BUCKETS,
@@ -362,7 +380,7 @@ mod tests {
         assert_eq!(q.budget_for(OwnerId::Unattributed), Some(4));
         assert_eq!(q.budget_for(OwnerId::Gc), Some(2));
         assert_eq!(q.budget_for(OwnerId::Journal), Some(2));
-        assert_eq!(QosBudgets::unlimited().budget_for(OwnerId::Gc), None);
+        assert_eq!(QosBudgets::default().budget_for(OwnerId::Gc), None);
     }
 
     #[test]

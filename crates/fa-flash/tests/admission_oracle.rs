@@ -8,7 +8,9 @@
 //! shared queue plus one completion deque per owner, retired in lockstep,
 //! with both peaks recounted on every admission. Random
 //! command streams must get identical completion instants and identical
-//! peaks from both.
+//! peaks from both. The tag budget a command runs under — the static grant
+//! or a governor override — is resolved once by the model and handed to
+//! both, as the backbone hands it to its controllers.
 //!
 //! The model reuses a [`ChannelController`] with an unbounded tag queue and
 //! no budgets as its die-and-bus service: such a controller admits every
@@ -103,6 +105,14 @@ impl TwoQueueModel {
         };
     }
 
+    /// The tag budget `owner`'s next command runs under.
+    fn budget(&self, owner: OwnerId) -> Option<usize> {
+        self.overrides
+            .get(&owner)
+            .copied()
+            .or_else(|| self.budgets.budget_for(owner))
+    }
+
     fn admit(&mut self, now: SimTime, owner: OwnerId) -> SimTime {
         while matches!(self.outstanding.front(), Some(&(done, _)) if done <= now) {
             let (done, o) = self.outstanding.pop_front().unwrap();
@@ -115,12 +125,8 @@ impl TwoQueueModel {
         } else {
             self.outstanding[occupancy - self.inbound_tags].0
         };
+        let budget = self.budget(owner);
         let own = self.per_owner.entry(owner).or_default();
-        let budget = self
-            .overrides
-            .get(&owner)
-            .copied()
-            .or_else(|| self.budgets.budget_for(owner));
         if let Some(budget) = budget {
             let budget = budget.max(1);
             let in_flight = own.iter().filter(|&&t| t > admitted).count();
@@ -148,7 +154,9 @@ impl TwoQueueModel {
         owner: OwnerId,
     ) -> Result<SimTime, FlashError> {
         let admitted = self.admit(now, owner);
-        let done = self.service.execute(admitted, op, addr, owner)?;
+        let done = self
+            .service
+            .execute(admitted, op, addr, owner.dense_index(), None)?;
         let clamped = self.outstanding.back().map_or(done, |&(b, _)| done.max(b));
         self.outstanding.push_back((clamped, owner));
         self.per_owner.get_mut(&owner).unwrap().push_back(clamped);
@@ -187,7 +195,6 @@ proptest! {
             background: static_budget(bg_mode, depth),
         };
         let mut real = new_controller(depth);
-        real.set_qos_budgets(budgets);
         let mut model = TwoQueueModel::new(depth, budgets);
         // Block 0 of every die holds readable data; blocks 1.. take
         // sequential programs and erases, tracked by a write cursor.
@@ -215,7 +222,6 @@ proptest! {
                 // Install or clear a governor-style override mid-stream.
                 0 | 1 if aux % 5 == 0 => {
                     let budget = (aux % 3 != 0).then_some(aux % (depth + 2));
-                    real.set_owner_budget_override(who, budget);
                     model.set_override(who, budget);
                     continue;
                 }
@@ -242,7 +248,7 @@ proptest! {
                 }
             };
             commands += 1;
-            let got = real.execute(at, op, addr, who);
+            let got = real.execute(at, op, addr, who.dense_index(), model.budget(who));
             let want = model.execute(at, op, addr, who);
             prop_assert!(
                 got == want,

@@ -15,13 +15,11 @@
 //! sometimes just below, just above or outside the die, and blocks wear
 //! out. After every step the two must agree on the result (the exact error
 //! value or the exact busy window), every page state, every per-block
-//! count, and the die statistics.
+//! count, and the die's next free instant.
 //!
 //! Case count defaults to 128 and can be raised via `FA_ORACLE_CASES`.
 
-use fa_flash::{
-    DieStats, FlashDie, FlashError, FlashGeometry, FlashTiming, PageState, PhysicalPageAddr,
-};
+use fa_flash::{FlashDie, FlashError, FlashGeometry, FlashTiming, PageState, PhysicalPageAddr};
 use fa_sim::resource::{FifoServer, Reservation};
 use fa_sim::time::SimTime;
 use proptest::prelude::*;
@@ -58,7 +56,6 @@ struct ReferenceDie {
     write_cursor: Vec<usize>,
     erase_count: Vec<u64>,
     server: FifoServer,
-    stats: DieStats,
 }
 
 impl ReferenceDie {
@@ -73,7 +70,6 @@ impl ReferenceDie {
             write_cursor: vec![0; blocks],
             erase_count: vec![0; blocks],
             server: FifoServer::new(),
-            stats: DieStats::default(),
         }
     }
 
@@ -116,7 +112,6 @@ impl ReferenceDie {
         if self.pages[slot] == PageState::Free {
             return Err(FlashError::ReadUnwritten(self.addr(block, page)));
         }
-        self.stats.reads += 1;
         Ok(self.server.serve(now, t.read_page))
     }
 
@@ -146,7 +141,6 @@ impl ReferenceDie {
         }
         self.pages[slot] = PageState::Valid;
         self.write_cursor[block] += 1;
-        self.stats.programs += 1;
         Ok(self.server.serve(now, t.program_page))
     }
 
@@ -202,12 +196,11 @@ impl ReferenceDie {
         self.erase_count[block] += 1;
         self.pages[slot..slot + self.pages_per_block].fill(PageState::Free);
         self.write_cursor[block] = 0;
-        self.stats.erases += 1;
         Ok(self.server.serve(now, t.erase_block))
     }
 }
 
-/// Every page state, per-block count and statistic must agree, including
+/// Every page state, per-block count and busy horizon must agree, including
 /// the answers for a block and a page just outside the die.
 fn compare(real: &FlashDie, model: &ReferenceDie) -> Result<(), String> {
     let blocks = model.blocks();
@@ -242,7 +235,6 @@ fn compare(real: &FlashDie, model: &ReferenceDie) -> Result<(), String> {
             model.erase_count.get(block).copied().unwrap_or(0)
         );
     }
-    prop_assert_eq!(real.stats(), model.stats);
     prop_assert_eq!(real.next_free(), model.server.next_free());
     Ok(())
 }

@@ -107,7 +107,7 @@ impl PerPageModel {
         let before = self.counts(addr);
         let words = self.die(addr).valid_words(addr.block).to_vec();
         self.channels[addr.channel]
-            .execute(now, op, addr, OwnerId::Unattributed)
+            .execute(now, op, addr, OwnerId::Unattributed.dense_index(), None)
             .expect("model command");
         let block = self.geometry.block_index(addr);
         match op {

@@ -172,7 +172,8 @@ proptest! {
                     // Straight to the channel, bypassing the backbone.
                     let addr = PhysicalPageAddr::new(c, die, 0, aux % PAGES);
                     let channel = b.channel_mut(c).unwrap();
-                    channel.execute(at, FlashOp::ReadPage, addr, CHANNEL_ONLY).unwrap();
+                    let slot = CHANNEL_ONLY.dense_index();
+                    channel.execute(at, FlashOp::ReadPage, addr, slot, None).unwrap();
                     continue;
                 }
                 0..=7 if reads => {
