@@ -126,7 +126,9 @@ pub struct Flashvisor {
     freespace: FreeSpaceManager,
     /// Overwrites absorbed per *logical* group — the cross-layer metadata
     /// hot/cold separation classifies on (the global
-    /// `overwritten_groups` stat is the sum of this vector).
+    /// `overwritten_groups` stat is the sum of this vector). Empty until
+    /// the first overwrite, which allocates it at full length: a run that
+    /// never overwrites never builds it, and a missing entry reads 0.
     overwrite_counts: Vec<u32>,
     /// Dedicated active blocks for hot data: physical groups pulled from
     /// the allocator one block row at a time and handed only to
@@ -225,7 +227,7 @@ impl Flashvisor {
             mapping: vec![0; total_groups as usize],
             reverse: vec![0; total_groups as usize],
             freespace,
-            overwrite_counts: vec![0; total_groups as usize],
+            overwrite_counts: Vec::new(),
             hot_reserve: VecDeque::new(),
             locks: RangeLockTable::new(),
             cpu: FifoServer::new(),
@@ -648,8 +650,11 @@ impl Flashvisor {
                 // see.
                 self.backbone.invalidate_group(old * pages, pages)?;
                 self.stats.overwritten_groups += 1;
-                self.overwrite_counts[lg as usize] =
-                    self.overwrite_counts[lg as usize].saturating_add(1);
+                if self.overwrite_counts.is_empty() {
+                    self.overwrite_counts = vec![0; self.mapping.len()];
+                }
+                let count = &mut self.overwrite_counts[lg as usize];
+                *count = count.saturating_add(1);
             }
             // Hot/cold separation: a logical group overwritten at least
             // `hot_overwrite_threshold` times draws its destination from
@@ -788,27 +793,35 @@ impl Flashvisor {
 
     /// Erase-cycle statistics over the data blocks, excluding the
     /// journal's reserved metadata row.
+    ///
+    /// Streams the dies' erase counts twice, in flat block order: once for
+    /// the count, sum, minimum and maximum, once for the squared
+    /// deviations from the mean.
     pub fn data_block_wear(&self) -> WearSummary {
         let blocks_per_die = self.config.flash_geometry.blocks_per_die();
         let journal_block = self.config.journal_metadata_row();
-        let wear: Vec<u64> = self
+        let wear = self
             .backbone
             .block_erase_counts()
-            .into_iter()
             .enumerate()
-            .filter(|(i, _)| Some((i % blocks_per_die) as u64) != journal_block)
-            .map(|(_, c)| c)
-            .collect();
-        if wear.is_empty() {
+            .filter(move |(i, _)| Some((i % blocks_per_die) as u64) != journal_block)
+            .map(|(_, c)| c);
+        let (mut len, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
+        for c in wear.clone() {
+            len += 1;
+            sum += c;
+            min = min.min(c);
+            max = max.max(c);
+        }
+        if len == 0 {
             return WearSummary::default();
         }
-        let mean = wear.iter().sum::<u64>() as f64 / wear.len() as f64;
+        let mean = sum as f64 / len as f64;
+        let squares = wear.map(|c| (c as f64 - mean).powi(2)).sum::<f64>();
         WearSummary {
-            min_erases: wear.iter().copied().min().unwrap_or(0),
-            max_erases: wear.iter().copied().max().unwrap_or(0),
-            stddev_erases: (wear.iter().map(|&c| (c as f64 - mean).powi(2)).sum::<f64>()
-                / wear.len() as f64)
-                .sqrt(),
+            min_erases: min,
+            max_erases: max,
+            stddev_erases: (squares / len as f64).sqrt(),
         }
     }
 
@@ -988,9 +1001,7 @@ impl Flashvisor {
         self.freespace
             .rebuild(|pg| reverse[pg as usize] == 0 && index.group_programmed_pages(pg) == 0);
         self.hot_reserve.clear();
-        for c in self.overwrite_counts.iter_mut() {
-            *c = 0;
-        }
+        self.overwrite_counts = Vec::new();
         self.dirty_mapping_entries = 0;
         self.redo_since_journal.clear();
     }
@@ -1273,6 +1284,82 @@ mod tests {
         assert_eq!(v.free_physical_groups(), before - 4);
         assert_eq!(v.stats().overwritten_groups, 2);
         assert_eq!(v.stats().group_writes, 4);
+    }
+
+    #[test]
+    fn overwrite_count_reads_zero_until_the_first_overwrite() {
+        let (mut v, mut sp) = visor();
+        v.write_section(SimTime::ZERO, 0, 16 * 1024, &mut sp)
+            .unwrap();
+        assert_eq!(v.overwrite_count(0), 0);
+        assert!(v.overwrite_counts.is_empty());
+        v.write_section(SimTime::from_ms(50), 0, 8 * 1024, &mut sp)
+            .unwrap();
+        assert_eq!(v.overwrite_count(0), 1);
+        assert_eq!(v.overwrite_count(1), 0);
+        assert_eq!(v.overwrite_counts.len(), v.mapping.len());
+    }
+
+    #[test]
+    fn recover_works_on_a_system_that_never_overwrote() {
+        let (mut v, mut sp) = visor();
+        v.install_fault_plan(Arc::new(FaultPlan::default()));
+        v.write_section(SimTime::ZERO, 0, 32 * 1024, &mut sp)
+            .unwrap();
+        v.flush_redo_to_journal();
+        let before: Vec<(u64, u64)> = v.mapped_groups().collect();
+        v.recover();
+        assert_eq!(v.mapped_groups().collect::<Vec<_>>(), before);
+        assert_eq!(v.overwrite_count(0), 0);
+        // The recovered mapping still absorbs overwrites.
+        v.write_section(SimTime::from_ms(50), 0, 8 * 1024, &mut sp)
+            .unwrap();
+        assert_eq!(v.overwrite_count(0), 1);
+        assert_eq!(v.stats().overwritten_groups, 1);
+    }
+
+    #[test]
+    fn streamed_wear_summary_matches_the_collected_form() {
+        let (mut v, _sp) = visor();
+        let geometry = v.config().flash_geometry;
+        let journal_row = v.config().journal_metadata_row().unwrap() as usize;
+        // Uneven erases, the journal row's block worn far past the others
+        // so counting it would move the minimum, maximum and spread.
+        let mut now = SimTime::ZERO;
+        for block in 0..geometry.total_blocks() as usize {
+            let (channel, die, row) = geometry.block_index_to_addr(block as u64);
+            let erases = if row == journal_row {
+                40
+            } else {
+                block * 7 % 5
+            };
+            for _ in 0..erases {
+                let addr = fa_flash::PhysicalPageAddr::new(channel, die, row, 0);
+                now = v
+                    .backbone_mut()
+                    .submit(now, fa_flash::FlashCommand::erase(addr))
+                    .unwrap()
+                    .finished;
+            }
+        }
+        let blocks_per_die = geometry.blocks_per_die();
+        let wear: Vec<u64> = v
+            .backbone()
+            .block_erase_counts()
+            .enumerate()
+            .filter(|(i, _)| i % blocks_per_die != journal_row)
+            .map(|(_, c)| c)
+            .collect();
+        let mean = wear.iter().sum::<u64>() as f64 / wear.len() as f64;
+        let stddev = (wear.iter().map(|&c| (c as f64 - mean).powi(2)).sum::<f64>()
+            / wear.len() as f64)
+            .sqrt();
+        let summary = v.data_block_wear();
+        assert_eq!(summary.min_erases, *wear.iter().min().unwrap());
+        assert_eq!(summary.max_erases, *wear.iter().max().unwrap());
+        assert_eq!(summary.max_erases, 4);
+        assert_eq!(summary.stddev_erases.to_bits(), stddev.to_bits());
+        assert!(stddev > 0.0);
     }
 
     #[test]

@@ -763,9 +763,8 @@ impl FlashAbacusSystem {
 
         // Per-owner flash traffic and read tails, in deterministic owner
         // order (kernels ascending, then GC, journal, unattributed).
-        let backbone = self.flashvisor.backbone();
-        let flash_owner_stats = backbone
-            .owner_read_tails()
+        let (tails, foreground_p99) = self.flashvisor.backbone().read_tails(0.99);
+        let flash_owner_stats = tails
             .map(|(owner, s, tail)| {
                 let tail = tail.unwrap_or_default();
                 OwnerFlashStats {
@@ -781,10 +780,7 @@ impl FlashAbacusSystem {
                 }
             })
             .collect();
-        let foreground_read_p99_s = backbone
-            .foreground_read_latency_quantile(0.99)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0);
+        let foreground_read_p99_s = foreground_p99.map_or(0.0, |d| d.as_secs_f64());
 
         // GC's migration efficiency.
         let se_stats = self.storengine.stats();

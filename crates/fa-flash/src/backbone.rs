@@ -18,9 +18,7 @@ use crate::die::{BlockCounts, FlashDie};
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::geometry::{FlashGeometry, PhysicalPageAddr};
-use crate::owner::{
-    nearest_rank, select_ranks, OwnerId, OwnerStats, QosBudgets, RankScratch, ReadTail,
-};
+use crate::owner::{select_tails, OwnerId, OwnerStats, QosBudgets, ReadTail, Samples, TailScratch};
 use crate::timing::FlashTiming;
 use crate::validindex::ValidPageIndex;
 use fa_sim::resource::FifoServer;
@@ -839,19 +837,12 @@ impl FlashBackbone {
 
     /// Every owner that submitted a command or holds a tag-queue peak, in
     /// [`OwnerId`] order (kernels ascending, then GC, journal,
-    /// unattributed), with its slot (if it has one) and its stats: payload
-    /// bytes derived from its counts, the channels' occupancy peaks folded
-    /// in. Walks the dense slots directly: no map is built per channel or
-    /// per call.
-    fn owners(&self) -> impl Iterator<Item = (Option<&OwnerSlot>, OwnerId, OwnerStats)> + '_ {
+    /// unattributed), with its stats: payload bytes derived from its
+    /// slot's counts, the channels' occupancy peaks folded in. Walks the
+    /// dense slots directly: no map is built per channel or per call.
+    fn owners(&self) -> impl Iterator<Item = (OwnerId, OwnerStats)> + '_ {
         let page_bytes = self.geometry.page_bytes as u64;
-        let slots = self
-            .channels
-            .iter()
-            .map(ChannelController::owner_slots)
-            .fold(self.owners.len(), usize::max);
-        let fixed = OwnerId::DENSE_FIXED.min(slots);
-        (fixed..slots).chain(0..fixed).filter_map(move |oi| {
+        self.dense_order().filter_map(move |oi| {
             let peak = self.channels.iter().map(|c| c.owner_peak(oi)).max();
             let peak_tags = peak.unwrap_or(0);
             let slot = self.owners.get(oi);
@@ -867,36 +858,87 @@ impl FlashBackbone {
                 peak_tags: 0,
             });
             let stats = OwnerStats { peak_tags, ..stats };
-            Some((slot, OwnerId::from_dense_index(oi), stats))
+            Some((OwnerId::from_dense_index(oi), stats))
         })
+    }
+
+    /// Every dense owner slot the backbone or a channel has, in
+    /// [`OwnerId`] order: kernels ascending, then GC, journal,
+    /// unattributed.
+    fn dense_order(&self) -> impl Iterator<Item = usize> + Clone {
+        let slots = self
+            .channels
+            .iter()
+            .map(ChannelController::owner_slots)
+            .fold(self.owners.len(), usize::max);
+        let fixed = OwnerId::DENSE_FIXED.min(slots);
+        (fixed..slots).chain(0..fixed)
     }
 
     /// Per-owner command counts, payload bytes, read latencies, and peak
     /// channel tag occupancy. Summing the command counts and bytes across
     /// owners gives [`FlashBackbone::stats`]: both read the same slots.
     pub fn owner_stats(&self) -> BTreeMap<OwnerId, OwnerStats> {
-        self.owners()
-            .map(|(_, owner, stats)| (owner, stats))
-            .collect()
+        self.owners().collect()
+    }
+
+    /// Every owner's page-read tail and the pooled foreground
+    /// `q`-quantile. The owners are those of [`FlashBackbone::owner_stats`],
+    /// in the same order, each with its tail (`None` when it completed no
+    /// reads); the quantile is `None` when no foreground read completed.
+    /// Every tail and the quantile equal the nearest ranks of sorted
+    /// copies.
+    ///
+    /// The foreground owners (kernels and the unattributed stream) are
+    /// one group for `owner::select_tails`: their tails and the pooled
+    /// quantile come from one count pass and one gather pass over their
+    /// recorded samples, left where they are. The GC and journal streams
+    /// are not pooled: each is a group of its own, selected when the walk
+    /// reaches it, so a caller that wants only the quantile never selects
+    /// them.
+    pub fn read_tails(
+        &self,
+        q: f64,
+    ) -> (
+        impl Iterator<Item = (OwnerId, OwnerStats, Option<ReadTail>)> + '_,
+        Option<SimDuration>,
+    ) {
+        let samples = |oi: usize| {
+            let s = self.owners.get(oi)?;
+            (!s.read_latencies.is_empty()).then(|| Samples {
+                ns: &s.read_latencies,
+                min: s.read_min_ns,
+                max: s.read_max_ns,
+            })
+        };
+        let foreground = self
+            .dense_order()
+            .filter(|&oi| !OwnerId::from_dense_index(oi).is_background())
+            .filter_map(samples);
+        let mut scratch = TailScratch::default();
+        let (mut tails, quantile) = select_tails(&mut scratch, foreground, Some(q));
+        // The foreground tails are handed out in the same dense order.
+        let owners = self.owners().map(move |(owner, stats)| {
+            let tail = samples(owner.dense_index()).map(|s| {
+                if owner.is_background() {
+                    let (mut alone, _) = select_tails(&mut scratch, std::iter::once(s), None);
+                    alone.next(&mut scratch, s)
+                } else {
+                    tails.next(&mut scratch, s)
+                }
+            });
+            (owner, stats, tail)
+        });
+        (owners, quantile.map(SimDuration::from_ns))
     }
 
     /// The owners of [`FlashBackbone::owner_stats`], in the same order,
-    /// each with its page-read tail (`None` when it completed no reads) —
-    /// what the run outcome reports per owner. Each tail is found in place
-    /// by one radix count and a selection inside one bucket
-    /// (`owner::select_ranks`), with buffers reused across owners, and
-    /// equals the nearest ranks of a sorted copy.
+    /// each with its page-read tail (`None` when it completed no reads):
+    /// [`FlashBackbone::read_tails`]' owners.
     pub fn owner_read_tails(
         &self,
     ) -> impl Iterator<Item = (OwnerId, OwnerStats, Option<ReadTail>)> + '_ {
-        let mut scratch = RankScratch::default();
-        self.owners().map(move |(slot, owner, stats)| {
-            let tail = slot.filter(|s| !s.read_latencies.is_empty()).map(|s| {
-                let parts = std::iter::once(s.read_latencies.as_slice());
-                ReadTail::select(&mut scratch, parts, s.read_min_ns, s.read_max_ns)
-            });
-            (owner, stats, tail)
-        })
+        self.read_tails(0.99).0
     }
 
     /// `owner`'s total commands (reads + programs + erases) — equal to
@@ -911,30 +953,10 @@ impl FlashBackbone {
 
     /// The nearest-rank `q`-quantile of all *foreground*
     /// (non-background-owner) read latencies — the tail the QoS budgets
-    /// exist to protect. `None` when no foreground read completed. Found
-    /// across the owners' own sample vectors by `owner::select_ranks`,
-    /// with no merged copy; the selection walks only the foreground slots
-    /// that hold samples.
+    /// exist to protect: [`FlashBackbone::read_tails`]' pooled quantile.
+    /// `None` when no foreground read completed.
     pub fn foreground_read_latency_quantile(&self, q: f64) -> Option<SimDuration> {
-        let foreground: Vec<&OwnerSlot> = self
-            .owners
-            .iter()
-            .enumerate()
-            .filter(|&(oi, s)| {
-                !s.read_latencies.is_empty() && !OwnerId::from_dense_index(oi).is_background()
-            })
-            .map(|(_, s)| s)
-            .collect();
-        let n = foreground.iter().map(|s| s.read_latencies.len()).sum();
-        if n == 0 {
-            return None;
-        }
-        let min = foreground.iter().map(|s| s.read_min_ns).min().unwrap_or(0);
-        let max = foreground.iter().map(|s| s.read_max_ns).max().unwrap_or(0);
-        let parts = foreground.iter().map(|s| s.read_latencies.as_slice());
-        let ranks = [nearest_rank(n, q)];
-        let [nth] = select_ranks(&mut RankScratch::default(), parts, min, max, ranks);
-        Some(SimDuration::from_ns(nth))
+        self.read_tails(q).1
     }
 
     /// The reclaimable block (≥1 invalid page) with the fewest valid pages,
@@ -960,17 +982,16 @@ impl FlashBackbone {
         self.valid_index.take_erased_blocks()
     }
 
-    /// Erase cycles of every block, read from the dies and indexed by
-    /// [`FlashGeometry::block_index`] — the endurance snapshot the run
+    /// Erase cycles of every block, streamed from the dies in
+    /// [`FlashGeometry::block_index`] order — the endurance snapshot the run
     /// outcome's wear-spread metrics summarize.
-    pub fn block_erase_counts(&self) -> Vec<u64> {
+    pub fn block_erase_counts(&self) -> impl Iterator<Item = u64> + Clone + '_ {
         self.dies()
             .flat_map(|d| (0..d.block_count()).map(|b| d.erase_count(b)))
-            .collect()
     }
 
     /// Every die, channel by channel: the order of flat block indices.
-    fn dies(&self) -> impl Iterator<Item = &FlashDie> + '_ {
+    fn dies(&self) -> impl Iterator<Item = &FlashDie> + Clone + '_ {
         let dies = self.geometry.dies_per_channel();
         self.channels
             .iter()
@@ -1111,6 +1132,7 @@ fn block_of(geometry: &FlashGeometry, addr: PhysicalPageAddr) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::owner::nearest_rank;
 
     fn backbone() -> FlashBackbone {
         FlashBackbone::new(
@@ -1245,7 +1267,7 @@ mod tests {
         ));
         // Both wear readers count the one erase that completed.
         let block = geometry.block_index(addr) as usize;
-        assert_eq!(b.block_erase_counts()[block], 1);
+        assert_eq!(b.block_erase_counts().nth(block), Some(1));
         assert_eq!(b.erase_count(1, 0, 2), 1);
     }
 

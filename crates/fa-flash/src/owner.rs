@@ -166,112 +166,269 @@ pub struct ReadTail {
     pub max: SimDuration,
 }
 
-impl ReadTail {
-    /// Selects the tail of the non-empty samples in `parts` (nanoseconds,
-    /// in any order, left untouched) whose minimum is `min_ns` and maximum
-    /// `max_ns`. p50 and p99 come from one [`select_ranks`] call, so both
-    /// share one count pass; the maximum is the owner's recorded worst
-    /// read, rank n−1.
-    pub(crate) fn select<'a>(
-        scratch: &mut RankScratch,
-        parts: impl Iterator<Item = &'a [u64]> + Clone,
-        min_ns: u64,
-        max_ns: u64,
-    ) -> ReadTail {
-        let n = parts.clone().map(<[u64]>::len).sum();
-        let ranks = [nearest_rank(n, 0.5), nearest_rank(n, 0.99)];
-        let [p50, p99] = select_ranks(scratch, parts, min_ns, max_ns, ranks);
-        ReadTail {
-            p50: SimDuration::from_ns(p50),
-            p99: SimDuration::from_ns(p99),
-            max: SimDuration::from_ns(max_ns),
-        }
-    }
-}
-
 /// The nearest rank of the `q`-quantile (`0..=1`, clamped) among `n > 0`
 /// ordered samples.
 pub(crate) fn nearest_rank(n: usize, q: f64) -> usize {
     ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize
 }
 
-/// Most buckets [`select_ranks`] counts into. Past this, a bucket holds
+/// The ranks of a [`ReadTail`]'s p50 and p99 among `n > 0` samples.
+fn tail_ranks(n: usize) -> [usize; 2] {
+    [nearest_rank(n, 0.5), nearest_rank(n, 0.99)]
+}
+
+/// Most buckets [`select_tails`] counts into. Past this, a bucket holds
 /// more than one sample on average and the gather pass does the rest.
 const MAX_BUCKETS: usize = 4096;
 
-/// Sample counts up to which [`select_ranks`] skips the count pass and
-/// selects among all the samples: a copy of a few hundred samples costs
-/// less than counting them. Open-loop tenants read a dozen pages each.
+/// Sample counts up to which [`select_tails`] gives an owner no count
+/// table and selects its tail among a copy of all its samples: a copy of a
+/// few hundred samples costs less than walking a table. Open-loop tenants
+/// read a dozen pages each.
 pub(crate) const ONE_BUCKET_MAX: usize = 256;
 
-/// Buffers [`select_ranks`] reuses across calls: the bucket counts and the
-/// one bucket's gathered samples.
-#[derive(Debug, Default)]
-pub(crate) struct RankScratch {
-    counts: Vec<usize>,
-    bucket: Vec<u64>,
+/// One owner's read-latency samples in nanoseconds, in any order, with
+/// the smallest and largest of them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Samples<'a> {
+    pub(crate) ns: &'a [u64],
+    pub(crate) min: u64,
+    pub(crate) max: u64,
 }
 
-/// The samples at the ascending `ranks` of everything in `parts`, exactly
-/// as a sorted concatenation would place them, leaving the samples
-/// untouched. `min` and `max` must be the smallest and largest sample, and
-/// every rank below the sample count.
-///
-/// Pass 1 counts the samples per high-bit bucket of their distance above
-/// `min`. The bucket count is the sample count rounded up to a power of
-/// two (at most [`MAX_BUCKETS`]), so the table never outgrows twice the
-/// samples. The shift puts `max` in the top bucket, so the buckets cover
-/// `min..=max` only: a common floor under every sample costs no
-/// resolution. A walk over the counts then names the bucket holding each
-/// rank and the rank's offset inside it, and pass 2 gathers only that
-/// bucket's samples into one reused buffer and selects the offset there.
-/// Ranks sharing a bucket share its gather. Up to [`ONE_BUCKET_MAX`]
-/// samples, everything is one bucket: no count pass, one gather.
-pub(crate) fn select_ranks<'a, const K: usize>(
-    scratch: &mut RankScratch,
-    parts: impl Iterator<Item = &'a [u64]> + Clone,
+/// The high-bit buckets a group of samples shares: the distance above the
+/// group's fastest read, shifted so its worst read lands in the top
+/// bucket. The buckets cover `min..=max` only, so a common floor under
+/// every sample costs no resolution.
+#[derive(Debug, Clone, Copy)]
+struct Buckets {
     min: u64,
-    max: u64,
-    ranks: [usize; K],
-) -> [u64; K] {
-    let n: usize = parts.clone().map(<[u64]>::len).sum();
-    let RankScratch { counts, bucket } = scratch;
-    if n <= ONE_BUCKET_MAX {
-        bucket.clear();
-        for part in parts {
-            bucket.extend_from_slice(part);
-        }
-        return ranks.map(|rank| *bucket.select_nth_unstable(rank).1);
-    }
-    let buckets = n.next_power_of_two().min(MAX_BUCKETS);
-    let span = max - min;
-    let shift = (u64::BITS - span.leading_zeros()).saturating_sub(buckets.trailing_zeros());
-    let bucket_of = |v: u64| ((v - min) >> shift) as usize;
-    counts.clear();
-    counts.resize(bucket_of(max) + 1, 0);
-    for part in parts.clone() {
-        for &v in part {
-            counts[bucket_of(v)] += 1;
+    shift: u32,
+    len: usize,
+}
+
+impl Buckets {
+    /// Buckets for `n` samples spanning `min..=max`: `n` rounded up to a
+    /// power of two, at most [`MAX_BUCKETS`], so a table never outgrows
+    /// twice the samples. A span above 0 takes two samples, so the shift
+    /// stays below 64.
+    fn new(n: usize, min: u64, max: u64) -> Buckets {
+        let buckets = n.next_power_of_two().min(MAX_BUCKETS);
+        let span = max - min;
+        let shift = (u64::BITS - span.leading_zeros()).saturating_sub(buckets.trailing_zeros());
+        Buckets {
+            min,
+            shift,
+            len: (span >> shift) as usize + 1,
         }
     }
-    let (mut b, mut below) = (0, 0);
-    let mut gathered = None;
+
+    fn of(self, v: u64) -> usize {
+        ((v - self.min) >> self.shift) as usize
+    }
+
+    /// The same buckets, renumbered so that bucket `first` is bucket 0.
+    fn from(self, first: usize) -> Buckets {
+        Buckets {
+            min: self.min + ((first as u64) << self.shift),
+            len: self.len - first,
+            ..self
+        }
+    }
+}
+
+/// Where a rank falls: the bucket holding it and its offset among that
+/// bucket's samples.
+#[derive(Debug, Clone, Copy)]
+struct Spot {
+    bucket: usize,
+    offset: usize,
+}
+
+/// The spots of the ascending `ranks`, each below the sum of `counts`.
+fn locate<const K: usize>(counts: &[usize], ranks: [usize; K]) -> [Spot; K] {
+    let (mut bucket, mut below) = (0, 0);
     ranks.map(|rank| {
-        assert!(rank < n, "rank {rank} out of {n} samples");
-        while below + counts[b] <= rank {
-            below += counts[b];
-            b += 1;
+        while below + counts[bucket] <= rank {
+            below += counts[bucket];
+            bucket += 1;
         }
         assert!(rank >= below, "ranks must ascend");
-        if gathered != Some(b) {
-            bucket.clear();
-            for part in parts.clone() {
-                bucket.extend(part.iter().filter(|&&v| bucket_of(v) == b));
-            }
-            gathered = Some(b);
+        Spot {
+            bucket,
+            offset: rank - below,
         }
-        *bucket.select_nth_unstable(rank - below).1
     })
+}
+
+/// Buffers [`select_tails`] reuses across calls: one owner's bucket
+/// counts, the pooled counts, and the gathered samples of an owner's p50
+/// and p99 buckets and of the pooled target bucket.
+#[derive(Debug, Default)]
+pub(crate) struct TailScratch {
+    counts: Vec<usize>,
+    pooled_counts: Vec<usize>,
+    p50: Vec<u64>,
+    p99: Vec<u64>,
+    pooled: Vec<u64>,
+}
+
+/// The tails [`select_tails`] found, handed out owner by owner.
+#[derive(Debug, Default)]
+pub(crate) struct Tails {
+    /// The p50 and p99 of each owner with more than [`ONE_BUCKET_MAX`]
+    /// samples, in owner order.
+    large: std::vec::IntoIter<[u64; 2]>,
+}
+
+impl Tails {
+    /// The tail of the next owner, in the order [`select_tails`] walked
+    /// them. A large owner's ranks were selected in the gather pass; a
+    /// small owner's are selected now, in a copy of its samples, so no
+    /// tail is stored for the thousands of small owners an open-loop run
+    /// has. The maximum is the owner's recorded worst read, rank n−1.
+    pub(crate) fn next(&mut self, scratch: &mut TailScratch, o: Samples<'_>) -> ReadTail {
+        let [p50, p99] = if o.ns.len() > ONE_BUCKET_MAX {
+            self.large
+                .next()
+                .expect("every large owner's ranks were selected")
+        } else {
+            let copy = &mut scratch.p50;
+            copy.clear();
+            copy.extend_from_slice(o.ns);
+            tail_ranks(o.ns.len()).map(|rank| *copy.select_nth_unstable(rank).1)
+        };
+        ReadTail {
+            p50: SimDuration::from_ns(p50),
+            p99: SimDuration::from_ns(p99),
+            max: SimDuration::from_ns(o.max),
+        }
+    }
+}
+
+/// Every owner's [`ReadTail`] (through [`Tails::next`]) and, for
+/// `Some(q)`, the nearest-rank `q`-quantile of all their samples pooled,
+/// exactly as sorted copies would place them, leaving the samples
+/// untouched. Every owner must hold samples; with no owners there is no
+/// quantile.
+///
+/// The owners share one set of [`Buckets`] over the pooled fastest to
+/// worst read. The count pass gives each owner with more than
+/// [`ONE_BUCKET_MAX`] samples one reused table over the buckets its own
+/// samples span; a walk of it names the buckets holding the owner's p50
+/// and p99, and the table is then added into the pooled table. Smaller
+/// owners count straight into the pooled table. A walk of the pooled
+/// table names the bucket holding the pooled rank. The gather pass reads
+/// each owner once: a large owner collects its p50 bucket, its p99 bucket
+/// and the pooled target bucket and selects its ranks inside the first
+/// two; a small owner collects only its share of the pooled target
+/// bucket.
+pub(crate) fn select_tails<'a>(
+    scratch: &mut TailScratch,
+    owners: impl Iterator<Item = Samples<'a>> + Clone,
+    q: Option<f64>,
+) -> (Tails, Option<u64>) {
+    let (n, min, max) = owners.clone().fold((0, u64::MAX, 0), |(n, min, max), o| {
+        (n + o.ns.len(), min.min(o.min), max.max(o.max))
+    });
+    if n == 0 {
+        return (Tails::default(), None);
+    }
+    let buckets = Buckets::new(n, min, max);
+    let TailScratch {
+        counts,
+        pooled_counts,
+        p50,
+        p99,
+        pooled,
+    } = scratch;
+    pooled_counts.clear();
+    pooled_counts.resize(buckets.len, 0);
+    // The p50 and p99 spots of the large owners, in owner order.
+    let mut spots = Vec::new();
+    for o in owners.clone() {
+        if o.ns.len() <= ONE_BUCKET_MAX {
+            for &v in o.ns {
+                pooled_counts[buckets.of(v)] += 1;
+            }
+            continue;
+        }
+        // The owner's table covers only the buckets its samples span.
+        let (lo, hi) = (buckets.of(o.min), buckets.of(o.max));
+        let own = buckets.from(lo);
+        counts.clear();
+        counts.resize(hi - lo + 1, 0);
+        for &v in o.ns {
+            counts[own.of(v)] += 1;
+        }
+        for (p, c) in pooled_counts[lo..=hi].iter_mut().zip(counts.iter()) {
+            *p += c;
+        }
+        let found = locate(counts, tail_ranks(o.ns.len()));
+        spots.push(found.map(|s| Spot {
+            bucket: lo + s.bucket,
+            ..s
+        }));
+    }
+    let target = q.map(|q| locate(pooled_counts, [nearest_rank(n, q)])[0]);
+    let target_bucket = target.map_or(usize::MAX, |t| t.bucket);
+    pooled.clear();
+    let mut spots = spots.into_iter();
+    let mut large = Vec::new();
+    for o in owners {
+        if o.ns.len() <= ONE_BUCKET_MAX {
+            pooled.extend(o.ns.iter().filter(|&&v| buckets.of(v) == target_bucket));
+            continue;
+        }
+        let [s50, s99] = spots.next().expect("every large owner was counted");
+        // A p99 sharing the p50's bucket selects in its gather.
+        let b99 = if s99.bucket == s50.bucket {
+            usize::MAX
+        } else {
+            s99.bucket
+        };
+        p50.clear();
+        p99.clear();
+        let mut gather = |chunk: &[u64]| {
+            for &v in chunk {
+                let b = buckets.of(v);
+                if b == s50.bucket {
+                    p50.push(v);
+                }
+                if b == b99 {
+                    p99.push(v);
+                }
+                if b == target_bucket {
+                    pooled.push(v);
+                }
+            }
+        };
+        // Few samples fall in the three buckets. A branch-free test of 16
+        // samples at a time (bucket numbers fit `u32`) compiles to vector
+        // code and skips the chunks holding none of them.
+        let [t50, t99, tp] = [s50.bucket, b99, target_bucket].map(|b| b as u32);
+        let hit = |v: u64| {
+            let b = buckets.of(v) as u32;
+            (b == t50) | (b == t99) | (b == tp)
+        };
+        let mut chunks = o.ns.chunks_exact(16);
+        for chunk in &mut chunks {
+            if chunk.iter().fold(false, |any, &v| any | hit(v)) {
+                gather(chunk);
+            }
+        }
+        gather(chunks.remainder());
+        let v50 = *p50.select_nth_unstable(s50.offset).1;
+        let from = if b99 == usize::MAX {
+            &mut *p50
+        } else {
+            &mut *p99
+        };
+        large.push([v50, *from.select_nth_unstable(s99.offset).1]);
+    }
+    let quantile = target.map(|t| *pooled.select_nth_unstable(t.offset).1);
+    let large = large.into_iter();
+    (Tails { large }, quantile)
 }
 
 #[cfg(test)]
@@ -305,11 +462,22 @@ mod tests {
         raw.iter().map(|&r| draw(r)).collect()
     }
 
+    /// Every owner's tail, in owner order, and the pooled quantile.
+    fn all_tails(owners: &[Samples], q: Option<f64>) -> (Vec<ReadTail>, Option<u64>) {
+        let mut scratch = TailScratch::default();
+        let (mut tails, quantile) = select_tails(&mut scratch, owners.iter().copied(), q);
+        let tails = owners
+            .iter()
+            .map(|&o| tails.next(&mut scratch, o))
+            .collect();
+        (tails, quantile)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
-        fn select_ranks_matches_sorted_copy(
+        fn select_tails_matches_sorted_copies(
             kind in 0usize..8,
             bit in 1u32..64,
             raw in prop::collection::vec(0u64..u64::MAX, 1..20_000),
@@ -320,52 +488,74 @@ mod tests {
             let raw = if short == 0 { &raw[..raw.len() % 600 + 1] } else { &raw[..] };
             let all = samples(kind, raw, bit);
             let n = all.len();
-            // Split at the cuts; repeated cuts and cuts at either end
-            // leave empty slices.
+            // One owner per stretch between cuts; repeated cuts and cuts
+            // at either end leave no owner.
             let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
             cuts.extend([0, n]);
             cuts.sort_unstable();
-            let parts: Vec<&[u64]> = cuts.windows(2).map(|w| &all[w[0]..w[1]]).collect();
-            let mut sorted = all.clone();
-            sorted.sort_unstable();
-            let (min, max) = (sorted[0], sorted[n - 1]);
+            cuts.dedup();
+            let sorted = |part: &[u64]| {
+                let mut sorted = part.to_vec();
+                sorted.sort_unstable();
+                sorted
+            };
+            let owned: Vec<Vec<u64>> = cuts.windows(2).map(|w| sorted(&all[w[0]..w[1]])).collect();
+            let owners: Vec<Samples> = cuts
+                .windows(2)
+                .zip(&owned)
+                .map(|(w, s)| Samples { ns: &all[w[0]..w[1]], min: s[0], max: s[s.len() - 1] })
+                .collect();
+            let pooled = sorted(&all);
 
-            let ranks = [0, nearest_rank(n, 0.5), nearest_rank(n, 0.99), n - 1];
-            let mut scratch = RankScratch::default();
-            let got = select_ranks(&mut scratch, parts.iter().copied(), min, max, ranks);
-            prop_assert_eq!(got, ranks.map(|r| sorted[r]));
-            if kind >= 6 {
-                // The median's bucket stays small: outliers and a floor
-                // cost the buckets no resolution where the samples crowd.
-                select_ranks(&mut scratch, parts.iter().copied(), min, max, [ranks[1]]);
-                let gathered = scratch.bucket.len();
-                prop_assert!(
-                    gathered <= ONE_BUCKET_MAX.max(n / 8),
-                    "kind {}: gathered {} of {}", kind, gathered, n
-                );
+            let mut scratch = TailScratch::default();
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                let (tails, quantile) = all_tails(&owners, Some(q));
+                prop_assert_eq!(quantile, Some(pooled[nearest_rank(n, q)]));
+                prop_assert_eq!(tails.len(), owned.len());
+                for (tail, s) in tails.iter().zip(&owned) {
+                    let [r50, r99] = tail_ranks(s.len());
+                    prop_assert_eq!(tail.p50.as_ns(), s[r50]);
+                    prop_assert_eq!(tail.p99.as_ns(), s[r99]);
+                    prop_assert_eq!(tail.max.as_ns(), s[s.len() - 1]);
+                }
+                if kind >= 6 && q == 0.5 {
+                    // The median's bucket stays small: outliers and a floor
+                    // cost the buckets no resolution where the samples crowd.
+                    select_tails(&mut scratch, owners.iter().copied(), Some(q));
+                    let gathered = scratch.pooled.len();
+                    prop_assert!(
+                        gathered <= ONE_BUCKET_MAX.max(n / 8),
+                        "kind {}: gathered {} of {}", kind, gathered, n
+                    );
+                }
             }
-            let tail = ReadTail::select(&mut scratch, parts.iter().copied(), min, max);
-            prop_assert_eq!(tail.p50.as_ns(), sorted[ranks[1]]);
-            prop_assert_eq!(tail.p99.as_ns(), sorted[ranks[2]]);
-            prop_assert_eq!(tail.max.as_ns(), max);
+            // Without a pooled rank the owners' tails stay the same.
+            let (alone, none) = all_tails(&owners, None);
+            prop_assert_eq!(none, None);
+            prop_assert_eq!(alone, all_tails(&owners, Some(0.5)).0);
         }
     }
 
-    /// The count table scales with the samples: an owner with a few
-    /// reads never zeroes the full 4096-entry table.
+    /// The count tables scale with the samples: an owner with a few
+    /// hundred reads never zeroes the full 4096-entry table.
     #[test]
     fn count_table_stays_within_two_entries_per_sample() {
         let sizes = (1..=600).chain([1023, 1024, 1025, 2047, 2049, 4095, 4097, 20_000]);
         for n in sizes {
             for max in [0, 1, 1000, 1 << 40, u64::MAX] {
-                let all = vec![max; n];
-                let mut scratch = RankScratch::default();
-                let [_] = select_ranks(&mut scratch, [&all[..]].into_iter(), max, max, [n / 2]);
-                let len = scratch.counts.len();
-                assert!(
-                    len <= 2 * n && len <= MAX_BUCKETS,
-                    "n {n}, max {max}: {len}"
-                );
+                // Samples from 0 up, the last one at `max`.
+                let mut all: Vec<u64> = (0..n as u64).map(|i| i.min(max)).collect();
+                all[n - 1] = max;
+                let mut scratch = TailScratch::default();
+                let min = all.iter().copied().min().unwrap();
+                let owner = Samples { ns: &all, min, max };
+                select_tails(&mut scratch, std::iter::once(owner), Some(0.5));
+                for len in [scratch.counts.len(), scratch.pooled_counts.len()] {
+                    assert!(
+                        len <= 2 * n && len <= MAX_BUCKETS,
+                        "n {n}, max {max}: {len}"
+                    );
+                }
             }
         }
     }

@@ -72,7 +72,7 @@
 //! bb.submit(SimTime::ZERO, FlashCommand::erase(a)).unwrap();
 //! assert_eq!(bb.min_valid_garbage_block(), None);
 //! assert_eq!(bb.take_erased_blocks(), vec![0]);
-//! assert_eq!(bb.block_erase_counts()[0], 1);
+//! assert_eq!(bb.block_erase_counts().next(), Some(1));
 //! ```
 
 use crate::die::BlockCounts;

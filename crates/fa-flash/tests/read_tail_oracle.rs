@@ -1,20 +1,28 @@
 //! Oracle for the per-owner read-tail summary.
 //!
-//! [`FlashBackbone::owner_read_tails`] walks the dense owner slots, folds
-//! in the channels' dense occupancy peaks, and finds each owner's p50 and
-//! p99 by a radix count and a selection inside one bucket, taking the
-//! maximum from the owner's recorded worst read. The reference below is the
-//! straightforward formulation: the owner set and peaks merged through
-//! ordered maps, and every quantile read off a fully sorted copy of the
-//! latencies the test observed in the completion records. The foreground
-//! p99 ([`FlashBackbone::foreground_read_latency_quantile`]) is checked the
-//! same way against a sorted merge of every non-background read.
+//! [`FlashBackbone::read_tails`] walks the dense owner slots, folds in the
+//! channels' dense occupancy peaks, and finds every owner's p50 and p99
+//! and the pooled foreground quantile from one count pass and one gather
+//! pass over the recorded samples, taking each maximum from the owner's
+//! recorded worst read. [`FlashBackbone::owner_read_tails`] and
+//! [`FlashBackbone::foreground_read_latency_quantile`] are its two
+//! projections. The reference below is the straightforward formulation:
+//! the owner set and peaks merged through ordered maps, every owner's
+//! quantiles read off a fully sorted copy of the latencies the test
+//! observed in the completion records, and the foreground quantile off a
+//! sorted merge of every non-background read, at several values of q.
 //!
-//! Each case runs a random command stream from background owners, the
-//! unattributed stream and several kernels — some of which only program,
-//! erase, or issue reads that fail, so they complete no reads — with QoS
-//! budgets on or off, and one owner that reaches a channel's tag queue
-//! without ever going through the backbone.
+//! The first walk runs a random command stream from background owners,
+//! the unattributed stream and several kernels — some of which only
+//! program, erase, or issue reads that fail, so they complete no reads —
+//! with QoS budgets on or off, and one owner that reaches a channel's tag
+//! queue without ever going through the backbone. Its owners stay below
+//! the 256 samples up to which a tail is selected in a copy of all the
+//! samples. The second walk runs long read streams, so owners land on
+//! both sides of that cutoff in one backbone, in four latency shapes:
+//! all equal, 2 % outliers, every read slowed (so an owner's fastest read
+//! lies above the pooled fastest), and queueing bursts; background owners
+//! read too, and one case in four has no foreground reads at all.
 //!
 //! Case count defaults to 128 and can be raised via `FA_ORACLE_CASES`.
 
@@ -106,6 +114,7 @@ fn compare(
     prop_assert!(stats.keys().eq(peaks.keys()), "owner sets differ");
     let tails: Vec<(OwnerId, OwnerStats, Option<ReadTail>)> = b.owner_read_tails().collect();
     prop_assert!(tails.iter().map(|t| t.0).eq(peaks.keys().copied()));
+    let tails_at_p99 = tails.clone();
     for (owner, s, tail) in tails {
         let observed = latencies.get(&owner).map_or(&[][..], Vec::as_slice);
         prop_assert_eq!(s, stats[&owner]);
@@ -118,13 +127,40 @@ fn compare(
         .filter(|(o, _)| !o.is_background())
         .flat_map(|(_, v)| v.iter().copied())
         .collect();
-    for q in [0.0, 0.5, 0.99, 1.0] {
+    for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
         let want =
             (!foreground.is_empty()).then(|| SimDuration::from_ns(sorted_quantile(&foreground, q)));
+        let (owners, found) = b.read_tails(q);
+        prop_assert_eq!(found, want);
+        prop_assert_eq!(owners.collect::<Vec<_>>(), tails_at_p99.clone());
         prop_assert_eq!(b.foreground_read_latency_quantile(q), want);
     }
     Ok(())
 }
+
+fn preload_block_zero(b: &mut FlashBackbone) {
+    for c in 0..CHANNELS {
+        for die in 0..DIES {
+            for page in 0..PAGES {
+                b.preload(PhysicalPageAddr::new(c, die, 0, page)).unwrap();
+            }
+        }
+    }
+}
+
+/// Owners of the long read streams: both background streams, the
+/// unattributed stream and two kernels.
+const LONG_OWNERS: [OwnerId; 5] = [
+    OwnerId::Gc,
+    OwnerId::Journal,
+    OwnerId::Unattributed,
+    OwnerId::Kernel(0),
+    OwnerId::Kernel(5),
+];
+
+/// Nanoseconds between reads that must find the device idle: far longer
+/// than a read, a transfer and an erase together.
+const IDLE_GAP: u64 = 100_000;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
@@ -146,13 +182,7 @@ proptest! {
             background: (bg_budget > 0).then_some(bg_budget),
         });
         // Block 0 of every die holds readable data.
-        for c in 0..CHANNELS {
-            for die in 0..DIES {
-                for page in 0..PAGES {
-                    b.preload(PhysicalPageAddr::new(c, die, 0, page)).unwrap();
-                }
-            }
-        }
+        preload_block_zero(&mut b);
         let mut cursor = [[[0usize; BLOCKS]; DIES]; CHANNELS];
         let mut submitted = BTreeSet::new();
         let mut latencies: BTreeMap<OwnerId, Vec<u64>> = BTreeMap::new();
@@ -198,6 +228,63 @@ proptest! {
                 if command.op == FlashOp::ReadPage {
                     latencies.entry(who).or_default().push(done.latency().as_ns());
                 }
+            }
+        }
+        compare(&b, &submitted, &latencies)?;
+    }
+
+    /// Up to four streams of up to 699 reads each, one owner and one
+    /// latency shape per stream: an owner may read in several streams.
+    #[test]
+    fn long_read_streams_match_sorted_reference(
+        runs in prop::collection::vec((0usize..5, 0usize..4, 1usize..700, 0u64..u64::MAX), 1..5),
+        foreground in 0usize..4,
+    ) {
+        let mut b = backbone(16);
+        preload_block_zero(&mut b);
+        let pages = (CHANNELS * DIES * PAGES) as u64;
+        let mut submitted = BTreeSet::new();
+        let mut latencies: BTreeMap<OwnerId, Vec<u64>> = BTreeMap::new();
+        let mut now = 0u64;
+        for &(who, shape, reads, seed) in &runs {
+            // One case in four has only background owners read.
+            let who = if foreground == 0 { LONG_OWNERS[who % 2] } else { LONG_OWNERS[who] };
+            submitted.insert(who);
+            let mut burst = 1;
+            for i in 0..reads as u64 {
+                let h = seed.wrapping_add(i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 11;
+                // Flat pages below `pages` all lie in block 0.
+                let page = b.geometry().flat_to_addr(h % pages);
+                let mut at = now;
+                match shape {
+                    // All equal: every read finds the device idle.
+                    0 => now += IDLE_GAP,
+                    // 2 % outliers, or every read slowed: a read waits
+                    // out part of an erase of another block on its die.
+                    1 | 2 => {
+                        now += IDLE_GAP;
+                        at = now;
+                        if shape == 2 || h % 50 == 0 {
+                            let erase = PhysicalPageAddr::new(page.channel, page.die, 1, 0);
+                            b.submit_tagged(SimTime::from_ns(at), FlashCommand::erase(erase), OwnerId::Gc)
+                                .unwrap();
+                            submitted.insert(OwnerId::Gc);
+                            at += h / 50 % 8_000;
+                        }
+                    }
+                    // Bursts of up to 32 reads at one instant queue behind
+                    // each other.
+                    _ => {
+                        burst -= 1;
+                        if burst == 0 {
+                            burst = 1 + h % 32;
+                            now += IDLE_GAP;
+                            at = now;
+                        }
+                    }
+                }
+                let done = b.submit_tagged(SimTime::from_ns(at), FlashCommand::read(page), who).unwrap();
+                latencies.entry(who).or_default().push(done.latency().as_ns());
             }
         }
         compare(&b, &submitted, &latencies)?;
