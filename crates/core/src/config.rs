@@ -4,7 +4,7 @@ use crate::freespace::PlacementPolicy;
 use crate::scheduler::SchedulerPolicy;
 use crate::storengine::GcVictimPolicy;
 use fa_energy::PowerSpec;
-use fa_flash::{FlashGeometry, FlashTiming, QosBudgets};
+use fa_flash::{FlashGeometry, FlashTiming, GroupLayout, QosBudgets};
 use fa_platform::PlatformSpec;
 use fa_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -226,13 +226,16 @@ impl FlashAbacusConfig {
 
     /// Number of page groups in the whole backbone.
     pub fn total_page_groups(&self) -> u64 {
-        self.flash_geometry.total_pages() / self.pages_per_group()
+        self.group_layout().total_groups()
     }
 
-    /// Scratchpad bytes needed by the page-group mapping table (one 4-byte
-    /// entry per group; the paper reports 2 MB for 32 GB at 64 KB groups).
-    pub fn mapping_table_bytes(&self) -> u64 {
-        self.total_page_groups() * 4
+    /// How the page groups sit on the flash layout: the one answer to
+    /// which groups a block row holds and which lane a group starts on.
+    pub(crate) fn group_layout(&self) -> GroupLayout {
+        GroupLayout {
+            geometry: self.flash_geometry,
+            pages_per_group: self.pages_per_group(),
+        }
     }
 
     /// The within-die block row reserved for Storengine's metadata journal
@@ -244,25 +247,6 @@ impl FlashAbacusConfig {
     pub fn journal_metadata_row(&self) -> Option<u64> {
         let blocks_per_die = self.flash_geometry.blocks_per_die() as u64;
         (blocks_per_die > 1).then_some(blocks_per_die - 1)
-    }
-
-    /// The `[low, high)` range of page groups whose pages fall inside
-    /// within-die block row `row` — block `row` of *every* channel and
-    /// die. Because flat pages are contiguous per row (channel-first,
-    /// die-second striping), the range covers every group holding a page
-    /// of row `row` (including any group straddling a row boundary).
-    /// This is the migration set a row-coherent GC pass (GreedyMinValid)
-    /// uses, so erasing any one block of the row never destroys a mapped
-    /// group that was not migrated.
-    pub fn block_row_group_range(&self, row: u64) -> (u64, u64) {
-        let row_pages = self.flash_geometry.pages_per_block as u64
-            * self.flash_geometry.channels as u64
-            * self.flash_geometry.dies_per_channel() as u64;
-        let pages_per_group = self.pages_per_group();
-        (
-            (row * row_pages) / pages_per_group,
-            ((row + 1) * row_pages).div_ceil(pages_per_group),
-        )
     }
 }
 
@@ -278,8 +262,9 @@ mod tests {
         // 32 GB at 64 KB groups = 512 K groups; 4-byte entries = 2 MB, which
         // is the scratchpad budget quoted in §4.3.
         assert_eq!(c.total_page_groups(), 512 * 1024);
-        assert_eq!(c.mapping_table_bytes(), 2 * 1024 * 1024);
-        assert!(c.mapping_table_bytes() <= c.platform.scratchpad_bytes as u64);
+        let mapping_table_bytes = c.total_page_groups() * 4;
+        assert_eq!(mapping_table_bytes, 2 * 1024 * 1024);
+        assert!(mapping_table_bytes <= c.platform.scratchpad_bytes as u64);
     }
 
     #[test]

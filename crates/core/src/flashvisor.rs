@@ -27,12 +27,6 @@ pub struct FlashvisorStats {
     pub group_reads: u64,
     /// Page-group write requests translated and issued.
     pub group_writes: u64,
-    /// Mapping-table lookups served from the scratchpad.
-    pub mapping_lookups: u64,
-    /// Range-lock acquisitions granted.
-    pub lock_grants: u64,
-    /// Range-lock acquisitions denied.
-    pub lock_denials: u64,
     /// Page groups whose old physical location was invalidated by an
     /// overwrite.
     pub overwritten_groups: u64,
@@ -188,12 +182,22 @@ impl Flashvisor {
     /// # Panics
     ///
     /// Panics if the device has `u32::MAX` page groups or more: the mapping
-    /// table's 4-byte entries could not name them all.
+    /// table's 4-byte entries could not name them all. Panics unless a
+    /// block row holds a whole number of page groups: a group straddling
+    /// two rows would be migrated with one row and retired or reclaimed
+    /// with the other.
     pub fn new(config: FlashAbacusConfig) -> Self {
-        let total_groups = config.total_page_groups();
+        let layout = config.group_layout();
+        let total_groups = layout.total_groups();
         assert!(
             total_groups < u64::from(u32::MAX),
             "{total_groups} page groups exceed the 4-byte mapping entries"
+        );
+        let row_pages = layout.geometry.row_pages();
+        assert!(
+            row_pages % layout.pages_per_group == 0,
+            "a {row_pages}-page block row does not hold whole {}-page groups",
+            layout.pages_per_group
         );
         let mut backbone = FlashBackbone::new(
             config.flash_geometry,
@@ -206,19 +210,12 @@ impl Flashvisor {
         // and the per-owner tag budgets both live in the backbone.
         backbone.enable_group_tracking(config.pages_per_group());
         backbone.set_qos_budgets(config.qos.budgets());
-        let mut freespace = FreeSpaceManager::new(
-            total_groups,
-            config.pages_per_group(),
-            config.flash_geometry.channels,
-            config.flash_geometry.dies_per_channel(),
-            config.flash_geometry.pages_per_block,
-            config.placement,
-        );
+        let mut freespace = FreeSpaceManager::new(layout, config.placement);
         // Fence the journal's metadata row off from the data allocator: on
         // a nearly-full device the cursor used to reach it, programs
         // failed, and the journal's recycle path erased under live data.
         if let Some(row) = config.journal_metadata_row() {
-            let (low, high) = config.block_row_group_range(row);
+            let (low, high) = layout.row_groups(row);
             freespace.reserve_range(low, high);
         }
         Flashvisor {
@@ -332,18 +329,11 @@ impl Flashvisor {
         owner: u32,
     ) -> Result<LockId, FaError> {
         let end = start + len.max(1);
-        match self.locks.try_acquire(start, end, mode, owner) {
-            Some(id) => {
-                self.stats.lock_grants += 1;
-                Ok(id)
-            }
-            None => {
-                self.stats.lock_denials += 1;
-                Err(FaError::RangeConflict {
-                    range: (start, end),
-                })
-            }
-        }
+        self.locks
+            .try_acquire(start, end, mode, owner)
+            .ok_or(FaError::RangeConflict {
+                range: (start, end),
+            })
     }
 
     /// Releases a data-section mapping.
@@ -395,9 +385,9 @@ impl Flashvisor {
     /// `LeastWorn` min-wear index current without ever recounting erase
     /// cycles from the dies. A no-op (and O(1)) when nothing was erased.
     fn sync_wear(&mut self) {
-        let blocks_per_die = self.config.flash_geometry.blocks_per_die() as u64;
+        let geometry = self.config.flash_geometry;
         for block in self.backbone.take_erased_blocks() {
-            self.freespace.note_block_erase(block % blocks_per_die);
+            self.freespace.note_block_erase(geometry.block_row(block));
         }
     }
 
@@ -427,7 +417,9 @@ impl Flashvisor {
     fn allocate_hot_group(&mut self) -> Result<u64, FaError> {
         if self.hot_reserve.is_empty() {
             self.sync_wear();
-            let batch = self.hot_refill_row_groups();
+            // Groups in one block row: the refill quantum and the
+            // alignment unit a refill stops at.
+            let batch = self.config.group_layout().groups_per_row();
             for _ in 0..batch {
                 match self.freespace.allocate() {
                     Some(g) => {
@@ -447,16 +439,6 @@ impl Flashvisor {
             }
             None => self.allocate_physical_group(),
         }
-    }
-
-    /// Groups in one block row — the hot reserve's refill quantum and the
-    /// alignment unit its refills stop at.
-    fn hot_refill_row_groups(&self) -> u64 {
-        let geometry = self.config.flash_geometry;
-        let row_pages = geometry.pages_per_block as u64
-            * geometry.channels as u64
-            * geometry.dies_per_channel() as u64;
-        (row_pages / self.config.pages_per_group()).max(1)
     }
 
     /// Looks up the mapping slot of a logical group, rejecting addresses
@@ -588,7 +570,6 @@ impl Flashvisor {
         for lg in first..=last {
             // Mapping lookup: Flashvisor cycles.
             cursor = self.charge_cpu(cursor, self.config.flashvisor_request_cycles);
-            self.stats.mapping_lookups += 1;
             let pg = self
                 .logical_slot(lg)?
                 .ok_or(FaError::UnmappedAddress(lg * self.config.page_group_bytes))?;
@@ -639,7 +620,6 @@ impl Flashvisor {
         let mut cursor = now;
         for lg in first..=last {
             cursor = self.charge_cpu(cursor, self.config.flashvisor_request_cycles);
-            self.stats.mapping_lookups += 1;
             // Invalidate the previous location, if any.
             let old = self.logical_slot(lg)?;
             if let Some(old) = old {
@@ -798,13 +778,13 @@ impl Flashvisor {
     /// the count, sum, minimum and maximum, once for the squared
     /// deviations from the mean.
     pub fn data_block_wear(&self) -> WearSummary {
-        let blocks_per_die = self.config.flash_geometry.blocks_per_die();
-        let journal_block = self.config.journal_metadata_row();
+        let geometry = self.config.flash_geometry;
+        let journal_row = self.config.journal_metadata_row();
         let wear = self
             .backbone
             .block_erase_counts()
             .enumerate()
-            .filter(move |(i, _)| Some((i % blocks_per_die) as u64) != journal_block)
+            .filter(move |&(i, _)| Some(geometry.block_row(i as u64)) != journal_row)
             .map(|(_, c)| c);
         let (mut len, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
         for c in wear.clone() {
@@ -916,11 +896,6 @@ impl Flashvisor {
     /// declared out of space while unmapped groups sit in the reserve.
     pub(crate) fn available_groups(&self) -> u64 {
         self.freespace.free_count() + self.hot_reserve.len() as u64
-    }
-
-    /// Size of the mapping table in bytes (scratchpad footprint).
-    pub fn mapping_table_bytes(&self) -> u64 {
-        self.config.mapping_table_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -1096,9 +1071,9 @@ impl Flashvisor {
     /// retried on the next call. The journal's reserved metadata row is
     /// never retired. Returns when the last migration finished.
     pub fn process_retirements(&mut self, now: SimTime) -> Result<SimTime, FaError> {
-        let blocks_per_die = self.config.flash_geometry.blocks_per_die() as u64;
+        let layout = self.config.group_layout();
         for block in self.backbone.take_blocks_pending_retirement() {
-            let row = block % blocks_per_die;
+            let row = layout.geometry.block_row(block);
             if Some(row) == self.config.journal_metadata_row()
                 || self.pending_retire_rows.contains(&row)
                 || self.retired_rows.contains(&row)
@@ -1110,7 +1085,7 @@ impl Flashvisor {
         let mut finished = now;
         let mut still_pending = VecDeque::new();
         while let Some(row) = self.pending_retire_rows.pop_front() {
-            let (low, high) = self.config.block_row_group_range(row);
+            let (low, high) = layout.row_groups(row);
             let mut vacated = true;
             for (lg, pg) in self.victim_groups(low, high) {
                 match self.migrate_mapped_group(finished, lg, pg, low, high)? {
@@ -1123,13 +1098,9 @@ impl Flashvisor {
                 // row must not be handed out later.
                 self.hot_reserve.retain(|g| *g < low || *g >= high);
                 self.freespace.retire_row(row);
-                let geometry = self.config.flash_geometry;
-                let dies = geometry.dies_per_channel() as u64;
-                for ch in 0..geometry.channels as u64 {
-                    for die in 0..dies {
-                        self.backbone
-                            .retire_block((ch * dies + die) * blocks_per_die + row);
-                    }
+                for addr in layout.geometry.row_blocks(row) {
+                    self.backbone
+                        .retire_block(layout.geometry.block_index(addr));
                 }
                 self.retired_rows.push(row);
             } else {
@@ -1174,6 +1145,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a 64-page block row does not hold whole 3-page groups")]
+    fn groups_straddling_a_block_row_are_rejected() {
+        // 2 lanes × 32-page blocks: 64-page rows, which 3-page groups
+        // cannot tile.
+        let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        config.page_group_bytes = 3 * config.flash_geometry.page_bytes as u64;
+        Flashvisor::new(config);
+    }
+
+    #[test]
     fn preload_then_read_round_trips() {
         let (mut v, mut sp) = visor();
         v.preload_range(0, 64 * 1024).unwrap();
@@ -1183,7 +1164,9 @@ mod tests {
         assert!(t.finished > SimTime::ZERO);
         assert_eq!(t.groups, 8); // 64 KB at 8 KB groups in the tiny config.
         assert_eq!(v.stats().group_reads, 8);
-        assert!(v.stats().mapping_lookups >= 8);
+        // Each group read was translated to a mapped physical group, whose
+        // pages all reached the flash.
+        assert_eq!(v.backbone().stats().reads, 8 * v.config().pages_per_group());
     }
 
     #[test]
@@ -1381,8 +1364,9 @@ mod tests {
         let config = FlashAbacusConfig::paper_prototype(SchedulerPolicy::IntraO3);
         let mut v = Flashvisor::new(config);
         v.preload_range(0, 4096 * config.page_group_bytes).unwrap();
-        let (row9, _) = config.block_row_group_range(9);
-        let (row200, _) = config.block_row_group_range(200);
+        let layout = config.group_layout();
+        let (row9, _) = layout.row_groups(9);
+        let (row200, _) = layout.row_groups(200);
         for (lg, pg) in [(7, row9 + 3), (1500, row9), (4000, row200 + 17)] {
             v.remap_group(lg, pg).unwrap();
         }
@@ -1391,7 +1375,7 @@ mod tests {
         let mapped: Vec<(u64, u64)> = v.mapped_groups().collect();
         let rows = config.flash_geometry.blocks_per_die() as u64;
         for row in 0..rows {
-            let (low, high) = config.block_row_group_range(row);
+            let (low, high) = layout.row_groups(row);
             let scanned: Vec<(u64, u64)> = mapped
                 .iter()
                 .copied()
@@ -1407,7 +1391,7 @@ mod tests {
         let a = v.map_section(0, 4096, LockMode::Write, 1).unwrap();
         let err = v.map_section(1024, 4096, LockMode::Read, 2).unwrap_err();
         assert!(matches!(err, FaError::RangeConflict { .. }));
-        assert_eq!(v.stats().lock_denials, 1);
+        assert_eq!(v.locks().denials(), 1);
         v.unmap_section(a);
         assert!(v.map_section(1024, 4096, LockMode::Read, 2).is_ok());
     }
@@ -1478,7 +1462,9 @@ mod tests {
             s.journal(SimTime::from_ms(2 * i), &mut v)
                 .expect("journaling survives a full device");
         }
-        let (jlow, jhigh) = config.block_row_group_range(config.journal_metadata_row().unwrap());
+        let (jlow, jhigh) = config
+            .group_layout()
+            .row_groups(config.journal_metadata_row().unwrap());
         for (_, pg) in v.mapped_groups() {
             assert!(
                 pg < jlow || pg >= jhigh,

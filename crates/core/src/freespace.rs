@@ -8,11 +8,11 @@
 //! deriving it by scanning the mapping table — is what keeps the hot write
 //! path allocator-bound on the hardware model, not on the simulator.
 //!
-//! Because pages stripe across channels first (see
-//! [`fa_flash::FlashGeometry::flat_to_addr`]), a page group's *stripe
-//! class* is the `(channel, die)` pair its leading page lands on, and its
-//! *block row* is the within-die erase-block index its leading page falls
-//! in (block `r` of every channel and die — the unit GC erases).
+//! The manager asks the flash layout ([`fa_flash::GroupLayout`]) where a
+//! group sits: its *stripe class* is the lane (channel, die) its leading
+//! page lands on, and its *block row* is the within-die erase-block index
+//! its leading page falls in (block `r` of every channel and die — the
+//! unit GC erases).
 //!
 //! Three placement policies share the structure:
 //!
@@ -37,11 +37,23 @@
 //! # Examples
 //!
 //! ```
-//! use flashabacus::freespace::{FreeSpaceManager, PlacementPolicy};
+//! use fa_flash::{FlashGeometry, GroupLayout};
+//! use flashabacus::freespace::{FreeSpaceManager, GroupState, PlacementPolicy};
 //!
-//! // 8 groups of 2 pages on a 2-channel, 1-die, 4-pages-per-block device:
-//! // each block row holds 4 groups (rows are groups 0..4 and 4..8).
-//! let mut m = FreeSpaceManager::new(8, 2, 2, 1, 4, PlacementPolicy::LeastWorn);
+//! // 8 groups of 2 pages on a 2-channel, 1-die, 2-row device with
+//! // 4-page blocks: each block row holds 4 groups (rows are groups 0..4
+//! // and 4..8).
+//! let geometry = FlashGeometry {
+//!     channels: 2,
+//!     packages_per_channel: 1,
+//!     dies_per_package: 1,
+//!     planes_per_die: 1,
+//!     blocks_per_plane: 2,
+//!     pages_per_block: 4,
+//!     page_bytes: 4096,
+//! };
+//! let layout = GroupLayout { geometry, pages_per_group: 2 };
+//! let mut m = FreeSpaceManager::new(layout, PlacementPolicy::LeastWorn);
 //!
 //! // Row 0 absorbs two block erases; the min-wear policy now starts
 //! // allocating from row 1.
@@ -53,9 +65,10 @@
 //! // Reserving a range fences it from allocation entirely.
 //! m.reserve_range(6, 8);
 //! assert_eq!(m.free_count(), 5);
-//! assert!(m.is_reserved(7));
+//! assert_eq!(m.state(7), Some(GroupState::Reserved));
 //! ```
 
+use fa_flash::GroupLayout;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -122,32 +135,44 @@ enum FreePool {
     },
 }
 
+/// Where one page group stands in the free-space manager.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupState {
+    /// In the free structure, ready to allocate.
+    Free,
+    /// Handed out (mapped, parked in the hot reserve, or garbage awaiting
+    /// reclamation).
+    Allocated,
+    /// Permanently outside the free structure as a metadata carve-out (the
+    /// journal's metadata row).
+    Reserved,
+    /// Permanently outside the free structure with its block row, which
+    /// was promoted into the bad-block table: lost capacity (media
+    /// failures), not a carve-out.
+    Retired,
+}
+
+impl GroupState {
+    /// Reserved or retired: never allocated, recycled or reclaimed.
+    fn is_fenced(self) -> bool {
+        matches!(self, GroupState::Reserved | GroupState::Retired)
+    }
+}
+
 /// The free-space manager: free-group structure plus occupancy accounting.
 #[derive(Debug, Clone)]
 pub struct FreeSpaceManager {
-    total_groups: u64,
-    pages_per_group: u64,
-    channels: u64,
-    dies_per_channel: u64,
-    pages_per_block: u64,
+    layout: GroupLayout,
     policy: PlacementPolicy,
     pool: FreePool,
+    /// One state per group, kept in lockstep with the pool: makes
+    /// `recycle` idempotent and row reclamation exact.
+    states: Vec<GroupState>,
     /// Groups currently free, maintained incrementally — never derived by
     /// scanning.
     free_count: u64,
-    /// Per-group free flag, kept in lockstep with the pool: makes
-    /// `recycle` idempotent and row reclamation exact.
-    free_flags: Vec<bool>,
-    /// Per-group reserved flag: reserved groups are permanently outside the
-    /// free structure (the journal's metadata row).
-    reserved_flags: Vec<bool>,
     /// Reserved groups, O(1).
     reserved_count: u64,
-    /// Per-group retired flag: groups whose block row was promoted into the
-    /// bad-block table. Retired groups are permanently outside the free
-    /// structure, like reserved ones, but they represent lost capacity
-    /// (media failures), not metadata carve-outs.
-    retired_flags: Vec<bool>,
     /// Retired groups, O(1).
     retired_count: u64,
     /// Allocated groups per stripe class.
@@ -159,44 +184,26 @@ pub struct FreeSpaceManager {
 }
 
 impl FreeSpaceManager {
-    /// Creates a manager with every group free.
-    pub fn new(
-        total_groups: u64,
-        pages_per_group: u64,
-        channels: usize,
-        dies_per_channel: usize,
-        pages_per_block: usize,
-        policy: PlacementPolicy,
-    ) -> Self {
-        let channels = channels.max(1) as u64;
-        let dies_per_channel = dies_per_channel.max(1) as u64;
-        let classes = (channels * dies_per_channel) as usize;
+    /// Creates a manager with every group of `layout` free, one wear entry
+    /// per block row and one stripe class per lane.
+    pub fn new(layout: GroupLayout, policy: PlacementPolicy) -> Self {
+        let total_groups = layout.total_groups();
+        let rows = layout.geometry.blocks_per_die() as u64;
+        let classes = layout.geometry.total_dies();
         let mut manager = FreeSpaceManager {
-            total_groups,
-            pages_per_group: pages_per_group.max(1),
-            channels,
-            dies_per_channel,
-            pages_per_block: (pages_per_block as u64).max(1),
+            layout,
             policy,
             pool: FreePool::FirstFree {
                 cursor: 0,
                 recycled: VecDeque::new(),
             },
+            states: vec![GroupState::Free; total_groups as usize],
             free_count: total_groups,
-            free_flags: vec![true; total_groups as usize],
-            reserved_flags: vec![false; total_groups as usize],
             reserved_count: 0,
-            retired_flags: vec![false; total_groups as usize],
             retired_count: 0,
             occupancy: vec![0; classes],
-            row_wear: Vec::new(),
+            row_wear: vec![0; rows as usize],
         };
-        let rows = if total_groups == 0 {
-            0
-        } else {
-            manager.row_of_group(total_groups - 1) + 1
-        };
-        manager.row_wear = vec![0; rows as usize];
         match policy {
             PlacementPolicy::FirstFree => {}
             PlacementPolicy::ChannelStriped => {
@@ -204,7 +211,7 @@ impl FreeSpaceManager {
                 // order, so striped allocation stays deterministic.
                 let mut queues = vec![VecDeque::new(); classes];
                 for g in 0..total_groups {
-                    queues[manager.stripe_class(g)].push_back(g);
+                    queues[layout.lane_of_group(g)].push_back(g);
                 }
                 manager.pool = FreePool::Striped {
                     queues,
@@ -214,13 +221,21 @@ impl FreeSpaceManager {
             PlacementPolicy::LeastWorn => {
                 let mut queues = vec![VecDeque::new(); rows as usize];
                 for g in 0..total_groups {
-                    queues[manager.row_of_group(g) as usize].push_back(g);
+                    queues[layout.row_of_group(g) as usize].push_back(g);
                 }
-                let by_wear = (0..rows).map(|r| (0u64, r)).collect();
+                let by_wear = (0..rows)
+                    .filter(|&r| !queues[r as usize].is_empty())
+                    .map(|r| (0u64, r))
+                    .collect();
                 manager.pool = FreePool::LeastWorn { queues, by_wear };
             }
         }
         manager
+    }
+
+    /// Every group on the device.
+    fn total_groups(&self) -> u64 {
+        self.states.len() as u64
     }
 
     /// Groups currently free. O(1).
@@ -236,37 +251,6 @@ impl FreeSpaceManager {
     /// Groups retired with their bad block row (lost capacity). O(1).
     pub fn retired_count(&self) -> u64 {
         self.retired_count
-    }
-
-    /// Number of stripe classes (channels × dies per channel).
-    pub fn class_count(&self) -> usize {
-        self.occupancy.len()
-    }
-
-    /// Stripe class of group `g`: the `(channel, die)` its leading page
-    /// occupies, flattened as `channel * dies_per_channel + die`.
-    pub fn stripe_class(&self, g: u64) -> usize {
-        let flat = g * self.pages_per_group;
-        let channel = flat % self.channels;
-        let die = (flat / self.channels) % self.dies_per_channel;
-        (channel * self.dies_per_channel + die) as usize
-    }
-
-    /// Block row of group `g`: the within-die erase-block index its leading
-    /// page falls in. Each row spans `pages_per_block × channels × dies`
-    /// flat pages (block `r` of every channel and die).
-    fn row_of_group(&self, g: u64) -> u64 {
-        let row_pages = self.pages_per_block * self.channels * self.dies_per_channel;
-        (g * self.pages_per_group) / row_pages
-    }
-
-    /// The group range `[low, high)` whose leading pages fall in block row
-    /// `row` — the unit [`FreeSpaceManager::retire_row`] removes.
-    fn row_group_range(&self, row: u64) -> (u64, u64) {
-        let row_pages = self.pages_per_block * self.channels * self.dies_per_channel;
-        let per_row = (row_pages / self.pages_per_group).max(1);
-        let low = (row * per_row).min(self.total_groups);
-        (low, (low + per_row).min(self.total_groups))
     }
 
     /// Accumulated block erases per block row (the within-die erase-block
@@ -294,7 +278,7 @@ impl FreeSpaceManager {
     }
 
     /// Allocated groups per stripe class, indexed like
-    /// [`FreeSpaceManager::stripe_class`].
+    /// [`GroupLayout::lane_of_group`].
     pub(crate) fn occupancy(&self) -> &[u64] {
         &self.occupancy
     }
@@ -311,12 +295,12 @@ impl FreeSpaceManager {
                     // journal row) or retired ones (bad block rows); they
                     // are skipped, never handed out.
                     loop {
-                        if *cursor >= self.total_groups {
+                        if *cursor >= self.states.len() as u64 {
                             return None;
                         }
                         let g = *cursor;
                         *cursor += 1;
-                        if !self.reserved_flags[g as usize] && !self.retired_flags[g as usize] {
+                        if !self.states[g as usize].is_fenced() {
                             break g;
                         }
                     }
@@ -346,31 +330,19 @@ impl FreeSpaceManager {
             }
         };
         self.free_count -= 1;
-        self.free_flags[g as usize] = false;
-        let class = self.stripe_class(g);
-        self.occupancy[class] += 1;
+        self.states[g as usize] = GroupState::Allocated;
+        self.occupancy[self.layout.lane_of_group(g)] += 1;
         Some(g)
+    }
+
+    /// Where group `g` stands; `None` past the last group.
+    pub fn state(&self, g: u64) -> Option<GroupState> {
+        self.states.get(g as usize).copied()
     }
 
     /// True when group `g` is currently in the free structure.
     pub(crate) fn is_free(&self, g: u64) -> bool {
-        self.free_flags.get(g as usize).copied().unwrap_or_default()
-    }
-
-    /// True when group `g` is permanently reserved.
-    pub fn is_reserved(&self, g: u64) -> bool {
-        self.reserved_flags
-            .get(g as usize)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// True when group `g` was retired with its bad block row.
-    pub fn is_retired(&self, g: u64) -> bool {
-        self.retired_flags
-            .get(g as usize)
-            .copied()
-            .unwrap_or_default()
+        self.state(g) == Some(GroupState::Free)
     }
 
     /// Retires every non-reserved group of block row `row`: the groups
@@ -382,25 +354,26 @@ impl FreeSpaceManager {
     /// kept: retirement does not rewrite wear history. Idempotent; returns
     /// how many groups were newly retired.
     pub(crate) fn retire_row(&mut self, row: u64) -> u64 {
-        let (low, high) = self.row_group_range(row);
+        let (low, high) = self.layout.row_groups(row);
+        let high = high.min(self.total_groups());
         if low >= high {
             return 0;
         }
         let mut newly = 0;
         for g in low..high {
-            let gi = g as usize;
-            if self.reserved_flags[gi] || self.retired_flags[gi] {
+            let state = &mut self.states[g as usize];
+            if state.is_fenced() {
                 continue;
             }
-            self.retired_flags[gi] = true;
+            let was = std::mem::replace(state, GroupState::Retired);
             self.retired_count += 1;
             newly += 1;
-            if std::mem::replace(&mut self.free_flags[gi], false) {
+            if was == GroupState::Free {
                 self.free_count -= 1;
             } else {
                 // An allocated (garbage) group stops counting as occupied:
                 // occupied + free + reserved + retired stays a partition.
-                let class = self.stripe_class(g);
+                let class = self.layout.lane_of_group(g);
                 self.occupancy[class] = self.occupancy[class].saturating_sub(1);
             }
         }
@@ -434,16 +407,16 @@ impl FreeSpaceManager {
     /// the journal's metadata row this way, so the data cursor cannot
     /// collide with journal pages on a nearly-full device.
     pub fn reserve_range(&mut self, low: u64, high: u64) {
-        let high = high.min(self.total_groups);
+        let high = high.min(self.total_groups());
         for g in low..high {
-            if self.reserved_flags[g as usize] {
+            let state = &mut self.states[g as usize];
+            if state.is_fenced() {
                 continue;
             }
-            self.reserved_flags[g as usize] = true;
-            self.reserved_count += 1;
-            if std::mem::replace(&mut self.free_flags[g as usize], false) {
+            if std::mem::replace(state, GroupState::Reserved) == GroupState::Free {
                 self.free_count -= 1;
             }
+            self.reserved_count += 1;
         }
         // Physically remove reserved members from the materialized pools
         // (the FirstFree cursor skips them at pop time instead).
@@ -451,7 +424,10 @@ impl FreeSpaceManager {
             return;
         }
         let keep = |g: &u64| *g < low || *g >= high;
-        let (row_low, row_high) = (self.row_of_group(low), self.row_of_group(high - 1));
+        let (row_low, row_high) = (
+            self.layout.row_of_group(low),
+            self.layout.row_of_group(high - 1),
+        );
         match &mut self.pool {
             FreePool::FirstFree { recycled, .. } => recycled.retain(keep),
             FreePool::Striped { queues, .. } => {
@@ -475,15 +451,13 @@ impl FreeSpaceManager {
     /// that is already free (or reserved) is a no-op, so a double recycle
     /// cannot put the same group in the pool twice.
     pub(crate) fn recycle(&mut self, g: u64) {
-        if self.free_flags[g as usize]
-            || self.reserved_flags[g as usize]
-            || self.retired_flags[g as usize]
-        {
+        let state = &mut self.states[g as usize];
+        if *state != GroupState::Allocated {
             return;
         }
-        self.free_flags[g as usize] = true;
-        let class = self.stripe_class(g);
-        let row = self.row_of_group(g);
+        *state = GroupState::Free;
+        let class = self.layout.lane_of_group(g);
+        let row = self.layout.row_of_group(g);
         match &mut self.pool {
             FreePool::FirstFree { recycled, .. } => recycled.push_back(g),
             FreePool::Striped { queues, .. } => queues[class].push_back(g),
@@ -509,17 +483,21 @@ impl FreeSpaceManager {
     /// Returns how many groups were newly freed (garbage that was never
     /// individually recycled).
     pub(crate) fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
-        let high = high.min(self.total_groups);
+        let high = high.min(self.total_groups());
         if low >= high {
             return 0;
         }
         let in_range = |g: &u64| *g < low || *g >= high;
-        // Pool membership is in lockstep with `free_flags`, so when no
+        // Pool membership is in lockstep with the group states, so when no
         // in-range group is free there is nothing to pull out and the
         // O(free-pool) retain sweeps can be skipped — the common case for a
         // GC pass reclaiming a fully-garbage row.
-        if (low..high).any(|g| self.free_flags[g as usize]) {
-            let (row_low, row_high) = (self.row_of_group(low), self.row_of_group(high - 1));
+        let states = &self.states[low as usize..high as usize];
+        if states.contains(&GroupState::Free) {
+            let (row_low, row_high) = (
+                self.layout.row_of_group(low),
+                self.layout.row_of_group(high - 1),
+            );
             match &mut self.pool {
                 FreePool::FirstFree { recycled, .. } => recycled.retain(in_range),
                 FreePool::Striped { queues, .. } => {
@@ -539,12 +517,13 @@ impl FreeSpaceManager {
         let mut newly_freed = 0;
         let mut touched_rows: Vec<u64> = Vec::new();
         for g in low..high {
-            if self.reserved_flags[g as usize] || self.retired_flags[g as usize] {
+            let state = &mut self.states[g as usize];
+            if state.is_fenced() {
                 continue;
             }
-            let was_free = std::mem::replace(&mut self.free_flags[g as usize], true);
-            let class = self.stripe_class(g);
-            let row = self.row_of_group(g);
+            let was_free = std::mem::replace(state, GroupState::Free) == GroupState::Free;
+            let class = self.layout.lane_of_group(g);
+            let row = self.layout.row_of_group(g);
             if !was_free {
                 newly_freed += 1;
                 self.free_count += 1;
@@ -590,38 +569,39 @@ impl FreeSpaceManager {
     /// complement, and the wear ledger (`row_wear`), the reservations, and
     /// the bad-block retirements are kept — they survive power loss (wear
     /// is physical; the bad-block table is journaled metadata). The result
-    /// is a pure function of the flags and the predicate, so replaying the
-    /// same journal always reproduces the same allocator.
+    /// is a pure function of the states and the predicate, so replaying
+    /// the same journal always reproduces the same allocator.
     pub(crate) fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
         self.free_count = 0;
         for slot in self.occupancy.iter_mut() {
             *slot = 0;
         }
-        for g in 0..self.total_groups {
-            let gi = g as usize;
-            let fenced = self.reserved_flags[gi] || self.retired_flags[gi];
-            let free = !fenced && is_free(g);
-            self.free_flags[gi] = free;
-            if free {
+        for g in 0..self.total_groups() {
+            let state = &mut self.states[g as usize];
+            if state.is_fenced() {
+                continue;
+            }
+            if is_free(g) {
+                *state = GroupState::Free;
                 self.free_count += 1;
-            } else if !fenced {
-                let class = self.stripe_class(g);
-                self.occupancy[class] += 1;
+            } else {
+                *state = GroupState::Allocated;
+                self.occupancy[self.layout.lane_of_group(g)] += 1;
             }
         }
-        let free_ascending = (0..self.total_groups).filter(|&g| self.free_flags[g as usize]);
+        let free_ascending = (0..self.total_groups()).filter(|&g| self.is_free(g));
         self.pool = match self.policy {
             PlacementPolicy::FirstFree => FreePool::FirstFree {
                 // Everything re-enters through the recycled FIFO (ascending,
                 // so pops stay in NAND programming order); the cursor is
                 // exhausted.
-                cursor: self.total_groups,
+                cursor: self.total_groups(),
                 recycled: free_ascending.collect(),
             },
             PlacementPolicy::ChannelStriped => {
                 let mut queues = vec![VecDeque::new(); self.occupancy.len()];
                 for g in free_ascending {
-                    queues[self.stripe_class(g)].push_back(g);
+                    queues[self.layout.lane_of_group(g)].push_back(g);
                 }
                 FreePool::Striped {
                     queues,
@@ -631,7 +611,7 @@ impl FreeSpaceManager {
             PlacementPolicy::LeastWorn => {
                 let mut queues = vec![VecDeque::new(); self.row_wear.len()];
                 for g in free_ascending {
-                    queues[self.row_of_group(g) as usize].push_back(g);
+                    queues[self.layout.row_of_group(g) as usize].push_back(g);
                 }
                 let by_wear = queues
                     .iter()
@@ -651,9 +631,10 @@ impl FreeSpaceManager {
             FreePool::FirstFree { cursor, recycled } => recycled
                 .iter()
                 .copied()
-                .chain((*cursor..self.total_groups).filter(|g| {
-                    !self.reserved_flags[*g as usize] && !self.retired_flags[*g as usize]
-                }))
+                .chain(
+                    (*cursor..self.total_groups())
+                        .filter(|&g| !self.states[g as usize].is_fenced()),
+                )
                 .collect(),
             FreePool::Striped { queues, .. } => {
                 queues.iter().flat_map(|q| q.iter().copied()).collect()
@@ -668,10 +649,40 @@ impl FreeSpaceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_flash::FlashGeometry;
+
+    /// `groups` groups of `pages_per_group` pages on `channels` × `dies`
+    /// lanes of `pages_per_block`-page blocks, with as many block rows as
+    /// the groups fill.
+    fn manager(
+        groups: u64,
+        pages_per_group: u64,
+        channels: usize,
+        dies: usize,
+        pages_per_block: usize,
+        policy: PlacementPolicy,
+    ) -> FreeSpaceManager {
+        let row_pages = (channels * dies * pages_per_block) as u64;
+        assert_eq!(groups * pages_per_group % row_pages, 0, "whole rows");
+        let geometry = FlashGeometry {
+            channels,
+            packages_per_channel: 1,
+            dies_per_package: dies,
+            planes_per_die: 1,
+            blocks_per_plane: (groups * pages_per_group / row_pages) as usize,
+            pages_per_block,
+            page_bytes: 4096,
+        };
+        let layout = GroupLayout {
+            geometry,
+            pages_per_group,
+        };
+        FreeSpaceManager::new(layout, policy)
+    }
 
     #[test]
     fn first_free_reproduces_cursor_then_fifo_order() {
-        let mut m = FreeSpaceManager::new(8, 2, 2, 1, 16, PlacementPolicy::FirstFree);
+        let mut m = manager(8, 2, 2, 1, 4, PlacementPolicy::FirstFree);
         assert_eq!(m.free_count(), 8);
         assert_eq!(m.allocate(), Some(0));
         assert_eq!(m.allocate(), Some(1));
@@ -686,7 +697,7 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_none_until_recycle() {
-        let mut m = FreeSpaceManager::new(2, 1, 1, 1, 16, PlacementPolicy::FirstFree);
+        let mut m = manager(2, 1, 1, 1, 2, PlacementPolicy::FirstFree);
         assert_eq!(m.allocate(), Some(0));
         assert_eq!(m.allocate(), Some(1));
         assert_eq!(m.allocate(), None);
@@ -700,10 +711,10 @@ mod tests {
         // 8 groups of 1 page on 2 channels × 2 dies: group g's leading page
         // is flat page g, so classes cycle 0,2,1,3 (channel first, then
         // die) as g increases.
-        let mut m = FreeSpaceManager::new(8, 1, 2, 2, 16, PlacementPolicy::ChannelStriped);
-        assert_eq!(m.class_count(), 4);
+        let mut m = manager(8, 1, 2, 2, 2, PlacementPolicy::ChannelStriped);
+        assert_eq!(m.occupancy().len(), 4);
         let picks: Vec<u64> = (0..4).map(|_| m.allocate().unwrap()).collect();
-        let classes: Vec<usize> = picks.iter().map(|&g| m.stripe_class(g)).collect();
+        let classes: Vec<usize> = picks.iter().map(|&g| m.layout.lane_of_group(g)).collect();
         // Four consecutive allocations cover all four stripe classes.
         let mut sorted = classes.clone();
         sorted.sort_unstable();
@@ -714,7 +725,7 @@ mod tests {
 
     #[test]
     fn striped_skips_empty_classes_and_exhausts_cleanly() {
-        let mut m = FreeSpaceManager::new(4, 1, 2, 1, 16, PlacementPolicy::ChannelStriped);
+        let mut m = manager(4, 1, 2, 1, 2, PlacementPolicy::ChannelStriped);
         let mut got = Vec::new();
         while let Some(g) = m.allocate() {
             got.push(g);
@@ -729,7 +740,7 @@ mod tests {
 
     #[test]
     fn double_recycle_is_idempotent() {
-        let mut m = FreeSpaceManager::new(4, 1, 1, 1, 16, PlacementPolicy::FirstFree);
+        let mut m = manager(4, 1, 1, 1, 4, PlacementPolicy::FirstFree);
         let g = m.allocate().unwrap();
         assert!(!m.is_free(g));
         m.recycle(g);
@@ -742,7 +753,7 @@ mod tests {
     #[test]
     fn reclaim_range_reinserts_an_ascending_run() {
         for policy in PlacementPolicy::all() {
-            let mut m = FreeSpaceManager::new(8, 1, 1, 1, 4, policy);
+            let mut m = manager(8, 1, 1, 1, 4, policy);
             // Allocate six groups, recycle two of them out of order, and
             // leave two allocated-but-unmapped (garbage).
             let held: Vec<u64> = (0..6).map(|_| m.allocate().unwrap()).collect();
@@ -767,7 +778,7 @@ mod tests {
     #[test]
     fn occupancy_and_free_set_stay_consistent() {
         for policy in PlacementPolicy::all() {
-            let mut m = FreeSpaceManager::new(16, 2, 2, 2, 8, policy);
+            let mut m = manager(16, 2, 2, 2, 8, policy);
             let mut held = Vec::new();
             for _ in 0..10 {
                 held.push(m.allocate().unwrap());
@@ -791,7 +802,7 @@ mod tests {
     fn least_worn_prefers_the_freshest_row() {
         // 8 groups of 2 pages, 2 channels × 1 die × 4-page blocks: each row
         // holds 4 groups.
-        let mut m = FreeSpaceManager::new(8, 2, 2, 1, 4, PlacementPolicy::LeastWorn);
+        let mut m = manager(8, 2, 2, 1, 4, PlacementPolicy::LeastWorn);
         assert_eq!(m.row_wear().len(), 2);
         // Untouched device: rows tie at wear 0, lowest row wins, groups pop
         // ascending within the row.
@@ -815,7 +826,7 @@ mod tests {
 
     #[test]
     fn least_worn_drains_fully_and_recycles() {
-        let mut m = FreeSpaceManager::new(8, 1, 1, 1, 4, PlacementPolicy::LeastWorn);
+        let mut m = manager(8, 1, 1, 1, 4, PlacementPolicy::LeastWorn);
         let mut got = Vec::new();
         while let Some(g) = m.allocate() {
             got.push(g);
@@ -830,11 +841,12 @@ mod tests {
     #[test]
     fn reserve_range_fences_groups_from_every_path() {
         for policy in PlacementPolicy::all() {
-            let mut m = FreeSpaceManager::new(8, 1, 1, 1, 4, policy);
+            let mut m = manager(8, 1, 1, 1, 4, policy);
             m.reserve_range(6, 8);
             assert_eq!(m.free_count(), 6, "{policy:?}");
             assert_eq!(m.reserved_count(), 2, "{policy:?}");
-            assert!(m.is_reserved(6) && m.is_reserved(7), "{policy:?}");
+            assert_eq!(m.state(6), Some(GroupState::Reserved), "{policy:?}");
+            assert_eq!(m.state(7), Some(GroupState::Reserved), "{policy:?}");
             // Reserved groups are never allocated...
             let mut got = Vec::new();
             while let Some(g) = m.allocate() {
@@ -850,7 +862,7 @@ mod tests {
             assert_eq!(newly, 2, "{policy:?}");
             let free = m.debug_free_groups();
             assert!(
-                free.iter().all(|g| !m.is_reserved(*g)),
+                free.iter().all(|&g| m.state(g) == Some(GroupState::Free)),
                 "{policy:?}: reserved group leaked into the pool"
             );
         }
@@ -861,8 +873,8 @@ mod tests {
         for policy in PlacementPolicy::all() {
             // 8 groups of 1 page, 1 channel × 1 die × 4-page blocks: rows
             // are groups [0,4) and [4,8).
-            let mut m = FreeSpaceManager::new(8, 1, 1, 1, 4, policy);
-            assert_eq!(m.row_group_range(1), (4, 8));
+            let mut m = manager(8, 1, 1, 1, 4, policy);
+            assert_eq!(m.layout.row_groups(1), (4, 8));
             // Leave group 1 allocated (garbage) so retirement must also
             // rebalance the occupancy gauge.
             let g = loop {
@@ -875,7 +887,7 @@ mod tests {
             let newly = m.retire_row(0);
             assert_eq!(newly, 4, "{policy:?}");
             assert_eq!(m.retired_count(), 4, "{policy:?}");
-            assert!(m.is_retired(g), "{policy:?}");
+            assert_eq!(m.state(g), Some(GroupState::Retired), "{policy:?}");
             // Retired groups never allocate...
             let mut got = Vec::new();
             while let Some(g) = m.allocate() {
@@ -903,11 +915,12 @@ mod tests {
 
     #[test]
     fn retire_row_skips_reserved_groups() {
-        let mut m = FreeSpaceManager::new(8, 1, 1, 1, 4, PlacementPolicy::FirstFree);
+        let mut m = manager(8, 1, 1, 1, 4, PlacementPolicy::FirstFree);
         m.reserve_range(0, 2);
         assert_eq!(m.retire_row(0), 2);
-        assert!(m.is_reserved(0) && !m.is_retired(0));
-        assert!(m.is_retired(2) && m.is_retired(3));
+        assert_eq!(m.state(0), Some(GroupState::Reserved));
+        assert_eq!(m.state(2), Some(GroupState::Retired));
+        assert_eq!(m.state(3), Some(GroupState::Retired));
         assert_eq!(m.reserved_count(), 2);
         assert_eq!(m.retired_count(), 2);
     }
@@ -917,7 +930,7 @@ mod tests {
         for policy in PlacementPolicy::all() {
             // 16 groups of 2 pages, 2 channels × 2 dies × 4-page blocks:
             // rows are groups [0,8) and [8,16).
-            let mut m = FreeSpaceManager::new(16, 2, 2, 2, 4, policy);
+            let mut m = manager(16, 2, 2, 2, 4, policy);
             m.reserve_range(14, 16);
             for _ in 0..6 {
                 m.allocate().unwrap();
@@ -930,12 +943,17 @@ mod tests {
             let mapped = [2u64, 5];
             m.rebuild(|g| !mapped.contains(&g));
             assert_eq!(m.row_wear(), &wear_before[..], "{policy:?}");
-            assert!(m.is_reserved(14) && m.is_retired(m.row_group_range(1).0));
+            assert_eq!(m.state(14), Some(GroupState::Reserved), "{policy:?}");
+            assert_eq!(
+                m.state(m.layout.row_groups(1).0),
+                Some(GroupState::Retired),
+                "{policy:?}"
+            );
             let free = m.debug_free_groups();
             assert_eq!(free.len() as u64, m.free_count(), "{policy:?}");
             assert!(
                 free.iter()
-                    .all(|&g| !mapped.contains(&g) && !m.is_reserved(g) && !m.is_retired(g)),
+                    .all(|&g| !mapped.contains(&g) && m.state(g) == Some(GroupState::Free)),
                 "{policy:?}"
             );
             let occupied: u64 = m.occupancy().iter().sum();
@@ -956,7 +974,7 @@ mod tests {
 
     #[test]
     fn reservation_is_idempotent_and_occupancy_balances() {
-        let mut m = FreeSpaceManager::new(16, 2, 2, 2, 8, PlacementPolicy::FirstFree);
+        let mut m = manager(16, 2, 2, 2, 8, PlacementPolicy::FirstFree);
         m.reserve_range(12, 16);
         m.reserve_range(12, 16);
         assert_eq!(m.reserved_count(), 4);

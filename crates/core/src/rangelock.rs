@@ -12,7 +12,7 @@
 //! operations.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Whether a data section is mapped for reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,14 +30,17 @@ impl LockMode {
     }
 }
 
-/// Identifier of a granted range lock.
+/// Identifier of a granted range lock: its key in the table, the range's
+/// start address and the grant's sequence number, so overlapping ranges
+/// coexist under distinct keys in start-address order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct LockId(u64);
+pub struct LockId {
+    start: u64,
+    seq: u64,
+}
 
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct LockEntry {
-    id: LockId,
-    start: u64,
     end: u64,
     mode: LockMode,
     owner: u32,
@@ -60,17 +63,11 @@ struct LockEntry {
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RangeLockTable {
-    /// Locks keyed by `(start, id)` so overlapping ranges can coexist under
-    /// distinct keys while keeping ordered traversal by start address.
-    locks: BTreeMap<(u64, u64), LockEntry>,
-    /// Lock id → start address, so a single release is an indexed removal
-    /// rather than a scan of the whole table.
-    by_id: BTreeMap<u64, u64>,
-    /// Owner → the `(start, id)` keys it holds, so kernel teardown
-    /// (`release_owner`) removes exactly its own locks instead of
-    /// re-filtering every entry in the table.
-    by_owner: BTreeMap<u32, BTreeSet<(u64, u64)>>,
-    next_id: u64,
+    /// Held locks in `(start, seq)` order. Every query scans it, and a
+    /// table holds at most a few hundred locks (the sections of the
+    /// kernels in flight).
+    locks: BTreeMap<LockId, LockEntry>,
+    next_seq: u64,
     grants: u64,
     denials: u64,
 }
@@ -79,11 +76,6 @@ impl RangeLockTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         RangeLockTable::default()
-    }
-
-    /// Number of locks currently held.
-    pub fn held(&self) -> usize {
-        self.locks.len()
     }
 
     /// Total number of granted acquisitions.
@@ -96,16 +88,27 @@ impl RangeLockTable {
         self.denials
     }
 
-    /// Returns the lock (if any) that would conflict with mapping
-    /// `[start, end)` in `mode`.
-    fn find_conflict(&self, start: u64, end: u64, mode: LockMode) -> Option<(u64, u64, LockMode)> {
+    /// The first held lock, in `(start, seq)` order, overlapping
+    /// `[start, end)` and satisfying `pred`.
+    fn first_overlapping(
+        &self,
+        start: u64,
+        end: u64,
+        pred: impl Fn(&LockEntry) -> bool,
+    ) -> Option<(&LockId, &LockEntry)> {
         if start >= end {
             return None;
         }
         self.locks
-            .values()
-            .find(|l| l.start < end && start < l.end && mode.conflicts_with(l.mode))
-            .map(|l| (l.start, l.end, l.mode))
+            .iter()
+            .find(|(id, l)| id.start < end && start < l.end && pred(l))
+    }
+
+    /// Returns the lock (if any) that would conflict with mapping
+    /// `[start, end)` in `mode`.
+    fn find_conflict(&self, start: u64, end: u64, mode: LockMode) -> Option<(u64, u64, LockMode)> {
+        self.first_overlapping(start, end, |l| mode.conflicts_with(l.mode))
+            .map(|(id, l)| (id.start, l.end, l.mode))
     }
 
     /// Attempts to acquire a lock over `[start, end)` for `owner`. Returns
@@ -126,67 +129,33 @@ impl RangeLockTable {
             self.denials += 1;
             return None;
         }
-        let id = LockId(self.next_id);
-        self.next_id += 1;
+        let id = LockId {
+            start,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
         self.grants += 1;
-        self.locks.insert(
-            (start, id.0),
-            LockEntry {
-                id,
-                start,
-                end,
-                mode,
-                owner,
-            },
-        );
-        self.by_id.insert(id.0, start);
-        self.by_owner
-            .entry(owner)
-            .or_default()
-            .insert((start, id.0));
+        self.locks.insert(id, LockEntry { end, mode, owner });
         Some(id)
     }
 
     /// Releases a previously granted lock. Releasing an unknown id is a
     /// no-op (the double release of an already unmapped section).
     pub fn release(&mut self, id: LockId) {
-        let Some(start) = self.by_id.remove(&id.0) else {
-            return;
-        };
-        if let Some(entry) = self.locks.remove(&(start, id.0)) {
-            if let Some(keys) = self.by_owner.get_mut(&entry.owner) {
-                keys.remove(&(start, id.0));
-                if keys.is_empty() {
-                    self.by_owner.remove(&entry.owner);
-                }
-            }
-        }
+        self.locks.remove(&id);
     }
 
-    /// Releases every lock held by `owner` (kernel teardown). Indexed by
-    /// the per-owner key set, so teardown cost is proportional to the
-    /// owner's own locks, not the table size.
+    /// Releases every lock held by `owner` (kernel teardown).
     pub(crate) fn release_owner(&mut self, owner: u32) {
-        let Some(keys) = self.by_owner.remove(&owner) else {
-            return;
-        };
-        for key in keys {
-            self.locks.remove(&key);
-            self.by_id.remove(&key.1);
-        }
+        self.locks.retain(|_, l| l.owner != owner);
     }
 
     /// The owner of the first held lock overlapping `[start, end)` — the
     /// cross-layer identity Flashvisor stamps on the flash commands a
     /// data-section transfer issues. `None` when nothing covers the range.
     pub(crate) fn owner_covering(&self, start: u64, end: u64) -> Option<u32> {
-        if start >= end {
-            return None;
-        }
-        self.locks
-            .values()
-            .find(|l| l.start < end && start < l.end)
-            .map(|l| l.owner)
+        self.first_overlapping(start, end, |_| true)
+            .map(|(_, l)| l.owner)
     }
 }
 
@@ -223,7 +192,7 @@ mod tests {
         let mut t = RangeLockTable::new();
         assert!(t.try_acquire(10, 10, LockMode::Read, 1).is_none());
         assert!(t.try_acquire(20, 10, LockMode::Write, 1).is_none());
-        assert_eq!(t.held(), 0);
+        assert_eq!(t.locks.len(), 0);
     }
 
     #[test]
@@ -232,9 +201,9 @@ mod tests {
         t.try_acquire(0, 10, LockMode::Read, 1).unwrap();
         t.try_acquire(10, 20, LockMode::Write, 1).unwrap();
         t.try_acquire(20, 30, LockMode::Read, 2).unwrap();
-        assert_eq!(t.held(), 3);
+        assert_eq!(t.locks.len(), 3);
         t.release_owner(1);
-        assert_eq!(t.held(), 1);
+        assert_eq!(t.locks.len(), 1);
         assert_eq!(t.owner_covering(0, 30), Some(2));
     }
 
@@ -244,7 +213,7 @@ mod tests {
         let id = t.try_acquire(0, 10, LockMode::Read, 1).unwrap();
         t.release(id);
         t.release(id);
-        assert_eq!(t.held(), 0);
+        assert_eq!(t.locks.len(), 0);
     }
 
     #[test]
@@ -256,7 +225,7 @@ mod tests {
         // Single release, then owner teardown of the remaining owner-1 lock.
         t.release(a);
         t.release_owner(1);
-        assert_eq!(t.held(), 1);
+        assert_eq!(t.locks.len(), 1);
         assert_eq!(t.owner_covering(0, 30), Some(2));
         assert_eq!(
             t.find_conflict(0, 30, LockMode::Read),
@@ -267,8 +236,8 @@ mod tests {
         t.release_owner(1);
         t.release(c);
         t.release(c);
-        assert_eq!(t.held(), 0);
-        // The indices did not leak: every freed range is re-acquirable.
+        assert_eq!(t.locks.len(), 0);
+        // Nothing leaked: every freed range is re-acquirable.
         assert!(t.try_acquire(0, 30, LockMode::Write, 3).is_some());
     }
 
@@ -298,7 +267,7 @@ mod tests {
                     held.push((start, start + len, mode));
                 }
             }
-            prop_assert_eq!(t.held(), held.len());
+            prop_assert_eq!(t.locks.len(), held.len());
             for (i, a) in held.iter().enumerate() {
                 for b in held.iter().skip(i + 1) {
                     let overlap = a.0 < b.1 && b.0 < a.1;
@@ -310,12 +279,11 @@ mod tests {
                     }
                 }
             }
-            // Owner teardown through the per-owner index drains the table
-            // completely — the indices never leak an entry.
+            // Owner teardown drains the table completely.
             for owner in 0..8 {
                 t.release_owner(owner);
             }
-            prop_assert_eq!(t.held(), 0);
+            prop_assert_eq!(t.locks.len(), 0);
         }
     }
 }

@@ -12,7 +12,7 @@
 use crate::config::FlashAbacusConfig;
 use crate::error::FaError;
 use crate::flashvisor::Flashvisor;
-use fa_flash::{FlashCommand, FlashError, OwnerId, PhysicalPageAddr};
+use fa_flash::{FlashCommand, FlashError, OwnerId};
 use fa_sim::resource::FifoServer;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -209,20 +209,16 @@ impl Storengine {
         let prep_done = self.charge_cpu(now, (dirty_bytes / 16).max(200));
         let geometry = self.config.flash_geometry;
         let mut finished = prep_done;
-        // Journal pages land in the highest-numbered block of every die,
-        // striped across channels and dies — a reserved metadata area. The
-        // cursor persists across dumps so successive dumps append rather
-        // than rewriting (and erasing) the same pages.
+        // Journal pages land in the reserved metadata row (block row 0 on
+        // a one-row device) in flat order, striped across channels and
+        // dies. The cursor persists across dumps so successive dumps
+        // append rather than rewriting (and erasing) the same pages.
+        let row = self.config.journal_metadata_row().unwrap_or(0);
+        let row_pages = geometry.row_pages();
         for _ in 0..pages {
             let i = self.journal_cursor;
             self.journal_cursor += 1;
-            let channel = (i % geometry.channels as u64) as usize;
-            let die =
-                ((i / geometry.channels as u64) % geometry.dies_per_channel() as u64) as usize;
-            let block = geometry.blocks_per_die() - 1;
-            let page = ((i / (geometry.channels * geometry.dies_per_channel()) as u64)
-                % geometry.pages_per_block as u64) as usize;
-            let addr = PhysicalPageAddr::new(channel, die, block, page);
+            let addr = geometry.flat_to_addr(row * row_pages + i % row_pages);
             // The metadata block may need erasing once its pages are used
             // up. All journal traffic carries the Journal owner, so it
             // contends at the tag queues under the background budget.
@@ -286,21 +282,21 @@ impl Storengine {
     /// plan against the same Flashvisor state, as
     /// [`Storengine::collect_garbage`] does.
     pub(crate) fn plan_gc(&mut self, now: SimTime, flashvisor: &Flashvisor) -> GcPlan {
-        let geometry = self.config.flash_geometry;
-        let blocks_per_die = geometry.blocks_per_die() as u64;
+        let layout = self.config.group_layout();
         // The round-robin walk (also every policy's no-garbage fallback)
-        // cycles over the data rows only, skipping the journal row.
-        let data_rows = match self.config.journal_metadata_row() {
-            Some(_) => blocks_per_die - 1,
-            None => blocks_per_die,
-        };
+        // cycles over the data rows only, skipping the journal row (the
+        // last one).
+        let data_rows = self
+            .config
+            .journal_metadata_row()
+            .unwrap_or(layout.geometry.blocks_per_die() as u64);
         let picked = match self.config.gc_victim {
             GcVictimPolicy::RoundRobin => None,
             GcVictimPolicy::GreedyMinValid => flashvisor.backbone().min_valid_garbage_block(),
             GcVictimPolicy::CostBenefit => flashvisor.backbone().cost_benefit_victim_block(now),
         };
         let row = match picked {
-            Some(b) => geometry.block_index_to_addr(b).2 as u64,
+            Some(b) => layout.geometry.block_row(b),
             // RoundRobin, or nothing holds garbage: advance the cursor walk
             // so the pass still erases *something* reclaimable in the long
             // run.
@@ -310,7 +306,7 @@ impl Storengine {
                 r
             }
         };
-        let (group_low, group_high) = self.config.block_row_group_range(row);
+        let (group_low, group_high) = layout.row_groups(row);
         GcPlan {
             row,
             group_low,
@@ -470,37 +466,33 @@ impl Storengine {
         let mut row_erase_failed = false;
         // One erase per channel/die in ch-major order, tolerating injected
         // failures block by block.
-        let geometry = self.config.flash_geometry;
-        for ch in 0..geometry.channels {
-            for d in 0..geometry.dies_per_channel() {
-                let erase_addr = PhysicalPageAddr::new(ch, d, plan.row as usize, 0);
-                match flashvisor.backbone_mut().submit_tagged(
-                    progress.finished,
-                    FlashCommand::erase(erase_addr),
-                    OwnerId::Gc,
-                ) {
-                    Ok(erased) => {
-                        finished = finished.max(erased.finished);
-                        self.stats.erases += 1;
-                        self.stats.blocks_reclaimed += 1;
-                    }
-                    // An injected erase failure condemns only that block:
-                    // its siblings still erase, its garbage stays put for a
-                    // retry (or for row retirement once the block crosses
-                    // the failure threshold), and the pass reclaims what
-                    // actually cleared.
-                    Err(FlashError::InjectedEraseFailure(_)) => {
-                        row_erase_failed = true;
-                    }
-                    // A real fault aborts the pass — but sibling blocks may
-                    // already have erased; drain the reclaim list before
-                    // surfacing the error, or their groups (and the wear
-                    // events) would sit unaccounted until the next storage
-                    // activity.
-                    Err(e) => {
-                        flashvisor.reclaim_fully_erased();
-                        return Err(e.into());
-                    }
+        for erase_addr in self.config.flash_geometry.row_blocks(plan.row) {
+            match flashvisor.backbone_mut().submit_tagged(
+                progress.finished,
+                FlashCommand::erase(erase_addr),
+                OwnerId::Gc,
+            ) {
+                Ok(erased) => {
+                    finished = finished.max(erased.finished);
+                    self.stats.erases += 1;
+                    self.stats.blocks_reclaimed += 1;
+                }
+                // An injected erase failure condemns only that block:
+                // its siblings still erase, its garbage stays put for a
+                // retry (or for row retirement once the block crosses
+                // the failure threshold), and the pass reclaims what
+                // actually cleared.
+                Err(FlashError::InjectedEraseFailure(_)) => {
+                    row_erase_failed = true;
+                }
+                // A real fault aborts the pass — but sibling blocks may
+                // already have erased; drain the reclaim list before
+                // surfacing the error, or their groups (and the wear
+                // events) would sit unaccounted until the next storage
+                // activity.
+                Err(e) => {
+                    flashvisor.reclaim_fully_erased();
+                    return Err(e.into());
                 }
             }
         }
@@ -679,10 +671,7 @@ mod tests {
         let mut v = Flashvisor::new(config);
         let mut sp = Scratchpad::new(&PlatformSpec::paper_prototype());
         let group = config.page_group_bytes;
-        let row_groups = (config.flash_geometry.pages_per_block as u64
-            * config.flash_geometry.channels as u64
-            * config.flash_geometry.dies_per_channel() as u64)
-            / config.pages_per_group();
+        let row_groups = config.group_layout().groups_per_row();
         // Fill the first two rows, then overwrite all but one group of
         // row 0: the overwrites are hot (threshold 1), so they relocate
         // through the reserve and row 0 becomes almost pure garbage.

@@ -262,17 +262,14 @@ impl FlashBackbone {
     /// [`FlashGeometry::block_index`] values, channels in ascending order.
     /// The translation layer promotes these into its bad-block table.
     pub fn take_blocks_pending_retirement(&mut self) -> Vec<u64> {
-        let dies = self.geometry.dies_per_channel() as u64;
-        let blocks_per_die = self.geometry.blocks_per_die() as u64;
+        let geometry = self.geometry;
         let mut blocks = Vec::new();
         for channel in &mut self.channels {
-            let c = channel.index() as u64;
+            let c = channel.index();
             if let Some(f) = channel.fault_state_mut() {
-                blocks.extend(
-                    f.take_retired_pending().into_iter().map(|(die, block)| {
-                        (c * dies + die as u64) * blocks_per_die + block as u64
-                    }),
-                );
+                blocks.extend(f.take_retired_pending().into_iter().map(|(die, block)| {
+                    geometry.block_index(PhysicalPageAddr::new(c, die, block, 0))
+                }));
             }
         }
         blocks
@@ -438,7 +435,7 @@ impl FlashBackbone {
         flat: u64,
         now_ns: u64,
     ) {
-        let block = block_of(&self.geometry, addr);
+        let block = self.geometry.block_of(addr);
         self.valid_index.on_program(block, before, flat, now_ns);
         let landed = BlockCounts {
             valid: before.valid + 1,
@@ -482,7 +479,7 @@ impl FlashBackbone {
                 let before = channel.block_counts(addr);
                 match channel.execute(start, op, addr, oi, budget) {
                     Ok(done) => {
-                        let block = block_of(&self.geometry, addr);
+                        let block = self.geometry.block_of(addr);
                         self.valid_index
                             .on_program(block, before, flat, now.as_ns());
                         Ok(done)
@@ -503,11 +500,8 @@ impl FlashBackbone {
                         .extend_from_slice(die.valid_words(addr.block));
                 }
                 let done = channel.execute(now, op, addr, oi, budget)?;
-                self.valid_index.on_erase(
-                    block_of(&self.geometry, addr),
-                    before,
-                    &self.erase_words,
-                );
+                self.valid_index
+                    .on_erase(self.geometry.block_of(addr), before, &self.erase_words);
                 Ok(done)
             }
         }
@@ -555,7 +549,7 @@ impl FlashBackbone {
                 }
             }
             flat += 1;
-            addr = next_flat_addr(&self.geometry, addr);
+            addr = self.geometry.next_flat_addr(addr);
         }
         let slot = &mut self.owners[oi];
         slot.read_latencies = samples;
@@ -645,7 +639,7 @@ impl FlashBackbone {
     ) {
         let mut pad = failed;
         for flat in flats {
-            pad = next_flat_addr(&self.geometry, pad);
+            pad = self.geometry.next_flat_addr(pad);
             let start = self.srio.serve(now, self.srio_page_service).end;
             let channel = &mut self.channels[pad.channel];
             let before = channel.block_counts(pad);
@@ -719,7 +713,7 @@ impl FlashBackbone {
             let channel = &mut channels[addr.channel];
             let before = channel.block_counts(addr);
             channel.preload_run(addr, n)?;
-            index.on_program_run(block_of(geometry, addr), before, flat, n as u32, 0);
+            index.on_program_run(geometry.block_of(addr), before, flat, n as u32, 0);
             Ok(())
         })?;
         self.valid_index.on_programmed_range(first_flat, pages);
@@ -761,14 +755,14 @@ impl FlashBackbone {
             match channel.invalidate(addr) {
                 Ok(()) => {
                     self.valid_index
-                        .on_invalidate(block_of(&self.geometry, addr), before, flat)
+                        .on_invalidate(self.geometry.block_of(addr), before, flat)
                 }
                 // An unwritten trailing page of a partially used group is
                 // benign on this path.
                 Err(FlashError::ReadUnwritten(_)) => {}
                 Err(e) => return Err(e),
             }
-            addr = next_flat_addr(&self.geometry, addr);
+            addr = self.geometry.next_flat_addr(addr);
         }
         Ok(())
     }
@@ -997,51 +991,17 @@ impl FlashBackbone {
             .iter()
             .flat_map(move |c| (0..dies).filter_map(|d| c.die(d)))
     }
-
-    /// Returns the erase count of the given block.
-    pub fn erase_count(&self, channel: usize, die: usize, block: usize) -> u64 {
-        self.channels
-            .get(channel)
-            .and_then(|c| c.die(die))
-            .map(|d| d.erase_count(block))
-            .unwrap_or(0)
-    }
-}
-
-/// The flat page after `addr` in [`FlashGeometry::flat_to_addr`] order:
-/// channels stripe fastest, then dies, then pages within the block, then
-/// blocks.
-fn next_flat_addr(geometry: &FlashGeometry, mut addr: PhysicalPageAddr) -> PhysicalPageAddr {
-    addr.channel += 1;
-    if addr.channel == geometry.channels {
-        addr.channel = 0;
-        addr.die += 1;
-        if addr.die == geometry.dies_per_channel() {
-            addr.die = 0;
-            addr.page += 1;
-            if addr.page == geometry.pages_per_block {
-                addr.page = 0;
-                addr.block += 1;
-            }
-        }
-    }
-    addr
 }
 
 /// A flat page range (inside the backbone) split into per-lane page runs:
-/// within each block row (block index), every lane — one channel × die
-/// block — holds one contiguous run of the range's pages. The divisions
-/// that locate the range's first page happen once, in
-/// [`LaneRuns::new`]; the walk then steps the lane address the way
-/// [`next_flat_addr`] steps a page, so walking the same range twice costs
-/// no further division for ranges of less than a row.
+/// within each block row, every lane (one channel × die block) holds one
+/// contiguous run of the range's pages. The range's first page is located
+/// once, in [`LaneRuns::new`]; the walk then steps the lane address the
+/// way [`FlashGeometry::next_flat_addr`] steps a page, so walking the same
+/// range twice costs no further division for ranges of less than a row.
 #[derive(Debug, Clone, Copy)]
 struct LaneRuns {
-    channels: usize,
-    dies: usize,
-    lanes: u64,
-    row_pages: u64,
-    pages_per_block: usize,
+    geometry: FlashGeometry,
     /// The range's first page.
     first: PhysicalPageAddr,
     first_flat: u64,
@@ -1052,30 +1012,14 @@ struct LaneRuns {
 
 impl LaneRuns {
     fn new(geometry: &FlashGeometry, first_flat: u64, pages: u64) -> Self {
-        let channels = geometry.channels;
-        let dies = geometry.dies_per_channel();
-        let lanes = (channels * dies) as u64;
-        let row_pages = lanes * geometry.pages_per_block as u64;
-        let block = first_flat / row_pages;
-        let row_offset = first_flat - block * row_pages;
-        let page = row_offset / lanes;
-        let lane = (row_offset - page * lanes) as usize;
-        let die = lane / channels;
+        let first = geometry.flat_to_addr(first_flat);
+        let row_pages = geometry.row_pages();
         LaneRuns {
-            channels,
-            dies,
-            lanes,
-            row_pages,
-            pages_per_block: geometry.pages_per_block,
-            first: PhysicalPageAddr {
-                channel: lane - die * channels,
-                die,
-                block: block as usize,
-                page: page as usize,
-            },
+            geometry: *geometry,
+            first,
             first_flat,
             end_flat: first_flat + pages,
-            first_row_left: row_pages - row_offset,
+            first_row_left: (first.block as u64 + 1) * row_pages - first_flat,
         }
     }
 
@@ -1087,46 +1031,32 @@ impl LaneRuns {
         self,
         mut run: impl FnMut(PhysicalPageAddr, u64, usize) -> Result<(), FlashError>,
     ) -> Result<(), FlashError> {
+        let lanes = self.geometry.total_dies() as u64;
+        let row_pages = self.geometry.row_pages();
         let mut addr = self.first;
         let mut flat = self.first_flat;
         let mut row_left = self.first_row_left;
         while flat < self.end_flat {
             let in_row = row_left.min(self.end_flat - flat);
             // The first `extra` lanes of the sweep take one page more.
-            let (per_lane, extra) = if in_row == self.row_pages {
-                (self.pages_per_block, 0)
-            } else if in_row < self.lanes {
+            let (per_lane, extra) = if in_row == row_pages {
+                (self.geometry.pages_per_block, 0)
+            } else if in_row < lanes {
                 (0, in_row)
             } else {
-                ((in_row / self.lanes) as usize, in_row % self.lanes)
+                ((in_row / lanes) as usize, in_row % lanes)
             };
             let row = addr.block;
-            for k in 0..in_row.min(self.lanes) {
+            for k in 0..in_row.min(lanes) {
                 run(addr, flat + k, per_lane + usize::from(k < extra))?;
-                addr.channel += 1;
-                if addr.channel == self.channels {
-                    addr.channel = 0;
-                    addr.die += 1;
-                    if addr.die == self.dies {
-                        addr.die = 0;
-                        addr.page += 1;
-                    }
-                }
+                addr = self.geometry.next_flat_addr(addr);
             }
             flat += in_row;
-            row_left = self.row_pages;
+            row_left = row_pages;
             addr = PhysicalPageAddr::new(0, 0, row + 1, 0);
         }
         Ok(())
     }
-}
-
-/// [`FlashGeometry::block_index`] of an address already known to be in
-/// range, without the range assertion.
-fn block_of(geometry: &FlashGeometry, addr: PhysicalPageAddr) -> u64 {
-    (addr.channel as u64 * geometry.dies_per_channel() as u64 + addr.die as u64)
-        * geometry.blocks_per_die() as u64
-        + addr.block as u64
 }
 
 #[cfg(test)]
@@ -1202,7 +1132,7 @@ mod tests {
         assert_eq!(b.total_valid_pages(), 0);
         let e = b.submit(SimTime::ZERO, FlashCommand::erase(addr)).unwrap();
         assert_eq!(b.stats().erases, 1);
-        assert_eq!(b.erase_count(1, 0, 2), 1);
+        assert_eq!(b.channel(1).unwrap().die(0).unwrap().erase_count(2), 1);
         b.submit(e.finished, FlashCommand::program(addr)).unwrap();
         assert_eq!(b.total_valid_pages(), 1);
     }
@@ -1268,7 +1198,7 @@ mod tests {
         // Both wear readers count the one erase that completed.
         let block = geometry.block_index(addr) as usize;
         assert_eq!(b.block_erase_counts().nth(block), Some(1));
-        assert_eq!(b.erase_count(1, 0, 2), 1);
+        assert_eq!(b.channel(1).unwrap().die(0).unwrap().erase_count(2), 1);
     }
 
     #[test]

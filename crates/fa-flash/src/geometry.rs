@@ -1,4 +1,14 @@
-//! Flash backbone topology and physical addressing.
+//! Flash backbone topology and physical addressing: the one owner of the
+//! flat page layout.
+//!
+//! Flat page `f` stripes channels fastest, then dies, then the pages of a
+//! block, then blocks ([`FlashGeometry::flat_to_addr`]). So the channel ×
+//! die pairs (*lanes*) take consecutive flat pages, and *block row* `r`
+//! (block `r` of every lane, the unit GC erases and the fault model
+//! retires) is the flat range `r × row_pages .. (r + 1) × row_pages`.
+//! Flashvisor's page groups are runs of consecutive flat pages
+//! ([`GroupLayout`]). Every other module asks these two types for rows,
+//! lanes and groups instead of working them out from the raw geometry.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,9 +88,31 @@ impl FlashGeometry {
         self.planes_per_die * self.blocks_per_plane * self.pages_per_block
     }
 
-    /// Blocks held by a single die.
+    /// Blocks held by a single die: the number of block rows.
     pub fn blocks_per_die(&self) -> usize {
         self.planes_per_die * self.blocks_per_plane
+    }
+
+    /// Flat pages in one block row: row `r` is the flat range
+    /// `r × row_pages() .. (r + 1) × row_pages()`, one block per lane (die).
+    #[inline]
+    pub fn row_pages(&self) -> u64 {
+        self.total_dies() as u64 * self.pages_per_block as u64
+    }
+
+    /// Block row (the within-die block number) of the block with flat
+    /// [`FlashGeometry::block_index`] `block`.
+    #[inline]
+    pub fn block_row(&self, block: u64) -> u64 {
+        block % self.blocks_per_die() as u64
+    }
+
+    /// Page 0 of each block of row `row`, channels outermost, then dies:
+    /// ascending [`FlashGeometry::block_index`] order.
+    pub fn row_blocks(&self, row: u64) -> impl Iterator<Item = PhysicalPageAddr> {
+        let dies = self.dies_per_channel();
+        (0..self.total_dies())
+            .map(move |lane| PhysicalPageAddr::new(lane / dies, lane % dies, row as usize, 0))
     }
 
     /// Total number of pages in the backbone.
@@ -144,6 +176,13 @@ impl FlashGeometry {
     /// Panics if `addr` is outside the backbone.
     pub fn block_index(&self, addr: PhysicalPageAddr) -> u64 {
         assert!(self.contains(addr), "address out of range: {addr:?}");
+        self.block_of(addr)
+    }
+
+    /// [`FlashGeometry::block_index`] of an address already known to be in
+    /// range, without the range assertion.
+    #[inline]
+    pub(crate) fn block_of(&self, addr: PhysicalPageAddr) -> u64 {
         (addr.channel as u64 * self.dies_per_channel() as u64 + addr.die as u64)
             * self.blocks_per_die() as u64
             + addr.block as u64
@@ -177,6 +216,92 @@ impl FlashGeometry {
         ((addr.block as u64 * pages_per_block + addr.page as u64) * dies + addr.die as u64)
             * channels
             + addr.channel as u64
+    }
+
+    /// The address of the flat page after `addr` (in range), stepped
+    /// without dividing: channels first, then dies, then pages, then
+    /// blocks.
+    #[inline]
+    pub(crate) fn next_flat_addr(&self, mut addr: PhysicalPageAddr) -> PhysicalPageAddr {
+        addr.channel += 1;
+        if addr.channel == self.channels {
+            addr.channel = 0;
+            addr.die += 1;
+            if addr.die == self.dies_per_channel() {
+                addr.die = 0;
+                addr.page += 1;
+                if addr.page == self.pages_per_block {
+                    addr.page = 0;
+                    addr.block += 1;
+                }
+            }
+        }
+        addr
+    }
+}
+
+/// How Flashvisor's page groups sit on the flat pages: group `g` is the
+/// flat pages `g × pages_per_group .. (g + 1) × pages_per_group`, and the
+/// pages past the last whole group belong to none.
+///
+/// # Examples
+///
+/// ```
+/// use fa_flash::{FlashGeometry, GroupLayout};
+///
+/// // 2 lanes × 16-page blocks: a row is 32 pages, 16 two-page groups.
+/// let layout = GroupLayout { geometry: FlashGeometry::tiny_for_tests(), pages_per_group: 2 };
+/// assert_eq!(layout.groups_per_row(), 16);
+/// assert_eq!(layout.row_groups(1), (16, 32));
+/// assert_eq!(layout.row_of_group(17), 1);
+/// // Group 3's leading page is flat page 6: channel 0, die 0.
+/// assert_eq!(layout.lane_of_group(3), 0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupLayout {
+    /// The flash layout the groups stripe across.
+    pub geometry: FlashGeometry,
+    /// Consecutive flat pages per group (at least 1).
+    pub pages_per_group: u64,
+}
+
+impl GroupLayout {
+    /// Whole page groups on the device.
+    pub fn total_groups(&self) -> u64 {
+        self.geometry.total_pages() / self.pages_per_group
+    }
+
+    /// Page groups per block row: exact when a row holds a whole number
+    /// of groups (Flashvisor requires it).
+    pub fn groups_per_row(&self) -> u64 {
+        self.geometry.row_pages() / self.pages_per_group
+    }
+
+    /// Block row holding group `g`'s leading page.
+    pub fn row_of_group(&self, g: u64) -> u64 {
+        g * self.pages_per_group / self.geometry.row_pages()
+    }
+
+    /// The `[low, high)` range of groups holding a page of block row
+    /// `row`, including any group straddling the row's edges. When a row
+    /// holds a whole number of groups (Flashvisor requires it) these are
+    /// exactly the groups whose leading page lies in the row.
+    pub fn row_groups(&self, row: u64) -> (u64, u64) {
+        let row_pages = self.geometry.row_pages();
+        (
+            row * row_pages / self.pages_per_group,
+            ((row + 1) * row_pages).div_ceil(self.pages_per_group),
+        )
+    }
+
+    /// Stripe class of group `g`: the lane (die) its leading page
+    /// occupies, numbered `channel × dies_per_channel + die`, in
+    /// `0..geometry.total_dies()`.
+    pub fn lane_of_group(&self, g: u64) -> usize {
+        let flat = g * self.pages_per_group;
+        let channels = self.geometry.channels as u64;
+        let dies = self.geometry.dies_per_channel() as u64;
+        ((flat % channels) * dies + (flat / channels) % dies) as usize
     }
 }
 
@@ -232,6 +357,29 @@ mod tests {
         let a4 = g.flat_to_addr(4);
         assert_eq!(a4.channel, 0);
         assert_eq!(a4.die, 1);
+    }
+
+    #[test]
+    fn next_flat_addr_steps_the_flat_order() {
+        for g in [
+            FlashGeometry::tiny_for_tests(),
+            FlashGeometry {
+                channels: 3,
+                packages_per_channel: 2,
+                dies_per_package: 1,
+                planes_per_die: 2,
+                blocks_per_plane: 2,
+                pages_per_block: 3,
+                page_bytes: 4096,
+            },
+        ] {
+            let mut addr = g.flat_to_addr(0);
+            for flat in 1..g.total_pages() {
+                addr = g.next_flat_addr(addr);
+                assert_eq!(addr, g.flat_to_addr(flat));
+                assert_eq!(g.block_of(addr), g.block_index(addr));
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! four SRIO lanes. This crate reproduces that storage complex as a
 //! timing-accurate model:
 //!
-//! * [`geometry`] — channel/package/die/plane/block/page topology and
-//!   physical addressing.
+//! * [`geometry`] — channel/package/die/plane/block/page topology,
+//!   physical addressing, and the one definition of block rows, lanes and
+//!   page groups.
 //! * [`timing`] — ONFi-style operation latencies (the paper reports 81 µs
 //!   page reads and 2.6 ms page programs for 8 KB pages).
 //! * [`die`] — per-die state machine: page program/erase state, erase
@@ -48,7 +49,7 @@ pub use controller::ChannelController;
 pub use die::{BlockCounts, FlashDie, PageState};
 pub use error::FlashError;
 pub use fault::{FaultOp, FaultPlan, FaultState, FaultStats, ScriptedFault};
-pub use geometry::{FlashGeometry, PhysicalPageAddr};
+pub use geometry::{FlashGeometry, GroupLayout, PhysicalPageAddr};
 pub use owner::{OwnerId, OwnerStats, QosBudgets, ReadTail};
 pub use spec::backbone_spec_table1;
 pub use timing::FlashTiming;

@@ -76,7 +76,7 @@
 //! ```
 
 use crate::die::BlockCounts;
-use crate::FlashGeometry;
+use crate::{FlashGeometry, GroupLayout, PhysicalPageAddr};
 
 /// Optional page-group accounting layered over the garbage buckets.
 ///
@@ -84,11 +84,10 @@ use crate::FlashGeometry;
 /// allocation unit of the translation layer above. The tracker answers the
 /// question the group-reclaim leak fix needs: *which groups did this erase
 /// make reusable?* It keeps per-group programmed/valid page counts. Which
-/// groups a block holds is not stored: level `p` of block `b` is flat page
-/// `(row × pages_per_block + p) × lanes + die × channels + channel` (the
-/// [`FlashGeometry::flat_to_addr`] order, `b` numbered as
-/// [`FlashGeometry::block_index`]), and NAND programs land on ascending
-/// levels, so a block's programmed pages are exactly its levels
+/// groups a block holds is not stored: level `p` of a block is the
+/// [`FlashGeometry::addr_to_flat`] of its page `p`, consecutive levels lie
+/// [`FlashGeometry::total_dies`] flat pages apart, and NAND programs land on
+/// ascending levels, so a block's programmed pages are exactly its levels
 /// `0..programmed` and an erase walks them. A group stripes across
 /// channels, so it spans several blocks of one block row. When an erase
 /// clears a group's last programmed page anywhere on the device, the group
@@ -97,14 +96,7 @@ use crate::FlashGeometry;
 /// the last whole group belong to no group.
 #[derive(Debug, Clone)]
 struct GroupTracker {
-    pages_per_group: u64,
-    channels: u64,
-    dies_per_channel: u64,
-    /// Channels × dies: the flat-page distance between two levels of a
-    /// block.
-    lanes: u64,
-    blocks_per_die: u64,
-    pages_per_block: u64,
+    layout: GroupLayout,
     /// Programmed (not yet erased) pages per group. A group holds at most
     /// `pages_per_group` pages, which is capped at `u16::MAX`.
     programmed: Vec<u16>,
@@ -118,24 +110,25 @@ struct GroupTracker {
 impl GroupTracker {
     /// Flat index of level 0 of block `b`.
     fn level0_flat(&self, b: usize) -> u64 {
-        let b = b as u64;
-        let (lane_block, row) = (b / self.blocks_per_die, b % self.blocks_per_die);
-        let (channel, die) = (
-            lane_block / self.dies_per_channel,
-            lane_block % self.dies_per_channel,
-        );
-        row * self.pages_per_block * self.lanes + die * self.channels + channel
+        let geometry = &self.layout.geometry;
+        let (channel, die, block) = geometry.block_index_to_addr(b as u64);
+        geometry.addr_to_flat(PhysicalPageAddr::new(channel, die, block, 0))
+    }
+
+    /// Flat-page distance between two levels of a block.
+    fn lanes(&self) -> u64 {
+        self.layout.geometry.total_dies() as u64
     }
 
     /// A walk over the groups of block `b`'s levels, from level 0 up.
     fn level_groups(&self, b: usize) -> LevelGroups {
-        let ppg = self.pages_per_group;
+        let ppg = self.layout.pages_per_group;
         let flat = self.level0_flat(b);
         LevelGroups {
             group: flat / ppg,
             offset: flat % ppg,
-            step_groups: self.lanes / ppg,
-            step_offset: self.lanes % ppg,
+            step_groups: self.lanes() / ppg,
+            step_offset: self.lanes() % ppg,
             pages_per_group: ppg,
         }
     }
@@ -143,7 +136,7 @@ impl GroupTracker {
     /// Records the flat pages `first_flat..first_flat + pages` being
     /// programmed: each tracked group they touch moves once.
     fn add_pages(&mut self, first_flat: u64, pages: u64) {
-        let ppg = self.pages_per_group;
+        let ppg = self.layout.pages_per_group;
         let end = (first_flat + pages).min(self.programmed.len() as u64 * ppg);
         let (mut flat, mut g) = (first_flat, (first_flat / ppg) as usize);
         while flat < end {
@@ -283,17 +276,13 @@ impl ValidPageIndex {
             pages_per_group <= u64::from(u16::MAX),
             "pages_per_group {pages_per_group} exceeds the 16-bit group counters"
         );
-        let pages_per_group = pages_per_group.max(1);
-        let total_groups = (geometry.total_pages() / pages_per_group) as usize;
-        let channels = geometry.channels as u64;
-        let dies_per_channel = geometry.dies_per_channel() as u64;
+        let layout = GroupLayout {
+            geometry: *geometry,
+            pages_per_group: pages_per_group.max(1),
+        };
+        let total_groups = layout.total_groups() as usize;
         self.groups = Some(GroupTracker {
-            pages_per_group,
-            channels,
-            dies_per_channel,
-            lanes: channels * dies_per_channel,
-            blocks_per_die: geometry.blocks_per_die() as u64,
-            pages_per_block: geometry.pages_per_block as u64,
+            layout,
             programmed: vec![0; total_groups],
             valid: vec![0; total_groups],
             fully_erased: Vec::new(),
@@ -385,7 +374,7 @@ impl ValidPageIndex {
         let b = block as usize;
         if let Some(t) = &self.groups {
             debug_assert_eq!(
-                t.level0_flat(b) + u64::from(before.programmed) * t.lanes,
+                t.level0_flat(b) + u64::from(before.programmed) * t.lanes(),
                 first_flat,
                 "a program must land on its block's next level"
             );
@@ -416,7 +405,7 @@ impl ValidPageIndex {
         };
         self.rebucket(block, before, after);
         if let Some(t) = &mut self.groups {
-            if let Some(valid) = t.valid.get_mut((flat / t.pages_per_group) as usize) {
+            if let Some(valid) = t.valid.get_mut((flat / t.layout.pages_per_group) as usize) {
                 *valid -= 1;
             }
         }

@@ -24,7 +24,7 @@ use flashabacus_suite::fa_platform::mem::Scratchpad;
 use flashabacus_suite::fa_platform::PlatformSpec;
 use flashabacus_suite::fa_sim::time::{SimDuration, SimTime};
 use flashabacus_suite::flashabacus::config::{FlashAbacusConfig, GovernorConfig};
-use flashabacus_suite::flashabacus::freespace::PlacementPolicy;
+use flashabacus_suite::flashabacus::freespace::{GroupState, PlacementPolicy};
 use flashabacus_suite::flashabacus::openloop::QosGovernor;
 use flashabacus_suite::flashabacus::rangelock::LockMode;
 use flashabacus_suite::flashabacus::scheduler::SchedulerPolicy;
@@ -60,6 +60,16 @@ fn oracle_config(
     config.gc_victim = gc_victim;
     config.hot_overwrite_threshold = hot_threshold;
     config
+}
+
+/// True when the free-space manager holds group `g` in `state`.
+fn in_state(v: &Flashvisor, g: u64, state: GroupState) -> bool {
+    v.freespace().state(g) == Some(state)
+}
+
+/// True when group `g` is fenced off for good: reserved or retired.
+fn fenced(v: &Flashvisor, g: u64) -> bool {
+    in_state(v, g, GroupState::Reserved) || in_state(v, g, GroupState::Retired)
 }
 
 /// Checks every incremental structure against a from-scratch recount.
@@ -112,7 +122,7 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
     );
     for &g in free_set.iter().chain(hot_reserve.iter()) {
         prop_assert!(
-            !v.freespace().is_reserved(g),
+            !in_state(v, g, GroupState::Reserved),
             "reserved group {g} escaped into the pool or hot reserve"
         );
     }
@@ -122,9 +132,20 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
     let journal_row = config
         .journal_metadata_row()
         .expect("oracle device has >1 row");
-    let (jlow, jhigh) = config.block_row_group_range(journal_row);
+    // Every group holding a page of the row; the row's flat pages are
+    // block `journal_row` of every channel and die.
+    let row_pages =
+        (geometry.pages_per_block * geometry.channels * geometry.dies_per_channel()) as u64;
+    let pages_per_group = config.pages_per_group();
+    let (jlow, jhigh) = (
+        journal_row * row_pages / pages_per_group,
+        ((journal_row + 1) * row_pages).div_ceil(pages_per_group),
+    );
     for g in jlow..jhigh.min(total_groups) {
-        prop_assert!(v.freespace().is_reserved(g), "journal group {g} unreserved");
+        prop_assert!(
+            in_state(v, g, GroupState::Reserved),
+            "journal group {g} unreserved"
+        );
         prop_assert!(!free_set.contains(&g), "journal group {g} in the pool");
         prop_assert!(!mapped.contains(&g), "journal group {g} mapped to data");
     }
@@ -200,10 +221,18 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
         occupied + v.free_physical_groups() + reserved + retired,
         total_groups
     );
-    let mut per_class = vec![0u64; v.freespace().class_count()];
+    // A group's stripe class is the channel and die of its leading page.
+    let dies = geometry.dies_per_channel();
+    let mut per_class = vec![0u64; geometry.channels * dies];
     for g in 0..total_groups {
-        if !free_set.contains(&g) && !v.freespace().is_reserved(g) && !v.freespace().is_retired(g) {
-            per_class[v.freespace().stripe_class(g)] += 1;
+        prop_assert!(
+            in_state(v, g, GroupState::Free) == free_set.contains(&g),
+            "group {} state disagrees with the free pool",
+            g
+        );
+        if !free_set.contains(&g) && !fenced(v, g) {
+            let lead = geometry.flat_to_addr(g * pages_per_group);
+            per_class[lead.channel * dies + lead.die] += 1;
         }
     }
     prop_assert_eq!(occupancy, per_class.as_slice());
@@ -215,7 +244,6 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
     //    erased — space no path can ever reach again. The group-reclaim
     //    completeness fix guarantees erases return such groups to the
     //    allocator, so the combination must never exist.
-    let pages_per_group = config.pages_per_group();
     let index = v.backbone().valid_index();
     for g in 0..total_groups {
         let mut programmed = 0u32;
@@ -246,8 +274,7 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
         let unmapped = !mapped.contains(&g);
         let leaked = unmapped
             && !free_set.contains(&g)
-            && !v.freespace().is_reserved(g)
-            && !v.freespace().is_retired(g)
+            && !fenced(v, g)
             && !hot_reserve.contains(&g)
             && programmed == 0;
         prop_assert!(
@@ -674,8 +701,7 @@ proptest! {
         for g in 0..config.total_page_groups() {
             let expect_free = v.logical_group_mapped_to(g).is_none()
                 && v.backbone().valid_index().group_programmed_pages(g) == 0
-                && !v.freespace().is_reserved(g)
-                && !v.freespace().is_retired(g);
+                && !fenced(&v, g);
             prop_assert!(
                 free_set.contains(&g) == expect_free,
                 "group {} free-pool membership diverged after replay",
