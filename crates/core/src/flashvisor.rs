@@ -208,7 +208,7 @@ impl Flashvisor {
         );
         // Group-level accounting (complete reclamation of erased groups)
         // and the per-owner tag budgets both live in the backbone.
-        backbone.enable_group_tracking(config.pages_per_group());
+        backbone.enable_group_tracking(layout.pages_per_group);
         backbone.set_qos_budgets(config.qos.budgets());
         let mut freespace = FreeSpaceManager::new(layout, config.placement);
         // Fence the journal's metadata row off from the data allocator: on
