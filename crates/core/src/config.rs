@@ -240,13 +240,13 @@ impl FlashAbacusConfig {
 
     /// The within-die block row reserved for Storengine's metadata journal
     /// (the highest-numbered block of every die; see
-    /// [`crate::storengine::Storengine::journal`]), or `None` when the
-    /// geometry is too small to spare a row. Flashvisor fences this row's
-    /// group range off in the free-space manager so the data cursor can
-    /// never allocate into it, and GC never picks it as a victim.
-    pub fn journal_metadata_row(&self) -> Option<u64> {
-        let blocks_per_die = self.flash_geometry.blocks_per_die() as u64;
-        (blocks_per_die > 1).then_some(blocks_per_die - 1)
+    /// [`crate::storengine::Storengine::journal`]). Flashvisor fences this
+    /// row's group range off in the free-space manager so the data cursor
+    /// can never allocate into it, and GC never picks it as a victim; it
+    /// rejects devices with fewer than two block rows, which could not
+    /// spare one.
+    pub fn journal_metadata_row(&self) -> u64 {
+        self.flash_geometry.blocks_per_die() as u64 - 1
     }
 }
 

@@ -185,7 +185,8 @@ impl Flashvisor {
     /// table's 4-byte entries could not name them all. Panics unless a
     /// block row holds a whole number of page groups: a group straddling
     /// two rows would be migrated with one row and retired or reclaimed
-    /// with the other.
+    /// with the other. Panics unless every die has at least two block
+    /// rows: one for data and one for the metadata journal.
     pub fn new(config: FlashAbacusConfig) -> Self {
         let layout = config.group_layout();
         let total_groups = layout.total_groups();
@@ -199,25 +200,27 @@ impl Flashvisor {
             "a {row_pages}-page block row does not hold whole {}-page groups",
             layout.pages_per_group
         );
+        let rows = layout.geometry.blocks_per_die();
+        assert!(
+            rows >= 2,
+            "{rows} block row(s) per die leave no row for the metadata journal"
+        );
+        // Group-level accounting (complete reclamation of erased groups)
+        // and the per-owner tag budgets both live in the backbone.
         let mut backbone = FlashBackbone::new(
-            config.flash_geometry,
+            layout,
             config.flash_timing,
             config.srio_bytes_per_sec,
             config.channel_tag_queue,
             config.endurance_cycles,
         );
-        // Group-level accounting (complete reclamation of erased groups)
-        // and the per-owner tag budgets both live in the backbone.
-        backbone.enable_group_tracking(layout.pages_per_group);
         backbone.set_qos_budgets(config.qos.budgets());
         let mut freespace = FreeSpaceManager::new(layout, config.placement);
         // Fence the journal's metadata row off from the data allocator: on
         // a nearly-full device the cursor used to reach it, programs
         // failed, and the journal's recycle path erased under live data.
-        if let Some(row) = config.journal_metadata_row() {
-            let (low, high) = layout.row_groups(row);
-            freespace.reserve_range(low, high);
-        }
+        let (low, high) = layout.row_groups(config.journal_metadata_row());
+        freespace.reserve_range(low, high);
         Flashvisor {
             config,
             backbone,
@@ -265,14 +268,9 @@ impl Flashvisor {
         self.freespace.free_count()
     }
 
-    /// The free-space manager (placement policy, occupancy, oracles).
+    /// The free-space manager (placement policy, group states, oracles).
     pub fn freespace(&self) -> &FreeSpaceManager {
         &self.freespace
-    }
-
-    /// Allocated page groups per channel/die stripe class.
-    pub fn placement_occupancy(&self) -> &[u64] {
-        self.freespace.occupancy()
     }
 
     /// Fraction of physical page groups still free.
@@ -784,7 +782,7 @@ impl Flashvisor {
             .backbone
             .block_erase_counts()
             .enumerate()
-            .filter(move |&(i, _)| Some(geometry.block_row(i as u64)) != journal_row)
+            .filter(move |&(i, _)| geometry.block_row(i as u64) != journal_row)
             .map(|(_, c)| c);
         let (mut len, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
         for c in wear.clone() {
@@ -1074,7 +1072,7 @@ impl Flashvisor {
         let layout = self.config.group_layout();
         for block in self.backbone.take_blocks_pending_retirement() {
             let row = layout.geometry.block_row(block);
-            if Some(row) == self.config.journal_metadata_row()
+            if row == self.config.journal_metadata_row()
                 || self.pending_retire_rows.contains(&row)
                 || self.retired_rows.contains(&row)
             {
@@ -1155,6 +1153,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "1 block row(s) per die leave no row for the metadata journal")]
+    fn devices_with_one_block_row_are_rejected() {
+        // One block per die: the journal would have to share row 0 with
+        // the data.
+        let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+        config.flash_geometry.blocks_per_plane = 1;
+        Flashvisor::new(config);
+    }
+
+    #[test]
     fn preload_then_read_round_trips() {
         let (mut v, mut sp) = visor();
         v.preload_range(0, 64 * 1024).unwrap();
@@ -1207,7 +1215,9 @@ mod tests {
             let mut v = Flashvisor::new(config);
             v.install_fault_plan(Arc::new(FaultPlan::default()));
             let erase = fa_flash::FlashCommand::erase(fa_flash::PhysicalPageAddr::new(0, 0, 0, 0));
-            v.backbone_mut().submit(SimTime::ZERO, erase).unwrap();
+            v.backbone_mut()
+                .submit_tagged(SimTime::ZERO, erase, OwnerId::Unattributed)
+                .unwrap();
             for lg in premapped {
                 v.preload_range(lg * group_bytes, group_bytes).unwrap();
             }
@@ -1305,7 +1315,7 @@ mod tests {
     fn streamed_wear_summary_matches_the_collected_form() {
         let (mut v, _sp) = visor();
         let geometry = v.config().flash_geometry;
-        let journal_row = v.config().journal_metadata_row().unwrap() as usize;
+        let journal_row = v.config().journal_metadata_row() as usize;
         // Uneven erases, the journal row's block worn far past the others
         // so counting it would move the minimum, maximum and spread.
         let mut now = SimTime::ZERO;
@@ -1320,7 +1330,11 @@ mod tests {
                 let addr = fa_flash::PhysicalPageAddr::new(channel, die, row, 0);
                 now = v
                     .backbone_mut()
-                    .submit(now, fa_flash::FlashCommand::erase(addr))
+                    .submit_tagged(
+                        now,
+                        fa_flash::FlashCommand::erase(addr),
+                        OwnerId::Unattributed,
+                    )
                     .unwrap()
                     .finished;
             }
@@ -1464,7 +1478,7 @@ mod tests {
         }
         let (jlow, jhigh) = config
             .group_layout()
-            .row_groups(config.journal_metadata_row().unwrap());
+            .row_groups(config.journal_metadata_row());
         for (_, pg) in v.mapped_groups() {
             assert!(
                 pg < jlow || pg >= jhigh,

@@ -2,11 +2,12 @@
 //!
 //! Flashvisor allocates every data-section write (and every GC migration)
 //! a physical page group. This module owns that bookkeeping as a proper
-//! subsystem: an O(1)-pop free structure, per-stripe occupancy counters,
-//! and a pluggable [`PlacementPolicy`] deciding *which* free group a write
-//! lands on. Keeping the metadata next to the allocator — instead of
-//! deriving it by scanning the mapping table — is what keeps the hot write
-//! path allocator-bound on the hardware model, not on the simulator.
+//! subsystem: an O(1)-pop free structure, one [`GroupState`] per group
+//! with O(1) free, reserved and retired counts, and a pluggable
+//! [`PlacementPolicy`] deciding *which* free group a write lands on.
+//! Keeping the metadata next to the allocator — instead of deriving it by
+//! scanning the mapping table — is what keeps the hot write path
+//! allocator-bound on the hardware model, not on the simulator.
 //!
 //! The manager asks the flash layout ([`fa_flash::GroupLayout`]) where a
 //! group sits: its *stripe class* is the lane (channel, die) its leading
@@ -159,7 +160,7 @@ impl GroupState {
     }
 }
 
-/// The free-space manager: free-group structure plus occupancy accounting.
+/// The free-space manager: free-group structure plus per-group states.
 #[derive(Debug, Clone)]
 pub struct FreeSpaceManager {
     layout: GroupLayout,
@@ -175,8 +176,6 @@ pub struct FreeSpaceManager {
     reserved_count: u64,
     /// Retired groups, O(1).
     retired_count: u64,
-    /// Allocated groups per stripe class.
-    occupancy: Vec<u64>,
     /// Block erases absorbed per block row, maintained incrementally by
     /// [`FreeSpaceManager::note_block_erase`] — the wear ledger the
     /// `LeastWorn` policy allocates against.
@@ -184,8 +183,8 @@ pub struct FreeSpaceManager {
 }
 
 impl FreeSpaceManager {
-    /// Creates a manager with every group of `layout` free, one wear entry
-    /// per block row and one stripe class per lane.
+    /// Creates a manager with every group of `layout` free and one wear
+    /// entry per block row.
     pub fn new(layout: GroupLayout, policy: PlacementPolicy) -> Self {
         let total_groups = layout.total_groups();
         let rows = layout.geometry.blocks_per_die() as u64;
@@ -201,7 +200,6 @@ impl FreeSpaceManager {
             free_count: total_groups,
             reserved_count: 0,
             retired_count: 0,
-            occupancy: vec![0; classes],
             row_wear: vec![0; rows as usize],
         };
         match policy {
@@ -277,12 +275,6 @@ impl FreeSpaceManager {
         }
     }
 
-    /// Allocated groups per stripe class, indexed like
-    /// [`GroupLayout::lane_of_group`].
-    pub(crate) fn occupancy(&self) -> &[u64] {
-        &self.occupancy
-    }
-
     /// Pops the next free group under the placement policy, or `None` when
     /// the device is full.
     pub fn allocate(&mut self) -> Option<u64> {
@@ -331,7 +323,6 @@ impl FreeSpaceManager {
         };
         self.free_count -= 1;
         self.states[g as usize] = GroupState::Allocated;
-        self.occupancy[self.layout.lane_of_group(g)] += 1;
         Some(g)
     }
 
@@ -346,12 +337,12 @@ impl FreeSpaceManager {
     }
 
     /// Retires every non-reserved group of block row `row`: the groups
-    /// leave the free structure, the occupancy gauges, and the `LeastWorn`
-    /// wear index permanently — a bad block contaminates the whole row it
-    /// stripes across, so the row stops being placement-eligible. The
-    /// caller guarantees nothing in the row is still mapped (Flashvisor
-    /// migrates mapped groups out first). The row's `row_wear` entry is
-    /// kept: retirement does not rewrite wear history. Idempotent; returns
+    /// leave the free structure and the `LeastWorn` wear index
+    /// permanently: a bad block contaminates the whole row it stripes
+    /// across, so the row stops being placement-eligible. The caller
+    /// guarantees nothing in the row is still mapped (Flashvisor migrates
+    /// mapped groups out first). The row's `row_wear` entry is kept:
+    /// retirement does not rewrite wear history. Idempotent; returns
     /// how many groups were newly retired.
     pub(crate) fn retire_row(&mut self, row: u64) -> u64 {
         let (low, high) = self.layout.row_groups(row);
@@ -370,11 +361,6 @@ impl FreeSpaceManager {
             newly += 1;
             if was == GroupState::Free {
                 self.free_count -= 1;
-            } else {
-                // An allocated (garbage) group stops counting as occupied:
-                // occupied + free + reserved + retired stays a partition.
-                let class = self.layout.lane_of_group(g);
-                self.occupancy[class] = self.occupancy[class].saturating_sub(1);
             }
         }
         if newly == 0 {
@@ -467,9 +453,6 @@ impl FreeSpaceManager {
             }
         }
         self.free_count += 1;
-        // Saturating: recycling a never-allocated group (test scaffolding
-        // does this) must not wrap the per-class gauge.
-        self.occupancy[class] = self.occupancy[class].saturating_sub(1);
     }
 
     /// Reclaims the whole group range `[low, high)` after its backing
@@ -522,12 +505,10 @@ impl FreeSpaceManager {
                 continue;
             }
             let was_free = std::mem::replace(state, GroupState::Free) == GroupState::Free;
-            let class = self.layout.lane_of_group(g);
             let row = self.layout.row_of_group(g);
             if !was_free {
                 newly_freed += 1;
                 self.free_count += 1;
-                self.occupancy[class] = self.occupancy[class].saturating_sub(1);
             }
             match &mut self.pool {
                 // Groups at or past the cursor are still represented by the
@@ -537,7 +518,9 @@ impl FreeSpaceManager {
                         recycled.push_back(g);
                     }
                 }
-                FreePool::Striped { queues, .. } => queues[class].push_back(g),
+                FreePool::Striped { queues, .. } => {
+                    queues[self.layout.lane_of_group(g)].push_back(g)
+                }
                 FreePool::LeastWorn { queues, .. } => {
                     queues[row as usize].push_back(g);
                     if touched_rows.last() != Some(&row) {
@@ -565,17 +548,14 @@ impl FreeSpaceManager {
     /// Rebuilds the free structure from scratch after a crash: group `g`
     /// is free exactly when `is_free(g)` says so *and* it is neither
     /// reserved nor retired. The pool re-enters in ascending group order
-    /// per class/row, the occupancy gauges are recomputed as the
-    /// complement, and the wear ledger (`row_wear`), the reservations, and
-    /// the bad-block retirements are kept — they survive power loss (wear
-    /// is physical; the bad-block table is journaled metadata). The result
+    /// per class/row, every other unfenced group is allocated, and the wear
+    /// ledger (`row_wear`), the reservations, and the bad-block
+    /// retirements are kept — they survive power loss (wear is physical;
+    /// the bad-block table is journaled metadata). The result
     /// is a pure function of the states and the predicate, so replaying
     /// the same journal always reproduces the same allocator.
     pub(crate) fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
         self.free_count = 0;
-        for slot in self.occupancy.iter_mut() {
-            *slot = 0;
-        }
         for g in 0..self.total_groups() {
             let state = &mut self.states[g as usize];
             if state.is_fenced() {
@@ -586,7 +566,6 @@ impl FreeSpaceManager {
                 self.free_count += 1;
             } else {
                 *state = GroupState::Allocated;
-                self.occupancy[self.layout.lane_of_group(g)] += 1;
             }
         }
         let free_ascending = (0..self.total_groups()).filter(|&g| self.is_free(g));
@@ -599,7 +578,7 @@ impl FreeSpaceManager {
                 recycled: free_ascending.collect(),
             },
             PlacementPolicy::ChannelStriped => {
-                let mut queues = vec![VecDeque::new(); self.occupancy.len()];
+                let mut queues = vec![VecDeque::new(); self.layout.geometry.total_dies()];
                 for g in free_ascending {
                     queues[self.layout.lane_of_group(g)].push_back(g);
                 }
@@ -680,6 +659,13 @@ mod tests {
         FreeSpaceManager::new(layout, policy)
     }
 
+    /// Groups `m` holds allocated, recounted from their states.
+    fn allocated(m: &FreeSpaceManager) -> u64 {
+        (0..m.total_groups())
+            .filter(|&g| m.state(g) == Some(GroupState::Allocated))
+            .count() as u64
+    }
+
     #[test]
     fn first_free_reproduces_cursor_then_fifo_order() {
         let mut m = manager(8, 2, 2, 1, 4, PlacementPolicy::FirstFree);
@@ -712,15 +698,15 @@ mod tests {
         // is flat page g, so classes cycle 0,2,1,3 (channel first, then
         // die) as g increases.
         let mut m = manager(8, 1, 2, 2, 2, PlacementPolicy::ChannelStriped);
-        assert_eq!(m.occupancy().len(), 4);
-        let picks: Vec<u64> = (0..4).map(|_| m.allocate().unwrap()).collect();
-        let classes: Vec<usize> = picks.iter().map(|&g| m.layout.lane_of_group(g)).collect();
-        // Four consecutive allocations cover all four stripe classes.
-        let mut sorted = classes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-        // Occupancy gauges saw one allocation per class.
-        assert_eq!(m.occupancy(), &[1, 1, 1, 1]);
+        for _ in 0..2 {
+            let picks: Vec<u64> = (0..4).map(|_| m.allocate().unwrap()).collect();
+            let mut lanes: Vec<usize> = picks.iter().map(|&g| m.layout.lane_of_group(g)).collect();
+            // Every four consecutive allocations cover all four stripe
+            // classes, one group each.
+            lanes.sort_unstable();
+            assert_eq!(lanes, vec![0, 1, 2, 3]);
+        }
+        assert_eq!(m.allocate(), None);
     }
 
     #[test]
@@ -776,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_and_free_set_stay_consistent() {
+    fn group_states_and_free_set_stay_consistent() {
         for policy in PlacementPolicy::all() {
             let mut m = manager(16, 2, 2, 2, 8, policy);
             let mut held = Vec::new();
@@ -788,8 +774,8 @@ mod tests {
             }
             let free = m.debug_free_groups();
             assert_eq!(free.len() as u64, m.free_count(), "{policy:?}");
-            let occupied: u64 = m.occupancy().iter().sum();
-            assert_eq!(occupied + m.free_count(), 16, "{policy:?}");
+            assert_eq!(allocated(&m), 5, "{policy:?}");
+            assert_eq!(allocated(&m) + m.free_count(), 16, "{policy:?}");
             // No group is simultaneously free twice.
             let mut dedup = free.clone();
             dedup.sort_unstable();
@@ -875,8 +861,8 @@ mod tests {
             // are groups [0,4) and [4,8).
             let mut m = manager(8, 1, 1, 1, 4, policy);
             assert_eq!(m.layout.row_groups(1), (4, 8));
-            // Leave group 1 allocated (garbage) so retirement must also
-            // rebalance the occupancy gauge.
+            // Leave one group of row 0 allocated (garbage) so retirement
+            // takes both free and allocated groups.
             let g = loop {
                 let g = m.allocate().unwrap();
                 if g < 4 {
@@ -902,9 +888,8 @@ mod tests {
             assert_eq!(m.reclaim_range(0, 4), 0, "{policy:?}");
             assert!(m.debug_free_groups().is_empty(), "{policy:?}");
             // ...and the partition still balances.
-            let occupied: u64 = m.occupancy().iter().sum();
             assert_eq!(
-                occupied + m.free_count() + m.reserved_count() + m.retired_count(),
+                allocated(&m) + m.free_count() + m.reserved_count() + m.retired_count(),
                 8,
                 "{policy:?}"
             );
@@ -956,10 +941,9 @@ mod tests {
                     .all(|&g| !mapped.contains(&g) && m.state(g) == Some(GroupState::Free)),
                 "{policy:?}"
             );
-            let occupied: u64 = m.occupancy().iter().sum();
-            assert_eq!(occupied, mapped.len() as u64, "{policy:?}");
+            assert_eq!(allocated(&m), mapped.len() as u64, "{policy:?}");
             assert_eq!(
-                occupied + m.free_count() + m.reserved_count() + m.retired_count(),
+                allocated(&m) + m.free_count() + m.reserved_count() + m.retired_count(),
                 16,
                 "{policy:?}"
             );
@@ -982,7 +966,7 @@ mod tests {
         for _ in 0..6 {
             held.push(m.allocate().unwrap());
         }
-        let occupied: u64 = m.occupancy().iter().sum();
-        assert_eq!(occupied + m.free_count() + m.reserved_count(), 16);
+        assert_eq!(allocated(&m), 6);
+        assert_eq!(allocated(&m) + m.free_count() + m.reserved_count(), 16);
     }
 }

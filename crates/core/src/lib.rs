@@ -11,8 +11,8 @@
 //!   held in scratchpad, logical→physical translation, data-section reads
 //!   and writes against the flash backbone, and access control.
 //! * [`freespace`] — incremental free-space management: the O(1)-pop
-//!   free-group structure, per-stripe occupancy counters, and the
-//!   placement policies Flashvisor allocates through.
+//!   free-group structure, one state per page group, and the placement
+//!   policies Flashvisor allocates through.
 //! * [`storengine`] — the storage-management LWP: metadata journaling,
 //!   round-robin block reclamation (garbage collection), valid-page
 //!   migration, and wear accounting, all off the critical path (§4.3).

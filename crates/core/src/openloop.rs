@@ -810,10 +810,13 @@ mod tests {
 
     #[test]
     fn governor_squeezes_the_heavy_tenant() {
-        use fa_flash::{FlashCommand, FlashGeometry, FlashTiming, PhysicalPageAddr};
-        let geometry = FlashGeometry::tiny_for_tests();
+        use fa_flash::{FlashCommand, FlashGeometry, FlashTiming, GroupLayout, PhysicalPageAddr};
+        let layout = GroupLayout {
+            geometry: FlashGeometry::tiny_for_tests(),
+            pages_per_group: 2,
+        };
         let mut backbone =
-            FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
+            FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
         // Tenant 7 moves traffic; tenant 9 stays idle.
         for p in 0..8 {
             backbone
@@ -884,14 +887,17 @@ mod tests {
 
     #[test]
     fn owner_commands_tick_installs_what_the_owner_stats_tick_did() {
-        use fa_flash::{FlashCommand, FlashGeometry, FlashTiming, PhysicalPageAddr};
+        use fa_flash::{FlashCommand, FlashGeometry, FlashTiming, GroupLayout, PhysicalPageAddr};
         const OWNERS: u32 = 1200;
         // Inside the dense vectors but never submitted, and past their end.
         const IDLE: u32 = 600;
         const BEYOND: u32 = OWNERS + 50;
-        let geometry = FlashGeometry::tiny_for_tests();
+        let layout = GroupLayout {
+            geometry: FlashGeometry::tiny_for_tests(),
+            pages_per_group: 2,
+        };
         let mut backbone =
-            FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
+            FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
         let submit = |b: &mut FlashBackbone, at: SimTime, cmd: FlashCommand, owner: OwnerId| {
             b.submit_tagged(at, cmd, owner).expect("command succeeds");
         };

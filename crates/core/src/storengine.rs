@@ -209,11 +209,11 @@ impl Storengine {
         let prep_done = self.charge_cpu(now, (dirty_bytes / 16).max(200));
         let geometry = self.config.flash_geometry;
         let mut finished = prep_done;
-        // Journal pages land in the reserved metadata row (block row 0 on
-        // a one-row device) in flat order, striped across channels and
-        // dies. The cursor persists across dumps so successive dumps
-        // append rather than rewriting (and erasing) the same pages.
-        let row = self.config.journal_metadata_row().unwrap_or(0);
+        // Journal pages land in the reserved metadata row in flat order,
+        // striped across channels and dies. The cursor persists across
+        // dumps so successive dumps append rather than rewriting (and
+        // erasing) the same pages.
+        let row = self.config.journal_metadata_row();
         let row_pages = geometry.row_pages();
         for _ in 0..pages {
             let i = self.journal_cursor;
@@ -286,10 +286,7 @@ impl Storengine {
         // The round-robin walk (also every policy's no-garbage fallback)
         // cycles over the data rows only, skipping the journal row (the
         // last one).
-        let data_rows = self
-            .config
-            .journal_metadata_row()
-            .unwrap_or(layout.geometry.blocks_per_die() as u64);
+        let data_rows = self.config.journal_metadata_row();
         let picked = match self.config.gc_victim {
             GcVictimPolicy::RoundRobin => None,
             GcVictimPolicy::GreedyMinValid => flashvisor.backbone().min_valid_garbage_block(),
@@ -301,7 +298,7 @@ impl Storengine {
             // so the pass still erases *something* reclaimable in the long
             // run.
             None => {
-                let r = self.victim_cursor % data_rows.max(1);
+                let r = self.victim_cursor % data_rows;
                 self.victim_cursor += 1;
                 r
             }

@@ -12,14 +12,15 @@
 //! identical flash state and accounting.
 
 use fa_flash::{
-    FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, PhysicalPageAddr,
-    QosBudgets,
+    FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, GroupLayout, OwnerId,
+    PhysicalPageAddr, QosBudgets,
 };
 use fa_sim::time::SimTime;
 
 /// A backbone with the data-path features a campaign pays for on every
-/// command — per-owner QoS tag budgets and valid-page group accounting —
-/// so `perfbench`'s per-command cost metrics price that configuration.
+/// command — per-owner QoS tag budgets and valid-page group accounting in
+/// four-page groups — so `perfbench`'s per-command cost metrics price that
+/// configuration.
 pub fn hot_path_backbone() -> FlashBackbone {
     let geometry = FlashGeometry {
         channels: 4,
@@ -30,18 +31,16 @@ pub fn hot_path_backbone() -> FlashBackbone {
         pages_per_block: 64,
         page_bytes: 4096,
     };
-    let mut backbone = FlashBackbone::new(
+    let layout = GroupLayout {
         geometry,
-        FlashTiming::fast_for_tests(),
-        2.5e9,
-        16,
-        1_000_000,
-    );
+        pages_per_group: 4,
+    };
+    let mut backbone =
+        FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 16, 1_000_000);
     backbone.set_qos_budgets(QosBudgets {
         per_owner: Some(8),
         background: Some(2),
     });
-    backbone.enable_group_tracking(4);
     backbone
 }
 

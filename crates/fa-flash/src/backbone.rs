@@ -17,7 +17,7 @@ use crate::controller::{ChannelController, ChannelStats};
 use crate::die::{BlockCounts, FlashDie};
 use crate::error::FlashError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
-use crate::geometry::{FlashGeometry, PhysicalPageAddr};
+use crate::geometry::{FlashGeometry, GroupLayout, PhysicalPageAddr};
 use crate::owner::{select_tails, OwnerId, OwnerStats, QosBudgets, ReadTail, Samples, TailScratch};
 use crate::timing::FlashTiming;
 use crate::validindex::ValidPageIndex;
@@ -156,10 +156,6 @@ pub struct FlashBackbone {
     /// Backbone-wide GC-victim index, updated on every command that
     /// changes page state. Storengine's GC victim selection reads this.
     valid_index: ValidPageIndex,
-    /// The valid bitmap words of the block being erased, copied from its
-    /// die before the erase so the index can walk them once it completes.
-    /// One buffer, reused by every erase.
-    erase_words: Vec<u64>,
     /// Per-owner accounting (QoS figures and oracles), dense by
     /// [`OwnerId::dense_index`] — the data path updates plain array slots
     /// instead of map entries.
@@ -177,20 +173,25 @@ pub struct FlashBackbone {
 }
 
 impl FlashBackbone {
-    /// Builds a backbone with the given geometry, timing, SRIO bandwidth
-    /// (bytes/second across all lanes), per-channel tag-queue depth, and
-    /// block endurance limit.
+    /// Builds an all-erased backbone with the given flash layout, timing,
+    /// SRIO bandwidth (bytes/second across all lanes), per-channel
+    /// tag-queue depth, and block endurance limit. The layout's page groups
+    /// are the ones erases report fully erased (see
+    /// [`FlashBackbone::take_fully_erased_groups`]).
     ///
     /// # Panics
     ///
-    /// Panics if `inbound_tags` is zero (see [`ChannelController::new`]).
+    /// Panics if `inbound_tags` is zero (see [`ChannelController::new`]),
+    /// or if the layout's `pages_per_group` exceeds `u16::MAX` (see
+    /// [`ValidPageIndex::new`]).
     pub fn new(
-        geometry: FlashGeometry,
+        layout: GroupLayout,
         timing: FlashTiming,
         srio_bytes_per_sec: f64,
         inbound_tags: usize,
         endurance_limit: u64,
     ) -> Self {
+        let geometry = layout.geometry;
         let channels = (0..geometry.channels)
             .map(|c| ChannelController::new(c, &geometry, timing, endurance_limit, inbound_tags))
             .collect();
@@ -199,11 +200,7 @@ impl FlashBackbone {
             timing,
             channels,
             srio: FifoServer::new(),
-            valid_index: ValidPageIndex::new(
-                geometry.total_blocks() as usize,
-                geometry.pages_per_block,
-            ),
-            erase_words: Vec::new(),
+            valid_index: ValidPageIndex::new(layout),
             owners: Vec::new(),
             budgets: QosBudgets::default(),
             srio_page_service: SimDuration::for_transfer(
@@ -320,25 +317,6 @@ impl FlashBackbone {
             .and_then(|s| s.budget_override)
     }
 
-    /// Enables page-group accounting in the valid-page index: `pages_per_
-    /// group` consecutive flat pages form one allocation group, and erases
-    /// report the groups whose last programmed page they cleared (see
-    /// [`FlashBackbone::take_fully_erased_groups`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page has been programmed or preloaded already, or if
-    /// `pages_per_group` exceeds `u16::MAX`.
-    pub fn enable_group_tracking(&mut self, pages_per_group: u64) {
-        assert!(
-            self.dies()
-                .all(|d| (0..d.block_count()).all(|b| d.programmed_pages_in(b) == 0)),
-            "group tracking must be enabled on an all-erased device"
-        );
-        self.valid_index
-            .enable_group_tracking(&self.geometry, pages_per_group);
-    }
-
     /// The backbone geometry.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry
@@ -411,16 +389,6 @@ impl FlashBackbone {
             .clamp(0.0, 1.0)
     }
 
-    /// Submits a command at `now` without owner attribution (equivalent to
-    /// [`FlashBackbone::submit_tagged`] with [`OwnerId::Unattributed`]).
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        command: FlashCommand,
-    ) -> Result<FlashCompletion, FlashError> {
-        self.submit_tagged(now, command, OwnerId::Unattributed)
-    }
-
     /// Books a page the die consumed without keeping its data into the
     /// valid index as programmed-then-invalid: an injected program failure
     /// (the media programmed garbage before reporting it) or a stripe pad.
@@ -441,7 +409,7 @@ impl FlashBackbone {
             valid: before.valid + 1,
             programmed: before.programmed + 1,
         };
-        self.valid_index.on_invalidate(block, landed, flat);
+        self.valid_index.on_invalidate(block, landed);
     }
 
     /// The lean per-page step of a stripe: tag-queue admission at the
@@ -494,14 +462,9 @@ impl FlashBackbone {
             }
             FlashOp::EraseBlock => {
                 let before = channel.block_counts(addr);
-                self.erase_words.clear();
-                if let Some(die) = channel.die(addr.die) {
-                    self.erase_words
-                        .extend_from_slice(die.valid_words(addr.block));
-                }
                 let done = channel.execute(now, op, addr, oi, budget)?;
                 self.valid_index
-                    .on_erase(self.geometry.block_of(addr), before, &self.erase_words);
+                    .on_erase(self.geometry.block_of(addr), before);
                 Ok(done)
             }
         }
@@ -663,16 +626,6 @@ impl FlashBackbone {
         }
     }
 
-    /// Marks a page valid without consuming device time (pre-experiment data
-    /// placement): a one-page [`FlashBackbone::preload_group`] at `addr`'s
-    /// flat index.
-    pub fn preload(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
-        if !self.geometry.contains(addr) {
-            return Err(FlashError::OutOfRange(addr));
-        }
-        self.preload_group(self.geometry.addr_to_flat(addr), 1)
-    }
-
     /// Preloads the `pages` consecutive flat pages starting at `first_flat`
     /// — data already resident before the experiment starts, placed without
     /// consuming device time (see [`crate::die::FlashDie::preload_run`]).
@@ -682,8 +635,8 @@ impl FlashBackbone {
     /// contiguous page run, so the die and the valid-page index's garbage
     /// bucket and valid total each update once per run rather than once per
     /// page; its page-group counters update once per group the range
-    /// touches. The resulting state is exactly that of calling
-    /// [`FlashBackbone::preload`] on each page in ascending order.
+    /// touches. The resulting state is exactly that of preloading each page
+    /// on its own (a one-page range) in ascending order.
     ///
     /// Every lane's run is checked before anything changes: its first page
     /// must be free and its block's write cursor must stand on it. On error
@@ -720,43 +673,26 @@ impl FlashBackbone {
         Ok(())
     }
 
-    /// Marks a page invalid (mapping-table act; consumes no device time).
-    pub fn invalidate(&mut self, addr: PhysicalPageAddr) -> Result<(), FlashError> {
-        if !self.geometry.contains(addr) {
-            return Err(FlashError::OutOfRange(addr));
-        }
-        let channel = &mut self.channels[addr.channel];
-        let before = channel.block_counts(addr);
-        channel.invalidate(addr)?;
-        self.valid_index.on_invalidate(
-            self.geometry.block_index(addr),
-            before,
-            self.geometry.addr_to_flat(addr),
-        );
-        Ok(())
-    }
-
-    /// Marks every page of the physical group starting at flat page
-    /// `first_flat` invalid — exactly equivalent to invalidating each page
-    /// with [`FlashBackbone::invalidate`] while skipping unwritten trailing
-    /// pages of a partially used group. A range reaching outside the
-    /// backbone is rejected with [`FlashError::OutOfRange`] before any page
-    /// changes; any other hard error (a worn die) stops the sweep, and
-    /// pages before it have already taken effect.
+    /// Marks the `pages` consecutive flat pages from `first_flat` invalid
+    /// (a mapping-table act; consumes no device time), skipping unwritten
+    /// pages such as the trailing pages of a partially used group. A range
+    /// reaching outside the backbone is rejected with
+    /// [`FlashError::OutOfRange`] before any page changes; any other hard
+    /// error (a worn die) stops the sweep, and pages before it have already
+    /// taken effect.
     pub fn invalidate_group(&mut self, first_flat: u64, pages: u64) -> Result<(), FlashError> {
         if pages == 0 {
             return Ok(());
         }
         self.check_flat_range(first_flat, pages)?;
         let mut addr = self.geometry.flat_to_addr(first_flat);
-        for flat in first_flat..first_flat + pages {
+        for _ in 0..pages {
             let channel = &mut self.channels[addr.channel];
             let before = channel.block_counts(addr);
             match channel.invalidate(addr) {
-                Ok(()) => {
-                    self.valid_index
-                        .on_invalidate(self.geometry.block_of(addr), before, flat)
-                }
+                Ok(()) => self
+                    .valid_index
+                    .on_invalidate(self.geometry.block_of(addr), before),
                 // An unwritten trailing page of a partially used group is
                 // benign on this path.
                 Err(FlashError::ReadUnwritten(_)) => {}
@@ -821,8 +757,8 @@ impl FlashBackbone {
     }
 
     /// Drains the page groups whose last programmed page was cleared by an
-    /// erase since the previous call. With group tracking enabled, these
-    /// are exactly the groups an erase made reusable — including
+    /// erase since the previous call: exactly the groups an erase made
+    /// reusable — including
     /// overwritten (unmapped) garbage groups that were never individually
     /// recycled. Callers return the unmapped ones to the allocator.
     pub fn take_fully_erased_groups(&mut self) -> Vec<u64> {
@@ -1064,9 +1000,17 @@ mod tests {
     use super::*;
     use crate::owner::nearest_rank;
 
+    /// `geometry` in two-page groups.
+    fn layout(geometry: FlashGeometry) -> GroupLayout {
+        GroupLayout {
+            geometry,
+            pages_per_group: 2,
+        }
+    }
+
     fn backbone() -> FlashBackbone {
         FlashBackbone::new(
-            FlashGeometry::tiny_for_tests(),
+            layout(FlashGeometry::tiny_for_tests()),
             FlashTiming::fast_for_tests(),
             2.5e9,
             8,
@@ -1079,9 +1023,15 @@ mod tests {
         let mut b = backbone();
         let addr = PhysicalPageAddr::new(0, 0, 0, 0);
         let w = b
-            .submit(SimTime::ZERO, FlashCommand::program(addr))
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(addr),
+                OwnerId::Unattributed,
+            )
             .unwrap();
-        let r = b.submit(w.finished, FlashCommand::read(addr)).unwrap();
+        let r = b
+            .submit_tagged(w.finished, FlashCommand::read(addr), OwnerId::Unattributed)
+            .unwrap();
         assert!(r.latency() > SimDuration::ZERO);
         assert_eq!(b.stats().reads, 1);
         assert_eq!(b.stats().programs, 1);
@@ -1091,7 +1041,7 @@ mod tests {
     #[test]
     fn commands_to_different_channels_overlap() {
         let mut b = FlashBackbone::new(
-            FlashGeometry::tiny_for_tests(),
+            layout(FlashGeometry::tiny_for_tests()),
             FlashTiming::paper_prototype(),
             20.0e9, // wide front-end so SRIO is not the bottleneck here
             8,
@@ -1099,8 +1049,20 @@ mod tests {
         );
         let a0 = PhysicalPageAddr::new(0, 0, 0, 0);
         let a1 = PhysicalPageAddr::new(1, 0, 0, 0);
-        let c0 = b.submit(SimTime::ZERO, FlashCommand::program(a0)).unwrap();
-        let c1 = b.submit(SimTime::ZERO, FlashCommand::program(a1)).unwrap();
+        let c0 = b
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(a0),
+                OwnerId::Unattributed,
+            )
+            .unwrap();
+        let c1 = b
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(a1),
+                OwnerId::Unattributed,
+            )
+            .unwrap();
         // Channel-level parallelism: both programs finish within a small
         // window of each other rather than back-to-back.
         let spread = c1
@@ -1114,9 +1076,10 @@ mod tests {
     fn out_of_range_command_is_rejected() {
         let mut b = backbone();
         let err = b
-            .submit(
+            .submit_tagged(
                 SimTime::ZERO,
                 FlashCommand::read(PhysicalPageAddr::new(7, 0, 0, 0)),
+                OwnerId::Unattributed,
             )
             .unwrap_err();
         assert!(matches!(err, FlashError::OutOfRange(_)));
@@ -1126,14 +1089,30 @@ mod tests {
     fn erase_enables_rewrite_and_counts() {
         let mut b = backbone();
         let addr = PhysicalPageAddr::new(1, 0, 2, 0);
-        b.submit(SimTime::ZERO, FlashCommand::program(addr))
-            .unwrap();
-        b.invalidate(addr).unwrap();
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::program(addr),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
+        let flat = b.geometry().addr_to_flat(addr);
+        b.invalidate_group(flat, 1).unwrap();
         assert_eq!(b.total_valid_pages(), 0);
-        let e = b.submit(SimTime::ZERO, FlashCommand::erase(addr)).unwrap();
+        let e = b
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::erase(addr),
+                OwnerId::Unattributed,
+            )
+            .unwrap();
         assert_eq!(b.stats().erases, 1);
         assert_eq!(b.channel(1).unwrap().die(0).unwrap().erase_count(2), 1);
-        b.submit(e.finished, FlashCommand::program(addr)).unwrap();
+        b.submit_tagged(
+            e.finished,
+            FlashCommand::program(addr),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
         assert_eq!(b.total_valid_pages(), 1);
     }
 
@@ -1146,11 +1125,20 @@ mod tests {
             packages_per_channel: 2,
             ..FlashGeometry::tiny_for_tests()
         };
-        let mut b = FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1);
+        let mut b =
+            FlashBackbone::new(layout(geometry), FlashTiming::fast_for_tests(), 2.5e9, 8, 1);
         let at = |page| PhysicalPageAddr::new(1, 1, 2, page);
-        let read = b.submit(SimTime::ZERO, FlashCommand::read(at(3)));
+        let read = b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::read(at(3)),
+            OwnerId::Unattributed,
+        );
         assert_eq!(read.unwrap_err(), FlashError::ReadUnwritten(at(3)));
-        let skip = b.submit(SimTime::ZERO, FlashCommand::program(at(3)));
+        let skip = b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::program(at(3)),
+            OwnerId::Unattributed,
+        );
         assert_eq!(
             skip.unwrap_err(),
             FlashError::NonSequentialProgram {
@@ -1158,19 +1146,32 @@ mod tests {
                 expected_page: 0
             }
         );
-        b.submit(SimTime::ZERO, FlashCommand::program(at(0)))
-            .unwrap();
-        let again = b.submit(SimTime::ZERO, FlashCommand::program(at(0)));
-        assert_eq!(again.unwrap_err(), FlashError::ProgramWithoutErase(at(0)));
-        assert_eq!(
-            b.invalidate(at(1)).unwrap_err(),
-            FlashError::ReadUnwritten(at(1))
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::program(at(0)),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
+        let again = b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::program(at(0)),
+            OwnerId::Unattributed,
         );
+        assert_eq!(again.unwrap_err(), FlashError::ProgramWithoutErase(at(0)));
         let preload = b.preload_group(geometry.addr_to_flat(at(0)), 1);
         assert_eq!(preload.unwrap_err(), FlashError::ProgramWithoutErase(at(0)));
         // Endurance 1: the second erase wears the block out.
-        b.submit(SimTime::ZERO, FlashCommand::erase(at(0))).unwrap();
-        let worn = b.submit(SimTime::ZERO, FlashCommand::erase(at(0)));
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::erase(at(0)),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
+        let worn = b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::erase(at(0)),
+            OwnerId::Unattributed,
+        );
         assert_eq!(
             worn.unwrap_err(),
             FlashError::WornOut {
@@ -1184,10 +1185,20 @@ mod tests {
     fn refused_erase_leaves_one_wear_count() {
         // Endurance 1: the block's second erase is refused.
         let geometry = FlashGeometry::tiny_for_tests();
-        let mut b = FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1);
+        let mut b =
+            FlashBackbone::new(layout(geometry), FlashTiming::fast_for_tests(), 2.5e9, 8, 1);
         let addr = PhysicalPageAddr::new(1, 0, 2, 0);
-        b.submit(SimTime::ZERO, FlashCommand::erase(addr)).unwrap();
-        let worn = b.submit(SimTime::ZERO, FlashCommand::erase(addr));
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::erase(addr),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
+        let worn = b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::erase(addr),
+            OwnerId::Unattributed,
+        );
         assert!(matches!(
             worn,
             Err(FlashError::WornOut {
@@ -1208,19 +1219,34 @@ mod tests {
         let a0 = PhysicalPageAddr::new(0, 0, 0, 0);
         let a1 = PhysicalPageAddr::new(0, 0, 0, 1);
         let a2 = PhysicalPageAddr::new(1, 0, 3, 0);
-        b.submit(SimTime::ZERO, FlashCommand::program(a0)).unwrap();
-        b.submit(SimTime::ZERO, FlashCommand::program(a1)).unwrap();
-        b.preload(a2).unwrap();
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::program(a0),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::program(a1),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
+        b.preload_group(g.addr_to_flat(a2), 1).unwrap();
         assert_eq!(b.total_valid_pages(), 3);
         assert_eq!(b.total_valid_pages(), b.recount_valid_pages());
         // Nothing holds garbage yet, so there is no victim.
         assert_eq!(b.min_valid_garbage_block(), None);
-        b.invalidate(a1).unwrap();
+        b.invalidate_group(g.addr_to_flat(a1), 1).unwrap();
         let victim = b.min_valid_garbage_block().unwrap();
         assert_eq!(victim, g.block_index(a0));
         assert_eq!(b.valid_in(victim), 1);
         assert_eq!(b.garbage_in(victim), 1);
-        b.submit(SimTime::ZERO, FlashCommand::erase(a0)).unwrap();
+        b.submit_tagged(
+            SimTime::ZERO,
+            FlashCommand::erase(a0),
+            OwnerId::Unattributed,
+        )
+        .unwrap();
         assert_eq!(b.min_valid_garbage_block(), None);
         assert_eq!(b.total_valid_pages(), 1);
         assert_eq!(b.total_valid_pages(), b.recount_valid_pages());
@@ -1492,7 +1518,7 @@ mod tests {
         // serialized to one tag. Clearing the override restores the static
         // grant for subsequent traffic.
         let mut b = FlashBackbone::new(
-            FlashGeometry::tiny_for_tests(),
+            layout(FlashGeometry::tiny_for_tests()),
             FlashTiming::fast_for_tests(),
             2.5e9,
             4,
@@ -1546,7 +1572,11 @@ mod tests {
         assert!(!b.faults_affect_reads());
         let addr = PhysicalPageAddr::new(1, 0, 2, 0);
         let err = b
-            .submit(SimTime::ZERO, FlashCommand::program(addr))
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(addr),
+                OwnerId::Unattributed,
+            )
             .unwrap_err();
         assert!(matches!(err, FlashError::InjectedProgramFailure(_)));
         // The failed program never became valid anywhere.
@@ -1570,8 +1600,20 @@ mod tests {
         let g = *b.geometry();
         let a0 = PhysicalPageAddr::new(0, 0, 0, 0);
         let a1 = PhysicalPageAddr::new(1, 0, 0, 0);
-        let t0 = b.submit(SimTime::ZERO, FlashCommand::program(a0)).unwrap();
-        let t1 = b.submit(SimTime::ZERO, FlashCommand::program(a1)).unwrap();
+        let t0 = b
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(a0),
+                OwnerId::Unattributed,
+            )
+            .unwrap();
+        let t1 = b
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(a1),
+                OwnerId::Unattributed,
+            )
+            .unwrap();
         b.install_fault_plan(Arc::new(FaultPlan {
             read_disturb_threshold: threshold_from_probability(1.0),
             ..FaultPlan::default()
@@ -1580,8 +1622,10 @@ mod tests {
         let t = t0.finished.max(t1.finished);
         // Submit in descending channel order; the drain still reports
         // channels ascending.
-        b.submit(t, FlashCommand::read(a1)).unwrap();
-        b.submit(t, FlashCommand::read(a0)).unwrap();
+        b.submit_tagged(t, FlashCommand::read(a1), OwnerId::Unattributed)
+            .unwrap();
+        b.submit_tagged(t, FlashCommand::read(a0), OwnerId::Unattributed)
+            .unwrap();
         assert_eq!(
             b.take_disturbed_pages(),
             vec![g.addr_to_flat(a0), g.addr_to_flat(a1)]
@@ -1644,21 +1688,32 @@ mod tests {
         // once, equal to the transfer time at that rate.
         let timing = FlashTiming::fast_for_tests();
         let srio_rate = 2.0e9;
-        let mut b =
-            FlashBackbone::new(FlashGeometry::tiny_for_tests(), timing, srio_rate, 8, 1_000);
+        let mut b = FlashBackbone::new(
+            layout(FlashGeometry::tiny_for_tests()),
+            timing,
+            srio_rate,
+            8,
+            1_000,
+        );
         let page_bytes = b.geometry().page_bytes as u64;
         let srio = SimDuration::for_transfer(page_bytes, srio_rate);
         let bus = SimDuration::for_transfer(page_bytes, timing.channel_bytes_per_sec);
         let addr = PhysicalPageAddr::new(0, 0, 0, 0);
         let program = b
-            .submit(SimTime::ZERO, FlashCommand::program(addr))
+            .submit_tagged(
+                SimTime::ZERO,
+                FlashCommand::program(addr),
+                OwnerId::Unattributed,
+            )
             .unwrap();
         assert_eq!(
             program.finished,
             SimTime::ZERO + srio + timing.controller_overhead + bus + timing.program_page
         );
         let at = SimTime::from_ms(1);
-        let read = b.submit(at, FlashCommand::read(addr)).unwrap();
+        let read = b
+            .submit_tagged(at, FlashCommand::read(addr), OwnerId::Unattributed)
+            .unwrap();
         assert_eq!(
             read.finished,
             at + timing.controller_overhead + timing.read_page + bus + srio
@@ -1670,22 +1725,24 @@ mod tests {
         // With a deliberately slow SRIO link, programs queue on the front
         // end even though they target different channels.
         let mut b = FlashBackbone::new(
-            FlashGeometry::tiny_for_tests(),
+            layout(FlashGeometry::tiny_for_tests()),
             FlashTiming::fast_for_tests(),
             1.0e6, // 1 MB/s — absurdly slow to expose the serialization
             8,
             1_000,
         );
         let c0 = b
-            .submit(
+            .submit_tagged(
                 SimTime::ZERO,
                 FlashCommand::program(PhysicalPageAddr::new(0, 0, 0, 0)),
+                OwnerId::Unattributed,
             )
             .unwrap();
         let c1 = b
-            .submit(
+            .submit_tagged(
                 SimTime::ZERO,
                 FlashCommand::program(PhysicalPageAddr::new(1, 0, 0, 0)),
+                OwnerId::Unattributed,
             )
             .unwrap();
         // The second page waits for the first to cross the front end.

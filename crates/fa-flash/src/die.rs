@@ -134,7 +134,7 @@ impl FlashDie {
 
     /// The valid bitmap words of `block`: bit `p` is set while page `p`
     /// holds valid data. Empty for a block outside the die.
-    pub fn valid_words(&self, block: usize) -> &[u64] {
+    fn valid_words(&self, block: usize) -> &[u64] {
         self.valid_bits
             .get(block * self.words_per_block..(block + 1) * self.words_per_block)
             .unwrap_or(&[])

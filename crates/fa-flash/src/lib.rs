@@ -19,7 +19,7 @@
 //!   is the unit Flashvisor and Storengine talk to.
 //! * [`validindex`] — incremental backbone-wide valid-page accounting,
 //!   bucketed by valid count, driving O(1)–O(log n) GC victim selection,
-//!   plus optional page-group accounting for complete group reclamation.
+//!   plus the page-group accounting complete group reclamation needs.
 //! * [`owner`] — owner identity ([`OwnerId`]) threaded from the
 //!   translation layer down to the channel tag queues, per-owner QoS
 //!   budgets, and per-owner statistics.

@@ -1,7 +1,7 @@
 //! Table 1 configuration helpers.
 
 use crate::backbone::FlashBackbone;
-use crate::geometry::FlashGeometry;
+use crate::geometry::{FlashGeometry, GroupLayout};
 use crate::timing::FlashTiming;
 
 /// Erase endurance assumed for the prototype's TLC parts.
@@ -16,7 +16,7 @@ pub const SRIO_BYTES_PER_SEC: f64 = 2.5e9;
 
 /// Builds the flash backbone exactly as specified by Table 1 of the paper:
 /// 16 TLC packages (32 dies), 32 GB, four NV-DDR2 channels, 81 µs reads and
-/// 2.6 ms programs, behind a 4-lane SRIO front-end.
+/// 2.6 ms programs, behind a 4-lane SRIO front-end, in 64 KB (8-page) groups.
 ///
 /// # Examples
 ///
@@ -27,7 +27,10 @@ pub const SRIO_BYTES_PER_SEC: f64 = 2.5e9;
 /// ```
 pub fn backbone_spec_table1() -> FlashBackbone {
     FlashBackbone::new(
-        FlashGeometry::paper_prototype(),
+        GroupLayout {
+            geometry: FlashGeometry::paper_prototype(),
+            pages_per_group: 8,
+        },
         FlashTiming::paper_prototype(),
         SRIO_BYTES_PER_SEC,
         CHANNEL_TAG_QUEUE_DEPTH,

@@ -29,15 +29,15 @@
 //!   placement structure current without ever rescanning the dies.
 //! * **Retired blocks**, which never re-enter the buckets, and the
 //!   device-wide valid total.
-//!
-//! With group tracking enabled ([`ValidPageIndex::enable_group_tracking`])
-//! the index also answers which page groups (the translation layer's
-//! allocation unit) a block erase frees. It keeps a programmed and a valid
-//! counter per group and no per-block group lists: it derives the groups a
-//! block holds from the flat page layout of [`FlashGeometry::flat_to_addr`],
-//! because programs fill a block's levels in ascending order, and an erase
-//! learns which of them were valid from the block's valid words, copied
-//! from its die before the erase.
+//! * **Page groups** (the translation layer's allocation unit, laid out by
+//!   the index's [`GroupLayout`]). The index answers the two questions
+//!   reclaim asks: does a group still hold a programmed page
+//!   ([`ValidPageIndex::group_programmed_pages`]), and which groups did an
+//!   erase clear (the fully-erased drain). It keeps one programmed counter
+//!   per group and no per-block group lists: it derives the groups a block
+//!   holds from the flat page layout of
+//!   [`crate::FlashGeometry::flat_to_addr`], because programs fill a
+//!   block's levels in ascending order.
 //!
 //! The index is maintained by [`crate::backbone::FlashBackbone`] for every
 //! command routed through it, with one entry point per event: each page
@@ -53,42 +53,43 @@
 //! # Examples
 //!
 //! ```
-//! use fa_flash::{FlashBackbone, FlashCommand, FlashGeometry, FlashTiming, PhysicalPageAddr};
+//! use fa_flash::{FlashBackbone, FlashOp, FlashGeometry, FlashTiming, GroupLayout, OwnerId};
 //! use fa_sim::time::SimTime;
 //!
-//! let g = FlashGeometry::tiny_for_tests();
-//! let mut bb = FlashBackbone::new(g, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
-//! // Two pages land in block 0; one of them is later superseded.
-//! let (a, b) = (PhysicalPageAddr::new(0, 0, 0, 0), PhysicalPageAddr::new(0, 0, 0, 1));
-//! bb.preload(a).unwrap();
-//! bb.preload(b).unwrap();
-//! bb.invalidate(b).unwrap();
+//! let layout = GroupLayout { geometry: FlashGeometry::tiny_for_tests(), pages_per_group: 2 };
+//! let mut bb = FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
+//! // Flat pages 0 and 2 are pages 0 and 1 of block 0 (two lanes); page 2
+//! // is later superseded.
+//! bb.preload_group(0, 1).unwrap();
+//! bb.preload_group(2, 1).unwrap();
+//! bb.invalidate_group(2, 1).unwrap();
 //! assert_eq!((bb.valid_in(0), bb.garbage_in(0)), (1, 1));
 //! // Block 0 is now the cheapest (and only) reclaim candidate.
 //! assert_eq!(bb.min_valid_garbage_block(), Some(0));
 //! assert_eq!(bb.cost_benefit_victim_block(SimTime::from_ns(1_000)), Some(0));
-//! // Erasing it leaves nothing to reclaim and queues an erase event; the
-//! // die counts the wear.
-//! bb.submit(SimTime::ZERO, FlashCommand::erase(a)).unwrap();
+//! // Erasing it leaves nothing to reclaim, queues an erase event, and
+//! // clears both groups it held a page of; the die counts the wear.
+//! bb.submit_group(SimTime::ZERO, 0, 1, FlashOp::EraseBlock, OwnerId::Gc).unwrap();
 //! assert_eq!(bb.min_valid_garbage_block(), None);
 //! assert_eq!(bb.take_erased_blocks(), vec![0]);
+//! assert_eq!(bb.take_fully_erased_groups(), vec![0, 1]);
 //! assert_eq!(bb.block_erase_counts().next(), Some(1));
 //! ```
 
 use crate::die::BlockCounts;
-use crate::{FlashGeometry, GroupLayout, PhysicalPageAddr};
+use crate::{GroupLayout, PhysicalPageAddr};
 
-/// Optional page-group accounting layered over the garbage buckets.
+/// Page-group accounting layered over the garbage buckets.
 ///
 /// A *page group* is `pages_per_group` consecutive flat pages — the
 /// allocation unit of the translation layer above. The tracker answers the
 /// question the group-reclaim leak fix needs: *which groups did this erase
-/// make reusable?* It keeps per-group programmed/valid page counts. Which
+/// make reusable?* It keeps one programmed page count per group. Which
 /// groups a block holds is not stored: level `p` of a block is the
-/// [`FlashGeometry::addr_to_flat`] of its page `p`, consecutive levels lie
-/// [`FlashGeometry::total_dies`] flat pages apart, and NAND programs land on
-/// ascending levels, so a block's programmed pages are exactly its levels
-/// `0..programmed` and an erase walks them. A group stripes across
+/// [`crate::FlashGeometry::addr_to_flat`] of its page `p`, consecutive
+/// levels lie [`crate::FlashGeometry::total_dies`] flat pages apart, and
+/// NAND programs land on ascending levels, so a block's programmed pages
+/// are exactly its levels `0..programmed` and an erase walks them. A group stripes across
 /// channels, so it spans several blocks of one block row. When an erase
 /// clears a group's last programmed page anywhere on the device, the group
 /// lands in `fully_erased` for the caller to drain — including overwritten
@@ -100,8 +101,6 @@ struct GroupTracker {
     /// Programmed (not yet erased) pages per group. A group holds at most
     /// `pages_per_group` pages, which is capped at `u16::MAX`.
     programmed: Vec<u16>,
-    /// Valid pages per group.
-    valid: Vec<u16>,
     /// Groups whose last programmed page an erase just cleared, pending a
     /// drain by the reclaim path.
     fully_erased: Vec<u64>,
@@ -141,20 +140,16 @@ impl GroupTracker {
         let (mut flat, mut g) = (first_flat, (first_flat / ppg) as usize);
         while flat < end {
             let group_end = ((g as u64 + 1) * ppg).min(end);
-            let n = (group_end - flat) as u16;
-            self.programmed[g] += n;
-            self.valid[g] += n;
+            self.programmed[g] += (group_end - flat) as u16;
             (flat, g) = (group_end, g + 1);
         }
     }
 
     /// Accounts block `b`'s erase, `levels` of which were programmed: each
-    /// level's page leaves its group, and the group's valid count too when
-    /// the level's bit is set in `valid_words`, the block's valid bits from
-    /// before the erase.
-    fn erase(&mut self, b: usize, levels: u32, valid_words: &[u64]) {
+    /// level's page leaves its group.
+    fn erase(&mut self, b: usize, levels: u32) {
         let mut walk = self.level_groups(b);
-        for level in 0..levels as usize {
+        for _ in 0..levels {
             let g = walk.group as usize;
             // Levels ascend in flat order, so once past the tracked groups
             // every later level is too.
@@ -162,9 +157,6 @@ impl GroupTracker {
                 break;
             };
             *programmed -= 1;
-            if valid_words[level >> 6] >> (level & 63) & 1 != 0 {
-                self.valid[g] -= 1;
-            }
             if *programmed == 0 {
                 // The erase cleared this group's last programmed page
                 // anywhere on the device: it is reusable again.
@@ -201,7 +193,7 @@ impl LevelGroups {
 }
 
 /// Backbone-wide GC-victim index: garbage buckets, program ages, retired
-/// blocks, erase events, and optional page-group counters.
+/// blocks, erase events, and page-group counters.
 #[derive(Debug, Clone)]
 pub struct ValidPageIndex {
     /// Bucket `v` holds the blocks with `v` valid pages *and* at least one
@@ -230,15 +222,27 @@ pub struct ValidPageIndex {
     /// block the media already rejected. All-false unless a fault plan
     /// retired something.
     retired: Vec<bool>,
-    /// Page-group accounting, when enabled.
-    groups: Option<GroupTracker>,
+    /// Page-group accounting.
+    groups: GroupTracker,
 }
 
 impl ValidPageIndex {
-    /// Creates an index for an all-erased device of `total_blocks` blocks
-    /// of `pages_per_block` pages each.
-    pub fn new(total_blocks: usize, pages_per_block: usize) -> Self {
-        let levels = pages_per_block + 1;
+    /// Creates an index for an all-erased device laid out by `layout`:
+    /// `pages_per_group` consecutive flat pages form one allocation group,
+    /// and the pages past the last whole group belong to none.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `pages_per_group` fits the 16-bit per-group counters
+    /// (at most `u16::MAX`).
+    pub fn new(layout: GroupLayout) -> Self {
+        let pages_per_group = layout.pages_per_group;
+        assert!(
+            pages_per_group <= u64::from(u16::MAX),
+            "pages_per_group {pages_per_group} exceeds the 16-bit group counters"
+        );
+        let total_blocks = layout.geometry.total_blocks() as usize;
+        let levels = layout.geometry.pages_per_block + 1;
         let words_per_level = total_blocks.div_ceil(64);
         ValidPageIndex {
             buckets: vec![0; levels * words_per_level],
@@ -249,49 +253,12 @@ impl ValidPageIndex {
             erase_events: Vec::new(),
             last_program_ns: vec![0; total_blocks],
             retired: vec![false; total_blocks],
-            groups: None,
+            groups: GroupTracker {
+                layout,
+                programmed: vec![0; layout.total_groups() as usize],
+                fully_erased: Vec::new(),
+            },
         }
-    }
-
-    /// Enables page-group accounting: `pages_per_group` consecutive flat
-    /// pages of `geometry` form one allocation group, and the pages past
-    /// the last whole group belong to none. The per-group counters start
-    /// at zero, so this must happen before any page is programmed: a page
-    /// programmed earlier would underflow them on its erase.
-    /// [`crate::FlashBackbone::enable_group_tracking`] checks that against
-    /// the dies.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the index was built for `geometry`'s blocks and
-    /// `pages_per_group` fits the 16-bit per-group counters (at most
-    /// `u16::MAX`).
-    pub fn enable_group_tracking(&mut self, geometry: &FlashGeometry, pages_per_group: u64) {
-        assert_eq!(
-            (self.retired.len() as u64, self.level_counts.len()),
-            (geometry.total_blocks(), geometry.pages_per_block + 1),
-            "group tracking needs the geometry the index was built for"
-        );
-        assert!(
-            pages_per_group <= u64::from(u16::MAX),
-            "pages_per_group {pages_per_group} exceeds the 16-bit group counters"
-        );
-        let layout = GroupLayout {
-            geometry: *geometry,
-            pages_per_group: pages_per_group.max(1),
-        };
-        let total_groups = layout.total_groups() as usize;
-        self.groups = Some(GroupTracker {
-            layout,
-            programmed: vec![0; total_groups],
-            valid: vec![0; total_groups],
-            fully_erased: Vec::new(),
-        });
-    }
-
-    /// True when page-group accounting is enabled.
-    pub fn tracks_groups(&self) -> bool {
-        self.groups.is_some()
     }
 
     fn bucket_remove(&mut self, level: u32, block: u32) {
@@ -372,13 +339,11 @@ impl ValidPageIndex {
             return;
         }
         let b = block as usize;
-        if let Some(t) = &self.groups {
-            debug_assert_eq!(
-                t.level0_flat(b) + u64::from(before.programmed) * t.lanes(),
-                first_flat,
-                "a program must land on its block's next level"
-            );
-        }
+        debug_assert_eq!(
+            self.groups.level0_flat(b) + u64::from(before.programmed) * self.groups.lanes(),
+            first_flat,
+            "a program must land on its block's next level"
+        );
         let after = BlockCounts {
             valid: before.valid + n,
             programmed: before.programmed + n,
@@ -391,90 +356,41 @@ impl ValidPageIndex {
     /// programmed in the group counters, each group they touch once. Their
     /// blocks report them through [`ValidPageIndex::on_program_run`].
     pub(crate) fn on_programmed_range(&mut self, first_flat: u64, pages: u64) {
-        if let Some(t) = &mut self.groups {
-            t.add_pages(first_flat, pages);
-        }
+        self.groups.add_pages(first_flat, pages);
     }
 
-    /// Records flat page `flat` of `block`, whose counts were `before`,
-    /// being superseded.
-    pub fn on_invalidate(&mut self, block: u64, before: BlockCounts, flat: u64) {
+    /// Records one page of `block`, whose counts were `before`, being
+    /// superseded.
+    pub fn on_invalidate(&mut self, block: u64, before: BlockCounts) {
         let after = BlockCounts {
             valid: before.valid - 1,
             ..before
         };
         self.rebucket(block, before, after);
-        if let Some(t) = &mut self.groups {
-            if let Some(valid) = t.valid.get_mut((flat / t.layout.pages_per_group) as usize) {
-                *valid -= 1;
-            }
-        }
     }
 
-    /// Records `block` being erased. `before` and `valid_words` are the
-    /// block's counts and valid bitmap words (see
-    /// [`crate::FlashDie::valid_words`]) from before the erase.
-    pub fn on_erase(&mut self, block: u64, before: BlockCounts, valid_words: &[u64]) {
+    /// Records `block`, whose counts were `before`, being erased.
+    pub fn on_erase(&mut self, block: u64, before: BlockCounts) {
         self.rebucket(block, before, BlockCounts::default());
-        if let Some(t) = &mut self.groups {
-            t.erase(block as usize, before.programmed, valid_words);
-        }
+        self.groups.erase(block as usize, before.programmed);
         self.erase_events.push(block);
     }
 
     /// Drains the groups whose last programmed page an erase cleared since
-    /// the previous drain (empty without group tracking). The reclaim path
-    /// above returns the unmapped ones to the allocator — the fix for the
-    /// "erased but never recycled" overwrite-garbage leak.
+    /// the previous drain. The reclaim path above returns the unmapped ones
+    /// to the allocator — the fix for the "erased but never recycled"
+    /// overwrite-garbage leak.
     pub(crate) fn take_fully_erased_groups(&mut self) -> Vec<u64> {
-        match &mut self.groups {
-            Some(t) => std::mem::take(&mut t.fully_erased),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut self.groups.fully_erased)
     }
 
-    /// The garbage groups currently resident in `block`, which holds
-    /// `programmed` programmed pages: groups holding at least one
-    /// programmed page in the block but no valid page anywhere. Empty
-    /// without group tracking.
-    pub fn garbage_groups_in(&self, block: u64, programmed: u32) -> Vec<u64> {
-        let mut garbage = Vec::new();
-        let Some(t) = &self.groups else {
-            return garbage;
-        };
-        let mut walk = t.level_groups(block as usize);
-        let mut last = None;
-        for _ in 0..programmed {
-            let g = walk.group;
-            let Some(&valid) = t.valid.get(g as usize) else {
-                break;
-            };
-            if valid == 0 && last != Some(g) {
-                garbage.push(g);
-            }
-            last = Some(g);
-            walk.advance();
-        }
-        garbage
-    }
-
-    /// Programmed (not yet erased) pages of group `g`, device-wide. Zero
-    /// without group tracking.
+    /// Programmed (not yet erased) pages of group `g`, device-wide; zero
+    /// past the last whole group.
     pub fn group_programmed_pages(&self, g: u64) -> u32 {
         self.groups
-            .as_ref()
-            .and_then(|t| t.programmed.get(g as usize).copied())
-            .map(u32::from)
-            .unwrap_or(0)
-    }
-
-    /// Valid pages of group `g`, device-wide. Zero without group tracking.
-    pub fn group_valid_pages(&self, g: u64) -> u32 {
-        self.groups
-            .as_ref()
-            .and_then(|t| t.valid.get(g as usize).copied())
-            .map(u32::from)
-            .unwrap_or(0)
+            .programmed
+            .get(g as usize)
+            .map_or(0, |&n| u32::from(n))
     }
 
     /// Valid pages across the whole backbone.
@@ -565,7 +481,7 @@ impl ValidPageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlashBackbone, FlashCommand, FlashTiming, PhysicalPageAddr};
+    use crate::{FlashBackbone, FlashGeometry, FlashOp, FlashTiming, OwnerId};
     use fa_sim::time::SimTime;
     use std::ops::Range;
 
@@ -588,14 +504,14 @@ mod tests {
         }
     }
 
-    /// An all-erased backbone over `g`, whose dies feed the index, tracking
-    /// `pages_per_group`-page groups when given.
-    fn device(g: FlashGeometry, pages_per_group: Option<u64>) -> FlashBackbone {
-        let mut bb = FlashBackbone::new(g, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000);
-        if let Some(ppg) = pages_per_group {
-            bb.enable_group_tracking(ppg);
-        }
-        bb
+    /// An all-erased backbone over `g` in `pages_per_group`-page groups,
+    /// whose dies feed the index.
+    fn device(g: FlashGeometry, pages_per_group: u64) -> FlashBackbone {
+        let layout = GroupLayout {
+            geometry: g,
+            pages_per_group,
+        };
+        FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000)
     }
 
     /// Programs flat pages `flats` in order.
@@ -606,24 +522,27 @@ mod tests {
     }
 
     fn invalidate(bb: &mut FlashBackbone, flat: u64) {
-        let addr = bb.geometry().flat_to_addr(flat);
-        bb.invalidate(addr).unwrap();
+        bb.invalidate_group(flat, 1).unwrap();
     }
 
     fn erase(bb: &mut FlashBackbone, block: u64) {
         let (channel, die, blk) = bb.geometry().block_index_to_addr(block);
-        let addr = PhysicalPageAddr::new(channel, die, blk, 0);
-        bb.submit(SimTime::ZERO, FlashCommand::erase(addr)).unwrap();
+        let flat = bb
+            .geometry()
+            .addr_to_flat(PhysicalPageAddr::new(channel, die, blk, 0));
+        bb.submit_group(SimTime::ZERO, flat, 1, FlashOp::EraseBlock, OwnerId::Gc)
+            .unwrap();
     }
 
-    fn garbage_groups(bb: &FlashBackbone, block: u64) -> Vec<u64> {
-        bb.valid_index()
-            .garbage_groups_in(block, bb.programmed_in(block))
+    fn programmed(bb: &FlashBackbone, groups: Range<u64>) -> Vec<u32> {
+        groups
+            .map(|g| bb.valid_index().group_programmed_pages(g))
+            .collect()
     }
 
     #[test]
     fn buckets_track_garbage_blocks_only() {
-        let mut bb = device(geometry(1, 1, 4, 8), None);
+        let mut bb = device(geometry(1, 1, 4, 8), 1);
         // Fully valid blocks never appear as victims.
         program(&mut bb, 0..8);
         assert_eq!(bb.valid_in(0), 8);
@@ -638,7 +557,7 @@ mod tests {
     #[test]
     fn greedy_pick_prefers_fewest_valid_then_smallest_index() {
         // One lane of 8-page blocks: block b holds flats 8b..8b + 8.
-        let mut bb = device(geometry(1, 1, 4, 8), None);
+        let mut bb = device(geometry(1, 1, 4, 8), 1);
         for block in [1u64, 2, 3] {
             program(&mut bb, 8 * block..8 * block + 4);
         }
@@ -658,7 +577,7 @@ mod tests {
 
     #[test]
     fn erase_clears_membership_and_totals() {
-        let mut bb = device(geometry(1, 1, 2, 4), None);
+        let mut bb = device(geometry(1, 1, 2, 4), 1);
         program(&mut bb, 4..8);
         invalidate(&mut bb, 4);
         erase(&mut bb, 1);
@@ -674,18 +593,14 @@ mod tests {
         // 1 lane × 2 blocks × 4 pages, 2-page groups: group g covers flat
         // pages 2g..2g+2, flat pages 0..4 live in block 0 and 4..8 in
         // block 1.
-        let mut bb = device(geometry(1, 1, 2, 4), Some(2));
-        assert!(bb.valid_index().tracks_groups());
+        let mut bb = device(geometry(1, 1, 2, 4), 2);
         program(&mut bb, 0..4);
-        let idx = bb.valid_index();
-        assert_eq!(idx.group_programmed_pages(0), 2);
-        assert_eq!(idx.group_valid_pages(1), 2);
-        // Overwrite group 0: both its pages go invalid → it is garbage.
+        assert_eq!(programmed(&bb, 0..4), vec![2, 2, 0, 0]);
+        // Overwrite group 0: both its pages go invalid but stay programmed,
+        // so nothing is reclaimable before the erase.
         invalidate(&mut bb, 0);
         invalidate(&mut bb, 1);
-        assert_eq!(bb.valid_index().group_valid_pages(0), 0);
-        assert_eq!(garbage_groups(&bb, 0), vec![0]);
-        // Nothing is reclaimable before the erase.
+        assert_eq!(programmed(&bb, 0..2), vec![2, 2]);
         assert!(bb.take_fully_erased_groups().is_empty());
         // The erase clears both resident groups; both report fully erased
         // (group 1 was still valid — the caller filters mapped groups).
@@ -693,8 +608,7 @@ mod tests {
         assert_eq!(bb.take_fully_erased_groups(), vec![0, 1]);
         // The drain is one-shot.
         assert!(bb.take_fully_erased_groups().is_empty());
-        assert_eq!(bb.valid_index().group_programmed_pages(0), 0);
-        assert_eq!(bb.valid_index().group_valid_pages(1), 0);
+        assert_eq!(programmed(&bb, 0..2), vec![0, 0]);
     }
 
     #[test]
@@ -702,12 +616,13 @@ mod tests {
         // 2 channels × 1 block: group 0's two pages are flat 0 in block 0
         // and flat 1 in block 1 — the striped layout where a group crosses
         // a block row.
-        let mut bb = device(geometry(2, 1, 1, 4), Some(2));
+        let mut bb = device(geometry(2, 1, 1, 4), 2);
         program(&mut bb, 0..2);
         invalidate(&mut bb, 0);
         invalidate(&mut bb, 1);
         erase(&mut bb, 0);
         // One page still programmed in block 1: not reclaimable yet.
+        assert_eq!(programmed(&bb, 0..1), vec![1]);
         assert!(bb.take_fully_erased_groups().is_empty());
         erase(&mut bb, 1);
         assert_eq!(bb.take_fully_erased_groups(), vec![0]);
@@ -717,23 +632,19 @@ mod tests {
     fn group_spanning_several_levels_of_one_block() {
         // 2 lanes, 4-page groups: group 0 is flats 0..4, i.e. levels 0 and
         // 1 of both blocks.
-        let mut bb = device(geometry(2, 1, 1, 4), Some(4));
+        let mut bb = device(geometry(2, 1, 1, 4), 4);
         program(&mut bb, 0..8);
-        assert_eq!(bb.valid_index().group_programmed_pages(0), 4);
+        assert_eq!(programmed(&bb, 0..2), vec![4, 4]);
         for flat in 0..4 {
             invalidate(&mut bb, flat);
         }
-        // Each block lists the garbage group once, though it holds two of
-        // its pages.
-        assert_eq!(garbage_groups(&bb, 0), vec![0]);
-        assert_eq!(garbage_groups(&bb, 1), vec![0]);
+        // Each block holds two pages of each group.
         erase(&mut bb, 0);
-        assert_eq!(bb.valid_index().group_programmed_pages(0), 2);
-        assert_eq!(bb.valid_index().group_valid_pages(1), 2);
+        assert_eq!(programmed(&bb, 0..2), vec![2, 2]);
         assert!(bb.take_fully_erased_groups().is_empty());
         erase(&mut bb, 1);
         assert_eq!(bb.take_fully_erased_groups(), vec![0, 1]);
-        assert_eq!(bb.valid_index().group_valid_pages(1), 0);
+        assert_eq!(programmed(&bb, 0..2), vec![0, 0]);
     }
 
     #[test]
@@ -743,33 +654,17 @@ mod tests {
         // block 0 holds flats 0, 4, 8 (groups 0, 1, 2), block 1 holds
         // 2, 6, 10 (groups 0, 2, 3), block 2 holds 1, 5, 9 (groups 0, 1,
         // 3) and block 3 holds 3, 7, 11 (groups 1, 2, 3).
-        let mut bb = device(geometry(2, 2, 1, 3), Some(3));
+        let mut bb = device(geometry(2, 2, 1, 3), 3);
         program(&mut bb, 0..12);
-        for group in 0..4 {
-            assert_eq!(bb.valid_index().group_programmed_pages(group), 3);
-        }
+        assert_eq!(programmed(&bb, 0..4), vec![3, 3, 3, 3]);
         for flat in 3..6 {
             invalidate(&mut bb, flat);
         }
-        assert_eq!(garbage_groups(&bb, 0), vec![1]);
-        assert_eq!(garbage_groups(&bb, 1), Vec::<u64>::new());
-        assert_eq!(garbage_groups(&bb, 2), vec![1]);
-        assert_eq!(garbage_groups(&bb, 3), vec![1]);
+        // Superseded pages still count as programmed.
         erase(&mut bb, 0);
-        let idx = bb.valid_index();
-        assert_eq!(
-            (0..4)
-                .map(|g| idx.group_programmed_pages(g))
-                .collect::<Vec<_>>(),
-            vec![2, 2, 2, 3]
-        );
-        // Flat 4 was already invalid: only flats 0 and 8 leave the valid
-        // counts.
-        assert_eq!(
-            (0..4).map(|g| idx.group_valid_pages(g)).collect::<Vec<_>>(),
-            vec![2, 0, 2, 3]
-        );
+        assert_eq!(programmed(&bb, 0..4), vec![2, 2, 2, 3]);
         erase(&mut bb, 1);
+        assert_eq!(programmed(&bb, 0..4), vec![1, 2, 1, 2]);
         assert!(bb.take_fully_erased_groups().is_empty());
         erase(&mut bb, 2);
         assert_eq!(bb.take_fully_erased_groups(), vec![0]);
@@ -780,15 +675,12 @@ mod tests {
     #[test]
     fn tail_pages_belong_to_no_group() {
         // 5 pages in 2-page groups: flat 4 is past the last whole group.
-        let mut bb = device(geometry(1, 1, 1, 5), Some(2));
+        let mut bb = device(geometry(1, 1, 1, 5), 2);
         program(&mut bb, 0..5);
-        assert_eq!(bb.valid_index().group_programmed_pages(2), 0);
+        assert_eq!(programmed(&bb, 0..3), vec![2, 2, 0]);
         invalidate(&mut bb, 4);
-        assert_eq!(bb.valid_index().group_valid_pages(1), 2);
-        assert!(garbage_groups(&bb, 0).is_empty());
         invalidate(&mut bb, 0);
         invalidate(&mut bb, 1);
-        assert_eq!(garbage_groups(&bb, 0), vec![0]);
         erase(&mut bb, 0);
         assert_eq!(bb.take_fully_erased_groups(), vec![0, 1]);
         assert_eq!(bb.valid_index().total_valid(), 0);
@@ -798,36 +690,27 @@ mod tests {
     fn scrapped_page_erase_reports_its_group_fully_erased() {
         // A page programmed and discarded at once (a failed program or a
         // stripe pad) is garbage of its group until its block is erased.
-        let mut bb = device(geometry(1, 1, 1, 4), Some(2));
+        let mut bb = device(geometry(1, 1, 1, 4), 2);
         program(&mut bb, 0..1);
         invalidate(&mut bb, 0);
-        assert_eq!(bb.valid_index().group_programmed_pages(0), 1);
-        assert_eq!(bb.valid_index().group_valid_pages(0), 0);
-        assert_eq!(garbage_groups(&bb, 0), vec![0]);
+        assert_eq!(programmed(&bb, 0..1), vec![1]);
         erase(&mut bb, 0);
         assert_eq!(bb.take_fully_erased_groups(), vec![0]);
-        assert_eq!(bb.valid_index().group_programmed_pages(0), 0);
-        assert_eq!(bb.valid_index().group_valid_pages(0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "all-erased")]
-    fn group_tracking_rejects_a_programmed_index() {
-        let mut bb = device(geometry(1, 1, 2, 4), None);
-        program(&mut bb, 4..5);
-        bb.enable_group_tracking(2);
+        assert_eq!(programmed(&bb, 0..1), vec![0]);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the 16-bit group counters")]
     fn group_tracking_rejects_groups_beyond_16_bit_counters() {
-        let g = geometry(1, 1, 2, 4);
-        ValidPageIndex::new(2, 4).enable_group_tracking(&g, 1 << 16);
+        ValidPageIndex::new(GroupLayout {
+            geometry: geometry(1, 1, 2, 4),
+            pages_per_group: 1 << 16,
+        });
     }
 
     #[test]
     fn retired_block_leaves_and_never_reenters_victim_selection() {
-        let mut bb = device(geometry(1, 1, 2, 8), None);
+        let mut bb = device(geometry(1, 1, 2, 8), 1);
         program(&mut bb, 0..2);
         invalidate(&mut bb, 0); // garbage → block 0 enters the buckets
         assert_eq!(bb.valid_index().min_valid_garbage_block(), Some(0));
@@ -847,7 +730,7 @@ mod tests {
 
     #[test]
     fn reprogramming_a_garbage_block_moves_its_bucket() {
-        let mut bb = device(geometry(1, 1, 2, 8), None);
+        let mut bb = device(geometry(1, 1, 2, 8), 1);
         program(&mut bb, 0..3);
         invalidate(&mut bb, 0); // block 0: 2 valid, 1 garbage
         program(&mut bb, 8..11);

@@ -1,10 +1,10 @@
 //! Oracle for the valid-page index's page-group accounting.
 //!
-//! With group tracking on, [`ValidPageIndex`] stores no per-block group
-//! lists and no page bits: it derives the groups a block holds from the
-//! flat page layout, and an erase reads which of them were valid from the
-//! die's valid bits, copied before the erase. This oracle checks every
-//! answer it gives against a recount from the dies' page states alone
+//! [`ValidPageIndex`] stores no per-block group lists and no page bits: it
+//! keeps one programmed page count per group and derives the groups a
+//! block holds from the flat page layout, so an erase walks the block's
+//! programmed levels. This oracle checks every answer reclaim reads
+//! against a recount from the dies' page states alone
 //! ([`FlashGeometry::flat_to_addr`] plus [`FlashDie::page_state`]), which
 //! shares no code with the index, so a layout mistake cannot hide on both
 //! sides.
@@ -18,8 +18,7 @@
 //! plan so failed programs, stripe pads and failed erases occur. After
 //! every step the index must match the recount on:
 //!
-//! * each group's programmed and valid page counts;
-//! * each block's garbage groups;
+//! * each group's programmed page count (zero past the last whole group);
 //! * the fully-erased drain: exactly the groups whose last programmed page
 //!   the step's erase cleared, ascending (empty after any other step).
 //!
@@ -27,7 +26,7 @@
 
 use fa_flash::{
     FaultPlan, FlashBackbone, FlashCommand, FlashDie, FlashError, FlashGeometry, FlashOp,
-    FlashTiming, OwnerId, PageState, PhysicalPageAddr, ValidPageIndex,
+    FlashTiming, GroupLayout, OwnerId, PageState, PhysicalPageAddr,
 };
 use fa_sim::time::SimTime;
 use proptest::prelude::*;
@@ -70,65 +69,25 @@ fn page_state(bb: &FlashBackbone, addr: PhysicalPageAddr) -> PageState {
         .expect("page state")
 }
 
-/// The group answers recounted from die page states.
-#[derive(Debug, PartialEq)]
-struct Recount {
-    /// Programmed (valid or superseded) pages per group.
-    programmed: Vec<u32>,
-    /// Valid pages per group.
-    valid: Vec<u32>,
-    /// Per block: the groups holding a programmed page in it whose valid
-    /// count is zero, ascending.
-    garbage: Vec<Vec<u64>>,
-}
-
-fn recount(bb: &FlashBackbone, pages_per_group: u64) -> Recount {
+/// Programmed (valid or superseded) pages per group, recounted from die
+/// page states.
+fn recount(bb: &FlashBackbone, pages_per_group: u64) -> Vec<u32> {
     let g = *bb.geometry();
-    let groups = (g.total_pages() / pages_per_group) as usize;
-    let mut programmed = vec![0u32; groups];
-    let mut valid = vec![0u32; groups];
-    let mut resident = vec![Vec::new(); g.total_blocks() as usize];
-    for flat in 0..groups as u64 * pages_per_group {
-        let addr = g.flat_to_addr(flat);
-        let group = (flat / pages_per_group) as usize;
-        match page_state(bb, addr) {
-            PageState::Free => continue,
-            PageState::Valid => valid[group] += 1,
-            PageState::Invalid => {}
+    let groups = g.total_pages() / pages_per_group;
+    let mut programmed = vec![0u32; groups as usize];
+    for flat in 0..groups * pages_per_group {
+        if page_state(bb, g.flat_to_addr(flat)) != PageState::Free {
+            programmed[(flat / pages_per_group) as usize] += 1;
         }
-        programmed[group] += 1;
-        resident[g.block_index(addr) as usize].push(group as u64);
     }
-    let garbage = resident
-        .into_iter()
-        .map(|mut groups| {
-            groups.sort_unstable();
-            groups.dedup();
-            groups.retain(|&group| valid[group as usize] == 0);
-            groups
-        })
-        .collect();
-    Recount {
-        programmed,
-        valid,
-        garbage,
-    }
+    programmed
 }
 
-/// The index's answers, in the recount's shape.
-fn indexed(bb: &FlashBackbone, want: &Recount) -> Recount {
-    let index: &ValidPageIndex = bb.valid_index();
-    let groups = 0..want.programmed.len() as u64;
-    Recount {
-        programmed: groups
-            .clone()
-            .map(|g| index.group_programmed_pages(g))
-            .collect(),
-        valid: groups.map(|g| index.group_valid_pages(g)).collect(),
-        garbage: (0..want.garbage.len() as u64)
-            .map(|b| index.garbage_groups_in(b, bb.programmed_in(b)))
-            .collect(),
-    }
+/// The index's programmed count of every group the recount covers.
+fn indexed(bb: &FlashBackbone, groups: usize) -> Vec<u32> {
+    (0..groups as u64)
+        .map(|g| bb.valid_index().group_programmed_pages(g))
+        .collect()
 }
 
 /// How many of the flat pages `first..first + max` (clipped to the device)
@@ -197,8 +156,11 @@ fn run_case(
     seed: u64,
     steps: usize,
 ) -> Result<Reach, String> {
-    let mut bb = FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000_000);
-    bb.enable_group_tracking(pages_per_group);
+    let layout = GroupLayout {
+        geometry,
+        pages_per_group,
+    };
+    let mut bb = FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 8, 1_000_000);
     if faults {
         bb.install_fault_plan(Arc::new(FaultPlan {
             seed,
@@ -269,9 +231,9 @@ fn run_case(
             // Supersede a few valid pages one at a time.
             6 | 7 => {
                 for _ in 0..1 + below(&mut rng, lanes) {
-                    let addr = geometry.flat_to_addr(below(&mut rng, total));
-                    if page_state(&bb, addr) == PageState::Valid {
-                        bb.invalidate(addr)
+                    let flat = below(&mut rng, total);
+                    if page_state(&bb, geometry.flat_to_addr(flat)) == PageState::Valid {
+                        bb.invalidate_group(flat, 1)
                             .map_err(|e| format!("step {step}: invalidate: {e:?}"))?;
                     }
                 }
@@ -290,23 +252,22 @@ fn run_case(
                 let (channel, die, blk) = geometry.block_index_to_addr(block);
                 let addr = PhysicalPageAddr::new(channel, die, blk, 0);
                 tolerate(
-                    bb.submit(now, FlashCommand::erase(addr)),
+                    bb.submit_tagged(now, FlashCommand::erase(addr), OwnerId::Unattributed),
                     &format!("step {step}: erase block {block}"),
                 )?;
                 format!("erase block {block}")
             }
         };
         let after = recount(&bb, pages_per_group);
-        let got = indexed(&bb, &after);
+        let got = indexed(&bb, after.len());
         prop_assert!(
             got == after,
             "step {step} ({what}): index {got:?} != recount {after:?}"
         );
         // Nothing past the tracked groups is ever reported.
         prop_assert_eq!(bb.valid_index().group_programmed_pages(total_groups), 0);
-        prop_assert_eq!(bb.valid_index().group_valid_pages(total_groups), 0);
         let want_drained: Vec<u64> = (0..total_groups)
-            .filter(|&g| before.programmed[g as usize] > 0 && after.programmed[g as usize] == 0)
+            .filter(|&g| before[g as usize] > 0 && after[g as usize] == 0)
             .collect();
         let drained = bb.take_fully_erased_groups();
         prop_assert!(

@@ -16,14 +16,14 @@
 //! row and mid lane, and sometimes aim at pages that cannot be preloaded.
 //! After every preload the two must agree on every page state, every
 //! per-block count, and every answer the valid-page index gives: the
-//! victim picks, each block's garbage and garbage groups, and the group
-//! counts.
+//! victim picks, each block's garbage, and each group's programmed pages.
 //!
 //! Case count defaults to 128 and can be raised via `FA_ORACLE_CASES`.
 
 use fa_flash::{
     BlockCounts, ChannelController, FlashBackbone, FlashCommand, FlashDie, FlashError,
-    FlashGeometry, FlashOp, FlashTiming, OwnerId, PageState, PhysicalPageAddr, ValidPageIndex,
+    FlashGeometry, FlashOp, FlashTiming, GroupLayout, OwnerId, PageState, PhysicalPageAddr,
+    ValidPageIndex,
 };
 use fa_sim::time::SimTime;
 use proptest::prelude::*;
@@ -62,7 +62,8 @@ struct PerPageModel {
 }
 
 impl PerPageModel {
-    fn new(geometry: FlashGeometry, pages_per_group: Option<u64>) -> Self {
+    fn new(layout: GroupLayout) -> Self {
+        let geometry = layout.geometry;
         let channels = (0..geometry.channels)
             .map(|c| {
                 ChannelController::new(
@@ -74,15 +75,10 @@ impl PerPageModel {
                 )
             })
             .collect();
-        let mut index =
-            ValidPageIndex::new(geometry.total_blocks() as usize, geometry.pages_per_block);
-        if let Some(ppg) = pages_per_group {
-            index.enable_group_tracking(&geometry, ppg);
-        }
         PerPageModel {
             geometry,
             channels,
-            index,
+            index: ValidPageIndex::new(layout),
         }
     }
 
@@ -105,7 +101,6 @@ impl PerPageModel {
 
     fn execute(&mut self, now: SimTime, op: FlashOp, addr: PhysicalPageAddr) {
         let before = self.counts(addr);
-        let words = self.die(addr).valid_words(addr.block).to_vec();
         self.channels[addr.channel]
             .execute(now, op, addr, OwnerId::Unattributed.dense_index(), None)
             .expect("model command");
@@ -115,7 +110,7 @@ impl PerPageModel {
                 self.index
                     .on_program(block, before, self.geometry.addr_to_flat(addr), now.as_ns())
             }
-            FlashOp::EraseBlock => self.index.on_erase(block, before, &words),
+            FlashOp::EraseBlock => self.index.on_erase(block, before),
             FlashOp::ReadPage => {}
         }
     }
@@ -125,11 +120,8 @@ impl PerPageModel {
         self.channels[addr.channel]
             .invalidate(addr)
             .expect("model invalidate");
-        self.index.on_invalidate(
-            self.geometry.block_index(addr),
-            before,
-            self.geometry.addr_to_flat(addr),
-        );
+        self.index
+            .on_invalidate(self.geometry.block_index(addr), before);
     }
 
     fn preload_group(&mut self, first_flat: u64, pages: u64) -> Result<(), FlashError> {
@@ -178,20 +170,13 @@ fn compare(real: &FlashBackbone, model: &PerPageModel, now_ns: u64) -> Result<()
     prop_assert_eq!(real.total_valid_pages() as u64, model.index.total_valid());
     let (ri, mi) = (real.valid_index(), &model.index);
     for block in 0..g.total_blocks() {
-        let counts = model.block_counts(block);
-        prop_assert_eq!(real.garbage_in(block), counts.garbage());
-        prop_assert_eq!(
-            ri.garbage_groups_in(block, real.programmed_in(block)),
-            mi.garbage_groups_in(block, counts.programmed)
-        );
+        prop_assert_eq!(real.garbage_in(block), model.block_counts(block).garbage());
     }
-    prop_assert_eq!(ri.tracks_groups(), mi.tracks_groups());
     for group in 0..g.total_pages() + 1 {
         prop_assert_eq!(
             ri.group_programmed_pages(group),
             mi.group_programmed_pages(group)
         );
-        prop_assert_eq!(ri.group_valid_pages(group), mi.group_valid_pages(group));
     }
     prop_assert_eq!(ri.min_valid_garbage_block(), mi.min_valid_garbage_block());
     prop_assert_eq!(
@@ -207,7 +192,7 @@ fn erase_row(real: &mut FlashBackbone, model: &mut PerPageModel, now: SimTime, r
     for channel in 0..g.channels {
         for die in 0..g.dies_per_channel() {
             let addr = PhysicalPageAddr::new(channel, die, row, 0);
-            real.submit(now, FlashCommand::erase(addr))
+            real.submit_tagged(now, FlashCommand::erase(addr), OwnerId::Unattributed)
                 .expect("real erase");
             model.execute(now, FlashOp::EraseBlock, addr);
         }
@@ -220,7 +205,7 @@ proptest! {
     #[test]
     fn preload_runs_match_per_page_preload(
         shape in (1usize..5, 1usize..5, 2usize..5, 4usize..33),
-        grouping in (0u64..1_000, prop::bool::ANY),
+        grouping in 0u64..1_000,
         seed in 0u64..u64::MAX,
     ) {
         let (channels, dies, blocks, pages_per_block) = shape;
@@ -237,18 +222,18 @@ proptest! {
         let row_pages = lanes * pages_per_block as u64;
         let total = geometry.total_pages();
         // Pages per group from 1 to twice the lane count.
-        let pages_per_group = grouping.1.then_some(1 + grouping.0 % (2 * lanes));
-        let mut real = FlashBackbone::new(
+        let layout = GroupLayout {
             geometry,
+            pages_per_group: 1 + grouping % (2 * lanes),
+        };
+        let mut real = FlashBackbone::new(
+            layout,
             FlashTiming::fast_for_tests(),
             2.5e9,
             INBOUND_TAGS,
             ENDURANCE,
         );
-        if let Some(ppg) = pages_per_group {
-            real.enable_group_tracking(ppg);
-        }
-        let mut model = PerPageModel::new(geometry, pages_per_group);
+        let mut model = PerPageModel::new(layout);
 
         let mut rng = seed;
         // Pages below `frontier` have been written in flat order (or erased
@@ -297,7 +282,7 @@ proptest! {
                 4 | 5 => {
                     for _ in 0..len.min(total - frontier) {
                         let addr = geometry.flat_to_addr(frontier);
-                        real.submit(now, FlashCommand::program(addr))
+                        real.submit_tagged(now, FlashCommand::program(addr), OwnerId::Unattributed)
                             .expect("real program");
                         model.execute(now, FlashOp::ProgramPage, addr);
                         frontier += 1;
@@ -308,7 +293,8 @@ proptest! {
                     for _ in 0..1 + below(&mut rng, 2 * lanes) {
                         let addr = geometry.flat_to_addr(below(&mut rng, frontier));
                         if page_state(&real, addr) == Some(PageState::Valid) {
-                            real.invalidate(addr).expect("real invalidate");
+                            real.invalidate_group(geometry.addr_to_flat(addr), 1)
+                                .expect("real invalidate");
                             model.invalidate(addr);
                         }
                     }

@@ -27,8 +27,8 @@
 //! Case count defaults to 128 and can be raised via `FA_ORACLE_CASES`.
 
 use fa_flash::{
-    FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId, OwnerStats,
-    PhysicalPageAddr, QosBudgets, ReadTail,
+    FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, GroupLayout, OwnerId,
+    OwnerStats, PhysicalPageAddr, QosBudgets, ReadTail,
 };
 use fa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -57,13 +57,11 @@ fn backbone(tags: usize) -> FlashBackbone {
         pages_per_block: PAGES,
         page_bytes: 4096,
     };
-    FlashBackbone::new(
+    let layout = GroupLayout {
         geometry,
-        FlashTiming::fast_for_tests(),
-        2.0e9,
-        tags,
-        u64::MAX,
-    )
+        pages_per_group: 1,
+    };
+    FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.0e9, tags, u64::MAX)
 }
 
 /// Nine owners: both background streams, the unattributed stream, and six
@@ -139,10 +137,12 @@ fn compare(
 }
 
 fn preload_block_zero(b: &mut FlashBackbone) {
+    let geometry = *b.geometry();
     for c in 0..CHANNELS {
         for die in 0..DIES {
             for page in 0..PAGES {
-                b.preload(PhysicalPageAddr::new(c, die, 0, page)).unwrap();
+                let flat = geometry.addr_to_flat(PhysicalPageAddr::new(c, die, 0, page));
+                b.preload_group(flat, 1).unwrap();
             }
         }
     }

@@ -6,9 +6,9 @@
 //!
 //! The oracle recomputes everything from primary state — the mapping
 //! table, die page states, die erase counters — so a divergence pinpoints
-//! a bug in the incremental bookkeeping (free list, reverse index,
-//! valid-page buckets, occupancy gauges, row-wear ledger, overwrite
-//! counts) rather than in the oracle. Failed operations (flash exhaustion,
+//! a bug in the incremental bookkeeping (free list, group states, reverse
+//! index, valid-page buckets, group programmed counts, row-wear ledger,
+//! overwrite counts) rather than in the oracle. Failed operations (flash exhaustion,
 //! NAND programming-rule violations on recycled-but-unerased groups) are
 //! tolerated: the invariants must hold *especially* after an op is
 //! rejected partway through.
@@ -17,8 +17,8 @@
 //! (CI runs the release suite with more).
 
 use flashabacus_suite::fa_flash::{
-    FaultPlan, FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, OwnerId,
-    PageState, PhysicalPageAddr, QosBudgets,
+    FaultPlan, FlashBackbone, FlashCommand, FlashGeometry, FlashOp, FlashTiming, GroupLayout,
+    OwnerId, PageState, PhysicalPageAddr, QosBudgets,
 };
 use flashabacus_suite::fa_platform::mem::Scratchpad;
 use flashabacus_suite::fa_platform::PlatformSpec;
@@ -129,9 +129,7 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
 
     // 4. Journal-row fencing: the reserved metadata row is permanently
     //    outside every data path — never free, never mapped.
-    let journal_row = config
-        .journal_metadata_row()
-        .expect("oracle device has >1 row");
+    let journal_row = config.journal_metadata_row();
     // Every group holding a page of the row; the row's flat pages are
     // block `journal_row` of every channel and die.
     let row_pages =
@@ -209,36 +207,35 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
     }
     prop_assert_eq!(v.freespace().row_wear(), row_recount.as_slice());
 
-    // 8. Occupancy gauges: occupied + free + reserved + retired partitions
-    //    the device, with occupancy classified exactly like the free
-    //    pool's complement (the hot reserve counts as allocated — those
-    //    groups left the pool; retired groups left everything).
-    let occupancy = v.placement_occupancy();
-    let occupied: u64 = occupancy.iter().sum();
-    let reserved = v.freespace().reserved_count();
-    let retired = v.freespace().retired_count();
-    prop_assert_eq!(
-        occupied + v.free_physical_groups() + reserved + retired,
-        total_groups
-    );
-    // A group's stripe class is the channel and die of its leading page.
-    let dies = geometry.dies_per_channel();
-    let mut per_class = vec![0u64; geometry.channels * dies];
+    // 8. Group-state partition: every group is free, allocated, reserved
+    //    or retired, and recounting the states gives the O(1) free,
+    //    reserved and retired counts. A group is free exactly when it sits
+    //    in the free pool (the hot reserve counts as allocated: those
+    //    groups left the pool).
+    let (mut free, mut allocated, mut reserved, mut retired) = (0u64, 0u64, 0u64, 0u64);
     for g in 0..total_groups {
+        match v.freespace().state(g) {
+            Some(GroupState::Free) => free += 1,
+            Some(GroupState::Allocated) => allocated += 1,
+            Some(GroupState::Reserved) => reserved += 1,
+            Some(GroupState::Retired) => retired += 1,
+            None => prop_assert!(false, "group {} has no state", g),
+        }
         prop_assert!(
             in_state(v, g, GroupState::Free) == free_set.contains(&g),
             "group {} state disagrees with the free pool",
             g
         );
-        if !free_set.contains(&g) && !fenced(v, g) {
-            let lead = geometry.flat_to_addr(g * pages_per_group);
-            per_class[lead.channel * dies + lead.die] += 1;
-        }
     }
-    prop_assert_eq!(occupancy, per_class.as_slice());
+    prop_assert_eq!(v.freespace().state(total_groups), None);
+    prop_assert_eq!(free, v.free_physical_groups());
+    prop_assert_eq!(reserved, v.freespace().reserved_count());
+    prop_assert_eq!(retired, v.freespace().retired_count());
+    prop_assert_eq!(free + allocated + reserved + retired, total_groups);
 
-    // 9. Group tracking vs brute force, and the no-leak invariant: recount
-    //    every group's programmed/valid pages from the die page states.
+    // 9. Group tracking vs brute force, the no-leak invariant, and free
+    //    groups are erased: recount every group's programmed pages from
+    //    the die page states.
     //    A *leaked* group would be simultaneously unmapped, absent from
     //    the free pool, unreserved, outside the hot reserve, and fully
     //    erased — space no path can ever reach again. The group-reclaim
@@ -247,7 +244,6 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
     let index = v.backbone().valid_index();
     for g in 0..total_groups {
         let mut programmed = 0u32;
-        let mut valid = 0u32;
         for i in 0..pages_per_group {
             let flat = g * pages_per_group + i;
             if flat >= geometry.total_pages() {
@@ -260,17 +256,13 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
                 .unwrap()
                 .die(addr.die)
                 .unwrap();
-            match die_ref.page_state(addr.block, addr.page) {
-                Some(PageState::Valid) => {
-                    programmed += 1;
-                    valid += 1;
-                }
-                Some(PageState::Invalid) => programmed += 1,
-                _ => {}
+            if let Some(PageState::Valid | PageState::Invalid) =
+                die_ref.page_state(addr.block, addr.page)
+            {
+                programmed += 1;
             }
         }
         prop_assert_eq!(index.group_programmed_pages(g), programmed);
-        prop_assert_eq!(index.group_valid_pages(g), valid);
         let unmapped = !mapped.contains(&g);
         let leaked = unmapped
             && !free_set.contains(&g)
@@ -281,6 +273,14 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
             !leaked,
             "group {} leaked: unmapped, not free, not reserved, fully erased",
             g
+        );
+        // The converse: the allocator only ever holds fully erased groups,
+        // so a write never lands on a programmed page.
+        prop_assert!(
+            !free_set.contains(&g) || programmed == 0,
+            "free group {} holds {} programmed pages",
+            g,
+            programmed
         );
     }
 
@@ -739,10 +739,10 @@ proptest! {
             page_bytes: 4096,
         };
         let pages_per_group = 2u64;
+        let layout = GroupLayout { geometry, pages_per_group };
         let mut bb =
-            FlashBackbone::new(geometry, FlashTiming::fast_for_tests(), 2.5e9, 16, 100_000);
+            FlashBackbone::new(layout, FlashTiming::fast_for_tests(), 2.5e9, 16, 100_000);
         bb.set_qos_budgets(QosBudgets { per_owner: Some(4), background: Some(2) });
-        bb.enable_group_tracking(pages_per_group);
 
         let owners = [
             OwnerId::Kernel(0),
@@ -884,8 +884,8 @@ proptest! {
                 }
             }
 
-            // Die valid counts and the index's group counters vs the map
-            // recount, per block and per group, and the backbone total vs
+            // Die valid counts and the index's group programmed counts vs
+            // the map recount, per block and per group, and the backbone total vs
             // the map and the primary-state (die page state) recount.
             for b in 0..total_blocks {
                 let expect = valid
@@ -896,11 +896,13 @@ proptest! {
             }
             prop_assert_eq!(bb.total_valid_pages(), valid.len());
             prop_assert_eq!(bb.recount_valid_pages(), valid.len());
+            // A page is programmed while it sits below its block's cursor.
             for g in 0..total_groups {
                 let expect = (0..pages_per_group)
-                    .filter(|i| valid.contains(&(g * pages_per_group + i)))
+                    .map(|i| geometry.flat_to_addr(g * pages_per_group + i))
+                    .filter(|a| (a.page as u64) < cursor[&geometry.block_index(*a)])
                     .count() as u32;
-                prop_assert_eq!(bb.valid_index().group_valid_pages(g), expect);
+                prop_assert_eq!(bb.valid_index().group_programmed_pages(g), expect);
             }
             // Dense owner-stats arrays vs the map ledger, both directions:
             // every commanded owner's counts match, and no phantom owner

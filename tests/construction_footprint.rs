@@ -9,10 +9,10 @@
 //! not what it keeps. It is the construction-side counterpart of the
 //! run-side work counts in `tests/golden/work_counts.txt`.
 //!
-//! The bound is 8.0 MiB. The per-system state that dominates it (die
-//! page bitmaps, the 4-byte mapping and reverse tables, the 16-bit group
-//! counters, the one-byte group states; the overwrite table waits for the
-//! first overwrite) is tabled in `docs/ARCHITECTURE.md` under "Memory
+//! The bound is 7.0 MiB. The per-system state that dominates it (die
+//! page bitmaps, the 4-byte mapping and reverse tables, one 16-bit
+//! programmed-page counter per group, the one-byte group states; the
+//! overwrite table waits for the first overwrite) is tabled in `docs/ARCHITECTURE.md` under "Memory
 //! layout & hot-path budget".
 
 use flashabacus_suite::prelude::*;
@@ -79,10 +79,10 @@ fn requested_by<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 const MIB: f64 = 1024.0 * 1024.0;
-const BOUND_BYTES: u64 = 8 * 1024 * 1024;
+const BOUND_BYTES: u64 = 7 * 1024 * 1024;
 
 #[test]
-fn paper_prototype_construction_requests_at_most_8_0_mib() {
+fn paper_prototype_construction_requests_at_most_7_0_mib() {
     for policy in SchedulerPolicy::all() {
         let config = FlashAbacusConfig::paper_prototype(policy);
         let (bytes, system) = requested_by(|| FlashAbacusSystem::new(config));
