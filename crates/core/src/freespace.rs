@@ -344,7 +344,7 @@ impl FreeSpaceManager {
     /// mapped groups out first). The row's `row_wear` entry is kept:
     /// retirement does not rewrite wear history. Idempotent; returns
     /// how many groups were newly retired.
-    pub(crate) fn retire_row(&mut self, row: u64) -> u64 {
+    pub fn retire_row(&mut self, row: u64) -> u64 {
         let (low, high) = self.layout.row_groups(row);
         let high = high.min(self.total_groups());
         if low >= high {
@@ -436,7 +436,7 @@ impl FreeSpaceManager {
     /// Returns a reclaimed group to the free structure. Recycling a group
     /// that is already free (or reserved) is a no-op, so a double recycle
     /// cannot put the same group in the pool twice.
-    pub(crate) fn recycle(&mut self, g: u64) {
+    pub fn recycle(&mut self, g: u64) {
         let state = &mut self.states[g as usize];
         if *state != GroupState::Allocated {
             return;
@@ -465,7 +465,7 @@ impl FreeSpaceManager {
     /// nothing in the range is mapped and all of its blocks are erased.
     /// Returns how many groups were newly freed (garbage that was never
     /// individually recycled).
-    pub(crate) fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
+    pub fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
         let high = high.min(self.total_groups());
         if low >= high {
             return 0;
@@ -554,7 +554,7 @@ impl FreeSpaceManager {
     /// the bad-block table is journaled metadata). The result
     /// is a pure function of the states and the predicate, so replaying
     /// the same journal always reproduces the same allocator.
-    pub(crate) fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
+    pub fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
         self.free_count = 0;
         for g in 0..self.total_groups() {
             let state = &mut self.states[g as usize];

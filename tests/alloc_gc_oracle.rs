@@ -24,7 +24,7 @@ use flashabacus_suite::fa_platform::mem::Scratchpad;
 use flashabacus_suite::fa_platform::PlatformSpec;
 use flashabacus_suite::fa_sim::time::{SimDuration, SimTime};
 use flashabacus_suite::flashabacus::config::{FlashAbacusConfig, GovernorConfig};
-use flashabacus_suite::flashabacus::freespace::{GroupState, PlacementPolicy};
+use flashabacus_suite::flashabacus::freespace::{FreeSpaceManager, GroupState, PlacementPolicy};
 use flashabacus_suite::flashabacus::openloop::QosGovernor;
 use flashabacus_suite::flashabacus::rangelock::LockMode;
 use flashabacus_suite::flashabacus::scheduler::SchedulerPolicy;
@@ -338,6 +338,256 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The naive side of the pop-order check: every free group in one flat
+/// list, in the order it became free, plus `FirstFree`'s never-used
+/// groups. Each policy's pick is a linear search of that list, so no
+/// queue, index or rotation state of the manager is shared with it.
+struct PoolModel {
+    layout: GroupLayout,
+    policy: PlacementPolicy,
+    states: Vec<GroupState>,
+    /// Free groups in the order they (re-)entered the pool; for
+    /// `FirstFree`, only those handed out at least once.
+    free: Vec<u64>,
+    /// `FirstFree` only: groups from here on were never handed out.
+    never_used: u64,
+    /// `ChannelStriped` only: the stripe class the rotation tries first.
+    next_class: usize,
+    wear: Vec<u64>,
+}
+
+impl PoolModel {
+    fn new(layout: GroupLayout, policy: PlacementPolicy) -> Self {
+        let total = layout.total_groups();
+        let first_free = policy == PlacementPolicy::FirstFree;
+        PoolModel {
+            layout,
+            policy,
+            states: vec![GroupState::Free; total as usize],
+            free: if first_free {
+                Vec::new()
+            } else {
+                (0..total).collect()
+            },
+            never_used: if first_free { 0 } else { total },
+            next_class: 0,
+            wear: vec![0; layout.geometry.blocks_per_die()],
+        }
+    }
+
+    fn total(&self) -> u64 {
+        self.states.len() as u64
+    }
+
+    fn fenced(&self, g: u64) -> bool {
+        matches!(
+            self.states[g as usize],
+            GroupState::Reserved | GroupState::Retired
+        )
+    }
+
+    /// Position in `free` of the group the policy hands out next.
+    fn pick(&mut self) -> Option<usize> {
+        let layout = self.layout;
+        match self.policy {
+            PlacementPolicy::FirstFree => (!self.free.is_empty()).then_some(0),
+            PlacementPolicy::ChannelStriped => {
+                let classes = layout.geometry.total_dies();
+                for probe in 0..classes {
+                    let class = (self.next_class + probe) % classes;
+                    let at = self
+                        .free
+                        .iter()
+                        .position(|&g| layout.lane_of_group(g) == class);
+                    if at.is_some() {
+                        self.next_class = (class + 1) % classes;
+                        return at;
+                    }
+                }
+                None
+            }
+            PlacementPolicy::LeastWorn => {
+                let row = self
+                    .free
+                    .iter()
+                    .map(|&g| layout.row_of_group(g))
+                    .min_by_key(|&r| (self.wear[r as usize], r))?;
+                self.free
+                    .iter()
+                    .position(|&g| layout.row_of_group(g) == row)
+            }
+        }
+    }
+
+    fn allocate(&mut self) -> Option<u64> {
+        let g = match self.pick() {
+            Some(at) => self.free.remove(at),
+            None => {
+                let g = (self.never_used..self.total())
+                    .find(|&g| self.states[g as usize] == GroupState::Free)?;
+                self.never_used = g + 1;
+                g
+            }
+        };
+        self.states[g as usize] = GroupState::Allocated;
+        Some(g)
+    }
+
+    fn recycle(&mut self, g: u64) {
+        if self.states[g as usize] == GroupState::Allocated {
+            self.states[g as usize] = GroupState::Free;
+            self.free.push(g);
+        }
+    }
+
+    fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
+        let high = high.min(self.total());
+        if low >= high {
+            return 0;
+        }
+        self.free.retain(|&g| g < low || g >= high);
+        let mut newly = 0;
+        for g in low..high {
+            if self.fenced(g) {
+                continue;
+            }
+            if self.states[g as usize] != GroupState::Free {
+                newly += 1;
+            }
+            self.states[g as usize] = GroupState::Free;
+            if g < self.never_used {
+                self.free.push(g);
+            }
+        }
+        newly
+    }
+
+    fn retire_row(&mut self, row: u64) -> u64 {
+        let (low, high) = self.layout.row_groups(row);
+        let mut newly = 0;
+        for g in low..high.min(self.total()) {
+            if !self.fenced(g) {
+                self.states[g as usize] = GroupState::Retired;
+                newly += 1;
+            }
+        }
+        self.free.retain(|&g| g < low || g >= high);
+        newly
+    }
+
+    fn reserve_range(&mut self, low: u64, high: u64) {
+        for g in low..high.min(self.total()) {
+            if !self.fenced(g) {
+                self.states[g as usize] = GroupState::Reserved;
+            }
+        }
+        self.free.retain(|&g| g < low || g >= high);
+    }
+
+    fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
+        for g in 0..self.total() {
+            if !self.fenced(g) {
+                self.states[g as usize] = if is_free(g) {
+                    GroupState::Free
+                } else {
+                    GroupState::Allocated
+                };
+            }
+        }
+        self.free = (0..self.total())
+            .filter(|&g| self.states[g as usize] == GroupState::Free)
+            .collect();
+        self.never_used = self.total();
+        self.next_class = 0;
+    }
+}
+
+/// Drives a free-space manager of `policy` through `steps` random calls
+/// from `seed` and checks every popped group, every returned count and
+/// every group state against [`PoolModel`].
+fn check_pop_order(
+    layout: GroupLayout,
+    policy: PlacementPolicy,
+    steps: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let mut m = FreeSpaceManager::new(layout, policy);
+    let mut model = PoolModel::new(layout, policy);
+    let total = layout.total_groups();
+    let rows = layout.geometry.blocks_per_die() as u64;
+    // Fence the top row off, the way Flashvisor fences the journal's.
+    let (low, high) = layout.row_groups(rows - 1);
+    m.reserve_range(low, high);
+    model.reserve_range(low, high);
+    let mut rng = seed;
+    for step in 0..steps {
+        // What the call returned, next to what the model says it should.
+        let (call, got, want) = match splitmix64(&mut rng) % 64 {
+            0..=23 => ("allocate".to_string(), m.allocate(), model.allocate()),
+            24..=39 => {
+                let g = splitmix64(&mut rng) % total;
+                m.recycle(g);
+                model.recycle(g);
+                (format!("recycle({g})"), None, None)
+            }
+            40..=45 => {
+                // A block row or an arbitrary range: the manager takes
+                // either.
+                let (low, high) = if splitmix64(&mut rng) % 2 == 0 {
+                    layout.row_groups(splitmix64(&mut rng) % rows)
+                } else {
+                    let low = splitmix64(&mut rng) % total;
+                    (low, low + 1 + splitmix64(&mut rng) % 8)
+                };
+                (
+                    format!("reclaim_range({low}, {high})"),
+                    Some(m.reclaim_range(low, high)),
+                    Some(model.reclaim_range(low, high)),
+                )
+            }
+            46 => {
+                let row = splitmix64(&mut rng) % rows;
+                (
+                    format!("retire_row({row})"),
+                    Some(m.retire_row(row)),
+                    Some(model.retire_row(row)),
+                )
+            }
+            47..=61 => {
+                let row = splitmix64(&mut rng) % rows;
+                m.note_block_erase(row);
+                model.wear[row as usize] += 1;
+                (format!("note_block_erase({row})"), None, None)
+            }
+            _ => {
+                let mask = splitmix64(&mut rng);
+                let is_free = |g: u64| (mask >> (g % 64)) & 1 == 1;
+                m.rebuild(is_free);
+                model.rebuild(is_free);
+                ("rebuild".to_string(), None, None)
+            }
+        };
+        let at = format!("{policy:?} step {step}: {call}");
+        prop_assert!(got == want, "{at} gave {got:?}, the model {want:?}");
+        prop_assert!(m.row_wear() == model.wear.as_slice(), "{at}: wear");
+        for g in 0..total {
+            let want = model.states[g as usize];
+            prop_assert!(
+                m.state(g) == Some(want),
+                "{at}: group {g} is {:?}, the model {want:?}",
+                m.state(g)
+            );
+        }
+        let free = model
+            .states
+            .iter()
+            .filter(|&&s| s == GroupState::Free)
+            .count();
+        prop_assert!(m.free_count() == free as u64, "{at}: free count");
+    }
+    Ok(())
 }
 
 fn oracle_cases() -> u32 {
@@ -921,6 +1171,39 @@ proptest! {
                     prop_assert!(stats.contains_key(owner), "owner {:?} missing", owner);
                 }
             }
+        }
+    }
+
+    /// Every placement policy pops the group a flat-list model picks:
+    /// `FirstFree` the earliest recycled group, else the lowest unfenced
+    /// never-used one; `ChannelStriped` the earliest group of the next
+    /// non-empty stripe class in rotation; `LeastWorn` the earliest group
+    /// of the non-empty block row with the least `(wear, row)`. Recycles,
+    /// range reclaims, row retirements, erases and rebuilds interleave
+    /// with the pops on devices of one to four lanes.
+    #[test]
+    fn pop_order_matches_a_flat_list_model(
+        channels in 1usize..3,
+        dies in 1usize..3,
+        rows in 2usize..7,
+        group_pick in 0u32..3,
+        steps in 64usize..192,
+        seed in 0u64..u64::MAX,
+    ) {
+        let geometry = FlashGeometry {
+            channels,
+            packages_per_channel: 1,
+            dies_per_package: dies,
+            planes_per_die: 1,
+            blocks_per_plane: rows,
+            pages_per_block: 4,
+            page_bytes: 4096,
+        };
+        // 1, 2 or 4 pages per group: every row of 4-page blocks holds a
+        // whole number of them.
+        let layout = GroupLayout { geometry, pages_per_group: 1 << group_pick };
+        for policy in PlacementPolicy::all() {
+            check_pop_order(layout, policy, steps, seed)?;
         }
     }
 }
