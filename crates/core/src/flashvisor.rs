@@ -37,8 +37,8 @@ pub struct FlashvisorStats {
     /// separation is disabled).
     pub cold_group_writes: u64,
     /// Hot group writes actually served from the dedicated hot active
-    /// blocks (the remainder fell back to the shared allocator because the
-    /// device was too full to refill the hot reserve).
+    /// blocks (the remainder failed: the device had no free group left to
+    /// refill the hot reserve).
     pub hot_steered_writes: u64,
 }
 
@@ -124,10 +124,6 @@ pub struct Flashvisor {
     /// the first overwrite, which allocates it at full length: a run that
     /// never overwrites never builds it, and a missing entry reads 0.
     overwrite_counts: Vec<u32>,
-    /// Dedicated active blocks for hot data: physical groups pulled from
-    /// the allocator one block row at a time and handed only to
-    /// hot-classified writes, so cold rows stop absorbing churn.
-    hot_reserve: VecDeque<u64>,
     locks: RangeLockTable,
     /// Flashvisor's own LWP time: translations and scheduling decisions
     /// serialize here.
@@ -175,6 +171,12 @@ fn group_entry(group: u64) -> u32 {
 fn entry_group(entry: u32) -> Option<u64> {
     entry.checked_sub(1).map(u64::from)
 }
+
+/// What an allocation returns when no group is free or staged.
+const OUT_OF_SPACE: FaError = FaError::OutOfFlashSpace {
+    requested: 1,
+    available: 0,
+};
 
 impl Flashvisor {
     /// Creates a Flashvisor owning a freshly built backbone.
@@ -228,7 +230,6 @@ impl Flashvisor {
             reverse: vec![0; total_groups as usize],
             freespace,
             overwrite_counts: Vec::new(),
-            hot_reserve: VecDeque::new(),
             locks: RangeLockTable::new(),
             cpu: FifoServer::new(),
             lwp_ns_per_cycle: 1.0e9 / config.platform.lwp_freq_hz as f64,
@@ -379,8 +380,8 @@ impl Flashvisor {
     }
 
     /// Forwards the block erases the backbone absorbed since the previous
-    /// drain into the free-space manager's per-row wear ledger, keeping the
-    /// `LeastWorn` min-wear index current without ever recounting erase
+    /// drain into the free-space manager's per-row wear ledger, which
+    /// `LeastWorn` allocates against, without ever recounting erase
     /// cycles from the dies. A no-op (and O(1)) when nothing was erased.
     fn sync_wear(&mut self) {
         let geometry = self.config.flash_geometry;
@@ -391,52 +392,19 @@ impl Flashvisor {
 
     fn allocate_physical_group(&mut self) -> Result<u64, FaError> {
         self.sync_wear();
-        self.freespace
-            .allocate()
-            // The shared pool ran dry: hand back a group parked in the hot
-            // reserve rather than failing with space still on the device.
-            .or_else(|| self.hot_reserve.pop_front())
-            .ok_or(FaError::OutOfFlashSpace {
-                requested: 1,
-                available: 0,
-            })
+        self.freespace.allocate().ok_or(OUT_OF_SPACE)
     }
 
-    /// Allocates a destination for a hot-classified write: the front of the
-    /// dedicated hot reserve, refilled up to one block *row's* worth of
-    /// groups at a time — the row is GC's reclaim unit, so hot churn fills
-    /// whole rows that later erase with almost nothing valid left to
-    /// migrate. A refill always stops at a row boundary: carving past one
-    /// would park a row's leading pages in the reserve while the shared
-    /// pool hands out the same row's tail, and whichever stream programs
-    /// second would violate the per-block sequential-program order. Falls
-    /// back to the shared allocator (unsteered) when the device is too full
-    /// to refill.
+    /// Allocates a destination for a hot-classified write from the hot
+    /// reserve (see [`FreeSpaceManager::allocate_hot`]). Wear is synced
+    /// only when the reserve is empty, before its refill pops the pool.
     fn allocate_hot_group(&mut self) -> Result<u64, FaError> {
-        if self.hot_reserve.is_empty() {
+        if self.freespace.hot_groups().is_empty() {
             self.sync_wear();
-            // Groups in one block row: the refill quantum and the
-            // alignment unit a refill stops at.
-            let batch = self.config.group_layout().groups_per_row();
-            for _ in 0..batch {
-                match self.freespace.allocate() {
-                    Some(g) => {
-                        self.hot_reserve.push_back(g);
-                        if (g + 1) % batch == 0 {
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-            }
         }
-        match self.hot_reserve.pop_front() {
-            Some(g) => {
-                self.stats.hot_steered_writes += 1;
-                Ok(g)
-            }
-            None => self.allocate_physical_group(),
-        }
+        let g = self.freespace.allocate_hot().ok_or(OUT_OF_SPACE)?;
+        self.stats.hot_steered_writes += 1;
+        Ok(g)
     }
 
     /// Looks up the mapping slot of a logical group, rejecting addresses
@@ -484,7 +452,7 @@ impl Flashvisor {
             };
             if run_len > 0 && pg != run_pg + run_len {
                 if let Err(e) = self.commit_preload_run(run_first, lg, run_pg, run_len) {
-                    self.rollback_failed_allocation(pg);
+                    self.recycle_if_unprogrammed(pg);
                     return Err(e);
                 }
                 run_len = 0;
@@ -518,7 +486,7 @@ impl Flashvisor {
             .preload_group(first_pg * pages, groups * pages)
         {
             for pg in first_pg..first_pg + groups {
-                self.rollback_failed_allocation(pg);
+                self.recycle_if_unprogrammed(pg);
             }
             return Err(e.into());
         }
@@ -661,11 +629,11 @@ impl Flashvisor {
                     // every failed attempt consumes a group, so the
                     // allocator runs dry in bounded time.
                     Err(FlashError::InjectedProgramFailure(_)) => {
-                        self.rollback_failed_allocation(pg);
+                        self.recycle_if_unprogrammed(pg);
                         pg = self.allocate_physical_group()?;
                     }
                     Err(e) => {
-                        self.rollback_failed_allocation(pg);
+                        self.recycle_if_unprogrammed(pg);
                         return Err(e.into());
                     }
                 }
@@ -716,29 +684,25 @@ impl Flashvisor {
     }
 
     /// Commits the unmapping of physical group `old`: clears its reverse
-    /// entry and, when no programmed page of the group remains on the
-    /// device, returns it to the allocator at once. The immediate recycle
-    /// closes a leak window: a destructive metadata-block erase (the
-    /// journal recycling its reserved block under live data) can clear a
-    /// *mapped* group's last page — the fully-erased drain must skip it
-    /// while mapped, and no future erase will ever report the group again,
-    /// so unmapping is the last chance to reclaim it.
+    /// entry and recycles it if no page of it is programmed.
     fn release_unmapped_group(&mut self, old: u64) {
         if let Some(r) = self.reverse.get_mut(old as usize) {
             *r = 0;
         }
-        if self.backbone.valid_index().group_programmed_pages(old) == 0 {
-            self.freespace.recycle(old);
-        }
+        self.recycle_if_unprogrammed(old);
     }
 
-    /// Returns a just-allocated group to the pool after its programs
-    /// failed before any page landed: an unmapped group with no programmed
-    /// page is invisible to every erase-driven reclaim path (no erase will
-    /// ever report it), so dropping it here would leak it permanently.
-    /// Partial failures keep the group allocated — the row erase that
-    /// clears its landed pages reclaims it later.
-    pub(crate) fn rollback_failed_allocation(&mut self, pg: u64) {
+    /// Returns unmapped group `pg` to the allocator when no programmed page
+    /// of it remains on the device. Such a group is invisible to every
+    /// erase-driven reclaim path — no erase will ever report it again — so
+    /// this is the last chance to reclaim it. Two paths need it: a
+    /// just-allocated group whose programs failed before any page landed,
+    /// and an unmapped group whose last page a destructive metadata-block
+    /// erase (the journal recycling its reserved block under live data)
+    /// cleared while it was still mapped, when the fully-erased drain had
+    /// to skip it. A group with landed pages stays allocated: the row
+    /// erase that clears them reclaims it later.
+    pub(crate) fn recycle_if_unprogrammed(&mut self, pg: u64) {
         if self.backbone.valid_index().group_programmed_pages(pg) == 0 {
             self.freespace.recycle(pg);
         }
@@ -760,13 +724,6 @@ impl Flashvisor {
             Some(threshold) => self.overwrite_count(lg) >= threshold,
             None => false,
         }
-    }
-
-    /// The physical groups currently parked in the hot reserve (dedicated
-    /// active blocks awaiting hot writes): allocated from the free
-    /// structure but not yet mapped. Property-test oracle surface.
-    pub fn hot_reserved_groups(&self) -> Vec<u64> {
-        self.hot_reserve.iter().copied().collect()
     }
 
     /// Erase-cycle statistics over the data blocks, excluding the
@@ -850,50 +807,15 @@ impl Flashvisor {
                 .all(|pg| self.logical_group_mapped_to(pg).is_none()),
             "reclaiming a range that still holds mapped groups"
         );
-        // Hot-reserved groups in the erased range go back through the free
-        // structure with the rest of the row; keeping them in the reserve
-        // too would alias the same group to two owners.
-        self.hot_reserve.retain(|g| *g < low || *g >= high);
         self.freespace.reclaim_range(low, high)
     }
 
-    /// Allocates a physical page group on behalf of Storengine's valid-page
-    /// migration (same free structure as the write path, but without
-    /// charging Flashvisor statistics or CPU time — migration is
-    /// Storengine's work). Never returns a group in `[low, high)`: a
-    /// row-coherent GC pass must not program relocated data into the very
-    /// row it is about to erase. Groups
-    /// popped from inside the range are handed straight back to the free
-    /// structure. When the shared pool has nothing outside the row, a
-    /// group parked in the hot reserve is used instead — GC must never
-    /// starve (and abort the run) while unmapped space merely sits staged
-    /// for future hot writes.
+    /// Allocates a physical page group outside `[low, high)` on behalf of
+    /// Storengine's valid-page migration (see
+    /// [`FreeSpaceManager::allocate_excluding`]), without charging
+    /// Flashvisor statistics or CPU time — migration is Storengine's work.
     pub(crate) fn allocate_group_for_gc_excluding(&mut self, low: u64, high: u64) -> Option<u64> {
-        let mut skipped = Vec::new();
-        let picked = loop {
-            match self.freespace.allocate() {
-                Some(g) if g >= low && g < high => skipped.push(g),
-                other => break other,
-            }
-        };
-        for g in skipped {
-            self.freespace.recycle(g);
-        }
-        picked.or_else(|| {
-            let pos = self
-                .hot_reserve
-                .iter()
-                .position(|g| *g < low || *g >= high)?;
-            self.hot_reserve.remove(pos)
-        })
-    }
-
-    /// Groups available to any allocation path: the free pool plus the
-    /// groups staged in the hot reserve. The GC abort guards check this —
-    /// not just [`Flashvisor::free_physical_groups`] — so a run is never
-    /// declared out of space while unmapped groups sit in the reserve.
-    pub(crate) fn available_groups(&self) -> u64 {
-        self.freespace.free_count() + self.hot_reserve.len() as u64
+        self.freespace.allocate_excluding(low, high)
     }
 
     // ------------------------------------------------------------------
@@ -973,7 +895,6 @@ impl Flashvisor {
         let index = self.backbone.valid_index();
         self.freespace
             .rebuild(|pg| reverse[pg as usize] == 0 && index.group_programmed_pages(pg) == 0);
-        self.hot_reserve.clear();
         self.overwrite_counts = Vec::new();
         self.dirty_mapping_entries = 0;
         self.redo_since_journal.clear();
@@ -1003,7 +924,7 @@ impl Flashvisor {
             cursor = done;
         }
         for _attempt in 0..2 {
-            let Some(new_pg) = self.allocate_group_for_gc_excluding(excl_low, excl_high) else {
+            let Some(new_pg) = self.freespace.allocate_excluding(excl_low, excl_high) else {
                 return Ok(None);
             };
             match self.backbone.submit_group(
@@ -1019,10 +940,10 @@ impl Flashvisor {
                     return Ok(Some(done));
                 }
                 Err(FlashError::InjectedProgramFailure(_)) => {
-                    self.rollback_failed_allocation(new_pg);
+                    self.recycle_if_unprogrammed(new_pg);
                 }
                 Err(e) => {
-                    self.rollback_failed_allocation(new_pg);
+                    self.recycle_if_unprogrammed(new_pg);
                     return Err(e.into());
                 }
             }
@@ -1092,9 +1013,6 @@ impl Flashvisor {
                 }
             }
             if vacated {
-                // Groups parked in the hot reserve inside the condemned
-                // row must not be handed out later.
-                self.hot_reserve.retain(|g| *g < low || *g >= high);
                 self.freespace.retire_row(row);
                 for addr in layout.geometry.row_blocks(row) {
                     self.backbone

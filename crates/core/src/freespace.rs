@@ -1,12 +1,13 @@
 //! Incremental free-space management for physical page groups.
 //!
 //! Flashvisor allocates every data-section write (and every GC migration)
-//! a physical page group. This module owns that bookkeeping as a proper
-//! subsystem: an O(1)-pop free structure, one [`GroupState`] per group
-//! with O(1) free, reserved and retired counts, and a pluggable
-//! [`PlacementPolicy`] deciding *which* free group a write lands on.
-//! Keeping the metadata next to the allocator — instead of deriving it by
-//! scanning the mapping table — is what keeps the hot write path
+//! a physical page group. This module owns every group that is not
+//! mapped: the free ones, the hot reserve staged for hot writes, and the
+//! reserved and retired ones fenced off for good. It keeps one
+//! [`GroupState`] per group with O(1) free, reserved and retired counts,
+//! and a [`PlacementPolicy`] deciding *which* free group a write lands
+//! on. Keeping the metadata next to the allocator — instead of deriving
+//! it by scanning the mapping table — is what keeps the hot write path
 //! allocator-bound on the hardware model, not on the simulator.
 //!
 //! The manager asks the flash layout ([`fa_flash::GroupLayout`]) where a
@@ -15,20 +16,26 @@
 //! its leading page falls in (block `r` of every channel and die — the
 //! unit GC erases).
 //!
-//! Three placement policies share the structure:
+//! Every policy shares one structure: a cursor over the never-used groups
+//! (only `FirstFree` starts it at 0; the others queue every group up
+//! front), and one FIFO queue of free groups per *placement key*. A
+//! policy is two choices: the key a group queues under, and which
+//! non-empty queue the next pop draws from.
 //!
-//! * [`PlacementPolicy::FirstFree`] reproduces the log-structured cursor +
-//!   recycled-FIFO allocator byte for byte; it is the default and keeps all
-//!   recorded figure output identical.
-//! * [`PlacementPolicy::ChannelStriped`] round-robins allocations across
-//!   the stripe classes, spreading consecutive groups over the channel/die
-//!   fan-out when groups are narrower than the full die array.
-//! * [`PlacementPolicy::LeastWorn`] allocates from the block row with the
-//!   fewest accumulated erase cycles. The wear ledger is maintained
-//!   *incrementally*: every block erase the backbone reports bumps one row
-//!   counter ([`FreeSpaceManager::note_block_erase`]) and re-keys that row
-//!   in a `BTreeSet<(wear, row)>` index, so the min-wear pop is O(log rows)
-//!   and never recounts erase cycles from the dies.
+//! * [`PlacementPolicy::FirstFree`] keys every group to one queue of
+//!   recycled groups, drawn before the cursor moves. It reproduces the
+//!   log-structured cursor + recycled-FIFO allocator byte for byte; it is
+//!   the default and keeps all recorded figure output identical.
+//! * [`PlacementPolicy::ChannelStriped`] keys a group by its stripe class
+//!   and round-robins across the classes, spreading consecutive groups
+//!   over the channel/die fan-out when groups are narrower than the full
+//!   die array.
+//! * [`PlacementPolicy::LeastWorn`] keys a group by its block row and
+//!   draws from the non-empty row with the fewest accumulated erase
+//!   cycles, an O(rows) scan per pop. Every block erase the backbone
+//!   reports bumps one row counter
+//!   ([`FreeSpaceManager::note_block_erase`]); erase cycles are never
+//!   recounted from the dies.
 //!
 //! The manager can also *reserve* a group range outright
 //! ([`FreeSpaceManager::reserve_range`]): reserved groups never leave the
@@ -63,15 +70,20 @@
 //! assert_eq!(m.row_wear(), &[2, 0]);
 //! assert_eq!(m.allocate(), Some(4));
 //!
+//! // A hot write stages the rest of row 1 in the hot reserve.
+//! assert_eq!(m.allocate_hot(), Some(5));
+//! assert_eq!(m.hot_groups(), &[6, 7]);
+//! assert_eq!(m.available(), m.free_count() + 2);
+//!
 //! // Reserving a range fences it from allocation entirely.
-//! m.reserve_range(6, 8);
-//! assert_eq!(m.free_count(), 5);
-//! assert_eq!(m.state(7), Some(GroupState::Reserved));
+//! m.reserve_range(0, 2);
+//! assert_eq!(m.free_count(), 2);
+//! assert_eq!(m.state(1), Some(GroupState::Reserved));
 //! ```
 
 use fa_flash::GroupLayout;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Which free group the allocator hands to the next write.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,9 +96,9 @@ pub enum PlacementPolicy {
     /// group's leading page), FIFO within a class.
     ChannelStriped,
     /// Wear-aware: allocate from the block row with the fewest accumulated
-    /// erase cycles (ascending group order within the row), so erase wear
-    /// levels across the device instead of piling onto the rows the
-    /// recycled-FIFO order happens to favour.
+    /// erase cycles (FIFO within the row), so erase wear levels across
+    /// the device instead of piling onto the rows the recycled-FIFO order
+    /// happens to favour.
     LeastWorn,
 }
 
@@ -108,32 +120,6 @@ impl PlacementPolicy {
             PlacementPolicy::LeastWorn,
         ]
     }
-}
-
-/// Policy-specific free-group storage. All variants pop and push in O(1)
-/// amortized (the striped pop probes at most one queue per stripe class;
-/// the wear-aware pop is O(log rows) for the min-wear lookup).
-#[derive(Debug, Clone)]
-enum FreePool {
-    /// Never-used groups live implicitly in `cursor..total`; recycled
-    /// groups queue in FIFO order and are reused before the cursor moves.
-    FirstFree {
-        cursor: u64,
-        recycled: VecDeque<u64>,
-    },
-    /// One FIFO queue of free groups per stripe class, with a rotating
-    /// class cursor.
-    Striped {
-        queues: Vec<VecDeque<u64>>,
-        next_class: usize,
-    },
-    /// One FIFO queue of free groups per block row, indexed by
-    /// `(accumulated row wear, row)` so the pop always draws from the
-    /// least-worn row holding free groups.
-    LeastWorn {
-        queues: Vec<VecDeque<u64>>,
-        by_wear: BTreeSet<(u64, u64)>,
-    },
 }
 
 /// Where one page group stands in the free-space manager.
@@ -160,13 +146,25 @@ impl GroupState {
     }
 }
 
-/// The free-space manager: free-group structure plus per-group states.
+/// The free-space manager: free-group structure, hot reserve and
+/// per-group states.
 #[derive(Debug, Clone)]
 pub struct FreeSpaceManager {
     layout: GroupLayout,
     policy: PlacementPolicy,
-    pool: FreePool,
-    /// One state per group, kept in lockstep with the pool: makes
+    /// Groups `cursor..` were never handed out and sit in no queue; they
+    /// pop in ascending order once every queue is empty, skipping fenced
+    /// ones. Only `FirstFree` starts it below the last group.
+    cursor: u64,
+    /// One FIFO queue of free groups per placement key (see `key`).
+    queues: Vec<VecDeque<u64>>,
+    /// The queue a round-robin pick probes first.
+    next_key: usize,
+    /// Groups allocated one block row at a time and handed only to hot
+    /// writes ([`FreeSpaceManager::allocate_hot`]), so cold rows stop
+    /// absorbing churn. They count as allocated.
+    hot: VecDeque<u64>,
+    /// One state per group, kept in lockstep with the queues: makes
     /// `recycle` idempotent and row reclamation exact.
     states: Vec<GroupState>,
     /// Groups currently free, maintained incrementally — never derived by
@@ -187,46 +185,27 @@ impl FreeSpaceManager {
     /// entry per block row.
     pub fn new(layout: GroupLayout, policy: PlacementPolicy) -> Self {
         let total_groups = layout.total_groups();
-        let rows = layout.geometry.blocks_per_die() as u64;
-        let classes = layout.geometry.total_dies();
+        let rows = layout.geometry.blocks_per_die();
+        let keys = match policy {
+            PlacementPolicy::FirstFree => 1,
+            PlacementPolicy::ChannelStriped => layout.geometry.total_dies(),
+            PlacementPolicy::LeastWorn => rows,
+        };
         let mut manager = FreeSpaceManager {
             layout,
             policy,
-            pool: FreePool::FirstFree {
-                cursor: 0,
-                recycled: VecDeque::new(),
-            },
+            cursor: 0,
+            queues: vec![VecDeque::new(); keys],
+            next_key: 0,
+            hot: VecDeque::new(),
             states: vec![GroupState::Free; total_groups as usize],
             free_count: total_groups,
             reserved_count: 0,
             retired_count: 0,
-            row_wear: vec![0; rows as usize],
+            row_wear: vec![0; rows],
         };
-        match policy {
-            PlacementPolicy::FirstFree => {}
-            PlacementPolicy::ChannelStriped => {
-                // Materialize the per-class queues once, in ascending group
-                // order, so striped allocation stays deterministic.
-                let mut queues = vec![VecDeque::new(); classes];
-                for g in 0..total_groups {
-                    queues[layout.lane_of_group(g)].push_back(g);
-                }
-                manager.pool = FreePool::Striped {
-                    queues,
-                    next_class: 0,
-                };
-            }
-            PlacementPolicy::LeastWorn => {
-                let mut queues = vec![VecDeque::new(); rows as usize];
-                for g in 0..total_groups {
-                    queues[layout.row_of_group(g) as usize].push_back(g);
-                }
-                let by_wear = (0..rows)
-                    .filter(|&r| !queues[r as usize].is_empty())
-                    .map(|r| (0u64, r))
-                    .collect();
-                manager.pool = FreePool::LeastWorn { queues, by_wear };
-            }
+        if policy != PlacementPolicy::FirstFree {
+            manager.requeue();
         }
         manager
     }
@@ -236,9 +215,63 @@ impl FreeSpaceManager {
         self.states.len() as u64
     }
 
+    /// The queue group `g` waits in while free.
+    fn key(&self, g: u64) -> usize {
+        match self.policy {
+            PlacementPolicy::FirstFree => 0,
+            PlacementPolicy::ChannelStriped => self.layout.lane_of_group(g),
+            PlacementPolicy::LeastWorn => self.layout.row_of_group(g) as usize,
+        }
+    }
+
+    /// The non-empty queue the next pop draws from: the least-worn row
+    /// (ties to the lower row) for `LeastWorn`, otherwise the next queue
+    /// in rotation. `None` when every queue is empty.
+    fn pick(&self) -> Option<usize> {
+        let keys = self.queues.len();
+        let nonempty = |&k: &usize| !self.queues[k].is_empty();
+        match self.policy {
+            PlacementPolicy::LeastWorn => (0..keys)
+                .filter(nonempty)
+                .min_by_key(|&row| (self.row_wear[row], row)),
+            _ => (0..keys)
+                .map(|probe| (self.next_key + probe) % keys)
+                .find(nonempty),
+        }
+    }
+
+    /// Queues every free group, ascending within each queue, and
+    /// exhausts the cursor.
+    fn requeue(&mut self) {
+        for q in &mut self.queues {
+            q.clear();
+        }
+        for g in 0..self.total_groups() {
+            if self.states[g as usize] == GroupState::Free {
+                let key = self.key(g);
+                self.queues[key].push_back(g);
+            }
+        }
+        self.cursor = self.total_groups();
+        self.next_key = 0;
+    }
+
     /// Groups currently free. O(1).
     pub fn free_count(&self) -> u64 {
         self.free_count
+    }
+
+    /// Groups any allocation path can still hand out: the free ones plus
+    /// the hot reserve. O(1). GC's abort guards check this, so a run is
+    /// never declared out of space while groups sit staged for hot writes.
+    pub fn available(&self) -> u64 {
+        self.free_count + self.hot.len() as u64
+    }
+
+    /// The groups staged in the hot reserve, in the order hot writes take
+    /// them.
+    pub fn hot_groups(&self) -> &VecDeque<u64> {
+        &self.hot
     }
 
     /// Groups permanently reserved (never allocatable). O(1).
@@ -258,72 +291,91 @@ impl FreeSpaceManager {
         &self.row_wear
     }
 
-    /// Records one block erase in block row `row`, re-keying the row in the
-    /// min-wear index when the `LeastWorn` pool holds free groups there.
-    /// O(log rows).
+    /// Records one block erase in block row `row`. O(1).
     pub fn note_block_erase(&mut self, row: u64) {
-        let Some(wear) = self.row_wear.get_mut(row as usize) else {
-            return;
-        };
-        let old = *wear;
-        *wear += 1;
-        if let FreePool::LeastWorn { queues, by_wear } = &mut self.pool {
-            if !queues[row as usize].is_empty() {
-                by_wear.remove(&(old, row));
-                by_wear.insert((old + 1, row));
-            }
+        if let Some(wear) = self.row_wear.get_mut(row as usize) {
+            *wear += 1;
         }
     }
 
-    /// Pops the next free group under the placement policy, or `None` when
-    /// the device is full.
-    pub fn allocate(&mut self) -> Option<u64> {
-        let g = match &mut self.pool {
-            FreePool::FirstFree { cursor, recycled } => {
-                if let Some(g) = recycled.pop_front() {
-                    g
-                } else {
-                    // The cursor range may contain reserved groups (the
-                    // journal row) or retired ones (bad block rows); they
-                    // are skipped, never handed out.
-                    loop {
-                        if *cursor >= self.states.len() as u64 {
-                            return None;
-                        }
-                        let g = *cursor;
-                        *cursor += 1;
-                        if !self.states[g as usize].is_fenced() {
-                            break g;
-                        }
-                    }
-                }
+    /// Pops the next free group under the placement policy; `None` when no
+    /// group is free.
+    fn pop(&mut self) -> Option<u64> {
+        let g = match self.pick() {
+            Some(key) => {
+                self.next_key = (key + 1) % self.queues.len();
+                self.queues[key].pop_front()?
             }
-            FreePool::Striped { queues, next_class } => {
-                let classes = queues.len();
-                let mut picked = None;
-                for probe in 0..classes {
-                    let class = (*next_class + probe) % classes;
-                    if let Some(g) = queues[class].pop_front() {
-                        *next_class = (class + 1) % classes;
-                        picked = Some(g);
-                        break;
-                    }
-                }
-                picked?
-            }
-            FreePool::LeastWorn { queues, by_wear } => {
-                let &(wear, row) = by_wear.first()?;
-                let queue = &mut queues[row as usize];
-                let g = queue.pop_front().expect("indexed row has a free group");
-                if queue.is_empty() {
-                    by_wear.remove(&(wear, row));
-                }
-                g
+            None => {
+                // The cursor range may hold reserved groups (the journal
+                // row) or retired ones (bad block rows); they are
+                // skipped, never handed out.
+                let g = (self.cursor..self.total_groups())
+                    .find(|&g| !self.states[g as usize].is_fenced());
+                self.cursor = g.map_or(self.total_groups(), |g| g + 1);
+                g?
             }
         };
         self.free_count -= 1;
         self.states[g as usize] = GroupState::Allocated;
         Some(g)
+    }
+
+    /// Pops the next free group under the placement policy. When none is
+    /// free it hands out a group staged in the hot reserve rather than
+    /// failing with space still on the device; `None` when both are empty.
+    pub fn allocate(&mut self) -> Option<u64> {
+        self.pop().or_else(|| self.hot.pop_front())
+    }
+
+    /// Allocates a destination for a hot-classified write: the front of
+    /// the hot reserve, refilled up to one block *row's* worth of groups
+    /// at a time — the row is GC's reclaim unit, so hot churn fills whole
+    /// rows that later erase with almost nothing valid left to migrate. A
+    /// refill always stops at a row boundary: carving past one would park
+    /// a row's leading pages in the reserve while the shared pool hands
+    /// out the same row's tail, and whichever stream programs second would
+    /// violate the per-block sequential-program order. `None` when no group
+    /// is free or staged.
+    pub fn allocate_hot(&mut self) -> Option<u64> {
+        if self.hot.is_empty() {
+            // Groups in one block row: the refill quantum and the
+            // alignment unit a refill stops at.
+            let batch = self.layout.groups_per_row();
+            for _ in 0..batch {
+                let Some(g) = self.pop() else { break };
+                self.hot.push_back(g);
+                if (g + 1) % batch == 0 {
+                    break;
+                }
+            }
+        }
+        self.hot.pop_front()
+    }
+
+    /// Allocates a GC migration destination outside `[low, high)`: a
+    /// row-coherent GC pass must not program relocated data into the very
+    /// row it is about to erase. Groups popped from inside the range go
+    /// straight back to the free structure. When no free group lies
+    /// outside the range, the first staged hot group outside it is used
+    /// instead — GC must never starve while unmapped space merely sits
+    /// staged for future hot writes.
+    pub fn allocate_excluding(&mut self, low: u64, high: u64) -> Option<u64> {
+        let outside = |g: &u64| *g < low || *g >= high;
+        let mut skipped = Vec::new();
+        let picked = loop {
+            match self.pop() {
+                Some(g) if !outside(&g) => skipped.push(g),
+                other => break other,
+            }
+        };
+        for g in skipped {
+            self.recycle(g);
+        }
+        picked.or_else(|| {
+            let at = self.hot.iter().position(outside)?;
+            self.hot.remove(at)
+        })
     }
 
     /// Where group `g` stands; `None` past the last group.
@@ -336,55 +388,59 @@ impl FreeSpaceManager {
         self.state(g) == Some(GroupState::Free)
     }
 
-    /// Retires every non-reserved group of block row `row`: the groups
-    /// leave the free structure and the `LeastWorn` wear index
-    /// permanently: a bad block contaminates the whole row it stripes
-    /// across, so the row stops being placement-eligible. The caller
-    /// guarantees nothing in the row is still mapped (Flashvisor migrates
-    /// mapped groups out first). The row's `row_wear` entry is kept:
-    /// retirement does not rewrite wear history. Idempotent; returns
-    /// how many groups were newly retired.
-    pub fn retire_row(&mut self, row: u64) -> u64 {
-        let (low, high) = self.layout.row_groups(row);
+    /// Takes every group of `[low, high)` (clamped to the device) out of
+    /// the queues and the hot reserve, before the caller re-states them.
+    /// Groups past the cursor sit in no queue. Queue membership is in
+    /// lockstep with the group states, so when no group in the range is
+    /// free the O(free) queue sweep is skipped — the common case for a GC
+    /// pass reclaiming a fully-garbage row.
+    fn pull_range(&mut self, low: u64, high: u64) {
+        let outside = |g: &u64| *g < low || *g >= high;
+        self.hot.retain(outside);
+        if self.states[low as usize..high as usize].contains(&GroupState::Free) {
+            for q in &mut self.queues {
+                q.retain(outside);
+            }
+        }
+    }
+
+    /// Moves every unfenced group of `[low, high)` to the fenced state
+    /// `to` for good, out of the queues and the hot reserve. Returns how
+    /// many groups were newly fenced.
+    fn fence(&mut self, low: u64, high: u64, to: GroupState) -> u64 {
         let high = high.min(self.total_groups());
         if low >= high {
             return 0;
         }
+        self.pull_range(low, high);
         let mut newly = 0;
-        for g in low..high {
-            let state = &mut self.states[g as usize];
+        for state in &mut self.states[low as usize..high as usize] {
             if state.is_fenced() {
                 continue;
             }
-            let was = std::mem::replace(state, GroupState::Retired);
-            self.retired_count += 1;
-            newly += 1;
-            if was == GroupState::Free {
+            if std::mem::replace(state, to) == GroupState::Free {
                 self.free_count -= 1;
             }
+            newly += 1;
         }
-        if newly == 0 {
-            return 0;
-        }
-        // Physically remove retired members from the materialized pools
-        // (the FirstFree cursor skips them at pop time instead).
-        let keep = |g: &u64| *g < low || *g >= high;
-        match &mut self.pool {
-            FreePool::FirstFree { recycled, .. } => recycled.retain(keep),
-            FreePool::Striped { queues, .. } => {
-                for q in queues.iter_mut() {
-                    q.retain(keep);
-                }
-            }
-            FreePool::LeastWorn { queues, by_wear } => {
-                let queue = &mut queues[row as usize];
-                queue.retain(keep);
-                if queue.is_empty() {
-                    by_wear.remove(&(self.row_wear[row as usize], row));
-                }
-            }
+        match to {
+            GroupState::Reserved => self.reserved_count += newly,
+            _ => self.retired_count += newly,
         }
         newly
+    }
+
+    /// Retires every non-reserved group of block row `row`: the groups
+    /// leave the free structure and the hot reserve permanently: a bad
+    /// block contaminates the whole row it stripes across, so the row
+    /// stops being placement-eligible. The caller guarantees nothing in
+    /// the row is still mapped (Flashvisor migrates mapped groups out
+    /// first). The row's `row_wear` entry is kept: retirement does not
+    /// rewrite wear history. Idempotent; returns how many groups were
+    /// newly retired.
+    pub fn retire_row(&mut self, row: u64) -> u64 {
+        let (low, high) = self.layout.row_groups(row);
+        self.fence(low, high, GroupState::Retired)
     }
 
     /// Permanently removes the group range `[low, high)` from the free
@@ -393,44 +449,7 @@ impl FreeSpaceManager {
     /// the journal's metadata row this way, so the data cursor cannot
     /// collide with journal pages on a nearly-full device.
     pub fn reserve_range(&mut self, low: u64, high: u64) {
-        let high = high.min(self.total_groups());
-        for g in low..high {
-            let state = &mut self.states[g as usize];
-            if state.is_fenced() {
-                continue;
-            }
-            if std::mem::replace(state, GroupState::Reserved) == GroupState::Free {
-                self.free_count -= 1;
-            }
-            self.reserved_count += 1;
-        }
-        // Physically remove reserved members from the materialized pools
-        // (the FirstFree cursor skips them at pop time instead).
-        if low >= high {
-            return;
-        }
-        let keep = |g: &u64| *g < low || *g >= high;
-        let (row_low, row_high) = (
-            self.layout.row_of_group(low),
-            self.layout.row_of_group(high - 1),
-        );
-        match &mut self.pool {
-            FreePool::FirstFree { recycled, .. } => recycled.retain(keep),
-            FreePool::Striped { queues, .. } => {
-                for q in queues.iter_mut() {
-                    q.retain(keep);
-                }
-            }
-            FreePool::LeastWorn { queues, by_wear } => {
-                for row in row_low..=row_high {
-                    let queue = &mut queues[row as usize];
-                    queue.retain(keep);
-                    if queue.is_empty() {
-                        by_wear.remove(&(self.row_wear[row as usize], row));
-                    }
-                }
-            }
-        }
+        self.fence(low, high, GroupState::Reserved);
     }
 
     /// Returns a reclaimed group to the free structure. Recycling a group
@@ -442,104 +461,42 @@ impl FreeSpaceManager {
             return;
         }
         *state = GroupState::Free;
-        let class = self.layout.lane_of_group(g);
-        let row = self.layout.row_of_group(g);
-        match &mut self.pool {
-            FreePool::FirstFree { recycled, .. } => recycled.push_back(g),
-            FreePool::Striped { queues, .. } => queues[class].push_back(g),
-            FreePool::LeastWorn { queues, by_wear } => {
-                queues[row as usize].push_back(g);
-                by_wear.insert((self.row_wear[row as usize], row));
-            }
-        }
+        let key = self.key(g);
+        self.queues[key].push_back(g);
         self.free_count += 1;
     }
 
     /// Reclaims the whole group range `[low, high)` after its backing
     /// erase-block row was erased: every in-range member already in the
-    /// pool is pulled out, every in-range group is freed, and the range
-    /// re-enters the free structure as one *ascending* run. Consuming an
-    /// ascending run refills the erased blocks from page 0 in NAND
-    /// programming order, which is what makes reclaimed rows actually
-    /// reusable. Reserved groups are untouched. The caller guarantees
-    /// nothing in the range is mapped and all of its blocks are erased.
-    /// Returns how many groups were newly freed (garbage that was never
-    /// individually recycled).
+    /// pool or the hot reserve is pulled out, every in-range group is
+    /// freed, and the range re-enters the free structure as one
+    /// *ascending* run. Consuming an ascending run refills the erased
+    /// blocks from page 0 in NAND programming order, which is what makes
+    /// reclaimed rows actually reusable. Reserved groups are untouched.
+    /// The caller guarantees nothing in the range is mapped and all of its
+    /// blocks are erased. Returns how many groups were newly freed
+    /// (garbage that was never individually recycled).
     pub fn reclaim_range(&mut self, low: u64, high: u64) -> u64 {
         let high = high.min(self.total_groups());
         if low >= high {
             return 0;
         }
-        let in_range = |g: &u64| *g < low || *g >= high;
-        // Pool membership is in lockstep with the group states, so when no
-        // in-range group is free there is nothing to pull out and the
-        // O(free-pool) retain sweeps can be skipped — the common case for a
-        // GC pass reclaiming a fully-garbage row.
-        let states = &self.states[low as usize..high as usize];
-        if states.contains(&GroupState::Free) {
-            let (row_low, row_high) = (
-                self.layout.row_of_group(low),
-                self.layout.row_of_group(high - 1),
-            );
-            match &mut self.pool {
-                FreePool::FirstFree { recycled, .. } => recycled.retain(in_range),
-                FreePool::Striped { queues, .. } => {
-                    for q in queues.iter_mut() {
-                        q.retain(in_range);
-                    }
-                }
-                FreePool::LeastWorn { queues, .. } => {
-                    // In-range groups only ever sit in their own rows'
-                    // queues, so the sweep is exact over just those rows.
-                    for row in row_low..=row_high {
-                        queues[row as usize].retain(in_range);
-                    }
-                }
-            }
-        }
+        self.pull_range(low, high);
         let mut newly_freed = 0;
-        let mut touched_rows: Vec<u64> = Vec::new();
         for g in low..high {
             let state = &mut self.states[g as usize];
             if state.is_fenced() {
                 continue;
             }
-            let was_free = std::mem::replace(state, GroupState::Free) == GroupState::Free;
-            let row = self.layout.row_of_group(g);
-            if !was_free {
+            if std::mem::replace(state, GroupState::Free) != GroupState::Free {
                 newly_freed += 1;
                 self.free_count += 1;
             }
-            match &mut self.pool {
-                // Groups at or past the cursor are still represented by the
-                // cursor itself (and allocate in ascending order from it).
-                FreePool::FirstFree { cursor, recycled } => {
-                    if g < *cursor {
-                        recycled.push_back(g);
-                    }
-                }
-                FreePool::Striped { queues, .. } => {
-                    queues[self.layout.lane_of_group(g)].push_back(g)
-                }
-                FreePool::LeastWorn { queues, .. } => {
-                    queues[row as usize].push_back(g);
-                    if touched_rows.last() != Some(&row) {
-                        touched_rows.push(row);
-                    }
-                }
-            }
-        }
-        // Re-key the wear index for every row whose queue changed: a retain
-        // may have emptied a row whose groups all re-entered, or a row may
-        // have gained its first free groups.
-        if let FreePool::LeastWorn { queues, by_wear } = &mut self.pool {
-            for row in touched_rows {
-                let key = (self.row_wear[row as usize], row);
-                if queues[row as usize].is_empty() {
-                    by_wear.remove(&key);
-                } else {
-                    by_wear.insert(key);
-                }
+            // Groups at or past the cursor are still represented by the
+            // cursor itself (and allocate in ascending order from it).
+            if g < self.cursor {
+                let key = self.key(g);
+                self.queues[key].push_back(g);
             }
         }
         newly_freed
@@ -547,13 +504,14 @@ impl FreeSpaceManager {
 
     /// Rebuilds the free structure from scratch after a crash: group `g`
     /// is free exactly when `is_free(g)` says so *and* it is neither
-    /// reserved nor retired. The pool re-enters in ascending group order
-    /// per class/row, every other unfenced group is allocated, and the wear
+    /// reserved nor retired. Every free group re-enters its queue in
+    /// ascending order, the cursor is exhausted, the volatile hot reserve
+    /// is dropped, and every other unfenced group is allocated. The wear
     /// ledger (`row_wear`), the reservations, and the bad-block
     /// retirements are kept — they survive power loss (wear is physical;
-    /// the bad-block table is journaled metadata). The result
-    /// is a pure function of the states and the predicate, so replaying
-    /// the same journal always reproduces the same allocator.
+    /// the bad-block table is journaled metadata). The result is a pure
+    /// function of the states and the predicate, so replaying the same
+    /// journal always reproduces the same allocator.
     pub fn rebuild(&mut self, is_free: impl Fn(u64) -> bool) {
         self.free_count = 0;
         for g in 0..self.total_groups() {
@@ -568,60 +526,21 @@ impl FreeSpaceManager {
                 *state = GroupState::Allocated;
             }
         }
-        let free_ascending = (0..self.total_groups()).filter(|&g| self.is_free(g));
-        self.pool = match self.policy {
-            PlacementPolicy::FirstFree => FreePool::FirstFree {
-                // Everything re-enters through the recycled FIFO (ascending,
-                // so pops stay in NAND programming order); the cursor is
-                // exhausted.
-                cursor: self.total_groups(),
-                recycled: free_ascending.collect(),
-            },
-            PlacementPolicy::ChannelStriped => {
-                let mut queues = vec![VecDeque::new(); self.layout.geometry.total_dies()];
-                for g in free_ascending {
-                    queues[self.layout.lane_of_group(g)].push_back(g);
-                }
-                FreePool::Striped {
-                    queues,
-                    next_class: 0,
-                }
-            }
-            PlacementPolicy::LeastWorn => {
-                let mut queues = vec![VecDeque::new(); self.row_wear.len()];
-                for g in free_ascending {
-                    queues[self.layout.row_of_group(g) as usize].push_back(g);
-                }
-                let by_wear = queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(row, _)| (self.row_wear[row], row as u64))
-                    .collect();
-                FreePool::LeastWorn { queues, by_wear }
-            }
-        };
+        self.hot.clear();
+        self.requeue();
     }
 
-    /// Every group currently in the free structure, in pop order per
-    /// policy. O(free); property-test oracle only.
+    /// Every group currently in the free structure, in queue order and then
+    /// the cursor's ascending order. O(free); property-test oracle only.
     pub fn debug_free_groups(&self) -> Vec<u64> {
-        match &self.pool {
-            FreePool::FirstFree { cursor, recycled } => recycled
-                .iter()
-                .copied()
-                .chain(
-                    (*cursor..self.total_groups())
-                        .filter(|&g| !self.states[g as usize].is_fenced()),
-                )
-                .collect(),
-            FreePool::Striped { queues, .. } => {
-                queues.iter().flat_map(|q| q.iter().copied()).collect()
-            }
-            FreePool::LeastWorn { queues, .. } => {
-                queues.iter().flat_map(|q| q.iter().copied()).collect()
-            }
-        }
+        let never_used =
+            (self.cursor..self.total_groups()).filter(|&g| !self.states[g as usize].is_fenced());
+        self.queues
+            .iter()
+            .flatten()
+            .copied()
+            .chain(never_used)
+            .collect()
     }
 }
 

@@ -680,7 +680,7 @@ impl FlashAbacusSystem {
             * group_bytes;
         let slot_count = scaleout.max_in_flight;
         let required_groups = slot_count as u64 * (slot_bytes / group_bytes);
-        let available = self.flashvisor.available_groups();
+        let available = self.flashvisor.freespace().available();
         if required_groups > available {
             return Err(FaError::OutOfFlashSpace {
                 requested: required_groups,

@@ -385,7 +385,7 @@ impl Storengine {
                 // keep the pass non-destructive rather than aborting the
                 // run — the space is still there, just not reachable by
                 // this victim choice.
-                None if flashvisor.available_groups() > 0 => continue,
+                None if flashvisor.freespace().available() > 0 => continue,
                 None => {
                     return Err(FaError::OutOfFlashSpace {
                         requested: 1,
@@ -416,7 +416,7 @@ impl Storengine {
                 }
             }
             if !programmed_ok {
-                flashvisor.rollback_failed_allocation(new_pg);
+                flashvisor.recycle_if_unprogrammed(new_pg);
                 continue;
             }
             flashvisor.remap_group(lg, new_pg);
@@ -656,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_survives_pool_drained_into_hot_reserve() {
+    fn gc_survives_pool_drained_into_hot_groups() {
         // Regression: a hot write's reserve refill can empty the shared
         // pool while the reserve still holds free groups. A GC pass that
         // then needs a migration destination must draw from the reserve
@@ -693,7 +693,7 @@ mod tests {
         .unwrap();
         assert_eq!(v.free_physical_groups(), 0, "pool should be drained");
         assert!(
-            !v.hot_reserved_groups().is_empty(),
+            !v.freespace().hot_groups().is_empty(),
             "reserve should still hold staged groups"
         );
         // The round-robin pass over row 0 must migrate its one live group;

@@ -516,7 +516,7 @@ impl FlashAbacusSystem {
             };
             self.gc_passes += 1;
             guard += 1;
-            if out.groups_reclaimed == 0 && self.flashvisor.available_groups() == 0 {
+            if out.groups_reclaimed == 0 && self.flashvisor.freespace().available() == 0 {
                 return Err(FaError::OutOfFlashSpace {
                     requested: 1,
                     available: 0,
@@ -647,7 +647,7 @@ impl FlashAbacusSystem {
             .storengine
             .finish_gc_pass(&mut self.flashvisor, &plan, &progress)?;
         self.gc_passes += 1;
-        if out.groups_reclaimed == 0 && self.flashvisor.available_groups() == 0 {
+        if out.groups_reclaimed == 0 && self.flashvisor.freespace().available() == 0 {
             return Err(FaError::OutOfFlashSpace {
                 requested: 1,
                 available: 0,

@@ -110,8 +110,13 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
         free_set.is_disjoint(&mapped),
         "free pool intersects mapped groups"
     );
-    let hot_reserve: BTreeSet<u64> = v.hot_reserved_groups().into_iter().collect();
-    prop_assert_eq!(hot_reserve.len(), v.hot_reserved_groups().len());
+    let hot = v.freespace().hot_groups();
+    let hot_reserve: BTreeSet<u64> = hot.iter().copied().collect();
+    prop_assert_eq!(hot_reserve.len(), hot.len());
+    prop_assert_eq!(
+        v.freespace().available(),
+        v.free_physical_groups() + hot.len() as u64
+    );
     prop_assert!(
         free_set.is_disjoint(&hot_reserve),
         "free pool intersects the hot reserve"
@@ -342,8 +347,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// The naive side of the pop-order check: every free group in one flat
 /// list, in the order it became free, plus `FirstFree`'s never-used
-/// groups. Each policy's pick is a linear search of that list, so no
-/// queue, index or rotation state of the manager is shared with it.
+/// groups and the hot reserve. Each policy's pick is a linear search of
+/// that list.
 struct PoolModel {
     layout: GroupLayout,
     policy: PlacementPolicy,
@@ -356,6 +361,8 @@ struct PoolModel {
     /// `ChannelStriped` only: the stripe class the rotation tries first.
     next_class: usize,
     wear: Vec<u64>,
+    /// The hot reserve, in the order hot writes take it.
+    hot: Vec<u64>,
 }
 
 impl PoolModel {
@@ -374,6 +381,7 @@ impl PoolModel {
             never_used: if first_free { 0 } else { total },
             next_class: 0,
             wear: vec![0; layout.geometry.blocks_per_die()],
+            hot: Vec::new(),
         }
     }
 
@@ -421,7 +429,8 @@ impl PoolModel {
         }
     }
 
-    fn allocate(&mut self) -> Option<u64> {
+    /// The next free group, ignoring the hot reserve.
+    fn pop(&mut self) -> Option<u64> {
         let g = match self.pick() {
             Some(at) => self.free.remove(at),
             None => {
@@ -433,6 +442,45 @@ impl PoolModel {
         };
         self.states[g as usize] = GroupState::Allocated;
         Some(g)
+    }
+
+    fn allocate(&mut self) -> Option<u64> {
+        self.pop()
+            .or_else(|| (!self.hot.is_empty()).then(|| self.hot.remove(0)))
+    }
+
+    /// Refills an empty reserve with up to one row of pops, stopping
+    /// after the last group of a row, then hands out its front.
+    fn allocate_hot(&mut self) -> Option<u64> {
+        let per_row = self.layout.groups_per_row();
+        if self.hot.is_empty() {
+            while let Some(g) = self.pop() {
+                self.hot.push(g);
+                if (g + 1) % per_row == 0 || self.hot.len() as u64 == per_row {
+                    break;
+                }
+            }
+        }
+        (!self.hot.is_empty()).then(|| self.hot.remove(0))
+    }
+
+    /// The first pop outside `[low, high)`, with every pop inside it
+    /// recycled in pop order, else the first hot group outside it.
+    fn allocate_excluding(&mut self, low: u64, high: u64) -> Option<u64> {
+        let mut inside = Vec::new();
+        let picked = loop {
+            match self.pop() {
+                Some(g) if g >= low && g < high => inside.push(g),
+                other => break other,
+            }
+        };
+        for g in inside {
+            self.recycle(g);
+        }
+        picked.or_else(|| {
+            let at = self.hot.iter().position(|&g| g < low || g >= high)?;
+            Some(self.hot.remove(at))
+        })
     }
 
     fn recycle(&mut self, g: u64) {
@@ -448,6 +496,7 @@ impl PoolModel {
             return 0;
         }
         self.free.retain(|&g| g < low || g >= high);
+        self.hot.retain(|&g| g < low || g >= high);
         let mut newly = 0;
         for g in low..high {
             if self.fenced(g) {
@@ -474,6 +523,7 @@ impl PoolModel {
             }
         }
         self.free.retain(|&g| g < low || g >= high);
+        self.hot.retain(|&g| g < low || g >= high);
         newly
     }
 
@@ -501,6 +551,7 @@ impl PoolModel {
             .collect();
         self.never_used = self.total();
         self.next_class = 0;
+        self.hot.clear();
     }
 }
 
@@ -525,7 +576,25 @@ fn check_pop_order(
     for step in 0..steps {
         // What the call returned, next to what the model says it should.
         let (call, got, want) = match splitmix64(&mut rng) % 64 {
-            0..=23 => ("allocate".to_string(), m.allocate(), model.allocate()),
+            0..=15 => ("allocate".to_string(), m.allocate(), model.allocate()),
+            16..=19 => (
+                "allocate_hot".to_string(),
+                m.allocate_hot(),
+                model.allocate_hot(),
+            ),
+            20..=23 => {
+                // GC's exclusion window is one block row, or empty for a
+                // read-disturb relocation.
+                let (low, high) = match splitmix64(&mut rng) % 4 {
+                    0 => (0, 0),
+                    _ => layout.row_groups(splitmix64(&mut rng) % rows),
+                };
+                (
+                    format!("allocate_excluding({low}, {high})"),
+                    m.allocate_excluding(low, high),
+                    model.allocate_excluding(low, high),
+                )
+            }
             24..=39 => {
                 let g = splitmix64(&mut rng) % total;
                 m.recycle(g);
@@ -586,6 +655,16 @@ fn check_pop_order(
             .filter(|&&s| s == GroupState::Free)
             .count();
         prop_assert!(m.free_count() == free as u64, "{at}: free count");
+        prop_assert!(
+            m.hot_groups().iter().eq(&model.hot),
+            "{at}: hot reserve {:?}, the model {:?}",
+            m.hot_groups(),
+            model.hot
+        );
+        prop_assert!(
+            m.available() == (free + model.hot.len()) as u64,
+            "{at}: available"
+        );
     }
     Ok(())
 }
@@ -1178,9 +1257,10 @@ proptest! {
     /// `FirstFree` the earliest recycled group, else the lowest unfenced
     /// never-used one; `ChannelStriped` the earliest group of the next
     /// non-empty stripe class in rotation; `LeastWorn` the earliest group
-    /// of the non-empty block row with the least `(wear, row)`. Recycles,
-    /// range reclaims, row retirements, erases and rebuilds interleave
-    /// with the pops on devices of one to four lanes.
+    /// of the non-empty block row with the least `(wear, row)`. Plain,
+    /// hot and GC (row-excluding) allocations, recycles, range reclaims,
+    /// row retirements, erases and rebuilds interleave on devices of one
+    /// to four lanes, and the hot reserve matches the model's too.
     #[test]
     fn pop_order_matches_a_flat_list_model(
         channels in 1usize..3,
