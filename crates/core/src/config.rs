@@ -219,9 +219,11 @@ impl FlashAbacusConfig {
         }
     }
 
-    /// Number of pages in one page group.
+    /// Number of pages in one page group ([`crate::Flashvisor::new`]
+    /// rejects a `page_group_bytes` that is not a nonzero whole number of
+    /// pages).
     pub fn pages_per_group(&self) -> u64 {
-        (self.page_group_bytes / self.flash_geometry.page_bytes as u64).max(1)
+        self.page_group_bytes / self.flash_geometry.page_bytes as u64
     }
 
     /// Number of page groups in the whole backbone.

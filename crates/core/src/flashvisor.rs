@@ -183,13 +183,23 @@ impl Flashvisor {
     ///
     /// # Panics
     ///
-    /// Panics if the device has `u32::MAX` page groups or more: the mapping
-    /// table's 4-byte entries could not name them all. Panics unless a
-    /// block row holds a whole number of page groups: a group straddling
-    /// two rows would be migrated with one row and retired or reclaimed
-    /// with the other. Panics unless every die has at least two block
-    /// rows: one for data and one for the metadata journal.
+    /// Panics unless `page_group_bytes` is a nonzero multiple of the flash
+    /// page size: a group is a whole number of pages. Panics if the device
+    /// has `u32::MAX` page groups or more: the mapping table's 4-byte
+    /// entries could not name them all. Panics unless a block row holds a
+    /// whole number of page groups: a group straddling two rows would be
+    /// migrated with one row and retired or reclaimed with the other.
+    /// Panics unless every die has at least two block rows: one for data
+    /// and one for the metadata journal.
     pub fn new(config: FlashAbacusConfig) -> Self {
+        let (group_bytes, page_bytes) = (
+            config.page_group_bytes,
+            config.flash_geometry.page_bytes as u64,
+        );
+        assert!(
+            group_bytes > 0 && group_bytes % page_bytes == 0,
+            "page_group_bytes {group_bytes} is not a whole number of {page_bytes}-byte pages"
+        );
         let layout = config.group_layout();
         let total_groups = layout.total_groups();
         assert!(
@@ -1078,6 +1088,22 @@ mod tests {
         let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
         config.flash_geometry.blocks_per_plane = 1;
         Flashvisor::new(config);
+    }
+
+    #[test]
+    fn group_sizes_that_are_not_whole_pages_are_rejected() {
+        // 0 used to divide by zero on the first translation; 3000 used to
+        // round up to one whole 4 KiB page per 3000-byte group.
+        for bytes in [0, 3000] {
+            let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+            config.page_group_bytes = bytes;
+            let panic = std::panic::catch_unwind(|| drop(Flashvisor::new(config))).unwrap_err();
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(
+                message,
+                &format!("page_group_bytes {bytes} is not a whole number of 4096-byte pages")
+            );
+        }
     }
 
     #[test]
