@@ -15,6 +15,7 @@ use crate::rangelock::{LockId, LockMode, RangeLockTable};
 use fa_flash::{FaultPlan, FlashBackbone, FlashError, FlashOp, OwnerId};
 use fa_platform::mem::Scratchpad;
 use fa_sim::resource::FifoServer;
+use fa_sim::table::LazyTable;
 use fa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -100,30 +101,28 @@ pub struct Flashvisor {
     backbone: FlashBackbone,
     /// Logical page group → physical page group, one 4-byte entry per
     /// group like the scratchpad table it models (§4.3), sentinel-encoded:
-    /// `0` = unmapped, `pg + 1` = mapped to `pg` (see [`group_entry`]). The
-    /// zero sentinel lets construction ask the allocator for zeroed memory
-    /// instead of writing a `None` per entry. That is cheap only while the
-    /// allocator hands out fresh pages: once a process has freed a large
-    /// block, glibc raises its mmap threshold and serves later zeroed
-    /// allocations from recycled heap, which it must clear with a memset.
-    /// Construction then pays in proportion to the table's bytes, so the
-    /// entries are 4 bytes rather than 8.
-    mapping: Vec<u32>,
+    /// `0` = unmapped, `pg + 1` = mapped to `pg` (see [`group_entry`]).
+    /// The table is reserved at full length but filled only up to the
+    /// 4 KiB chunk holding the highest logical group a run maps, so
+    /// construction writes none of it, and every entry past that prefix
+    /// reads as unmapped. Walks of the mapped groups stop at the prefix.
+    mapping: LazyTable<u32>,
     /// Physical page group → logical page group, maintained alongside
     /// `mapping` so GC can enumerate the groups of one victim block
     /// without walking the whole table. An entry may briefly go stale
     /// (a group recycled externally while still mapped); consumers filter
     /// through `mapping` for the authoritative answer. Sentinel-encoded
-    /// like `mapping`: `0` = none, `lg + 1` = logical group `lg`.
-    reverse: Vec<u32>,
+    /// like `mapping`: `0` = none, `lg + 1` = logical group `lg`; filled
+    /// only up to the highest physical group ever mapped.
+    reverse: LazyTable<u32>,
     /// Incremental free-group structure and placement policy.
     freespace: FreeSpaceManager,
     /// Overwrites absorbed per *logical* group — the cross-layer metadata
     /// hot/cold separation classifies on (the global
-    /// `overwritten_groups` stat is the sum of this vector). Empty until
-    /// the first overwrite, which allocates it at full length: a run that
-    /// never overwrites never builds it, and a missing entry reads 0.
-    overwrite_counts: Vec<u32>,
+    /// `overwritten_groups` stat is the sum of this table). Requested at
+    /// the first overwrite and filled only up to the highest logical group
+    /// overwritten, so a run that never overwrites allocates none of it.
+    overwrite_counts: LazyTable<u32>,
     locks: RangeLockTable,
     /// Flashvisor's own LWP time: translations and scheduling decisions
     /// serialize here.
@@ -236,10 +235,10 @@ impl Flashvisor {
         Flashvisor {
             config,
             backbone,
-            mapping: vec![0; total_groups as usize],
-            reverse: vec![0; total_groups as usize],
+            mapping: LazyTable::new(total_groups as usize),
+            reverse: LazyTable::new(total_groups as usize),
             freespace,
-            overwrite_counts: Vec::new(),
+            overwrite_counts: LazyTable::deferred(total_groups as usize),
             locks: RangeLockTable::new(),
             cpu: FifoServer::new(),
             lwp_ns_per_cycle: 1.0e9 / config.platform.lwp_freq_hz as f64,
@@ -422,7 +421,7 @@ impl Flashvisor {
     fn logical_slot(&self, logical_group: u64) -> Result<Option<u64>, FaError> {
         self.mapping
             .get(logical_group as usize)
-            .map(|&e| entry_group(e))
+            .map(entry_group)
             .ok_or(FaError::UnmappedAddress(
                 logical_group * self.config.page_group_bytes,
             ))
@@ -606,9 +605,6 @@ impl Flashvisor {
                 // see.
                 self.backbone.invalidate_group(old * pages, pages)?;
                 self.stats.overwritten_groups += 1;
-                if self.overwrite_counts.is_empty() {
-                    self.overwrite_counts = vec![0; self.mapping.len()];
-                }
                 let count = &mut self.overwrite_counts[lg as usize];
                 *count = count.saturating_add(1);
             }
@@ -674,7 +670,7 @@ impl Flashvisor {
     pub fn physical_group_of(&self, logical_group: u64) -> Option<u64> {
         self.mapping
             .get(logical_group as usize)
-            .and_then(|&e| entry_group(e))
+            .and_then(entry_group)
     }
 
     /// Remaps a logical group to a new physical group (GC migration) and
@@ -720,10 +716,7 @@ impl Flashvisor {
 
     /// Overwrites absorbed by logical group `lg` since the run started.
     pub fn overwrite_count(&self, lg: u64) -> u32 {
-        self.overwrite_counts
-            .get(lg as usize)
-            .copied()
-            .unwrap_or_default()
+        self.overwrite_counts.get(lg as usize).unwrap_or_default()
     }
 
     /// True when logical group `lg` is classified *hot*: its overwrite
@@ -773,7 +766,7 @@ impl Flashvisor {
     /// The logical group currently mapped to physical group `pg`, filtered
     /// through the forward mapping so stale reverse entries never leak out.
     pub fn logical_group_mapped_to(&self, pg: u64) -> Option<u64> {
-        let lg = entry_group(*self.reverse.get(pg as usize)?)?;
+        let lg = entry_group(self.reverse.get(pg as usize)?)?;
         (self.physical_group_of(lg) == Some(pg)).then_some(lg)
     }
 
@@ -799,9 +792,11 @@ impl Flashvisor {
         std::mem::take(&mut self.dirty_mapping_entries)
     }
 
-    /// Iterates over `(logical, physical)` pairs currently mapped.
+    /// Iterates over `(logical, physical)` pairs currently mapped, in
+    /// logical order. Walks only the mapping's filled prefix.
     pub fn mapped_groups(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.mapping
+            .filled()
             .iter()
             .enumerate()
             .filter_map(|(lg, &pg)| entry_group(pg).map(|p| (lg as u64, p)))
@@ -882,20 +877,19 @@ impl Flashvisor {
     /// and holds no programmed page. Reserved ranges, the bad-block table
     /// and the wear ledger survive (media state, not volatile state); the
     /// hot reserve and the overwrite classifier are volatile and reset.
+    ///
+    /// Replay and the reverse rebuild walk only the journal and the
+    /// mapping's filled prefix, not the whole device.
     pub fn recover(&mut self) {
-        for slot in self.mapping.iter_mut() {
-            *slot = 0;
-        }
+        self.mapping.clear();
         for &(lg, pg) in &self.journal_replay_log {
             if let Some(slot) = self.mapping.get_mut(lg as usize) {
                 *slot = group_entry(pg);
             }
         }
-        for r in self.reverse.iter_mut() {
-            *r = 0;
-        }
-        for lg in 0..self.mapping.len() {
-            if let Some(pg) = entry_group(self.mapping[lg]) {
+        self.reverse.clear();
+        for (lg, &entry) in self.mapping.filled().iter().enumerate() {
+            if let Some(pg) = entry_group(entry) {
                 if let Some(r) = self.reverse.get_mut(pg as usize) {
                     *r = group_entry(lg as u64);
                 }
@@ -905,7 +899,7 @@ impl Flashvisor {
         let index = self.backbone.valid_index();
         self.freespace
             .rebuild(|pg| reverse[pg as usize] == 0 && index.group_programmed_pages(pg) == 0);
-        self.overwrite_counts = Vec::new();
+        self.overwrite_counts.clear();
         self.dirty_mapping_entries = 0;
         self.redo_since_journal.clear();
     }
@@ -1175,8 +1169,16 @@ mod tests {
             for lg in 0..groups {
                 single.preload_range(lg * group_bytes, group_bytes).unwrap();
             }
-            assert_eq!(merged.mapping, single.mapping, "{placement:?}");
-            assert_eq!(merged.reverse, single.reverse, "{placement:?}");
+            assert_eq!(
+                merged.mapping.filled(),
+                single.mapping.filled(),
+                "{placement:?}"
+            );
+            assert_eq!(
+                merged.reverse.filled(),
+                single.reverse.filled(),
+                "{placement:?}"
+            );
             assert_eq!(
                 merged.unflushed_redo_records(),
                 single.unflushed_redo_records()
@@ -1229,12 +1231,12 @@ mod tests {
         v.write_section(SimTime::ZERO, 0, 16 * 1024, &mut sp)
             .unwrap();
         assert_eq!(v.overwrite_count(0), 0);
-        assert!(v.overwrite_counts.is_empty());
+        assert!(v.overwrite_counts.filled().is_empty());
         v.write_section(SimTime::from_ms(50), 0, 8 * 1024, &mut sp)
             .unwrap();
         assert_eq!(v.overwrite_count(0), 1);
         assert_eq!(v.overwrite_count(1), 0);
-        assert_eq!(v.overwrite_counts.len(), v.mapping.len());
+        assert_eq!(&v.overwrite_counts.filled()[..2], &[1, 0]);
     }
 
     #[test]
@@ -1253,6 +1255,37 @@ mod tests {
             .unwrap();
         assert_eq!(v.overwrite_count(0), 1);
         assert_eq!(v.stats().overwritten_groups, 1);
+    }
+
+    #[test]
+    fn prototype_tables_fill_only_the_preloaded_prefix_and_recover_it() {
+        let config = FlashAbacusConfig::paper_prototype(SchedulerPolicy::IntraO3);
+        let total = config.total_page_groups();
+        let mut v = Flashvisor::new(config);
+        v.install_fault_plan(Arc::new(FaultPlan::default()));
+        let n = 1000;
+        v.preload_range(0, n * config.page_group_bytes).unwrap();
+        v.flush_redo_to_journal();
+        // Both tables filled up to their first 4 KiB chunk of entries.
+        assert_eq!(v.mapping.len() as u64, total);
+        assert_eq!(v.mapping.filled().len(), 1024);
+        assert_eq!(v.reverse.filled().len(), 1024);
+        let before: Vec<(u64, u64)> = v.mapped_groups().collect();
+        assert_eq!(before.len() as u64, n);
+        for g in n..total {
+            assert_eq!(v.physical_group_of(g), None, "logical group {g}");
+            assert_eq!(v.logical_group_mapped_to(g), None, "physical group {g}");
+        }
+        assert_eq!(v.physical_group_of(total), None);
+        v.recover();
+        assert_eq!(v.mapped_groups().collect::<Vec<_>>(), before);
+        for &(lg, pg) in &before {
+            assert_eq!(v.logical_group_mapped_to(pg), Some(lg));
+        }
+        assert_eq!(
+            v.free_physical_groups(),
+            total - n - v.freespace().reserved_count()
+        );
     }
 
     #[test]

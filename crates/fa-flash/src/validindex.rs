@@ -99,7 +99,10 @@ use crate::{GroupLayout, PhysicalPageAddr};
 struct GroupTracker {
     layout: GroupLayout,
     /// Programmed (not yet erased) pages per group. A group holds at most
-    /// `pages_per_group` pages, which is capped at `u16::MAX`.
+    /// `pages_per_group` pages, which is capped at `u16::MAX`. Zeroed at
+    /// construction, unlike the Flashvisor's lazily filled tables: the
+    /// journal's metadata row is the last block row, so the first journal
+    /// dump would fill a lazy table to its end during the run.
     programmed: Vec<u16>,
     /// Groups whose last programmed page an erase just cleared, pending a
     /// drain by the reclaim path.

@@ -19,6 +19,8 @@
 //!   time, and its fixed-byte-rate form for links and memory channels.
 //! * [`rng`] — a tiny deterministic pseudo-random number generator so that
 //!   every experiment is exactly reproducible.
+//! * [`table`] — fixed-length per-entry tables reserved whole at
+//!   construction and zero-filled only up to the highest entry written.
 //!
 //! # Examples
 //!
@@ -40,6 +42,7 @@ pub mod event;
 pub mod resource;
 pub mod rng;
 pub mod stats;
+pub mod table;
 pub mod time;
 
 pub use arrivals::{Arrival, ArrivalPlan, ArrivalShape};
