@@ -47,21 +47,26 @@ use std::sync::Arc;
 
 /// An injected media failure is an event the storage stack absorbs
 /// (remap, retire, retry) — never a reason to abort the run.
-pub(crate) fn is_injected_fault(e: &FaError) -> bool {
+fn is_injected_fault(e: &FaError) -> bool {
     matches!(
         e,
         FaError::Flash(FlashError::InjectedProgramFailure(_) | FlashError::InjectedEraseFailure(_))
     )
 }
 
-/// Background storage-management work, scheduled as deferred events that
-/// contend with foreground traffic instead of executing instantaneously at
-/// the flush instant (`qos.background_gc`).
+/// Passes one GC campaign may run: the bound a tripped watermark puts on
+/// the reclamation one flush starts.
+const GC_CAMPAIGN_PASSES: u32 = 64;
+
+/// One step of a GC campaign. Each step returns the next one and the
+/// instant it is due. In background mode (`qos.background_gc`) that step
+/// becomes a deferred event on the run driver's queue, so the campaign
+/// contends with foreground traffic; in synchronous mode the flush that
+/// started the campaign runs every step at once, at its own instant.
 #[derive(Debug, Clone)]
 pub(crate) enum StorageTask {
-    /// Start a new Storengine reclamation pass. `remaining` bounds the
-    /// campaign the triggering flush started, mirroring the synchronous
-    /// guard of [`FlashAbacusSystem::run_background_storage`].
+    /// Start a new Storengine reclamation pass. `remaining` counts this
+    /// pass and those the campaign may still run after it.
     GcPass { remaining: u32 },
     /// Continue a pass whose migrations are sliced by the GC tag budget:
     /// each event migrates at most `gc_budget` groups, then yields the
@@ -381,7 +386,9 @@ impl FlashAbacusSystem {
                 // A task scheduled before a power loss died with the power.
                 Event::Storage { task, epoch } => {
                     if epoch == self.recoveries {
-                        self.run_storage_task(at, task)?;
+                        if let Some((next_at, next)) = self.run_storage_task(at, task)? {
+                            self.schedule_storage(next_at, next);
+                        }
                         self.maybe_power_loss(at)?;
                     }
                 }
@@ -482,11 +489,7 @@ impl FlashAbacusSystem {
             slice.output_len,
             &mut self.memory.scratchpad,
         )?;
-        if self.config.qos.background_gc {
-            self.schedule_background_storage(t.finished)?;
-        } else {
-            self.run_background_storage(t.finished)?;
-        }
+        self.housekeeping(t.finished)?;
         if self.config.buffered_writes {
             Ok(ddr.end)
         } else {
@@ -494,58 +497,31 @@ impl FlashAbacusSystem {
         }
     }
 
-    /// Storengine housekeeping, synchronous mode: periodic journaling plus
-    /// watermark-driven garbage collection, executed in full at the flush
-    /// instant (the seed behaviour, and the `background_gc=false` default).
-    fn run_background_storage(&mut self, now: SimTime) -> Result<(), FaError> {
-        if self.storengine.journal_due(now) {
-            self.dump_journal(now)?;
-        }
-        let mut guard = 0;
-        while self.storengine.gc_needed(&self.flashvisor) && guard < 64 {
-            let out = match self.storengine.collect_garbage(now, &mut self.flashvisor) {
-                Ok(out) => out,
-                // A pass that hit an injected failure retires what it
-                // flushed out and the campaign tries the next victim.
-                Err(e) if is_injected_fault(&e) => {
-                    self.flashvisor.process_retirements(now)?;
-                    guard += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            self.gc_passes += 1;
-            guard += 1;
-            if out.groups_reclaimed == 0 && self.flashvisor.freespace().available() == 0 {
-                return Err(FaError::OutOfFlashSpace {
-                    requested: 1,
-                    available: 0,
-                });
-            }
-        }
-        if self.flashvisor.fault_plan().is_some() {
-            self.flashvisor.process_retirements(now)?;
-        }
-        Ok(())
-    }
-
-    /// Storengine housekeeping, background mode: journaling stays a cheap
-    /// synchronous metadata dump, but a tripped GC watermark *schedules* a
-    /// reclamation campaign as storage tasks instead of running it here —
-    /// the run driver interleaves the passes with foreground events, and
-    /// they contend for the channels under the `Gc` owner.
-    fn schedule_background_storage(&mut self, now: SimTime) -> Result<(), FaError> {
+    /// Storengine housekeeping after a flush at `now`: dump the journal
+    /// when it is due, retire the block rows the fault model condemned, and
+    /// start a GC campaign when the free-space watermark trips and none is
+    /// active. Background mode schedules the campaign's first pass at
+    /// `now`; synchronous mode (the default) runs every pass here, at `now`.
+    fn housekeeping(&mut self, now: SimTime) -> Result<(), FaError> {
         if self.storengine.journal_due(now) {
             self.dump_journal(now)?;
         }
         if self.flashvisor.fault_plan().is_some() {
             self.flashvisor.process_retirements(now)?;
         }
-        if !self.gc_campaign_active && self.storengine.gc_needed(&self.flashvisor) {
-            // Same campaign bound as the synchronous guard (64 passes per
-            // triggering flush).
-            self.schedule_storage(now, StorageTask::GcPass { remaining: 64 });
-            self.gc_campaign_active = true;
+        if self.gc_campaign_active || !self.storengine.gc_needed(&self.flashvisor) {
+            return Ok(());
+        }
+        self.gc_campaign_active = true;
+        let mut task = StorageTask::GcPass {
+            remaining: GC_CAMPAIGN_PASSES,
+        };
+        if self.config.qos.background_gc {
+            self.schedule_storage(now, task);
+            return Ok(());
+        }
+        while let Some((_, next)) = self.run_storage_task(now, task)? {
+            task = next;
         }
         Ok(())
     }
@@ -560,40 +536,44 @@ impl FlashAbacusSystem {
         }
     }
 
-    /// Executes one deferred storage task at its scheduled instant and, for
-    /// GC, keeps the campaign going while the watermark stays tripped.
-    /// Injected media failures are absorbed: the interrupted campaign ends
-    /// (its plan may reference blocks the failure condemned), the bad
-    /// blocks are retired, and the next flush re-evaluates the watermark
-    /// to start a fresh campaign.
-    fn run_storage_task(&mut self, at: SimTime, task: StorageTask) -> Result<(), FaError> {
-        let result = match task {
-            StorageTask::GcPass { remaining } => {
-                // Mirror the synchronous loop's `while gc_needed` guard:
-                // foreground reclamation (overwrite releases, journal
-                // drains) may have refilled the pool since this pass was
-                // scheduled, and then the pass must not run at all.
-                if !self.storengine.gc_needed(&self.flashvisor) {
-                    self.gc_campaign_active = false;
-                    return Ok(());
-                }
+    /// Runs one step of a GC campaign at `at` and returns the next step
+    /// with the instant it is due, or `None` once the campaign has ended.
+    /// An injected media failure ends the campaign (its plan may reference
+    /// blocks the failure condemned), the condemned rows retire, and the
+    /// next flush re-evaluates the watermark to start a fresh campaign.
+    fn run_storage_task(
+        &mut self,
+        at: SimTime,
+        task: StorageTask,
+    ) -> Result<Option<(SimTime, StorageTask)>, FaError> {
+        let next = match task {
+            // The watermark is checked again before every pass: foreground
+            // reclamation (overwrite releases, journal drains) may have
+            // refilled the pool since this pass was scheduled, and then the
+            // pass must not run at all.
+            StorageTask::GcPass { remaining } if self.storengine.gc_needed(&self.flashvisor) => {
                 let plan = self.storengine.plan_gc(at, &self.flashvisor);
                 let progress = self.storengine.begin_gc_pass(at);
                 self.advance_gc_pass(plan, progress, remaining)
             }
+            StorageTask::GcPass { .. } => Ok(None),
             StorageTask::GcSlice {
                 plan,
                 progress,
                 remaining,
             } => self.advance_gc_pass(plan, progress, remaining),
         };
-        match result {
+        let next = match next {
             Err(e) if is_injected_fault(&e) => {
-                self.gc_campaign_active = false;
-                self.flashvisor.process_retirements(at).map(drop)
+                self.flashvisor.process_retirements(at)?;
+                None
             }
-            result => result,
+            next => next?,
+        };
+        if next.is_none() {
+            self.gc_campaign_active = false;
         }
+        Ok(next)
     }
 
     /// Polls the power-loss clock at `now`; when it trips, runs the crash
@@ -614,16 +594,17 @@ impl FlashAbacusSystem {
         Ok(())
     }
 
-    /// Migrates the next budget-bounded slice of a background pass. An
-    /// unfinished pass re-defers itself to the instant its slice's traffic
-    /// completes; a finished pass erases/reclaims its row and schedules
-    /// the campaign's next pass while the watermark stays tripped.
+    /// Migrates the next budget-bounded slice of a pass. An unfinished pass
+    /// continues with its next slice, due when this slice's traffic
+    /// completes; a finished pass erases and reclaims its row and is
+    /// followed by the campaign's next pass while the watermark stays
+    /// tripped.
     fn advance_gc_pass(
         &mut self,
         plan: GcPlan,
         mut progress: GcPassProgress,
         remaining: u32,
-    ) -> Result<(), FaError> {
+    ) -> Result<Option<(SimTime, StorageTask)>, FaError> {
         let slice = self
             .config
             .qos
@@ -633,15 +614,15 @@ impl FlashAbacusSystem {
         self.storengine
             .migrate_gc_groups(&mut self.flashvisor, &plan, &mut progress, slice)?;
         if progress.next_victim < plan.victims.len() {
-            self.schedule_storage(
-                progress.finished,
+            let at = progress.finished;
+            return Ok(Some((
+                at,
                 StorageTask::GcSlice {
                     plan,
                     progress,
                     remaining,
                 },
-            );
-            return Ok(());
+            )));
         }
         let out = self
             .storengine
@@ -653,17 +634,13 @@ impl FlashAbacusSystem {
                 available: 0,
             });
         }
-        if remaining > 1 && self.storengine.gc_needed(&self.flashvisor) {
-            self.schedule_storage(
-                out.finished,
-                StorageTask::GcPass {
-                    remaining: remaining - 1,
-                },
-            );
-        } else {
-            self.gc_campaign_active = false;
-        }
-        Ok(())
+        let next = (remaining > 1 && self.storengine.gc_needed(&self.flashvisor)).then_some((
+            out.finished,
+            StorageTask::GcPass {
+                remaining: remaining - 1,
+            },
+        ));
+        Ok(next)
     }
 
     /// Computes `screen` on worker `worker` once its data is ready at
@@ -1466,6 +1443,84 @@ mod tests {
         assert_eq!(a.gc_passes, 0, "GC ran, so relocations are not isolated");
         assert!(a.gc_programs > 0, "no disturbed group was relocated");
         assert_eq!(a, run_faulty(config, &apps, &read_disturb));
+    }
+
+    /// The foreground of a driver call that only drains storage tasks.
+    struct NoForeground;
+
+    impl Foreground for NoForeground {
+        fn done(&self) -> bool {
+            true
+        }
+
+        fn handle(
+            &mut self,
+            _: &mut FlashAbacusSystem,
+            _: SimTime,
+            _: Event,
+        ) -> Result<(), FaError> {
+            unreachable!("no foreground event is ever scheduled")
+        }
+
+        fn finish(&mut self, _: &mut FlashAbacusSystem) -> Result<SimTime, FaError> {
+            Ok(SimTime::ZERO)
+        }
+    }
+
+    #[test]
+    fn both_gc_modes_absorb_an_injected_erase_failure_alike() {
+        // Row 0 is the round-robin walk's first victim, and the first erase
+        // of its channel-0 block fails and condemns the block. Both modes
+        // run one campaign rule: the pass absorbs the failure, the campaign
+        // goes on, and the condemned row retires at the next flush, before
+        // that flush's campaign. Returns, after each of two flushes, the
+        // passes run so far, the condemned blocks and the retired rows.
+        let after_each_flush = |background_gc: bool| {
+            let mut config = FlashAbacusConfig::tiny_for_tests(SchedulerPolicy::IntraO3);
+            config.flash_geometry.blocks_per_plane = 8; // 7 data rows of 32 groups
+            config.gc_low_watermark = 0.75;
+            config.journal_interval = SimDuration::from_ms(10_000);
+            config.qos.background_gc = background_gc;
+            let mut system = FlashAbacusSystem::new(config);
+            system.install_fault_plan(Arc::new(
+                FaultPlan::parse("retire_after=1,script=erase@c0.d0.b0.n1").unwrap(),
+            ));
+            // Fill row 0, then overwrite half of it: row 0 holds garbage and
+            // the free fraction (176 of 256 groups) is under the watermark.
+            let group = config.page_group_bytes;
+            let scratchpad = &mut system.memory.scratchpad;
+            for (at, len) in [(1, 32), (2, 16)] {
+                system
+                    .flashvisor
+                    .write_section(SimTime::from_ms(at), 0, len * group, scratchpad)
+                    .unwrap();
+            }
+            let slice = ScreenSlice {
+                input_start: 0,
+                input_len: 0,
+                output_start: 100 * group,
+                output_len: group,
+            };
+            let mut states = Vec::new();
+            for at in [3, 4] {
+                system
+                    .flush_output(SimTime::from_ms(at), 0, &slice)
+                    .unwrap();
+                system.drive(&mut NoForeground).unwrap();
+                states.push((
+                    system.gc_passes,
+                    system.flashvisor.backbone().fault_stats().blocks_retired,
+                    system.flashvisor.retired_rows().to_vec(),
+                ));
+            }
+            states
+        };
+        let sync = after_each_flush(false);
+        assert!(sync[0].0 > 1, "the campaign stopped at the failure");
+        assert_eq!(sync[0].1, 1, "the scripted erase failure was missed");
+        assert!(sync[0].2.is_empty(), "a row retired inside the campaign");
+        assert_eq!(sync[1].2, [0], "the condemned row did not retire");
+        assert_eq!(sync, after_each_flush(true));
     }
 
     #[test]
