@@ -815,14 +815,6 @@ impl Flashvisor {
         self.freespace.reclaim_range(low, high)
     }
 
-    /// Allocates a physical page group outside `[low, high)` on behalf of
-    /// Storengine's valid-page migration (see
-    /// [`FreeSpaceManager::allocate_excluding`]), without charging
-    /// Flashvisor statistics or CPU time — migration is Storengine's work.
-    pub(crate) fn allocate_group_for_gc_excluding(&mut self, low: u64, high: u64) -> Option<u64> {
-        self.freespace.allocate_excluding(low, high)
-    }
-
     // ------------------------------------------------------------------
     // Fault model & power-loss recovery
     // ------------------------------------------------------------------
@@ -904,55 +896,55 @@ impl Flashvisor {
         self.redo_since_journal.clear();
     }
 
-    /// GC-style migration of one mapped group out of `[excl_low,
-    /// excl_high)`: reads the group's pages, programs a fresh destination
-    /// outside the exclusion window, invalidates the old location, and
-    /// commits the remap. Returns `Ok(Some(end))` on success and
-    /// `Ok(None)` when no destination exists or the destination programs
-    /// kept failing — the old mapping is left intact either way, so the
-    /// data is never lost, merely not yet moved.
-    fn migrate_mapped_group(
+    /// Moves mapped group `lg` from physical group `pg` to a destination
+    /// outside `[low, high)`: reads the group as one stripe, programs the
+    /// destination (from [`FreeSpaceManager::allocate_excluding`]) as one
+    /// stripe once the read is done, then invalidates the old copy and
+    /// commits the remap. All traffic runs under [`OwnerId::Gc`], and no
+    /// Flashvisor statistics or CPU time are charged. Returns when the
+    /// program stripe finished, or `Ok(None)` when no destination is free
+    /// or an injected program failure hit it (the destination goes back to
+    /// the allocator if nothing landed); the old mapping is then left
+    /// intact, so the data is not lost, merely not moved. GC migration,
+    /// read-disturb relocation and bad-row retirement all move groups here.
+    pub(crate) fn migrate_group(
         &mut self,
         now: SimTime,
         lg: u64,
         pg: u64,
-        excl_low: u64,
-        excl_high: u64,
+        low: u64,
+        high: u64,
     ) -> Result<Option<SimTime>, FaError> {
         let pages = self.config.pages_per_group();
-        let mut cursor = now;
-        if let Ok(done) =
-            self.backbone
-                .submit_group(now, pg * pages, pages, FlashOp::ReadPage, OwnerId::Gc)
-        {
-            cursor = done;
-        }
-        for _attempt in 0..2 {
-            let Some(new_pg) = self.freespace.allocate_excluding(excl_low, excl_high) else {
-                return Ok(None);
-            };
-            match self.backbone.submit_group(
-                cursor,
-                new_pg * pages,
-                pages,
-                FlashOp::ProgramPage,
-                OwnerId::Gc,
-            ) {
-                Ok(done) => {
-                    self.backbone.invalidate_group(pg * pages, pages)?;
-                    self.remap_group(lg, new_pg);
-                    return Ok(Some(done));
-                }
-                Err(FlashError::InjectedProgramFailure(_)) => {
-                    self.recycle_if_unprogrammed(new_pg);
-                }
-                Err(e) => {
-                    self.recycle_if_unprogrammed(new_pg);
-                    return Err(e.into());
+        // A read that fails (a worn-out block) still moves the group: the
+        // program waits for nothing.
+        let read_done = self
+            .backbone
+            .submit_group(now, pg * pages, pages, FlashOp::ReadPage, OwnerId::Gc)
+            .unwrap_or(now);
+        let Some(new_pg) = self.freespace.allocate_excluding(low, high) else {
+            return Ok(None);
+        };
+        match self.backbone.submit_group(
+            read_done,
+            new_pg * pages,
+            pages,
+            FlashOp::ProgramPage,
+            OwnerId::Gc,
+        ) {
+            Ok(done) => {
+                self.backbone.invalidate_group(pg * pages, pages)?;
+                self.remap_group(lg, new_pg);
+                Ok(Some(done))
+            }
+            Err(e) => {
+                self.recycle_if_unprogrammed(new_pg);
+                match e {
+                    FlashError::InjectedProgramFailure(_) => Ok(None),
+                    e => Err(e.into()),
                 }
             }
         }
-        Ok(None)
     }
 
     /// Relocates every group holding a page the fault model flagged as
@@ -975,7 +967,7 @@ impl Flashvisor {
             let Some(lg) = self.logical_group_mapped_to(pg) else {
                 continue;
             };
-            if let Some(end) = self.migrate_mapped_group(finished, lg, pg, 0, 0)? {
+            if let Some(end) = self.migrate_group(finished, lg, pg, 0, 0)? {
                 finished = finished.max(end);
             }
         }
@@ -1011,7 +1003,7 @@ impl Flashvisor {
             let (low, high) = layout.row_groups(row);
             let mut vacated = true;
             for (lg, pg) in self.victim_groups(low, high) {
-                match self.migrate_mapped_group(finished, lg, pg, low, high)? {
+                match self.migrate_group(finished, lg, pg, low, high)? {
                     Some(end) => finished = finished.max(end),
                     None => vacated = false,
                 }

@@ -8,6 +8,15 @@
 //! order, migrates still-valid pages out of victim blocks, and returns the
 //! reclaimed space to the allocator. All of this runs in the background,
 //! overlapped with kernel execution.
+//!
+//! A flush that trips the free-space watermark starts a *campaign* of
+//! reclamation passes (see `FlashAbacusSystem::housekeeping` in
+//! `system.rs`). Each pass is planned (`plan_gc`), opened
+//! (`begin_gc_pass`), migrated in slices (`migrate_gc_groups`) and
+//! closed (`finish_gc_pass`); the driver runs those steps at the
+//! flush instant in synchronous mode, or as deferred storage tasks in
+//! background mode. [`Storengine::collect_garbage`] runs one pass in one
+//! call.
 
 use crate::config::FlashAbacusConfig;
 use crate::error::FaError;
@@ -99,8 +108,8 @@ pub struct GcOutcome {
 /// The planning half of a reclamation pass: which block row to erase and
 /// which groups must be migrated out of it first. Planning touches only
 /// Storengine's cursor and the incremental indexes — no device time — so
-/// the system driver can plan a pass when a background event fires and
-/// execute it immediately against the state the plan was derived from.
+/// the system driver plans a pass when its campaign step runs and
+/// executes it at once against the state the plan was derived from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcPlan {
     /// Within-die block row this pass reclaims (block `row` of every
@@ -121,8 +130,6 @@ pub struct GcPlan {
 pub struct GcPassProgress {
     /// Index into [`GcPlan::victims`] the next migration slice starts at.
     pub next_victim: usize,
-    /// Groups migrated so far by this pass.
-    pub migrated_groups: u64,
     /// Pages migrated so far by this pass.
     pub migrated_pages: u64,
     /// When the traffic issued so far completes (the next slice resumes
@@ -319,19 +326,21 @@ impl Storengine {
     pub(crate) fn begin_gc_pass(&mut self, now: SimTime) -> GcPassProgress {
         GcPassProgress {
             next_victim: 0,
-            migrated_groups: 0,
             migrated_pages: 0,
             finished: self.charge_cpu(now, 2_000),
         }
     }
 
     /// Migrates up to `max_groups` of the plan's victims, starting at
-    /// `progress.next_victim`: read the old group's pages, program them
-    /// into a destination outside the victim row, remap, and recycle the
-    /// old group. All traffic is issued under [`OwnerId::Gc`]. A bounded
-    /// `max_groups` is how the system driver slices a budgeted background
-    /// pass into separate events, so foreground requests issue between
-    /// slices instead of queueing behind a whole row's migration burst.
+    /// `progress.next_victim`, one after another: each moves with
+    /// [`Flashvisor::migrate_group`] to a destination outside the victim
+    /// row, so the erase at the end of the pass can never destroy freshly
+    /// relocated data. The old group is not recycled here: its block is
+    /// still unerased, and the row erase returns it with the rest of the
+    /// row. A bounded `max_groups` is how the system driver slices a
+    /// budgeted background pass into separate events, so foreground
+    /// requests issue between slices instead of queueing behind a whole
+    /// row's migration burst.
     pub(crate) fn migrate_gc_groups(
         &mut self,
         flashvisor: &mut Flashvisor,
@@ -339,9 +348,7 @@ impl Storengine {
         progress: &mut GcPassProgress,
         max_groups: usize,
     ) -> Result<(), FaError> {
-        let geometry = self.config.flash_geometry;
         let pages_per_group = self.config.pages_per_group();
-        let mut cursor = progress.finished;
         let end = plan
             .victims
             .len()
@@ -356,80 +363,32 @@ impl Storengine {
             if flashvisor.physical_group_of(lg) != Some(old_pg) {
                 continue;
             }
-            // Migrate: read valid pages of the old group, program them into
-            // a new group, update the mapping.
-            for i in 0..pages_per_group {
-                let flat = old_pg * pages_per_group + i;
-                if flat >= geometry.total_pages() {
-                    continue;
+            match flashvisor.migrate_group(
+                progress.finished,
+                lg,
+                old_pg,
+                plan.group_low,
+                plan.group_high,
+            )? {
+                Some(done) => {
+                    progress.finished = done;
+                    progress.migrated_pages += pages_per_group;
+                    self.stats.pages_migrated += pages_per_group;
                 }
-                let addr = geometry.flat_to_addr(flat);
-                if let Ok(c) = flashvisor.backbone_mut().submit_tagged(
-                    cursor,
-                    FlashCommand::read(addr),
-                    OwnerId::Gc,
-                ) {
-                    cursor = cursor.max(c.finished);
-                }
-            }
-            // The relocation destination excludes the victim row, so the
-            // erase at the end of the pass can never destroy freshly
-            // relocated data.
-            let destination =
-                flashvisor.allocate_group_for_gc_excluding(plan.group_low, plan.group_high);
-            let new_pg = match destination {
-                Some(g) => g,
-                // Every available group (pool or hot reserve) lies inside
-                // the row this pass wants to erase: there is nowhere safe
-                // to relocate to, so leave the group mapped where it is and
-                // keep the pass non-destructive rather than aborting the
-                // run — the space is still there, just not reachable by
-                // this victim choice.
-                None if flashvisor.freespace().available() > 0 => continue,
+                // Every available group lies inside the victim row, or the
+                // destination's programs failed: the group stays mapped
+                // where it is, and the erase check at the end of the pass
+                // sees it and skips the erase, so nothing mapped is lost.
+                // The run goes on while space is left anywhere.
+                None if flashvisor.freespace().available() > 0 => {}
                 None => {
                     return Err(FaError::OutOfFlashSpace {
                         requested: 1,
                         available: 0,
                     })
                 }
-            };
-            let mut programmed_ok = true;
-            for i in 0..pages_per_group {
-                let flat = new_pg * pages_per_group + i;
-                if flat >= geometry.total_pages() {
-                    continue;
-                }
-                let addr = geometry.flat_to_addr(flat);
-                match flashvisor.backbone_mut().submit_tagged(
-                    cursor,
-                    FlashCommand::program(addr),
-                    OwnerId::Gc,
-                ) {
-                    Ok(c) => cursor = cursor.max(c.finished),
-                    // The destination could not take the data (a recycled
-                    // group in a block whose write cursor does not line
-                    // up). Leave the group mapped where it is and skip it —
-                    // the erase check at the end of the pass sees the
-                    // leftover mapping and skips the erase, so nothing
-                    // mapped is lost.
-                    Err(_) => programmed_ok = false,
-                }
             }
-            if !programmed_ok {
-                flashvisor.recycle_if_unprogrammed(new_pg);
-                continue;
-            }
-            flashvisor.remap_group(lg, new_pg);
-            progress.migrated_pages += pages_per_group;
-            progress.migrated_groups += 1;
-            // The old group is NOT recycled here: its block is still
-            // unerased, and a sliced pass interleaves with foreground
-            // writes that would pop it and fail their programs. The row
-            // erase at the end of the pass returns it (and everything else
-            // in the range) to the allocator in one reusable ascending run.
-            self.stats.pages_migrated += pages_per_group;
         }
-        progress.finished = cursor;
         Ok(())
     }
 
@@ -518,27 +477,17 @@ impl Storengine {
         })
     }
 
-    /// Executes a planned reclamation pass in one go: migrate everything,
+    /// Runs one reclamation pass synchronously: plan, migrate every victim,
     /// then erase and reclaim the row.
-    fn execute_gc(
-        &mut self,
-        now: SimTime,
-        flashvisor: &mut Flashvisor,
-        plan: &GcPlan,
-    ) -> Result<GcOutcome, FaError> {
-        let mut progress = self.begin_gc_pass(now);
-        self.migrate_gc_groups(flashvisor, plan, &mut progress, usize::MAX)?;
-        self.finish_gc_pass(flashvisor, plan, &progress)
-    }
-
-    /// Runs one reclamation pass synchronously: plan, then execute.
     pub fn collect_garbage(
         &mut self,
         now: SimTime,
         flashvisor: &mut Flashvisor,
     ) -> Result<GcOutcome, FaError> {
         let plan = self.plan_gc(now, flashvisor);
-        self.execute_gc(now, flashvisor, &plan)
+        let mut progress = self.begin_gc_pass(now);
+        self.migrate_gc_groups(flashvisor, &plan, &mut progress, usize::MAX)?;
+        self.finish_gc_pass(flashvisor, &plan, &progress)
     }
 }
 
@@ -546,6 +495,7 @@ impl Storengine {
 mod tests {
     use super::*;
     use crate::scheduler::SchedulerPolicy;
+    use fa_flash::FlashOp;
     use fa_platform::mem::Scratchpad;
     use fa_platform::PlatformSpec;
 
@@ -712,6 +662,48 @@ mod tests {
             .read_section(SimTime::from_ms(5), 0, 4 * group, &mut sp)
             .unwrap();
         assert_eq!(t.groups, 4);
+    }
+
+    #[test]
+    fn a_gc_migration_costs_one_read_stripe_and_one_program_stripe() {
+        // tiny_for_tests has two lanes and two-page groups, so a group's
+        // pages sit on both lanes: its read stripe and its program stripe
+        // each overlap the two pages.
+        let (mut s, mut v, mut sp) = setup();
+        let group = v.config().page_group_bytes;
+        let mut twin = Flashvisor::new(*v.config());
+        for visor in [&mut v, &mut twin] {
+            visor
+                .write_section(SimTime::ZERO, 0, group, &mut sp)
+                .unwrap();
+        }
+        let now = SimTime::from_ms(1);
+        let plan = s.plan_gc(now, &v);
+        assert_eq!(plan.victims, [(0, 0)], "row 0 holds logical group 0");
+        let mut progress = s.begin_gc_pass(now);
+        let start = progress.finished;
+        s.migrate_gc_groups(&mut v, &plan, &mut progress, usize::MAX)
+            .unwrap();
+        // The destination is the first free group outside row 0.
+        let (destination, _) = v.config().group_layout().row_groups(1);
+        assert_eq!(v.physical_group_of(0), Some(destination));
+        let pages = v.config().pages_per_group();
+        let read = twin
+            .backbone_mut()
+            .submit_group(start, 0, pages, FlashOp::ReadPage, OwnerId::Gc)
+            .unwrap();
+        let programmed = twin
+            .backbone_mut()
+            .submit_group(
+                read,
+                destination * pages,
+                pages,
+                FlashOp::ProgramPage,
+                OwnerId::Gc,
+            )
+            .unwrap();
+        assert_eq!(progress.finished, programmed);
+        assert_eq!(progress.migrated_pages, pages);
     }
 
     #[test]
