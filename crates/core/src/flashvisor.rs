@@ -37,22 +37,6 @@ pub struct FlashvisorStats {
     /// Group writes whose logical group was classified cold (or hot/cold
     /// separation is disabled).
     pub cold_group_writes: u64,
-    /// Hot group writes actually served from the dedicated hot active
-    /// blocks (the remainder failed: the device had no free group left to
-    /// refill the hot reserve).
-    pub hot_steered_writes: u64,
-}
-
-impl FlashvisorStats {
-    /// Fraction of hot-classified writes that landed on the dedicated hot
-    /// active blocks; 0 when no write was classified hot.
-    pub fn hot_steer_rate(&self) -> f64 {
-        if self.hot_group_writes == 0 {
-            0.0
-        } else {
-            self.hot_steered_writes as f64 / self.hot_group_writes as f64
-        }
-    }
 }
 
 /// Erase-cycle statistics over the *data* blocks (the journal's reserved
@@ -411,9 +395,7 @@ impl Flashvisor {
         if self.freespace.hot_groups().is_empty() {
             self.sync_wear();
         }
-        let g = self.freespace.allocate_hot().ok_or(OUT_OF_SPACE)?;
-        self.stats.hot_steered_writes += 1;
-        Ok(g)
+        self.freespace.allocate_hot().ok_or(OUT_OF_SPACE)
     }
 
     /// Looks up the mapping slot of a logical group, rejecting addresses

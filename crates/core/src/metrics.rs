@@ -88,9 +88,6 @@ pub struct RunOutcome {
     /// Group writes classified cold (all of them when hot/cold separation
     /// is disabled).
     pub cold_group_writes: u64,
-    /// Fraction of hot-classified writes served from the dedicated hot
-    /// active blocks; 0 when nothing was classified hot.
-    pub hot_steer_rate: f64,
     /// Open-loop campaigns only: tenants the arrival process injected.
     /// Zero for closed-loop batch runs.
     pub tenants_arrived: u64,
@@ -177,7 +174,6 @@ mod tests {
             gc_migrated_bytes_per_reclaimed_byte: 0.0,
             hot_group_writes: 0,
             cold_group_writes: 0,
-            hot_steer_rate: 0.0,
             tenants_arrived: 0,
             tenants_admitted: 0,
             tenants_queued: 0,

@@ -793,7 +793,6 @@ impl FlashAbacusSystem {
             gc_migrated_bytes_per_reclaimed_byte,
             hot_group_writes: fv_stats.hot_group_writes,
             cold_group_writes: fv_stats.cold_group_writes,
-            hot_steer_rate: fv_stats.hot_steer_rate(),
             tenants_arrived: 0,
             tenants_admitted: 0,
             tenants_queued: 0,

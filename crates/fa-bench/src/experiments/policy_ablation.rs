@@ -13,7 +13,7 @@
 //! * **Full-system endurance** — the fig12 GC-pressure workload run through
 //!   [`flashabacus::FlashAbacusSystem`] per placement policy, reporting the
 //!   endurance metrics now threaded through `RunOutcome` (wear spread,
-//!   migrated-bytes-per-reclaimed-byte, hot/cold steering).
+//!   migrated-bytes-per-reclaimed-byte).
 //!
 //! The headline numbers: `LeastWorn` narrows the erase-count spread,
 //! `GreedyMinValid`/`CostBenefit` cut the bytes migrated per byte
@@ -76,9 +76,8 @@ pub struct ChurnOutcome {
     pub pages_migrated: u64,
     /// Page groups GC returned to the allocator.
     pub groups_reclaimed: u64,
-    /// Fraction of hot-classified writes served from the dedicated hot
-    /// active blocks.
-    pub hot_steer_rate: f64,
+    /// Group writes classified hot by the overwrite-count threshold.
+    pub hot_group_writes: u64,
 }
 
 impl ChurnOutcome {
@@ -144,7 +143,7 @@ fn run_churn(config: FlashAbacusConfig, rounds: u64) -> ChurnOutcome {
         },
         pages_migrated: stats.pages_migrated,
         groups_reclaimed: stats.groups_reclaimed,
-        hot_steer_rate: v.stats().hot_steer_rate(),
+        hot_group_writes: v.stats().hot_group_writes,
     }
 }
 
@@ -196,11 +195,10 @@ fn churn_row(o: &ChurnOutcome) -> Vec<String> {
         format!("{:.4}", o.migrated_per_reclaimed),
         o.pages_migrated.to_string(),
         o.groups_reclaimed.to_string(),
-        format!("{:.3}", o.hot_steer_rate),
     ]
 }
 
-const CHURN_HEADER: [&str; 10] = [
+const CHURN_HEADER: [&str; 9] = [
     "Placement",
     "GC victim",
     "hot/cold",
@@ -210,7 +208,6 @@ const CHURN_HEADER: [&str; 10] = [
     "migrated B / reclaimed B",
     "pages migrated",
     "groups reclaimed",
-    "hot steer rate",
 ];
 
 /// Renders the policy-ablation figure: the churn grid, the hot/cold
@@ -372,12 +369,8 @@ mod tests {
         assert_eq!(off.hot_threshold, None);
         assert_eq!(on.hot_threshold, Some(8));
         // Separation actually engaged...
-        assert!(
-            on.hot_steer_rate > 0.9,
-            "hot steer rate {} too low",
-            on.hot_steer_rate
-        );
-        assert_eq!(off.hot_steer_rate, 0.0);
+        assert!(on.hot_group_writes > 0, "no write was classified hot");
+        assert_eq!(off.hot_group_writes, 0);
         // ...and concentrating churn garbage cuts the migration bill.
         assert!(
             on.migrated_per_reclaimed < off.migrated_per_reclaimed,

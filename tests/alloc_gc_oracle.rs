@@ -306,7 +306,6 @@ fn check_invariants(v: &Flashvisor, shadow_overwrites: &[u32]) -> Result<(), Str
         fv.overwritten_groups,
         shadow_overwrites.iter().map(|&c| c as u64).sum::<u64>()
     );
-    prop_assert!(fv.hot_steered_writes <= fv.hot_group_writes);
 
     Ok(())
 }

@@ -242,12 +242,11 @@ fn churn_round() -> ChurnRound {
     let se = s.stats();
     assert!(se.erases > 0, "churn never erased a row");
     digest.push_str(&format!(
-        "stats {} {} {} {} {} {} {} {}\n",
+        "stats {} {} {} {} {} {} {}\n",
         fv.group_writes,
         fv.overwritten_groups,
         fv.hot_group_writes,
         fv.cold_group_writes,
-        fv.hot_steered_writes,
         se.erases,
         se.groups_reclaimed,
         se.pages_migrated,
@@ -349,7 +348,7 @@ fn outcome_text(out: &RunOutcome) -> String {
          storengine_utilization {:?}\nfu_timeline {}\npower_timeline {}\n\
          flash_group_reads {}\nflash_group_writes {}\ngc_passes {}\n\
          journal_dumps {}\nforeground_read_p99_s {:?}\nwear {} {} {:?}\n\
-         gc_migrated_bytes_per_reclaimed_byte {:?}\nhot_cold {} {} {:?}\n",
+         gc_migrated_bytes_per_reclaimed_byte {:?}\nhot_cold {} {}\n",
         out.scheduler,
         out.finished_at.as_ns(),
         out.bytes_processed,
@@ -370,7 +369,6 @@ fn outcome_text(out: &RunOutcome) -> String {
         out.gc_migrated_bytes_per_reclaimed_byte,
         out.hot_group_writes,
         out.cold_group_writes,
-        out.hot_steer_rate,
     );
     for k in &out.kernel_latencies {
         text.push_str(&format!(
