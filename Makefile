@@ -18,5 +18,5 @@ verify:
 
 bless-golden:
 	FA_BLESS_GOLDEN=1 cargo test -q --test results_golden
-	git --no-pager diff --stat -- tests/golden/
+	git --no-pager diff -- tests/golden/
 	@echo "golden re-blessed; review the diff above before committing"

@@ -898,8 +898,8 @@ impl Flashvisor {
         high: u64,
     ) -> Result<Option<SimTime>, FaError> {
         let pages = self.config.pages_per_group();
-        // A read that fails (a worn-out block) still moves the group: the
-        // program waits for nothing.
+        // A read that fails (a worn-out block) does not stop the move; the
+        // program then starts at `now`.
         let read_done = self
             .backbone
             .submit_group(now, pg * pages, pages, FlashOp::ReadPage, OwnerId::Gc)

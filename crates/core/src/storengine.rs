@@ -130,6 +130,8 @@ pub struct GcPlan {
 pub struct GcPassProgress {
     /// Index into [`GcPlan::victims`] the next migration slice starts at.
     pub next_victim: usize,
+    /// Groups migrated so far by this pass.
+    pub migrated_groups: u64,
     /// Pages migrated so far by this pass.
     pub migrated_pages: u64,
     /// When the traffic issued so far completes (the next slice resumes
@@ -326,6 +328,7 @@ impl Storengine {
     pub(crate) fn begin_gc_pass(&mut self, now: SimTime) -> GcPassProgress {
         GcPassProgress {
             next_victim: 0,
+            migrated_groups: 0,
             migrated_pages: 0,
             finished: self.charge_cpu(now, 2_000),
         }
@@ -372,6 +375,7 @@ impl Storengine {
             )? {
                 Some(done) => {
                     progress.finished = done;
+                    progress.migrated_groups += 1;
                     progress.migrated_pages += pages_per_group;
                     self.stats.pages_migrated += pages_per_group;
                 }

@@ -614,9 +614,8 @@ impl FlashAbacusSystem {
         self.storengine
             .migrate_gc_groups(&mut self.flashvisor, &plan, &mut progress, slice)?;
         if progress.next_victim < plan.victims.len() {
-            let at = progress.finished;
             return Ok(Some((
-                at,
+                progress.finished,
                 StorageTask::GcSlice {
                     plan,
                     progress,
@@ -634,13 +633,14 @@ impl FlashAbacusSystem {
                 available: 0,
             });
         }
-        let next = (remaining > 1 && self.storengine.gc_needed(&self.flashvisor)).then_some((
-            out.finished,
-            StorageTask::GcPass {
-                remaining: remaining - 1,
-            },
-        ));
-        Ok(next)
+        Ok(
+            (remaining > 1 && self.storengine.gc_needed(&self.flashvisor)).then_some((
+                out.finished,
+                StorageTask::GcPass {
+                    remaining: remaining - 1,
+                },
+            )),
+        )
     }
 
     /// Computes `screen` on worker `worker` once its data is ready at
